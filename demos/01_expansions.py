@@ -7,7 +7,7 @@ zeta values, and the expansion is computed exactly by enumerating the weak
 orderings of the summation variables.
 """
 
-from eulersums import expand_t1, expand_t2, expand_repeated_t1, parse_index, render_index
+from eulersums import expand_t1, expand_t2, make_index, parse_index, render_index
 
 print("Linear sums: S(p,q) = z(q,p) + z(p+q)")
 for text in ["S(1,2)", "S(3,5)"]:
@@ -35,7 +35,7 @@ print(f"  engine t1: S(2,3) = {expand_t1(idx).render()}")
 print(f"  engine t2: S(2,3) = {expand_t2(idx).render()}")
 print("  (equating the two recovers the classical reflection formula)")
 
-print("\nRepeated exponents collapse to a composition-only fast path,")
-print("so large multiplicities stay cheap:")
-out = expand_repeated_t1(2, 12, 3)
+print("\nRepeated exponents cost one term per composition, not per")
+print("permutation, so large multiplicities stay cheap:")
+out = expand_t1(make_index([2] * 12, 3))
 print(f"  S(2^12,3) expands into {len(out)} atoms of weight {2*12+3}")

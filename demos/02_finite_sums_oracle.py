@@ -3,9 +3,9 @@
 A product of (alternating) harmonic numbers at any finite n equals a fixed
 rational combination of multiple harmonic sums, with coefficients that do
 not depend on n.  Because everything is exact rational arithmetic, this
-gives a zero-tolerance self-test of the enumeration: the same combinatorics
-that produces the infinite-sum expansion must reproduce the product at every
-single n.
+gives a zero-tolerance self-test of the quasi-shuffle kernel: the same
+product that builds every infinite-sum expansion must reproduce the
+harmonic-number product at every single n.
 """
 
 from fractions import Fraction

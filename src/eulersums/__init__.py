@@ -1,10 +1,11 @@
 """Euler sums as exact combinations of multiple zeta values.
 
 The library expands classical and alternating Euler sums into Q-linear
-combinations of (alternating) multiple zeta values by enumerating weak
-orderings of the summation variables, reduces the results with a toolkit of
-closed-form identities and user-supplied tables, and verifies everything
-against an independent high-precision numerical oracle.
+combinations of (alternating) multiple zeta values by multiplying out their
+harmonic numbers as nested sums (the quasi-shuffle product), reduces the
+results with a toolkit of closed-form identities and user-supplied tables,
+and verifies everything against an independent high-precision numerical
+oracle.
 
 Quick start::
 
@@ -20,33 +21,21 @@ from .algebra import (
     SymbolicTerm,
     as_fraction,
     li_half,
-    lincomb_add,
-    lincomb_mul,
     parse_atom,
     z,
-)
-from .combinatorics import (
-    compositions,
-    iter_compositions,
-    multinomial,
-    multiset_permutations,
-    permutations,
 )
 from .expansion import (
     DegreeCapError,
     UnsupportedHypothesisError,
     expand_harmonic_product,
-    expand_repeated_t1,
-    expand_repeated_t2,
     expand_t1,
     expand_t2,
+    linearize,
 )
 from .indices import (
     ConvergenceError,
     EulerSumIndex,
     IndexParseError,
-    index_degree,
-    index_weight,
     make_index,
     parse_index,
     render_index,

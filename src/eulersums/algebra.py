@@ -202,9 +202,7 @@ class LinComb:
             for t, c in entries.items():
                 c = as_fraction(c)
                 if c:
-                    d[t] = d.get(t, Fraction(0)) + c
-                    if not d[t]:
-                        del d[t]
+                    d[t] = c
         self._d = d
 
     # -- constructors -------------------------------------------------
@@ -374,10 +372,3 @@ class LinComb:
     def __repr__(self):
         return f"LinComb({self.render()})"
 
-
-def lincomb_add(a: LinComb, b: LinComb) -> LinComb:
-    return a + b
-
-
-def lincomb_mul(a: LinComb, b: LinComb) -> LinComb:
-    return a * b

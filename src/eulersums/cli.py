@@ -28,6 +28,7 @@ from .expansion import (
     expand_t1,
     expand_t2,
     is_conditionally_convergent,
+    linearize,
 )
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .reduction import load_identity_table, reduce_lincomb
@@ -104,7 +105,7 @@ def _load_tables(args) -> tuple[list, int]:
             failures += 1
     if args.require_tables and paths and not any(len(t) for t in tables):
         return tables, EXIT_TABLES
-    return tables, 0
+    return tables, EXIT_PARSE if failures else 0
 
 
 def _parse_or_exit(text: str | None) -> EulerSumIndex | int:
@@ -121,30 +122,22 @@ def _parse_or_exit(text: str | None) -> EulerSumIndex | int:
         return EXIT_PARSE
 
 
-def _expand_with_engine(idx: EulerSumIndex, engine: str, tol: float):
+def _expand_with_engine(idx: EulerSumIndex, engine: str):
     """Returns (lincomb, engine_label, note)."""
-    note = None
     if engine == "t2":
-        return expand_t2(idx), "t2", note
+        return expand_t2(idx), "t2", None
     lc = expand_t1(idx)
     if engine == "auto":
         try:
             lc2 = expand_t2(idx)
         except (UnsupportedHypothesisError, DegreeCapError):
-            lc2 = None
-        if lc2 is not None:
-            a = numerics.eval_lincomb_best(lc, tol / 2)
-            b = numerics.eval_lincomb_best(lc2, tol / 2)
-            diff = abs(float(a.value) - float(b.value))
-            budget = a.tail_bound + b.tail_bound + tol
-            if diff > budget:
-                raise AssertionError(
-                    f"engine disagreement on {idx}: |{float(a.value)} - {float(b.value)}|"
-                    f" = {diff:.3g} > {budget:.3g}"
-                )
-            note = f"engines agree (discrepancy {diff:.3g}, budget {budget:.3g})"
-            return lc, "auto(t1, t2 checked)", note
-    return lc, "t1", note
+            return lc, "t1", None
+        if linearize(lc2) != lc:
+            raise AssertionError(
+                f"engine disagreement on {idx}: t1 differs from the linearized t2 expansion"
+            )
+        return lc, "auto(t1, t2 checked)", "engines agree exactly (t1 equals linearized t2)"
+    return lc, "t1", None
 
 
 def _clamp_tol(args) -> float | None:
@@ -183,14 +176,13 @@ def _emit(idx: EulerSumIndex, lc: LinComb, args, engine: str, trace=None, extra=
 
 
 def cmd_expand(args) -> int:
-    tol = _clamp_tol(args)
-    if tol is None:
+    if _clamp_tol(args) is None:
         return EXIT_PARSE
     idx = _parse_or_exit(args.index)
     if isinstance(idx, int):
         return idx
     try:
-        lc, engine, note = _expand_with_engine(idx, args.engine, tol)
+        lc, engine, note = _expand_with_engine(idx, args.engine)
     except (UnsupportedHypothesisError, DegreeCapError) as e:
         _err(f"engine precondition: {e}")
         return EXIT_ENGINE
@@ -202,8 +194,7 @@ def cmd_expand(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    tol = _clamp_tol(args)
-    if tol is None:
+    if _clamp_tol(args) is None:
         return EXIT_PARSE
     idx = _parse_or_exit(args.index)
     if isinstance(idx, int):
@@ -212,7 +203,7 @@ def cmd_reduce(args) -> int:
     if code:
         return code
     try:
-        lc, engine, _ = _expand_with_engine(idx, args.engine, tol)
+        lc, engine, _ = _expand_with_engine(idx, args.engine)
     except (UnsupportedHypothesisError, DegreeCapError) as e:
         _err(f"engine precondition: {e}")
         return EXIT_ENGINE
@@ -234,7 +225,7 @@ def _verify_one(text: str, args, tables) -> tuple[str, bool, str]:
     tol = args.tol
     idx = parse_index(text)
     lhs = numerics.eval_euler_sum_best(idx, tol)
-    lc, engine, _ = _expand_with_engine(idx, args.engine, tol)
+    lc, engine, _ = _expand_with_engine(idx, args.engine)
     rhs = numerics.eval_lincomb_best(lc, tol)
     diff = abs(float(lhs.value) - float(rhs.value))
     budget = lhs.tail_bound + rhs.tail_bound + tol

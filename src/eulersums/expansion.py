@@ -1,49 +1,52 @@
 """Expansion of (alternating) Euler sums into exact combinations of MZV atoms.
 
-Two independent engines are provided.
+Every expansion path rests on one product: a product of harmonic numbers,
+or of multiple zeta values, multiplied out as nested sums.  That product is
+the quasi-shuffle (stuffle) of words (Hoffman, *Quasi-shuffle products*),
+computed by ``_quasi_shuffle``.  Its first letter merges the first letters of
+a nonempty sub-multiset of the words: the letter's magnitude is their
+magnitude sum, and it alternates exactly when an odd number of them do
+(sigma^n * sigma^n = 1).  The rest of the word is the product of what is
+left.
 
-Engine t1 enumerates the weak orderings of the summation variables of the
-product of harmonic numbers: orderings fall into classes indexed by
-compositions, class members are indexed by permutations, and equal entries
-are collapsed into "orbits" so that an index with repeated exponents costs
-one term per distinct arrangement instead of one per permutation.  Each
-(composition, arrangement) pair contributes two atoms: one keeping the outer
-exponent as its own leading slot and one merging it with the first block.
-Alternating harmonic factors make a block alternate exactly when the block
-holds an odd number of them, and an alternating outer series flips the merge
-parity and the global sign.
+Engine t1 multiplies the one-letter words of the inner exponents.  Each
+resulting word contributes two atoms: one keeping the outer exponent as its
+own leading slot and one merging it with the first letter.  Alternating
+harmonic factors carry a sign -1 each (they sum (-1)^(k-1), the slots
+sigma^k), and an alternating outer series flips the merge parity and the
+global sign.
 
 Engine t2 applies only to non-alternating indices with all exponents >= 2:
 each harmonic factor is split as (limit - tail), the product is expanded by
 inclusion-exclusion over the factors contributing their tail, and the tail
-product is regrouped by the same weak-ordering argument into atoms ending in
-the outer exponent, multiplied by depth-1 zeta factors.
+product is the quasi-shuffle of those factors followed by the outer
+exponent, multiplied by depth-1 zeta factors.
 
-Both engines emit raw output: no identities are applied, so each engine is
-independently testable against the numerical oracle and against the other.
+Both engines emit raw output: no identities are applied.  ``linearize``
+multiplies out the products of atoms that t2 emits; for every index t2
+covers, the linearized t2 output equals the t1 output exactly, because both
+split the same absolutely convergent sum into strict-order cells.
 
 ``expand_harmonic_product`` exposes the n-independent core of engine t1: the
 expansion of a finite product of (alternating) generalized harmonic numbers
 as a combination of multiple harmonic sums.  Substituting any finite n and
 evaluating exactly reproduces the product; the test suite uses this as the
-ground-truth oracle for the enumeration.
+ground-truth oracle for the kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
-from .algebra import LinComb, MzvAtom, SymbolicTerm, z
-from .combinatorics import (
-    PERMUTATION_CAP,
-    iter_compositions,
-    multinomial,
-    multiset_permutations,
-    orbit_size,
-)
+from .algebra import UNIT_TERM, LinComb, MzvAtom, SymbolicTerm, z
 from .indices import EulerSumIndex
+
+# Largest number of ordered multiset partitions of the inner entries that an
+# expansion accepts: Fubini(8) = 545 835 fits, Fubini(9) = 7 087 261 does not.
+PARTITION_CAP = 2**20
 
 
 class UnsupportedHypothesisError(ValueError):
@@ -51,28 +54,85 @@ class UnsupportedHypothesisError(ValueError):
 
 
 class DegreeCapError(ValueError):
-    """The index degree exceeds the enumeration cap."""
+    """The expansion of the index is too large to enumerate."""
 
 
-def _check_degree(m: int):
-    if m > PERMUTATION_CAP:
+def ordered_partition_count(entries) -> int:
+    """Number of ordered partitions of the multiset ``entries`` into
+    nonempty blocks: the number of paths the quasi-shuffle kernel walks.
+
+    Inclusion-exclusion over empty blocks: sum over j blocks and i of them
+    forced empty of (-1)^i C(j,i) prod_v C(c_v + j-i-1, c_v), where c_v is the
+    multiplicity of value v.  Fubini(m) for m distinct entries, 2^(m-1) for
+    one value repeated m times.
+    """
+    counts = Counter(entries).values()
+    m = sum(counts)
+    return sum(
+        (-1) ** i
+        * math.comb(j, i)
+        * math.prod(math.comb(c + j - i - 1, c) for c in counts)
+        for j in range(m + 1)
+        for i in range(j + 1)
+    )
+
+
+def _check_size(inner):
+    count = ordered_partition_count(inner)
+    if count > PARTITION_CAP:
         raise DegreeCapError(
-            f"degree {m} exceeds the permutation-driven cap {PERMUTATION_CAP}; "
-            "repeated-exponent indices can use the multinomial fast path"
+            f"the {len(inner)} inner entries have {count} ordered partitions, "
+            f"above the enumeration cap {PARTITION_CAP}"
         )
 
 
-def _blocks(arrangement: tuple[int, ...], comp: tuple[int, ...]):
-    """Split an arrangement into (magnitude sum, alternation parity) blocks."""
-    out = []
-    pos = 0
-    for width in comp:
-        seg = arrangement[pos : pos + width]
-        pos += width
-        mag = sum(abs(e) for e in seg)
-        lam = sum(1 for e in seg if e < 0)
-        out.append((mag, lam))
+def _quasi_shuffle(words, memo=None) -> dict[tuple[int, ...], int]:
+    """The quasi-shuffle product of ``words`` as {word: multiplicity}.
+
+    Words are tuples of signed letters (negative = alternating).  ``memo``
+    maps a multiset of words to its product; pass one dict to share work
+    across several products.
+    """
+    if memo is None:
+        memo = {}
+    return _product(tuple(sorted(Counter(w for w in words if w).items())), memo)
+
+
+def _product(state, memo):
+    out = memo.get(state)
+    if out is not None:
+        return out
+    if not state:
+        return {(): 1}
+    out = {}
+    for chosen in itertools.product(*(range(c + 1) for _, c in state)):
+        if not any(chosen):
+            continue
+        mult, mag, bars = 1, 0, 0
+        rest: Counter = Counter()
+        for (word, c), k in zip(state, chosen):
+            if k < c:
+                rest[word] += c - k
+            if k:
+                mult *= math.comb(c, k)
+                mag += k * abs(word[0])
+                bars += k * (word[0] < 0)
+                if len(word) > 1:
+                    rest[word[1:]] += k
+        letter = -mag if bars % 2 else mag
+        for tail, c in _product(tuple(sorted(rest.items())), memo).items():
+            key = (letter,) + tail
+            out[key] = out.get(key, 0) + mult * c
+    memo[state] = out
     return out
+
+
+def _add(acc: dict, key, c):
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
 
 
 def expand_harmonic_product(inner) -> dict[tuple[int, ...], Fraction]:
@@ -84,34 +144,13 @@ def expand_harmonic_product(inner) -> dict[tuple[int, ...], Fraction]:
     the sign convention sigma^n) to rational coefficients, independent of n.
     """
     inner = tuple(inner)
-    m = len(inner)
-    if m == 0:
-        return {(): Fraction(1)}
-    _check_degree(m)
     if any(e == 0 for e in inner):
         raise ValueError("inner exponents must be nonzero")
-    n_bar = sum(1 for e in inner if e < 0)
-    global_sign = (-1) ** n_bar
-    orb = orbit_size(inner)
-    out: dict[tuple[int, ...], Fraction] = {}
-    arrangements = list(multiset_permutations(inner))
-    for comp in iter_compositions(m):
-        denom = 1
-        for c in comp:
-            denom *= math.factorial(c)
-        coeff = Fraction(orb * global_sign, denom)
-        for arr in arrangements:
-            key = tuple(mag if lam % 2 == 0 else -mag for mag, lam in _blocks(arr, comp))
-            s = out.get(key, Fraction(0)) + coeff
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _signed_entry(mag: int, alternating: bool) -> int:
-    return -mag if alternating else mag
+    _check_size(inner)
+    sign = (-1) ** sum(1 for e in inner if e < 0)
+    return {
+        word: Fraction(sign * c) for word, c in _quasi_shuffle((e,) for e in inner).items()
+    }
 
 
 def expand_t1(idx: EulerSumIndex) -> LinComb:
@@ -120,53 +159,35 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     Every output atom has weight equal to the index weight and depth at most
     degree + 1.
     """
-    m = idx.degree
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
-    if m == 0:
+    if idx.degree == 0:
         # Pure outer series: sum of 1/n^q, or of (-1)^(n-1)/n^q.  The
         # alternating atom convention carries sigma^n, hence the -1.
         return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
-    _check_degree(m)
+    _check_size(idx.inner)
     n_bar = sum(1 for e in idx.inner if e < 0)
-    base_sign = (-1) ** (n_bar + (1 if outer_bar else 0))
-    orb = orbit_size(idx.inner)
+    sign = (-1) ** (n_bar + outer_bar)
+    lead = -q if outer_bar else q
     acc: dict[SymbolicTerm, Fraction] = {}
-    arrangements = list(multiset_permutations(idx.inner))
-    for comp in iter_compositions(m):
-        denom = 1
-        for c in comp:
-            denom *= math.factorial(c)
-        coeff = Fraction(orb * base_sign, denom)
-        for arr in arrangements:
-            blocks = _blocks(arr, comp)
-            tail = tuple(_signed_entry(mag, lam % 2 == 1) for mag, lam in blocks)
-            # Atom 1: the outer exponent keeps its own leading slot.
-            lead = -q if outer_bar else q
-            a1 = MzvAtom(args=(lead,) + tail)
-            # Atom 2: the outer exponent merges with the first block.  For an
-            # unsigned outer the merged slot alternates iff the block does;
-            # a alternating outer flips that parity.
-            mag1, lam1 = blocks[0]
-            merged_bar = (lam1 % 2 == 1) ^ outer_bar
-            a2 = MzvAtom(args=(_signed_entry(q + mag1, merged_bar),) + tail[1:])
-            for atom in (a1, a2):
-                t = SymbolicTerm.of(atom)
-                s = acc.get(t, Fraction(0)) + coeff
-                if s:
-                    acc[t] = s
-                elif t in acc:
-                    del acc[t]
-    out = LinComb(acc)
-    _assert_t1_shape(idx, out)
-    return out
+    for word, c in _quasi_shuffle((e,) for e in idx.inner).items():
+        # Atom 1: the outer exponent keeps its own leading slot.  Atom 2: it
+        # merges with the first letter, alternating iff exactly one of the
+        # two does.
+        first = word[0]
+        merged = q + abs(first)
+        if (first < 0) ^ outer_bar:
+            merged = -merged
+        for args in ((lead,) + word, (merged,) + word[1:]):
+            _add(acc, SymbolicTerm((MzvAtom(args=args),)), sign * c)
+    _assert_t1_shape(idx, acc)
+    return LinComb(acc)
 
 
-def _assert_t1_shape(idx: EulerSumIndex, lc: LinComb):
+def _assert_t1_shape(idx: EulerSumIndex, terms):
     w = idx.weight
-    for term, _ in lc.items():
-        assert len(term.factors) == 1, "t1 emits single-atom terms"
-        atom = term.factors[0]
+    for term in terms:
+        (atom,) = term.factors
         assert atom.weight == w, f"weight leak: {atom} in expansion of {idx}"
         assert atom.depth <= idx.degree + 1
 
@@ -183,97 +204,36 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         )
     if idx.outer < 2:
         raise UnsupportedHypothesisError(f"engine t2 needs outer >= 2: {idx}")
-    m = idx.degree
-    _check_degree(m)
+    _check_size(idx.inner)
     q = idx.outer
-    inner = idx.inner
-    acc = LinComb.zero()
-    for l in range(m + 1):
-        for subset in itertools.combinations(range(m), l):
-            chosen = tuple(inner[i] for i in subset)
-            rest = [inner[i] for i in range(m) if i not in subset]
-            prefix = SymbolicTerm.of(*(z(e) for e in rest))
-            if l == 0:
-                acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(z(q))), 1)
-                continue
-            orb = orbit_size(chosen)
-            arrangements = list(multiset_permutations(chosen))
-            sign = (-1) ** l
-            for comp in iter_compositions(l):
-                denom = 1
-                for c in comp:
-                    denom *= math.factorial(c)
-                coeff = Fraction(orb * sign, denom)
-                for arr in arrangements:
-                    mags = tuple(mag for mag, _ in _blocks(arr, comp))
-                    atom = MzvAtom(args=mags + (q,))
-                    acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(atom)), coeff)
-    return acc
-
-
-def expand_repeated_t1(r: int, m: int, outer: int) -> LinComb:
-    """Multinomial fast path for indices with one repeated inner exponent.
-
-    Enumerates compositions only (no permutations), so m may exceed the
-    permutation cap.  Exactly equal, as a combination, to ``expand_t1`` on
-    the expanded index.
-    """
-    if r == 0 or outer == 0:
-        raise ValueError("exponents must be nonzero")
-    if outer == 1:
-        raise ValueError("outer exponent 1 without alternation diverges")
-    if m < 0:
-        raise ValueError("multiplicity must be >= 0")
-    q = abs(outer)
-    outer_bar = outer < 0
-    if m == 0:
-        return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
-    r_bar = r < 0
-    rr = abs(r)
-    base_sign = (-1) ** ((m if r_bar else 0) + (1 if outer_bar else 0))
+    counts = sorted(Counter(idx.inner).items())
+    memo: dict = {}
     acc: dict[SymbolicTerm, Fraction] = {}
-    for comp in iter_compositions(m):
-        coeff = Fraction(base_sign * multinomial(m, comp))
-        # A block of width w holds w alternating factors when r is barred,
-        # so it alternates iff w is odd.
-        tail = tuple(
-            _signed_entry(rr * w, r_bar and w % 2 == 1) for w in comp
+    # Sub-multisets of the inner entries take their tail; choosing k of the
+    # c copies of a value happens C(c, k) ways.
+    for chosen in itertools.product(*(range(c + 1) for _, c in counts)):
+        tails = [(e,) for (e, _), k in zip(counts, chosen) for _ in range(k)]
+        rest = [z(e) for (e, c), k in zip(counts, chosen) for _ in range(c - k)]
+        coeff = (-1) ** len(tails) * math.prod(
+            math.comb(c, k) for (_, c), k in zip(counts, chosen)
         )
-        lead = -q if outer_bar else q
-        a1 = MzvAtom(args=(lead,) + tail)
-        merged_bar = (r_bar and comp[0] % 2 == 1) ^ outer_bar
-        a2 = MzvAtom(args=(_signed_entry(q + rr * comp[0], merged_bar),) + tail[1:])
-        for atom in (a1, a2):
-            t = SymbolicTerm.of(atom)
-            s = acc.get(t, Fraction(0)) + coeff
-            if s:
-                acc[t] = s
-            elif t in acc:
-                del acc[t]
+        prefix = SymbolicTerm.of(*rest)
+        for word, c in _quasi_shuffle(tails, memo).items():
+            _add(acc, prefix.mul(SymbolicTerm.of(MzvAtom(args=word + (q,)))), coeff * c)
     return LinComb(acc)
 
 
-def expand_repeated_t2(r: int, m: int, q: int) -> LinComb:
-    """Tail-sum fast path for a repeated exponent; r, q >= 2, non-alternating."""
-    if r < 2 or q < 2:
-        raise UnsupportedHypothesisError(
-            f"repeated tail-sum expansion needs r, q >= 2, got r={r}, q={q}"
-        )
-    if m < 0:
-        raise ValueError("multiplicity must be >= 0")
-    acc = LinComb.zero()
-    zr = SymbolicTerm.of(z(r))
-    for l in range(m + 1):
-        outer_coeff = (-1) ** l * math.comb(m, l)
-        prefix = SymbolicTerm.of(*([z(r)] * (m - l)))
-        if l == 0:
-            acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(z(q))), outer_coeff)
-            continue
-        for comp in iter_compositions(l):
-            coeff = Fraction(outer_coeff * multinomial(l, comp))
-            atom = MzvAtom(args=tuple(r * w for w in comp) + (q,))
-            acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(atom)), coeff)
-    return acc
+def linearize(lc: LinComb) -> LinComb:
+    """Multiply out every product of zeta atoms by the quasi-shuffle, so that
+    each term of the result is a single atom (or the unit term)."""
+    memo: dict = {}
+    acc: dict[SymbolicTerm, Fraction] = {}
+    for term, c in lc.items():
+        if any(a.li for a in term.factors):
+            raise ValueError(f"cannot linearize the Li constant in {term.render()}")
+        for word, k in _quasi_shuffle((a.args for a in term.factors), memo).items():
+            _add(acc, SymbolicTerm((MzvAtom(args=word),)) if word else UNIT_TERM, c * k)
+    return LinComb(acc)
 
 
 def is_conditionally_convergent(idx: EulerSumIndex) -> bool:

@@ -142,14 +142,6 @@ def from_json(obj) -> EulerSumIndex:
     return make_index(list(obj["inner"]), int(obj["outer"]))
 
 
-def index_weight(idx: EulerSumIndex) -> int:
-    return idx.weight
-
-
-def index_degree(idx: EulerSumIndex) -> int:
-    return idx.degree
-
-
 def _latex_inner(inner: tuple[int, ...]) -> str:
     # Group repeated entries with power notation: (1,1,2) -> 1^22.
     out = []

@@ -35,8 +35,10 @@ they are basis elements of the reduced form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -297,26 +299,17 @@ class IdentityTable:
 
 
 def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: str | None = None) -> IdentityTable:
-    """Load a JSON-lines identity table; malformed or failing entries are
-    rejected individually and reported on ``table.report``.
+    """Load a JSON-lines identity table from a path or an open text stream;
+    malformed or failing entries are rejected individually and reported on
+    ``table.report``.  A path that cannot be opened raises ``OSError``.
 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
     "weight": w}.  With ``verify`` set, each entry is numerically checked
     against the oracle at ``tol`` (plus certified bounds).
     """
-    if isinstance(source, (str, bytes)):
-        import io
-        import os
-
-        if isinstance(source, bytes):
-            stream = io.StringIO(source.decode("utf-8"))
-            name = label or "bytes"
-        elif os.path.exists(source):
-            stream = open(source, "r", encoding="utf-8")
-            name = label or source
-        else:
-            stream = io.StringIO(source)
-            name = label or "string"
+    if isinstance(source, (str, bytes, os.PathLike)):
+        stream = open(source, "r", encoding="utf-8")
+        name = label or os.fsdecode(source)
     else:
         stream = source
         name = label or getattr(source, "name", "stream")
@@ -482,8 +475,6 @@ def _apply_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
 
 def _apply_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
     """One application of the three-slot reflection (unsigned slots >= 2)."""
-    from .combinatorics import multiset_permutations, orbit_size
-
     by_cofactor: dict[tuple, dict[MzvAtom, Fraction]] = {}
     for term, c in lc.items():
         for atom in term.factors:
@@ -500,13 +491,14 @@ def _apply_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
                 continue  # fully repeated: the repeated-slot rule covers it
             rest = _term_without(term, atom)
             group = by_cofactor.get(rest.sort_key(), {})
-            orderings = [MzvAtom(args=o) for o in multiset_permutations(sorted(slots))]
+            orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
             if any(group.get(o, Fraction(0)) == 0 for o in orderings):
                 continue
             last = max(orderings, key=MzvAtom.sort_key)
             t_amt = group[last]
-            g = orbit_size(slots)
-            rhs = reflection_triple_sum(*sorted(slots)).scale(Fraction(1, g))
+            # The identity sums all six permutations; each distinct ordering
+            # is 6 / len(orderings) of them.
+            rhs = reflection_triple_sum(*sorted(slots)).scale(Fraction(len(orderings), 6))
             out = lc
             for o in orderings:
                 out = out - LinComb.of_term(rest.mul(SymbolicTerm.of(o)), t_amt)

@@ -37,6 +37,25 @@ def test_expand_engine_precondition_exit4(capsys):
     assert code == 4 and "t2" in err
 
 
+def test_expand_oversized_index_exit4(capsys):
+    # nine distinct inner entries: 7 087 261 ordered partitions, refused at once
+    code, _, err = run(capsys, "expand", "S(1,2,3,4,5,6,7,8,9,2)")
+    assert code == 4 and "7087261" in err
+
+
+def test_expand_auto_checks_engines_exactly(capsys, monkeypatch):
+    from eulersums import numerics
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("engine auto must not evaluate numerically")
+
+    monkeypatch.setattr(numerics, "eval_lincomb_best", refuse)
+    code, out, _ = run(capsys, "expand", "--output", "json", "S(2,3)")
+    doc = json.loads(out)
+    assert code == 0 and doc["engine"] == "auto(t1, t2 checked)"
+    assert "exactly" in doc["note"]
+
+
 def test_expand_json_schema(capsys):
     code, out, _ = run(capsys, "expand", "--output", "json", "S(2,3)")
     doc = json.loads(out)
@@ -89,6 +108,12 @@ def test_reduce_require_tables_exit5(capsys, tmp_path):
         capsys, "reduce", "--require-tables", "--table", str(tmp_path / "missing.jsonl"), "S(2,3)"
     )
     assert code == 5
+
+
+def test_reduce_missing_table_exit2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.jsonl")
+    code, _, err = run(capsys, "reduce", "--table", missing, "S(2,3)")
+    assert code == 2 and "cannot load table" in err and "Expecting value" not in err
 
 
 def test_table_search_dir_env(capsys, tmp_path, monkeypatch):

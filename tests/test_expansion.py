@@ -1,20 +1,19 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from eulersums.algebra import z
-from eulersums.combinatorics import iter_compositions
+from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, z
 from eulersums.expansion import (
     DegreeCapError,
     UnsupportedHypothesisError,
     expand_harmonic_product,
-    expand_repeated_t1,
-    expand_repeated_t2,
     expand_t1,
     expand_t2,
+    linearize,
 )
 from eulersums.indices import make_index, parse_index
 from eulersums.numerics import alt_harmonic_exact, eval_mhs_exact, harmonic_exact
@@ -133,36 +132,38 @@ def test_weight_conservation_and_depth():
             assert atom.depth <= idx.degree + 1
 
 
-def test_ordered_bell_mass():
-    # total coefficient mass over compositions equals the weak-ordering count
-    def brute_weak_orderings(m):
-        count = 0
-        for f in itertools.product(range(m), repeat=m):
-            img = set(f)
-            if img == set(range(max(f) + 1)):
-                count += 1
-        return count
+def _weak_orderings(m):
+    """Brute force: maps of m labelled entries onto an initial segment."""
+    return sum(
+        1
+        for f in itertools.product(range(m), repeat=m)
+        if set(f) == set(range(max(f) + 1))
+    )
 
+
+def _fubini(m):
+    """Ordered Bell number, by recursion over the size of the first block."""
+    fub = [1]
+    for n in range(1, m + 1):
+        fub.append(sum(math.comb(n, k) * fub[n - k] for k in range(1, n + 1)))
+    return fub[m]
+
+
+def test_ordered_bell_mass():
+    # with m distinct values every weak ordering of the harmonic numbers'
+    # summation variables is one path of the kernel, counted once
     for m in range(1, 6):
-        mass = sum(
-            Fraction(math.factorial(m), math.prod(math.factorial(c) for c in comp))
-            for comp in iter_compositions(m)
-        )
-        assert mass == brute_weak_orderings(m)
+        exp = expand_harmonic_product(range(1, m + 1))
+        assert sum(abs(c) for c in exp.values()) == _weak_orderings(m)
 
 
 def test_term_count_distinct_exponents():
-    # with all inner exponents distinct, each (composition, permutation) pair
-    # contributes its own orbit of size 1
+    # with all inner exponents distinct each weak ordering contributes
+    # coefficient 1 to each of the two atom shapes
     idx = make_index([1, 2, 4], 2)
     out = expand_t1(idx)
     total = sum(abs(c) for _, c in out.items())
-    # sum over compositions of m!/prod(parts!) doubled for the two atom shapes
-    mass = 2 * sum(
-        Fraction(math.factorial(3), math.prod(math.factorial(c) for c in comp))
-        for comp in iter_compositions(3)
-    )
-    assert total == mass == 2 * 13
+    assert total == 2 * _weak_orderings(3) == 2 * 13
 
 
 # -- harmonic-product expansion (the finite-n oracle) --------------------------
@@ -199,8 +200,13 @@ def test_harmonic_product_finite_n_random():
 
 
 def test_harmonic_product_degree_cap():
-    with pytest.raises(DegreeCapError):
-        expand_harmonic_product([1] * 11)
+    # nine distinct entries: Fubini(9) ordered partitions, above the cap
+    with pytest.raises(DegreeCapError, match="7087261"):
+        expand_harmonic_product(range(1, 10))
+    # one value eleven times: 2**10 compositions
+    exp = expand_harmonic_product([1] * 11)
+    # the coefficients count the weak orderings of eleven labelled entries
+    assert len(exp) == 2**10 and sum(exp.values()) == _fubini(11)
 
 
 # -- tail-sum engine -----------------------------------------------------------
@@ -235,28 +241,77 @@ def test_t2_hypothesis_errors():
         expand_t2(make_index([2], -3))
 
 
-# -- repeated-exponent fast paths ----------------------------------------------
+# -- repeated exponents ---------------------------------------------------------
+
+
+def _compositions(m):
+    for cuts in itertools.product((False, True), repeat=m - 1):
+        parts, width = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(width)
+                width = 1
+            else:
+                width += 1
+        yield tuple(parts + [width])
+
+
+def _multinomial(m, parts):
+    return math.factorial(m) // math.prod(math.factorial(p) for p in parts)
+
+
+def _repeated_t1_formula(r, m, outer):
+    """S({r}_m, outer) summed over compositions of m: a block of width w
+    holds w copies, chosen in multinomial ways."""
+    q, outer_bar, r_bar = abs(outer), outer < 0, r < 0
+    if m == 0:
+        return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
+    sign = (-1) ** ((m if r_bar else 0) + outer_bar)
+    acc = Counter()
+    for comp in _compositions(m):
+        tail = tuple(-abs(r) * w if r_bar and w % 2 else abs(r) * w for w in comp)
+        merged = q + abs(r) * comp[0]
+        if (r_bar and comp[0] % 2 == 1) ^ outer_bar:
+            merged = -merged
+        for args in (((-q if outer_bar else q),) + tail, (merged,) + tail[1:]):
+            acc[SymbolicTerm.of(MzvAtom(args=args))] += sign * _multinomial(m, comp)
+    return LinComb(acc)
+
+
+def _repeated_t2_formula(r, m, q):
+    acc = LinComb.zero()
+    for l in range(m + 1):
+        prefix = SymbolicTerm.of(*([z(r)] * (m - l)))
+        outer_coeff = (-1) ** l * math.comb(m, l)
+        comps = list(_compositions(l)) if l else [()]
+        for comp in comps:
+            atom = MzvAtom(args=tuple(r * w for w in comp) + (q,))
+            coeff = outer_coeff * _multinomial(l, comp)
+            acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(atom)), coeff)
+    return acc
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, -1, -2])
 @pytest.mark.parametrize("outer", [2, 5, -1, -3])
 def test_repeated_t1_equals_general(r, outer):
+    # the single-value case of the kernel is the composition formula
     for m in range(0, 7):
         idx = make_index([r] * m, outer)
-        assert expand_repeated_t1(r, m, outer) == expand_t1(idx), (r, m, outer)
+        assert expand_t1(idx) == _repeated_t1_formula(r, m, outer), (r, m, outer)
 
 
 def test_repeated_t2_equals_general():
     for r, q in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         for m in range(0, 5):
             idx = make_index([r] * m, q)
-            assert expand_repeated_t2(r, m, q) == expand_t2(idx), (r, m, q)
+            assert expand_t2(idx) == _repeated_t2_formula(r, m, q), (r, m, q)
+            assert linearize(expand_t2(idx)) == expand_t1(idx), (r, m, q)
 
 
 def test_repeated_t1_m2_display():
-    # S_{r^2,r} fast-path output against the displayed four-term form
+    # S_{r^2,r} against the displayed four-term form
     r = 4
-    got = expand_repeated_t1(r, 2, r)
+    got = expand_t1(make_index([r, r], r))
     expect = lc(
         (1, [z(r, 2 * r)]),
         (1, [z(3 * r)]),
@@ -267,13 +322,15 @@ def test_repeated_t1_m2_display():
 
 
 def test_repeated_t2_small():
-    assert expand_repeated_t2(3, 0, 5) == lc((1, [z(5)]))
-    assert expand_repeated_t2(3, 1, 5) == lc((1, [z(3), z(5)]), (-1, [z(3, 5)]))
+    assert expand_t2(make_index([], 5)) == lc((1, [z(5)]))
+    assert expand_t2(make_index([3], 5)) == lc((1, [z(3), z(5)]), (-1, [z(3, 5)]))
     with pytest.raises(UnsupportedHypothesisError):
-        expand_repeated_t2(1, 2, 5)
+        expand_t2(make_index([1, 1], 5))
 
 
 def test_repeated_t1_large_multiplicity():
-    # composition-only path clears the permutation cap
-    out = expand_repeated_t1(2, 14, 3)
+    # fourteen copies of one value: 2**13 compositions, far below the cap
+    out = expand_t1(make_index([2] * 14, 3))
+    assert len(out) == 2 * 2**13
     assert all(atom.weight == 31 for t, _ in out.items() for atom in t.factors)
+    assert out == _repeated_t1_formula(2, 14, 3)

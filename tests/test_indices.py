@@ -8,8 +8,6 @@ from eulersums.indices import (
     EulerSumIndex,
     IndexParseError,
     from_json,
-    index_degree,
-    index_weight,
     make_index,
     parse_index,
     render_index,
@@ -53,7 +51,7 @@ def test_convergence_rules():
 
 def test_weight_degree():
     idx = make_index([1, 1, 2, 2, 2, 5], 2)
-    assert index_weight(idx) == 15 and index_degree(idx) == 6
+    assert idx.weight == 15 and idx.degree == 6
     assert make_index([3], 4).degree == 1
     idx = parse_index("S(1,1,-3)")
     assert idx.weight == 5 and idx.degree == 2

@@ -1,0 +1,70 @@
+"""Property tests of the quasi-shuffle kernel and of the expansion size guard.
+
+The kernel is checked against the exact finite multiple harmonic sums of
+``numerics.eval_mhs_exact``, which never calls it: at every finite N the
+product of the words' nested sums must equal the combination the kernel
+returns, with zero tolerance.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from eulersums.expansion import _quasi_shuffle, ordered_partition_count
+from eulersums.numerics import eval_mhs_exact
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+letters = st.sampled_from([1, 2, 3, -1, -2, -3])
+words = st.lists(letters, min_size=1, max_size=3).map(tuple)
+# Each drawn word comes with a multiplicity, so repeated words are common;
+# at most six letters in all keeps the products within the exact evaluator's
+# depth cap.
+word_multisets = st.lists(st.tuples(words, st.integers(1, 3)), max_size=3).map(
+    lambda pairs: [w for w, k in pairs for _ in range(k)]
+).filter(lambda ws: sum(len(w) for w in ws) <= 6)
+
+
+@SETTINGS
+@given(word_multisets)
+def test_kernel_matches_finite_products(ws):
+    product = _quasi_shuffle(ws)
+    assert all(isinstance(c, int) and c > 0 for c in product.values())
+    for n in (0, 1, 2, 5, 9):
+        direct = Fraction(1)
+        for w in ws:
+            direct *= eval_mhs_exact(w, n)
+        combo = sum((c * eval_mhs_exact(w, n) for w, c in product.items()), Fraction(0))
+        assert combo == direct, (ws, n)
+
+
+def _ordered_partitions_bruteforce(entries):
+    """Distinct sequences of nonempty sub-multisets, from labelled ones."""
+    seen = set()
+
+    def rec(remaining, prefix):
+        if not remaining:
+            seen.add(tuple(prefix))
+            return
+        for size in range(1, len(remaining) + 1):
+            for block in itertools.combinations(remaining, size):
+                rest = [i for i in remaining if i not in block]
+                rec(rest, prefix + [tuple(sorted(entries[i] for i in block))])
+
+    rec(list(range(len(entries))), [])
+    return len(seen)
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from([1, 2, 3, -1]), max_size=6))
+def test_partition_count_matches_bruteforce(entries):
+    assert ordered_partition_count(entries) == _ordered_partitions_bruteforce(entries)
+
+
+def test_partition_count_landmarks():
+    assert [ordered_partition_count(range(m)) for m in range(1, 10)] == [
+        1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261,
+    ]
+    assert ordered_partition_count([2] * 14) == 2**13
+    assert ordered_partition_count([1, 1, 2, 2, 3, 3, 4, 4, 5]) == 598352

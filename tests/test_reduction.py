@@ -1,3 +1,5 @@
+import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -193,6 +195,17 @@ def test_symmetric_triple_is_exact_pair():
         assert got == expect, (i, j, k)
 
 
+def test_triple_pass_distinct_orderings():
+    # the rewrite engine sums each distinct ordering once: a repeated slot
+    # halves the six-permutation identity
+    for slots, g in [((2, 3, 4), 1), ((2, 2, 3), 2)]:
+        orderings = set(itertools.permutations(slots))
+        lhs = sum((LinComb.of_atom(z(*o)) for o in orderings), LinComb.zero())
+        got = reduce_lincomb(lhs)
+        assert got.value == reflection_triple_sum(*slots).scale(Fraction(1, g))
+        assert [t.split(":")[0] for t in got.trace] == ["reflection_triple"]
+
+
 def test_cubic_ones_rewrite_via_triple():
     # S_{1^3,q} = 3 S_{12,q} - 2 S_{3,q} + 6 zeta(q,{1}_3) + 6 zeta(q+1,1,1)
     for q in (3, 9):
@@ -309,10 +322,16 @@ def test_table_accepts_and_rejects(tmp_path):
 
 
 def test_empty_table_is_valid():
-    table = load_identity_table("")
+    table = load_identity_table(io.StringIO(""))
     assert len(table) == 0
     out = reduce_lincomb(expand_t1(parse_index("S(8,9)")), tables=[table])
     assert out.value == _odd_weight_linear_closed_form(8, 9)
+
+
+def test_missing_table_path_raises(tmp_path):
+    # a path is never reinterpreted as inline table text
+    with pytest.raises(OSError):
+        load_identity_table(str(tmp_path / "missing.jsonl"))
 
 
 def test_table_preempts_rules():
