@@ -363,11 +363,11 @@ class LinComb:
 
     @staticmethod
     def from_json_terms(terms: Iterable[Mapping]) -> "LinComb":
-        acc = LinComb.zero()
+        acc: dict[SymbolicTerm, Fraction] = {}
         for entry in terms:
-            atoms = [parse_atom(f) for f in entry["factors"]]
-            acc = acc + LinComb.of_term(SymbolicTerm.of(*atoms), as_fraction(entry["coeff"]))
-        return acc
+            term = SymbolicTerm.of(*(parse_atom(f) for f in entry["factors"]))
+            acc[term] = acc.get(term, Fraction(0)) + as_fraction(entry["coeff"])
+        return LinComb(acc)
 
     def __repr__(self):
         return f"LinComb({self.render()})"

@@ -221,7 +221,7 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(text: str, args, tables) -> tuple[str, bool, str]:
+def _verify_one(text: str, args, tables) -> tuple[int, str]:
     tol = args.tol
     idx = parse_index(text)
     lhs = numerics.eval_euler_sum_best(idx, tol)
@@ -243,7 +243,22 @@ def _verify_one(text: str, args, tables) -> tuple[str, bool, str]:
         ok = ok and d2 <= b2
         lines.append(f"reduction = {float(rr.value):.15g}  (bound {rr.tail_bound:.3g}; discrepancy {d2:.3g} vs {b2:.3g})")
     lines.append("PASS" if ok else "FAIL")
-    return text, ok, "\n".join(lines)
+    return (EXIT_OK if ok else EXIT_FAIL), "\n".join(lines)
+
+
+def _verify_line(text: str, args, tables) -> tuple[int, str]:
+    """(exit code, report) of one index; an error ends only this line."""
+    try:
+        return _verify_one(text, args, tables)
+    except ConvergenceError as e:
+        code, msg = EXIT_DIVERGENT, f"divergent index: {e}"
+    except (UnsupportedHypothesisError, DegreeCapError) as e:
+        code, msg = EXIT_ENGINE, f"engine precondition: {e}"
+    except (IndexParseError, ValueError) as e:
+        code, msg = EXIT_PARSE, f"cannot parse index: {e}"
+    except AssertionError as e:
+        code, msg = EXIT_FAIL, str(e)
+    return code, f"ERROR (exit {code}): {msg}"
 
 
 def cmd_verify(args) -> int:
@@ -266,30 +281,17 @@ def cmd_verify(args) -> int:
     else:
         _err("missing INDEX argument (or --file)")
         return EXIT_PARSE
-    try:
-        if len(texts) > 1 and args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(lambda t: _verify_one(t, args, tables), texts))
-        else:
-            results = [_verify_one(t, args, tables) for t in texts]
-    except ConvergenceError as e:
-        _err(f"divergent index: {e}")
-        return EXIT_DIVERGENT
-    except (IndexParseError, ValueError) as e:
-        _err(f"cannot parse index: {e}")
-        return EXIT_PARSE
-    except (UnsupportedHypothesisError, DegreeCapError) as e:
-        _err(f"engine precondition: {e}")
-        return EXIT_ENGINE
-    except AssertionError as e:
-        _err(str(e))
-        return EXIT_FAIL
-    all_ok = True
-    for text, ok, report in results:
+    if len(texts) > 1 and args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(lambda t: _verify_line(t, args, tables), texts))
+    else:
+        results = [_verify_line(t, args, tables) for t in texts]
+    worst = EXIT_OK
+    for text, (code, report) in zip(texts, results):
         print(f"== {text}")
         print(report)
-        all_ok = all_ok and ok
-    return EXIT_OK if all_ok else EXIT_FAIL
+        worst = max(worst, code)
+    return worst
 
 
 def cmd_eval(args) -> int:

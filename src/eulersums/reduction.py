@@ -35,6 +35,7 @@ they are basis elements of the reduced form.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -286,7 +287,7 @@ class IdentityTable:
                 f"weight-inhomogeneous entry {lhs.render()}: "
                 f"lhs weight {lhs.weight}, rhs weights {sorted(rhs.weights())}"
             )
-        if any(lhs in t.factors for t, _ in rhs.items()):
+        if lhs in rhs.atoms():
             raise ValueError(f"self-referential entry {lhs.render()}")
         self.entries[lhs.render()] = rhs
         self.max_weight = max(self.max_weight, lhs.weight)
@@ -417,98 +418,152 @@ def _term_without(term: SymbolicTerm, atom: MzvAtom) -> SymbolicTerm:
     return SymbolicTerm.of(*factors)
 
 
-def _substitute(lc: LinComb, term: SymbolicTerm, atom: MzvAtom, replacement: LinComb) -> LinComb:
-    """Replace one occurrence of ``atom`` inside ``term`` by ``replacement``."""
-    assert replacement.weights() in ({atom.weight}, set()), (
-        f"weight leak rewriting {atom}: {sorted(replacement.weights())} != {atom.weight}"
-    )
-    c = lc.coeff(term)
-    rest = LinComb.of_term(_term_without(term, atom), c)
-    return lc - LinComb.of_term(term, c) + rest * replacement
+class _WorkingSum:
+    """The combination under rewriting: a mutable term -> coefficient dict
+    (zero coefficients pruned) plus a heap, by ``SymbolicTerm.sort_key()``, of
+    the present terms not yet examined for an atom rewrite."""
 
+    def __init__(self, lc: LinComb):
+        self.coeffs: dict[SymbolicTerm, Fraction] = dict(lc.items())
+        self.heap = [(t.sort_key(), t) for t in self.coeffs]
+        heapq.heapify(self.heap)
+        self.in_heap = set(self.coeffs)
 
-def _swap_partner(atom: MzvAtom) -> MzvAtom | None:
-    a, b = atom.args
-    if a == b or b == 1:
+    def add(self, term: SymbolicTerm, c: Fraction):
+        old = self.coeffs.get(term)
+        if old is None:
+            self.coeffs[term] = c
+            if term not in self.in_heap:
+                self.in_heap.add(term)
+                heapq.heappush(self.heap, (term.sort_key(), term))
+            return
+        s = old + c
+        if s:
+            self.coeffs[term] = s
+        else:
+            del self.coeffs[term]
+
+    def add_product(self, rest: SymbolicTerm, c: Fraction, rhs: LinComb):
+        for t, rc in rhs.items():
+            self.add(rest.mul(t), c * rc)
+
+    def pop_pending(self) -> SymbolicTerm | None:
+        """The smallest present term not yet examined, or None."""
+        while self.heap:
+            _key, term = heapq.heappop(self.heap)
+            self.in_heap.discard(term)
+            if term in self.coeffs:
+                return term
         return None
-    return MzvAtom(args=(b, a))
 
 
-def _apply_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
+def _atom_rewrite(atom: MzvAtom, tables: list[IdentityTable], rules: list[IdentityRule]):
+    """``(rhs, rule name)`` for the first table, then rule, that rewrites
+    ``atom``; None if nothing does."""
+    hit = None
+    for table in tables:
+        rhs = table.lookup(atom)
+        if rhs is not None:
+            hit = (rhs, f"table[{table.label}]")
+            break
+    else:
+        for rule in rules:
+            if rule.matcher(atom):
+                rhs = rule.rewriter(atom)
+                if rhs is not None:
+                    hit = (rhs, rule.name)
+                    break
+    if hit is not None:
+        assert hit[0].weights() in ({atom.weight}, set()), (
+            f"weight leak rewriting {atom}: {sorted(hit[0].weights())} != {atom.weight}"
+        )
+    return hit
+
+
+def _first_candidate(coeffs: dict[SymbolicTerm, Fraction], find):
+    """The first ``(term, find(term))`` in sort order with a non-None find,
+    by one minimum scan; None if there is none."""
+    best = None
+    for term in coeffs:
+        hit = find(term)
+        if hit is not None:
+            key = term.sort_key()
+            if best is None or key < best[0]:
+                best = (key, term, hit)
+    return None if best is None else best[1:]
+
+
+def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
     """One application of the two-slot reflection across matching cofactors."""
-    seen: dict[tuple, Fraction] = {}
-    for term, c in lc.items():
-        for atom in term.factors:
-            if atom.li or atom.depth != 2:
-                continue
-            seen[(_term_without(term, atom).sort_key(), atom)] = c
-    for term, c in lc.items():
-        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
-            if atom.li or atom.depth != 2:
-                continue
-            partner = _swap_partner(atom)
-            if partner is None or partner.sort_key() <= atom.sort_key():
-                continue
+    coeffs = work.coeffs
+
+    def find(term: SymbolicTerm):
+        # An ascending-slot atom z(a,b), a < b, whose partner z(b,a) is
+        # admissible (b != 1) and present with the same cofactor.
+        ascending = {
+            atom for atom in term.factors
+            if atom.depth == 2 and atom.args[0] < atom.args[1] != 1
+        }
+        for atom in sorted(ascending, key=MzvAtom.sort_key):
+            partner = MzvAtom(args=atom.args[::-1])
             rest = _term_without(term, atom)
-            pc = seen.get((rest.sort_key(), partner))
-            if pc is None or pc == 0:
-                continue
-            # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
-            # ascending-slot atom, keeping the descending-slot basis form.
-            t_amt = lc.coeff(rest.mul(SymbolicTerm.of(atom)))
-            rhs = reflection_pair_sum(atom.args[0], atom.args[1])
-            partner_term = rest.mul(SymbolicTerm.of(partner))
-            out = (
-                lc
-                - LinComb.of_term(partner_term, t_amt)
-                - LinComb.of_term(rest.mul(SymbolicTerm.of(atom)), t_amt)
-                + LinComb.of_term(rest, t_amt) * rhs
-            )
-            if len(trace) < TRACE_CAP:
-                trace.append(
-                    f"reflection_pair: {atom.render()} + {partner.render()}"
-                    + (f" (cofactor {rest.render()})" if not rest.is_unit() else "")
-                )
-            return out
-    return None
+            if rest.mul(SymbolicTerm.of(partner)) in coeffs:
+                return atom, partner, rest
+        return None
+
+    found = _first_candidate(coeffs, find)
+    if found is None:
+        return False
+    term, (atom, partner, rest) = found
+    # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
+    # ascending-slot atom, keeping the descending-slot basis form.
+    t_amt = coeffs[term]
+    work.add(rest.mul(SymbolicTerm.of(partner)), -t_amt)
+    work.add(term, -t_amt)
+    work.add_product(rest, t_amt, reflection_pair_sum(atom.args[0], atom.args[1]))
+    if len(trace) < TRACE_CAP:
+        trace.append(
+            f"reflection_pair: {atom.render()} + {partner.render()}"
+            + (f" (cofactor {rest.render()})" if not rest.is_unit() else "")
+        )
+    return True
 
 
-def _apply_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
+def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
     """One application of the three-slot reflection (unsigned slots >= 2)."""
-    by_cofactor: dict[tuple, dict[MzvAtom, Fraction]] = {}
-    for term, c in lc.items():
-        for atom in term.factors:
-            if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
-                continue
-            key = _term_without(term, atom).sort_key()
-            by_cofactor.setdefault(key, {})[atom] = c
-    for term, c in lc.items():
-        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
-            if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
-                continue
+    coeffs = work.coeffs
+
+    def find(term: SymbolicTerm):
+        # Fully repeated slots are left to the repeated-slot rule.
+        unsigned = {
+            atom for atom in term.factors
+            if atom.depth == 3 and min(atom.args) >= 2 and len(set(atom.args)) > 1
+        }
+        for atom in sorted(unsigned, key=MzvAtom.sort_key):
             slots = atom.args
-            if len(set(slots)) == 1:
-                continue  # fully repeated: the repeated-slot rule covers it
             rest = _term_without(term, atom)
-            group = by_cofactor.get(rest.sort_key(), {})
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
-            if any(group.get(o, Fraction(0)) == 0 for o in orderings):
-                continue
-            last = max(orderings, key=MzvAtom.sort_key)
-            t_amt = group[last]
-            # The identity sums all six permutations; each distinct ordering
-            # is 6 / len(orderings) of them.
-            rhs = reflection_triple_sum(*sorted(slots)).scale(Fraction(len(orderings), 6))
-            out = lc
-            for o in orderings:
-                out = out - LinComb.of_term(rest.mul(SymbolicTerm.of(o)), t_amt)
-            out = out + LinComb.of_term(rest, t_amt) * rhs
-            if len(trace) < TRACE_CAP:
-                trace.append(
-                    f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
-                )
-            return out
-    return None
+            if all(rest.mul(SymbolicTerm.of(o)) in coeffs for o in orderings):
+                return atom, orderings, rest
+        return None
+
+    found = _first_candidate(coeffs, find)
+    if found is None:
+        return False
+    _term, (atom, orderings, rest) = found
+    last = max(orderings, key=MzvAtom.sort_key)
+    t_amt = coeffs[rest.mul(SymbolicTerm.of(last))]
+    # The identity sums all six permutations; each distinct ordering
+    # is 6 / len(orderings) of them.
+    rhs = reflection_triple_sum(*sorted(atom.args)).scale(Fraction(len(orderings), 6))
+    for o in orderings:
+        work.add(rest.mul(SymbolicTerm.of(o)), -t_amt)
+    work.add_product(rest, t_amt, rhs)
+    if len(trace) < TRACE_CAP:
+        trace.append(
+            f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
+        )
+    return True
 
 
 def reduce_lincomb(
@@ -518,55 +573,45 @@ def reduce_lincomb(
     max_steps: int = STEP_CAP,
 ) -> ReduceResult:
     """Rewrite ``lc`` to its fixpoint under tables, atom rules, and the
-    symmetric-sum passes.  Irreducible atoms pass through untouched."""
+    symmetric-sum passes.  Irreducible atoms pass through untouched.
+
+    Each step rewrites the first rewritable atom, in sort order, of the
+    smallest term that has one; only when no atom rewrites does one
+    reflection pass (pairs, then triples) fire.  An atom step touches only
+    the terms it creates or cancels, each distinct atom is matched against
+    the tables and rules once per call, a term is examined for atom
+    rewrites once each time it enters the sum, and a reflection pass is one
+    scan over the terms.
+    """
     if rules is None:
         rules = default_rules()
     tables = list(tables)
+    work = _WorkingSum(lc)
+    rewrites: dict[MzvAtom, tuple[LinComb, str] | None] = {}
+
+    def next_atom_rewrite():
+        # Atom-level rewrites, tables first.
+        while (term := work.pop_pending()) is not None:
+            for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+                if atom not in rewrites:
+                    rewrites[atom] = _atom_rewrite(atom, tables, rules)
+                if rewrites[atom] is not None:
+                    return term, atom, rewrites[atom]
+        return None
+
     trace: list[str] = []
     steps = 0
-    current = lc
     while steps < max_steps:
-        progressed = False
-        # Atom-level rewrites, tables first.
-        for term, _c in current.items():
-            hit = None
-            for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
-                for table in tables:
-                    rhs = table.lookup(atom)
-                    if rhs is not None:
-                        hit = (atom, rhs, f"table[{table.label}]")
-                        break
-                if hit:
-                    break
-                for rule in rules:
-                    if rule.matcher(atom):
-                        rhs = rule.rewriter(atom)
-                        if rhs is not None:
-                            hit = (atom, rhs, rule.name)
-                            break
-                if hit:
-                    break
-            if hit:
-                atom, rhs, name = hit
-                current = _substitute(current, term, atom, rhs)
-                if len(trace) < TRACE_CAP:
-                    trace.append(f"{name}: {atom.render()}")
-                steps += 1
-                progressed = True
-                break
-        if progressed:
-            continue
-        out = _apply_pair_pass(current, trace)
-        if out is not None:
-            current = out
-            steps += 1
-            continue
-        out = _apply_triple_pass(current, trace)
-        if out is not None:
-            current = out
-            steps += 1
-            continue
-        break
+        found = next_atom_rewrite()
+        if found is not None:
+            term, atom, (rhs, name) = found
+            c = work.coeffs.pop(term)
+            work.add_product(_term_without(term, atom), c, rhs)
+            if len(trace) < TRACE_CAP:
+                trace.append(f"{name}: {atom.render()}")
+        elif not (_apply_pair_pass(work, trace) or _apply_triple_pass(work, trace)):
+            break
+        steps += 1
     else:
         raise RuntimeError(f"reduction did not reach a fixpoint within {max_steps} steps")
-    return ReduceResult(current, trace, steps)
+    return ReduceResult(LinComb(work.coeffs), trace, steps)

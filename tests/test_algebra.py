@@ -12,6 +12,8 @@ from eulersums.algebra import (
     parse_atom,
     z,
 )
+from eulersums.expansion import expand_t1
+from eulersums.indices import parse_index
 
 
 def test_atom_basics():
@@ -121,6 +123,12 @@ def test_json_terms_roundtrip():
     for _ in range(20):
         x = _random_lincomb(rng)
         assert LinComb.from_json_terms(x.to_json_terms()) == x
+
+
+def test_json_terms_roundtrip_large_expansion():
+    lc = expand_t1(parse_index("S(2,3,4,5,6,7,2)"))
+    assert len(lc) == 7218
+    assert LinComb.from_json_terms(lc.to_json_terms()) == lc
 
 
 def test_render_latex_ln2_sign_fold():

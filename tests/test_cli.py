@@ -197,3 +197,23 @@ def test_eval_malformed_json_exit2(capsys, tmp_path):
     p.write_text('{"nope": 1}')
     code, _, err = run(capsys, "eval", "--json", str(p))
     assert code == 2 and "expansion dump" in err
+
+
+def test_verify_batch_reports_each_line(capsys, tmp_path):
+    # a malformed or divergent line fails alone; the batch keeps going and
+    # exits with the largest per-line code
+    f = tmp_path / "batch.txt"
+    f.write_text("S(2,6)\nS(1,x)\nS(1,1)\nS(3,5)\n")
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--file", str(f), "--jobs", jobs)
+        assert code == 3, jobs
+        blocks = out.split("== ")[1:]
+        assert [b.splitlines()[0] for b in blocks] == ["S(2,6)", "S(1,x)", "S(1,1)", "S(3,5)"]
+        assert blocks[0].rstrip().endswith("PASS") and blocks[3].rstrip().endswith("PASS")
+        assert blocks[1].splitlines()[1].startswith("ERROR (exit 2): cannot parse index")
+        assert blocks[2].splitlines()[1].startswith("ERROR (exit 3): divergent index")
+
+
+def test_verify_engine_refusal_exit4(capsys):
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--engine", "t2", "S(1,1,3)")
+    assert code == 4 and "ERROR (exit 4): engine precondition" in out

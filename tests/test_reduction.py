@@ -1,16 +1,24 @@
+import hashlib
 import io
 import itertools
+import json
 import math
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eulersums.algebra import LinComb, SymbolicTerm, z
+from eulersums import reduction
+from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, li_half, parse_atom, z
 from eulersums.expansion import expand_t1, expand_t2
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import (
+    TRACE_CAP,
     IdentityTable,
+    _term_without,
     alt_depth1,
     build_starter_table,
     default_rules,
@@ -426,3 +434,301 @@ def test_table_driven_full_reduction_weight5(tmp_path):
     assert not loaded.report
     out = reduce_lincomb(expansion, tables=[loaded]).value
     assert out == closed
+
+
+# -- the rewrite engine against the loop it replaced ----------------------------------
+#
+# ``_reference_reduce`` is the engine as it was before the pending-term heap:
+# every step re-sorts the whole combination and rebuilds it immutably.  The
+# heap engine must take exactly the same steps, so value, step count and
+# trace are compared with zero tolerance.
+
+
+def _ref_substitute(lc: LinComb, term: SymbolicTerm, atom: MzvAtom, replacement: LinComb) -> LinComb:
+    """Replace one occurrence of ``atom`` inside ``term`` by ``replacement``."""
+    assert replacement.weights() in ({atom.weight}, set()), (
+        f"weight leak rewriting {atom}: {sorted(replacement.weights())} != {atom.weight}"
+    )
+    c = lc.coeff(term)
+    rest = LinComb.of_term(_term_without(term, atom), c)
+    return lc - LinComb.of_term(term, c) + rest * replacement
+
+
+def _ref_swap_partner(atom: MzvAtom) -> MzvAtom | None:
+    a, b = atom.args
+    if a == b or b == 1:
+        return None
+    return MzvAtom(args=(b, a))
+
+
+def _ref_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
+    """One application of the two-slot reflection across matching cofactors."""
+    seen: dict[tuple, Fraction] = {}
+    for term, c in lc.items():
+        for atom in term.factors:
+            if atom.li or atom.depth != 2:
+                continue
+            seen[(_term_without(term, atom).sort_key(), atom)] = c
+    for term, c in lc.items():
+        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+            if atom.li or atom.depth != 2:
+                continue
+            partner = _ref_swap_partner(atom)
+            if partner is None or partner.sort_key() <= atom.sort_key():
+                continue
+            rest = _term_without(term, atom)
+            pc = seen.get((rest.sort_key(), partner))
+            if pc is None or pc == 0:
+                continue
+            # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
+            # ascending-slot atom, keeping the descending-slot basis form.
+            t_amt = lc.coeff(rest.mul(SymbolicTerm.of(atom)))
+            rhs = reflection_pair_sum(atom.args[0], atom.args[1])
+            partner_term = rest.mul(SymbolicTerm.of(partner))
+            out = (
+                lc
+                - LinComb.of_term(partner_term, t_amt)
+                - LinComb.of_term(rest.mul(SymbolicTerm.of(atom)), t_amt)
+                + LinComb.of_term(rest, t_amt) * rhs
+            )
+            if len(trace) < TRACE_CAP:
+                trace.append(
+                    f"reflection_pair: {atom.render()} + {partner.render()}"
+                    + (f" (cofactor {rest.render()})" if not rest.is_unit() else "")
+                )
+            return out
+    return None
+
+
+def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
+    """One application of the three-slot reflection (unsigned slots >= 2)."""
+    by_cofactor: dict[tuple, dict[MzvAtom, Fraction]] = {}
+    for term, c in lc.items():
+        for atom in term.factors:
+            if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
+                continue
+            key = _term_without(term, atom).sort_key()
+            by_cofactor.setdefault(key, {})[atom] = c
+    for term, c in lc.items():
+        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+            if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
+                continue
+            slots = atom.args
+            if len(set(slots)) == 1:
+                continue  # fully repeated: the repeated-slot rule covers it
+            rest = _term_without(term, atom)
+            group = by_cofactor.get(rest.sort_key(), {})
+            orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
+            if any(group.get(o, Fraction(0)) == 0 for o in orderings):
+                continue
+            last = max(orderings, key=MzvAtom.sort_key)
+            t_amt = group[last]
+            # The identity sums all six permutations; each distinct ordering
+            # is 6 / len(orderings) of them.
+            rhs = reflection_triple_sum(*sorted(slots)).scale(Fraction(len(orderings), 6))
+            out = lc
+            for o in orderings:
+                out = out - LinComb.of_term(rest.mul(SymbolicTerm.of(o)), t_amt)
+            out = out + LinComb.of_term(rest, t_amt) * rhs
+            if len(trace) < TRACE_CAP:
+                trace.append(
+                    f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
+                )
+            return out
+    return None
+
+
+def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
+    if rules is None:
+        rules = default_rules()
+    tables = list(tables)
+    trace: list[str] = []
+    steps = 0
+    current = lc
+    while steps < max_steps:
+        progressed = False
+        # Atom-level rewrites, tables first.
+        for term, _c in current.items():
+            hit = None
+            for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+                for table in tables:
+                    rhs = table.lookup(atom)
+                    if rhs is not None:
+                        hit = (atom, rhs, f"table[{table.label}]")
+                        break
+                if hit:
+                    break
+                for rule in rules:
+                    if rule.matcher(atom):
+                        rhs = rule.rewriter(atom)
+                        if rhs is not None:
+                            hit = (atom, rhs, rule.name)
+                            break
+                if hit:
+                    break
+            if hit:
+                atom, rhs, name = hit
+                current = _ref_substitute(current, term, atom, rhs)
+                if len(trace) < TRACE_CAP:
+                    trace.append(f"{name}: {atom.render()}")
+                steps += 1
+                progressed = True
+                break
+        if progressed:
+            continue
+        out = _ref_pair_pass(current, trace)
+        if out is not None:
+            current = out
+            steps += 1
+            continue
+        out = _ref_triple_pass(current, trace)
+        if out is not None:
+            current = out
+            steps += 1
+            continue
+        break
+    else:
+        raise RuntimeError(f"reduction did not reach a fixpoint within {max_steps} steps")
+    return reduction.ReduceResult(current, trace, steps)
+
+
+@pytest.fixture(scope="module")
+def starter12():
+    return build_starter_table(12)
+
+
+ENGINE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+signed_slots = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def signed_atoms(draw, depth):
+    args = draw(st.lists(signed_slots, min_size=depth, max_size=depth))
+    if args[0] == 1:
+        args[0] = 2  # an unsigned leading 1 diverges
+    return MzvAtom(args=tuple(args))
+
+
+@st.composite
+def atom_families(draw):
+    """One signed atom of depth 1-3, its swap pair, or every ordering of three
+    unsigned slots, all under one cofactor (possibly the unit)."""
+    kind = draw(st.sampled_from(["single", "pair", "orderings"]))
+    if kind == "single":
+        family = [draw(signed_atoms(draw(st.integers(1, 3))))]
+    elif kind == "pair":
+        a, b = draw(signed_atoms(2)).args
+        family = [z(a, b)] + ([z(b, a)] if b != 1 else [])
+    else:
+        slots = draw(st.lists(st.integers(2, 4), min_size=3, max_size=3))
+        family = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
+    cofactor = draw(
+        st.lists(st.one_of(signed_atoms(1), signed_atoms(2), st.just(li_half(4))), max_size=2)
+    )
+    return [(SymbolicTerm.of(*cofactor, atom), draw(coefficients)) for atom in family]
+
+
+small_lincombs = st.lists(atom_families(), min_size=1, max_size=5).map(
+    lambda families: sum(
+        (LinComb.of_term(t, c) for family in families for t, c in family), LinComb.zero()
+    )
+)
+
+
+def _outcome(engine, lc, tables, max_steps=500):
+    try:
+        r = engine(lc, tables=tables, max_steps=max_steps)
+    except (RuntimeError, ValueError, AssertionError) as e:
+        return type(e).__name__, str(e)
+    return r.value, r.steps, r.trace
+
+
+@ENGINE_SETTINGS
+@given(small_lincombs, st.booleans())
+def test_engine_matches_reference_loop(starter12, lc, use_table):
+    tables = [starter12] if use_table else []
+    assert _outcome(reduce_lincomb, lc, tables) == _outcome(_reference_reduce, lc, tables)
+
+
+def test_engine_matches_reference_on_expansions(starter12):
+    for text in ["S(2,2,3,3,2)", "S(-1,-1,-1)", "S(1,1,-3)", "S(3,3,3,3)", "S(2,-3,4)"]:
+        lc = expand_t1(parse_index(text))
+        for tables in ([], [starter12]):
+            assert _outcome(reduce_lincomb, lc, tables) == _outcome(_reference_reduce, lc, tables)
+
+
+# (index, with the bundled starter table, steps, sha256 of [render, steps, trace])
+# as the re-sorting engine produced them.
+PINNED_REDUCTIONS = [
+    ("S(1,2,3,5,-8,3)", True, 28, "9439b640df87c524a20d7bfab7744465171d26a0e786579cf64fc53ceddd0208"),
+    ("S(-1,-2,-3,-4,-5,-3)", False, 25, "696650d4cb5d1c786b81f1b41a2873730ec978179442cfc26bde4aed400b4d69"),
+    ("S(1,4,5,7,8,2)", False, 24, "4a8943c95751457124ce755b07d8946b47504c51da106707c08ae2ac6753441c"),
+    ("S(2,3,4,5,3)", True, 15, "fb3e30f8c1eebbe1810afde0b3c1f6e4faf5e4eefcd651b3ba73ef693edf8f5d"),
+    ("S(1,1,2,-3,4)", True, 10, "7e542fce16a45cae71d6d24f38338895e07636af31ccb6a3e27975372942885a"),
+    ("S(2,2,3,3,2)", False, 6, "ac7a5d7014652b0be597327feeaba970dc01b9ae4a66a878d90c56688530e0ed"),
+]
+
+
+@pytest.mark.parametrize("text,use_table,steps,digest", PINNED_REDUCTIONS)
+def test_reduction_pinned_digest(text, use_table, steps, digest):
+    import importlib.resources as res
+
+    tables = []
+    if use_table:
+        path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
+        tables = [load_identity_table(path, label="starter")]
+    r = reduce_lincomb(expand_t1(parse_index(text)), tables=tables)
+    assert r.steps == steps
+    got = hashlib.sha256(json.dumps([r.value.render(), r.steps, r.trace]).encode()).hexdigest()
+    assert got == digest
+
+
+# -- the step and trace caps --------------------------------------------------------------
+
+
+def test_max_steps_raises_before_fixpoint():
+    lc = expand_t1(parse_index("S(2,2,3,3,2)"))
+    full = reduce_lincomb(lc)
+    assert full.steps == 6
+    for k in (0, 1, full.steps - 1):
+        with pytest.raises(RuntimeError, match=f"within {k} steps"):
+            reduce_lincomb(lc, max_steps=k)
+    again = reduce_lincomb(lc, max_steps=full.steps + 1)
+    assert (again.value, again.steps, again.trace) == (full.value, full.steps, full.trace)
+    # the cap is checked before each step, as in the reference loop
+    for k in range(full.steps + 2):
+        assert _outcome(reduce_lincomb, lc, [], k) == _outcome(_reference_reduce, lc, [], k), k
+
+
+def test_trace_never_exceeds_cap(monkeypatch):
+    # atom rewrites, pair and triple reflections all append to one capped trace
+    lc = expand_t1(parse_index("S(2,2,3,3,2)")) + LinComb.of_atom(z(-3))
+    full = reduce_lincomb(lc)
+    assert {t.split(":")[0] for t in full.trace} >= {"alt_depth1", "reflection_pair", "reflection_triple"}
+    assert len(full.trace) == full.steps <= TRACE_CAP
+    for cap in (0, 1, 4, full.steps - 1):
+        monkeypatch.setattr(reduction, "TRACE_CAP", cap)
+        capped = reduce_lincomb(lc)
+        assert capped.steps == full.steps and capped.value == full.value
+        assert capped.trace == full.trace[:cap]
+
+
+# -- table save -> load ----------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_table_save_load_roundtrip_subsets(starter12, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(starter12.entries)), unique=True))
+    subset = IdentityTable("subset")
+    for k in keys:
+        subset.add(parse_atom(k), starter12.entries[k])
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "subset.jsonl"
+        save_table(subset, path)
+        again = load_identity_table(str(path))
+    assert not again.report
+    assert again.entries == subset.entries
+    assert again.max_weight == subset.max_weight
