@@ -1,7 +1,7 @@
 """Independent numerical oracle with certified truncation bounds.
 
 This module never consults the expansion or reduction engines: every value is
-obtained by direct summation of a defining series, so it can serve as the
+obtained from a defining series or iterated integral, so it can serve as the
 second route of every identity check.
 
 Three evaluation strategies are used.
@@ -9,33 +9,37 @@ Three evaluation strategies are used.
   * Exact rational evaluation of finite multiple harmonic sums
     (``eval_mhs_exact``) -- no tolerance, used by the quasi-shuffle tests.
 
-  * Fixed-point integer summation (192 fractional bits) for the rapidly
-    convergent depth-1 constants: zeta(s) through an Euler-Maclaurin tail,
-    Li_q(1/2) and ln(2) through the geometric series sum 2^-n / n^q, and a
-    Machin arctangent series for pi (test cross-checks).  Truncation and
-    rounding errors are carried explicitly and end up far below 1e-30.
+  * Fixed-point integer summation (192 fractional bits) for every atom:
+    Li_q(1/2) through the geometric series sum 2^-n / n^q, and every
+    (alternating) MZV through the Hoelder convolution of its iterated
+    integral split at 1/2 (``_fp_holder``): a fixed N = 200 terms per
+    power series, truncation at most 2^-N per factor since every
+    coefficient is bounded by 1, plus one unit 2^-192 per floor
+    operation.  Truncation and rounding end up far below 1e-30; the
+    reported bound, below 1e-18 * (1 + |value|), is the final rounding to
+    longdouble.  Independent reference constants for the tests: zeta(s)
+    through an Euler-Maclaurin tail and pi through Machin's arctangents.
 
-  * Blocked vectorized summation (numpy, 80-bit extended accumulators) for
-    deep atoms and for the Euler-sum series themselves, with an adaptive
-    term count up to N_MAX = 10**7.  Tail control:
+  * Blocked vectorized summation (numpy, 80-bit extended accumulators) of
+    the Euler-sum series themselves, with an adaptive term count up to
+    N_MAX = 10**7, held in memory SERIES_CHUNK terms at a time and bounded
+    at the BLOCK_EDGES.  Tail control:
 
-      - leading slot unsigned (s1 >= 2): the inner partial sum zeta_n(rest)
-        is monotone for unsigned rest, which brackets the tail between
-        zeta_N(rest) * T(N, s1) and the same plus an explicit growth term;
-        T(N, s1) is the Euler-Maclaurin zeta tail.  Growth and crude bounds
-        come from zeta_n(..., {1}_j, ...) <= H_n^j / j! * prod zeta(t) and
-        the exact log-moment integrals
+      - outer exponent unsigned: the exact log-moment integrals
         sum_{n>N} (H_N + ln(n/N))^k n^-s <= N^(1-s) * sum_t C(k,t) H_N^(k-t)
-        t! / (s-1)^(t+1).
+        t! / (s-1)^(t+1) bound the tail above; for unsigned factors the
+        Euler-Maclaurin zeta tail bounds it below.
 
-      - leading slot alternating: consecutive partial sums bracket the limit
-        when the term magnitudes decrease (verified on the computed range),
-        giving the midpoint value with half-gap error; independently, the
-        pairwise-summed series gives an unconditional triangle bound built
-        from the same log-moment integrals.  The better of the two is kept.
+      - outer exponent alternating: consecutive partial sums bracket the
+        limit when the term magnitudes decrease (verified on the computed
+        range), giving the midpoint value with half-gap error; independently,
+        the pairwise-summed series gives an unconditional triangle bound
+        built from the same log-moment integrals.  The better one is kept.
 
     Floating-point rounding is budgeted first-order as
-    (4 eps64 + 3 N epsLD) * sum |terms| and added to every reported bound.
+    ((m/2 + 2) eps64 + 3 N epsLD) * sum |terms|, at least 4 eps64 per term,
+    where m is the largest power (1/n)^m formed in float64.  Only this walk
+    can miss a requested tolerance (``CapacityError``).
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -67,7 +71,10 @@ BLOCK_EDGES = (
     7_000_000,
     10_000_000,
 )
-ATOM_TOL_FLOOR = 1e-12
+# Terms held in memory at once; bounds are still taken at BLOCK_EDGES.  At
+# 4096 the arrays (64 KiB of longdouble) stay in cache and in the allocator's
+# heap: a 10^7-term walk ran 1.7x faster than with 2^17-term chunks (2 vCPUs).
+SERIES_CHUNK = 1 << 12
 SUM_TOL_FLOOR = 1e-10
 
 _EULER_GAMMA_UB = 0.5772156649015330  # upper bound on the Euler constant
@@ -243,15 +250,6 @@ def pi_reference() -> NumericResult:
     return _CONST_CACHE[key]
 
 
-def zeta_upper(s: int) -> float:
-    """Cheap rigorous upper bound on zeta(s)."""
-    key = ("zub", s)
-    if key not in _CONST_CACHE:
-        r = zeta_value(s)
-        _CONST_CACHE[key] = (float(r.value) + r.tail_bound) * (1 + 1e-12)
-    return _CONST_CACHE[key]
-
-
 def zeta_tail_interval(n: int, s: int) -> tuple[float, float]:
     """Rigorous enclosure of sum_{m > n} m^-s via Euler-Maclaurin (s >= 2)."""
     a = float(n + 1)
@@ -289,233 +287,82 @@ def log_moment_tail(n: int, k: int, s: float, hn: float | None = None) -> float:
     return acc * float(n) ** (-a) * (1.0 + 1e-9)
 
 
-def _mhs_prefactor(slots) -> tuple[float, int]:
-    """(C, j) with |zeta_n(slots; signs)| <= C * H_n^j for every n.
+# ---------------------------------------------------------------------------
+# MZV atoms by Hoelder convolution
+# ---------------------------------------------------------------------------
 
-    j counts the magnitude-1 slots (strictly decreasing in the nested chain,
-    whence the 1/j! factor); the remaining slots are bounded by zeta values.
+HOLDER_N = 200
+
+
+def _holder_word(args) -> list[int]:
+    """Letters b with z(args) = (-1)^k G(b; 1): 0^(s_j - 1), then c_j = prod sgn_i."""
+    word, c = [], 1
+    for a in args:
+        c = -c if a < 0 else c
+        word += [0] * (abs(a) - 1) + [c]
+    return word
+
+
+def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
+    """Fixed-point terms a_n = c_n 2^-n (n = 1..N, slot 0 unused) of G(b, inner; 1/2).
+
+    ``inner`` None starts the word with its last letter b != 0:
+    a_n = -1/(n (2b)^n).  A letter 0 maps a_n to a_n / n; a letter b != 0
+    maps it to -e_n / n with e_1 = 0, e_(n+1) = (e_n + a_n) / (2b).
     """
-    j = sum(1 for t in slots if abs(t) == 1)
-    c = 1.0 / math.factorial(j)
-    for t in slots:
-        if abs(t) >= 2:
-            c *= zeta_upper(abs(t))
-    return c * (1 + 1e-12), j
+    if inner is None:
+        return [0] + [-_FP_SCALE // (n * (2 * b) ** n) for n in range(1, n_terms + 1)]
+    if b == 0:
+        return [0] + [inner[n] // n for n in range(1, n_terms + 1)]
+    out, e, d = [0] * (n_terms + 1), 0, 2 * b
+    for n in range(1, n_terms + 1):
+        out[n] = -e // n
+        e = (e + inner[n]) // d
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Blocked series walker for MZV atoms
-# ---------------------------------------------------------------------------
+def _fp_holder(args, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
+    """z(args) by the Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst
+    and Lisonek, *Special values of multiple polylogarithms*):
 
+        G(b_1..b_w; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1/2) G(b_(j+1), ..., b_w; 1/2).
 
-def _block_schedule(cap: int):
-    cap = min(cap, N_MAX)
-    cap -= cap % 2  # even edges keep the pairing bound aligned
-    edges = [e for e in BLOCK_EDGES if e < cap]
-    edges.append(cap)
-    return edges
-
-
-class _AtomState:
-    """Running state of one atom inside a batch walk."""
-
-    def __init__(self, atom: MzvAtom, tol: float):
-        self.atom = atom
-        self.tol = tol
-        args = atom.args
-        self.mags = tuple(abs(a) for a in args)
-        self.alts = tuple(a < 0 for a in args)
-        self.depth = len(args)
-        self.carries = [LD(0.0)] * self.depth  # carries[c] = A_{c+1}(N) level index
-        self.abs_sums = [0.0] * self.depth
-        self.last_term = LD(0.0)
-        self.monotone = True
-        self.best: NumericResult | None = None
-        rest = args[1:]
-        self.rest = rest
-        self.rest_unsigned = all(t > 0 for t in rest)
-        self.c_lead, self.j_lead = _mhs_prefactor(rest)
-        if rest:
-            self.t1 = abs(rest[0])
-            self.c_inc, self.j_inc = _mhs_prefactor(rest[1:])
-        else:
-            self.t1 = None
-            self.c_inc, self.j_inc = 0.0, 0
-
-    def update_block(self, n_lo: int, n_arr, pows, alt_sign):
-        above = None  # block array of the level below (deeper) level
-        prev_tail_carry = None
-        for c in range(self.depth - 1, -1, -1):
-            base = pows[self.mags[c]]
-            term = base * alt_sign if self.alts[c] else base
-            if above is None and c == self.depth - 1:
-                contrib = term.astype(LD)
-            else:
-                shifted = np.empty_like(above)
-                shifted[0] = prev_tail_carry
-                shifted[1:] = above[:-1]
-                contrib = term * shifted
-            prev_tail_carry = self.carries[c]
-            arr = self.carries[c] + np.cumsum(contrib)
-            self.abs_sums[c] += float(np.sum(np.abs(contrib)))
-            self.carries[c] = arr[-1]
-            if c == 0:
-                # Term magnitudes must be non-increasing over the computed
-                # tail (the latest block) for the bracket bound; the head of
-                # the series may grow and is irrelevant.
-                mags = np.abs(contrib)
-                self.monotone = bool(np.all(np.diff(mags) <= mags[:-1] * 1e-9 + 1e-300))
-                self.last_term = contrib[-1]
-            above = arr
-        return
-
-    def bound_at(self, n: int) -> tuple[np.longdouble, float]:
-        s1 = self.mags[0]
-        lead_alt = self.alts[0]
-        partial = self.carries[0]
-        round_err = sum(self.abs_sums) * (4 * EPS64 + 3 * n * EPS_LD)
-        zrest = float(self.carries[1]) if self.depth >= 2 else 1.0
-        hn = _hn_upper(n)
-        if not lead_alt:
-            if self.rest_unsigned:
-                t_lo, t_hi = zeta_tail_interval(n, s1)
-                zr_lo = max(zrest * (1 - 1e-10) - round_err, 0.0)
-                zr_hi = zrest * (1 + 1e-10) + round_err
-                g_hi = self._growth_sum(n, s1, t_hi, hn)
-                g_lo = self._growth_sum_lower(n, s1, t_lo, t_hi)
-                lo = zr_lo * t_lo + min(g_lo, g_hi)
-                hi = zr_hi * t_hi + g_hi
-                value = partial + LD((lo + hi) / 2.0)
-                return value, (hi - lo) / 2.0 + round_err
-            bound = self.c_lead * log_moment_tail(n, self.j_lead, float(s1), hn)
-            return partial, bound + round_err
-        # alternating leading slot
-        bound_b = s1 * self.c_lead * log_moment_tail(n, self.j_lead, float(s1 + 1), hn)
-        if self.rest:
-            bound_b += self.c_inc * log_moment_tail(n, self.j_inc, float(s1 + self.t1), hn)
-        value, bound = partial, bound_b + round_err
-        if self.rest_unsigned and self.monotone:
-            bound_a = abs(float(self.last_term)) / 2.0 + round_err
-            if bound_a < bound:
-                value = partial - self.last_term / LD(2.0)
-                bound = bound_a
-        return value, bound
-
-    def _growth_sum(self, n: int, s1: int, t_hi: float, hn: float) -> float:
-        """Upper bound on sum_{m>n} (zeta_{m-1}(rest) - zeta_n(rest)) m^-s1."""
-        if not self.rest:
-            return 0.0
-        if self.t1 == 1:
-            j = self.j_lead  # number of 1-slots in rest (= j_inc + 1 here)
-            main = log_moment_tail(n, j, float(s1), hn)
-            t_lo = zeta_tail_interval(n, s1)[0]
-            inc = (self.c_inc / j) * max(0.0, main - hn**j * t_lo)
-            return inc
-        g_const = self.c_inc * log_moment_tail(n, self.j_inc, float(self.t1), hn)
-        return g_const * t_hi
-
-    def _growth_sum_lower(self, n: int, s1: int, t_lo: float, t_hi: float) -> float:
-        """Lower bound on the same growth sum, from
-        zeta_{m-1}(rest) - zeta_n(rest) >= zeta_n(rest[1:]) * sum_{n<k<m} k^-t1
-        and the exact integral moments (both slot sums all-unsigned here)."""
-        if not self.rest:
-            return 0.0
-        zrest2 = float(self.carries[2]) if self.depth >= 3 else 1.0
-        zrest2 = max(zrest2 * (1 - 1e-10), 0.0)
-        a = float(n + 1)
-        t1 = self.t1
-        if t1 == 1:
-            # sum_{m>n} ln(m/(n+1)) m^-s1 >= (n+1)^(1-s1)/(s1-1)^2 - unimodal slack
-            base = a ** (1.0 - s1) / (s1 - 1.0) ** 2 - a ** (-float(s1)) / (s1 - 1.0)
-            return zrest2 * max(base, 0.0) * (1 - 1e-9)
-        base = (a ** (1.0 - t1) / (t1 - 1.0)) * t_lo - zeta_tail_interval(
-            n, s1 + t1 - 1
-        )[1] / (t1 - 1.0)
-        return zrest2 * max(base, 0.0) * (1 - 1e-9)
+    Every nonzero letter has |b| >= 1, so every coefficient c_n of every
+    factor has |c_n| <= 1 (by induction: |e_n| 2^n <= n - 1), every factor has
+    absolute value at most 1 and truncation after N terms costs at most 2^-N
+    per factor.  Each floor operation costs at most one unit 2^-192, so a
+    coefficient that went through t letters is off by at most 3t units and
+    a factor by at most 3wN units; each product adds one unit.  ``args``
+    must not start with an unsigned 1 (``MzvAtom`` rejects those).
+    """
+    word = _holder_word(args)
+    w = len(word)
+    prefix, pre = [_FP_SCALE], None  # prefix[j] = G(1-b_j, ..., 1-b_1; 1/2)
+    for b in word:
+        pre = _holder_apply(1 - b, pre, n_terms)
+        prefix.append(sum(pre))
+    suffix, suf = [_FP_SCALE], None  # suffix[i] = G(b_(w-i+1), ..., b_w; 1/2)
+    for b in reversed(word):
+        suf = _holder_apply(b, suf, n_terms)
+        suffix.append(sum(suf))
+    acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
+    factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
+    err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
+    return Fraction((-1) ** len(args) * acc, _FP_SCALE), err
 
 
 _ATOM_CACHE: dict[MzvAtom, NumericResult] = {}
 
 
-def _atom_fast_path(atom: MzvAtom) -> NumericResult | None:
-    if atom.li:
-        return li_half_value(atom.li)
-    if atom.args == (-1,):
-        r = ln2_value()
-        return NumericResult(-r.value, r.tail_bound, r.terms_used)
-    if atom.depth == 1 and atom.args[0] >= 2:
-        return zeta_value(atom.args[0])
-    return None
-
-
-def eval_atoms(requests: dict[MzvAtom, float], n_cap: int = N_MAX) -> dict[MzvAtom, NumericResult]:
-    """Evaluate many atoms in one blocked walk; shared power arrays per block.
-
-    Always returns a certified result per atom (the best achieved bound, even
-    when it misses the request).
-    """
-    out: dict[MzvAtom, NumericResult] = {}
-    pending: list[_AtomState] = []
-    for atom, tol in requests.items():
-        fast = _atom_fast_path(atom)
-        if fast is not None:
-            out[atom] = fast
-            continue
-        cached = _ATOM_CACHE.get(atom)
-        if cached is not None and (
-            cached.tail_bound <= tol or cached.terms_used >= min(n_cap, N_MAX)
-        ):
-            # Either good enough, or already walked to the cap (no improvement
-            # possible by re-walking).
-            out[atom] = cached
-            continue
-        pending.append(_AtomState(atom, tol))
-    if not pending:
-        return out
-
-    n_lo = 0
-    for edge in _block_schedule(n_cap):
-        if not pending:
-            break
-        n_arr = np.arange(n_lo + 1, edge + 1, dtype=np.float64)
-        alt_sign = np.where(np.arange(n_lo + 1, edge + 1) % 2 == 0, 1.0, -1.0)
-        needed = sorted({m for st in pending for m in st.mags})
-        inv = 1.0 / n_arr
-        pows = {m: inv**m for m in needed}
-        still: list[_AtomState] = []
-        for st in pending:
-            st.update_block(n_lo, n_arr, pows, alt_sign)
-            value, bound = st.bound_at(edge)
-            res = NumericResult(value, bound, edge)
-            if st.best is None or bound < st.best.tail_bound:
-                st.best = res
-            if st.best.tail_bound <= st.tol:
-                out[st.atom] = st.best
-                _cache_atom(st.atom, st.best)
-            else:
-                still.append(st)
-        pending = still
-        n_lo = edge
-        del pows
-    for st in pending:
-        out[st.atom] = st.best
-        _cache_atom(st.atom, st.best)
-    return out
-
-
-def _cache_atom(atom: MzvAtom, res: NumericResult):
-    old = _ATOM_CACHE.get(atom)
-    if old is None or res.tail_bound < old.tail_bound:
+def eval_atom(atom: MzvAtom) -> NumericResult:
+    """Certified value of one atom, cached; the bound is below 1e-18 * (1 + |value|)."""
+    res = _ATOM_CACHE.get(atom)
+    if res is None:
+        if atom.li:
+            res = li_half_value(atom.li)
+        else:
+            res = _fp_result(*_fp_holder(atom.args), terms=HOLDER_N)
         _ATOM_CACHE[atom] = res
-
-
-def eval_atom(atom: MzvAtom, target_tol: float = 1e-10, n_cap: int = N_MAX) -> NumericResult:
-    """Evaluate one atom; CapacityError (carrying the result) if tol missed."""
-    if target_tol < ATOM_TOL_FLOOR:
-        raise ValueError(f"target tolerance below the floor {ATOM_TOL_FLOOR}")
-    res = eval_atoms({atom: target_tol}, n_cap=n_cap)[atom]
-    if res.tail_bound > target_tol:
-        raise CapacityError(f"tolerance {target_tol} unreachable for {atom}", res)
     return res
 
 
@@ -535,55 +382,30 @@ def _interval_product(results, coeff: Fraction) -> tuple[np.longdouble, float]:
     return v, b
 
 
-def eval_term(term: SymbolicTerm, target_tol: float = 1e-10, n_cap: int = N_MAX) -> NumericResult:
-    res = eval_lincomb_best(LinComb.of_term(term, 1), target_tol, n_cap=n_cap)
-    return res
+def eval_term(term: SymbolicTerm, target_tol: float = 1e-10) -> NumericResult:
+    return eval_lincomb_best(LinComb.of_term(term, 1), target_tol)
 
 
-def eval_lincomb_best(
-    lc: LinComb, target_tol: float = 1e-10, n_cap: int = N_MAX
-) -> NumericResult:
-    """Best-effort certified evaluation of a linear combination (never raises)."""
-    if lc.is_zero():
-        return NumericResult(LD(0.0), 0.0, 0)
-    atoms = sorted(lc.atoms(), key=MzvAtom.sort_key)
-    n_atoms = max(len(atoms), 1)
-    first_tol = max(target_tol / (4 * n_atoms), ATOM_TOL_FLOOR)
-    results = eval_atoms({a: first_tol for a in atoms}, n_cap=n_cap)
+def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
+    """Certified evaluation of a linear combination (never raises).
 
-    def combine(res_map):
-        total_v = LD(0.0)
-        total_b = 0.0
-        for t, c in lc.items():
-            v, b = _interval_product([res_map[a] for a in t.factors], c)
-            total_v += v
-            total_b += b + 2 * EPS_LD * abs(float(v))
-        return NumericResult(total_v, total_b, max((r.terms_used for r in res_map.values()), default=0))
-
-    first = combine(results)
-    if first.tail_bound <= target_tol:
-        return first
-    # Sensitivity-guided refinement: push each atom toward its share of tol.
-    sens: dict[MzvAtom, float] = {a: 0.0 for a in atoms}
+    The atoms come at fixed precision, so ``target_tol`` does not change the
+    result; ``eval_lincomb`` compares against it.
+    """
+    total_v = LD(0.0)
+    total_b = 0.0
+    terms = 0
     for t, c in lc.items():
-        mags = [abs(float(results[a].value)) + results[a].tail_bound for a in t.factors]
-        for i, a in enumerate(t.factors):
-            other = 1.0
-            for j, m in enumerate(mags):
-                if j != i:
-                    other *= max(m, 1e-30)
-            sens[a] += abs(float(c)) * other
-    req = {
-        a: max(target_tol / (2 * n_atoms * max(sens[a], 1e-30)), ATOM_TOL_FLOOR)
-        for a in atoms
-    }
-    results = eval_atoms(req, n_cap=n_cap)
-    second = combine(results)
-    return second if second.tail_bound < first.tail_bound else first
+        results = [eval_atom(a) for a in t.factors]
+        v, b = _interval_product(results, c)
+        total_v += v
+        total_b += b + 2 * EPS_LD * abs(float(v))
+        terms = max([terms] + [r.terms_used for r in results])
+    return NumericResult(total_v, total_b, terms)
 
 
-def eval_lincomb(lc: LinComb, target_tol: float = 1e-10, n_cap: int = N_MAX) -> NumericResult:
-    res = eval_lincomb_best(lc, target_tol, n_cap=n_cap)
+def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
+    res = eval_lincomb_best(lc, target_tol)
     if res.tail_bound > target_tol:
         raise CapacityError(f"tolerance {target_tol} unreachable for combination", res)
     return res
@@ -592,6 +414,21 @@ def eval_lincomb(lc: LinComb, target_tol: float = 1e-10, n_cap: int = N_MAX) -> 
 # ---------------------------------------------------------------------------
 # Euler sums by direct summation of the defining series
 # ---------------------------------------------------------------------------
+
+
+def _block_schedule(cap: int):
+    cap = min(cap, N_MAX)
+    cap -= cap % 2  # even edges keep the pairing bound aligned
+    edges = [e for e in BLOCK_EDGES if e < cap]
+    edges.append(cap)
+    return edges
+
+
+def power_rounding(m: int) -> float:
+    """Relative rounding charged per term whose largest float64 power is
+    (1/n)**m: rounding 1/n costs eps64/2, which the power multiplies by m,
+    and the power itself adds at most 2 eps64; never below 4 eps64."""
+    return max(4.0, m / 2 + 2) * EPS64
 
 
 class _SumState:
@@ -610,8 +447,11 @@ class _SumState:
         self.last_term = LD(0.0)
         self.monotone = True
         self.k1 = sum(1 for e in idx.inner if e == 1)
+        self.term_rounding = power_rounding(max([self.q] + [abs(e) for e in idx.inner]))
 
-    def update_block(self, n_lo, n_arr, pows, alt_sign):
+    def update_block(self, n_lo, n_arr, pows, alt_sign, seam=False):
+        """Add the terms n_lo + 1 .. n_lo + len(n_arr); ``seam`` continues the
+        monotonicity check of the previous block instead of starting a new one."""
         h = None
         for e, mult in self.factors:
             r = abs(e)
@@ -632,8 +472,11 @@ class _SumState:
         self.abs_sum += float(np.sum(np.abs(a)))
         arr = self.partial + np.cumsum(a)
         mags = np.abs(a)
-        # non-increasing over the latest block; the head may grow
-        self.monotone = bool(np.all(np.diff(mags) <= mags[:-1] * 1e-9 + 1e-300))
+        if seam:
+            mags = np.concatenate(([abs(self.last_term)], mags))
+        # non-increasing over the latest edge range; the head may grow
+        ok = bool(np.all(np.diff(mags) <= mags[:-1] * 1e-9 + 1e-300))
+        self.monotone = ok and (self.monotone or not seam)
         self.last_term = a[-1]
         self.partial = arr[-1]
 
@@ -653,7 +496,7 @@ class _SumState:
     def bound_at(self, n: int) -> tuple[np.longdouble, float]:
         q = self.q
         hn = _hn_upper(n)
-        round_err = self.abs_sum * (4 * EPS64 + 3 * n * EPS_LD)
+        round_err = self.abs_sum * (self.term_rounding + 3 * n * EPS_LD)
         sups = self._factor_sups(n)
         p_all = 1.0
         for e, mult in self.factors:
@@ -699,11 +542,13 @@ def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int
     best: NumericResult | None = None
     n_lo = 0
     for edge in _block_schedule(n_cap):
-        n_arr = np.arange(n_lo + 1, edge + 1, dtype=np.float64)
-        alt_sign = np.where(np.arange(n_lo + 1, edge + 1) % 2 == 0, 1.0, -1.0)
-        inv = 1.0 / n_arr
-        pows = {m: inv**m for m in needed}
-        state.update_block(n_lo, n_arr, pows, alt_sign)
+        for lo in range(n_lo, edge, SERIES_CHUNK):
+            hi = min(lo + SERIES_CHUNK, edge)
+            n_arr = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            alt_sign = np.where(np.arange(lo + 1, hi + 1) % 2 == 0, 1.0, -1.0)
+            inv = 1.0 / n_arr
+            pows = {m: inv**m for m in needed}
+            state.update_block(lo, n_arr, pows, alt_sign, seam=lo > n_lo)
         value, bound = state.bound_at(edge)
         res = NumericResult(value, bound, edge)
         if best is None or bound < best.tail_bound:

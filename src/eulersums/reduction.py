@@ -57,14 +57,15 @@ STEP_CAP = 100_000
 # ---------------------------------------------------------------------------
 
 _W_CACHE: dict[tuple[int, int], LinComb] = {}
+LOG_INTEGRAL_CAP = 30  # largest k + l that log_integral expands
 
 
 def log_integral(k: int, l: int) -> LinComb:
     """W(k, l) as an exact polynomial in single zeta values (k >= 1, l >= 0)."""
     if k < 1 or l < 0:
         raise ValueError(f"need k >= 1, l >= 0, got ({k}, {l})")
-    if k + l > 30:
-        raise ValueError(f"log_integral capped at k + l <= 30, got {k + l}")
+    if k + l > LOG_INTEGRAL_CAP:
+        raise ValueError(f"log_integral capped at k + l <= {LOG_INTEGRAL_CAP}, got {k + l}")
     key = (k, l)
     if key in _W_CACHE:
         return _W_CACHE[key]
@@ -252,6 +253,7 @@ def _match_ones(a: MzvAtom) -> bool:
         and a.depth >= 2
         and a.args[0] >= 2
         and all(t == 1 for t in a.args[1:])
+        and a.weight - 1 <= LOG_INTEGRAL_CAP
     )
 
 

@@ -217,3 +217,20 @@ def test_verify_batch_reports_each_line(capsys, tmp_path):
 def test_verify_engine_refusal_exit4(capsys):
     code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--engine", "t2", "S(1,1,3)")
     assert code == 4 and "ERROR (exit 4): engine precondition" in out
+
+
+def test_reduce_beyond_log_integral_cap(capsys):
+    # zeta(30,1,1) and zeta(31,1) (weight 32) lie past the exact log-integral
+    # formula (k + l <= 30): zeta_ones does not fire and they stay unresolved
+    code, out, _ = run(capsys, "reduce", "--engine", "t1", "--output", "json", "S(1,1,30)")
+    doc = json.loads(out)
+    assert code == 0
+    assert {"z(30,1,1)", "z(31,1)"} <= set(doc["unresolved"])
+
+
+def test_verify_table_beyond_log_integral_cap(capsys):
+    import importlib.resources as res
+
+    path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--table", path, "S(1,1,30)")
+    assert code == 0 and "reduction = " in out and out.rstrip().endswith("PASS")

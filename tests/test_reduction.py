@@ -409,7 +409,7 @@ def test_reduce_pipeline_numerically_sound():
         idx = parse_index(text)
         reduced = reduce_lincomb(expand_t1(idx), tables=[table]).value
         a = eval_euler_sum_best(idx, 1e-8, n_cap=10**6)
-        b = eval_lincomb_best(reduced, 1e-9, n_cap=10**6)
+        b = eval_lincomb_best(reduced, 1e-9)
         diff = abs(float(a.value) - float(b.value))
         assert diff <= a.tail_bound + b.tail_bound + 1e-8, (text, diff)
 
