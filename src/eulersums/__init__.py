@@ -69,3 +69,18 @@ from .reduction import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache: atom values, constants, closed forms
+    and parsed identity tables.  Results do not change; later calls are cold."""
+    from . import numerics, reduction
+
+    for cache in (
+        numerics._ATOM_CACHE,
+        numerics._CONST_CACHE,
+        reduction._W_CACHE,
+        reduction._REPEATED_CACHE,
+        reduction._TABLE_CACHE,
+    ):
+        cache.clear()

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import numerics
 from .algebra import LinComb
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="compare the series against the expansion")
     common(sp)
     sp.add_argument("--file", metavar="PATH", help="batch verify: one index per line")
-    sp.add_argument("--jobs", type=int, default=1, help="worker pool size for --file")
     sp = sub.add_parser("eval", help="numeric evaluation")
     common(sp)
     sp.add_argument("--json", metavar="PATH", dest="json_input",
@@ -281,13 +279,9 @@ def cmd_verify(args) -> int:
     else:
         _err("missing INDEX argument (or --file)")
         return EXIT_PARSE
-    if len(texts) > 1 and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda t: _verify_line(t, args, tables), texts))
-    else:
-        results = [_verify_line(t, args, tables) for t in texts]
     worst = EXIT_OK
-    for text, (code, report) in zip(texts, results):
+    for text in texts:
+        code, report = _verify_line(text, args, tables)
         print(f"== {text}")
         print(report)
         worst = max(worst, code)
@@ -300,7 +294,11 @@ def cmd_eval(args) -> int:
         return EXIT_PARSE
     if args.json_input:
         try:
-            raw = sys.stdin.read() if args.json_input == "-" else open(args.json_input).read()
+            if args.json_input == "-":
+                raw = sys.stdin.read()
+            else:
+                with open(args.json_input, "r", encoding="utf-8") as f:
+                    raw = f.read()
             doc = json.loads(raw)
             lc = LinComb.from_json_terms(doc["terms"])
         except OSError as e:

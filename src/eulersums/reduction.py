@@ -291,14 +291,24 @@ class IdentityTable:
             )
         if lhs in rhs.atoms():
             raise ValueError(f"self-referential entry {lhs.render()}")
-        self.entries[lhs.render()] = rhs
-        self.max_weight = max(self.max_weight, lhs.weight)
+        self._store(lhs.render(), lhs.weight, rhs)
+
+    def _store(self, key: str, weight: int, rhs: LinComb):
+        self.entries[key] = rhs
+        self.max_weight = max(self.max_weight, weight)
 
     def lookup(self, atom: MzvAtom) -> LinComb | None:
         return self.entries.get(atom.render())
 
     def __len__(self):
         return len(self.entries)
+
+
+# Parsed table texts: (text, verify, tol) -> per-line outcome, in line order:
+# (lineno, lhs rendering, lhs weight, rhs) for an accepted entry, (lineno,
+# message) for a rejected one.  Keyed on the exact text, so an edited file is
+# always parsed again.
+_TABLE_CACHE: dict[tuple[str, bool, float], tuple] = {}
 
 
 def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: str | None = None) -> IdentityTable:
@@ -309,36 +319,53 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
     "weight": w}.  With ``verify`` set, each entry is numerically checked
     against the oracle at ``tol`` (plus certified bounds).
+
+    A text is parsed once per process for each (verify, tol); every call
+    returns a new table with its own ``entries`` and ``report``.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        stream = open(source, "r", encoding="utf-8")
+        with open(source, "r", encoding="utf-8") as stream:
+            text = stream.read()
         name = label or os.fsdecode(source)
     else:
-        stream = source
+        text = source.read()
         name = label or getattr(source, "name", "stream")
+    key = (text, verify, tol)
+    outcome = _TABLE_CACHE.get(key)
+    if outcome is None:
+        outcome = _TABLE_CACHE[key] = _parse_table(text, verify, tol)
     table = IdentityTable(label=str(name))
-    try:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                lhs = parse_atom(obj["lhs"])
-                rhs = LinComb.from_json_terms(obj["rhs"])
-                if "weight" in obj and obj["weight"] != lhs.weight:
-                    raise ValueError(
-                        f"declared weight {obj['weight']} != atom weight {lhs.weight}"
-                    )
-                if verify:
-                    _verify_entry(lhs, rhs, tol)
-                table.add(lhs, rhs)
-            except Exception as e:  # entry-level rejection
-                table.report.append(f"{name}:{lineno}: rejected: {e}")
-    finally:
-        if stream is not source and hasattr(stream, "close"):
-            stream.close()
+    for lineno, *result in outcome:
+        if len(result) == 1:
+            table.report.append(f"{name}:{lineno}: rejected: {result[0]}")
+        else:
+            table._store(*result)
     return table
+
+
+def _parse_table(text: str, verify: bool, tol: float) -> tuple:
+    """The per-line outcome of one table text (see ``_TABLE_CACHE``)."""
+    outcome = []
+    checker = IdentityTable()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obj = json.loads(line)
+            lhs = parse_atom(obj["lhs"])
+            rhs = LinComb.from_json_terms(obj["rhs"])
+            if "weight" in obj and obj["weight"] != lhs.weight:
+                raise ValueError(
+                    f"declared weight {obj['weight']} != atom weight {lhs.weight}"
+                )
+            if verify:
+                _verify_entry(lhs, rhs, tol)
+            checker.add(lhs, rhs)  # homogeneity and self-reference checks
+            outcome.append((lineno, lhs.render(), lhs.weight, rhs))
+        except Exception as e:  # entry-level rejection
+            outcome.append((lineno, str(e)))
+    return tuple(outcome)
 
 
 def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):

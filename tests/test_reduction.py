@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import tempfile
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulersums import reduction
+from eulersums import algebra, clear_caches, reduction
 from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, li_half, parse_atom, z
 from eulersums.expansion import expand_t1, expand_t2
 from eulersums.indices import make_index, parse_index
@@ -340,6 +341,87 @@ def test_missing_table_path_raises(tmp_path):
     # a path is never reinterpreted as inline table text
     with pytest.raises(OSError):
         load_identity_table(str(tmp_path / "missing.jsonl"))
+
+
+def _count_atom_parses(monkeypatch) -> list:
+    calls = []
+    original = parse_atom
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(reduction, "parse_atom", counting)
+    monkeypatch.setattr(algebra, "parse_atom", counting)
+    return calls
+
+
+def test_table_memo_second_load_parses_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    save_table(build_starter_table(5), path)
+    calls = _count_atom_parses(monkeypatch)
+    first = load_identity_table(str(path))
+    parsed = len(calls)
+    assert parsed > 0
+    second = load_identity_table(str(path))
+    assert len(calls) == parsed
+    assert second is not first and second.entries is not first.entries
+    assert second.entries == first.entries and second.max_weight == first.max_weight
+    clear_caches()
+    load_identity_table(str(path))
+    assert len(calls) == 2 * parsed
+
+
+def test_table_memo_sees_same_size_edit_with_same_mtime(tmp_path):
+    path = tmp_path / "t.jsonl"
+    entry = '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "%s"}], "weight": 3}\n'
+    path.write_text(entry % "1")
+    before = path.stat()
+    assert load_identity_table(str(path)).lookup(z(2, 1)) == lc((1, [z(3)]))
+    path.write_text(entry % "2")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert load_identity_table(str(path)).lookup(z(2, 1)) == lc((2, [z(3)]))
+
+
+def test_table_memo_not_changed_by_caller(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n')
+    table = load_identity_table(str(path))
+    table.add(z(3, 1), lc((Fraction(1, 4), [z(4)])))
+    table.report.append("caller's note")
+    again = load_identity_table(str(path))
+    assert list(again.entries) == ["z(2,1)"] and again.max_weight == 3
+    assert again.report == []
+
+
+def test_table_memo_reports_name_each_source(tmp_path):
+    text = (
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n'
+        "# a comment\n"
+        "\n"
+        "not json at all\n"
+    )
+    message = "4: rejected: Expecting value: line 1 column 1 (char 0)"
+    paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    for path in paths:
+        path.write_text(text)
+        table = load_identity_table(str(path))
+        assert len(table) == 1 and table.report == [f"{path}:{message}"]
+    assert load_identity_table(io.StringIO(text)).report == [f"stream:{message}"]
+    labelled = load_identity_table(str(paths[0]), label="mine")
+    assert labelled.label == "mine" and labelled.report == [f"mine:{message}"]
+
+
+def test_table_memo_keeps_verify_apart(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"lhs": "z(3,1)", "rhs": [{"factors": ["z(4)"], "coeff": "2"}], "weight": 4}\n')
+    assert len(load_identity_table(str(path))) == 1
+    checked = load_identity_table(str(path), verify=True, tol=1e-8)
+    assert len(checked) == 0
+    assert len(checked.report) == 1 and "numeric mismatch for z(3,1)" in checked.report[0]
+    assert len(load_identity_table(str(path))) == 1
 
 
 def test_table_preempts_rules():
