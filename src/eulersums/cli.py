@@ -1,15 +1,26 @@
 """Command-line front end.
 
-    eulersum expand  [options] INDEX     exact expansion into MZV atoms
-    eulersum reduce  [options] INDEX     expansion + identity reduction
-    eulersum verify  [options] INDEX     series vs. expansion, certified
-    eulersum eval    [options] INDEX     numeric value of the defining series
-    eulersum eval    --json FILE         numeric value of an expansion dump
-    eulersum table-check [options] PATH  validate an identity-table file
+    eulersum expand  [--engine E] [--output O] INDEX
+        exact expansion into MZV atoms
+    eulersum reduce  [--engine E] [--output O] [--trace] [--tol T]
+                     [--table PATH]... [--verify-table] [--require-tables] INDEX
+        expansion + identity reduction
+    eulersum verify  [--engine E] [--tol T] [--table PATH]... [--verify-table]
+                     [--require-tables] (INDEX | --file PATH)
+        series vs. expansion, certified
+    eulersum eval    [--tol T] (INDEX | --json FILE)
+        numeric value of the defining series, or of an expansion dump
+    eulersum table-check [--tol T] PATH...
+        validate identity-table files
 
-Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error,
-3 divergent index, 4 engine precondition violated, 5 no usable table with
---require-tables.  Diagnostics go to stderr; results go to stdout.
+E is t1, t2 or auto (default auto); O is plain, latex or json (default
+plain); T lies in [1e-10, 1e-3] (default 1e-8).
+
+Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
+(also an unreadable or non-UTF-8 table or batch file, or an option the
+command does not take), 3 divergent index, 4 engine precondition violated,
+5 no usable table with --require-tables (or in table-check).  Diagnostics go
+to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from .expansion import (
     is_conditionally_convergent,
     linearize,
 )
-from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
+from .indices import ConvergenceError, EulerSumIndex, parse_index, render_index
 from .reduction import load_identity_table, reduce_lincomb
 
 EXIT_OK = 0
@@ -42,82 +53,71 @@ EXIT_TABLES = 5
 TOL_MIN, TOL_MAX = 1e-10, 1e-3
 
 
+class UsageError(Exception):
+    """Bad input that its message already explains (exit 2)."""
+
+
+# Exit code and message prefix of each error that ends a command, or one
+# line of a verify batch.  The first matching type wins, so the subclasses
+# of ValueError come before it.
+_FAILURES = {
+    UsageError: (EXIT_PARSE, ""),
+    ConvergenceError: (EXIT_DIVERGENT, "divergent index: "),
+    UnsupportedHypothesisError: (EXIT_ENGINE, "engine precondition: "),
+    DegreeCapError: (EXIT_ENGINE, "engine precondition: "),
+    ValueError: (EXIT_PARSE, "cannot parse index: "),
+    AssertionError: (EXIT_FAIL, ""),
+}
+
+# What opening and decoding a text file that cannot be read raises.
+_UNREADABLE = (OSError, UnicodeDecodeError)
+
+
+def _failure(e: Exception) -> tuple[int, str]:
+    """The exit code and message of an error of a ``_FAILURES`` type."""
+    code, prefix = next(v for t, v in _FAILURES.items() if isinstance(e, t))
+    return code, prefix + str(e)
+
+
 def _err(msg: str):
     print(msg, file=sys.stderr)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="eulersum", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = p.add_subparsers(dest="command", required=True)
+def _index(text: str | None) -> EulerSumIndex:
+    if not text:
+        raise UsageError("missing INDEX argument")
+    return parse_index(text)
 
-    def common(sp, index=True):
-        sp.add_argument("--engine", choices=["t1", "t2", "auto"], default="auto")
-        sp.add_argument("--table", action="append", default=[], metavar="PATH")
-        sp.add_argument("--output", choices=["plain", "latex", "json"], default="plain")
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--trace", action="store_true")
-        sp.add_argument("--verify-table", action="store_true")
-        sp.add_argument("--require-tables", action="store_true")
-        if index:
-            sp.add_argument("index", nargs="?", help="index text, e.g. 'S(1,1,-3)'")
 
-    common(sub.add_parser("expand", help="expansion into MZV atoms"))
-    common(sub.add_parser("reduce", help="expansion plus identity reduction"))
-    sp = sub.add_parser("verify", help="compare the series against the expansion")
-    common(sp)
-    sp.add_argument("--file", metavar="PATH", help="batch verify: one index per line")
-    sp = sub.add_parser("eval", help="numeric evaluation")
-    common(sp)
-    sp.add_argument("--json", metavar="PATH", dest="json_input",
-                    help="evaluate an expansion dump ('-' for stdin) instead of an index")
-    sp = sub.add_parser("table-check", help="validate identity-table files")
-    common(sp, index=False)
-    sp.add_argument("paths", nargs="+", metavar="PATH")
-    return p
+def _load_table(path: str, shown: str, verify: bool, tol: float):
+    """The identity table at ``path``, its rejected lines on stderr; None,
+    after "``shown``: reason" on stderr, if the file cannot be read."""
+    try:
+        table = load_identity_table(path, verify=verify, tol=tol)
+    except _UNREADABLE as e:
+        _err(f"{shown}: {e}")
+        return None
+    for line in table.report:
+        _err(line)
+    return table
 
 
 def _load_tables(args) -> tuple[list, int]:
-    paths = list(args.table)
+    """The ``--table`` tables, and the exit code that ends the command (0 to go on)."""
     env_dir = os.environ.get("EULERSUM_TABLE_DIR")
-    search = [env_dir] if env_dir else []
     tables = []
-    failures = 0
-    for path in paths:
+    for path in args.table:
         cand = path
-        if not os.path.exists(cand):
-            for d in search:
-                alt = os.path.join(d, path)
-                if os.path.exists(alt):
-                    cand = alt
-                    break
-        try:
-            table = load_identity_table(cand, verify=args.verify_table, tol=args.tol)
-            for line in table.report:
-                _err(line)
+        if env_dir and not os.path.exists(path) and os.path.exists(os.path.join(env_dir, path)):
+            cand = os.path.join(env_dir, path)
+        table = _load_table(cand, f"{path}: cannot load table", args.verify_table, args.tol)
+        if table is not None:
             if len(table) == 0:
                 _err(f"{cand}: no usable entries")
             tables.append(table)
-        except OSError as e:
-            _err(f"{path}: cannot load table: {e}")
-            failures += 1
-    if args.require_tables and paths and not any(len(t) for t in tables):
+    if args.require_tables and args.table and not any(len(t) for t in tables):
         return tables, EXIT_TABLES
-    return tables, EXIT_PARSE if failures else 0
-
-
-def _parse_or_exit(text: str | None) -> EulerSumIndex | int:
-    if not text:
-        _err("missing INDEX argument")
-        return EXIT_PARSE
-    try:
-        return parse_index(text)
-    except ConvergenceError as e:
-        _err(f"divergent index: {e}")
-        return EXIT_DIVERGENT
-    except (IndexParseError, ValueError) as e:
-        _err(f"cannot parse index: {e}")
-        return EXIT_PARSE
+    return tables, EXIT_PARSE if len(tables) < len(args.table) else EXIT_OK
 
 
 def _expand_with_engine(idx: EulerSumIndex, engine: str):
@@ -138,15 +138,8 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str):
     return lc, "t1", None
 
 
-def _clamp_tol(args) -> float | None:
-    if not (TOL_MIN <= args.tol <= TOL_MAX):
-        _err(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-        return None
-    return args.tol
-
-
-def _emit(idx: EulerSumIndex, lc: LinComb, args, engine: str, trace=None, extra=None):
-    if args.output == "json":
+def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None, extra=None):
+    if output == "json":
         doc = {
             "index": idx.to_json(),
             "weight": idx.weight,
@@ -157,63 +150,40 @@ def _emit(idx: EulerSumIndex, lc: LinComb, args, engine: str, trace=None, extra=
         }
         if is_conditionally_convergent(idx):
             doc["convergence"] = "conditional"
-        if trace is not None and args.trace:
+        if trace is not None:
             doc["trace"] = trace
         if extra:
             doc.update(extra)
         print(json.dumps(doc))
-    elif args.output == "latex":
+    elif output == "latex":
         print(render_index(idx, "latex") + " = " + lc.latex())
     else:
         print(render_index(idx, "plain") + " = " + lc.render())
-        if trace is not None and args.trace:
-            for line in trace:
-                print("  # " + line)
-    if is_conditionally_convergent(idx) and args.output != "json":
+        for line in trace or ():
+            print("  # " + line)
+    if is_conditionally_convergent(idx) and output != "json":
         _err("note: outer exponent -1, the series converges conditionally")
 
 
 def cmd_expand(args) -> int:
-    if _clamp_tol(args) is None:
-        return EXIT_PARSE
-    idx = _parse_or_exit(args.index)
-    if isinstance(idx, int):
-        return idx
-    try:
-        lc, engine, note = _expand_with_engine(idx, args.engine)
-    except (UnsupportedHypothesisError, DegreeCapError) as e:
-        _err(f"engine precondition: {e}")
-        return EXIT_ENGINE
-    except AssertionError as e:
-        _err(str(e))
-        return EXIT_FAIL
-    _emit(idx, lc, args, engine, extra={"note": note} if note else None)
+    idx = _index(args.index)
+    lc, engine, note = _expand_with_engine(idx, args.engine)
+    _emit(idx, lc, args.output, engine, extra={"note": note} if note else None)
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    if _clamp_tol(args) is None:
-        return EXIT_PARSE
-    idx = _parse_or_exit(args.index)
-    if isinstance(idx, int):
-        return idx
+    idx = _index(args.index)
     tables, code = _load_tables(args)
     if code:
         return code
-    try:
-        lc, engine, _ = _expand_with_engine(idx, args.engine)
-    except (UnsupportedHypothesisError, DegreeCapError) as e:
-        _err(f"engine precondition: {e}")
-        return EXIT_ENGINE
-    except AssertionError as e:
-        _err(str(e))
-        return EXIT_FAIL
+    lc, engine, _ = _expand_with_engine(idx, args.engine)
     result = reduce_lincomb(lc, tables=tables)
     unresolved = sorted(
         {a.render() for a in result.value.atoms() if not a.li and a.depth >= 2}
     )
-    extra = {"unresolved": unresolved}
-    _emit(idx, result.value, args, engine, trace=result.trace, extra=extra)
+    trace = result.trace if args.trace else None
+    _emit(idx, result.value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
     if unresolved and args.output == "plain":
         _err("unresolved atoms (left as basis elements): " + ", ".join(unresolved))
     return EXIT_OK
@@ -244,44 +214,27 @@ def _verify_one(text: str, args, tables) -> tuple[int, str]:
     return (EXIT_OK if ok else EXIT_FAIL), "\n".join(lines)
 
 
-def _verify_line(text: str, args, tables) -> tuple[int, str]:
-    """(exit code, report) of one index; an error ends only this line."""
-    try:
-        return _verify_one(text, args, tables)
-    except ConvergenceError as e:
-        code, msg = EXIT_DIVERGENT, f"divergent index: {e}"
-    except (UnsupportedHypothesisError, DegreeCapError) as e:
-        code, msg = EXIT_ENGINE, f"engine precondition: {e}"
-    except (IndexParseError, ValueError) as e:
-        code, msg = EXIT_PARSE, f"cannot parse index: {e}"
-    except AssertionError as e:
-        code, msg = EXIT_FAIL, str(e)
-    return code, f"ERROR (exit {code}): {msg}"
-
-
 def cmd_verify(args) -> int:
-    tol = _clamp_tol(args)
-    if tol is None:
-        return EXIT_PARSE
     tables, code = _load_tables(args)
     if code:
         return code
-    texts = []
     if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as f:
                 texts = [line.strip() for line in f if line.strip() and not line.startswith("#")]
-        except OSError as e:
-            _err(f"cannot read {args.file}: {e}")
-            return EXIT_PARSE
+        except _UNREADABLE as e:
+            raise UsageError(f"cannot read {args.file}: {e}")
     elif args.index:
         texts = [args.index]
     else:
-        _err("missing INDEX argument (or --file)")
-        return EXIT_PARSE
+        raise UsageError("missing INDEX argument (or --file)")
     worst = EXIT_OK
     for text in texts:
-        code, report = _verify_line(text, args, tables)
+        try:  # an error ends only this line
+            code, report = _verify_one(text, args, tables)
+        except tuple(_FAILURES) as e:
+            code, msg = _failure(e)
+            report = f"ERROR (exit {code}): {msg}"
         print(f"== {text}")
         print(report)
         worst = max(worst, code)
@@ -289,9 +242,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    tol = _clamp_tol(args)
-    if tol is None:
-        return EXIT_PARSE
     if args.json_input:
         try:
             if args.json_input == "-":
@@ -302,57 +252,84 @@ def cmd_eval(args) -> int:
             doc = json.loads(raw)
             lc = LinComb.from_json_terms(doc["terms"])
         except OSError as e:
-            _err(f"cannot read {args.json_input}: {e}")
-            return EXIT_PARSE
+            raise UsageError(f"cannot read {args.json_input}: {e}")
         except (KeyError, ValueError) as e:
-            _err(f"cannot parse expansion dump: {e}")
-            return EXIT_PARSE
-        res = numerics.eval_lincomb_best(lc, tol)
-        print(f"{float(res.value):.15g}  bound={res.tail_bound:.3g}  N={res.terms_used}")
-        return EXIT_OK
-    idx = _parse_or_exit(args.index)
-    if isinstance(idx, int):
-        return idx
-    res = numerics.eval_euler_sum_best(idx, tol)
-    if res.tail_bound > tol:
-        _err(f"capacity: achieved bound {res.tail_bound:.3g} above tol {tol:g}")
+            raise UsageError(f"cannot parse expansion dump: {e}")
+        res = numerics.eval_lincomb_best(lc, args.tol)
+    else:
+        res = numerics.eval_euler_sum_best(_index(args.index), args.tol)
+        if res.tail_bound > args.tol:
+            _err(f"capacity: achieved bound {res.tail_bound:.3g} above tol {args.tol:g}")
     print(f"{float(res.value):.15g}  bound={res.tail_bound:.3g}  N={res.terms_used}")
     return EXIT_OK
 
 
 def cmd_table_check(args) -> int:
-    tol = _clamp_tol(args)
-    if tol is None:
-        return EXIT_PARSE
     any_ok = False
     for path in args.paths:
-        try:
-            table = load_identity_table(path, verify=True, tol=tol)
-        except OSError as e:
-            _err(f"{path}: {e}")
-            continue
-        for line in table.report:
-            _err(line)
-        print(f"{path}: {len(table)} accepted, {len(table.report)} rejected, "
-              f"max weight {table.max_weight}")
-        any_ok = any_ok or len(table) > 0
+        table = _load_table(path, path, verify=True, tol=args.tol)
+        if table is not None:
+            print(f"{path}: {len(table)} accepted, {len(table.report)} rejected, "
+                  f"max weight {table.max_weight}")
+            any_ok = any_ok or len(table) > 0
     return EXIT_OK if any_ok else EXIT_TABLES
 
 
+# Every argument a subcommand may declare, by name.
+_ARGUMENTS = {
+    "--engine": dict(choices=["t1", "t2", "auto"], default="auto"),
+    "--table": dict(action="append", default=[], metavar="PATH"),
+    "--output": dict(choices=["plain", "latex", "json"], default="plain"),
+    "--tol": dict(type=float, default=1e-8),
+    "--trace": dict(action="store_true"),
+    "--verify-table": dict(action="store_true"),
+    "--require-tables": dict(action="store_true"),
+    "index": dict(nargs="?", help="index text, e.g. 'S(1,1,-3)'"),
+    "--file": dict(metavar="PATH", help="batch verify: one index per line"),
+    "--json": dict(metavar="PATH", dest="json_input",
+                   help="evaluate an expansion dump ('-' for stdin) instead of an index"),
+    "paths": dict(nargs="+", metavar="PATH"),
+}
+
+# Each subcommand: its handler, its help, and exactly the arguments it reads.
+_COMMANDS = {
+    "expand": (cmd_expand, "expansion into MZV atoms", ("--engine", "--output", "index")),
+    "reduce": (cmd_reduce, "expansion plus identity reduction",
+               ("--engine", "--table", "--output", "--tol", "--trace", "--verify-table",
+                "--require-tables", "index")),
+    "verify": (cmd_verify, "compare the series against the expansion",
+               ("--engine", "--table", "--tol", "--verify-table", "--require-tables", "index",
+                "--file")),
+    "eval": (cmd_eval, "numeric evaluation", ("--tol", "index", "--json")),
+    "table-check": (cmd_table_check, "validate identity-table files", ("--tol", "paths")),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog="eulersum", description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (handler, text, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(handler=handler)
+        for argument in arguments:
+            sp.add_argument(argument, **_ARGUMENTS[argument])
+    return p
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_PARSE if e.code else EXIT_OK
-    handlers = {
-        "expand": cmd_expand,
-        "reduce": cmd_reduce,
-        "verify": cmd_verify,
-        "eval": cmd_eval,
-        "table-check": cmd_table_check,
-    }
-    return handlers[args.command](args)
+    try:
+        if "tol" in vars(args) and not TOL_MIN <= args.tol <= TOL_MAX:
+            raise UsageError(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+        return args.handler(args)
+    except tuple(_FAILURES) as e:
+        code, msg = _failure(e)
+        _err(msg)
+        return code
 
 
 if __name__ == "__main__":

@@ -449,9 +449,10 @@ class _SumState:
         self.k1 = sum(1 for e in idx.inner if e == 1)
         self.term_rounding = power_rounding(max([self.q] + [abs(e) for e in idx.inner]))
 
-    def update_block(self, n_lo, n_arr, pows, alt_sign, seam=False):
-        """Add the terms n_lo + 1 .. n_lo + len(n_arr); ``seam`` continues the
-        monotonicity check of the previous block instead of starting a new one."""
+    def update_block(self, pows, alt_sign, seam=False):
+        """Add the next block of terms, given as ``pows[m]`` = (1/n)**m and the
+        sign (-1)**n of each n; ``seam`` continues the monotonicity check of
+        the previous block instead of starting a new one."""
         h = None
         for e, mult in self.factors:
             r = abs(e)
@@ -544,11 +545,11 @@ def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int
     for edge in _block_schedule(n_cap):
         for lo in range(n_lo, edge, SERIES_CHUNK):
             hi = min(lo + SERIES_CHUNK, edge)
-            n_arr = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            alt_sign = np.where(np.arange(lo + 1, hi + 1) % 2 == 0, 1.0, -1.0)
-            inv = 1.0 / n_arr
+            n = np.arange(lo + 1, hi + 1)
+            alt_sign = np.where(n % 2 == 0, 1.0, -1.0)
+            inv = 1.0 / n
             pows = {m: inv**m for m in needed}
-            state.update_block(lo, n_arr, pows, alt_sign, seam=lo > n_lo)
+            state.update_block(pows, alt_sign, seam=lo > n_lo)
         value, bound = state.bound_at(edge)
         res = NumericResult(value, bound, edge)
         if best is None or bound < best.tail_bound:

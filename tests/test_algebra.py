@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulersums.algebra import (
     LinComb,
@@ -34,9 +35,20 @@ def test_atom_admissibility():
     z(-1, 1)
 
 
-def test_atom_render_and_parse_roundtrip():
-    for atom in (z(-5, -1), z(2), z(3, 1, 1), z(-1), li_half(4)):
-        assert parse_atom(atom.render()) == atom
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+signed_slots = st.tuples(st.integers(1, 6), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+atoms = st.one_of(
+    st.lists(signed_slots, min_size=1, max_size=4).filter(lambda s: s[0] != 1).map(lambda s: z(*s)),
+    st.integers(1, 12).map(li_half),
+)
+
+
+@SETTINGS
+@given(atoms)
+def test_atom_render_and_parse_roundtrip(atom):
+    for example in (z(-5, -1), z(2), z(3, 1, 1), z(-1), li_half(4), atom):
+        assert parse_atom(example.render()) == example
     assert z(-5, -1).render() == "z(-5,-1)"
     assert li_half(4).render() == "Li(4,1/2)"
     with pytest.raises(ValueError):
@@ -80,24 +92,36 @@ def test_lincomb_mul_examples():
     assert lhs == rhs
 
 
+LINCOMB_ATOMS = [z(2), z(3), z(-1), z(5, 3), li_half(4), z(-2, 1)]
+
+
 def _random_lincomb(rng) -> LinComb:
-    atoms = [z(2), z(3), z(-1), z(5, 3), li_half(4), z(-2, 1)]
     acc = LinComb.zero()
     for _ in range(rng.randrange(4)):
-        picked = [rng.choice(atoms) for _ in range(rng.randrange(3))]
+        picked = [rng.choice(LINCOMB_ATOMS) for _ in range(rng.randrange(3))]
         coeff = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         acc = acc + LinComb.of_term(SymbolicTerm.of(*picked), coeff)
     return acc
 
 
-def test_lincomb_algebra_laws():
-    rng = random.Random(123)
-    for _ in range(60):
-        a, b, c = (_random_lincomb(rng) for _ in range(3))
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+lincomb_terms = st.builds(
+    lambda picked, p, q: LinComb.of_term(SymbolicTerm.of(*picked), Fraction(p, q)),
+    st.lists(st.sampled_from(LINCOMB_ATOMS), max_size=2),
+    st.integers(-6, 6),
+    st.integers(1, 4),
+)
+lincombs = st.lists(lincomb_terms, max_size=3).map(lambda terms: sum(terms, LinComb.zero()))
+
+
+@SETTINGS
+@given(lincombs, lincombs, lincombs)
+def test_lincomb_algebra_laws(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + a.scale(-1)).is_zero() and (a - a).is_zero()
+    assert a * LinComb.scalar(1) == a == LinComb.scalar(1) * a
 
 
 def test_zero_pruning():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eulersums.cli import main
 
 
@@ -7,6 +9,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _starter_table() -> str:
+    import importlib.resources as res
+
+    return str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
+
+
+def _non_utf8(tmp_path):
+    path = tmp_path / "utf16.jsonl"
+    path.write_bytes(b"\xff\xfe" + '{"lhs": "z(2,1)"}\n'.encode("utf-16-le"))
+    return str(path)
 
 
 def test_expand_plain(capsys):
@@ -183,8 +197,9 @@ def test_missing_index_exit2(capsys):
 
 
 def test_verify_missing_file_exit2(capsys, tmp_path):
-    code, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope.txt"))
-    assert code == 2 and "cannot read" in err
+    for path in (str(tmp_path / "nope.txt"), _non_utf8(tmp_path)):
+        code, out, err = run(capsys, "verify", "--file", path)
+        assert code == 2 and out == "" and err.startswith(f"cannot read {path}: ")
 
 
 def test_eval_missing_json_exit2(capsys, tmp_path):
@@ -267,3 +282,89 @@ def test_outputs_same_cold_warm_and_after_clear_caches(capsys):
     cleared = outputs()
     assert all(code == 0 for code, _ in cold)
     assert cold == warm == cleared
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_non_utf8_table_exit2(capsys, tmp_path, command):
+    path = _non_utf8(tmp_path)
+    code, out, err = run(capsys, command, "--table", path, "S(2,3)")
+    assert code == 2 and out == ""
+    assert err.startswith(f"{path}: cannot load table: ") and "Traceback" not in err
+
+
+def test_table_check_non_utf8_reported_others_checked(capsys, tmp_path):
+    path, starter = _non_utf8(tmp_path), _starter_table()
+    code, out, err = run(capsys, "table-check", path, starter)
+    assert code == 0
+    assert err.startswith(f"{path}: ") and "codec" in err
+    assert out == f"{starter}: 171 accepted, 0 rejected, max weight 12\n"
+    code, out, err = run(capsys, "table-check", path)
+    assert code == 5 and out == "" and err.startswith(f"{path}: ")
+
+
+# The options each subcommand does not read.
+REMOVED_OPTIONS = {
+    "expand": ["--tol", "--table", "--trace", "--verify-table", "--require-tables"],
+    "verify": ["--output", "--trace"],
+    "eval": ["--engine", "--table", "--output", "--trace", "--verify-table", "--require-tables"],
+    "table-check": ["--engine", "--table", "--output", "--trace", "--verify-table",
+                    "--require-tables"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(command, option) for command, options in REMOVED_OPTIONS.items() for option in options],
+)
+def test_option_not_taken_exit2(capsys, command, option):
+    values = {"--tol": ["1e-6"], "--table": [_starter_table()], "--output": ["json"],
+              "--engine": ["t1"]}
+    operand = _starter_table() if command == "table-check" else "S(2,3)"
+    code, out, err = run(capsys, command, option, *values.get(option, []), operand)
+    assert code == 2 and out == ""
+    assert f"eulersum: error: unrecognized arguments: {option}" in err
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    import argparse
+
+    from eulersums.cli import build_parser
+
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {o for a in sp._actions if not isinstance(a, argparse._HelpAction)
+               for o in a.option_strings}
+        for name, sp in commands.choices.items()
+    }
+    assert declared == {
+        "expand": {"--engine", "--output"},
+        "reduce": {"--engine", "--output", "--trace", "--tol", "--table", "--verify-table",
+                   "--require-tables"},
+        "verify": {"--engine", "--tol", "--table", "--verify-table", "--require-tables", "--file"},
+        "eval": {"--tol", "--json"},
+        "table-check": {"--tol"},
+    }
+    assert sum(map(len, declared.values())) == 18
+
+
+def test_readme_command_lines_parse():
+    # every `eulersum ...` line of README's "Command line" block parses
+    import pathlib
+    import shlex
+
+    from eulersums.cli import build_parser
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    parser, commands = build_parser(), []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        while words:
+            command = words[: words.index("&&")] if "&&" in words else words
+            words = words[len(command) + 1:]
+            if ">" in command:
+                command = command[: command.index(">")]
+            commands.append(command)
+    assert len(commands) >= 10 and all(c[0] == "eulersum" for c in commands)
+    for command in commands:
+        parser.parse_args(command[1:])  # a usage error raises SystemExit

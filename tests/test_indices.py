@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulersums.indices import (
     ConvergenceError,
@@ -75,15 +76,16 @@ def test_noncanonical_direct_construction_rejected():
         EulerSumIndex((2, 1), 3)
 
 
-def test_render_roundtrip_random():
-    rng = random.Random(1)
-    for _ in range(200):
-        deg = rng.randrange(0, 5)
-        inner = [rng.choice([1, -1]) * rng.randrange(1, 6) for _ in range(deg)]
-        outer = rng.choice([1, -1]) * rng.randrange(2, 7)
-        idx = make_index(inner, outer)
-        assert parse_index(render_index(idx, "plain")) == idx
-        assert from_json(json.loads(render_index(idx, "json"))) == idx
+def _signed(lo: int, hi: int):
+    return st.tuples(st.integers(lo, hi), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_signed(1, 5), max_size=4), _signed(2, 6))
+def test_render_roundtrip_random(inner, outer):
+    idx = make_index(inner, outer)
+    assert parse_index(render_index(idx, "plain")) == idx
+    assert from_json(json.loads(render_index(idx, "json"))) == idx
 
 
 def test_render_styles():
