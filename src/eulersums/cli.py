@@ -17,7 +17,8 @@ E is t1, t2 or auto (default auto); O is plain, latex or json (default
 plain); T lies in [1e-10, 1e-3] (default 1e-8).
 
 Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
-(also an unreadable or non-UTF-8 table or batch file, or an option the
+(also an unreadable or non-UTF-8 table or batch file, an expansion dump of
+the wrong shape, INDEX together with --file or --json, or an option the
 command does not take), 3 divergent index, 4 engine precondition violated,
 5 no usable table with --require-tables (or in table-check).  Diagnostics go
 to stderr; results go to stdout.
@@ -214,7 +215,13 @@ def _verify_one(text: str, args, tables) -> tuple[int, str]:
     return (EXIT_OK if ok else EXIT_FAIL), "\n".join(lines)
 
 
+def _not_both(args, option: str, given):
+    if given and args.index:
+        raise UsageError(f"INDEX and {option} exclude each other")
+
+
 def cmd_verify(args) -> int:
+    _not_both(args, "--file", args.file)
     tables, code = _load_tables(args)
     if code:
         return code
@@ -241,7 +248,24 @@ def cmd_verify(args) -> int:
     return worst
 
 
+def _dump_terms(raw: str) -> list:
+    """The "terms" of an expansion dump, checked for shape: a list of
+    {"factors": [atom text, ...], "coeff": rational text or integer}."""
+    doc = json.loads(raw)
+    terms = doc.get("terms") if isinstance(doc, dict) else None
+    if not isinstance(terms, list) or not all(
+        isinstance(t, dict)
+        and isinstance(t.get("factors"), list)
+        and all(isinstance(f, str) for f in t["factors"])
+        and isinstance(t.get("coeff"), (str, int))
+        for t in terms
+    ):
+        raise ValueError('expected {"terms": [{"factors": [ATOM, ...], "coeff": RATIONAL}, ...]}')
+    return terms
+
+
 def cmd_eval(args) -> int:
+    _not_both(args, "--json", args.json_input)
     if args.json_input:
         try:
             if args.json_input == "-":
@@ -249,11 +273,10 @@ def cmd_eval(args) -> int:
             else:
                 with open(args.json_input, "r", encoding="utf-8") as f:
                     raw = f.read()
-            doc = json.loads(raw)
-            lc = LinComb.from_json_terms(doc["terms"])
+            lc = LinComb.from_json_terms(_dump_terms(raw))
         except OSError as e:
             raise UsageError(f"cannot read {args.json_input}: {e}")
-        except (KeyError, ValueError) as e:
+        except (ValueError, ZeroDivisionError) as e:
             raise UsageError(f"cannot parse expansion dump: {e}")
         res = numerics.eval_lincomb_best(lc, args.tol)
     else:

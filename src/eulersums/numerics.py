@@ -23,23 +23,37 @@ Three evaluation strategies are used.
   * Blocked vectorized summation (numpy, 80-bit extended accumulators) of
     the Euler-sum series themselves, with an adaptive term count up to
     N_MAX = 10**7, held in memory SERIES_CHUNK terms at a time and bounded
-    at the BLOCK_EDGES.  Tail control:
+    at the BLOCK_EDGES.  The tail past N is certified without any
+    monotonicity assumption.  Each alternating harmonic factor splits as
+    H^-_n^(r) = eta(r) + (-1)^(n+1) rho_r(n), where eta(1) = ln 2 and
+    eta(r) = (1 - 2^(1-r)) zeta(r) come from the fixed-point constants and
+    rho_r is completely monotone.  Multiplied out, the tail is an
+    alternating sum of a smooth g plus a plain sum of a smooth v:
 
-      - outer exponent unsigned: the exact log-moment integrals
-        sum_{n>N} (H_N + ln(n/N))^k n^-s <= N^(1-s) * sum_t C(k,t) H_N^(k-t)
-        t! / (s-1)^(t+1) bound the tail above; for unsigned factors the
-        Euler-Maclaurin zeta tail bounds it below.
+      - g by the k-fold Euler transform, k <= K_MAX, with the k that gives
+        the smallest bound:
+            sum_{n>N} (-1)^(n-N-1) g(n) = sum_{j<k} (-1)^j Delta^j g(N+1) / 2^(j+1) + R,
+            |R| <= 2^-k sum_{n>N} |Delta^k g(n)|.
+        The differences come from longdouble values of g at N+1..N+K_MAX,
+        in interval arithmetic that charges every rounding.  R is bounded
+        by the Leibniz rule from |Delta^j n^-s| <= (s)_j n^(-s-j),
+        Delta^j H_n^(r) = Delta^(j-1) (n+1)^-r and |Delta^j rho_r(n)| <=
+        (r)_j (n+1/2)^(-r-j) / 2, and summed by log-moment integrals.
 
-      - outer exponent alternating: consecutive partial sums bracket the
-        limit when the term magnitudes decrease (verified on the computed
-        range), giving the midpoint value with half-gap error; independently,
-        the pairwise-summed series gives an unconditional triangle bound
-        built from the same log-moment integrals.  The better one is kept.
+      - v enclosed from both sides: H_n + ln((m+1)/(n+1)) <= H_m <= H_n +
+        ln(m/n), H_n^(r) <= H_m^(r) <= H_n^(r) + zeta tail, rho_r(m) within
+        m^-r (1/2 - r/(4m) +- r(r+1)/(16 m^2)), each product summed from
+        above and below by the exact integrals int (h + ln(x/N))^t x^-s dx
+        over [N, oo) and [N+1, oo), or by Euler-Maclaurin zeta tails when
+        no log factor is present.  The width falls like N^-s polylog(N).
 
-    Floating-point rounding is budgeted first-order as
-    ((m/2 + 2) eps64 + 3 N epsLD) * sum |terms|, at least 4 eps64 per term,
-    where m is the largest power (1/n)^m formed in float64.  Only this walk
-    can miss a requested tolerance (``CapacityError``).
+    Floating-point rounding of the partial sum is charged in full: the
+    float64 powers (1/n)^m at (m/2 + 2) eps64, at least 4 eps64; every
+    carried harmonic number's error relative to its value (an alternating
+    one is at least 1 - 2^-r); and one epsLD of the sum of magnitudes per
+    addition, counted block by block.  Only this walk can miss a requested
+    tolerance (``CapacityError``).  It stops early once that rounding
+    charge, which only grows, reaches the best bound so far.
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -47,6 +61,7 @@ estimates above; decreasing the target tolerance never increases them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,7 +75,10 @@ LD = np.longdouble
 EPS64 = float(np.finfo(np.float64).eps)
 EPS_LD = float(np.finfo(LD).eps)
 N_MAX = 10**7
+K_MAX = 8  # highest order of the Euler transform of a tail
 BLOCK_EDGES = (
+    1_000,
+    3_000,
     10_000,
     30_000,
     100_000,
@@ -77,16 +95,20 @@ BLOCK_EDGES = (
 SERIES_CHUNK = 1 << 12
 SUM_TOL_FLOOR = 1e-10
 
-_EULER_GAMMA_UB = 0.5772156649015330  # upper bound on the Euler constant
-
 
 @dataclass(frozen=True)
 class NumericResult:
-    """A certified evaluation: |value - true| <= tail_bound."""
+    """A certified evaluation: |value - true| <= tail_bound.
+
+    ``method`` names what produced the bound: ``holder`` (atoms by the
+    Hoelder convolution), ``li_half``, ``zeta`` (fixed-point constants),
+    ``euler_transform`` or ``log_moment`` (the tail of a series).
+    """
 
     value: np.longdouble
     tail_bound: float
     terms_used: int
+    method: str = "holder"
 
     def interval(self) -> tuple[float, float]:
         return (float(self.value) - self.tail_bound, float(self.value) + self.tail_bound)
@@ -165,10 +187,10 @@ def _frac_to_ld(fr: Fraction) -> np.longdouble:
     return LD(q) + LD(scaled) * LD(2.0) ** LD(-80)
 
 
-def _fp_result(val: Fraction, err: Fraction, terms: int) -> NumericResult:
+def _fp_result(val: Fraction, err: Fraction, terms: int, method: str = "holder") -> NumericResult:
     v = _frac_to_ld(val)
     bound = float(err) + 2.0 ** (-79) + 4 * EPS_LD * abs(float(val))
-    return NumericResult(v, bound, terms)
+    return NumericResult(v, bound, terms, method)
 
 
 def _fp_zeta(s: int) -> tuple[Fraction, Fraction]:
@@ -225,14 +247,14 @@ _CONST_CACHE: dict = {}
 def zeta_value(s: int) -> NumericResult:
     key = ("zeta", s)
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = _fp_result(*_fp_zeta(s), terms=2000)
+        _CONST_CACHE[key] = _fp_result(*_fp_zeta(s), terms=2000, method="zeta")
     return _CONST_CACHE[key]
 
 
 def li_half_value(q: int) -> NumericResult:
     key = ("li", q)
     if key not in _CONST_CACHE:
-        _CONST_CACHE[key] = _fp_result(*_fp_li_half(q), terms=220)
+        _CONST_CACHE[key] = _fp_result(*_fp_li_half(q), terms=220, method="li_half")
     return _CONST_CACHE[key]
 
 
@@ -262,29 +284,6 @@ def zeta_tail_interval(n: int, s: int) -> tuple[float, float]:
     rem = 2.0 * (s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0) * a ** (-float(s) - 5.0)
     rem += 8 * EPS64 * est
     return (max(est - rem, 0.0), est + rem)
-
-
-# ---------------------------------------------------------------------------
-# Log-moment tail bounds
-# ---------------------------------------------------------------------------
-
-
-def _hn_upper(n: int) -> float:
-    return math.log(n) + _EULER_GAMMA_UB + 0.5 / n
-
-
-def log_moment_tail(n: int, k: int, s: float, hn: float | None = None) -> float:
-    """Upper bound on sum_{m > n} (H_n + ln(m/n))^k m^-s, s > 1.
-
-    Since H_m <= H_n + ln(m/n), this also bounds sum_{m > n} H_m^k m^-s.
-    """
-    if hn is None:
-        hn = _hn_upper(n)
-    a = s - 1.0
-    acc = 0.0
-    for t in range(k + 1):
-        acc += math.comb(k, t) * hn ** (k - t) * math.factorial(t) / a ** (t + 1)
-    return acc * float(n) ** (-a) * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +394,16 @@ def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
     total_v = LD(0.0)
     total_b = 0.0
     terms = 0
+    methods = set()
     for t, c in lc.items():
         results = [eval_atom(a) for a in t.factors]
         v, b = _interval_product(results, c)
         total_v += v
         total_b += b + 2 * EPS_LD * abs(float(v))
         terms = max([terms] + [r.terms_used for r in results])
-    return NumericResult(total_v, total_b, terms)
+        methods.update(r.method for r in results)
+    method = "li_half" if methods == {"li_half"} else "holder"
+    return NumericResult(total_v, total_b, terms, method)
 
 
 def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
@@ -418,7 +420,6 @@ def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
 
 def _block_schedule(cap: int):
     cap = min(cap, N_MAX)
-    cap -= cap % 2  # even edges keep the pairing bound aligned
     edges = [e for e in BLOCK_EDGES if e < cap]
     edges.append(cap)
     return edges
@@ -431,9 +432,163 @@ def power_rounding(m: int) -> float:
     return max(4.0, m / 2 + 2) * EPS64
 
 
+def _power_sum_upper(n: int, r: int) -> float:
+    """Upper bound on sum_{m <= n} m^-r."""
+    return 1.0 + math.log(n) if r == 1 else r / (r - 1.0)
+
+
+def _rising(s: int, j: int) -> int:
+    """s (s + 1) ... (s + j - 1)."""
+    return math.prod(range(s, s + j))
+
+
+# A majorant of f is a tuple, over the orders j = 0..K_MAX, of dicts
+# {(t, p): c} with c >= 0 such that, for every n > N and shift i with
+# i + j <= K_MAX,
+#
+#     |Delta^j f(n + i)| <= sum c L(n)^t n^-p,    L(n) = h + ln(n / N),
+#
+# where h >= H_N + K_MAX / N, so that L(n) >= H_(n+i).
+
+
+def _power_majorant(s: int):
+    """n^-s: |Delta^j n^-s| <= (s)_j n^(-s-j)."""
+    return tuple({(0, s + j): float(_rising(s, j))} for j in range(K_MAX + 1))
+
+
+def _harmonic_majorant(r: int, sup: float):
+    """H_n^(r), with H_n^(r) <= ``sup`` for r >= 2 and H_n^(1) <= L(n):
+    Delta^j H_n^(r) = Delta^(j-1) (n+1)^-r."""
+    head = {(1, 0): 1.0} if r == 1 else {(0, 0): sup}
+    return (head,) + tuple({(0, r + j - 1): float(_rising(r, j - 1))} for j in range(1, K_MAX + 1))
+
+
+def _rho_majorant(r: int):
+    """rho_r(n) = sum_{j>=1} (-1)^(j-1) (n+j)^-r
+               = int t^(r-1) e^(-(n+1/2)t) sech(t/2) / 2 dt / Gamma(r).
+
+    Delta acts on e^(-(n+1/2)t) as the factor e^-t - 1, at most t in absolute
+    value, and sech <= 1, so |Delta^j rho_r(n)| <= (r)_j (n+1/2)^(-r-j) / 2."""
+    return tuple({(0, r + j): 0.5 * _rising(r, j)} for j in range(K_MAX + 1))
+
+
+def _rho_brackets(r: int) -> tuple[list[float], list[float]]:
+    """Polynomials P in 1/n with rho_r(n) between n^-r P_lo(1/n) / 2 and
+    n^-r P_hi(1/n) / 2: from 1 - t^2/8 <= sech(t/2) <= 1 in the integral
+    above, and 1 - r y <= (1 + y)^-r <= 1 - r y + r(r+1) y^2 / 2 at y = 1/(2n).
+    The lower one is nonnegative for n >= r."""
+    c = r * (r + 1) / 8
+    return [1.0, -r / 2, -c], [1.0, -r / 2, c]
+
+
+def _poly_mul(a: list[float], b: list[float]) -> list[float]:
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _leibniz(f, g):
+    """Majorant of fg: Delta^j (fg)(n) = sum_i C(j,i) Delta^i f(n) Delta^(j-i) g(n+i)."""
+    out = tuple({} for _ in range(K_MAX + 1))
+    for j, acc in enumerate(out):
+        for i in range(j + 1):
+            b = math.comb(j, i)
+            for (t1, p1), c1 in f[i].items():
+                for (t2, p2), c2 in g[j - i].items():
+                    key = (t1 + t2, p1 + p2)
+                    acc[key] = acc.get(key, 0.0) + b * c1 * c2
+    return out
+
+
+def _log_moment_integral(a: int, n: int, k: int, s: int, h: float) -> float:
+    """int_a^inf (h + ln(x/n))^k x^-s dx for s > 1 and h + ln(a/n) >= 0."""
+    u = h + math.log(a / n)
+    sm1 = s - 1.0
+    acc = 0.0
+    for t in range(k + 1):
+        acc += math.comb(k, t) * u ** (k - t) * math.factorial(t) / sm1 ** (t + 1)
+    return acc * float(a) ** (-sm1)
+
+
+def _tail_upper(n: int, t: int, p: int, h: float) -> float:
+    """Upper bound on sum_{m > n} (h + ln(m/n))^t m^-p, h >= 0: each term is
+    at most the integral over [m-1, m] of (h + 1/n + ln(x/n))^t x^-p, since
+    ln(m/n) <= ln(x/n) + 1/x there.  With h >= H_n, and H_m <= H_n + ln(m/n),
+    this also bounds sum_{m > n} H_m^t m^-p."""
+    if t == 0:
+        return zeta_tail_interval(n, p)[1]
+    return _log_moment_integral(n, n, t, p, h + 1.0 / n) * (1.0 + 1e-9)
+
+
+def _tail_lower(n: int, t: int, p: int, h: float) -> float:
+    """Lower bound on sum_{m > n} (h + ln((m+1)/(n+1)))^t m^-p, h >= 1: each
+    term is at least the integral over [m, m+1] of (h - 1/n + ln(x/n))^t x^-p."""
+    if t == 0:
+        return zeta_tail_interval(n, p)[0]
+    return _log_moment_integral(n + 1, n, t, p, h - 1.0 / n) * (1.0 - 1e-9)
+
+
+def _leibniz_tail(terms, n: int, h: float, cache: dict) -> float:
+    """Upper bound on sum_{m > n} of a majorant's order-k entries ``terms``."""
+    acc = 0.0
+    for key, c in terms:
+        if key not in cache:
+            cache[key] = _tail_upper(n, *key, h)
+        acc += c * cache[key]
+    return acc * (1.0 + 1e-9)
+
+
+# Interval arithmetic on (longdouble value or array, float64 error bound):
+# every operation charges its own rounding, one EPS_LD of the result.
+
+
+def _fabs(x):
+    return np.abs(x).astype(np.float64)
+
+
+def _imul(x, y):
+    (a, ea), (b, eb) = x, y
+    v = a * b
+    return v, _fabs(a) * eb + _fabs(b) * ea + ea * eb + EPS_LD * _fabs(v)
+
+
+def _iadd(x, y, sign: int = 1):
+    (a, ea), (b, eb) = x, y
+    v = a + b if sign > 0 else a - b
+    return v, ea + eb + EPS_LD * _fabs(v)
+
+
+def _eta(r: int) -> tuple[np.longdouble, float]:
+    """eta(r) = sum (-1)^(n-1) n^-r: ln 2, or (1 - 2^(1-r)) zeta(r)."""
+    if r == 1:
+        res = li_half_value(1)
+        return res.value, res.tail_bound
+    z = zeta_value(r)
+    f = 1.0 - 2.0 ** (1 - r)
+    v = LD(f) * z.value
+    return v, f * z.tail_bound + EPS_LD * abs(float(v))
+
+
+def _interval_bounds(x) -> tuple[float, float]:
+    v, e = float(x[0]), x[1]
+    return (v - e) * (1 - 1e-15), (v + e) * (1 + 1e-15)
+
+
 class _SumState:
+    """Partial sums of one Euler series and certified bounds on its tail.
+
+    Past N, every alternating factor splits as H^-_n^(r) = eta(r) +
+    (-1)^(n+1) rho_r(n), with rho_r completely monotone.  Multiplied out,
+    the term is (-1)^(n+1) g(n) + v(n): g and v are sums of pieces
+    coeff * prod eta^a * prod rho^b * prod H_n^(r) * n^-q, sorted by whether
+    the sign (-1)^(n+1) survives.  The g part is summed by the k-fold Euler
+    transform, the v part is enclosed from both sides by log-moment
+    integrals.
+    """
+
     def __init__(self, idx: EulerSumIndex):
-        self.idx = idx
         self.q = abs(idx.outer)
         self.outer_alt = idx.outer < 0
         # distinct factors with multiplicities
@@ -444,15 +599,27 @@ class _SumState:
         self.f_carries = {e: LD(0.0) for e, _ in self.factors}
         self.partial = LD(0.0)
         self.abs_sum = 0.0
-        self.last_term = LD(0.0)
-        self.monotone = True
-        self.k1 = sum(1 for e in idx.inner if e == 1)
-        self.term_rounding = power_rounding(max([self.q] + [abs(e) for e in idx.inner]))
+        self.blocks = 0  # blocks added, and the longest one: see _sum_rounding
+        self.longest = 0
+        self.degree = len(idx.inner)
+        self.unsigned = [(e, m) for e, m in self.factors if e > 0]
+        self.alternating = [(-e, m) for e, m in self.factors if e < 0]
+        self.logs = counts.get(1, 0)  # power of the log-growing factor H_n^(1)
+        self.eta = {r: _eta(r) for r, _ in self.alternating}
+        # pieces[True] make g, pieces[False] make v: (coeff, ((r, a), ...) of
+        # eta, ((r, b), ...) of rho)
+        self.pieces: dict[bool, list] = {True: [], False: []}
+        for picks in itertools.product(*(range(m + 1) for _, m in self.alternating)):
+            coeff = math.prod(math.comb(m, i) for (_, m), i in zip(self.alternating, picks))
+            etas = tuple((r, m - i) for (r, m), i in zip(self.alternating, picks) if m > i)
+            rhos = tuple((r, i) for (r, m), i in zip(self.alternating, picks) if i)
+            self.pieces[(sum(picks) + self.outer_alt) % 2 == 1].append((coeff, etas, rhos))
+        self.method = "euler_transform" if self.pieces[True] else "log_moment"
+        self.majorant = self._alternating_majorant() if self.pieces[True] else None
 
-    def update_block(self, pows, alt_sign, seam=False):
+    def update_block(self, pows, alt_sign):
         """Add the next block of terms, given as ``pows[m]`` = (1/n)**m and the
-        sign (-1)**n of each n; ``seam`` continues the monotonicity check of
-        the previous block instead of starting a new one."""
+        sign (-1)**n of each n."""
         h = None
         for e, mult in self.factors:
             r = abs(e)
@@ -470,70 +637,191 @@ class _SumState:
         if self.outer_alt:
             a = a * (-alt_sign)
         a = a.astype(LD, copy=False)
-        self.abs_sum += float(np.sum(np.abs(a)))
-        arr = self.partial + np.cumsum(a)
-        mags = np.abs(a)
-        if seam:
-            mags = np.concatenate(([abs(self.last_term)], mags))
-        # non-increasing over the latest edge range; the head may grow
-        ok = bool(np.all(np.diff(mags) <= mags[:-1] * 1e-9 + 1e-300))
-        self.monotone = ok and (self.monotone or not seam)
-        self.last_term = a[-1]
-        self.partial = arr[-1]
+        self.abs_sum += float(np.sum(np.abs(a))) * (1 + 1e-9)
+        self.partial = self.partial + np.sum(a)
+        self.blocks += 1
+        self.longest = max(self.longest, len(a))
 
-    def _factor_sups(self, n: int) -> dict[int, float]:
-        sups = {}
-        for e, _ in self.factors:
+    # -- rounding ------------------------------------------------------------
+
+    def _sum_rounding(self) -> float:
+        """Relative error, against the sum S of the term magnitudes, of a
+        running sum built block by block: within a block of L terms each
+        partial sum is off by at most L roundings of S, and adding the block
+        to the carry costs one more; EPS_LD is twice the unit roundoff."""
+        return (self.longest + self.blocks) * EPS_LD
+
+    def _carry_error(self, e: int, n: int) -> float:
+        """Error of the carried harmonic number of factor e after n terms:
+        the float64 power rounding of each term, then ``_sum_rounding``."""
+        r = abs(e)
+        size = float(self.f_carries[e]) if e > 0 else _power_sum_upper(n, r)
+        return (power_rounding(r) + self._sum_rounding()) * size * (1 + 1e-9)
+
+    def rounding_charge(self, n: int) -> float:
+        """Bound on the rounding error of the partial sum after n terms.
+
+        Each term is off by its float64 outer power, the carry errors of its
+        factors relative to their values (an alternating factor is at least
+        1 - 2^-r) and one EPS_LD per product; the partial sum adds
+        ``_sum_rounding``.  Nondecreasing in n."""
+        acc = power_rounding(self.q) + (self.degree + 2) * EPS_LD + self._sum_rounding()
+        for e, m in self.factors:
             r = abs(e)
-            fv = abs(float(self.f_carries[e]))
-            if e > 0 and r == 1:
-                continue  # the log factor; handled by the moment bound
-            if e > 0:
-                sups[e] = (fv + zeta_tail_interval(n, r)[1]) * (1 + 1e-10)
-            else:
-                sups[e] = (fv + (n + 1.0) ** (-r)) * (1 + 1e-10)
-        return sups
+            kappa = 1.0 if e > 0 else _power_sum_upper(n, r) / (1.0 - 2.0**-r)
+            acc += m * kappa * (power_rounding(r) + self._sum_rounding())
+        return self.abs_sum * acc * 1.01
+
+    # -- the alternating part g ------------------------------------------------
+
+    def _alternating_majorant(self):
+        """Per order k, the entries of a majorant of g (see ``_leibniz``)."""
+        base = _power_majorant(self.q)
+        for r, m in self.unsigned:
+            sup = 0.0
+            if r > 1:
+                z = zeta_value(r)
+                sup = (float(z.value) + z.tail_bound) * (1 + 1e-15)
+            for _ in range(m):
+                base = _leibniz(base, _harmonic_majorant(r, sup))
+        total = tuple({} for _ in range(K_MAX + 1))
+        for coeff, etas, rhos in self.pieces[True]:
+            f = base
+            c = float(coeff)
+            for r, a in etas:
+                c *= _interval_bounds(self.eta[r])[1] ** a
+            for r, b in rhos:
+                for _ in range(b):
+                    f = _leibniz(f, _rho_majorant(r))
+            for j, entries in enumerate(f):
+                for key, v in entries.items():
+                    total[j][key] = total[j].get(key, 0.0) + c * v
+        return [sorted(entries.items()) for entries in total]
+
+    def _window(self, n: int, carries) -> tuple:
+        """g(n+1), ..., g(n+K_MAX) as an interval array."""
+        m = np.arange(n + 1, n + K_MAX + 1).astype(LD)
+        shape = np.ones(K_MAX, dtype=LD)
+        zero = np.zeros(K_MAX)
+
+        def powers(r):
+            v = LD(1.0) / m**r
+            return v, (r + 1) * EPS_LD * _fabs(v)
+
+        steps = np.arange(1, K_MAX + 1)
+        g = powers(self.q)
+        for e, mult in self.unsigned:
+            t, et = powers(e)
+            c, ec = carries[e]
+            v = c + np.cumsum(t)
+            hv = (v, ec + np.cumsum(et) + 2 * steps * EPS_LD * _fabs(v))
+            for _ in range(mult):
+                g = _imul(g, hv)
+        if self.alternating:
+            plus, minus = (shape, zero), (shape, zero)
+            sign = np.where(steps % 2 == 0, 1.0, -1.0).astype(LD)
+            for r, mult in self.alternating:
+                # rho_r(n) = (-1)^(n+1) (H^-_n - eta), then
+                # rho_r(n+i) = (-1)^i (rho_r(n) + sum_{l<=i} (-1)^l (n+l)^-r)
+                if n % 2:
+                    rho0 = _iadd(carries[-r], self.eta[r], -1)
+                else:
+                    rho0 = _iadd(self.eta[r], carries[-r], -1)
+                t, et = powers(r)
+                v = sign * (rho0[0] + np.cumsum(sign * t))
+                rho = (v, rho0[1] + np.cumsum(et) + 2 * steps * EPS_LD * (_fabs(v) + _fabs(t)))
+                eta = (np.full(K_MAX, self.eta[r][0], dtype=LD), np.full(K_MAX, self.eta[r][1]))
+                for _ in range(mult):
+                    plus = _imul(plus, _iadd(eta, rho))
+                    minus = _imul(minus, _iadd(eta, rho, -1))
+            # the pieces of g are those with an even power of (-1)^(n+1)
+            # under an alternating outer sign, and with an odd one otherwise
+            p = _iadd(plus, minus, -1 if not self.outer_alt else 1)
+            g = _imul(g, (p[0] / 2, p[1] / 2))
+        return g
+
+    def _alternating_tail(self, n: int, carries) -> tuple[np.longdouble, float]:
+        """sum_{m > n} (-1)^(m+1) g(m) by the k-fold Euler transform
+
+            sum_{i>=0} (-1)^i g(n+1+i) = sum_{j<k} (-1)^j Delta^j g(n+1) / 2^(j+1) + R,
+            |R| <= 2^-k sum_{m > n} |Delta^k g(m)|,
+
+        for the k in 1..K_MAX with the smallest bound."""
+        d, e = self._window(n, carries)
+        h = 0.0
+        if self.logs:
+            h = float(carries[1][0]) + carries[1][1] + K_MAX / n
+        cache: dict = {}
+        total, total_err, best = LD(0.0), 0.0, None
+        for k in range(1, K_MAX + 1):
+            term = d[0] / LD(2.0**k)
+            total = total + term if k % 2 else total - term
+            total_err += e[0] / 2.0**k + EPS_LD * abs(float(total))
+            bound = total_err + _leibniz_tail(self.majorant[k], n, h, cache) / 2.0**k
+            if best is None or bound < best[1]:
+                best = (total, bound)
+            diff = d[1:] - d[:-1]
+            d, e = diff, e[1:] + e[:-1] + EPS_LD * _fabs(diff)
+        value, bound = best
+        return (value if n % 2 == 0 else -value), bound
+
+    # -- the non-alternating part v --------------------------------------------
+
+    def _plain_tail(self, n: int, carries) -> tuple[float, float]:
+        """Enclosure [lo, hi] of sum_{m > n} v(m), from brackets for m > n:
+        H_n + ln((m+1)/(n+1)) <= H_m <= H_n + ln(m/n), H_n^(r) <= H_m^(r) <=
+        H_n^(r) + zeta tail, and ``_rho_brackets``."""
+        h_lo = h_hi = 0.0
+        if self.logs:
+            h_lo, h_hi = _interval_bounds(carries[1])
+        c_lo = c_hi = 1.0
+        for e, m in self.unsigned:
+            if e > 1:
+                lo, hi = _interval_bounds(carries[e])
+                c_lo *= lo**m
+                c_hi *= (hi + zeta_tail_interval(n, e)[1]) ** m
+
+        def tail(poly, p, upper):
+            # sum_{m > n} L(m)^t m^-p poly(1/m), from above or below
+            acc = 0.0
+            for i, c in enumerate(poly):
+                if c and (c > 0) == upper:
+                    acc += c * _tail_upper(n, self.logs, p + i, h_hi)
+                elif c:
+                    acc += c * _tail_lower(n, self.logs, p + i, h_lo)
+            return acc
+
+        lo = hi = 0.0
+        for coeff, etas, rhos in self.pieces[False]:
+            e_lo, e_hi = c_lo * coeff, c_hi * coeff
+            for r, a in etas:
+                b_lo, b_hi = _interval_bounds(self.eta[r])
+                e_lo *= b_lo**a
+                e_hi *= b_hi**a
+            poly_lo, poly_hi = [1.0], [1.0]
+            for r, b in rhos:
+                p_lo, p_hi = _rho_brackets(r)
+                for _ in range(b):
+                    poly_lo, poly_hi = _poly_mul(poly_lo, p_lo), _poly_mul(poly_hi, p_hi)
+            p = self.q + sum(r * b for r, b in rhos)
+            halves = 0.5 ** sum(b for _, b in rhos)
+            hi += e_hi * halves * tail(poly_hi, p, True)
+            if not rhos or n + 1 >= max(r for r, _ in rhos):
+                lo += e_lo * halves * tail(poly_lo, p, False)
+        return lo * (1 - 1e-9), hi * (1 + 1e-9)
 
     def bound_at(self, n: int) -> tuple[np.longdouble, float]:
-        q = self.q
-        hn = _hn_upper(n)
-        round_err = self.abs_sum * (self.term_rounding + 3 * n * EPS_LD)
-        sups = self._factor_sups(n)
-        p_all = 1.0
-        for e, mult in self.factors:
-            if e > 0 and abs(e) == 1:
-                continue
-            p_all *= sups[e] ** mult
-        if not self.outer_alt:
-            hi = p_all * log_moment_tail(n, self.k1, float(q), hn)
-            all_unsigned = all(e > 0 for e, _ in self.factors)
-            if all_unsigned:
-                h_n = 1.0
-                for e, mult in self.factors:
-                    h_n *= float(self.f_carries[e]) ** mult
-                lo = max(h_n * (1 - 1e-9) - round_err, 0.0) * zeta_tail_interval(n, q)[0]
-            else:
-                lo = 0.0
-            value = self.partial + LD((lo + hi) / 2.0)
-            return value, (hi - lo) / 2.0 + round_err
-        # alternating outer: paired triangle bound ...
-        bound_b = q * p_all * log_moment_tail(n, self.k1, float(q + 1), hn)
-        for e, mult in self.factors:
-            r = abs(e)
-            p_other = p_all
-            k_other = self.k1
-            if e > 0 and r == 1:
-                k_other -= 1
-            else:
-                p_other = p_all / sups[e]
-            bound_b += mult * p_other * log_moment_tail(n, k_other, float(q + r), hn) * (1 + 1e-10)
-        value, bound = self.partial, bound_b + round_err
-        # ... and the consecutive-partial-sum midpoint when magnitudes decrease
-        if self.monotone:
-            bound_a = abs(float(self.last_term)) / 2.0 + round_err
-            if bound_a < bound:
-                value = self.partial - self.last_term / LD(2.0)
-                bound = bound_a
+        """The value after n terms plus the tail, and its certified bound."""
+        carries = {e: (self.f_carries[e], self._carry_error(e, n)) for e, _ in self.factors}
+        value = self.partial
+        bound = self.rounding_charge(n)
+        if self.pieces[True]:
+            t, b = self._alternating_tail(n, carries)
+            value, bound = value + t, bound + b
+        if self.pieces[False]:
+            lo, hi = self._plain_tail(n, carries)
+            value = value + LD((lo + hi) / 2.0)
+            bound += (hi - lo) / 2.0 + EPS64 * (abs(lo) + abs(hi))
         return value, bound
 
 
@@ -544,17 +832,15 @@ def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int
     n_lo = 0
     for edge in _block_schedule(n_cap):
         for lo in range(n_lo, edge, SERIES_CHUNK):
-            hi = min(lo + SERIES_CHUNK, edge)
-            n = np.arange(lo + 1, hi + 1)
+            n = np.arange(lo + 1, min(lo + SERIES_CHUNK, edge) + 1)
             alt_sign = np.where(n % 2 == 0, 1.0, -1.0)
             inv = 1.0 / n
-            pows = {m: inv**m for m in needed}
-            state.update_block(pows, alt_sign, seam=lo > n_lo)
+            state.update_block({m: inv**m for m in needed}, alt_sign)
         value, bound = state.bound_at(edge)
-        res = NumericResult(value, bound, edge)
         if best is None or bound < best.tail_bound:
-            best = res
-        if best.tail_bound <= target_tol:
+            best = NumericResult(value, bound, edge, state.method)
+        # every later bound is at least the rounding charge, which only grows
+        if best.tail_bound <= max(target_tol, state.rounding_charge(edge)):
             return best
         n_lo = edge
     return best

@@ -218,17 +218,17 @@ def test_criterion_3_engine_agreement():
 
 
 CLOSED_FIXTURES = [
-    ("S(4,4,4)", CLOSED_S44_4, 1e-6),
-    ("S(5,5,5)", CLOSED_S55_5, 1e-6),
-    ("S(2,2,2,2)", CLOSED_S222_2, 1e-6),
-    ("S(3,3,3,3)", CLOSED_S333_3, 1e-6),
-    ("S(1,1,1,9)", CLOSED_S111_9, 1e-6),
-    ("S(-1,-1,-1)", CLOSED_S11_1_ALL_BAR, 1e-6),
-    ("S(-3,-3,-3)", CLOSED_S33_3_ALL_BAR, 1e-6),
-    ("S(-2,-2,-2)", CLOSED_S22_2_ALL_BAR, 1e-6),
+    ("S(4,4,4)", CLOSED_S44_4, 1e-8),
+    ("S(5,5,5)", CLOSED_S55_5, 1e-8),
+    ("S(2,2,2,2)", CLOSED_S222_2, 1e-8),
+    ("S(3,3,3,3)", CLOSED_S333_3, 1e-8),
+    ("S(1,1,1,9)", CLOSED_S111_9, 1e-8),
+    ("S(-1,-1,-1)", CLOSED_S11_1_ALL_BAR, 1e-8),
+    ("S(-3,-3,-3)", CLOSED_S33_3_ALL_BAR, 1e-8),
+    ("S(-2,-2,-2)", CLOSED_S22_2_ALL_BAR, 1e-8),
 ]
-CLOSED_FIXTURES += [(text, closed, 1e-7) for text, closed in CLOSED_WEIGHT5.items()]
-CLOSED_FIXTURES += [(text, closed, 1e-5) for text, closed in weight6_closed_forms().items()]
+CLOSED_FIXTURES += [(text, closed, 1e-8) for text, closed in CLOSED_WEIGHT5.items()]
+CLOSED_FIXTURES += [(text, closed, 1e-8) for text, closed in weight6_closed_forms().items()]
 
 
 def test_criterion_4_closed_form_reproduction():
@@ -239,14 +239,15 @@ def test_criterion_4_closed_form_reproduction():
         expansion = expand_t1(idx)
         series = eval_euler_sum_best(idx, tol)
         exp_val = eval_lincomb_best(expansion, tol)
-        closed_val = eval_lincomb_best(closed, min(tol, 1e-8))
+        closed_val = eval_lincomb_best(closed, tol)
         ok1, d1, b1 = _agree(series, exp_val, tol)
         ok2, d2, b2 = _agree(exp_val, closed_val, tol)
+        assert series.tail_bound <= tol, (text, "series bound", series.tail_bound)
         assert ok1, (text, "series vs expansion", d1, b1)
         assert ok2, (text, "expansion vs closed form", d2, b2)
         lines.append(
-            f"  {text:18s} tol {tol:7.0e}  series|expansion {d1:.2e}  "
-            f"expansion|closed {d2:.2e}"
+            f"  {text:18s} tol {tol:7.0e}  series bound {series.tail_bound:.1e} "
+            f"(N={series.terms_used})  series|expansion {d1:.2e}  expansion|closed {d2:.2e}"
         )
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0

@@ -214,6 +214,42 @@ def test_eval_malformed_json_exit2(capsys, tmp_path):
     assert code == 2 and "expansion dump" in err
 
 
+@pytest.mark.parametrize("dump", [
+    "[1]",
+    '{"terms": 5}',
+    '{"terms": [{"factors": 3, "coeff": "1"}]}',
+    "null",
+    '{"terms": [5]}',
+    '{"terms": [{"factors": [3], "coeff": "1"}]}',
+    '{"terms": [{"factors": ["z(2)"], "coeff": [1]}]}',
+    '{"terms": [{"factors": ["z(2)"], "coeff": "1/0"}]}',
+])
+def test_eval_wrong_shape_dump_exit2(capsys, tmp_path, dump):
+    # valid JSON of the wrong shape is a usage error, not a traceback
+    p = tmp_path / "dump.json"
+    p.write_text(dump)
+    code, out, err = run(capsys, "eval", "--json", str(p))
+    assert code == 2 and out == "" and err.startswith("cannot parse expansion dump: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--file", "batch.txt", "S(2,3)"],
+    ["verify", "--file", "empty.txt", "S(2,3)"],
+    ["eval", "--json", "dump.json", "S(2,3)"],
+    ["eval", "--json", "-", "S(2,3)"],
+])
+def test_index_with_file_or_json_exit2(capsys, tmp_path, monkeypatch, argv):
+    # INDEX is never dropped silently: with --file or --json it is a usage error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "batch.txt").write_text("S(2,6)\n")
+    (tmp_path / "empty.txt").write_text("")
+    code, out, _ = run(capsys, "expand", "--output", "json", "S(2,6)")
+    (tmp_path / "dump.json").write_text(out)
+    code, out, err = run(capsys, *argv)
+    option = argv[1]
+    assert code == 2 and out == "" and err == f"INDEX and {option} exclude each other\n"
+
+
 def test_verify_batch_reports_each_line(capsys, tmp_path):
     # a malformed or divergent line fails alone; the batch keeps going and
     # exits with the largest per-line code

@@ -14,13 +14,19 @@ from eulersums.indices import make_index, parse_index
 from eulersums.numerics import (
     _FP_SCALE,
     HOLDER_N,
+    K_MAX,
     CapacityError,
     _fp_atan_inv,
     _fp_holder,
     _fp_li_half,
     _fp_zeta,
+    _harmonic_majorant,
     _holder_apply,
     _holder_word,
+    _leibniz,
+    _power_majorant,
+    _rho_brackets,
+    _rho_majorant,
     alt_harmonic_exact,
     eval_atom,
     eval_euler_sum,
@@ -250,10 +256,10 @@ def test_bound_conservative_under_refinement():
 
 
 def test_capacity_error_carries_result():
-    # only the series can miss a tolerance: the log tail of S(1,1,-1) needs
-    # far more than 2*10^4 terms for 1e-9
+    # only the series can miss a tolerance: the non-alternating log tail
+    # H_n rho_1(n) / n of S(1,-1,-1) needs more than 2*10^4 terms for 1e-9
     with pytest.raises(CapacityError) as ei:
-        eval_euler_sum(parse_index("S(1,1,-1)"), 1e-9, n_cap=2 * 10**4)
+        eval_euler_sum(parse_index("S(1,-1,-1)"), 1e-9, n_cap=2 * 10**4)
     res = ei.value.result
     assert res.tail_bound > 1e-9 and res.terms_used == 2 * 10**4
 
@@ -279,10 +285,13 @@ def test_power_rounding_covers_float64_powers():
 
 
 def test_series_chunks_match_one_block(monkeypatch):
-    # walking each edge range in chunks carries the partial sums and the
-    # monotonicity check across the seams: with one-term chunks every pair of
-    # neighbours, including the growing head of S(1,1,-1), meets at a seam
-    texts = ["S(1,1,-1)", "S(-1,2,3)", "S(1,-2,-1)", "S(2,-2)"]
+    # walking each edge range in chunks carries the partial sums, the
+    # harmonic numbers and the term magnitudes across the seams: with
+    # one-term chunks every pair of neighbours meets at a seam.  The bounds
+    # agree once the summation rounding, which counts the blocks (see
+    # test_rounding_charge_counts_blocks), is left out
+    texts = ["S(1,1,-1)", "S(-1,2,3)", "S(1,-2,-1)", "S(2,-2)", "S(1,-1,-1)", "S(1,2)"]
+    monkeypatch.setattr(numerics._SumState, "_sum_rounding", lambda state: 0.0)
     for chunk, n_cap in [(1, 2_000), (997, 30_000)]:
         whole = [eval_euler_sum_best(parse_index(t), 1e-30, n_cap=n_cap) for t in texts]
         monkeypatch.setattr(numerics, "SERIES_CHUNK", chunk)
@@ -291,7 +300,38 @@ def test_series_chunks_match_one_block(monkeypatch):
             assert res.terms_used == ref.terms_used, (text, chunk)
             assert abs(float(res.value - ref.value)) <= 1e-15 * abs(float(ref.value)), text
             assert abs(res.tail_bound - ref.tail_bound) <= 1e-6 * ref.tail_bound, text
-        monkeypatch.undo()
+        monkeypatch.setattr(numerics, "SERIES_CHUNK", 1 << 12)
+
+
+def _walk(text, n, chunk):
+    from eulersums.numerics import _SumState
+
+    idx = parse_index(text)
+    st = _SumState(idx)
+    for lo in range(0, n, chunk):
+        m = np.arange(lo + 1, min(lo + chunk, n) + 1)
+        inv = 1.0 / m
+        pows = {k: inv**k for k in {abs(e) for e in idx.inner} | {abs(idx.outer)}}
+        st.update_block(pows, np.where(m % 2 == 0, 1.0, -1.0))
+    return st
+
+
+def test_rounding_charge_counts_blocks():
+    # n one-term blocks are n sequential additions to the carry, one block
+    # of n terms n roundings within it plus one for the carry: the same charge
+    n = 3000
+    for text in ["S(1,1,-1)", "S(1,-1,-1)", "S(-2,3)", "S(2,-2)"]:
+        one, many = _walk(text, n, n), _walk(text, n, 1)
+        assert (one.blocks, one.longest, many.blocks, many.longest) == (1, n, n, 1)
+        assert abs(float(one.partial - many.partial)) <= 1e-15 * abs(float(one.partial)), text
+        assert abs(one.abs_sum - many.abs_sum) <= 1e-12 * one.abs_sum, text
+        assert one.rounding_charge(n) > 0, text
+        assert abs(one.rounding_charge(n) / many.rounding_charge(n) - 1) < 1e-9, text
+        # 100-term blocks: 100 + 30 roundings of the sum instead of 3001
+        chunked = _walk(text, n, 100)
+        assert chunked._sum_rounding() == 130 * numerics.EPS_LD, text
+        assert one._sum_rounding() == many._sum_rounding() == 3001 * numerics.EPS_LD, text
+        assert chunked.rounding_charge(n) < one.rounding_charge(n), text
 
 
 # -- terms and combinations --------------------------------------------------------
@@ -386,3 +426,154 @@ def test_oracle_consistency_sampled():
         b = eval_lincomb_best(expand_t1(idx), 1e-7)
         diff = abs(float(a.value) - float(b.value))
         assert diff <= a.tail_bound + b.tail_bound, (text, diff)
+
+
+# -- the tail engine ------------------------------------------------------------------
+
+
+def _delta(values, n, j):
+    """Delta^j of the sequence ``values`` (indexed by n) at n."""
+    return sum((-1) ** (j - i) * math.comb(j, i) * values[n + i] for i in range(j + 1))
+
+
+def _majorant_at(entries, n, log):
+    return sum(Fraction(c) * log**t / Fraction(n) ** p for (t, p), c in entries.items())
+
+
+def _check_majorant(majorant, values, log, slack=0):
+    # |Delta^j f(n + i)| <= majorant_j(n) for every shift with i + j <= K_MAX
+    for n in range(1, 61):
+        for j in range(K_MAX + 1):
+            bound = _majorant_at(majorant[j], n, log(n))
+            for i in {0, K_MAX - j}:
+                assert abs(_delta(values, n + i, j)) <= bound + (2**j) * slack, (n, i, j)
+
+
+def test_difference_majorants_exact():
+    top = 61 + 2 * K_MAX
+    h1 = [harmonic_exact(1, m) for m in range(top)]
+    log = lambda n: h1[n + K_MAX]  # L(n) >= H_(n+i) for every shift i <= K_MAX
+    for s in range(1, 6):
+        values = [0] + [Fraction(1, m**s) for m in range(1, top)]
+        _check_majorant(_power_majorant(s), values, log)
+    for r in range(1, 5):
+        values = [harmonic_exact(r, m) for m in range(top)]
+        sup = float(zeta_value(r).value) * (1 + 1e-15) if r > 1 else 0.0
+        _check_majorant(_harmonic_majorant(r, sup), values, log)
+    # products by the Leibniz rule: H_n^2 / n and H_n H_n^(2) / n^2
+    h2 = [harmonic_exact(2, m) for m in range(top)]
+    sup2 = float(zeta_value(2).value) * (1 + 1e-15)
+    g = _leibniz(_leibniz(_power_majorant(1), _harmonic_majorant(1, 0.0)), _harmonic_majorant(1, 0.0))
+    _check_majorant(g, [0] + [h1[m] ** 2 / m for m in range(1, top)], log)
+    g = _leibniz(_leibniz(_power_majorant(2), _harmonic_majorant(1, 0.0)), _harmonic_majorant(2, sup2))
+    _check_majorant(g, [0] + [h1[m] * h2[m] / m**2 for m in range(1, top)], log)
+
+
+def test_rho_majorant_and_brackets_fixed_point():
+    # rho_r(m) = (-1)^(m+1) (alternating H_m^(r) - eta(r)), with eta(r) at
+    # 192-bit fixed point: ln 2, or (1 - 2^(1-r)) zeta(r)
+    top = 61 + 2 * K_MAX
+    for r in range(1, 5):
+        if r == 1:
+            eta, err = _fp_li_half(1)
+        else:
+            z_val, z_err = _fp_zeta(r)
+            eta, err = (1 - Fraction(2) ** (1 - r)) * z_val, z_err
+        assert err < Fraction(1, 10**24)
+        alt = [alt_harmonic_exact(r, m) for m in range(top)]
+        rho = [(-1) ** (m + 1) * (alt[m] - eta) for m in range(top)]
+        _check_majorant(_rho_majorant(r), rho, lambda n: 0, slack=err)
+        lo_poly, hi_poly = _rho_brackets(r)
+        for n in range(max(r, 1), 61):
+            lo = sum(Fraction(c) / n**i for i, c in enumerate(lo_poly)) / (2 * n**r)
+            hi = sum(Fraction(c) / n**i for i, c in enumerate(hi_poly)) / (2 * n**r)
+            assert 0 <= lo and lo - err <= rho[n] <= hi + err, (r, n)
+
+
+def _convergent_indices(max_weight):
+    def parts(n, largest):
+        if n == 0:
+            yield ()
+            return
+        for p in range(min(n, largest), 0, -1):
+            for rest in parts(n - p, p):
+                yield (p,) + rest
+
+    out = set()
+    for w in range(2, max_weight + 1):
+        for q in range(-w, w + 1):
+            if q in (0, 1):
+                continue
+            for mags in parts(w - abs(q), w):
+                for signs in itertools.product((1, -1), repeat=len(mags)):
+                    out.add(make_index([m * s for m, s in zip(mags, signs)], q))
+    return sorted(out, key=str)
+
+
+_REFERENCES = {}
+
+
+def _reference(idx):
+    from eulersums.expansion import expand_t1
+
+    if idx not in _REFERENCES:
+        _REFERENCES[idx] = eval_lincomb_best(expand_t1(idx))
+    return _REFERENCES[idx]
+
+
+def _worst_ratio(tol, n_cap=numerics.N_MAX):
+    """Largest |series - Hoelder value of the expansion| / (sum of bounds)
+    over every convergent index of weight <= 5."""
+    worst = (0.0, None)
+    for idx in _convergent_indices(5):
+        ref = _reference(idx)
+        res = eval_euler_sum_best(idx, tol, n_cap=n_cap)
+        ratio = abs(float(res.value - ref.value)) / (res.tail_bound + ref.tail_bound)
+        worst = max(worst, (ratio, str(idx)))
+    return worst
+
+
+def test_series_within_bound_weight5():
+    assert len(_convergent_indices(5)) == 97
+    ratio, text = _worst_ratio(1e-10)
+    assert ratio <= 1.0, text
+
+
+@pytest.mark.parametrize("mutation", ["leibniz_remainder", "rounding_charge"])
+def test_mutated_bound_is_exceeded(monkeypatch, mutation):
+    # both charges are needed: without either, some index of weight <= 5
+    # ends up farther from its reference value than its reported bound
+    for idx in _convergent_indices(5):
+        _reference(idx)
+    if mutation == "leibniz_remainder":
+        monkeypatch.setattr(numerics, "_leibniz_tail", lambda *args: 0.0)
+    else:
+        monkeypatch.setattr(numerics, "EPS64", 0.0)
+        monkeypatch.setattr(numerics, "EPS_LD", 0.0)
+    ratio, text = _worst_ratio(1e-10, n_cap=1000)
+    assert ratio > 10.0, (mutation, text)
+
+
+def test_log_tails_stop_early():
+    # the weight-3 sums with a magnitude-1 entry meet 1e-6, and the two
+    # slowest of them 1e-8, within 10^5 terms
+    for text in ["S(2,-1)", "S(-2,-1)", "S(1,1,-1)", "S(1,-1,-1)", "S(-1,-1,-1)",
+                 "S(1,2)", "S(-1,2)", "S(1,-2)", "S(-1,-2)"]:
+        assert eval_euler_sum(parse_index(text), 1e-6).terms_used <= 10**5, text
+    for text in ["S(1,1,-1)", "S(1,-1,-1)"]:
+        assert eval_euler_sum(parse_index(text), 1e-8).terms_used <= 10**5, text
+
+
+def test_method_names_the_bound():
+    assert eval_atom(z(3, 2)).method == "holder"
+    assert eval_atom(li_half(4)).method == "li_half"
+    assert zeta_value(3).method == "zeta"
+    assert li_half_value(2).method == "li_half"
+    assert eval_lincomb_best(LinComb.of_atom(li_half(4))).method == "li_half"
+    mixed = LinComb.of_atom(li_half(4)) + LinComb.of_atom(z(-3))
+    assert eval_lincomb_best(mixed).method == "holder"
+    alternating = eval_euler_sum_best(parse_index("S(1,1,-1)"), 1e-6)
+    assert alternating.method == "euler_transform"
+    assert eval_euler_sum_best(parse_index("S(-1,2)"), 1e-6).method == "euler_transform"
+    assert eval_euler_sum_best(parse_index("S(1,2)"), 1e-6).method == "log_moment"
+    assert "method" not in repr(alternating) and "euler" not in repr(alternating)
