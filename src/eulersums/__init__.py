@@ -47,7 +47,6 @@ from .numerics import (
     eval_euler_sum,
     eval_lincomb,
     eval_mhs_exact,
-    eval_term,
 )
 from .reduction import (
     IdentityRule,
@@ -72,15 +71,18 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache: atom values, constants, closed forms
-    and parsed identity tables.  Results do not change; later calls are cold."""
-    from . import numerics, reduction
+    """Empty every module-level cache: atom values, constants, closed forms,
+    parsed identity tables and the CLI parser.  Results do not change; later
+    calls are cold."""
+    from . import cli, numerics, reduction
 
-    for cache in (
-        numerics._ATOM_CACHE,
-        numerics._CONST_CACHE,
-        reduction._W_CACHE,
-        reduction._REPEATED_CACHE,
-        reduction._TABLE_CACHE,
+    for cached in (
+        numerics._atom_units,
+        numerics.zeta_value,
+        numerics.pi_reference,
+        reduction.log_integral,
+        reduction._repeated,
+        reduction._parse_table,
+        cli.build_parser,
     ):
-        cache.clear()
+        cached.cache_clear()

@@ -108,18 +108,18 @@ def li_half(q: int) -> MzvAtom:
     return MzvAtom(li=q)
 
 
-LN2_ATOM = z(-1)  # equals -ln(2); kept as an atom so the algebra stays closed
-
-
 def parse_atom(text: str) -> MzvAtom:
     """Parse the canonical rendering 'z(a,b,...)' or 'Li(q,1/2)'."""
     s = text.strip()
     if s.startswith("Li(") and s.endswith(")"):
-        inner = s[3:-1]
-        parts = [p.strip() for p in inner.split(",")]
-        if len(parts) != 2 or parts[1] != "1/2":
+        parts = [p.strip() for p in s[3:-1].split(",")]
+        try:
+            q = int(parts[0]) if len(parts) == 2 and parts[1] == "1/2" else 0
+        except ValueError:
+            q = 0
+        if q < 1:
             raise ValueError(f"malformed Li atom: {text!r}")
-        return li_half(int(parts[0]))
+        return li_half(q)
     if s.startswith("z(") and s.endswith(")"):
         body = s[2:-1]
         try:

@@ -27,6 +27,7 @@ to stderr; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -328,6 +329,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eulersum", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -35,6 +35,7 @@ they are basis elements of the reduced form.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -56,19 +57,16 @@ STEP_CAP = 100_000
 # Closed forms
 # ---------------------------------------------------------------------------
 
-_W_CACHE: dict[tuple[int, int], LinComb] = {}
 LOG_INTEGRAL_CAP = 30  # largest k + l that log_integral expands
 
 
+@functools.cache
 def log_integral(k: int, l: int) -> LinComb:
     """W(k, l) as an exact polynomial in single zeta values (k >= 1, l >= 0)."""
     if k < 1 or l < 0:
         raise ValueError(f"need k >= 1, l >= 0, got ({k}, {l})")
     if k + l > LOG_INTEGRAL_CAP:
         raise ValueError(f"log_integral capped at k + l <= {LOG_INTEGRAL_CAP}, got {k + l}")
-    key = (k, l)
-    if key in _W_CACHE:
-        return _W_CACHE[key]
     acc = LinComb.of_atom(
         z(k + l + 1), Fraction((-1) ** (k + l) * math.factorial(k + l), l + 1)
     )
@@ -81,7 +79,6 @@ def log_integral(k: int, l: int) -> LinComb:
                 * math.factorial(i + j - 1)
             )
             acc = acc - LinComb.of_atom(z(i + j), c) * log_integral(k - i, l - j)
-    _W_CACHE[key] = acc
     return acc
 
 
@@ -109,9 +106,6 @@ def _zeta_signed(v: int, sign: int) -> LinComb:
     return LinComb.of_atom(z(-v))
 
 
-_REPEATED_CACHE: dict[tuple[int, int, bool], LinComb] = {}
-
-
 def zeta_repeated(r: int, m: int) -> LinComb:
     """zeta({r}_m) for unsigned r >= 2 as a polynomial in zeta values."""
     if r < 2:
@@ -126,26 +120,21 @@ def zeta_repeated_bar(r: int, m: int) -> LinComb:
     return _repeated(r, m, barred=True)
 
 
+@functools.cache
 def _repeated(r: int, m: int, barred: bool) -> LinComb:
     if m < 0:
         raise ValueError("multiplicity must be >= 0")
-    key = (r, m, barred)
-    if key in _REPEATED_CACHE:
-        return _REPEATED_CACHE[key]
     if m == 0:
-        out = LinComb.scalar(1)
-    elif m == 1:
-        out = LinComb.of_atom(z(-r) if barred else z(r))
-    else:
-        acc = LinComb.zero()
-        for i in range(m):
-            power_sign = (-1) ** (m - i) if barred else 1
-            acc = acc + _repeated(r, i, barred).scale(Fraction((-1) ** i)) * _zeta_signed(
-                r * (m - i), power_sign
-            )
-        out = acc.scale(Fraction((-1) ** (m - 1), m))
-    _REPEATED_CACHE[key] = out
-    return out
+        return LinComb.scalar(1)
+    if m == 1:
+        return LinComb.of_atom(z(-r) if barred else z(r))
+    acc = LinComb.zero()
+    for i in range(m):
+        power_sign = (-1) ** (m - i) if barred else 1
+        acc = acc + _repeated(r, i, barred).scale(Fraction((-1) ** i)) * _zeta_signed(
+            r * (m - i), power_sign
+        )
+    return acc.scale(Fraction((-1) ** (m - 1), m))
 
 
 def depth2_odd(atom: MzvAtom) -> LinComb | None:
@@ -304,21 +293,15 @@ class IdentityTable:
         return len(self.entries)
 
 
-# Parsed table texts: (text, verify, tol) -> per-line outcome, in line order:
-# (lineno, lhs rendering, lhs weight, rhs) for an accepted entry, (lineno,
-# message) for a rejected one.  Keyed on the exact text, so an edited file is
-# always parsed again.
-_TABLE_CACHE: dict[tuple[str, bool, float], tuple] = {}
-
-
 def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: str | None = None) -> IdentityTable:
     """Load a JSON-lines identity table from a path or an open text stream;
     malformed or failing entries are rejected individually and reported on
     ``table.report``.  A path that cannot be opened raises ``OSError``.
 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
-    "weight": w}.  With ``verify`` set, each entry is numerically checked
-    against the oracle at ``tol`` (plus certified bounds).
+    "weight": w}.  With ``verify`` set, an entry is rejected when the
+    oracle's exact fixed-point sum of rhs - lhs exceeds ``tol`` by more than
+    its error bound.
 
     A text is parsed once per process for each (verify, tol); every call
     returns a new table with its own ``entries`` and ``report``.
@@ -330,12 +313,8 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     else:
         text = source.read()
         name = label or getattr(source, "name", "stream")
-    key = (text, verify, tol)
-    outcome = _TABLE_CACHE.get(key)
-    if outcome is None:
-        outcome = _TABLE_CACHE[key] = _parse_table(text, verify, tol)
     table = IdentityTable(label=str(name))
-    for lineno, *result in outcome:
+    for lineno, *result in _parse_table(text, verify, tol):
         if len(result) == 1:
             table.report.append(f"{name}:{lineno}: rejected: {result[0]}")
         else:
@@ -343,8 +322,12 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     return table
 
 
+@functools.cache
 def _parse_table(text: str, verify: bool, tol: float) -> tuple:
-    """The per-line outcome of one table text (see ``_TABLE_CACHE``)."""
+    """The per-line outcome of one table text, in line order: (lineno, lhs
+    rendering, lhs weight, rhs) for an accepted entry, (lineno, message) for
+    a rejected one.  Cached on the exact text, so an edited file is always
+    parsed again."""
     outcome = []
     checker = IdentityTable()
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -371,14 +354,13 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
 def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):
     from . import numerics
 
-    left = numerics.eval_lincomb_best(LinComb.of_atom(lhs), tol / 4)
-    right = numerics.eval_lincomb_best(rhs, tol / 4)
-    diff = abs(float(left.value) - float(right.value))
-    budget = left.tail_bound + right.tail_bound + tol
-    if diff > budget:
+    # rejected only when |rhs - lhs| > tol whatever the atoms' errors
+    value, error = numerics._lincomb_units(rhs - LinComb.of_atom(lhs))
+    if abs(value) - error > tol * numerics._FP_SCALE:
+        diff = numerics._fp_result(value, error, 0)
         raise ValueError(
-            f"numeric mismatch for {lhs.render()}: |{float(left.value):.12g} - "
-            f"{float(right.value):.12g}| = {diff:.3g} > {budget:.3g}"
+            f"numeric mismatch for {lhs.render()}: |rhs - lhs| = "
+            f"{abs(float(diff.value)):.3g} +- {diff.tail_bound:.3g} > {tol:.3g}"
         )
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,14 @@ def test_atom_render_and_parse_roundtrip(atom):
         parse_atom("Li(4,1/3)")
     with pytest.raises(ValueError):
         parse_atom("w(2)")
+
+
+@pytest.mark.parametrize(
+    "text", ["Li(0,1/2)", "Li(-1,1/2)", "Li(x,1/2)", "Li(,1/2)", "Li(4)", "Li(4,1/2,1)", "Li(4,1/3)"]
+)
+def test_malformed_li_atom_message(text):
+    with pytest.raises(ValueError, match=r"^malformed Li atom: " + re.escape(repr(text)) + "$"):
+        parse_atom(text)
 
 
 def test_term_canonical_order():

@@ -383,6 +383,21 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     assert sum(map(len, declared.values())) == 18
 
 
+def test_parser_built_once_per_process():
+    from eulersums.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_table_option_does_not_reach_next_call(capsys, tmp_path):
+    # the shared parser's "append" default list must not collect --table paths
+    missing = str(tmp_path / "missing.jsonl")
+    code, _, err = run(capsys, "reduce", "--table", missing, "S(2,3)")
+    assert code == 2 and missing in err
+    code, out, err = run(capsys, "reduce", "S(2,3)")
+    assert code == 0 and out and missing not in err
+
+
 def test_readme_command_lines_parse():
     # every `eulersum ...` line of README's "Command line" block parses
     import pathlib

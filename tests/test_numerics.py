@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulersums import numerics
@@ -34,7 +35,6 @@ from eulersums.numerics import (
     eval_lincomb,
     eval_lincomb_best,
     eval_mhs_exact,
-    eval_term,
     harmonic_exact,
     li_half_value,
     ln2_value,
@@ -342,12 +342,44 @@ def test_empty_lincomb():
     assert float(r.value) == 0.0 and r.tail_bound == 0.0
 
 
+def test_lincomb_beyond_float_range_has_infinite_bound():
+    assert eval_lincomb_best(LinComb.of_atom(z(2), 10**400)).tail_bound == math.inf
+
+
 def test_product_term():
     t = SymbolicTerm.of(z(2), z(3))
-    r = eval_term(t, 1e-10)
+    r = eval_lincomb_best(LinComb.of_term(t), 1e-10)
     expect = float(zeta_value(2).value) * float(zeta_value(3).value)
     assert abs(float(r.value) - expect) <= r.tail_bound + 1e-14
     assert abs(float(r.value) - 1.9773043502972961) < 1e-12
+
+
+# Coefficients sign * m/d * 10^e, so 1e-40 <= |c| <= 1e12, on terms of 0-3
+# atoms, signed or Li.
+_COEFF = st.builds(
+    lambda sign, m, d, e: sign * Fraction(m, d) * Fraction(10) ** e,
+    st.sampled_from([1, -1]), st.integers(1, 1000), st.integers(1, 1000), st.integers(-37, 9),
+)
+_ATOM = st.one_of(
+    st.integers(1, 6).map(li_half),
+    st.builds(lambda a, rest: z(a, *rest), _SLOT, st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=2)),
+)
+
+
+@functools.cache
+def _exact_atom(atom):
+    return _fp_li_half(atom.li)[0] if atom.li else _fp_holder(atom.args)[0]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(_COEFF, st.lists(_ATOM, max_size=3)), max_size=4))
+@example([(Fraction(1, math.factorial(10)), [z(2)])])
+@example([(Fraction(7, 10**30), [z(2)])])
+def test_lincomb_bound_encloses_exact_value(terms):
+    lc = sum((LinComb.of_term(SymbolicTerm.of(*atoms), c) for c, atoms in terms), LinComb.zero())
+    exact = sum(c * math.prod(_exact_atom(a) for a in t.factors) for t, c in lc.items())
+    res = eval_lincomb_best(lc)
+    assert abs(Fraction(*res.value.as_integer_ratio()) - exact) <= res.tail_bound, lc
 
 
 def test_li_term_and_ln2_atom():
