@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .indices import _INT_RE
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '3/4' or '-5' to Fraction."""
@@ -109,24 +111,21 @@ def li_half(q: int) -> MzvAtom:
 
 
 def parse_atom(text: str) -> MzvAtom:
-    """Parse the canonical rendering 'z(a,b,...)' or 'Li(q,1/2)'."""
+    """Parse the canonical rendering 'z(a,b,...)' or 'Li(q,1/2)'.  Each slot
+    is an integer as an index writes it (``-?[1-9][0-9]*``, ASCII), with
+    whitespace allowed around it."""
     s = text.strip()
     if s.startswith("Li(") and s.endswith(")"):
         parts = [p.strip() for p in s[3:-1].split(",")]
-        try:
-            q = int(parts[0]) if len(parts) == 2 and parts[1] == "1/2" else 0
-        except ValueError:
-            q = 0
-        if q < 1:
+        q = parts[0] if len(parts) == 2 and parts[1] == "1/2" else ""
+        if not _INT_RE.fullmatch(q) or int(q) < 1:
             raise ValueError(f"malformed Li atom: {text!r}")
-        return li_half(q)
+        return li_half(int(q))
     if s.startswith("z(") and s.endswith(")"):
-        body = s[2:-1]
-        try:
-            args = tuple(int(p.strip()) for p in body.split(","))
-        except ValueError as e:
-            raise ValueError(f"malformed zeta atom: {text!r}") from e
-        return MzvAtom(args=args)
+        slots = [p.strip() for p in s[2:-1].split(",")]
+        if not all(_INT_RE.fullmatch(p) for p in slots):
+            raise ValueError(f"malformed zeta atom: {text!r}")
+        return MzvAtom(args=tuple(map(int, slots)))
     raise ValueError(f"unrecognized atom rendering: {text!r}")
 
 

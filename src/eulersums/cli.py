@@ -19,7 +19,8 @@ plain); T lies in [1e-10, 1e-3] (default 1e-8).
 Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
 (also an unreadable or non-UTF-8 table or batch file, an expansion dump of
 the wrong shape, INDEX together with --file or --json, or an option the
-command does not take), 3 divergent index, 4 engine precondition violated,
+command does not take), 3 divergent index, 4 engine precondition violated
+(also a reduction that does not reach its fixpoint within the step cap),
 5 no usable table with --require-tables (or in table-check).  Diagnostics go
 to stderr; results go to stdout.
 """
@@ -29,8 +30,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import numerics
 from .algebra import LinComb
@@ -43,7 +47,7 @@ from .expansion import (
     linearize,
 )
 from .indices import ConvergenceError, EulerSumIndex, parse_index, render_index
-from .reduction import load_identity_table, reduce_lincomb
+from .reduction import StepCapError, load_identity_table, reduce_lincomb
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,6 +71,7 @@ _FAILURES = {
     ConvergenceError: (EXIT_DIVERGENT, "divergent index: "),
     UnsupportedHypothesisError: (EXIT_ENGINE, "engine precondition: "),
     DegreeCapError: (EXIT_ENGINE, "engine precondition: "),
+    StepCapError: (EXIT_ENGINE, "engine precondition: "),
     ValueError: (EXIT_PARSE, "cannot parse index: "),
     AssertionError: (EXIT_FAIL, ""),
 }
@@ -265,6 +270,15 @@ def _dump_terms(raw: str) -> list:
     return terms
 
 
+def _digits15(value) -> str:
+    """A longdouble to 15 significant digits: as its float64 prints where
+    that is finite, else from the longdouble itself."""
+    f = float(value)
+    if math.isfinite(f) or not np.isfinite(value):
+        return f"{f:.15g}"
+    return np.format_float_scientific(value, precision=14, unique=False, trim="-")
+
+
 def cmd_eval(args) -> int:
     _not_both(args, "--json", args.json_input)
     if args.json_input:
@@ -284,7 +298,7 @@ def cmd_eval(args) -> int:
         res = numerics.eval_euler_sum_best(_index(args.index), args.tol)
         if res.tail_bound > args.tol:
             _err(f"capacity: achieved bound {res.tail_bound:.3g} above tol {args.tol:g}")
-    print(f"{float(res.value):.15g}  bound={res.tail_bound:.3g}  N={res.terms_used}")
+    print(f"{_digits15(res.value)}  bound={res.tail_bound:.3g}  N={res.terms_used}")
     return EXIT_OK
 
 

@@ -53,6 +53,10 @@ TRACE_CAP = 10_000
 STEP_CAP = 100_000
 
 
+class StepCapError(RuntimeError):
+    """A reduction that did not reach its fixpoint within the step cap."""
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -216,78 +220,72 @@ def symmetric_triple_sum(i: int, j: int, k: int) -> LinComb:
 
 @dataclass(frozen=True)
 class IdentityRule:
+    """A closed form as a rewrite: ``rewrite(atom)`` is the atom's reduced
+    form, or None off the rule's domain."""
+
     name: str
-    matcher: Callable[[MzvAtom], bool]
-    rewriter: Callable[[MzvAtom], LinComb | None]
+    rewrite: Callable[[MzvAtom], LinComb | None]
 
 
-def _match_alt_depth1(a: MzvAtom) -> bool:
-    return not a.li and a.depth == 1 and a.args[0] <= -2
+def _rw_alt_depth1(a: MzvAtom) -> LinComb | None:
+    return alt_depth1(-a.args[0]) if a.depth == 1 and a.args[0] <= -2 else None
 
 
-def _match_repeated(a: MzvAtom) -> bool:
-    return not a.li and a.depth >= 2 and len(set(a.args)) == 1
-
-
-def _rw_repeated(a: MzvAtom) -> LinComb:
+def _rw_repeated(a: MzvAtom) -> LinComb | None:
+    if a.depth < 2 or len(set(a.args)) > 1:
+        return None
     slot = a.args[0]
     if slot > 0:
         return zeta_repeated(slot, a.depth)
     return zeta_repeated_bar(-slot, a.depth)
 
 
-def _match_ones(a: MzvAtom) -> bool:
-    return (
-        not a.li
-        and a.depth >= 2
-        and a.args[0] >= 2
-        and all(t == 1 for t in a.args[1:])
-        and a.weight - 1 <= LOG_INTEGRAL_CAP
-    )
-
-
-def _rw_ones(a: MzvAtom) -> LinComb:
+def _rw_ones(a: MzvAtom) -> LinComb | None:
+    ones = a.depth >= 2 and a.args[0] >= 2 and all(t == 1 for t in a.args[1:])
+    if not ones or a.weight - 1 > LOG_INTEGRAL_CAP:
+        return None
     return zeta_ones(a.args[0] - 1, a.depth - 1)
-
-
-def _match_depth2_odd(a: MzvAtom) -> bool:
-    return not a.li and a.depth == 2 and (abs(a.args[0]) + abs(a.args[1])) % 2 == 1
 
 
 def default_rules() -> list[IdentityRule]:
     return [
-        IdentityRule("alt_depth1", _match_alt_depth1, lambda a: alt_depth1(-a.args[0])),
-        IdentityRule("repeated", _match_repeated, _rw_repeated),
-        IdentityRule("zeta_ones", _match_ones, _rw_ones),
-        IdentityRule("depth2_odd", _match_depth2_odd, depth2_odd),
+        IdentityRule("alt_depth1", _rw_alt_depth1),
+        IdentityRule("repeated", _rw_repeated),
+        IdentityRule("zeta_ones", _rw_ones),
+        IdentityRule("depth2_odd", depth2_odd),
     ]
 
 
+def _check_entry(lhs: MzvAtom, rhs: LinComb):
+    """Raise ValueError unless ``lhs -> rhs`` keeps the weight and does not
+    refer to its own left side."""
+    if rhs.weights() not in ({lhs.weight}, set()):
+        raise ValueError(
+            f"weight-inhomogeneous entry {lhs.render()}: "
+            f"lhs weight {lhs.weight}, rhs weights {sorted(rhs.weights())}"
+        )
+    if lhs in rhs.atoms():
+        raise ValueError(f"self-referential entry {lhs.render()}")
+
+
 class IdentityTable:
-    """An ingested mapping from canonical atom renderings to reduced forms."""
+    """A mapping from atoms to their reduced forms."""
 
     def __init__(self, label: str = "table"):
         self.label = label
-        self.entries: dict[str, LinComb] = {}
-        self.max_weight = 0
+        self.entries: dict[MzvAtom, LinComb] = {}
         self.report: list[str] = []
 
     def add(self, lhs: MzvAtom, rhs: LinComb):
-        if rhs.weights() not in ({lhs.weight}, set()):
-            raise ValueError(
-                f"weight-inhomogeneous entry {lhs.render()}: "
-                f"lhs weight {lhs.weight}, rhs weights {sorted(rhs.weights())}"
-            )
-        if lhs in rhs.atoms():
-            raise ValueError(f"self-referential entry {lhs.render()}")
-        self._store(lhs.render(), lhs.weight, rhs)
-
-    def _store(self, key: str, weight: int, rhs: LinComb):
-        self.entries[key] = rhs
-        self.max_weight = max(self.max_weight, weight)
+        _check_entry(lhs, rhs)
+        self.entries[lhs] = rhs
 
     def lookup(self, atom: MzvAtom) -> LinComb | None:
-        return self.entries.get(atom.render())
+        return self.entries.get(atom)
+
+    @property
+    def max_weight(self) -> int:
+        return max((atom.weight for atom in self.entries), default=0)
 
     def __len__(self):
         return len(self.entries)
@@ -318,18 +316,17 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
         if len(result) == 1:
             table.report.append(f"{name}:{lineno}: rejected: {result[0]}")
         else:
-            table._store(*result)
+            lhs, rhs = result
+            table.entries[lhs] = rhs
     return table
 
 
 @functools.cache
 def _parse_table(text: str, verify: bool, tol: float) -> tuple:
-    """The per-line outcome of one table text, in line order: (lineno, lhs
-    rendering, lhs weight, rhs) for an accepted entry, (lineno, message) for
-    a rejected one.  Cached on the exact text, so an edited file is always
-    parsed again."""
+    """The per-line outcome of one table text, in line order: (lineno, lhs,
+    rhs) for an accepted entry, (lineno, message) for a rejected one.
+    Cached on the exact text, so an edited file is always parsed again."""
     outcome = []
-    checker = IdentityTable()
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -344,8 +341,8 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
                 )
             if verify:
                 _verify_entry(lhs, rhs, tol)
-            checker.add(lhs, rhs)  # homogeneity and self-reference checks
-            outcome.append((lineno, lhs.render(), lhs.weight, rhs))
+            _check_entry(lhs, rhs)
+            outcome.append((lineno, lhs, rhs))
         except Exception as e:  # entry-level rejection
             outcome.append((lineno, str(e)))
     return tuple(outcome)
@@ -365,49 +362,35 @@ def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):
 
 
 def save_table(table: IdentityTable, path):
+    """Write ``table`` as JSON lines, by weight and then rendering."""
     with open(path, "w", encoding="utf-8") as f:
-        for lhs_text in sorted(table.entries, key=lambda s: (parse_atom(s).weight, s)):
-            rhs = table.entries[lhs_text]
-            f.write(
-                json.dumps(
-                    {
-                        "lhs": lhs_text,
-                        "rhs": rhs.to_json_terms(),
-                        "weight": parse_atom(lhs_text).weight,
-                    }
-                )
-                + "\n"
-            )
+        for lhs in sorted(table.entries, key=lambda a: (a.weight, a.render())):
+            rhs = table.entries[lhs].to_json_terms()
+            f.write(json.dumps({"lhs": lhs.render(), "rhs": rhs, "weight": lhs.weight}) + "\n")
 
 
 def build_starter_table(max_weight: int = 12) -> IdentityTable:
     """Identities the library derives itself, precomputed as a table.
 
-    Contains the zeta(k+1,{1}_l) closed forms, all odd-weight depth-2 values
-    (signs included), and the depth-1 alternating values, each fully reduced.
-    No externally compiled data enters here.
+    Contains the depth-1 alternating values, the zeta(k+1,{1}_l) closed
+    forms and all odd-weight depth-2 values (signs included), each fully
+    reduced.  No externally compiled data enters here.
     """
-    table = IdentityTable(label=f"starter<=w{max_weight}")
-    rules = default_rules()
-    for s in range(2, max_weight + 1):
-        table.add(z(-s), alt_depth1(s))
-    for k in range(1, max_weight):
-        for l in range(1, max_weight - k):
-            atom = z(k + 1, *([1] * l))
-            if atom.weight <= max_weight:
-                table.add(atom, reduce_lincomb(zeta_ones(k, l), rules=rules).value)
-    for w in range(3, max_weight + 1, 2):
-        for s in range(1, w):
-            t = w - s
-            for sg in (1, -1):
-                for tg in (1, -1):
-                    if s == 1 and sg == 1:
-                        continue
-                    atom = MzvAtom(args=(sg * s, tg * t))
-                    if atom.render() in table.entries:
-                        continue
-                    rhs = depth2_odd(atom)
-                    table.add(atom, reduce_lincomb(rhs, rules=rules).value)
+    w = max_weight
+    alternating = [z(-s) for s in range(2, w + 1)]
+    ones = [z(k + 1, *[1] * l) for k in range(1, w) for l in range(1, w - k)]
+    depth2 = [
+        z(sg * s, tg * (odd - s))
+        for odd in range(3, w + 1, 2)
+        for s in range(1, odd)
+        for sg in (1, -1)
+        for tg in (1, -1)
+        if (s, sg) != (1, 1)
+    ]
+    table = IdentityTable(label=f"starter<=w{w}")
+    # z(k+1,1) of odd weight is in two families; it is reduced once
+    for atom in dict.fromkeys(alternating + ones + depth2):
+        table.add(atom, reduce_lincomb(LinComb.of_atom(atom)).value)
     return table
 
 
@@ -479,11 +462,10 @@ def _atom_rewrite(atom: MzvAtom, tables: list[IdentityTable], rules: list[Identi
             break
     else:
         for rule in rules:
-            if rule.matcher(atom):
-                rhs = rule.rewriter(atom)
-                if rhs is not None:
-                    hit = (rhs, rule.name)
-                    break
+            rhs = rule.rewrite(atom)
+            if rhs is not None:
+                hit = (rhs, rule.name)
+                break
     if hit is not None:
         assert hit[0].weights() in ({atom.weight}, set()), (
             f"weight leak rewriting {atom}: {sorted(hit[0].weights())} != {atom.weight}"
@@ -624,5 +606,5 @@ def reduce_lincomb(
             break
         steps += 1
     else:
-        raise RuntimeError(f"reduction did not reach a fixpoint within {max_steps} steps")
+        raise StepCapError(f"reduction did not reach a fixpoint within {max_steps} steps")
     return ReduceResult(LinComb(work.coeffs), trace, steps)

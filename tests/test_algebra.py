@@ -59,11 +59,33 @@ def test_atom_render_and_parse_roundtrip(atom):
 
 
 @pytest.mark.parametrize(
-    "text", ["Li(0,1/2)", "Li(-1,1/2)", "Li(x,1/2)", "Li(,1/2)", "Li(4)", "Li(4,1/2,1)", "Li(4,1/3)"]
+    "text",
+    [
+        "Li(0,1/2)", "Li(-1,1/2)", "Li(x,1/2)", "Li(,1/2)", "Li(4)", "Li(4,1/2,1)", "Li(4,1/3)",
+        "Li(1_0,1/2)", "Li(04,1/2)", "Li(+4,1/2)", "Li(\u0663,1/2)",
+    ],
 )
 def test_malformed_li_atom_message(text):
     with pytest.raises(ValueError, match=r"^malformed Li atom: " + re.escape(repr(text)) + "$"):
         parse_atom(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "z()", "z(x)", "z(2,)", "z(2.0)", "z(0)", "z(2,-0)",
+        "z(2_0)", "z(2,-0_1)", "z(02)", "z(+2)", "z(\u0663)", "z(2,- 1)",
+    ],
+)
+def test_malformed_zeta_atom_message(text):
+    # a slot is a nonzero ASCII integer as in an index, never reinterpreted
+    with pytest.raises(ValueError, match=r"^malformed zeta atom: " + re.escape(repr(text)) + "$"):
+        parse_atom(text)
+
+
+def test_atom_slots_allow_whitespace():
+    assert parse_atom(" z( 2 ,-3 ) ") == z(2, -3)
+    assert parse_atom("Li( 4 , 1/2 )") == li_half(4)
 
 
 def test_term_canonical_order():

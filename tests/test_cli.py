@@ -178,6 +178,14 @@ def test_eval_json_roundtrip(capsys, tmp_path):
     assert abs(val_from_json - val_verify) < 1e-9
 
 
+def test_eval_json_beyond_float64_prints_finite(capsys, tmp_path):
+    # 10^400 * zeta(2) is finite as a longdouble, so it prints as a number
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 400}]}))
+    code, out, _ = run(capsys, "eval", "--json", str(p))
+    assert code == 0 and out.startswith("1.64493406684823e+400  bound=")
+
+
 def test_table_check(capsys, tmp_path):
     good = tmp_path / "good.jsonl"
     good.write_text('{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n')
@@ -262,6 +270,39 @@ def test_verify_batch_reports_each_line(capsys, tmp_path):
     assert blocks[0].rstrip().endswith("PASS") and blocks[3].rstrip().endswith("PASS")
     assert blocks[1].splitlines()[1].startswith("ERROR (exit 2): cannot parse index")
     assert blocks[2].splitlines()[1].startswith("ERROR (exit 3): divergent index")
+
+
+def _cyclic_table(tmp_path) -> str:
+    path = tmp_path / "cyc.jsonl"
+    path.write_text(
+        '{"lhs": "z(4,1)", "rhs": [{"factors": ["z(3,2)"], "coeff": "1"}], "weight": 5}\n'
+        '{"lhs": "z(3,2)", "rhs": [{"factors": ["z(4,1)"], "coeff": "1"}], "weight": 5}\n'
+    )
+    return str(path)
+
+
+CYCLE_MESSAGE = "engine precondition: reduction did not reach a fixpoint within 100000 steps"
+
+
+def test_reduce_cyclic_table_exit4(capsys, tmp_path):
+    # two entries that rewrite into each other never reach a fixpoint: the
+    # step cap ends the command with exit 4, not a traceback
+    code, out, err = run(capsys, "reduce", "--table", _cyclic_table(tmp_path), "S(1,4)")
+    assert code == 4 and out == "" and err == CYCLE_MESSAGE + "\n"
+
+
+def test_verify_batch_cyclic_table_line_exit4(capsys, tmp_path):
+    # the line that hits the cycle fails alone; the lines around it still pass
+    f = tmp_path / "batch.txt"
+    f.write_text("S(2,6)\nS(1,4)\nS(3,5)\n")
+    code, out, _ = run(
+        capsys, "verify", "--tol", "1e-6", "--table", _cyclic_table(tmp_path), "--file", str(f)
+    )
+    assert code == 4
+    blocks = out.split("== ")[1:]
+    assert [b.splitlines()[0] for b in blocks] == ["S(2,6)", "S(1,4)", "S(3,5)"]
+    assert blocks[0].rstrip().endswith("PASS") and blocks[2].rstrip().endswith("PASS")
+    assert blocks[1].splitlines()[1:] == ["ERROR (exit 4): " + CYCLE_MESSAGE]
 
 
 def test_verify_engine_refusal_exit4(capsys):
