@@ -23,7 +23,7 @@ Sign conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -41,36 +41,42 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
+# Closes each atom's sort key: it compares below every slot value.
+_END = float("-inf")
+
+
+@dataclass(frozen=True, slots=True)
 class MzvAtom:
     """One multiple zeta value (or one Li_q(1/2) constant).
 
     ``args`` is the tuple of signed slots for a zeta atom; ``li`` is the
     polylogarithm order for a Li(q,1/2) atom, in which case ``args`` is empty.
+    ``weight`` (sum of |slot|, or the Li order) is set once, when the atom is
+    built; equality and hashing ignore it.
     """
 
     args: tuple[int, ...] = ()
     li: int = 0
+    weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        args = self.args
         if self.li:
-            if self.args:
+            if args:
                 raise ValueError("Li atom carries no zeta slots")
             if self.li < 1:
                 raise ValueError("Li order must be a positive integer")
+            object.__setattr__(self, "weight", self.li)
             return
-        if not self.args:
+        if not args:
             raise ValueError("zeta atom needs at least one slot")
-        if any(a == 0 for a in self.args):
-            raise ValueError(f"zero slot in {self.args}")
-        if self.args[0] == 1:
+        if 0 in args:
+            raise ValueError(f"zero slot in {args}")
+        if args[0] == 1:
             # An unsigned leading 1 gives a divergent nested series.  The
             # expansion engines never produce one, so this is a logic error.
-            raise ValueError(f"divergent atom: leading unsigned 1 in {self.args}")
-
-    @property
-    def weight(self) -> int:
-        return self.li if self.li else sum(abs(a) for a in self.args)
+            raise ValueError(f"divergent atom: leading unsigned 1 in {args}")
+        object.__setattr__(self, "weight", sum(map(abs, args)))
 
     @property
     def depth(self) -> int:
@@ -80,15 +86,19 @@ class MzvAtom:
     def is_alternating(self) -> bool:
         return (not self.li) and any(a < 0 for a in self.args)
 
-    def sort_key(self):
+    def sort_key(self) -> tuple:
+        """Zeta atoms by weight and then slots, before the Li constants by
+        order.  The key is flat, so sorting compares ints; it ends in
+        ``_END``, below every slot, so that a key whose slots are a prefix of
+        another's sorts first however many keys follow it."""
         if self.li:
-            return (1, self.li, ())
-        return (0, self.weight, self.args)
+            return (1, self.li, _END)
+        return (0, self.weight, *self.args, _END)
 
     def render(self) -> str:
         if self.li:
             return f"Li({self.li},1/2)"
-        return "z(" + ",".join(str(a) for a in self.args) + ")"
+        return "z(" + ",".join(map(str, self.args)) + ")"
 
     def latex(self) -> str:
         if self.li:
@@ -129,7 +139,7 @@ def parse_atom(text: str) -> MzvAtom:
     raise ValueError(f"unrecognized atom rendering: {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicTerm:
     """A commutative product of atoms, canonically sorted.
 
@@ -153,8 +163,12 @@ class SymbolicTerm:
     def mul(self, other: "SymbolicTerm") -> "SymbolicTerm":
         return SymbolicTerm.of(*(self.factors + other.factors))
 
-    def sort_key(self):
-        return (len(self.factors), tuple(a.sort_key() for a in self.factors))
+    def sort_key(self) -> tuple:
+        """Terms by factor count, then factor by factor by ``MzvAtom.sort_key``."""
+        key = (len(self.factors),)
+        for a in self.factors:
+            key += a.sort_key()
+        return key
 
     def render(self) -> str:
         if not self.factors:
@@ -207,6 +221,14 @@ class LinComb:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _of_nonzero(d: dict[SymbolicTerm, Fraction]) -> "LinComb":
+        """Wrap ``d``, whose values are already nonzero Fractions, without
+        copying or checking it; the caller hands ``d`` over."""
+        out = LinComb.__new__(LinComb)
+        out._d = d
+        return out
+
+    @staticmethod
     def zero() -> "LinComb":
         return LinComb()
 
@@ -216,7 +238,7 @@ class LinComb:
 
     @staticmethod
     def of_atom(atom: MzvAtom, coeff=1) -> "LinComb":
-        return LinComb({SymbolicTerm.of(atom): as_fraction(coeff)})
+        return LinComb({SymbolicTerm((atom,)): as_fraction(coeff)})
 
     @staticmethod
     def of_term(term: SymbolicTerm, coeff=1) -> "LinComb":
@@ -261,24 +283,17 @@ class LinComb:
                 d[t] = s
             elif t in d:
                 del d[t]
-        out = LinComb()
-        out._d = d
-        return out
+        return LinComb._of_nonzero(d)
 
     def __neg__(self) -> "LinComb":
-        out = LinComb()
-        out._d = {t: -c for t, c in self._d.items()}
-        return out
+        return LinComb._of_nonzero({t: -c for t, c in self._d.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
         c = as_fraction(c)
-        out = LinComb()
-        if c:
-            out._d = {t: c * v for t, v in self._d.items()}
-        return out
+        return LinComb._of_nonzero({t: c * v for t, v in self._d.items()} if c else {})
 
     def __mul__(self, other):
         if isinstance(other, LinComb):
@@ -291,9 +306,7 @@ class LinComb:
                         d[t] = s
                     elif t in d:
                         del d[t]
-            out = LinComb()
-            out._d = d
-            return out
+            return LinComb._of_nonzero(d)
         return self.scale(other)
 
     def __rmul__(self, other):

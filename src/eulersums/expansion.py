@@ -3,11 +3,10 @@
 Every expansion path rests on one product: a product of harmonic numbers,
 or of multiple zeta values, multiplied out as nested sums.  That product is
 the quasi-shuffle (stuffle) of words (Hoffman, *Quasi-shuffle products*),
-computed by ``_quasi_shuffle``.  Its first letter merges the first letters of
-a nonempty sub-multiset of the words: the letter's magnitude is their
-magnitude sum, and it alternates exactly when an odd number of them do
-(sigma^n * sigma^n = 1).  The rest of the word is the product of what is
-left.
+computed by ``_quasi_shuffle`` one word at a time.  Each letter of a
+product word is a letter of one factor or the merge of one letter from each
+of two: the merged letter's magnitude is their magnitude sum, and it
+alternates exactly when one of the two does (sigma^n * sigma^n = 1).
 
 Engine t1 multiplies the one-letter words of the inner exponents.  Each
 resulting word contributes two atoms: one keeping the outer exponent as its
@@ -59,7 +58,8 @@ class DegreeCapError(ValueError):
 
 def ordered_partition_count(entries) -> int:
     """Number of ordered partitions of the multiset ``entries`` into
-    nonempty blocks: the number of paths the quasi-shuffle kernel walks.
+    nonempty blocks: the sum of the multiplicities of their quasi-shuffle
+    product, the number of paths the kernel enumerates.
 
     Inclusion-exclusion over empty blocks: sum over j blocks and i of them
     forced empty of (-1)^i C(j,i) prod_v C(c_v + j-i-1, c_v), where c_v is the
@@ -89,41 +89,49 @@ def _check_size(inner):
 def _quasi_shuffle(words, memo=None) -> dict[tuple[int, ...], int]:
     """The quasi-shuffle product of ``words`` as {word: multiplicity}.
 
-    Words are tuples of signed letters (negative = alternating).  ``memo``
-    maps a multiset of words to its product; pass one dict to share work
-    across several products.
+    Words are tuples of signed letters (negative = alternating).  They are
+    multiplied one at a time, in sorted order, so only the product one word
+    shorter is held while the next is formed.  ``memo`` maps a sorted tuple
+    of words to its product; pass one dict to keep every partial product and
+    share those of common prefixes across several products.
     """
+    words = tuple(sorted(w for w in words if w))
     if memo is None:
-        memo = {}
-    return _product(tuple(sorted(Counter(w for w in words if w).items())), memo)
+        product = {(): 1}
+        for word in words:
+            product = _times_word(product, word)
+        return product
+    product = memo.get(words)
+    if product is None:
+        product = memo[words] = (
+            _times_word(_quasi_shuffle(words[:-1], memo), words[-1]) if words else {(): 1}
+        )
+    return product
 
 
-def _product(state, memo):
-    out = memo.get(state)
-    if out is not None:
-        return out
-    if not state:
-        return {(): 1}
-    out = {}
-    for chosen in itertools.product(*(range(c + 1) for _, c in state)):
-        if not any(chosen):
-            continue
-        mult, mag, bars = 1, 0, 0
-        rest: Counter = Counter()
-        for (word, c), k in zip(state, chosen):
-            if k < c:
-                rest[word] += c - k
-            if k:
-                mult *= math.comb(c, k)
-                mag += k * abs(word[0])
-                bars += k * (word[0] < 0)
-                if len(word) > 1:
-                    rest[word[1:]] += k
-        letter = -mag if bars % 2 else mag
-        for tail, c in _product(tuple(sorted(rest.items())), memo).items():
-            key = (letter,) + tail
-            out[key] = out.get(key, 0) + mult * c
-    memo[state] = out
+def _times_word(product: dict, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """``product`` ({word: multiplicity}) times the word ``u``."""
+    out: dict[tuple[int, ...], int] = {}
+    for v, c in product.items():
+        for word in _stuffle(u, v):
+            out[word] = out.get(word, 0) + c
+    return out
+
+
+def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The quasi-shuffle of the nonempty word ``u`` with ``v``, one word per
+    path (a word may recur).  The first letter x of ``u`` either goes just
+    before letter i of ``v`` (or after its last) or merges with letter i; the
+    rest of ``u`` is then shuffled into the letters of ``v`` that follow."""
+    x, rest = u[0], u[1:]
+    out = []
+    for i in range(len(v) + 1):
+        heads = [(v[:i] + (x,), v[i:])]
+        if i < len(v):
+            mag = abs(x) + abs(v[i])
+            heads.append((v[:i] + ((-mag if (x < 0) ^ (v[i] < 0) else mag),), v[i + 1 :]))
+        for head, tail in heads:
+            out += [head + t for t in _stuffle(rest, tail)] if rest else [head + tail]
     return out
 
 
@@ -169,7 +177,8 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     n_bar = sum(1 for e in idx.inner if e < 0)
     sign = (-1) ** (n_bar + outer_bar)
     lead = -q if outer_bar else q
-    acc: dict[SymbolicTerm, Fraction] = {}
+    # Multiplicities are positive, so no coefficient sums to zero.
+    acc: dict[tuple[int, ...], int] = {}
     for word, c in _quasi_shuffle((e,) for e in idx.inner).items():
         # Atom 1: the outer exponent keeps its own leading slot.  Atom 2: it
         # merges with the first letter, alternating iff exactly one of the
@@ -179,17 +188,19 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
         if (first < 0) ^ outer_bar:
             merged = -merged
         for args in ((lead,) + word, (merged,) + word[1:]):
-            _add(acc, SymbolicTerm((MzvAtom(args=args),)), sign * c)
-    _assert_t1_shape(idx, acc)
-    return LinComb(acc)
-
-
-def _assert_t1_shape(idx: EulerSumIndex, terms):
-    w = idx.weight
-    for term in terms:
-        (atom,) = term.factors
+            acc[args] = acc.get(args, 0) + c
+    w, depth = idx.weight, idx.degree + 1
+    coeffs: dict[int, Fraction] = {}
+    terms: dict[SymbolicTerm, Fraction] = {}
+    for args, c in acc.items():
+        atom = MzvAtom(args)
         assert atom.weight == w, f"weight leak: {atom} in expansion of {idx}"
-        assert atom.depth <= idx.degree + 1
+        assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
+        coeff = coeffs.get(c)
+        if coeff is None:
+            coeff = coeffs[c] = Fraction(sign * c)
+        terms[SymbolicTerm((atom,))] = coeff
+    return LinComb._of_nonzero(terms)
 
 
 def expand_t2(idx: EulerSumIndex) -> LinComb:
@@ -208,32 +219,36 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
     q = idx.outer
     counts = sorted(Counter(idx.inner).items())
     memo: dict = {}
-    acc: dict[SymbolicTerm, Fraction] = {}
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     # Sub-multisets of the inner entries take their tail; choosing k of the
     # c copies of a value happens C(c, k) ways.
     for chosen in itertools.product(*(range(c + 1) for _, c in counts)):
         tails = [(e,) for (e, _), k in zip(counts, chosen) for _ in range(k)]
-        rest = [z(e) for (e, c), k in zip(counts, chosen) for _ in range(c - k)]
+        rest = tuple(e for (e, c), k in zip(counts, chosen) for _ in range(c - k))
         coeff = (-1) ** len(tails) * math.prod(
             math.comb(c, k) for (_, c), k in zip(counts, chosen)
         )
-        prefix = SymbolicTerm.of(*rest)
         for word, c in _quasi_shuffle(tails, memo).items():
-            _add(acc, prefix.mul(SymbolicTerm.of(MzvAtom(args=word + (q,)))), coeff * c)
-    return LinComb(acc)
+            _add(acc, (rest, word + (q,)), coeff * c)
+    terms: dict[SymbolicTerm, Fraction] = {}
+    for (rest, word), c in acc.items():
+        _add(terms, SymbolicTerm.of(*map(z, rest), MzvAtom(word)), Fraction(c))
+    return LinComb._of_nonzero(terms)
 
 
 def linearize(lc: LinComb) -> LinComb:
     """Multiply out every product of zeta atoms by the quasi-shuffle, so that
     each term of the result is a single atom (or the unit term)."""
     memo: dict = {}
-    acc: dict[SymbolicTerm, Fraction] = {}
+    acc: dict[tuple[int, ...], Fraction] = {}
     for term, c in lc.items():
         if any(a.li for a in term.factors):
             raise ValueError(f"cannot linearize the Li constant in {term.render()}")
         for word, k in _quasi_shuffle((a.args for a in term.factors), memo).items():
-            _add(acc, SymbolicTerm((MzvAtom(args=word),)) if word else UNIT_TERM, c * k)
-    return LinComb(acc)
+            _add(acc, word, c * k)
+    return LinComb._of_nonzero(
+        {(SymbolicTerm((MzvAtom(w),)) if w else UNIT_TERM): c for w, c in acc.items()}
+    )
 
 
 def is_conditionally_convergent(idx: EulerSumIndex) -> bool:

@@ -294,7 +294,8 @@ class IdentityTable:
 def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: str | None = None) -> IdentityTable:
     """Load a JSON-lines identity table from a path or an open text stream;
     malformed or failing entries are rejected individually and reported on
-    ``table.report``.  A path that cannot be opened raises ``OSError``.
+    ``table.report``, as is every line whose lhs an earlier line already
+    names.  A path that cannot be opened raises ``OSError``.
 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
     "weight": w}.  With ``verify`` set, an entry is rejected when the
@@ -327,6 +328,7 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
     rhs) for an accepted entry, (lineno, message) for a rejected one.
     Cached on the exact text, so an edited file is always parsed again."""
     outcome = []
+    first_line: dict[MzvAtom, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -334,6 +336,9 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
         try:
             obj = json.loads(line)
             lhs = parse_atom(obj["lhs"])
+            first = first_line.setdefault(lhs, lineno)
+            if first != lineno:
+                raise ValueError(f"duplicate lhs {lhs.render()} (first on line {first})")
             rhs = LinComb.from_json_terms(obj["rhs"])
             if "weight" in obj and obj["weight"] != lhs.weight:
                 raise ValueError(
@@ -500,7 +505,7 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
         for atom in sorted(ascending, key=MzvAtom.sort_key):
             partner = MzvAtom(args=atom.args[::-1])
             rest = _term_without(term, atom)
-            if rest.mul(SymbolicTerm.of(partner)) in coeffs:
+            if rest.mul(SymbolicTerm((partner,))) in coeffs:
                 return atom, partner, rest
         return None
 
@@ -511,7 +516,7 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
     # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
     # ascending-slot atom, keeping the descending-slot basis form.
     t_amt = coeffs[term]
-    work.add(rest.mul(SymbolicTerm.of(partner)), -t_amt)
+    work.add(rest.mul(SymbolicTerm((partner,))), -t_amt)
     work.add(term, -t_amt)
     work.add_product(rest, t_amt, reflection_pair_sum(atom.args[0], atom.args[1]))
     if len(trace) < TRACE_CAP:
@@ -536,7 +541,7 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
             slots = atom.args
             rest = _term_without(term, atom)
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
-            if all(rest.mul(SymbolicTerm.of(o)) in coeffs for o in orderings):
+            if all(rest.mul(SymbolicTerm((o,))) in coeffs for o in orderings):
                 return atom, orderings, rest
         return None
 
@@ -545,12 +550,12 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
         return False
     _term, (atom, orderings, rest) = found
     last = max(orderings, key=MzvAtom.sort_key)
-    t_amt = coeffs[rest.mul(SymbolicTerm.of(last))]
+    t_amt = coeffs[rest.mul(SymbolicTerm((last,)))]
     # The identity sums all six permutations; each distinct ordering
     # is 6 / len(orderings) of them.
     rhs = reflection_triple_sum(*sorted(atom.args)).scale(Fraction(len(orderings), 6))
     for o in orderings:
-        work.add(rest.mul(SymbolicTerm.of(o)), -t_amt)
+        work.add(rest.mul(SymbolicTerm((o,))), -t_amt)
     work.add_product(rest, t_amt, rhs)
     if len(trace) < TRACE_CAP:
         trace.append(
@@ -607,4 +612,4 @@ def reduce_lincomb(
         steps += 1
     else:
         raise StepCapError(f"reduction did not reach a fixpoint within {max_steps} steps")
-    return ReduceResult(LinComb(work.coeffs), trace, steps)
+    return ReduceResult(LinComb._of_nonzero(work.coeffs), trace, steps)

@@ -36,6 +36,22 @@ def test_atom_admissibility():
     z(-1, 1)
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: z(2, 0), "zero slot in (2, 0)"),
+        (lambda: z(0), "zero slot in (0,)"),
+        (lambda: z(1, 2), "divergent atom: leading unsigned 1 in (1, 2)"),
+        (lambda: MzvAtom(), "zeta atom needs at least one slot"),
+        (lambda: MzvAtom(args=(2,), li=3), "Li atom carries no zeta slots"),
+        (lambda: MzvAtom(li=-1), "Li order must be a positive integer"),
+    ],
+)
+def test_atom_admissibility_messages(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build()
+
+
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 signed_slots = st.tuples(st.integers(1, 6), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
@@ -86,6 +102,43 @@ def test_malformed_zeta_atom_message(text):
 def test_atom_slots_allow_whitespace():
     assert parse_atom(" z( 2 ,-3 ) ") == z(2, -3)
     assert parse_atom("Li( 4 , 1/2 )") == li_half(4)
+
+
+@SETTINGS
+@given(atoms)
+def test_atom_weight_is_stored_and_ignored_by_equality(atom):
+    assert atom.weight == (atom.li or sum(abs(a) for a in atom.args))
+    twin = MzvAtom(args=atom.args, li=atom.li)
+    object.__setattr__(twin, "weight", atom.weight + 1)
+    assert twin == atom and hash(twin) == hash(atom)
+    assert {atom: 1}[twin] == 1 and repr(twin) == repr(atom)
+
+
+def _nested_sort_key(term: SymbolicTerm):
+    """The term order as nested tuples: factor count, then each factor's
+    (kind, weight, slots)."""
+    return (
+        len(term.factors),
+        tuple((1, a.li, ()) if a.li else (0, a.weight, a.args) for a in term.factors),
+    )
+
+
+# Slots from a small alphabet, so that one factor's slots are often a prefix
+# of another's.
+prefix_atoms = st.one_of(
+    st.lists(st.sampled_from([2, 1, -1]), min_size=1, max_size=3).filter(
+        lambda s: s[0] != 1
+    ).map(lambda s: z(*s)),
+    st.integers(1, 3).map(li_half),
+)
+terms = st.lists(prefix_atoms, max_size=3).map(lambda fs: SymbolicTerm.of(*fs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(terms, terms)
+def test_flat_sort_key_orders_as_nested_key(s, t):
+    assert (s.sort_key() < t.sort_key()) == (_nested_sort_key(s) < _nested_sort_key(t))
+    assert (s.sort_key() == t.sort_key()) == (s == t)
 
 
 def test_term_canonical_order():

@@ -281,6 +281,20 @@ def _cyclic_table(tmp_path) -> str:
     return str(path)
 
 
+def test_reduce_table_repeated_lhs_rejected(capsys, tmp_path):
+    # the second z(2,1) line is rejected, so the first entry alone reduces S(1,2)
+    path = tmp_path / "dup.jsonl"
+    path.write_text(
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n'
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}\n'
+    )
+    code, out, err = run(capsys, "reduce", "--table", str(path), "S(1,2)")
+    assert code == 0 and out == "S(1,2) = 2*z(3)\n"
+    assert err == f"{path}:2: rejected: duplicate lhs z(2,1) (first on line 1)\n"
+    code, out, _ = run(capsys, "table-check", str(path))
+    assert code == 0 and out == f"{path}: 1 accepted, 1 rejected, max weight 3\n"
+
+
 CYCLE_MESSAGE = "engine precondition: reduction did not reach a fixpoint within 100000 steps"
 
 

@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import eulersums
+from eulersums import expansion
 from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, z
 from eulersums.expansion import (
     DegreeCapError,
@@ -130,6 +136,102 @@ def test_weight_conservation_and_depth():
             (atom,) = term.factors
             assert atom.weight == idx.weight
             assert atom.depth <= idx.degree + 1
+
+
+def _t1_reference(idx) -> LinComb:
+    """Engine t1 built atom by atom through ``z`` and ``LinComb``: one path per
+    weak ordering of the labelled inner entries, whose blocks, in order, merge
+    into the letters of a word; each path adds the word's two atoms."""
+    inner, q, outer_bar = idx.inner, abs(idx.outer), idx.outer < 0
+    sign = (-1) ** (sum(e < 0 for e in inner) + outer_bar)
+    if not inner:
+        return LinComb.of_atom(z(idx.outer), sign)
+    m = len(inner)
+    acc = Counter()
+    for f in itertools.product(range(m), repeat=m):
+        if set(f) != set(range(max(f) + 1)):
+            continue
+        word = []
+        for block in range(max(f) + 1):
+            entries = [e for e, b in zip(inner, f) if b == block]
+            mag = sum(abs(e) for e in entries)
+            word.append(-mag if sum(e < 0 for e in entries) % 2 else mag)
+        merged = q + abs(word[0])
+        acc[z(-q if outer_bar else q, *word)] += sign
+        acc[z(-merged if (word[0] < 0) ^ outer_bar else merged, *word[1:])] += sign
+    return LinComb({SymbolicTerm.of(atom): c for atom, c in acc.items()})
+
+
+signed_entries = st.tuples(st.integers(1, 4), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(signed_entries, max_size=5), st.sampled_from([2, 3, 5, -1, -2, -3]))
+def test_t1_matches_atom_by_atom_reference(inner, outer):
+    idx = make_index(inner, outer)
+    assert expand_t1(idx) == _t1_reference(idx)
+
+
+@pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
+def test_t1_checks_every_word(monkeypatch, word, message):
+    # a kernel word of the wrong weight or depth never reaches the result
+    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words, memo=None: {word: 1})
+    with pytest.raises(AssertionError, match="^" + message):
+        expand_t1(parse_index("S(3,2)"))
+
+
+# Runs in a fresh interpreter: how far the peak RSS (KiB) grows while the
+# measured call runs, and the SHA-256 of the result as JSON.  The peak is
+# VmHWM, which starts afresh at exec; on Linux, getrusage's ru_maxrss starts
+# from the peak of the process that forked the interpreter.
+_MEASURE = """
+import hashlib, json, re, sys
+from eulersums import parse_index
+from eulersums.expansion import _quasi_shuffle, expand_t1
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
+
+before = peak_kib()
+if sys.argv[1] == "t1":
+    result = expand_t1(parse_index(sys.argv[2]))
+else:
+    result = _quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
+grown = peak_kib() - before
+data = result.to_json_terms() if sys.argv[1] == "t1" else sorted(result.items())
+print(grown, hashlib.sha256(json.dumps(data).encode()).hexdigest())
+"""
+
+
+def _measure(*argv) -> tuple[int, str]:
+    src = os.path.dirname(os.path.dirname(eulersums.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _MEASURE, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    grown, digest = done.stdout.split()
+    return int(grown), digest
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+@pytest.mark.parametrize(
+    "argv,bound_mib,digest",
+    [
+        # 58 004 terms; 28.0 MiB when every atom recomputed its weight and the
+        # kernel kept every sub-multiset product, 20.4 MiB now
+        (("t1", "S(1,2,3,4,5,6,7,2)"), 24,
+         "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
+        # the kernel alone, 301 266 words: 84.6 MiB with every sub-multiset
+        # product kept to the end, 41.5 MiB with one partial product at a time
+        (("kernel", "8"), 60,
+         "4b3447045ed73ffe29d872613448c578cf791a8be770102deba0e58b7af4e90f"),
+    ],
+)
+def test_expansion_peak_memory(argv, bound_mib, digest):
+    grown_kib, got = _measure(*argv)
+    assert got == digest
+    assert grown_kib < bound_mib * 1024, f"peak grew by {grown_kib / 1024:.1f} MiB"
 
 
 def _weak_orderings(m):

@@ -330,6 +330,24 @@ def test_table_accepts_and_rejects(tmp_path):
     assert table_v.lookup(z(9, 9)) is None
 
 
+def test_table_rejects_repeated_lhs():
+    # every repeat of an lhs is rejected on its own line; the first stands
+    text = "\n".join([
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}',
+        '{"lhs": "z(3,1)", "rhs": [{"factors": ["z(4)"], "coeff": "1/4"}], "weight": 4}',
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}',
+        '{"lhs": "z( 2, 1 )", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}',
+    ])
+    for verify in (False, True):
+        table = load_identity_table(io.StringIO(text), verify=verify, label="dup")
+        assert table.lookup(z(2, 1)) == LinComb.of_atom(z(3))
+        assert len(table) == 2
+        assert table.report == [
+            "dup:3: rejected: duplicate lhs z(2,1) (first on line 1)",
+            "dup:4: rejected: duplicate lhs z(2,1) (first on line 1)",
+        ]
+
+
 def test_empty_table_is_valid():
     table = load_identity_table(io.StringIO(""))
     assert len(table) == 0
