@@ -28,13 +28,11 @@ to stderr; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from . import numerics
 from .algebra import LinComb
@@ -271,12 +269,14 @@ def _dump_terms(raw: str) -> list:
 
 
 def _digits15(value) -> str:
-    """A longdouble to 15 significant digits: as its float64 prints where
-    that is finite, else from the longdouble itself."""
-    f = float(value)
-    if math.isfinite(f) or not np.isfinite(value):
-        return f"{f:.15g}"
-    return np.format_float_scientific(value, precision=14, unique=False, trim="-")
+    """An exact rational to 15 significant digits, laid out as ``%.15g``
+    lays out a float: positional for exponents -4 to 14, else scientific."""
+    d = decimal.Context(prec=15).divide(value.numerator, value.denominator)
+    exp = d.adjusted()
+    text = f"{d if -4 <= exp < 15 else d.scaleb(-exp):f}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if -4 <= exp < 15 else f"{text}e{exp:+03d}"
 
 
 def cmd_eval(args) -> int:

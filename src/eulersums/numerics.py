@@ -20,46 +20,42 @@ Three evaluation strategies are used.
     atoms (one atom included) is summed exactly in those units: exact
     coefficients times the atom integers, the atoms' errors carried
     through the products, one floor per term.  The result is rounded to
-    longdouble once, and the reported bound counts that rounding exactly:
-    at most 2^-64 |value| plus the fixed-point error, which is below 1e-50
-    on every expansion that ``verify`` checks at weight <= 10.
-    Independent reference constants for the tests: zeta(s) through an
-    Euler-Maclaurin tail and pi through Machin's arctangents.
+    64 significant bits once, as an exact dyadic ``Fraction``, and the
+    reported bound counts that rounding exactly: at most 2^-64 |value|
+    plus the fixed-point error, which is below 1e-50 on every expansion
+    that ``verify`` checks at weight <= 10.  Independent reference
+    constants for the tests: zeta(s) through an Euler-Maclaurin tail and
+    pi through Machin's arctangents.
 
-  * Blocked vectorized summation (numpy, 80-bit extended accumulators) of
-    the Euler-sum series themselves, with an adaptive term count up to
-    N_MAX = 10**7, held in memory SERIES_CHUNK terms at a time and bounded
-    at the BLOCK_EDGES.  The tail past N is certified without any
-    monotonicity assumption.  Each alternating harmonic factor splits as
-    H^-_n^(r) = eta(r) + (-1)^(n+1) rho_r(n), where eta(r) = -z(-r) is an
-    atom (eta(1) = ln 2) and rho_r is completely monotone.  Multiplied
-    out, the tail is an alternating sum of a smooth g plus a plain sum of
-    a smooth v:
+  * The Euler-sum series themselves, walked in the same units to an N of
+    the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
+    floor (``_SumState.walk_error``).  The tail past N is certified
+    without any monotonicity assumption.  Each alternating harmonic
+    factor splits as H^-_n^(r) = eta(r) + (-1)^(n+1) rho_r(n), where
+    eta(r) = -z(-r) is an atom (eta(1) = ln 2) and rho_r is completely
+    monotone.  Multiplied out, the tail is an alternating sum of a smooth
+    g plus a plain sum of a smooth v:
 
       - g by the k-fold Euler transform, k <= K_MAX, with the k that gives
         the smallest bound:
             sum_{n>N} (-1)^(n-N-1) g(n) = sum_{j<k} (-1)^j Delta^j g(N+1) / 2^(j+1) + R,
             |R| <= 2^-k sum_{n>N} |Delta^k g(n)|.
-        The differences come from longdouble values of g at N+1..N+K_MAX,
-        in interval arithmetic that charges every rounding.  R is bounded
-        by the Leibniz rule from |Delta^j n^-s| <= (s)_j n^(-s-j),
+        The differences are exact, from g(N+1..N+K_MAX) in units.  R is
+        bounded by the Leibniz rule from |Delta^j n^-s| <= (s)_j n^(-s-j),
         Delta^j H_n^(r) = Delta^(j-1) (n+1)^-r and |Delta^j rho_r(n)| <=
         (r)_j (n+1/2)^(-r-j) / 2, and summed by log-moment integrals.
 
-      - v enclosed from both sides: H_n + ln((m+1)/(n+1)) <= H_m <= H_n +
-        ln(m/n), H_n^(r) <= H_m^(r) <= H_n^(r) + zeta tail, rho_r(m) within
-        m^-r (1/2 - r/(4m) +- r(r+1)/(16 m^2)), each product summed from
-        above and below by the exact integrals int (h + ln(x/N))^t x^-s dx
-        over [N, oo) and [N+1, oo), or by Euler-Maclaurin zeta tails when
-        no log factor is present.  The width falls like N^-s polylog(N).
+      - v expanded about N to order 2K, K = K_EM (Flajolet and Salvy,
+        *Euler sums and contour integral representations*): H_m by the
+        digamma expansion anchored at the carried H_N, so that neither
+        ln N nor Euler's gamma is needed; H_m^(r) by the Euler-Maclaurin
+        zeta tail; rho_r(m) by Boole summation; each with an explicit
+        remainder.  With L = ln(m/N) every product is a polynomial in L
+        and 1/m, and each sum_{m>N} L^s m^-p is Euler-Maclaurin of order
+        2K on int_N^oo L^s x^-p dx = s! / (p-1)^(s+1) N^(1-p), whose
+        derivatives at x = N are rationals in N.
 
-    Floating-point rounding of the partial sum is charged in full: the
-    float64 powers (1/n)^m at (m/2 + 2) eps64, at least 4 eps64; every
-    carried harmonic number's error relative to its value (an alternating
-    one is at least 1 - 2^-r); and one epsLD of the sum of magnitudes per
-    addition, counted block by block.  Only this walk can miss a requested
-    tolerance (``CapacityError``).  It stops early once that rounding
-    charge, which only grows, reaches the best bound so far.
+    Only this walk can miss a requested tolerance (``CapacityError``).
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -67,39 +63,22 @@ estimates above; decreasing the target tolerance never increases them.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import LinComb, MzvAtom, li_half, z
 from .indices import EulerSumIndex
 
-LD = np.longdouble
-EPS64 = float(np.finfo(np.float64).eps)
-EPS_LD = float(np.finfo(LD).eps)
-N_MAX = 10**7
-K_MAX = 8  # highest order of the Euler transform of a tail
-BLOCK_EDGES = (
-    1_000,
-    3_000,
-    10_000,
-    30_000,
-    100_000,
-    300_000,
-    1_000_000,
-    2_000_000,
-    4_000_000,
-    7_000_000,
-    10_000_000,
-)
-# Terms held in memory at once; bounds are still taken at BLOCK_EDGES.  At
-# 4096 the arrays (64 KiB of longdouble) stay in cache and in the allocator's
-# heap: a 10^7-term walk ran 1.7x faster than with 2^17-term chunks (2 vCPUs).
-SERIES_CHUNK = 1 << 12
+N_MAX = 10**4
+K_MAX = 9  # highest order of the Euler transform of a tail
+K_EM = 4  # terms kept by each expansion of the plain tail: order 2K
+BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 SUM_TOL_FLOOR = 1e-10
 
 
@@ -109,19 +88,19 @@ class NumericResult:
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
     Hoelder convolution), ``li_half``, ``zeta`` (fixed-point constants),
-    ``euler_transform`` or ``log_moment`` (the tail of a series).
+    ``euler_transform`` or ``euler_maclaurin`` (the tail of a series).
+    ``value`` is an exact dyadic rational of 64 significant bits.
     """
 
-    value: np.longdouble
+    value: Fraction
     tail_bound: float
     terms_used: int
     method: str = "holder"
 
-    def interval(self) -> tuple[float, float]:
-        return (float(self.value) - self.tail_bound, float(self.value) + self.tail_bound)
-
     def __repr__(self):
-        return f"NumericResult({float(self.value):.15g} +- {self.tail_bound:.3g}, N={self.terms_used})"
+        big = abs(self.value) > sys.float_info.max  # where float() raises
+        value = (math.inf if self.value > 0 else -math.inf) if big else float(self.value)
+        return f"NumericResult({value:.15g} +- {self.tail_bound:.3g}, N={self.terms_used})"
 
 
 class CapacityError(RuntimeError):
@@ -196,8 +175,8 @@ def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
 
 
 def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> NumericResult:
-    """Round ``value`` +- ``error`` (units of 2^-192) to longdouble once: the
-    value to its 64 leading bits, the bound up to the next float64, counting
+    """Round ``value`` +- ``error`` (units of 2^-192) once: the value to its
+    64 leading bits, the bound up to the next float64, counting
     that rounding exactly.  An exact 0 +- 0 stays 0 +- 0."""
     shift = max(abs(value).bit_length() - 64, 0)
     mantissa = (abs(value) + (1 << shift >> 1)) >> shift  # to nearest; at most 2^64
@@ -209,8 +188,7 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
         bound = math.inf
     if bound < total:
         bound = math.nextafter(bound, math.inf)
-    v = np.ldexp(LD(mantissa), shift - _FP_BITS)
-    return NumericResult(v if value >= 0 else -v, math.ldexp(bound, -_FP_BITS), terms, method)
+    return NumericResult(Fraction(rounded, _FP_SCALE), math.ldexp(bound, -_FP_BITS), terms, method)
 
 
 def _fp_zeta(s: int) -> tuple[Fraction, Fraction]:
@@ -279,20 +257,6 @@ def pi_reference() -> NumericResult:
     a5, e5 = _fp_atan_inv(5)
     a239, e239 = _fp_atan_inv(239)
     return _fp_result(*_to_units(16 * a5 - 4 * a239, 16 * e5 + 4 * e239), 0)
-
-
-def zeta_tail_interval(n: int, s: int) -> tuple[float, float]:
-    """Rigorous enclosure of sum_{m > n} m^-s via Euler-Maclaurin (s >= 2)."""
-    a = float(n + 1)
-    est = (
-        a ** (1.0 - s) / (s - 1.0)
-        + 0.5 * a ** (-float(s))
-        + (s / 12.0) * a ** (-float(s) - 1.0)
-        - (s * (s + 1) * (s + 2) / 720.0) * a ** (-float(s) - 3.0)
-    )
-    rem = 2.0 * (s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0) * a ** (-float(s) - 5.0)
-    rem += 8 * EPS64 * est
-    return (max(est - rem, 0.0), est + rem)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +364,7 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
 
 def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
     """Certified evaluation of a linear combination (never raises): the sum
-    of ``_lincomb_units``, rounded to longdouble once.
+    of ``_lincomb_units``, rounded once by ``_fp_result``.
 
     The atoms come at fixed precision, so ``target_tol`` does not change the
     result; ``eval_lincomb`` compares against it.
@@ -423,28 +387,164 @@ def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
 # ---------------------------------------------------------------------------
 
 
-def _block_schedule(cap: int):
-    cap = min(cap, N_MAX)
-    edges = [e for e in BLOCK_EDGES if e < cap]
-    edges.append(cap)
-    return edges
-
-
-def power_rounding(m: int) -> float:
-    """Relative rounding charged per term whose largest float64 power is
-    (1/n)**m: rounding 1/n costs eps64/2, which the power multiplies by m,
-    and the power itself adds at most 2 eps64; never below 4 eps64."""
-    return max(4.0, m / 2 + 2) * EPS64
-
-
-def _power_sum_upper(n: int, r: int) -> float:
-    """Upper bound on sum_{m <= n} m^-r."""
-    return 1.0 + math.log(n) if r == 1 else r / (r - 1.0)
-
-
 def _rising(s: int, j: int) -> int:
     """s (s + 1) ... (s + j - 1)."""
     return math.prod(range(s, s + j))
+
+
+@functools.cache
+def _bernoulli(n: int) -> Fraction:
+    """B_n, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[n]
+
+
+# An expansion is (terms, remainder): terms ((p, c), ...) stand for
+# sum c x^-p, and the remainder (p, c) for a bound c x^-p on the error.
+
+
+@functools.cache
+def _digamma_expansion():
+    """D(x) = H_x - ln x - gamma = 1/(2x) - sum_k B_2k / (2k x^2k) from psi(x) =
+    ln x - 1/(2x) - int (coth(t/2)/2 - 1/t) e^(-xt) dt, whose kernel sum_j 2t /
+    (t^2 + 4 pi^2 j^2) its Taylor series envelops for t > 0: the remainder
+    keeps one sign for x > 0 and is at most the first omitted term."""
+    terms = [(1, Fraction(1, 2))] + [(2 * k, -_bernoulli(2 * k) / (2 * k)) for k in range(1, K_EM + 2)]
+    return tuple(terms[:-1]), (terms[-1][0], abs(terms[-1][1]))
+
+
+@functools.cache
+def _boole_expansion(r: int):
+    """rho_r(x) = sum_{j>=1} (-1)^(j-1) (x+j)^-r = int t^(r-1) e^(-xt) / (e^t + 1) dt / (r-1)!
+    by Boole summation (Borwein, Calkin and Manna): 1/(e^t + 1) = 1/2 -
+    tanh(t/2)/2, and tanh(t/2) = sum_j 4t / (t^2 + (2j+1)^2 pi^2) is enveloped
+    by its Taylor series for t > 0: the remainder is at most the next term."""
+
+    def coeff(k):  # of t^(2k-1) in 1/(e^t + 1), times (r)_(2k-1)
+        return -(4**k - 1) * _bernoulli(2 * k) * _rising(r, 2 * k - 1) / math.factorial(2 * k)
+
+    terms = [(r, Fraction(1, 2))] + [(r + 2 * k - 1, coeff(k)) for k in range(1, K_EM + 1)]
+    return tuple(terms), (r + 2 * K_EM + 1, abs(coeff(K_EM + 1)))
+
+
+@functools.cache
+def _em_sum(s: int, p: int):
+    """W(x) = sum_{m > x} ln(m/x)^s m^-p by Euler-Maclaurin of order 2K:
+    int_x^oo ln(y/x)^s y^-p dy = s! / (p-1)^(s+1) x^(1-p), minus f(x)/2,
+    minus sum_k B_2k / (2k)! f^(2k-1)(x), where f^(j)(y) = y^(-p-j)
+    sum_i d_ji ln(y/x)^i, so that only d_j0 survives at y = x.  The
+    remainder is at most |B_2K| / (2K)! int_x^oo |f^(2K)|."""
+    if p < 2:
+        raise ValueError("the plain tail needs p >= 2")
+    d = [0] * s + [1]
+    derivs = [d]
+    for j in range(2 * K_EM):  # d/dy (y^(-p-j) L^i) = y^(-p-j-1) (i L^(i-1) - (p+j) L^i)
+        d = [-(p + j) * d[i] + (i + 1) * (d[i + 1] if i < s else 0) for i in range(s + 1)]
+        derivs.append(d)
+    terms = [(p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1)))]
+    if s == 0:
+        terms.append((p, Fraction(-1, 2)))
+    for k in range(1, K_EM + 1):
+        c = -_bernoulli(2 * k) * derivs[2 * k - 1][0] / math.factorial(2 * k)
+        terms.append((p + 2 * k - 1, c))
+    e = p + 2 * K_EM - 1
+    rem = sum(Fraction(abs(c) * math.factorial(i), e ** (i + 1)) for i, c in enumerate(derivs[-1]))
+    return tuple(terms), (e, rem * abs(_bernoulli(2 * K_EM)) / math.factorial(2 * K_EM))
+
+
+def _at(terms, n: int) -> int:
+    """sum c n^-p over ``terms`` in units, one floor each."""
+    return sum((c.numerator << _FP_BITS) // (c.denominator * n**p) for p, c in terms)
+
+
+def _rem_units(rem, n: int) -> int:
+    """The remainder bound c n^-p in units, rounded up."""
+    p, c = rem
+    return -(-(c.numerator << _FP_BITS) // (c.denominator * n**p))
+
+
+@functools.cache
+def _em_units(s: int, p: int, n: int) -> tuple[int, int]:
+    """``_em_sum`` at n in units: its value and error bound."""
+    terms, rem = _em_sum(s, p)
+    return _at(terms, n), len(terms) + _rem_units(rem, n)
+
+
+def zeta_tail_interval(n: int, s: int) -> tuple[float, float]:
+    """Rigorous enclosure of sum_{m > n} m^-s (s >= 2), from ``_em_sum``."""
+    w, err = _em_units(0, s, n)
+    lo, hi = math.ldexp(w - err, -_FP_BITS), math.ldexp(w + err, -_FP_BITS)
+    return max(lo * (1 - 1e-15), 0.0), hi * (1 + 1e-15)
+
+
+# Polynomials in L = ln(m/N) and 1/m are dicts {(t, p): c} for sum c L^t m^-p,
+# with c in units.  A factor of a tail is a pair (P, E) of them with
+# |factor(m) - P(m)| <= E(m) for m > N, the coefficients of E nonnegative.
+
+_ONE = (0, 0)
+
+
+def _plus(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _mul(x, y):
+    """The product of two factors, each P holding every key of its E: P_x P_y
+    floored per coefficient, at one unit each, and E_x (|P_y| + E_y) + |P_x| E_y
+    rounded up."""
+    (px, ex), (py, ey) = x, y
+    prod, err = {}, {}
+    y_items = [(t, p, b, abs(b) + ey.get((t, p), 0), ey.get((t, p), 0)) for (t, p), b in py.items()]
+    for (t1, p1), a in px.items():
+        mag_a, e_a = abs(a), ex.get((t1, p1), 0)
+        for t2, p2, b, mag_b, e_b in y_items:
+            key = (t1 + t2, p1 + p2)
+            prod[key] = prod.get(key, 0) + a * b
+            err[key] = err.get(key, 0) + e_a * mag_b + mag_a * e_b
+    return {k: c >> _FP_BITS for k, c in prod.items()}, {k: -(-c >> _FP_BITS) + 1 for k, c in err.items()}
+
+
+def _smul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """``_mul`` of two constants, each (value, error) in units."""
+    (a, ea), (b, eb) = x, y
+    return (a * b) >> _FP_BITS, -(-(ea * (abs(b) + eb) + abs(a) * eb) >> _FP_BITS) + 1
+
+
+def _expansion_factor(terms, sign: int = 1):
+    """sign * (the terms of an expansion), each coefficient floored."""
+    coeffs = {(0, p): sign * ((c.numerator << _FP_BITS) // c.denominator) for p, c in terms}
+    return coeffs, dict.fromkeys(coeffs, 1)
+
+
+@functools.cache
+def _plain_factor(e: int, n: int, carry: int):
+    """Factor e of v for m > N = n, expanded about N; ``carry`` is the walk's
+    harmonic number at n, off by at most n units.
+
+    H_m = (H_N - D(N)) + ln(m/N) + D(m), off by |R(m) - R(N)| <= |R(N)|
+    since the digamma remainder R keeps one sign; H_m^(r) = H_N^(r) +
+    T_r(N) - T_r(m), T_r the zeta tail of ``_em_sum``, off by at most twice
+    its remainder at N; rho_r(m) by ``_boole_expansion``."""
+    if e == 1:
+        terms, rem = _digamma_expansion()
+        p, err = _expansion_factor(terms)
+        p.update({_ONE: carry - _at(terms, n), (1, 0): _FP_SCALE})
+        err[_ONE] = n + len(terms) + _rem_units(rem, n)
+    elif e > 1:
+        p, err = _expansion_factor(_em_sum(0, e)[0], -1)
+        t_n, t_err = _em_units(0, e, n)
+        p[_ONE] = carry + t_n
+        err[_ONE] = n + 2 * t_err
+    else:
+        terms, rem = _boole_expansion(-e)
+        p, err = _expansion_factor(terms)
+        p[(0, rem[0])], err[(0, rem[0])] = 0, _rem_units(rem, 1)
+    return p, err
 
 
 # A majorant of f is a tuple, over the orders j = 0..K_MAX, of dicts
@@ -469,70 +569,53 @@ def _harmonic_majorant(r: int, sup: float):
 
 
 def _rho_majorant(r: int):
-    """rho_r(n) = sum_{j>=1} (-1)^(j-1) (n+j)^-r
-               = int t^(r-1) e^(-(n+1/2)t) sech(t/2) / 2 dt / Gamma(r).
+    """rho_r(n) = int t^(r-1) e^(-(n+1/2)t) sech(t/2) / 2 dt / (r-1)!.
 
     Delta acts on e^(-(n+1/2)t) as the factor e^-t - 1, at most t in absolute
     value, and sech <= 1, so |Delta^j rho_r(n)| <= (r)_j (n+1/2)^(-r-j) / 2."""
     return tuple({(0, r + j): 0.5 * _rising(r, j)} for j in range(K_MAX + 1))
 
 
-def _rho_brackets(r: int) -> tuple[list[float], list[float]]:
-    """Polynomials P in 1/n with rho_r(n) between n^-r P_lo(1/n) / 2 and
-    n^-r P_hi(1/n) / 2: from 1 - t^2/8 <= sech(t/2) <= 1 in the integral
-    above, and 1 - r y <= (1 + y)^-r <= 1 - r y + r(r+1) y^2 / 2 at y = 1/(2n).
-    The lower one is nonnegative for n >= r."""
-    c = r * (r + 1) / 8
-    return [1.0, -r / 2, -c], [1.0, -r / 2, c]
-
-
-def _poly_mul(a: list[float], b: list[float]) -> list[float]:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _leibniz(f, g):
     """Majorant of fg: Delta^j (fg)(n) = sum_i C(j,i) Delta^i f(n) Delta^(j-i) g(n+i)."""
-    out = tuple({} for _ in range(K_MAX + 1))
-    for j, acc in enumerate(out):
+    out = []
+    for j in range(K_MAX + 1):
+        acc: dict = {}
         for i in range(j + 1):
-            b = math.comb(j, i)
+            g_items = g[j - i].items()
             for (t1, p1), c1 in f[i].items():
-                for (t2, p2), c2 in g[j - i].items():
+                c1 *= math.comb(j, i)
+                for (t2, p2), c2 in g_items:
                     key = (t1 + t2, p1 + p2)
-                    acc[key] = acc.get(key, 0.0) + b * c1 * c2
-    return out
+                    acc[key] = acc.get(key, 0.0) + c1 * c2
+        out.append(acc)
+    return tuple(out)
 
 
-def _log_moment_integral(a: int, n: int, k: int, s: int, h: float) -> float:
-    """int_a^inf (h + ln(x/n))^k x^-s dx for s > 1 and h + ln(a/n) >= 0."""
-    u = h + math.log(a / n)
-    sm1 = s - 1.0
-    acc = 0.0
-    for t in range(k + 1):
-        acc += math.comb(k, t) * u ** (k - t) * math.factorial(t) / sm1 ** (t + 1)
-    return acc * float(a) ** (-sm1)
+@functools.lru_cache(maxsize=256)
+def _majorant(q: int, factors: tuple) -> tuple:
+    """Majorant of n^-q times the factors: H_n^(e) for e > 0, rho_-e for e < 0."""
+    if not factors:
+        return _power_majorant(q)
+    e = factors[-1]
+    if e > 1:
+        f = _harmonic_majorant(e, (float(zeta_value(e).value) + zeta_value(e).tail_bound) * (1 + 1e-15))
+    else:
+        f = _harmonic_majorant(1, 0.0) if e == 1 else _rho_majorant(-e)
+    return _leibniz(_majorant(q, factors[:-1]), f)
 
 
 def _tail_upper(n: int, t: int, p: int, h: float) -> float:
     """Upper bound on sum_{m > n} (h + ln(m/n))^t m^-p, h >= 0: each term is
-    at most the integral over [m-1, m] of (h + 1/n + ln(x/n))^t x^-p, since
-    ln(m/n) <= ln(x/n) + 1/x there.  With h >= H_n, and H_m <= H_n + ln(m/n),
-    this also bounds sum_{m > n} H_m^t m^-p."""
+    at most the integral over [m-1, m] of (u + ln(x/n))^t x^-p, u = h + 1/n,
+    since ln(m/n) <= ln(x/n) + 1/x there; from n on that integral is sum_i
+    C(t,i) u^(t-i) i! / (p-1)^(i+1) n^(1-p).  With h >= H_n, and H_m <= H_n
+    + ln(m/n), this also bounds sum_{m > n} H_m^t m^-p."""
     if t == 0:
         return zeta_tail_interval(n, p)[1]
-    return _log_moment_integral(n, n, t, p, h + 1.0 / n) * (1.0 + 1e-9)
-
-
-def _tail_lower(n: int, t: int, p: int, h: float) -> float:
-    """Lower bound on sum_{m > n} (h + ln((m+1)/(n+1)))^t m^-p, h >= 1: each
-    term is at least the integral over [m, m+1] of (h - 1/n + ln(x/n))^t x^-p."""
-    if t == 0:
-        return zeta_tail_interval(n, p)[0]
-    return _log_moment_integral(n + 1, n, t, p, h - 1.0 / n) * (1.0 - 1e-9)
+    u = h + 1.0 / n
+    acc = sum(math.comb(t, i) * u ** (t - i) * math.factorial(i) / (p - 1.0) ** (i + 1) for i in range(t + 1))
+    return acc * float(n) ** (1.0 - p) * (1.0 + 1e-9)
 
 
 def _leibniz_tail(terms, n: int, h: float, cache: dict) -> float:
@@ -545,304 +628,210 @@ def _leibniz_tail(terms, n: int, h: float, cache: dict) -> float:
     return acc * (1.0 + 1e-9)
 
 
-# Interval arithmetic on (longdouble value or array, float64 error bound):
-# every operation charges its own rounding, one EPS_LD of the result.
-
-
-def _fabs(x):
-    return np.abs(x).astype(np.float64)
-
-
-def _imul(x, y):
-    (a, ea), (b, eb) = x, y
-    v = a * b
-    return v, _fabs(a) * eb + _fabs(b) * ea + ea * eb + EPS_LD * _fabs(v)
-
-
-def _iadd(x, y, sign: int = 1):
-    (a, ea), (b, eb) = x, y
-    v = a + b if sign > 0 else a - b
-    return v, ea + eb + EPS_LD * _fabs(v)
-
-
-def _eta(r: int) -> tuple[np.longdouble, float]:
-    """eta(r) = sum (-1)^(n-1) n^-r = -z(-r)."""
-    res = eval_atom(z(-r))
-    return -res.value, res.tail_bound
-
-
-def _interval_bounds(x) -> tuple[float, float]:
-    v, e = float(x[0]), x[1]
-    return (v - e) * (1 - 1e-15), (v + e) * (1 + 1e-15)
+def _upper(units: int, error: int) -> float:
+    """An upper bound on |value| of ``units`` +- ``error``, as a float."""
+    return math.ldexp(abs(units) + error, -_FP_BITS) * (1 + 1e-15)
 
 
 class _SumState:
-    """Partial sums of one Euler series and certified bounds on its tail.
+    """The partial sum of one Euler series in units of 2^-192, and its tail.
 
-    Past N, every alternating factor splits as H^-_n^(r) = eta(r) +
-    (-1)^(n+1) rho_r(n), with rho_r completely monotone.  Multiplied out,
-    the term is (-1)^(n+1) g(n) + v(n): g and v are sums of pieces
+    Past N the term is (-1)^(n+1) g(n) + v(n): g and v are sums of pieces
     coeff * prod eta^a * prod rho^b * prod H_n^(r) * n^-q, sorted by whether
-    the sign (-1)^(n+1) survives.  The g part is summed by the k-fold Euler
-    transform, the v part is enclosed from both sides by log-moment
-    integrals.
-    """
+    the sign (-1)^(n+1) survives (see the module docstring)."""
 
     def __init__(self, idx: EulerSumIndex):
         self.q = abs(idx.outer)
         self.outer_alt = idx.outer < 0
-        # distinct factors with multiplicities
-        counts: dict[int, int] = {}
-        for e in idx.inner:
-            counts[e] = counts.get(e, 0) + 1
+        counts = collections.Counter(idx.inner)
         self.factors = sorted(counts.items(), key=lambda kv: (kv[0] < 0, abs(kv[0])))
-        self.f_carries = {e: LD(0.0) for e, _ in self.factors}
-        self.partial = LD(0.0)
-        self.abs_sum = 0.0
-        self.blocks = 0  # blocks added, and the longest one: see _sum_rounding
-        self.longest = 0
         self.degree = len(idx.inner)
-        self.unsigned = [(e, m) for e, m in self.factors if e > 0]
-        self.alternating = [(-e, m) for e, m in self.factors if e < 0]
-        self.logs = counts.get(1, 0)  # power of the log-growing factor H_n^(1)
-        self.eta = {r: _eta(r) for r, _ in self.alternating}
+        self.carries = [0] * len(self.factors)  # harmonic numbers at n, floored
+        self.partial = 0
+        self.n = 0
+        alternating = [(-e, m) for e, m in self.factors if e < 0]
+        units = {r: _atom_units(z(-r)) for r, _ in alternating}
+        self.eta = {r: (-v, err) for r, (v, err) in units.items()}  # eta(r) = -z(-r)
         # pieces[True] make g, pieces[False] make v: (coeff, ((r, a), ...) of
         # eta, ((r, b), ...) of rho)
         self.pieces: dict[bool, list] = {True: [], False: []}
-        for picks in itertools.product(*(range(m + 1) for _, m in self.alternating)):
-            coeff = math.prod(math.comb(m, i) for (_, m), i in zip(self.alternating, picks))
-            etas = tuple((r, m - i) for (r, m), i in zip(self.alternating, picks) if m > i)
-            rhos = tuple((r, i) for (r, m), i in zip(self.alternating, picks) if i)
+        for picks in itertools.product(*(range(m + 1) for _, m in alternating)):
+            coeff = math.prod(math.comb(m, i) for (_, m), i in zip(alternating, picks))
+            etas = tuple((r, m - i) for (r, m), i in zip(alternating, picks) if m > i)
+            rhos = tuple((r, i) for (r, m), i in zip(alternating, picks) if i)
             self.pieces[(sum(picks) + self.outer_alt) % 2 == 1].append((coeff, etas, rhos))
-        self.method = "euler_transform" if self.pieces[True] else "log_moment"
+        self.method = "euler_transform" if self.pieces[True] else "euler_maclaurin"
         self.majorant = self._alternating_majorant() if self.pieces[True] else None
 
-    def update_block(self, pows, alt_sign):
-        """Add the next block of terms, given as ``pows[m]`` = (1/n)**m and the
-        sign (-1)**n of each n."""
-        h = None
-        for e, mult in self.factors:
+    def _columns(self, n_to: int) -> list[list[int]]:
+        """Each factor's carry at n = N+1..n_to, continuing the walk's: every
+        1/n^r it adds is floored."""
+        ns = range(self.n + 1, n_to + 1)
+        out = []
+        for (e, _), start in zip(self.factors, self.carries):
             r = abs(e)
-            base = pows[r]
-            term = (-base * alt_sign) if e < 0 else base
-            f_arr = self.f_carries[e] + np.cumsum(term.astype(LD))
-            self.f_carries[e] = f_arr[-1]
-            piece = f_arr
-            for _ in range(mult - 1):
-                piece = piece * f_arr
-            h = piece if h is None else h * piece
-        if h is None:
-            h = LD(1.0)  # degree 0: pure outer series
-        a = h * pows[self.q]
+            if e > 0:
+                steps = [_FP_SCALE // n**r for n in ns]
+            else:
+                steps = [_FP_SCALE // n**r if n & 1 else -(_FP_SCALE // n**r) for n in ns]
+            out.append(list(itertools.accumulate(steps, initial=start))[1:])
+        return out
+
+    def walk_to(self, n_to: int) -> None:
+        """Add the terms N+1..n_to, each floored once."""
+        ns = range(self.n + 1, n_to + 1)
+        columns = self._columns(n_to)
+        prod = itertools.repeat(_FP_SCALE)
+        for (_, mult), column in zip(self.factors, columns):
+            for _ in range(mult):
+                prod = map(operator.mul, prod, column)
         if self.outer_alt:
-            a = a * (-alt_sign)
-        a = a.astype(LD, copy=False)
-        self.abs_sum += float(np.sum(np.abs(a))) * (1 + 1e-9)
-        self.partial = self.partial + np.sum(a)
-        self.blocks += 1
-        self.longest = max(self.longest, len(a))
+            prod = map(operator.mul, prod, itertools.cycle((1, -1) if ns[0] & 1 else (-1, 1)))
+        shift = itertools.repeat(_FP_BITS * self.degree)
+        self.partial += sum(map(operator.floordiv, map(operator.rshift, prod, shift), [n**self.q for n in ns]))
+        self.carries = [column[-1] for column in columns]
+        self.n = n_to
 
-    # -- rounding ------------------------------------------------------------
-
-    def _sum_rounding(self) -> float:
-        """Relative error, against the sum S of the term magnitudes, of a
-        running sum built block by block: within a block of L terms each
-        partial sum is off by at most L roundings of S, and adding the block
-        to the carry costs one more; EPS_LD is twice the unit roundoff."""
-        return (self.longest + self.blocks) * EPS_LD
-
-    def _carry_error(self, e: int, n: int) -> float:
-        """Error of the carried harmonic number of factor e after n terms:
-        the float64 power rounding of each term, then ``_sum_rounding``."""
-        r = abs(e)
-        size = float(self.f_carries[e]) if e > 0 else _power_sum_upper(n, r)
-        return (power_rounding(r) + self._sum_rounding()) * size * (1 + 1e-9)
-
-    def rounding_charge(self, n: int) -> float:
-        """Bound on the rounding error of the partial sum after n terms.
-
-        Each term is off by its float64 outer power, the carry errors of its
-        factors relative to their values (an alternating factor is at least
-        1 - 2^-r) and one EPS_LD per product; the partial sum adds
-        ``_sum_rounding``.  Nondecreasing in n."""
-        acc = power_rounding(self.q) + (self.degree + 2) * EPS_LD + self._sum_rounding()
-        for e, m in self.factors:
-            r = abs(e)
-            kappa = 1.0 if e > 0 else _power_sum_upper(n, r) / (1.0 - 2.0**-r)
-            acc += m * kappa * (power_rounding(r) + self._sum_rounding())
-        return self.abs_sum * acc * 1.01
+    def walk_error(self) -> int:
+        """Units the partial sum may be off by: each carry is off by at most n,
+        one per floor, so each term by its floor plus degree * n * prod A /
+        n^q, A >= 1 a bound on each factor with its error; sum_{m<=n} m^(1-q)
+        is at most n for q = 1, else 1 + ln n."""
+        n = self.n
+        if not self.degree:
+            return n
+        bound = 1
+        for (e, mult), c in zip(self.factors, self.carries):
+            bound *= (c + n if e > 0 else _FP_SCALE + n) ** mult
+        spread = n if self.q == 1 else n.bit_length() + 1
+        return n + self.degree * spread * -(-bound >> (_FP_BITS * self.degree))
 
     # -- the alternating part g ------------------------------------------------
 
     def _alternating_majorant(self):
         """Per order k, the entries of a majorant of g (see ``_leibniz``)."""
-        base = _power_majorant(self.q)
-        for r, m in self.unsigned:
-            sup = 0.0
-            if r > 1:
-                z = zeta_value(r)
-                sup = (float(z.value) + z.tail_bound) * (1 + 1e-15)
-            for _ in range(m):
-                base = _leibniz(base, _harmonic_majorant(r, sup))
+        unsigned = tuple(e for e, m in self.factors if e > 0 for _ in range(m))
         total = tuple({} for _ in range(K_MAX + 1))
         for coeff, etas, rhos in self.pieces[True]:
-            f = base
-            c = float(coeff)
-            for r, a in etas:
-                c *= _interval_bounds(self.eta[r])[1] ** a
-            for r, b in rhos:
-                for _ in range(b):
-                    f = _leibniz(f, _rho_majorant(r))
-            for j, entries in enumerate(f):
+            c = coeff * math.prod(_upper(*self.eta[r]) ** a for r, a in etas)
+            for j, entries in enumerate(_majorant(self.q, unsigned + tuple(-r for r, b in rhos for _ in range(b)))):
                 for key, v in entries.items():
                     total[j][key] = total[j].get(key, 0.0) + c * v
         return [sorted(entries.items()) for entries in total]
 
-    def _window(self, n: int, carries) -> tuple:
-        """g(n+1), ..., g(n+K_MAX) as an interval array."""
-        m = np.arange(n + 1, n + K_MAX + 1).astype(LD)
-        shape = np.ones(K_MAX, dtype=LD)
-        zero = np.zeros(K_MAX)
+    def _window(self) -> list:
+        """g(N+1), ..., g(N+K_MAX) as (value, error) in units, from K_MAX
+        more steps of the walk: at m, each carry is off by at most m units."""
+        columns, out = self._columns(self.n + K_MAX), []
+        for i, m in enumerate(range(self.n + 1, self.n + K_MAX + 1)):
+            carries = [column[i] for column in columns]
+            g = (_FP_SCALE // m**self.q, 1)
+            rho = {}
+            for (e, mult), c in zip(self.factors, carries):
+                if e > 0:
+                    for _ in range(mult):
+                        g = _smul(g, (c, m))
+                else:  # rho_r(m) = (-1)^(m+1) (H^-_m - eta(r))
+                    v, err = self.eta[-e]
+                    rho[-e] = (c - v if m & 1 else v - c, m + err)
+            total = total_err = 0
+            for coeff, etas, rhos in self.pieces[True]:
+                x = (coeff << _FP_BITS, 0)
+                for r, a in etas:
+                    for _ in range(a):
+                        x = _smul(x, self.eta[r])
+                for r, b in rhos:
+                    for _ in range(b):
+                        x = _smul(x, rho[r])
+                total, total_err = total + x[0], total_err + x[1]
+            out.append(_smul(g, (total, total_err)))
+        return out
 
-        def powers(r):
-            v = LD(1.0) / m**r
-            return v, (r + 1) * EPS_LD * _fabs(v)
+    def _alternating_tail(self) -> tuple[int, int]:
+        """sum_{m > N} (-1)^(m+1) g(m) by the k-fold Euler transform
 
-        steps = np.arange(1, K_MAX + 1)
-        g = powers(self.q)
-        for e, mult in self.unsigned:
-            t, et = powers(e)
-            c, ec = carries[e]
-            v = c + np.cumsum(t)
-            hv = (v, ec + np.cumsum(et) + 2 * steps * EPS_LD * _fabs(v))
-            for _ in range(mult):
-                g = _imul(g, hv)
-        if self.alternating:
-            plus, minus = (shape, zero), (shape, zero)
-            sign = np.where(steps % 2 == 0, 1.0, -1.0).astype(LD)
-            for r, mult in self.alternating:
-                # rho_r(n) = (-1)^(n+1) (H^-_n - eta), then
-                # rho_r(n+i) = (-1)^i (rho_r(n) + sum_{l<=i} (-1)^l (n+l)^-r)
-                if n % 2:
-                    rho0 = _iadd(carries[-r], self.eta[r], -1)
-                else:
-                    rho0 = _iadd(self.eta[r], carries[-r], -1)
-                t, et = powers(r)
-                v = sign * (rho0[0] + np.cumsum(sign * t))
-                rho = (v, rho0[1] + np.cumsum(et) + 2 * steps * EPS_LD * (_fabs(v) + _fabs(t)))
-                eta = (np.full(K_MAX, self.eta[r][0], dtype=LD), np.full(K_MAX, self.eta[r][1]))
-                for _ in range(mult):
-                    plus = _imul(plus, _iadd(eta, rho))
-                    minus = _imul(minus, _iadd(eta, rho, -1))
-            # the pieces of g are those with an even power of (-1)^(n+1)
-            # under an alternating outer sign, and with an odd one otherwise
-            p = _iadd(plus, minus, -1 if not self.outer_alt else 1)
-            g = _imul(g, (p[0] / 2, p[1] / 2))
-        return g
+            sum_{i>=0} (-1)^i g(N+1+i) = sum_{j<k} (-1)^j Delta^j g(N+1) / 2^(j+1) + R,
+            |R| <= 2^-k sum_{m > N} |Delta^k g(m)|,
 
-    def _alternating_tail(self, n: int, carries) -> tuple[np.longdouble, float]:
-        """sum_{m > n} (-1)^(m+1) g(m) by the k-fold Euler transform
-
-            sum_{i>=0} (-1)^i g(n+1+i) = sum_{j<k} (-1)^j Delta^j g(n+1) / 2^(j+1) + R,
-            |R| <= 2^-k sum_{m > n} |Delta^k g(m)|,
-
-        for the k in 1..K_MAX with the smallest bound."""
-        d, e = self._window(n, carries)
+        for the k in 1..K_MAX with the smallest bound; in units."""
+        n = self.n
+        window = self._window()
+        d, e = [v for v, _ in window], [err for _, err in window]
         h = 0.0
-        if self.logs:
-            h = float(carries[1][0]) + carries[1][1] + K_MAX / n
+        if 1 in dict(self.factors):  # H_n^(1), the first factor
+            h = _upper(self.carries[0], n) + K_MAX / n
         cache: dict = {}
-        total, total_err, best = LD(0.0), 0.0, None
+        total = total_err = 0
+        best = None
         for k in range(1, K_MAX + 1):
-            term = d[0] / LD(2.0**k)
+            term = d[0] >> k
             total = total + term if k % 2 else total - term
-            total_err += e[0] / 2.0**k + EPS_LD * abs(float(total))
-            bound = total_err + _leibniz_tail(self.majorant[k], n, h, cache) / 2.0**k
+            total_err += (e[0] >> k) + 2
+            # in units, rounded up, and one more per entry for its underflow
+            entries = self.majorant[k]
+            remainder = math.ldexp(_leibniz_tail(entries, n, h, cache), _FP_BITS - k)
+            bound = total_err + math.ceil(remainder) + len(entries)
             if best is None or bound < best[1]:
                 best = (total, bound)
-            diff = d[1:] - d[:-1]
-            d, e = diff, e[1:] + e[:-1] + EPS_LD * _fabs(diff)
+            d = [b - a for a, b in zip(d, d[1:])]
+            e = [a + b for a, b in zip(e, e[1:])]
         value, bound = best
         return (value if n % 2 == 0 else -value), bound
 
     # -- the non-alternating part v --------------------------------------------
 
-    def _plain_tail(self, n: int, carries) -> tuple[float, float]:
-        """Enclosure [lo, hi] of sum_{m > n} v(m), from brackets for m > n:
-        H_n + ln((m+1)/(n+1)) <= H_m <= H_n + ln(m/n), H_n^(r) <= H_m^(r) <=
-        H_n^(r) + zeta tail, and ``_rho_brackets``."""
-        h_lo = h_hi = 0.0
-        if self.logs:
-            h_lo, h_hi = _interval_bounds(carries[1])
-        c_lo = c_hi = 1.0
-        for e, m in self.unsigned:
-            if e > 1:
-                lo, hi = _interval_bounds(carries[e])
-                c_lo *= lo**m
-                c_hi *= (hi + zeta_tail_interval(n, e)[1]) ** m
-
-        def tail(poly, p, upper):
-            # sum_{m > n} L(m)^t m^-p poly(1/m), from above or below
-            acc = 0.0
-            for i, c in enumerate(poly):
-                if c and (c > 0) == upper:
-                    acc += c * _tail_upper(n, self.logs, p + i, h_hi)
-                elif c:
-                    acc += c * _tail_lower(n, self.logs, p + i, h_lo)
-            return acc
-
-        lo = hi = 0.0
+    def _plain_tail(self) -> tuple[int, int]:
+        """sum_{m > N} v(m) in units: every piece is a polynomial in ln(m/N)
+        and 1/m off by a nonnegative one, summed term by term by ``_em_sum``."""
+        n = self.n
+        factors = {e: _plain_factor(e, n, c if e > 0 else 0) for (e, _), c in zip(self.factors, self.carries)}
+        base = ({(0, self.q): _FP_SCALE}, {})
+        for e, mult in self.factors:
+            if e > 0:
+                for _ in range(mult):
+                    base = _mul(base, factors[e])
+        poly, err = {}, {}
         for coeff, etas, rhos in self.pieces[False]:
-            e_lo, e_hi = c_lo * coeff, c_hi * coeff
+            x = base
             for r, a in etas:
-                b_lo, b_hi = _interval_bounds(self.eta[r])
-                e_lo *= b_lo**a
-                e_hi *= b_hi**a
-            poly_lo, poly_hi = [1.0], [1.0]
+                for _ in range(a):
+                    x = _mul(x, ({_ONE: self.eta[r][0]}, {_ONE: self.eta[r][1]}))
             for r, b in rhos:
-                p_lo, p_hi = _rho_brackets(r)
                 for _ in range(b):
-                    poly_lo, poly_hi = _poly_mul(poly_lo, p_lo), _poly_mul(poly_hi, p_hi)
-            p = self.q + sum(r * b for r, b in rhos)
-            halves = 0.5 ** sum(b for _, b in rhos)
-            hi += e_hi * halves * tail(poly_hi, p, True)
-            if not rhos or n + 1 >= max(r for r, _ in rhos):
-                lo += e_lo * halves * tail(poly_lo, p, False)
-        return lo * (1 - 1e-9), hi * (1 + 1e-9)
+                    x = _mul(x, factors[-r])
+            poly = _plus(poly, {k: coeff * c for k, c in x[0].items()})
+            err = _plus(err, {k: coeff * c for k, c in x[1].items()})
+        value = bound = 0
+        for key in poly.keys() | err.keys():
+            w, w_err = _em_units(*key, n)
+            c = poly.get(key, 0)
+            value += c * w
+            bound += abs(c) * w_err + err.get(key, 0) * (abs(w) + w_err)
+        return value >> _FP_BITS, -(-bound >> _FP_BITS) + 1
 
-    def bound_at(self, n: int) -> tuple[np.longdouble, float]:
-        """The value after n terms plus the tail, and its certified bound."""
-        carries = {e: (self.f_carries[e], self._carry_error(e, n)) for e, _ in self.factors}
-        value = self.partial
-        bound = self.rounding_charge(n)
+    def result(self) -> NumericResult:
+        """The value after N terms plus the tail, and its certified bound."""
+        value, error = self.partial, self.walk_error()
         if self.pieces[True]:
-            t, b = self._alternating_tail(n, carries)
-            value, bound = value + t, bound + b
+            v, e = self._alternating_tail()
+            value, error = value + v, error + e
         if self.pieces[False]:
-            lo, hi = self._plain_tail(n, carries)
-            value = value + LD((lo + hi) / 2.0)
-            bound += (hi - lo) / 2.0 + EPS64 * (abs(lo) + abs(hi))
-        return value, bound
+            v, e = self._plain_tail()
+            value, error = value + v, error + e
+        return _fp_result(value, error, self.n, self.method)
 
 
 def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int = N_MAX) -> NumericResult:
     state = _SumState(idx)
-    needed = sorted({abs(e) for e in idx.inner} | {state.q})
     best: NumericResult | None = None
-    n_lo = 0
-    for edge in _block_schedule(n_cap):
-        for lo in range(n_lo, edge, SERIES_CHUNK):
-            n = np.arange(lo + 1, min(lo + SERIES_CHUNK, edge) + 1)
-            alt_sign = np.where(n % 2 == 0, 1.0, -1.0)
-            inv = 1.0 / n
-            state.update_block({m: inv**m for m in needed}, alt_sign)
-        value, bound = state.bound_at(edge)
-        if best is None or bound < best.tail_bound:
-            best = NumericResult(value, bound, edge, state.method)
-        # every later bound is at least the rounding charge, which only grows
-        if best.tail_bound <= max(target_tol, state.rounding_charge(edge)):
-            return best
-        n_lo = edge
+    cap = min(max(n_cap, 1), N_MAX)
+    for edge in [e for e in BLOCK_EDGES if e < cap] + [cap]:
+        state.walk_to(edge)
+        res = state.result()
+        if best is None or res.tail_bound < best.tail_bound:
+            best = res
+        if best.tail_bound <= target_tol:
+            break
     return best
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import eulersums
 from eulersums.cli import main
 
 
@@ -474,3 +479,17 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 10 and all(c[0] == "eulersum" for c in commands)
     for command in commands:
         parser.parse_args(command[1:])  # a usage error raises SystemExit
+
+
+def test_cli_imports_no_third_party_module():
+    # a fresh interpreter that imports the CLI loads only the package and
+    # the standard library
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys; before = set(sys.modules); import eulersums.cli; "
+        "loaded = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "extra = loaded - set(sys.stdlib_module_names) - {'eulersums'}; "
+        "assert not extra, sorted(extra)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

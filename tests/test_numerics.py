@@ -4,7 +4,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +14,13 @@ from eulersums.indices import make_index, parse_index
 from eulersums.numerics import (
     _FP_SCALE,
     HOLDER_N,
+    K_EM,
     K_MAX,
     CapacityError,
+    _SumState,
+    _boole_expansion,
+    _digamma_expansion,
+    _em_sum,
     _fp_atan_inv,
     _fp_holder,
     _fp_li_half,
@@ -25,8 +29,8 @@ from eulersums.numerics import (
     _holder_apply,
     _holder_word,
     _leibniz,
+    _plain_factor,
     _power_majorant,
-    _rho_brackets,
     _rho_majorant,
     alt_harmonic_exact,
     eval_atom,
@@ -39,7 +43,6 @@ from eulersums.numerics import (
     li_half_value,
     ln2_value,
     pi_reference,
-    power_rounding,
     zeta_tail_interval,
     zeta_value,
 )
@@ -256,12 +259,12 @@ def test_bound_conservative_under_refinement():
 
 
 def test_capacity_error_carries_result():
-    # only the series can miss a tolerance: the non-alternating log tail
-    # H_n rho_1(n) / n of S(1,-1,-1) needs more than 2*10^4 terms for 1e-9
+    # only the series can miss a tolerance: the alternating log tail of
+    # S(1,-1,-1) needs more than 10 terms for 1e-9
     with pytest.raises(CapacityError) as ei:
-        eval_euler_sum(parse_index("S(1,-1,-1)"), 1e-9, n_cap=2 * 10**4)
+        eval_euler_sum(parse_index("S(1,-1,-1)"), 1e-9, n_cap=10)
     res = ei.value.result
-    assert res.tail_bound > 1e-9 and res.terms_used == 2 * 10**4
+    assert res.tail_bound > 1e-9 and res.terms_used == 10
 
 
 def test_tol_floor():
@@ -269,69 +272,64 @@ def test_tol_floor():
         eval_euler_sum(make_index([2], 2), 1e-12)
 
 
-# -- rounding budget of the series walk ----------------------------------------------
+# -- the integer walk ---------------------------------------------------------------
 
 
-def test_power_rounding_covers_float64_powers():
-    # float64 (1/n)**m against exact rationals: the relative error grows with
-    # m (5.9 eps64 at m = 12), beyond a flat 4 eps64 charge from m = 8 on
-    inv = 1.0 / np.arange(1, 2001, dtype=np.float64)
-    for m in range(1, 21):
-        pows = inv**m
-        worst = max(
-            abs(Fraction(float(pows[n - 1])) * n**m - 1) for n in range(1, 2001)
-        )
-        assert worst <= power_rounding(m), m
+def _exact_partial(idx, n):
+    """The partial sum after n terms and every harmonic factor at n, exactly."""
+    total = Fraction(0)
+    for m in range(1, n + 1):
+        term = Fraction((-1) ** (m - 1) if idx.outer < 0 else 1, m ** abs(idx.outer))
+        for e in idx.inner:
+            term *= harmonic_exact(e, m) if e > 0 else alt_harmonic_exact(-e, m)
+        total += term
+    return total
 
 
-def test_series_chunks_match_one_block(monkeypatch):
-    # walking each edge range in chunks carries the partial sums, the
-    # harmonic numbers and the term magnitudes across the seams: with
-    # one-term chunks every pair of neighbours meets at a seam.  The bounds
-    # agree once the summation rounding, which counts the blocks (see
-    # test_rounding_charge_counts_blocks), is left out
-    texts = ["S(1,1,-1)", "S(-1,2,3)", "S(1,-2,-1)", "S(2,-2)", "S(1,-1,-1)", "S(1,2)"]
-    monkeypatch.setattr(numerics._SumState, "_sum_rounding", lambda state: 0.0)
-    for chunk, n_cap in [(1, 2_000), (997, 30_000)]:
-        whole = [eval_euler_sum_best(parse_index(t), 1e-30, n_cap=n_cap) for t in texts]
-        monkeypatch.setattr(numerics, "SERIES_CHUNK", chunk)
-        for text, ref in zip(texts, whole):
-            res = eval_euler_sum_best(parse_index(text), 1e-30, n_cap=n_cap)
-            assert res.terms_used == ref.terms_used, (text, chunk)
-            assert abs(float(res.value - ref.value)) <= 1e-15 * abs(float(ref.value)), text
-            assert abs(res.tail_bound - ref.tail_bound) <= 1e-6 * ref.tail_bound, text
-        monkeypatch.setattr(numerics, "SERIES_CHUNK", 1 << 12)
+def _walk(text, stops):
+    state = _SumState(parse_index(text))
+    for n in stops:
+        state.walk_to(n)
+    return state
 
 
-def _walk(text, n, chunk):
-    from eulersums.numerics import _SumState
+def test_walk_floor_charges_cover_exact_sums():
+    # each carry is its exact harmonic number less at most one unit per
+    # floor, and the partial sum lies within the charged floors; with the
+    # charge for the terms' own floors left out it would not
+    for text in ["S(2)", "S(-3)", "S(1,2)", "S(2,-2)", "S(1,1,-3)", "S(-1,2,3)", "S(1,-1,-2)"]:
+        idx = parse_index(text)
+        for n in (7, 150):
+            state = _walk(text, [n])
+            for (e, _), carry in zip(state.factors, state.carries):
+                exact = (harmonic_exact(e, n) if e > 0 else alt_harmonic_exact(-e, n)) * _FP_SCALE
+                assert (0 <= exact - carry < n) if e > 0 else abs(exact - carry) < n, (text, e, n)
+            miss = abs(_exact_partial(idx, n) * _FP_SCALE - state.partial)
+            assert miss <= state.walk_error(), (text, n)
+            if n == 150 and state.degree <= 1:
+                assert miss > state.walk_error() - n, (text, n)
 
-    idx = parse_index(text)
-    st = _SumState(idx)
-    for lo in range(0, n, chunk):
-        m = np.arange(lo + 1, min(lo + chunk, n) + 1)
-        inv = 1.0 / m
-        pows = {k: inv**k for k in {abs(e) for e in idx.inner} | {abs(idx.outer)}}
-        st.update_block(pows, np.where(m % 2 == 0, 1.0, -1.0))
-    return st
+
+def test_walk_stops_match_one_walk():
+    # walking to N in one step, term by term or through the block edges
+    # floors the same quantities: the same integers and the same result
+    for text in ["S(1,1,-1)", "S(-1,2,3)", "S(1,-2,-1)", "S(2,-2)", "S(1,-1,-1)", "S(1,2)", "S(-4)"]:
+        whole = _walk(text, [300])
+        for stops in (range(1, 301), [100, 300], [1, 99, 257, 300]):
+            part = _walk(text, stops)
+            assert (part.partial, part.carries, part.n) == (whole.partial, whole.carries, 300), text
+        assert part.result() == whole.result()
 
 
-def test_rounding_charge_counts_blocks():
-    # n one-term blocks are n sequential additions to the carry, one block
-    # of n terms n roundings within it plus one for the carry: the same charge
-    n = 3000
-    for text in ["S(1,1,-1)", "S(1,-1,-1)", "S(-2,3)", "S(2,-2)"]:
-        one, many = _walk(text, n, n), _walk(text, n, 1)
-        assert (one.blocks, one.longest, many.blocks, many.longest) == (1, n, n, 1)
-        assert abs(float(one.partial - many.partial)) <= 1e-15 * abs(float(one.partial)), text
-        assert abs(one.abs_sum - many.abs_sum) <= 1e-12 * one.abs_sum, text
-        assert one.rounding_charge(n) > 0, text
-        assert abs(one.rounding_charge(n) / many.rounding_charge(n) - 1) < 1e-9, text
-        # 100-term blocks: 100 + 30 roundings of the sum instead of 3001
-        chunked = _walk(text, n, 100)
-        assert chunked._sum_rounding() == 130 * numerics.EPS_LD, text
-        assert one._sum_rounding() == many._sum_rounding() == 3001 * numerics.EPS_LD, text
-        assert chunked.rounding_charge(n) < one.rounding_charge(n), text
+def test_walk_charge_counts_floors():
+    # a degree-0 sum floors once per term; harmonic factors add what their
+    # carries' n-unit errors move the terms: degree * (sum of m^(1-q) up to
+    # n, at most 11 for n = 1000 and q >= 2, else n) * ceil(the product of
+    # the factors' bounds), with H_1000 = 7.49 and zeta(2) = 1.64
+    assert _walk("S(-3)", [1000]).walk_error() == 1000
+    assert _walk("S(5)", [1]).walk_error() == 1
+    for text, extra in [("S(2,2)", 1 * 11 * 2), ("S(1,3)", 1 * 11 * 8), ("S(1,1,-2)", 2 * 11 * 57), ("S(1,-1)", 1 * 1000 * 8)]:
+        assert _walk(text, [1000]).walk_error() == 1000 + extra, text
 
 
 # -- terms and combinations --------------------------------------------------------
@@ -343,7 +341,8 @@ def test_empty_lincomb():
 
 
 def test_lincomb_beyond_float_range_has_infinite_bound():
-    assert eval_lincomb_best(LinComb.of_atom(z(2), 10**400)).tail_bound == math.inf
+    res = eval_lincomb_best(LinComb.of_atom(z(2), 10**400))
+    assert res.tail_bound == math.inf and repr(res) == "NumericResult(inf +- inf, N=200)"
 
 
 def test_product_term():
@@ -404,24 +403,11 @@ def test_eval_lincomb_raises_capacity():
 
 def test_sum_partials_match_exact():
     # the series walker partial sums agree with exact rational evaluation
-    from eulersums.numerics import _SumState
-
     for text in ["S(1,2)", "S(1,1,-3)", "S(-1,2,3)", "S(2,-2)"]:
         idx = parse_index(text)
-        st = _SumState(idx)
-        n_arr = np.arange(1, 41, dtype=np.float64)
-        alt_sign = np.where(np.arange(1, 41) % 2 == 0, 1.0, -1.0)
-        inv = 1.0 / n_arr
-        pows = {m: inv**m for m in {abs(e) for e in idx.inner} | {abs(idx.outer)}}
-        st.update_block(pows, alt_sign)
-        exact = Fraction(0)
-        for n in range(1, 41):
-            h = Fraction(1)
-            for e in idx.inner:
-                h *= harmonic_exact(e, n) if e > 0 else alt_harmonic_exact(-e, n)
-            sign = (-1) ** (n - 1) if idx.outer < 0 else 1
-            exact += h * Fraction(sign, n ** abs(idx.outer))
-        assert abs(float(st.partial) - float(exact)) < 1e-14, text
+        st = _walk(text, [40])
+        exact = _exact_partial(idx, 40)
+        assert abs(Fraction(st.partial, _FP_SCALE) - exact) < 1e-14, text
 
 
 def test_linear_sum_value():
@@ -501,25 +487,109 @@ def test_difference_majorants_exact():
     _check_majorant(g, [0] + [h1[m] * h2[m] / m**2 for m in range(1, top)], log)
 
 
-def test_rho_majorant_and_brackets_fixed_point():
-    # rho_r(m) = (-1)^(m+1) (alternating H_m^(r) - eta(r)), with eta(r) at
-    # 192-bit fixed point: ln 2, or (1 - 2^(1-r)) zeta(r)
+def _eta_fixed_point(r):
+    """eta(r) = ln 2 or (1 - 2^(1-r)) zeta(r) at 192-bit fixed point, and its error."""
+    if r == 1:
+        return _fp_li_half(1)
+    z_val, z_err = _fp_zeta(r)
+    return (1 - Fraction(2) ** (1 - r)) * z_val, z_err
+
+
+def _expansion_at(expansion, n):
+    terms, (p, c) = expansion
+    return sum(c_k / Fraction(n) ** p_k for p_k, c_k in terms), c / Fraction(n) ** p
+
+
+def test_rho_majorant_and_boole_expansion_fixed_point():
+    # rho_r(m) = (-1)^(m+1) (alternating H_m^(r) - eta(r)) against its
+    # difference majorant, and against its Boole expansion, which misses it
+    # by at most the remainder, and by more than half of it at m = 20
     top = 61 + 2 * K_MAX
     for r in range(1, 5):
-        if r == 1:
-            eta, err = _fp_li_half(1)
-        else:
-            z_val, z_err = _fp_zeta(r)
-            eta, err = (1 - Fraction(2) ** (1 - r)) * z_val, z_err
+        eta, err = _eta_fixed_point(r)
         assert err < Fraction(1, 10**24)
         alt = [alt_harmonic_exact(r, m) for m in range(top)]
         rho = [(-1) ** (m + 1) * (alt[m] - eta) for m in range(top)]
         _check_majorant(_rho_majorant(r), rho, lambda n: 0, slack=err)
-        lo_poly, hi_poly = _rho_brackets(r)
-        for n in range(max(r, 1), 61):
-            lo = sum(Fraction(c) / n**i for i, c in enumerate(lo_poly)) / (2 * n**r)
-            hi = sum(Fraction(c) / n**i for i, c in enumerate(hi_poly)) / (2 * n**r)
-            assert 0 <= lo and lo - err <= rho[n] <= hi + err, (r, n)
+        assert len(_boole_expansion(r)[0]) == K_EM + 1
+        for n in range(1, 61):
+            value, rem = _expansion_at(_boole_expansion(r), n)
+            assert abs(rho[n] - value) <= rem + err, (r, n)
+        value, rem = _expansion_at(_boole_expansion(r), 20)
+        assert abs(rho[20] - value) > rem / 2, r
+
+
+def test_digamma_expansion_fixed_point():
+    # H_2n - H_n = ln 2 + D(2n) - D(n) + R(2n) - R(n), and the remainder R
+    # keeps one sign, so |R(2n) - R(n)| <= |R(n)|; at n = 20 it takes more
+    # than half of that
+    ln2, err = _fp_li_half(1)
+    assert len(_digamma_expansion()[0]) == K_EM + 1
+    for n in range(1, 40):
+        d_2n, _ = _expansion_at(_digamma_expansion(), 2 * n)
+        d_n, rem = _expansion_at(_digamma_expansion(), n)
+        miss = abs(harmonic_exact(1, 2 * n) - harmonic_exact(1, n) - ln2 - d_2n + d_n)
+        assert miss <= rem + err, n
+        if n == 20:
+            assert miss > rem / 2
+
+
+def test_em_sum_encloses_zeta_tails():
+    # sum_{m > n} m^-p by Euler-Maclaurin of order 2K against the
+    # fixed-point zeta value less the exact partial sum: within the
+    # remainder; at n = 20 the miss is of the next order, between a
+    # thousandth and a tenth of it
+    for p in range(2, 7):
+        z_val, z_err = _fp_zeta(p)
+        for n in range(1, 30):
+            value, rem = _expansion_at(_em_sum(0, p), n)
+            miss = abs(z_val - harmonic_exact(p, n) - value)
+            assert miss <= rem + z_err, (p, n)
+            if n == 20:
+                assert rem / 1000 < miss < rem / 10, p
+
+
+def _poly_at(poly, m, log):
+    """A polynomial {(t, p): c} in L and 1/m at m, with L = ``log``, in units."""
+    return sum(c * log**t / Fraction(m) ** p for (t, p), c in poly.items())
+
+
+def test_plain_factors_enclose_their_values():
+    # each factor of the plain tail, expanded about N = n from the walk's
+    # carry, encloses H_m, H_m^(r) and rho_r(m) at m = 2n, where ln(m/n)
+    # is the fixed-point ln 2, and at m = 3n for r != 1
+    ln2, ln2_err = _fp_li_half(1)
+    for n in (1, 2, 3, 5, 8, 13):
+        state = _walk("S(1,2,3,-1,-2,2)", [n])
+        for (e, _), carry in zip(state.factors, state.carries):
+            p, err = _plain_factor(e, n, carry if e > 0 else 0)
+            for m in (2 * n, 3 * n) if e != 1 else (2 * n,):
+                if e > 0:
+                    exact, slack = harmonic_exact(e, m), ln2_err
+                else:
+                    eta, slack = _eta_fixed_point(-e)
+                    exact = (-1) ** (m + 1) * (alt_harmonic_exact(-e, m) - eta)
+                miss = abs(exact * _FP_SCALE - _poly_at(p, m, ln2))
+                assert miss <= _poly_at(err, m, ln2) + slack * _FP_SCALE, (e, n, m)
+
+
+def test_em_sum_log_moments():
+    # sum_{m > n} ln(m/n)^s m^-p against a float partial sum up to M =
+    # 20000 plus the integral from M on, which misses the rest, a
+    # decreasing tail, by at most its term at M
+    top = 20_000
+    for s, p in [(1, 2), (2, 3), (3, 2), (1, 5)]:
+        for n in (1, 2, 5):
+            log = math.log(top / n)
+            partial = math.fsum(math.log(m / n) ** s * m**-p for m in range(n + 1, top + 1))
+            rest = sum(
+                math.comb(s, i) * log ** (s - i) * math.factorial(i) / (p - 1) ** (i + 1) for i in range(s + 1)
+            ) * top ** (1 - p)
+            value, rem = _expansion_at(_em_sum(s, p), n)
+            miss = abs(partial + rest - float(value))
+            assert miss <= float(rem) + log**s * top**-p + 1e-12, (s, p, n)
+            if n == 1:
+                assert miss > float(rem) / 1000, (s, p)
 
 
 def _convergent_indices(max_weight):
@@ -571,19 +641,35 @@ def test_series_within_bound_weight5():
     assert ratio <= 1.0, text
 
 
-@pytest.mark.parametrize("mutation", ["leibniz_remainder", "rounding_charge"])
+@pytest.mark.parametrize("mutation", ["leibniz_remainder", "expansion_remainders"])
 def test_mutated_bound_is_exceeded(monkeypatch, mutation):
-    # both charges are needed: without either, some index of weight <= 5
+    # both remainders are needed: without either, some index of weight <= 5
     # ends up farther from its reference value than its reported bound
     for idx in _convergent_indices(5):
         _reference(idx)
     if mutation == "leibniz_remainder":
         monkeypatch.setattr(numerics, "_leibniz_tail", lambda *args: 0.0)
     else:
-        monkeypatch.setattr(numerics, "EPS64", 0.0)
-        monkeypatch.setattr(numerics, "EPS_LD", 0.0)
-    ratio, text = _worst_ratio(1e-10, n_cap=1000)
+        monkeypatch.setattr(numerics, "_rem_units", lambda *args: 0)
+        for cached in (numerics._em_units, numerics._plain_factor):
+            cached.cache_clear()
+    ratio, text = _worst_ratio(1e-10, n_cap=10)
+    for cached in (numerics._em_units, numerics._plain_factor):
+        cached.cache_clear()
     assert ratio > 10.0, (mutation, text)
+
+
+def test_series_small_n_encloses_reference():
+    # at small N every remainder of the tail expansions counts, and the
+    # enclosure still holds; a cap below 1 walks one term
+    for text in ["S(3)", "S(-2)", "S(1,2)", "S(2,2)", "S(-2,-2)", "S(1,1,2)", "S(1,-2)",
+                 "S(1,-1,-1)", "S(-1,-1,-1)", "S(2,-1,3)", "S(1,1,-1)", "S(3,-2,2)"]:
+        idx = parse_index(text)
+        ref = _reference(idx)
+        for n in (0, 1, 2, 3, 5, 8, 13):
+            res = eval_euler_sum_best(idx, 1e-10, n_cap=n)
+            assert res.terms_used == max(n, 1)
+            assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound, (text, n)
 
 
 def test_log_tails_stop_early():
@@ -607,5 +693,5 @@ def test_method_names_the_bound():
     alternating = eval_euler_sum_best(parse_index("S(1,1,-1)"), 1e-6)
     assert alternating.method == "euler_transform"
     assert eval_euler_sum_best(parse_index("S(-1,2)"), 1e-6).method == "euler_transform"
-    assert eval_euler_sum_best(parse_index("S(1,2)"), 1e-6).method == "log_moment"
+    assert eval_euler_sum_best(parse_index("S(1,2)"), 1e-6).method == "euler_maclaurin"
     assert "method" not in repr(alternating) and "euler" not in repr(alternating)
