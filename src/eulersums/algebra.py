@@ -95,6 +95,24 @@ class MzvAtom:
             return (1, self.li, _END)
         return (0, self.weight, *self.args, _END)
 
+    # -- the term protocol: an atom is the term with that one factor -----
+
+    @property
+    def factors(self) -> tuple["MzvAtom", ...]:
+        return (self,)
+
+    def is_unit(self) -> bool:
+        return False
+
+    def mul(self, other: "Term") -> "Term":
+        return SymbolicTerm.of(self, *other.factors)
+
+    def term_key(self) -> tuple:
+        """``SymbolicTerm.term_key`` of the one-factor product: (1, *sort_key())."""
+        if self.li:
+            return (1, 1, self.li, _END)
+        return (1, 0, self.weight, *self.args, _END)
+
     def render(self) -> str:
         if self.li:
             return f"Li({self.li},1/2)"
@@ -103,6 +121,8 @@ class MzvAtom:
     def latex(self) -> str:
         if self.li:
             return r"\mathrm{Li}_{%d}(\tfrac12)" % self.li
+        if self.args == (-1,):
+            return r"-\ln(2)"  # z(-1) = -ln 2
         body = ",".join((r"\bar{%d}" % -a) if a < 0 else str(a) for a in self.args)
         return r"\zeta(%s)" % body
 
@@ -141,16 +161,29 @@ def parse_atom(text: str) -> MzvAtom:
 
 @dataclass(frozen=True, slots=True)
 class SymbolicTerm:
-    """A commutative product of atoms, canonically sorted.
+    """A commutative product of atoms, canonically sorted: the unit term or
+    a product of two or more atoms.
 
     The empty product is the unit term and represents the constant 1, so
-    plain rationals live inside LinComb uniformly.
+    plain rationals live inside LinComb uniformly.  A term of one atom is
+    that ``MzvAtom`` itself, never a one-factor ``SymbolicTerm``, so each
+    term has exactly one representation as a key.  Both classes share the
+    term protocol: ``factors``, ``weight``, ``is_unit``, ``mul``,
+    ``term_key``, ``render`` and ``latex``.
     """
 
     factors: tuple[MzvAtom, ...] = ()
 
+    def __post_init__(self):
+        if len(self.factors) == 1:
+            raise ValueError("a one-atom term is the MzvAtom itself")
+
     @staticmethod
-    def of(*atoms: MzvAtom) -> "SymbolicTerm":
+    def of(*atoms: MzvAtom) -> "Term":
+        """The product of ``atoms``: the unit term, the one atom, or a
+        sorted ``SymbolicTerm``."""
+        if len(atoms) == 1:
+            return atoms[0]
         return SymbolicTerm(tuple(sorted(atoms, key=MzvAtom.sort_key)))
 
     @property
@@ -160,10 +193,10 @@ class SymbolicTerm:
     def is_unit(self) -> bool:
         return not self.factors
 
-    def mul(self, other: "SymbolicTerm") -> "SymbolicTerm":
-        return SymbolicTerm.of(*(self.factors + other.factors))
+    def mul(self, other: "Term") -> "Term":
+        return SymbolicTerm.of(*self.factors, *other.factors)
 
-    def sort_key(self) -> tuple:
+    def term_key(self) -> tuple:
         """Terms by factor count, then factor by factor by ``MzvAtom.sort_key``."""
         key = (len(self.factors),)
         for a in self.factors:
@@ -198,9 +231,12 @@ class SymbolicTerm:
 
 UNIT_TERM = SymbolicTerm()
 
+# A term of a LinComb: the unit, one atom, or a product of two or more atoms.
+Term = MzvAtom | SymbolicTerm
+
 
 class LinComb:
-    """A finite Q-linear combination of SymbolicTerms.
+    """A finite Q-linear combination of terms (see ``SymbolicTerm``).
 
     Stored as a mapping term -> Fraction with zero coefficients pruned on
     every construction; two combinations are equal iff their mappings are.
@@ -209,7 +245,7 @@ class LinComb:
 
     __slots__ = ("_d",)
 
-    def __init__(self, entries: Mapping[SymbolicTerm, Fraction] | None = None):
+    def __init__(self, entries: Mapping[Term, Fraction] | None = None):
         d = {}
         if entries:
             for t, c in entries.items():
@@ -221,7 +257,7 @@ class LinComb:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def _of_nonzero(d: dict[SymbolicTerm, Fraction]) -> "LinComb":
+    def _of_nonzero(d: dict[Term, Fraction]) -> "LinComb":
         """Wrap ``d``, whose values are already nonzero Fractions, without
         copying or checking it; the caller hands ``d`` over."""
         out = LinComb.__new__(LinComb)
@@ -238,18 +274,18 @@ class LinComb:
 
     @staticmethod
     def of_atom(atom: MzvAtom, coeff=1) -> "LinComb":
-        return LinComb({SymbolicTerm((atom,)): as_fraction(coeff)})
+        return LinComb({atom: as_fraction(coeff)})
 
     @staticmethod
-    def of_term(term: SymbolicTerm, coeff=1) -> "LinComb":
+    def of_term(term: Term, coeff=1) -> "LinComb":
         return LinComb({term: as_fraction(coeff)})
 
     # -- inspection ---------------------------------------------------
 
-    def items(self) -> Iterator[tuple[SymbolicTerm, Fraction]]:
-        return iter(sorted(self._d.items(), key=lambda kv: kv[0].sort_key()))
+    def items(self) -> Iterator[tuple[Term, Fraction]]:
+        return iter(sorted(self._d.items(), key=lambda kv: kv[0].term_key()))
 
-    def coeff(self, term: SymbolicTerm) -> Fraction:
+    def coeff(self, term: Term) -> Fraction:
         return self._d.get(term, Fraction(0))
 
     def atoms(self) -> set[MzvAtom]:
@@ -297,7 +333,7 @@ class LinComb:
 
     def __mul__(self, other):
         if isinstance(other, LinComb):
-            d: dict[SymbolicTerm, Fraction] = {}
+            d: dict[Term, Fraction] = {}
             for t1, c1 in self._d.items():
                 for t2, c2 in other._d.items():
                     t = t1.mul(t2)
@@ -373,9 +409,20 @@ class LinComb:
             for t, c in self.items()
         ]
 
+    def json_terms(self) -> str:
+        """``json.dumps(self.to_json_terms())``, written directly.  Atom
+        renderings and rationals use only ``[A-Za-z0-9(),/ -]``, so nothing
+        needs escaping."""
+        return "[" + ", ".join([
+            '{"factors": ['
+            + ", ".join([f'"{a.render()}"' for a in t.factors])
+            + f'], "coeff": "{c}"}}'
+            for t, c in self.items()
+        ]) + "]"
+
     @staticmethod
     def from_json_terms(terms: Iterable[Mapping]) -> "LinComb":
-        acc: dict[SymbolicTerm, Fraction] = {}
+        acc: dict[Term, Fraction] = {}
         for entry in terms:
             term = SymbolicTerm.of(*(parse_atom(f) for f in entry["factors"]))
             acc[term] = acc.get(term, Fraction(0)) + as_fraction(entry["coeff"])

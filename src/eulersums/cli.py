@@ -145,21 +145,17 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str):
 
 def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None, extra=None):
     if output == "json":
-        doc = {
-            "index": idx.to_json(),
-            "weight": idx.weight,
-            "degree": idx.degree,
-            "terms": lc.to_json_terms(),
-            "term_count": len(lc),
-            "engine": engine,
-        }
+        # The terms array is written as text between the keys before it and
+        # those after it, as json.dumps would write the whole document.
+        head = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree}
+        tail = {"term_count": len(lc), "engine": engine}
         if is_conditionally_convergent(idx):
-            doc["convergence"] = "conditional"
+            tail["convergence"] = "conditional"
         if trace is not None:
-            doc["trace"] = trace
+            tail["trace"] = trace
         if extra:
-            doc.update(extra)
-        print(json.dumps(doc))
+            tail.update(extra)
+        print(json.dumps(head)[:-1] + ', "terms": ' + lc.json_terms() + ", " + json.dumps(tail)[1:])
     elif output == "latex":
         print(render_index(idx, "latex") + " = " + lc.latex())
     else:

@@ -40,7 +40,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .algebra import UNIT_TERM, LinComb, MzvAtom, SymbolicTerm, z
+from .algebra import UNIT_TERM, LinComb, MzvAtom, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
 
 # Largest number of ordered multiset partitions of the inner entries that an
@@ -191,7 +191,7 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
             acc[args] = acc.get(args, 0) + c
     w, depth = idx.weight, idx.degree + 1
     coeffs: dict[int, Fraction] = {}
-    terms: dict[SymbolicTerm, Fraction] = {}
+    terms: dict[MzvAtom, Fraction] = {}
     for args, c in acc.items():
         atom = MzvAtom(args)
         assert atom.weight == w, f"weight leak: {atom} in expansion of {idx}"
@@ -199,7 +199,7 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
         coeff = coeffs.get(c)
         if coeff is None:
             coeff = coeffs[c] = Fraction(sign * c)
-        terms[SymbolicTerm((atom,))] = coeff
+        terms[atom] = coeff
     return LinComb._of_nonzero(terms)
 
 
@@ -230,7 +230,7 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         )
         for word, c in _quasi_shuffle(tails, memo).items():
             _add(acc, (rest, word + (q,)), coeff * c)
-    terms: dict[SymbolicTerm, Fraction] = {}
+    terms: dict[Term, Fraction] = {}
     for (rest, word), c in acc.items():
         _add(terms, SymbolicTerm.of(*map(z, rest), MzvAtom(word)), Fraction(c))
     return LinComb._of_nonzero(terms)
@@ -247,7 +247,7 @@ def linearize(lc: LinComb) -> LinComb:
         for word, k in _quasi_shuffle((a.args for a in term.factors), memo).items():
             _add(acc, word, c * k)
     return LinComb._of_nonzero(
-        {(SymbolicTerm((MzvAtom(w),)) if w else UNIT_TERM): c for w, c in acc.items()}
+        {(MzvAtom(w) if w else UNIT_TERM): c for w, c in acc.items()}
     )
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .algebra import LinComb, MzvAtom, SymbolicTerm, parse_atom, z
+from .algebra import LinComb, MzvAtom, SymbolicTerm, Term, parse_atom, z
 from .expansion import expand_t1
 from .indices import make_index
 
@@ -370,8 +370,8 @@ def save_table(table: IdentityTable, path):
     """Write ``table`` as JSON lines, by weight and then rendering."""
     with open(path, "w", encoding="utf-8") as f:
         for lhs in sorted(table.entries, key=lambda a: (a.weight, a.render())):
-            rhs = table.entries[lhs].to_json_terms()
-            f.write(json.dumps({"lhs": lhs.render(), "rhs": rhs, "weight": lhs.weight}) + "\n")
+            rhs = table.entries[lhs].json_terms()
+            f.write(f'{{"lhs": "{lhs.render()}", "rhs": {rhs}, "weight": {lhs.weight}}}\n')
 
 
 def build_starter_table(max_weight: int = 12) -> IdentityTable:
@@ -411,7 +411,7 @@ class ReduceResult:
     steps: int = 0
 
 
-def _term_without(term: SymbolicTerm, atom: MzvAtom) -> SymbolicTerm:
+def _term_without(term: Term, atom: MzvAtom) -> Term:
     factors = list(term.factors)
     factors.remove(atom)
     return SymbolicTerm.of(*factors)
@@ -419,22 +419,22 @@ def _term_without(term: SymbolicTerm, atom: MzvAtom) -> SymbolicTerm:
 
 class _WorkingSum:
     """The combination under rewriting: a mutable term -> coefficient dict
-    (zero coefficients pruned) plus a heap, by ``SymbolicTerm.sort_key()``, of
-    the present terms not yet examined for an atom rewrite."""
+    (zero coefficients pruned) plus a heap, by ``term_key()``, of the present
+    terms not yet examined for an atom rewrite."""
 
     def __init__(self, lc: LinComb):
-        self.coeffs: dict[SymbolicTerm, Fraction] = dict(lc.items())
-        self.heap = [(t.sort_key(), t) for t in self.coeffs]
+        self.coeffs: dict[Term, Fraction] = dict(lc.items())
+        self.heap = [(t.term_key(), t) for t in self.coeffs]
         heapq.heapify(self.heap)
         self.in_heap = set(self.coeffs)
 
-    def add(self, term: SymbolicTerm, c: Fraction):
+    def add(self, term: Term, c: Fraction):
         old = self.coeffs.get(term)
         if old is None:
             self.coeffs[term] = c
             if term not in self.in_heap:
                 self.in_heap.add(term)
-                heapq.heappush(self.heap, (term.sort_key(), term))
+                heapq.heappush(self.heap, (term.term_key(), term))
             return
         s = old + c
         if s:
@@ -442,11 +442,11 @@ class _WorkingSum:
         else:
             del self.coeffs[term]
 
-    def add_product(self, rest: SymbolicTerm, c: Fraction, rhs: LinComb):
+    def add_product(self, rest: Term, c: Fraction, rhs: LinComb):
         for t, rc in rhs.items():
             self.add(rest.mul(t), c * rc)
 
-    def pop_pending(self) -> SymbolicTerm | None:
+    def pop_pending(self) -> Term | None:
         """The smallest present term not yet examined, or None."""
         while self.heap:
             _key, term = heapq.heappop(self.heap)
@@ -478,14 +478,14 @@ def _atom_rewrite(atom: MzvAtom, tables: list[IdentityTable], rules: list[Identi
     return hit
 
 
-def _first_candidate(coeffs: dict[SymbolicTerm, Fraction], find):
+def _first_candidate(coeffs: dict[Term, Fraction], find):
     """The first ``(term, find(term))`` in sort order with a non-None find,
     by one minimum scan; None if there is none."""
     best = None
     for term in coeffs:
         hit = find(term)
         if hit is not None:
-            key = term.sort_key()
+            key = term.term_key()
             if best is None or key < best[0]:
                 best = (key, term, hit)
     return None if best is None else best[1:]
@@ -495,7 +495,7 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
     """One application of the two-slot reflection across matching cofactors."""
     coeffs = work.coeffs
 
-    def find(term: SymbolicTerm):
+    def find(term: Term):
         # An ascending-slot atom z(a,b), a < b, whose partner z(b,a) is
         # admissible (b != 1) and present with the same cofactor.
         ascending = {
@@ -505,7 +505,7 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
         for atom in sorted(ascending, key=MzvAtom.sort_key):
             partner = MzvAtom(args=atom.args[::-1])
             rest = _term_without(term, atom)
-            if rest.mul(SymbolicTerm((partner,))) in coeffs:
+            if rest.mul(partner) in coeffs:
                 return atom, partner, rest
         return None
 
@@ -516,7 +516,7 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
     # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
     # ascending-slot atom, keeping the descending-slot basis form.
     t_amt = coeffs[term]
-    work.add(rest.mul(SymbolicTerm((partner,))), -t_amt)
+    work.add(rest.mul(partner), -t_amt)
     work.add(term, -t_amt)
     work.add_product(rest, t_amt, reflection_pair_sum(atom.args[0], atom.args[1]))
     if len(trace) < TRACE_CAP:
@@ -531,7 +531,7 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
     """One application of the three-slot reflection (unsigned slots >= 2)."""
     coeffs = work.coeffs
 
-    def find(term: SymbolicTerm):
+    def find(term: Term):
         # Fully repeated slots are left to the repeated-slot rule.
         unsigned = {
             atom for atom in term.factors
@@ -541,7 +541,7 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
             slots = atom.args
             rest = _term_without(term, atom)
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
-            if all(rest.mul(SymbolicTerm((o,))) in coeffs for o in orderings):
+            if all(rest.mul(o) in coeffs for o in orderings):
                 return atom, orderings, rest
         return None
 
@@ -550,12 +550,12 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
         return False
     _term, (atom, orderings, rest) = found
     last = max(orderings, key=MzvAtom.sort_key)
-    t_amt = coeffs[rest.mul(SymbolicTerm((last,)))]
+    t_amt = coeffs[rest.mul(last)]
     # The identity sums all six permutations; each distinct ordering
     # is 6 / len(orderings) of them.
     rhs = reflection_triple_sum(*sorted(atom.args)).scale(Fraction(len(orderings), 6))
     for o in orderings:
-        work.add(rest.mul(SymbolicTerm((o,))), -t_amt)
+        work.add(rest.mul(o), -t_amt)
     work.add_product(rest, t_amt, rhs)
     if len(trace) < TRACE_CAP:
         trace.append(

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulersums.algebra import (
+    UNIT_TERM,
     LinComb,
     MzvAtom,
     SymbolicTerm,
@@ -14,8 +16,9 @@ from eulersums.algebra import (
     parse_atom,
     z,
 )
-from eulersums.expansion import expand_t1
-from eulersums.indices import parse_index
+from eulersums.expansion import UnsupportedHypothesisError, expand_t1, expand_t2, linearize
+from eulersums.indices import make_index, parse_index
+from eulersums.reduction import reduce_lincomb
 
 
 def test_atom_basics():
@@ -137,8 +140,80 @@ terms = st.lists(prefix_atoms, max_size=3).map(lambda fs: SymbolicTerm.of(*fs))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(terms, terms)
 def test_flat_sort_key_orders_as_nested_key(s, t):
-    assert (s.sort_key() < t.sort_key()) == (_nested_sort_key(s) < _nested_sort_key(t))
-    assert (s.sort_key() == t.sort_key()) == (s == t)
+    assert (s.term_key() < t.term_key()) == (_nested_sort_key(s) < _nested_sort_key(t))
+    assert (s.term_key() == t.term_key()) == (s == t)
+
+
+def test_one_atom_term_is_the_atom():
+    for a in (z(3), z(-5, 1), li_half(4)):
+        assert SymbolicTerm.of(a) is a
+        assert UNIT_TERM.mul(a) is a and a.mul(UNIT_TERM) is a
+        assert a.factors == (a,) and not a.is_unit()
+        assert a.term_key() == (1, *a.sort_key())
+        with pytest.raises(ValueError, match="one-atom term"):
+            SymbolicTerm((a,))
+    assert SymbolicTerm.of() == UNIT_TERM and UNIT_TERM.is_unit()
+    assert z(2).mul(z(3)) == SymbolicTerm((z(2), z(3)))
+    assert z(-1).latex() == r"-\ln(2)" and SymbolicTerm.of(z(-1), z(-1)).latex() == r"\ln^{2}(2)"
+
+
+def _check_terms(lc: LinComb):
+    """Each key is an atom, the unit term or a product of two or more atoms,
+    and ``items()`` runs in the order of the nested term key."""
+    keys = [t for t, _ in lc.items()]
+    for t in keys:
+        assert type(t) is MzvAtom or t == UNIT_TERM or (
+            type(t) is SymbolicTerm and len(t.factors) >= 2
+        ), repr(t)
+    assert keys == sorted(keys, key=_nested_sort_key)
+
+
+small_indices = st.builds(
+    make_index,
+    st.lists(st.sampled_from([1, 2, 3, -1, -2]), max_size=3),
+    st.sampled_from([2, 3, -1, -2]),
+)
+
+
+@SETTINGS
+@given(small_indices)
+def test_expansions_keep_one_object_per_term(idx):
+    t1 = expand_t1(idx)
+    _check_terms(t1)
+    _check_terms(reduce_lincomb(t1).value)
+    try:
+        t2 = expand_t2(idx)
+    except UnsupportedHypothesisError:
+        return
+    _check_terms(t2)
+    _check_terms(linearize(t2))
+    assert linearize(t2) == t1
+
+
+@SETTINGS
+@given(st.lists(st.lists(atoms, max_size=3), max_size=4))
+def test_lincomb_operations_keep_one_object_per_term(factor_lists):
+    terms = [SymbolicTerm.of(*fs) for fs in factor_lists]
+    a = LinComb({t: i + 1 for i, t in enumerate(terms)})
+    b = LinComb({t: -1 for t in terms[1:]}) + LinComb.of_atom(z(3))
+    for lc in (a, b, a + b, a - b, b - b, a * b, b * b, a.scale(Fraction(-2, 3)), a.scale(0)):
+        _check_terms(lc)
+        _check_terms(LinComb.from_json_terms(lc.to_json_terms()))
+
+
+# Coefficients up to 400 digits over up to 400 digits, of either sign.
+big_coeffs = st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400))
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.lists(atoms, max_size=3), big_coeffs | st.integers(-3, 3)), max_size=6))
+def test_json_terms_text_is_json_dumps(entries):
+    lc = LinComb({SymbolicTerm.of(*fs): c for fs, c in entries})
+    text = lc.json_terms()
+    assert text == json.dumps(lc.to_json_terms())
+    again = LinComb.from_json_terms(json.loads(text))
+    assert again == lc
+    _check_terms(again)
 
 
 def test_term_canonical_order():

@@ -84,6 +84,28 @@ def test_expand_json_schema(capsys):
     assert doc["term_count"] == 2
 
 
+_HEAD = ["index", "weight", "degree", "terms", "term_count", "engine"]
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["expand", "S(1,1,-3)"], _HEAD),
+        (["expand", "S(2,2)"], _HEAD + ["note"]),
+        (["expand", "S(2,-1)"], _HEAD + ["convergence"]),
+        (["reduce", "--trace", "S(1,1,-3)"], _HEAD + ["trace", "unresolved"]),
+        (["reduce", "--trace", "S(2,-1)"], _HEAD + ["convergence", "trace", "unresolved"]),
+    ],
+)
+def test_json_output_is_laid_out_as_json_dumps(capsys, argv, keys):
+    # the terms array is written as text inside the document: the line is
+    # still json.dumps of the document, key for key
+    code, out, _ = run(capsys, argv[0], "--output", "json", *argv[1:])
+    doc = json.loads(out)
+    assert code == 0 and list(doc) == keys
+    assert out == json.dumps(doc) + "\n"
+
+
 def test_expand_latex(capsys):
     code, out, _ = run(capsys, "expand", "--output", "latex", "S(1,1,-3)")
     assert code == 0 and r"\zeta(\bar{5})" in out and out.startswith("S_{1^{2},\\bar{3}}")

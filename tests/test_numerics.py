@@ -332,6 +332,42 @@ def test_walk_charge_counts_floors():
         assert _walk(text, [1000]).walk_error() == 1000 + extra, text
 
 
+def _harmonic(e, m):
+    return harmonic_exact(e, m) if e > 0 else alt_harmonic_exact(-e, m)
+
+
+@pytest.mark.parametrize("text", ["S(1,-1,-3)", "S(1,1,1,1,-1,-1)", "S(1,1,1,1,1,-1,2)"])
+def test_window_charges_cover_carries(text):
+    # g(m) at m = N+1..N+K_MAX from carries that start n - 1 units below
+    # their exact harmonic numbers, the edge the walk allows, with eta exact
+    # dyadic values of no error: only the carry and floor charges remain, and
+    # they enclose g(m) computed exactly.  The walk's own carries sit well
+    # inside their charge, so no index notices a charge left out; from the
+    # edge, S(1,1,1,1,-1,-1) needs the carry charge on H_m and
+    # S(1,1,1,1,1,-1,2) the one on rho_1(m)
+    n = 100
+    state = _walk(text, [n])
+    state.eta = {r: (v, 0) for r, (v, _) in state.eta.items()}
+    eta = {r: Fraction(v, _FP_SCALE) for r, (v, _) in state.eta.items()}
+    state.carries = [math.floor(_harmonic(e, n) * _FP_SCALE) - (n - 1) for e, _ in state.factors]
+    columns = state._columns(n + K_MAX)
+    for i, (value, err) in enumerate(state._window()):
+        m = n + 1 + i
+        g, rho = Fraction(1, m**state.q), {}
+        for (e, mult), column in zip(state.factors, columns):
+            exact = _harmonic(e, m)
+            assert abs(exact * _FP_SCALE - column[i]) < m, (text, e, m)
+            if e > 0:
+                g *= exact**mult
+            else:
+                rho[-e] = (-1) ** (m + 1) * (exact - eta[-e])
+        g *= sum(
+            coeff * math.prod(eta[r] ** a for r, a in etas) * math.prod(rho[r] ** b for r, b in rhos)
+            for coeff, etas, rhos in state.pieces[True]
+        )
+        assert abs(g * _FP_SCALE - value) <= err, (text, m)
+
+
 # -- terms and combinations --------------------------------------------------------
 
 

@@ -578,7 +578,7 @@ def _ref_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
         for atom in term.factors:
             if atom.li or atom.depth != 2:
                 continue
-            seen[(_term_without(term, atom).sort_key(), atom)] = c
+            seen[(_term_without(term, atom).term_key(), atom)] = c
     for term, c in lc.items():
         for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
             if atom.li or atom.depth != 2:
@@ -587,7 +587,7 @@ def _ref_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             if partner is None or partner.sort_key() <= atom.sort_key():
                 continue
             rest = _term_without(term, atom)
-            pc = seen.get((rest.sort_key(), partner))
+            pc = seen.get((rest.term_key(), partner))
             if pc is None or pc == 0:
                 continue
             # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
@@ -617,7 +617,7 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
         for atom in term.factors:
             if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
                 continue
-            key = _term_without(term, atom).sort_key()
+            key = _term_without(term, atom).term_key()
             by_cofactor.setdefault(key, {})[atom] = c
     for term, c in lc.items():
         for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
@@ -627,7 +627,7 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             if len(set(slots)) == 1:
                 continue  # fully repeated: the repeated-slot rule covers it
             rest = _term_without(term, atom)
-            group = by_cofactor.get(rest.sort_key(), {})
+            group = by_cofactor.get(rest.term_key(), {})
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
             if any(group.get(o, Fraction(0)) == 0 for o in orderings):
                 continue
