@@ -80,7 +80,7 @@ class MzvAtom:
 
     @property
     def depth(self) -> int:
-        return 0 if self.li else len(self.args)
+        return len(self.args)  # a Li atom has no slots
 
     @property
     def is_alternating(self) -> bool:
@@ -361,20 +361,20 @@ class LinComb:
             return "0"
         parts = []
         for t, c in self.items():
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if t.is_unit():
-                body = str(mag)
-            elif mag == 1:
-                body = t.render()
+            n, d = c.numerator, c.denominator
+            if n < 0:
+                parts.append(" - ")
+                n = -n
             else:
-                body = f"{mag}*{t.render()}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        s = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            s += f" {sign} {body}"
-        return s
+                parts.append(" + ")
+            if t.is_unit():
+                parts.append(str(n) if d == 1 else f"{n}/{d}")
+            elif n == d == 1:
+                parts.append(t.render())
+            else:
+                parts.append(f"{n}*{t.render()}" if d == 1 else f"{n}/{d}*{t.render()}")
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def latex(self) -> str:
         if not self._d:

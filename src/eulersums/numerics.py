@@ -678,8 +678,10 @@ class _SumState:
         return out
 
     def walk_to(self, n_to: int) -> None:
-        """Add the terms N+1..n_to, each floored once."""
+        """Add the terms N+1..n_to, each floored once; no terms for n_to <= N."""
         ns = range(self.n + 1, n_to + 1)
+        if not ns:
+            return
         columns = self._columns(n_to)
         prod = itertools.repeat(_FP_SCALE)
         for (_, mult), column in zip(self.factors, columns):

@@ -101,13 +101,17 @@ def alt_depth1(s: int) -> LinComb:
     return LinComb.of_atom(z(s), Fraction(1, 2 ** (s - 1)) - 1)
 
 
+def _signed_atom(v: int, sign: int) -> MzvAtom | None:
+    """z(v) or z(v bar); None for the unsigned v = 1, which is dropped."""
+    if sign > 0:
+        return None if v == 1 else z(v)
+    return z(-v)
+
+
 def _zeta_signed(v: int, sign: int) -> LinComb:
     """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
-    if sign > 0:
-        if v == 1:
-            return LinComb.zero()
-        return LinComb.of_atom(z(v))
-    return LinComb.of_atom(z(-v))
+    atom = _signed_atom(v, sign)
+    return LinComb.zero() if atom is None else LinComb.of_atom(atom)
 
 
 def zeta_repeated(r: int, m: int) -> LinComb:
@@ -142,32 +146,45 @@ def _repeated(r: int, m: int, barred: bool) -> LinComb:
 
 
 def depth2_odd(atom: MzvAtom) -> LinComb | None:
-    """Odd-weight depth-2 value as depth-1 products; None if not applicable."""
+    """Odd-weight depth-2 value as depth-1 products; None if not applicable.
+
+    With lam(r) = zeta(r) of sign sg*tg and mu(r) = (-1)^s (C(r-1,s-1)
+    zeta(r) of sign sg + C(r-1,t-1) zeta(r) of sign tg), the value is
+    (mu(w) - lam(w))/2 [+ zeta(s)zeta(t) for even s] - sum_k lam(2k) mu(w-2k).
+    Twice it has integer coefficients, so it is summed on ints and halved
+    once.
+    """
     if atom.li or atom.depth != 2:
         return None
     s, t = abs(atom.args[0]), abs(atom.args[1])
-    if (s + t) % 2 == 0:
+    w = s + t
+    if w % 2 == 0:
         return None
     sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
-    w = s + t
+    sign = (-1) ** s
 
-    def mu(r: int) -> LinComb:
-        out = _zeta_signed(r, sg).scale(math.comb(r - 1, s - 1)) + _zeta_signed(
-            r, tg
-        ).scale(math.comb(r - 1, t - 1))
-        return out.scale((-1) ** s)
+    def mu(r: int) -> list[tuple[MzvAtom, int]]:
+        pieces = (
+            (_signed_atom(r, sg), math.comb(r - 1, s - 1)),
+            (_signed_atom(r, tg), math.comb(r - 1, t - 1)),
+        )
+        return [(x, sign * c) for x, c in pieces if x is not None]
 
-    def lam(r: int) -> LinComb:
-        return _zeta_signed(r, sg * tg)
+    twice: dict[Term, int] = {}
 
-    acc = lam(w).scale(Fraction(-1, 2)) + mu(w).scale(Fraction(1, 2))
-    if s % 2 == 0:
-        acc = acc + _zeta_signed(s, sg) * _zeta_signed(t, tg)
+    def add(term: Term, c: int):
+        twice[term] = twice.get(term, 0) + c
+
+    add(_signed_atom(w, sg * tg), -1)
+    for x, c in mu(w):
+        add(x, c)
+    if s % 2 == 0 and (y := _signed_atom(t, tg)) is not None:
+        add(_signed_atom(s, sg).mul(y), 2)
     for k in range(1, (w - 1) // 2 + 1):
-        if 2 * k == w:
-            break
-        acc = acc - lam(2 * k) * mu(w - 2 * k)
-    return acc
+        x = _signed_atom(2 * k, sg * tg)
+        for y, c in mu(w - 2 * k):
+            add(x.mul(y), -2 * c)
+    return LinComb._of_nonzero({term: Fraction(c, 2) for term, c in twice.items() if c})
 
 
 def reflection_pair_sum(a: int, b: int) -> LinComb:
@@ -417,21 +434,44 @@ def _term_without(term: Term, atom: MzvAtom) -> Term:
     return SymbolicTerm.of(*factors)
 
 
+def _pair_reflectable(atom: MzvAtom) -> bool:
+    """z(a,b) with a < b and an admissible partner z(b,a), i.e. b != 1: the
+    atom the pair pass eliminates."""
+    args = atom.args
+    return len(args) == 2 and args[0] < args[1] != 1
+
+
+def _triple_reflectable(atom: MzvAtom) -> bool:
+    """An unsigned depth-3 atom with slots >= 2, not all equal: one ordering
+    of the family the triple pass eliminates.  Fully repeated slots are left
+    to the repeated-slot rule."""
+    args = atom.args
+    return len(args) == 3 and min(args) >= 2 and len(set(args)) > 1
+
+
+def _reflectable(term: Term) -> bool:
+    return any(_pair_reflectable(a) or _triple_reflectable(a) for a in term.factors)
+
+
 class _WorkingSum:
     """The combination under rewriting: a mutable term -> coefficient dict
-    (zero coefficients pruned) plus a heap, by ``term_key()``, of the present
-    terms not yet examined for an atom rewrite."""
+    (zero coefficients pruned), a heap, by ``term_key()``, of the present
+    terms not yet examined for an atom rewrite, and the set of present terms
+    with an atom a reflection pass can eliminate."""
 
     def __init__(self, lc: LinComb):
         self.coeffs: dict[Term, Fraction] = dict(lc.items())
         self.heap = [(t.term_key(), t) for t in self.coeffs]
         heapq.heapify(self.heap)
         self.in_heap = set(self.coeffs)
+        self.reflectable = {t for t in self.coeffs if _reflectable(t)}
 
     def add(self, term: Term, c: Fraction):
         old = self.coeffs.get(term)
         if old is None:
             self.coeffs[term] = c
+            if _reflectable(term):
+                self.reflectable.add(term)
             if term not in self.in_heap:
                 self.in_heap.add(term)
                 heapq.heappush(self.heap, (term.term_key(), term))
@@ -441,6 +481,12 @@ class _WorkingSum:
             self.coeffs[term] = s
         else:
             del self.coeffs[term]
+            self.reflectable.discard(term)
+
+    def pop(self, term: Term) -> Fraction:
+        """Remove ``term`` and return its coefficient."""
+        self.reflectable.discard(term)
+        return self.coeffs.pop(term)
 
     def add_product(self, rest: Term, c: Fraction, rhs: LinComb):
         for t, rc in rhs.items():
@@ -478,11 +524,11 @@ def _atom_rewrite(atom: MzvAtom, tables: list[IdentityTable], rules: list[Identi
     return hit
 
 
-def _first_candidate(coeffs: dict[Term, Fraction], find):
-    """The first ``(term, find(term))`` in sort order with a non-None find,
-    by one minimum scan; None if there is none."""
+def _first_candidate(terms: set[Term], find):
+    """The first ``(term, find(term))`` of ``terms`` in sort order with a
+    non-None find, by one minimum scan; None if there is none."""
     best = None
-    for term in coeffs:
+    for term in terms:
         hit = find(term)
         if hit is not None:
             key = term.term_key()
@@ -496,20 +542,16 @@ def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
     coeffs = work.coeffs
 
     def find(term: Term):
-        # An ascending-slot atom z(a,b), a < b, whose partner z(b,a) is
-        # admissible (b != 1) and present with the same cofactor.
-        ascending = {
-            atom for atom in term.factors
-            if atom.depth == 2 and atom.args[0] < atom.args[1] != 1
-        }
-        for atom in sorted(ascending, key=MzvAtom.sort_key):
+        # A reflectable z(a,b) whose partner z(b,a) is present with the same
+        # cofactor.
+        for atom in sorted(set(filter(_pair_reflectable, term.factors)), key=MzvAtom.sort_key):
             partner = MzvAtom(args=atom.args[::-1])
             rest = _term_without(term, atom)
             if rest.mul(partner) in coeffs:
                 return atom, partner, rest
         return None
 
-    found = _first_candidate(coeffs, find)
+    found = _first_candidate(work.reflectable, find)
     if found is None:
         return False
     term, (atom, partner, rest) = found
@@ -532,12 +574,7 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
     coeffs = work.coeffs
 
     def find(term: Term):
-        # Fully repeated slots are left to the repeated-slot rule.
-        unsigned = {
-            atom for atom in term.factors
-            if atom.depth == 3 and min(atom.args) >= 2 and len(set(atom.args)) > 1
-        }
-        for atom in sorted(unsigned, key=MzvAtom.sort_key):
+        for atom in sorted(set(filter(_triple_reflectable, term.factors)), key=MzvAtom.sort_key):
             slots = atom.args
             rest = _term_without(term, atom)
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
@@ -545,7 +582,7 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
                 return atom, orderings, rest
         return None
 
-    found = _first_candidate(coeffs, find)
+    found = _first_candidate(work.reflectable, find)
     if found is None:
         return False
     _term, (atom, orderings, rest) = found
@@ -579,7 +616,7 @@ def reduce_lincomb(
     the terms it creates or cancels, each distinct atom is matched against
     the tables and rules once per call, a term is examined for atom
     rewrites once each time it enters the sum, and a reflection pass is one
-    scan over the terms.
+    scan over the terms that hold an atom it can eliminate.
     """
     if rules is None:
         rules = default_rules()
@@ -590,11 +627,17 @@ def reduce_lincomb(
     def next_atom_rewrite():
         # Atom-level rewrites, tables first.
         while (term := work.pop_pending()) is not None:
-            for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
-                if atom not in rewrites:
-                    rewrites[atom] = _atom_rewrite(atom, tables, rules)
-                if rewrites[atom] is not None:
-                    return term, atom, rewrites[atom]
+            if isinstance(term, MzvAtom):
+                atoms = (term,)
+            else:
+                atoms = sorted(set(term.factors), key=MzvAtom.sort_key)
+            for atom in atoms:
+                if atom in rewrites:
+                    hit = rewrites[atom]
+                else:
+                    hit = rewrites[atom] = _atom_rewrite(atom, tables, rules)
+                if hit is not None:
+                    return term, atom, hit
         return None
 
     trace: list[str] = []
@@ -603,7 +646,7 @@ def reduce_lincomb(
         found = next_atom_rewrite()
         if found is not None:
             term, atom, (rhs, name) = found
-            c = work.coeffs.pop(term)
+            c = work.pop(term)
             work.add_product(_term_without(term, atom), c, rhs)
             if len(trace) < TRACE_CAP:
                 trace.append(f"{name}: {atom.render()}")

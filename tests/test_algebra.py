@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulersums.algebra import (
     UNIT_TERM,
@@ -214,6 +214,46 @@ def test_json_terms_text_is_json_dumps(entries):
     again = LinComb.from_json_terms(json.loads(text))
     assert again == lc
     _check_terms(again)
+
+
+def _reference_render(lc: LinComb) -> str:
+    """``LinComb.render`` as it was written on ``Fraction`` arithmetic."""
+    if not lc._d:
+        return "0"
+    parts = []
+    for t, c in lc.items():
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if t.is_unit():
+            body = str(mag)
+        elif mag == 1:
+            body = t.render()
+        else:
+            body = f"{mag}*{t.render()}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    s = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        s += f" {sign} {body}"
+    return s
+
+
+render_coeffs = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    big_coeffs,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.lists(atoms, max_size=3), render_coeffs), max_size=6))
+@example([([], Fraction(-3, 4)), ([z(2)], 1)])  # the unit term first, negative
+@example([([], -1), ([z(2), z(3)], -1), ([z(5)], 7)])
+@example([([z(2)], Fraction(-1, 2)), ([], 1), ([z(-1), li_half(4)], Fraction(5, 3))])
+def test_render_matches_reference(entries):
+    lc = LinComb({SymbolicTerm.of(*fs): c for fs, c in entries})
+    assert lc.render() == _reference_render(lc)
 
 
 def test_term_canonical_order():

@@ -321,6 +321,16 @@ def test_walk_stops_match_one_walk():
         assert part.result() == whole.result()
 
 
+def test_walk_to_current_n_adds_nothing():
+    # the block N+1..N is empty: the walk stays where it is, under an
+    # alternating outer exponent (S(1,-1,-3)) and a plain one (S(1,2))
+    for text in ["S(1,-1,-3)", "S(1,2)"]:
+        for before in ([], [50]):
+            whole = _walk(text, before)
+            state = _walk(text, before + [whole.n, whole.n])
+            assert (state.partial, state.carries, state.n) == (whole.partial, whole.carries, whole.n), text
+
+
 def test_walk_charge_counts_floors():
     # a degree-0 sum floors once per term; harmonic factors add what their
     # carries' n-unit errors move the terms: degree * (sum of m^(1-q) up to

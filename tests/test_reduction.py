@@ -20,6 +20,7 @@ from eulersums.reduction import (
     TRACE_CAP,
     IdentityTable,
     _term_without,
+    _zeta_signed,
     alt_depth1,
     build_starter_table,
     default_rules,
@@ -129,6 +130,55 @@ def test_depth2_odd_not_applicable():
     assert depth2_odd(z(3, 3)) is None
     assert depth2_odd(z(2, 2)) is None
     assert depth2_odd(z(4, 1, 2)) is None
+
+
+def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
+    """``depth2_odd`` as it was written on ``LinComb`` arithmetic."""
+    if atom.li or atom.depth != 2:
+        return None
+    s, t = abs(atom.args[0]), abs(atom.args[1])
+    if (s + t) % 2 == 0:
+        return None
+    sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
+    w = s + t
+
+    def mu(r: int) -> LinComb:
+        out = _zeta_signed(r, sg).scale(math.comb(r - 1, s - 1)) + _zeta_signed(
+            r, tg
+        ).scale(math.comb(r - 1, t - 1))
+        return out.scale((-1) ** s)
+
+    def lam(r: int) -> LinComb:
+        return _zeta_signed(r, sg * tg)
+
+    acc = lam(w).scale(Fraction(-1, 2)) + mu(w).scale(Fraction(1, 2))
+    if s % 2 == 0:
+        acc = acc + _zeta_signed(s, sg) * _zeta_signed(t, tg)
+    for k in range(1, (w - 1) // 2 + 1):
+        if 2 * k == w:
+            break
+        acc = acc - lam(2 * k) * mu(w - 2 * k)
+    return acc
+
+
+def test_depth2_odd_matches_reference_kernel():
+    # every admissible signed pair up to weight 33: slots of 1, barred or
+    # not, included; even weights give None on both sides
+    seen = 0
+    for w in range(2, 34):
+        for s in range(1, w):
+            for sg, tg in itertools.product((1, -1), repeat=2):
+                if (s, sg) == (1, 1):
+                    continue
+                atom = z(sg * s, tg * (w - s))
+                got = depth2_odd(atom)
+                assert got == _reference_depth2_odd(atom), atom
+                if got is not None:
+                    assert all(type(c) is Fraction for _, c in got.items()), atom
+                    seen += 1
+    assert seen == 1056
+    for atom in (z(5), z(2, 2, 3), z(-3, 1, 1), li_half(5)):
+        assert depth2_odd(atom) is None and _reference_depth2_odd(atom) is None, atom
 
 
 def test_repeated_unsigned_displays():
@@ -766,6 +816,35 @@ def test_engine_matches_reference_on_expansions(starter12):
         lc = expand_t1(parse_index(text))
         for tables in ([], [starter12]):
             assert _outcome(reduce_lincomb, lc, tables) == _outcome(_reference_reduce, lc, tables)
+
+
+# Combinations whose reflection candidates change only through atom rewrites:
+#   * z(-3) and z(-2) rewrite to z(3) and z(2), so every term the passes
+#     eliminate is created by a rewrite and must enter their index when it
+#     is added;
+#   * z(3)*z(2,4) is present from the start and becomes a candidate when the
+#     rewrite of z(-3)*z(4,2) adds its partner;
+#   * the table rewrites z(2,4) itself, so a pass must not see it once it is
+#     gone, although its partner z(4,2) stays.
+Z24 = LinComb.of_atom(z(6), Fraction(25, 12)) - LinComb.of_term(SymbolicTerm.of(z(3), z(3)))
+ORDERINGS_234 = [MzvAtom(args=o) for o in itertools.permutations((2, 3, 4))]
+REWRITE_THEN_REFLECT = [
+    (lc((1, [z(-3), z(2, 4)]), (5, [z(-3), z(4, 2)])), False, {"reflection_pair"}),
+    (lc(*[(k, [z(-2), a]) for k, a in enumerate(ORDERINGS_234, 1)]), False, {"reflection_triple"}),
+    (lc((1, [z(3), z(2, 4)]), ("-4/3", [z(-3), z(4, 2)])), False, {"reflection_pair"}),
+    (lc((1, [z(2, 4)]), (2, [z(4, 2)])), True, set()),
+]
+
+
+@pytest.mark.parametrize("combination,use_table,passes", REWRITE_THEN_REFLECT)
+def test_reflection_candidates_after_rewrites(combination, use_table, passes):
+    tables = []
+    if use_table:
+        tables = [IdentityTable("z24")]
+        tables[0].add(z(2, 4), Z24)
+    got = _outcome(reduce_lincomb, combination, tables)
+    assert got == _outcome(_reference_reduce, combination, tables)
+    assert {line.split(":")[0] for line in got[2]} & {"reflection_pair", "reflection_triple"} == passes
 
 
 # (index, with the bundled starter table, steps, sha256 of [render, steps, trace])
