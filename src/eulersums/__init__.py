@@ -61,6 +61,7 @@ from .reduction import (
     reflection_pair_sum,
     reflection_triple_sum,
     save_table,
+    symmetric_sum,
     symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
@@ -84,7 +85,7 @@ def clear_caches() -> None:
         numerics.zeta_value,
         numerics.pi_reference,
         reduction.log_integral,
-        reduction._repeated,
+        reduction.symmetric_sum,
         reduction._parse_table,
         cli.build_parser,
     ):

@@ -31,10 +31,11 @@ from .indices import _INT_RE
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions, and strings like '3/4' or '-5' to Fraction."""
+    """Coerce ints, Fractions, and strings like '3/4' or '-5' to Fraction;
+    a bool is not a number here."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x.strip())

@@ -258,6 +258,7 @@ def _dump_terms(raw: str) -> list:
         and isinstance(t.get("factors"), list)
         and all(isinstance(f, str) for f in t["factors"])
         and isinstance(t.get("coeff"), (str, int))
+        and not isinstance(t["coeff"], bool)
         for t in terms
     ):
         raise ValueError('expected {"terms": [{"factors": [ATOM, ...], "coeff": RATIONAL}, ...]}')

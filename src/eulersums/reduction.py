@@ -9,28 +9,29 @@ The closed-form rules implemented here:
   * ``zeta_ones(k, l)``: zeta(k+1, {1}_l) = (-1)^(k+l)/(k! l!) * W(k, l).
   * ``alt_depth1(s)``: zeta(s bar) = (2^(1-s) - 1) zeta(s) for s >= 2;
     zeta(1 bar) stays as the -ln(2) basis atom.
-  * ``zeta_repeated(r, m)`` and ``zeta_repeated_bar(r, m)``: the values with
-    one repeated (possibly alternating) slot, by the Newton-type recurrence
-    relating power sums to strictly-decreasing nested sums.
+  * ``symmetric_sum(slots)``: Hoffman's symmetric-sum theorem for the
+    stuffle product (Quasi-shuffle products, arXiv:math/9907173): the sum of
+    zeta over all orderings of signed slots is a polynomial in depth-1
+    values.  It gives the repeated-slot values ``zeta_repeated`` and
+    ``zeta_repeated_bar`` (one ordering, counted k! times) and the
+    reflections ``reflection_pair_sum`` and ``reflection_triple_sum``.
   * ``depth2_odd(atom)``: any depth-2 value of odd weight, signs arbitrary,
     as a combination of depth-1 values (with the convention that an unsigned
     zeta(1) occurring in the closed form is dropped).
-  * ``reflection_pair_sum`` / ``reflection_triple_sum``: the symmetric-sum
-    identities for zeta(a,b)+zeta(b,a) (signs allowed) and for the six
-    orderings of three unsigned slots.
   * ``symmetric_triple_sum(i, j, k)``: zeta(k,i,j) + zeta(k,j,i) written
     through quadratic/linear Euler sums, with the Euler sums resolved by the
     ordering-class expansion.  Exposed and tested, but not part of the
     default pipeline: once the sums are expanded the identity returns its
     own left side, so it cannot make progress as a rewrite.
 
-``reduce_lincomb`` applies a table lookup first and then the rules above in
-a fixed order, atom by atom, until nothing fires.  Every rewrite preserves
-weight (asserted) and strictly decreases (depth, alternation) of the atom it
-replaces, or eliminates a paired atom, so the fixpoint is reached in finitely
-many steps.  Atoms no rule covers (even-weight depth-2 values, deep
-alternating values, Li constants, the -ln 2 atom) pass through untouched:
-they are basis elements of the reduced form.
+``reduce_lincomb`` tries the tables and then the rules above as one list of
+rewrites, in a fixed order, atom by atom, until nothing fires; then it
+eliminates one family of orderings by the symmetric sum.  Every rewrite
+preserves weight (asserted) and strictly decreases (depth, alternation) of
+the atom it replaces, or eliminates a paired atom, so the fixpoint is
+reached in finitely many steps.  Atoms no rule covers (even-weight depth-2
+values, deep alternating values, Li constants, the -ln 2 atom) pass through
+untouched: they are basis elements of the reduced form.
 """
 
 from __future__ import annotations
@@ -108,41 +109,42 @@ def _signed_atom(v: int, sign: int) -> MzvAtom | None:
     return z(-v)
 
 
-def _zeta_signed(v: int, sign: int) -> LinComb:
-    """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
-    atom = _signed_atom(v, sign)
-    return LinComb.zero() if atom is None else LinComb.of_atom(atom)
+@functools.cache
+def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
+    """The sum of z over all k! orderings of the signed ``slots``, as a
+    polynomial in depth-1 values (Hoffman's symmetric-sum theorem).
+
+    The stuffle of z(a) with the k-1 other slots gives z(a) S(rest) =
+    S(slots) + sum over b in rest of S(rest with b -> a+b), where a+b adds
+    magnitudes and alternates iff exactly one of a, b does.  Any order of
+    ``slots`` gives the same value; sorted tuples share the cache.  An
+    unsigned slot 1 diverges and raises ``ValueError``.
+    """
+    if not slots:
+        return LinComb.scalar(1)
+    a, rest = slots[0], slots[1:]
+    acc = LinComb.of_atom(z(a)) * symmetric_sum(rest)
+    for i, b in enumerate(rest):
+        if b in rest[:i]:
+            continue
+        mag = abs(a) + abs(b)
+        merged = rest[:i] + ((-mag if (a < 0) ^ (b < 0) else mag),) + rest[i + 1 :]
+        acc = acc - symmetric_sum(tuple(sorted(merged))).scale(rest.count(b))
+    return acc
 
 
 def zeta_repeated(r: int, m: int) -> LinComb:
-    """zeta({r}_m) for unsigned r >= 2 as a polynomial in zeta values."""
+    """zeta({r}_m) for unsigned r >= 2, m >= 0, as a polynomial in zeta values."""
     if r < 2:
         raise ValueError("repeated unsigned slot needs r >= 2")
-    return _repeated(r, m, barred=False)
+    return symmetric_sum((r,) * m).scale(Fraction(1, math.factorial(m)))
 
 
 def zeta_repeated_bar(r: int, m: int) -> LinComb:
-    """zeta({r bar}_m), m >= 1, reduced through the power-sum recurrence."""
+    """zeta({r bar}_m) for r >= 1, m >= 0, as a polynomial in zeta values."""
     if r < 1:
         raise ValueError("slot must be >= 1")
-    return _repeated(r, m, barred=True)
-
-
-@functools.cache
-def _repeated(r: int, m: int, barred: bool) -> LinComb:
-    if m < 0:
-        raise ValueError("multiplicity must be >= 0")
-    if m == 0:
-        return LinComb.scalar(1)
-    if m == 1:
-        return LinComb.of_atom(z(-r) if barred else z(r))
-    acc = LinComb.zero()
-    for i in range(m):
-        power_sign = (-1) ** (m - i) if barred else 1
-        acc = acc + _repeated(r, i, barred).scale(Fraction((-1) ** i)) * _zeta_signed(
-            r * (m - i), power_sign
-        )
-    return acc.scale(Fraction((-1) ** (m - 1), m))
+    return symmetric_sum((-r,) * m).scale(Fraction(1, math.factorial(m)))
 
 
 def depth2_odd(atom: MzvAtom) -> LinComb | None:
@@ -188,30 +190,18 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
 
 
 def reflection_pair_sum(a: int, b: int) -> LinComb:
-    """zeta(a,b) + zeta(b,a) for signed slots a, b (stuffle of two singles).
-
-    Needs both slots admissible as depth-1 values, i.e. neither is an
-    unsigned 1.  With a == b this encodes the half formula for zeta(a,a).
-    """
+    """zeta(a,b) + zeta(b,a) for signed slots a, b, neither an unsigned 1.
+    With a == b this is twice zeta(a,a)."""
     if a == 1 or b == 1:
         raise ValueError("unsigned slot 1 is not admissible in the reflection")
-    sa, sb = (1 if a > 0 else -1), (1 if b > 0 else -1)
-    va, vb = abs(a), abs(b)
-    return _zeta_signed(va, sa) * _zeta_signed(vb, sb) - _zeta_signed(va + vb, sa * sb)
+    return symmetric_sum(tuple(sorted((a, b))))
 
 
 def reflection_triple_sum(a: int, b: int, c: int) -> LinComb:
     """Sum of the six orderings of zeta(a,b,c), unsigned a, b, c >= 2."""
     if min(a, b, c) < 2:
         raise ValueError("the triple reflection needs unsigned slots >= 2")
-    za, zb, zc = (LinComb.of_atom(z(v)) for v in (a, b, c))
-    return (
-        za * zb * zc
-        + LinComb.of_atom(z(a + b + c), 2)
-        - za * LinComb.of_atom(z(b + c))
-        - zb * LinComb.of_atom(z(a + c))
-        - zc * LinComb.of_atom(z(a + b))
-    )
+    return symmetric_sum(tuple(sorted((a, b, c))))
 
 
 def symmetric_triple_sum(i: int, j: int, k: int) -> LinComb:
@@ -251,10 +241,7 @@ def _rw_alt_depth1(a: MzvAtom) -> LinComb | None:
 def _rw_repeated(a: MzvAtom) -> LinComb | None:
     if a.depth < 2 or len(set(a.args)) > 1:
         return None
-    slot = a.args[0]
-    if slot > 0:
-        return zeta_repeated(slot, a.depth)
-    return zeta_repeated_bar(-slot, a.depth)
+    return symmetric_sum(a.args).scale(Fraction(1, math.factorial(a.depth)))
 
 
 def _rw_ones(a: MzvAtom) -> LinComb | None:
@@ -357,10 +344,12 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
             if first != lineno:
                 raise ValueError(f"duplicate lhs {lhs.render()} (first on line {first})")
             rhs = LinComb.from_json_terms(obj["rhs"])
-            if "weight" in obj and obj["weight"] != lhs.weight:
-                raise ValueError(
-                    f"declared weight {obj['weight']} != atom weight {lhs.weight}"
-                )
+            if "weight" in obj:
+                weight = obj["weight"]
+                if type(weight) is not int:
+                    raise ValueError(f"declared weight {json.dumps(weight)} is not an integer")
+                if weight != lhs.weight:
+                    raise ValueError(f"declared weight {weight} != atom weight {lhs.weight}")
             if verify:
                 _verify_entry(lhs, rhs, tol)
             _check_entry(lhs, rhs)
@@ -502,26 +491,17 @@ class _WorkingSum:
         return None
 
 
-def _atom_rewrite(atom: MzvAtom, tables: list[IdentityTable], rules: list[IdentityRule]):
-    """``(rhs, rule name)`` for the first table, then rule, that rewrites
-    ``atom``; None if nothing does."""
-    hit = None
-    for table in tables:
-        rhs = table.lookup(atom)
+def _atom_rewrite(atom: MzvAtom, rules: list[IdentityRule]):
+    """``(rhs, rule name)`` for the first rule that rewrites ``atom``; None
+    if none does."""
+    for rule in rules:
+        rhs = rule.rewrite(atom)
         if rhs is not None:
-            hit = (rhs, f"table[{table.label}]")
-            break
-    else:
-        for rule in rules:
-            rhs = rule.rewrite(atom)
-            if rhs is not None:
-                hit = (rhs, rule.name)
-                break
-    if hit is not None:
-        assert hit[0].weights() in ({atom.weight}, set()), (
-            f"weight leak rewriting {atom}: {sorted(hit[0].weights())} != {atom.weight}"
-        )
-    return hit
+            assert rhs.weights() in ({atom.weight}, set()), (
+                f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom.weight}"
+            )
+            return rhs, rule.name
+    return None
 
 
 def _first_candidate(terms: set[Term], find):
@@ -537,47 +517,21 @@ def _first_candidate(terms: set[Term], find):
     return None if best is None else best[1:]
 
 
-def _apply_pair_pass(work: _WorkingSum, trace: list[str]) -> bool:
-    """One application of the two-slot reflection across matching cofactors."""
+def _apply_reflection(work: _WorkingSum, trace: list[str], shape, paid: int, note) -> bool:
+    """One application of the symmetric sum to a family of orderings.
+
+    Finds the smallest term with an atom of ``shape`` all of whose distinct
+    orderings are present under the same cofactor.  With c the coefficient
+    of the ordering at index ``paid`` (in sorted order), it subtracts c from
+    each ordering, which eliminates that one, and adds c times their sum's
+    closed form; ``note(atom, orderings, rest)`` is the trace line.
+    """
     coeffs = work.coeffs
 
     def find(term: Term):
-        # A reflectable z(a,b) whose partner z(b,a) is present with the same
-        # cofactor.
-        for atom in sorted(set(filter(_pair_reflectable, term.factors)), key=MzvAtom.sort_key):
-            partner = MzvAtom(args=atom.args[::-1])
+        for atom in dict.fromkeys(filter(shape, term.factors)):
             rest = _term_without(term, atom)
-            if rest.mul(partner) in coeffs:
-                return atom, partner, rest
-        return None
-
-    found = _first_candidate(work.reflectable, find)
-    if found is None:
-        return False
-    term, (atom, partner, rest) = found
-    # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
-    # ascending-slot atom, keeping the descending-slot basis form.
-    t_amt = coeffs[term]
-    work.add(rest.mul(partner), -t_amt)
-    work.add(term, -t_amt)
-    work.add_product(rest, t_amt, reflection_pair_sum(atom.args[0], atom.args[1]))
-    if len(trace) < TRACE_CAP:
-        trace.append(
-            f"reflection_pair: {atom.render()} + {partner.render()}"
-            + (f" (cofactor {rest.render()})" if not rest.is_unit() else "")
-        )
-    return True
-
-
-def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
-    """One application of the three-slot reflection (unsigned slots >= 2)."""
-    coeffs = work.coeffs
-
-    def find(term: Term):
-        for atom in sorted(set(filter(_triple_reflectable, term.factors)), key=MzvAtom.sort_key):
-            slots = atom.args
-            rest = _term_without(term, atom)
-            orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
+            orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]
             if all(rest.mul(o) in coeffs for o in orderings):
                 return atom, orderings, rest
         return None
@@ -586,19 +540,24 @@ def _apply_triple_pass(work: _WorkingSum, trace: list[str]) -> bool:
     if found is None:
         return False
     _term, (atom, orderings, rest) = found
-    last = max(orderings, key=MzvAtom.sort_key)
-    t_amt = coeffs[rest.mul(last)]
-    # The identity sums all six permutations; each distinct ordering
-    # is 6 / len(orderings) of them.
-    rhs = reflection_triple_sum(*sorted(atom.args)).scale(Fraction(len(orderings), 6))
+    t_amt = coeffs[rest.mul(orderings[paid])]
+    # Each distinct ordering is len(orderings) / k! of the k! permutations.
+    rhs = symmetric_sum(orderings[0].args).scale(Fraction(len(orderings), math.factorial(atom.depth)))
     for o in orderings:
         work.add(rest.mul(o), -t_amt)
     work.add_product(rest, t_amt, rhs)
     if len(trace) < TRACE_CAP:
-        trace.append(
-            f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
-        )
+        trace.append(note(atom, orderings, rest))
     return True
+
+
+def _pair_note(atom: MzvAtom, orderings: list[MzvAtom], rest: Term) -> str:
+    cofactor = f" (cofactor {rest.render()})" if not rest.is_unit() else ""
+    return f"reflection_pair: {atom.render()} + {orderings[1].render()}{cofactor}"
+
+
+def _triple_note(atom: MzvAtom, orderings: list[MzvAtom], rest: Term) -> str:
+    return f"reflection_triple: orderings of {atom.render()} eliminated via {orderings[-1].render()}"
 
 
 def reduce_lincomb(
@@ -620,22 +579,19 @@ def reduce_lincomb(
     """
     if rules is None:
         rules = default_rules()
-    tables = list(tables)
+    rules = [IdentityRule(f"table[{t.label}]", t.lookup) for t in tables] + rules
     work = _WorkingSum(lc)
     rewrites: dict[MzvAtom, tuple[LinComb, str] | None] = {}
 
     def next_atom_rewrite():
-        # Atom-level rewrites, tables first.
         while (term := work.pop_pending()) is not None:
-            if isinstance(term, MzvAtom):
-                atoms = (term,)
-            else:
-                atoms = sorted(set(term.factors), key=MzvAtom.sort_key)
+            # a product's factors are sorted already
+            atoms = (term,) if isinstance(term, MzvAtom) else dict.fromkeys(term.factors)
             for atom in atoms:
                 if atom in rewrites:
                     hit = rewrites[atom]
                 else:
-                    hit = rewrites[atom] = _atom_rewrite(atom, tables, rules)
+                    hit = rewrites[atom] = _atom_rewrite(atom, rules)
                 if hit is not None:
                     return term, atom, hit
         return None
@@ -650,7 +606,11 @@ def reduce_lincomb(
             work.add_product(_term_without(term, atom), c, rhs)
             if len(trace) < TRACE_CAP:
                 trace.append(f"{name}: {atom.render()}")
-        elif not (_apply_pair_pass(work, trace) or _apply_triple_pass(work, trace)):
+        elif not (
+            # pairs eliminate z(a,b), a < b, keeping the basis form z(b,a)
+            _apply_reflection(work, trace, _pair_reflectable, 0, _pair_note)
+            or _apply_reflection(work, trace, _triple_reflectable, -1, _triple_note)
+        ):
             break
         steps += 1
     else:

@@ -31,6 +31,7 @@ from eulersums.reduction import (
     log_integral,
     reflection_pair_sum,
     reflection_triple_sum,
+    symmetric_sum,
     symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
@@ -340,6 +341,19 @@ def test_criterion_5_rule_soundness():
         lhs = LinComb.of_atom(z(k, i, j)) + LinComb.of_atom(z(k, j, i))
         samples.append((lhs, symmetric_triple_sum(i, j, k)))
     report.append(("symmetric_triple", _check_rule_samples("symmetric_triple", samples)))
+
+    # all orderings of depth 3-4 slots of both signs, which no other closed
+    # form covers
+    samples = []
+    while len(samples) < 50:
+        slots = [rng.choice([-1, 2, -2, 3, -3, 4, -4]) for _ in range(rng.randrange(3, 5))]
+        if len({s > 0 for s in slots}) < 2:
+            continue
+        lhs = LinComb.zero()
+        for perm in itertools.permutations(slots):
+            lhs = lhs + LinComb.of_atom(z(*perm))
+        samples.append((lhs, symmetric_sum(tuple(sorted(slots)))))
+    report.append(("symmetric_sum", _check_rule_samples("symmetric_sum", samples)))
 
     # exact symmetry of the log-power integral
     import math

@@ -337,8 +337,10 @@ def test_rational_normalization():
         k = rng.randrange(1, 12)
         assert as_fraction(f"{p * k}/{q * k}") == Fraction(p, q)
     assert as_fraction("3/4").denominator == 4
-    with pytest.raises(TypeError):
-        as_fraction(1.5)
+    # JSON true/false are not the numbers 1 and 0
+    for bad in (1.5, True, False):
+        with pytest.raises(TypeError):
+            as_fraction(bad)
 
 
 def test_json_terms_roundtrip():

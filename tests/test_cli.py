@@ -258,6 +258,8 @@ def test_eval_malformed_json_exit2(capsys, tmp_path):
     '{"terms": [{"factors": [3], "coeff": "1"}]}',
     '{"terms": [{"factors": ["z(2)"], "coeff": [1]}]}',
     '{"terms": [{"factors": ["z(2)"], "coeff": "1/0"}]}',
+    '{"terms": [{"factors": ["z(2)"], "coeff": true}]}',
+    '{"terms": [{"factors": ["z(2)"], "coeff": false}]}',
 ])
 def test_eval_wrong_shape_dump_exit2(capsys, tmp_path, dump):
     # valid JSON of the wrong shape is a usage error, not a traceback

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import io
 import itertools
@@ -14,13 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from eulersums import algebra, clear_caches, reduction
 from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, li_half, parse_atom, z
-from eulersums.expansion import expand_t1, expand_t2
+from eulersums.expansion import expand_t1, expand_t2, linearize
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import (
     TRACE_CAP,
     IdentityTable,
     _term_without,
-    _zeta_signed,
     alt_depth1,
     build_starter_table,
     default_rules,
@@ -31,6 +31,7 @@ from eulersums.reduction import (
     reflection_pair_sum,
     reflection_triple_sum,
     save_table,
+    symmetric_sum,
     symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
@@ -132,6 +133,13 @@ def test_depth2_odd_not_applicable():
     assert depth2_odd(z(4, 1, 2)) is None
 
 
+def _zeta_signed(v: int, sign: int) -> LinComb:
+    """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
+    if sign > 0 and v == 1:
+        return LinComb.zero()
+    return LinComb.of_atom(z(v if sign > 0 else -v))
+
+
 def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
     """``depth2_odd`` as it was written on ``LinComb`` arithmetic."""
     if atom.li or atom.depth != 2:
@@ -218,6 +226,22 @@ def test_repeated_bar_displays():
 
 
 # -- symmetric-sum identities -------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([-1, *range(2, 7), *range(-6, -1)]), max_size=5))
+def test_symmetric_sum_is_sum_of_orderings(slots):
+    # exact: the stuffle-linearized closed form is the sum over all k!
+    # orderings, repeated orderings counted each time
+    orderings = collections.Counter(itertools.permutations(slots))
+    expect = LinComb({(MzvAtom(o) if o else algebra.UNIT_TERM): c for o, c in orderings.items()})
+    assert linearize(symmetric_sum(tuple(sorted(slots)))) == expect
+    assert symmetric_sum(tuple(slots)) == symmetric_sum(tuple(sorted(slots)))
+
+
+def test_symmetric_sum_rejects_unsigned_one():
+    with pytest.raises(ValueError, match="divergent"):
+        symmetric_sum((1, 2))
 
 
 def test_reflection_pair_from_engine_agreement():
@@ -396,6 +420,23 @@ def test_table_rejects_repeated_lhs():
             "dup:3: rejected: duplicate lhs z(2,1) (first on line 1)",
             "dup:4: rejected: duplicate lhs z(2,1) (first on line 1)",
         ]
+
+
+def test_table_rejects_bool_coeff_and_non_integer_weight():
+    # each bad line is rejected on its own line; the good ones stand
+    text = "\n".join([
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": true}], "weight": 3}',
+        '{"lhs": "z(-1)", "rhs": [], "weight": true}',
+        '{"lhs": "z(4,1)", "rhs": [{"factors": ["z(5)"], "coeff": "2"}], "weight": 5.0}',
+        '{"lhs": "z(2,2)", "rhs": [{"factors": ["z(4)"], "coeff": "3/4"}], "weight": 4}',
+    ])
+    table = load_identity_table(io.StringIO(text), label="t")
+    assert list(table.entries) == [z(2, 2)]
+    assert table.report == [
+        "t:1: rejected: cannot interpret True as an exact rational",
+        "t:2: rejected: declared weight true is not an integer",
+        "t:3: rejected: declared weight 5.0 is not an integer",
+    ]
 
 
 def test_empty_table_is_valid():
