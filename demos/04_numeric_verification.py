@@ -33,7 +33,7 @@ print(f"  discrepancy {diff:.2e} <= combined bounds + 1e-7: "
       f"{diff <= series.tail_bound + expansion.tail_bound + 1e-7}")
 
 print("\nConditionally convergent series (alternating outer exponent 1) get")
-print("their tail from the Euler transform, with a certified remainder:")
+print("their tail from Euler-Maclaurin at N and N/2, with a certified remainder:")
 idx = parse_index("S(1,1,-1)")
 r = eval_euler_sum(idx, 1e-8)
 print(f"  S(1,1,-1) = {float(r.value):.10f} +- {r.tail_bound:.1e}  (N = {r.terms_used})")

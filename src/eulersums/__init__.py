@@ -80,7 +80,6 @@ def clear_caches() -> None:
     for cached in (
         numerics._atom_units,
         numerics._em_units,
-        numerics._majorant,
         numerics._plain_factor,
         numerics.zeta_value,
         numerics.pi_reference,

@@ -162,8 +162,8 @@ def parse_atom(text: str) -> MzvAtom:
 
 @dataclass(frozen=True, slots=True)
 class SymbolicTerm:
-    """A commutative product of atoms, canonically sorted: the unit term or
-    a product of two or more atoms.
+    """A commutative product of atoms, sorted by ``MzvAtom.sort_key`` when it
+    is built: the unit term or a product of two or more atoms.
 
     The empty product is the unit term and represents the constant 1, so
     plain rationals live inside LinComb uniformly.  A term of one atom is
@@ -178,14 +178,15 @@ class SymbolicTerm:
     def __post_init__(self):
         if len(self.factors) == 1:
             raise ValueError("a one-atom term is the MzvAtom itself")
+        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=MzvAtom.sort_key)))
 
     @staticmethod
     def of(*atoms: MzvAtom) -> "Term":
         """The product of ``atoms``: the unit term, the one atom, or a
-        sorted ``SymbolicTerm``."""
+        ``SymbolicTerm``, which sorts them."""
         if len(atoms) == 1:
             return atoms[0]
-        return SymbolicTerm(tuple(sorted(atoms, key=MzvAtom.sort_key)))
+        return SymbolicTerm(atoms)
 
     @property
     def weight(self) -> int:

@@ -34,26 +34,26 @@ Three evaluation strategies are used.
     factor splits as H^-_n^(r) = eta(r) + (-1)^(n+1) rho_r(n), where
     eta(r) = -z(-r) is an atom (eta(1) = ln 2) and rho_r is completely
     monotone.  Multiplied out, the tail is an alternating sum of a smooth
-    g plus a plain sum of a smooth v:
+    g plus a plain sum of a smooth v, and both are summed one way.  Each
+    factor is expanded about N to order 2K, K = K_EM (Flajolet and Salvy,
+    *Euler sums and contour integral representations*): H_m by the
+    digamma expansion anchored at the carried H_N, so that neither ln N
+    nor Euler's gamma is needed; H_m^(r) by the Euler-Maclaurin zeta
+    tail; rho_r(m) by Boole summation; each with an explicit remainder.
+    With L = ln(m/N) every product is a polynomial in L and 1/m, and each
+    monomial L^s m^-p is summed in closed form:
 
-      - g by the k-fold Euler transform, k <= K_MAX, with the k that gives
-        the smallest bound:
-            sum_{n>N} (-1)^(n-N-1) g(n) = sum_{j<k} (-1)^j Delta^j g(N+1) / 2^(j+1) + R,
-            |R| <= 2^-k sum_{n>N} |Delta^k g(n)|.
-        The differences are exact, from g(N+1..N+K_MAX) in units.  R is
-        bounded by the Leibniz rule from |Delta^j n^-s| <= (s)_j n^(-s-j),
-        Delta^j H_n^(r) = Delta^(j-1) (n+1)^-r and |Delta^j rho_r(n)| <=
-        (r)_j (n+1/2)^(-r-j) / 2, and summed by log-moment integrals.
+      - in v, W = sum_{m>N} L^s m^-p by Euler-Maclaurin of order 2K on
+        int_N^oo L^s x^-p dx = s! / (p-1)^(s+1) N^(1-p), whose
+        derivatives at x = N are rationals in N;
 
-      - v expanded about N to order 2K, K = K_EM (Flajolet and Salvy,
-        *Euler sums and contour integral representations*): H_m by the
-        digamma expansion anchored at the carried H_N, so that neither
-        ln N nor Euler's gamma is needed; H_m^(r) by the Euler-Maclaurin
-        zeta tail; rho_r(m) by Boole summation; each with an explicit
-        remainder.  With L = ln(m/N) every product is a polynomial in L
-        and 1/m, and each sum_{m>N} L^s m^-p is Euler-Maclaurin of order
-        2K on int_N^oo L^s x^-p dx = s! / (p-1)^(s+1) N^(1-p), whose
-        derivatives at x = N are rationals in N.
+      - in g, A = sum_{m>N} (-1)^(m+1) L^s m^-p: W(N) less twice its
+        even terms m = 2j, which are 2^-p times the same sum over j > N/2
+        about N/2.  The integrals cancel, so A is the boundary terms of
+        both, at order 2K + 2, with the Bernoulli values B_j(theta),
+        theta = 1 for even N and 1/2 for odd N (Borwein, Calkin and
+        Manna, *Euler-Boole summation revisited*), and its remainder is
+        (1 + 4^(K+1)) times that of Euler-Maclaurin.
 
     Only this walk can miss a requested tolerance (``CapacityError``).
 
@@ -76,8 +76,7 @@ from .algebra import LinComb, MzvAtom, li_half, z
 from .indices import EulerSumIndex
 
 N_MAX = 10**4
-K_MAX = 9  # highest order of the Euler transform of a tail
-K_EM = 4  # terms kept by each expansion of the plain tail: order 2K
+K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
 BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 SUM_TOL_FLOOR = 1e-10
 
@@ -87,8 +86,8 @@ class NumericResult:
     """A certified evaluation: |value - true| <= tail_bound.
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
-    Hoelder convolution), ``li_half``, ``zeta`` (fixed-point constants),
-    ``euler_transform`` or ``euler_maclaurin`` (the tail of a series).
+    Hoelder convolution), ``li_half``, ``zeta`` (fixed-point constants) or
+    ``euler_maclaurin`` (the tail of a series).
     ``value`` is an exact dyadic rational of 64 significant bits.
     """
 
@@ -406,12 +405,12 @@ def _bernoulli(n: int) -> Fraction:
 
 
 @functools.cache
-def _digamma_expansion():
-    """D(x) = H_x - ln x - gamma = 1/(2x) - sum_k B_2k / (2k x^2k) from psi(x) =
-    ln x - 1/(2x) - int (coth(t/2)/2 - 1/t) e^(-xt) dt, whose kernel sum_j 2t /
-    (t^2 + 4 pi^2 j^2) its Taylor series envelops for t > 0: the remainder
-    keeps one sign for x > 0 and is at most the first omitted term."""
-    terms = [(1, Fraction(1, 2))] + [(2 * k, -_bernoulli(2 * k) / (2 * k)) for k in range(1, K_EM + 2)]
+def _digamma_expansion(k: int = K_EM):
+    """D(x) = H_x - ln x - gamma = 1/(2x) - sum_{j<=k} B_2j / (2j x^2j) + R(x)
+    from psi(x) = ln x - 1/(2x) - int (coth(t/2)/2 - 1/t) e^(-xt) dt, whose
+    kernel sum_j 2t / (t^2 + 4 pi^2 j^2) its Taylor series envelops for t > 0:
+    R keeps one sign for x > 0 and is at most the first omitted term."""
+    terms = [(1, Fraction(1, 2))] + [(2 * j, -_bernoulli(2 * j) / (2 * j)) for j in range(1, k + 2)]
     return tuple(terms[:-1]), (terms[-1][0], abs(terms[-1][1]))
 
 
@@ -430,28 +429,38 @@ def _boole_expansion(r: int):
 
 
 @functools.cache
-def _em_sum(s: int, p: int):
-    """W(x) = sum_{m > x} ln(m/x)^s m^-p by Euler-Maclaurin of order 2K:
-    int_x^oo ln(y/x)^s y^-p dy = s! / (p-1)^(s+1) x^(1-p), minus f(x)/2,
-    minus sum_k B_2k / (2k)! f^(2k-1)(x), where f^(j)(y) = y^(-p-j)
-    sum_i d_ji ln(y/x)^i, so that only d_j0 survives at y = x.  The
-    remainder is at most |B_2K| / (2K)! int_x^oo |f^(2K)|."""
-    if p < 2:
-        raise ValueError("the plain tail needs p >= 2")
+def _em_sum(s: int, p: int, alternating: bool = False):
+    """W(x) = sum_{m > x} f(m), f(y) = ln(y/x)^s y^-p, by Euler-Maclaurin of
+    order 2k, k = K: int_x^oo f = s! / (p-1)^(s+1) x^(1-p), minus f(x)/2,
+    minus sum_i B_2i / (2i)! f^(2i-1)(x), where f^(j)(y) = y^(-p-j) sum_i
+    d_ji ln(y/x)^i, so that only d_j0 survives at y = x.  The remainder is
+    at most |B_2k| / (2k)! int_x^oo |f^(2k)|.
+
+    ``alternating`` gives A(x) = sum_{m > x} (-1)^(m-x+1) f(m) instead, to
+    order 2k, k = K + 1, and for p >= 1: the sum less twice its even terms,
+    f(2j) = 2^-p ln(j/(x/2))^s j^-p for j > x/2.  Those sum like W from x/2,
+    with first point x/2 + theta and Bernoulli values B_j(theta) (theta = 1
+    for even x, 1/2 for odd x, and B_j(1/2) = (2^(1-j) - 1) B_j).  The
+    integrals cancel, each boundary term of W, in f^(j-1)(x), becomes
+    (1 - 2^j) times itself, and the remainders add up to (1 + 4^k) times
+    that of W."""
+    if p < 2 - alternating:
+        raise ValueError("the sum needs p >= 2, or p >= 1 alternating")
+    k = K_EM + alternating
     d = [0] * s + [1]
     derivs = [d]
-    for j in range(2 * K_EM):  # d/dy (y^(-p-j) L^i) = y^(-p-j-1) (i L^(i-1) - (p+j) L^i)
+    for j in range(2 * k):  # d/dy (y^(-p-j) L^i) = y^(-p-j-1) (i L^(i-1) - (p+j) L^i)
         d = [-(p + j) * d[i] + (i + 1) * (d[i + 1] if i < s else 0) for i in range(s + 1)]
         derivs.append(d)
-    terms = [(p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1)))]
-    if s == 0:
-        terms.append((p, Fraction(-1, 2)))
-    for k in range(1, K_EM + 1):
-        c = -_bernoulli(2 * k) * derivs[2 * k - 1][0] / math.factorial(2 * k)
-        terms.append((p + 2 * k - 1, c))
-    e = p + 2 * K_EM - 1
+    terms = [(p, Fraction(-1, 2))] if s == 0 else []  # -B_j(1) / j! f^(j-1)(x) at x^-(p+j-1)
+    for i in range(1, k + 1):
+        terms.append((p + 2 * i - 1, -_bernoulli(2 * i) * derivs[2 * i - 1][0] / math.factorial(2 * i)))
+    e = p + 2 * k - 1
     rem = sum(Fraction(abs(c) * math.factorial(i), e ** (i + 1)) for i, c in enumerate(derivs[-1]))
-    return tuple(terms), (e, rem * abs(_bernoulli(2 * K_EM)) / math.factorial(2 * K_EM))
+    rem *= abs(_bernoulli(2 * k)) / math.factorial(2 * k)
+    if alternating:
+        return tuple((q, (1 - 2 ** (q - p + 1)) * c) for q, c in terms), (e, (1 + 4**k) * rem)
+    return ((p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1))), *terms), (e, rem)
 
 
 def _at(terms, n: int) -> int:
@@ -466,22 +475,19 @@ def _rem_units(rem, n: int) -> int:
 
 
 @functools.cache
-def _em_units(s: int, p: int, n: int) -> tuple[int, int]:
-    """``_em_sum`` at n in units: its value and error bound."""
-    terms, rem = _em_sum(s, p)
-    return _at(terms, n), len(terms) + _rem_units(rem, n)
-
-
-def zeta_tail_interval(n: int, s: int) -> tuple[float, float]:
-    """Rigorous enclosure of sum_{m > n} m^-s (s >= 2), from ``_em_sum``."""
-    w, err = _em_units(0, s, n)
-    lo, hi = math.ldexp(w - err, -_FP_BITS), math.ldexp(w + err, -_FP_BITS)
-    return max(lo * (1 - 1e-15), 0.0), hi * (1 + 1e-15)
+def _em_units(s: int, p: int, n: int, alternating: bool = False) -> tuple[int, int]:
+    """``_em_sum`` at n in units: its value and error bound.  Alternating,
+    the value is sum_{m > n} (-1)^(m+1) ln(m/n)^s m^-p."""
+    terms, rem = _em_sum(s, p, alternating)
+    value = _at(terms, n)
+    return (-value if alternating and n & 1 else value), len(terms) + _rem_units(rem, n)
 
 
 # Polynomials in L = ln(m/N) and 1/m are dicts {(t, p): c} for sum c L^t m^-p,
 # with c in units.  A factor of a tail is a pair (P, E) of them with
 # |factor(m) - P(m)| <= E(m) for m > N, the coefficients of E nonnegative.
+# Each error of E at a key with p = 0 bounds a constant: it moves P's
+# coefficient there, the same for every m.
 
 _ONE = (0, 0)
 
@@ -509,12 +515,6 @@ def _mul(x, y):
     return {k: c >> _FP_BITS for k, c in prod.items()}, {k: -(-c >> _FP_BITS) + 1 for k, c in err.items()}
 
 
-def _smul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """``_mul`` of two constants, each (value, error) in units."""
-    (a, ea), (b, eb) = x, y
-    return (a * b) >> _FP_BITS, -(-(ea * (abs(b) + eb) + abs(a) * eb) >> _FP_BITS) + 1
-
-
 def _expansion_factor(terms, sign: int = 1):
     """sign * (the terms of an expansion), each coefficient floored."""
     coeffs = {(0, p): sign * ((c.numerator << _FP_BITS) // c.denominator) for p, c in terms}
@@ -523,114 +523,33 @@ def _expansion_factor(terms, sign: int = 1):
 
 @functools.cache
 def _plain_factor(e: int, n: int, carry: int):
-    """Factor e of v for m > N = n, expanded about N; ``carry`` is the walk's
-    harmonic number at n, off by at most n units.
+    """Factor e of the tail for m > N = n, expanded about N; ``carry`` is the
+    walk's harmonic number at n, off by at most n units.
 
-    H_m = (H_N - D(N)) + ln(m/N) + D(m), off by |R(m) - R(N)| <= |R(N)|
-    since the digamma remainder R keeps one sign; H_m^(r) = H_N^(r) +
-    T_r(N) - T_r(m), T_r the zeta tail of ``_em_sum``, off by at most twice
-    its remainder at N; rho_r(m) by ``_boole_expansion``."""
+    H_m = (H_N - D(N)) + ln(m/N) + D(m), with D(N) to one order more, off by
+    a constant; H_m^(r) = H_N^(r) + T_r(N) - T_r(m), T_r the zeta tail of
+    ``_em_sum``, T_r(N) off by a constant; rho_r(m) by ``_boole_expansion``.
+    D(m), T_r(m) and rho_r(m) are off by their remainders, each at its own
+    key, with p >= 2."""
     if e == 1:
         terms, rem = _digamma_expansion()
+        anchor, anchor_rem = _digamma_expansion(K_EM + 1)
         p, err = _expansion_factor(terms)
-        p.update({_ONE: carry - _at(terms, n), (1, 0): _FP_SCALE})
-        err[_ONE] = n + len(terms) + _rem_units(rem, n)
+        p.update({_ONE: carry - _at(anchor, n), (1, 0): _FP_SCALE})
+        err[_ONE] = n + len(anchor) + _rem_units(anchor_rem, n)
     elif e > 1:
-        p, err = _expansion_factor(_em_sum(0, e)[0], -1)
+        terms, rem = _em_sum(0, e)
+        p, err = _expansion_factor(terms, -1)
         t_n, t_err = _em_units(0, e, n)
         p[_ONE] = carry + t_n
-        err[_ONE] = n + 2 * t_err
+        err[_ONE] = n + t_err
     else:
         terms, rem = _boole_expansion(-e)
         p, err = _expansion_factor(terms)
-        p[(0, rem[0])], err[(0, rem[0])] = 0, _rem_units(rem, 1)
+    key = (0, rem[0])
+    p.setdefault(key, 0)
+    err[key] = err.get(key, 0) + _rem_units(rem, 1)
     return p, err
-
-
-# A majorant of f is a tuple, over the orders j = 0..K_MAX, of dicts
-# {(t, p): c} with c >= 0 such that, for every n > N and shift i with
-# i + j <= K_MAX,
-#
-#     |Delta^j f(n + i)| <= sum c L(n)^t n^-p,    L(n) = h + ln(n / N),
-#
-# where h >= H_N + K_MAX / N, so that L(n) >= H_(n+i).
-
-
-def _power_majorant(s: int):
-    """n^-s: |Delta^j n^-s| <= (s)_j n^(-s-j)."""
-    return tuple({(0, s + j): float(_rising(s, j))} for j in range(K_MAX + 1))
-
-
-def _harmonic_majorant(r: int, sup: float):
-    """H_n^(r), with H_n^(r) <= ``sup`` for r >= 2 and H_n^(1) <= L(n):
-    Delta^j H_n^(r) = Delta^(j-1) (n+1)^-r."""
-    head = {(1, 0): 1.0} if r == 1 else {(0, 0): sup}
-    return (head,) + tuple({(0, r + j - 1): float(_rising(r, j - 1))} for j in range(1, K_MAX + 1))
-
-
-def _rho_majorant(r: int):
-    """rho_r(n) = int t^(r-1) e^(-(n+1/2)t) sech(t/2) / 2 dt / (r-1)!.
-
-    Delta acts on e^(-(n+1/2)t) as the factor e^-t - 1, at most t in absolute
-    value, and sech <= 1, so |Delta^j rho_r(n)| <= (r)_j (n+1/2)^(-r-j) / 2."""
-    return tuple({(0, r + j): 0.5 * _rising(r, j)} for j in range(K_MAX + 1))
-
-
-def _leibniz(f, g):
-    """Majorant of fg: Delta^j (fg)(n) = sum_i C(j,i) Delta^i f(n) Delta^(j-i) g(n+i)."""
-    out = []
-    for j in range(K_MAX + 1):
-        acc: dict = {}
-        for i in range(j + 1):
-            g_items = g[j - i].items()
-            for (t1, p1), c1 in f[i].items():
-                c1 *= math.comb(j, i)
-                for (t2, p2), c2 in g_items:
-                    key = (t1 + t2, p1 + p2)
-                    acc[key] = acc.get(key, 0.0) + c1 * c2
-        out.append(acc)
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=256)
-def _majorant(q: int, factors: tuple) -> tuple:
-    """Majorant of n^-q times the factors: H_n^(e) for e > 0, rho_-e for e < 0."""
-    if not factors:
-        return _power_majorant(q)
-    e = factors[-1]
-    if e > 1:
-        f = _harmonic_majorant(e, (float(zeta_value(e).value) + zeta_value(e).tail_bound) * (1 + 1e-15))
-    else:
-        f = _harmonic_majorant(1, 0.0) if e == 1 else _rho_majorant(-e)
-    return _leibniz(_majorant(q, factors[:-1]), f)
-
-
-def _tail_upper(n: int, t: int, p: int, h: float) -> float:
-    """Upper bound on sum_{m > n} (h + ln(m/n))^t m^-p, h >= 0: each term is
-    at most the integral over [m-1, m] of (u + ln(x/n))^t x^-p, u = h + 1/n,
-    since ln(m/n) <= ln(x/n) + 1/x there; from n on that integral is sum_i
-    C(t,i) u^(t-i) i! / (p-1)^(i+1) n^(1-p).  With h >= H_n, and H_m <= H_n
-    + ln(m/n), this also bounds sum_{m > n} H_m^t m^-p."""
-    if t == 0:
-        return zeta_tail_interval(n, p)[1]
-    u = h + 1.0 / n
-    acc = sum(math.comb(t, i) * u ** (t - i) * math.factorial(i) / (p - 1.0) ** (i + 1) for i in range(t + 1))
-    return acc * float(n) ** (1.0 - p) * (1.0 + 1e-9)
-
-
-def _leibniz_tail(terms, n: int, h: float, cache: dict) -> float:
-    """Upper bound on sum_{m > n} of a majorant's order-k entries ``terms``."""
-    acc = 0.0
-    for key, c in terms:
-        if key not in cache:
-            cache[key] = _tail_upper(n, *key, h)
-        acc += c * cache[key]
-    return acc * (1.0 + 1e-9)
-
-
-def _upper(units: int, error: int) -> float:
-    """An upper bound on |value| of ``units`` +- ``error``, as a float."""
-    return math.ldexp(abs(units) + error, -_FP_BITS) * (1 + 1e-15)
 
 
 class _SumState:
@@ -651,7 +570,8 @@ class _SumState:
         self.n = 0
         alternating = [(-e, m) for e, m in self.factors if e < 0]
         units = {r: _atom_units(z(-r)) for r, _ in alternating}
-        self.eta = {r: (-v, err) for r, (v, err) in units.items()}  # eta(r) = -z(-r)
+        # eta(r) = -z(-r) as a constant factor
+        self.eta = {r: ({_ONE: -v}, {_ONE: err}) for r, (v, err) in units.items()}
         # pieces[True] make g, pieces[False] make v: (coeff, ((r, a), ...) of
         # eta, ((r, b), ...) of rho)
         self.pieces: dict[bool, list] = {True: [], False: []}
@@ -660,29 +580,22 @@ class _SumState:
             etas = tuple((r, m - i) for (r, m), i in zip(alternating, picks) if m > i)
             rhos = tuple((r, i) for (r, m), i in zip(alternating, picks) if i)
             self.pieces[(sum(picks) + self.outer_alt) % 2 == 1].append((coeff, etas, rhos))
-        self.method = "euler_transform" if self.pieces[True] else "euler_maclaurin"
-        self.majorant = self._alternating_majorant() if self.pieces[True] else None
 
-    def _columns(self, n_to: int) -> list[list[int]]:
-        """Each factor's carry at n = N+1..n_to, continuing the walk's: every
-        1/n^r it adds is floored."""
+    def walk_to(self, n_to: int) -> None:
+        """Add the terms N+1..n_to, each floored once; no terms for n_to <= N.
+        Each factor's carry continues the walk's: every 1/n^r it adds is
+        floored."""
         ns = range(self.n + 1, n_to + 1)
-        out = []
+        if not ns:
+            return
+        columns = []
         for (e, _), start in zip(self.factors, self.carries):
             r = abs(e)
             if e > 0:
                 steps = [_FP_SCALE // n**r for n in ns]
             else:
                 steps = [_FP_SCALE // n**r if n & 1 else -(_FP_SCALE // n**r) for n in ns]
-            out.append(list(itertools.accumulate(steps, initial=start))[1:])
-        return out
-
-    def walk_to(self, n_to: int) -> None:
-        """Add the terms N+1..n_to, each floored once; no terms for n_to <= N."""
-        ns = range(self.n + 1, n_to + 1)
-        if not ns:
-            return
-        columns = self._columns(n_to)
+            columns.append(list(itertools.accumulate(steps, initial=start))[1:])
         prod = itertools.repeat(_FP_SCALE)
         for (_, mult), column in zip(self.factors, columns):
             for _ in range(mult):
@@ -708,83 +621,14 @@ class _SumState:
         spread = n if self.q == 1 else n.bit_length() + 1
         return n + self.degree * spread * -(-bound >> (_FP_BITS * self.degree))
 
-    # -- the alternating part g ------------------------------------------------
-
-    def _alternating_majorant(self):
-        """Per order k, the entries of a majorant of g (see ``_leibniz``)."""
-        unsigned = tuple(e for e, m in self.factors if e > 0 for _ in range(m))
-        total = tuple({} for _ in range(K_MAX + 1))
-        for coeff, etas, rhos in self.pieces[True]:
-            c = coeff * math.prod(_upper(*self.eta[r]) ** a for r, a in etas)
-            for j, entries in enumerate(_majorant(self.q, unsigned + tuple(-r for r, b in rhos for _ in range(b)))):
-                for key, v in entries.items():
-                    total[j][key] = total[j].get(key, 0.0) + c * v
-        return [sorted(entries.items()) for entries in total]
-
-    def _window(self) -> list:
-        """g(N+1), ..., g(N+K_MAX) as (value, error) in units, from K_MAX
-        more steps of the walk: at m, each carry is off by at most m units."""
-        columns, out = self._columns(self.n + K_MAX), []
-        for i, m in enumerate(range(self.n + 1, self.n + K_MAX + 1)):
-            carries = [column[i] for column in columns]
-            g = (_FP_SCALE // m**self.q, 1)
-            rho = {}
-            for (e, mult), c in zip(self.factors, carries):
-                if e > 0:
-                    for _ in range(mult):
-                        g = _smul(g, (c, m))
-                else:  # rho_r(m) = (-1)^(m+1) (H^-_m - eta(r))
-                    v, err = self.eta[-e]
-                    rho[-e] = (c - v if m & 1 else v - c, m + err)
-            total = total_err = 0
-            for coeff, etas, rhos in self.pieces[True]:
-                x = (coeff << _FP_BITS, 0)
-                for r, a in etas:
-                    for _ in range(a):
-                        x = _smul(x, self.eta[r])
-                for r, b in rhos:
-                    for _ in range(b):
-                        x = _smul(x, rho[r])
-                total, total_err = total + x[0], total_err + x[1]
-            out.append(_smul(g, (total, total_err)))
-        return out
-
-    def _alternating_tail(self) -> tuple[int, int]:
-        """sum_{m > N} (-1)^(m+1) g(m) by the k-fold Euler transform
-
-            sum_{i>=0} (-1)^i g(N+1+i) = sum_{j<k} (-1)^j Delta^j g(N+1) / 2^(j+1) + R,
-            |R| <= 2^-k sum_{m > N} |Delta^k g(m)|,
-
-        for the k in 1..K_MAX with the smallest bound; in units."""
-        n = self.n
-        window = self._window()
-        d, e = [v for v, _ in window], [err for _, err in window]
-        h = 0.0
-        if 1 in dict(self.factors):  # H_n^(1), the first factor
-            h = _upper(self.carries[0], n) + K_MAX / n
-        cache: dict = {}
-        total = total_err = 0
-        best = None
-        for k in range(1, K_MAX + 1):
-            term = d[0] >> k
-            total = total + term if k % 2 else total - term
-            total_err += (e[0] >> k) + 2
-            # in units, rounded up, and one more per entry for its underflow
-            entries = self.majorant[k]
-            remainder = math.ldexp(_leibniz_tail(entries, n, h, cache), _FP_BITS - k)
-            bound = total_err + math.ceil(remainder) + len(entries)
-            if best is None or bound < best[1]:
-                best = (total, bound)
-            d = [b - a for a, b in zip(d, d[1:])]
-            e = [a + b for a, b in zip(e, e[1:])]
-        value, bound = best
-        return (value if n % 2 == 0 else -value), bound
-
-    # -- the non-alternating part v --------------------------------------------
-
-    def _plain_tail(self) -> tuple[int, int]:
-        """sum_{m > N} v(m) in units: every piece is a polynomial in ln(m/N)
-        and 1/m off by a nonnegative one, summed term by term by ``_em_sum``."""
+    def _tail(self) -> tuple[int, int]:
+        """sum_{m > N} (-1)^(m+1) g(m) + v(m) in units.  Each piece is the
+        base m^-q prod H_m^(r), shared by g and v, times its etas and rhos:
+        a polynomial in L = ln(m/N) and 1/m off by a nonnegative one, summed
+        key by key, v by W and g by A (``_em_units``).  An error at L^s m^-p
+        sums to at most W times it.  At p = 1, where W diverges, each error
+        comes from constants, the factors' at p = 0 and the floors, so
+        it sums to at most |A| times it."""
         n = self.n
         factors = {e: _plain_factor(e, n, c if e > 0 else 0) for (e, _), c in zip(self.factors, self.carries)}
         base = ({(0, self.q): _FP_SCALE}, {})
@@ -792,35 +636,30 @@ class _SumState:
             if e > 0:
                 for _ in range(mult):
                     base = _mul(base, factors[e])
-        poly, err = {}, {}
-        for coeff, etas, rhos in self.pieces[False]:
-            x = base
-            for r, a in etas:
-                for _ in range(a):
-                    x = _mul(x, ({_ONE: self.eta[r][0]}, {_ONE: self.eta[r][1]}))
-            for r, b in rhos:
-                for _ in range(b):
-                    x = _mul(x, factors[-r])
-            poly = _plus(poly, {k: coeff * c for k, c in x[0].items()})
-            err = _plus(err, {k: coeff * c for k, c in x[1].items()})
         value = bound = 0
-        for key in poly.keys() | err.keys():
-            w, w_err = _em_units(*key, n)
-            c = poly.get(key, 0)
-            value += c * w
-            bound += abs(c) * w_err + err.get(key, 0) * (abs(w) + w_err)
+        for alternating, pieces in self.pieces.items():
+            poly, err = {}, {}
+            for coeff, etas, rhos in pieces:
+                x = base
+                for r, a in etas:
+                    for _ in range(a):
+                        x = _mul(x, self.eta[r])
+                for r, b in rhos:
+                    for _ in range(b):
+                        x = _mul(x, factors[-r])
+                poly = _plus(poly, {k: coeff * c for k, c in x[0].items()})
+                err = _plus(err, {k: coeff * c for k, c in x[1].items()})
+            for (s, p), c in poly.items():
+                a, a_err = _em_units(s, p, n, alternating)
+                w, w_err = _em_units(s, p, n) if alternating and p > 1 else (a, a_err)
+                value += c * a
+                bound += abs(c) * a_err + err.get((s, p), 0) * (abs(w) + w_err)
         return value >> _FP_BITS, -(-bound >> _FP_BITS) + 1
 
     def result(self) -> NumericResult:
         """The value after N terms plus the tail, and its certified bound."""
-        value, error = self.partial, self.walk_error()
-        if self.pieces[True]:
-            v, e = self._alternating_tail()
-            value, error = value + v, error + e
-        if self.pieces[False]:
-            v, e = self._plain_tail()
-            value, error = value + v, error + e
-        return _fp_result(value, error, self.n, self.method)
+        value, error = self._tail()
+        return _fp_result(self.partial + value, self.walk_error() + error, self.n, "euler_maclaurin")
 
 
 def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int = N_MAX) -> NumericResult:

@@ -157,6 +157,19 @@ def test_one_atom_term_is_the_atom():
     assert z(-1).latex() == r"-\ln(2)" and SymbolicTerm.of(z(-1), z(-1)).latex() == r"\ln^{2}(2)"
 
 
+def test_product_built_unsorted_is_the_sorted_product():
+    # a product has one key however its factors come in, so the difference
+    # of the two spellings is zero, and so is its reduction
+    from eulersums.reduction import reduce_lincomb
+
+    unsorted, product = SymbolicTerm((z(3), z(2))), SymbolicTerm.of(z(2), z(3))
+    assert unsorted == product and unsorted.factors == (z(2), z(3))
+    assert len(LinComb({unsorted: 1, product: -1})) == 1  # one key, the last value
+    lc = LinComb.of_term(unsorted) - LinComb.of_term(product)
+    assert lc == LinComb.zero() and lc.render() == "0"
+    assert reduce_lincomb(lc).value == LinComb.zero()
+
+
 def _check_terms(lc: LinComb):
     """Each key is an atom, the unit term or a product of two or more atoms,
     and ``items()`` runs in the order of the nested term key."""
