@@ -72,13 +72,18 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache: atom values, constants, closed forms,
-    parsed identity tables and the CLI parser.  Results do not change; later
-    calls are cold."""
+    """Empty every module-level cache: atom values, Hoelder chains, constants,
+    tail expansions, closed forms, parsed identity tables and the CLI parser.
+    Results do not change; later calls are cold."""
     from . import cli, numerics, reduction
 
     for cached in (
         numerics._atom_units,
+        numerics._holder_chain,
+        numerics._bernoulli,
+        numerics._digamma_expansion,
+        numerics._boole_expansion,
+        numerics._em_sum,
         numerics._em_units,
         numerics._plain_factor,
         numerics.zeta_value,

@@ -228,7 +228,7 @@ def cmd_verify(args) -> int:
     if args.file:
         try:
             with open(args.file, "r", encoding="utf-8") as f:
-                texts = [line.strip() for line in f if line.strip() and not line.startswith("#")]
+                texts = [t for t in map(str.strip, f) if t and not t.startswith("#")]
         except _UNREADABLE as e:
             raise UsageError(f"cannot read {args.file}: {e}")
     elif args.index:

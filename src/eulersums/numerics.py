@@ -16,7 +16,9 @@ Three evaluation strategies are used.
     power series, truncation at most 2^-N per factor since every
     coefficient is bounded by 1, plus one unit 2^-192 per floor
     operation.  Each atom is cached as two integers, its value and its
-    error bound in units of 2^-192.  A linear combination of products of
+    error bound in units of 2^-192; atoms share the chains of their prefix
+    and suffix factors through a bounded cache (``_holder_chain``), which
+    leaves every value unchanged.  A linear combination of products of
     atoms (one atom included) is summed exactly in those units: exact
     coefficients times the atom integers, the atoms' errors carried
     through the products, one floor per term.  The result is rounded to
@@ -263,6 +265,7 @@ def pi_reference() -> NumericResult:
 # ---------------------------------------------------------------------------
 
 HOLDER_N = 200
+HOLDER_CHAINS = 96  # chains ``_holder_chain`` keeps, each about 9 KB
 
 
 def _holder_word(args) -> list[int]:
@@ -292,6 +295,16 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
     return out
 
 
+@functools.lru_cache(maxsize=HOLDER_CHAINS)
+def _holder_chain(letters: tuple[int, ...], n_terms: int) -> tuple[tuple[int, ...], int]:
+    """The terms of G(letters reversed; 1/2), ``letters`` in the order
+    ``_holder_apply`` takes them, and their sum.  Atoms share most of their
+    prefix and suffix words, so the chains are cached, boundedly."""
+    inner = _holder_chain(letters[:-1], n_terms)[0] if len(letters) > 1 else None
+    terms = tuple(_holder_apply(letters[-1], inner, n_terms))
+    return terms, sum(terms)
+
+
 def _fp_holder(args, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
     """z(args) by the Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst
     and Lisonek, *Special values of multiple polylogarithms*):
@@ -308,14 +321,10 @@ def _fp_holder(args, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
     """
     word = _holder_word(args)
     w = len(word)
-    prefix, pre = [_FP_SCALE], None  # prefix[j] = G(1-b_j, ..., 1-b_1; 1/2)
-    for b in word:
-        pre = _holder_apply(1 - b, pre, n_terms)
-        prefix.append(sum(pre))
-    suffix, suf = [_FP_SCALE], None  # suffix[i] = G(b_(w-i+1), ..., b_w; 1/2)
-    for b in reversed(word):
-        suf = _holder_apply(b, suf, n_terms)
-        suffix.append(sum(suf))
+    flipped = tuple(1 - b for b in word)  # prefix[j] = G(1-b_j, ..., 1-b_1; 1/2)
+    prefix = [_FP_SCALE] + [_holder_chain(flipped[:j], n_terms)[1] for j in range(1, w + 1)]
+    rev = tuple(reversed(word))  # suffix[i] = G(b_(w-i+1), ..., b_w; 1/2)
+    suffix = [_FP_SCALE] + [_holder_chain(rev[:i], n_terms)[1] for i in range(1, w + 1)]
     acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
     factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
     err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))

@@ -178,6 +178,17 @@ def test_verify_batch_file(capsys, tmp_path):
     assert code == 0 and out.count("PASS") == 2
 
 
+def test_verify_batch_skips_indented_comments_and_blank_lines(capsys, tmp_path):
+    # a comment line may be indented, as in identity tables; it prints nothing
+    f = tmp_path / "batch.txt"
+    f.write_text("# header\nS(2,6)\n   # note\n\n\t#tab\n  \nS(3,5)\n")
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--file", str(f))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("S(2,6)\nS(3,5)\n")
+    assert code == 0 and "ERROR" not in out and "#" not in out
+    assert (code, out) == run(capsys, "verify", "--tol", "1e-6", "--file", str(plain))[:2]
+
+
 def test_verify_tol_range(capsys):
     code, _, err = run(capsys, "verify", "--tol", "1e-12", "S(2,6)")
     assert code == 2 and "tol" in err
@@ -402,6 +413,30 @@ def test_outputs_same_cold_warm_and_after_clear_caches(capsys):
     cleared = outputs()
     assert all(code == 0 for code, _ in cold)
     assert cold == warm == cleared
+
+
+def test_clear_caches_empties_every_cache(capsys):
+    # after a verify and a series evaluation fill them, every functools cache
+    # in every eulersums module is empty again
+    import importlib
+    import pkgutil
+
+    from eulersums import clear_caches
+
+    assert run(capsys, "verify", "--tol", "1e-6", "--table", _starter_table(), "S(1,-2,3)")[0] == 0
+    assert run(capsys, "eval", "S(1,-1,-1)")[0] == 0
+    modules = [eulersums] + [
+        importlib.import_module(f"eulersums.{info.name}") for info in pkgutil.iter_modules(eulersums.__path__)
+    ]
+    cached = {
+        f"{module.__name__}.{name}": obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    }
+    assert any(obj.cache_info().currsize for obj in cached.values())
+    clear_caches()
+    assert {name: obj.cache_info().currsize for name, obj in cached.items()} == dict.fromkeys(cached, 0)
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -240,6 +240,73 @@ def test_bound_conservative_under_refinement():
             assert err < Fraction(2 * len(_holder_word(args)) + 3, 2**n_terms)
 
 
+def _fp_holder_two_loops(args, n_terms):
+    """``_fp_holder`` with every prefix and suffix chain built afresh, one
+    letter at a time: the reference for the shared chains."""
+    word = _holder_word(args)
+    w = len(word)
+    prefix, pre = [_FP_SCALE], None
+    for b in word:
+        pre = _holder_apply(1 - b, pre, n_terms)
+        prefix.append(sum(pre))
+    suffix, suf = [_FP_SCALE], None
+    for b in reversed(word):
+        suf = _holder_apply(b, suf, n_terms)
+        suffix.append(sum(suf))
+    acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> numerics._FP_BITS) for j in range(w + 1))
+    factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
+    err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
+    return Fraction((-1) ** len(args) * acc, _FP_SCALE), err
+
+
+def _convergent_args(weight):
+    """Every signed slot tuple of this weight that does not start with an unsigned 1."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=weight - 1):
+        slots, run = [], 1
+        for cut in cuts:
+            if cut:
+                slots.append(run)
+                run = 0
+            run += 1
+        slots.append(run)
+        for signs in itertools.product((1, -1), repeat=len(slots)):
+            args = tuple(s * a for s, a in zip(signs, slots))
+            if args[0] != 1:
+                out.append(args)
+    return out
+
+
+_CHAIN_ARGS = [args for w in range(1, 6) for args in _convergent_args(w)] + [
+    args for w in (7, 8) for args in random.Random(w).sample(_convergent_args(w), 12)
+]
+
+
+@pytest.mark.parametrize("n_terms", [8, 50, HOLDER_N])
+def test_holder_chains_match_two_loops(n_terms):
+    # the shared chains do the same integer operations: value and bound equal
+    # the two-loop reference exactly, for every convergent atom of weight <= 5
+    # and a sample at weights 7 and 8; the chain cache stays within its size
+    assert len(_convergent_args(5)) == 108 and len(_convergent_args(8)) == 2916
+    maxsize = numerics._holder_chain.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+    for args in _CHAIN_ARGS:
+        assert _fp_holder(args, n_terms) == _fp_holder_two_loops(args, n_terms), args
+        assert numerics._holder_chain.cache_info().currsize <= maxsize
+
+
+def test_atom_units_after_chain_evictions():
+    # a second pass, after the first has evicted chains and with only the atom
+    # cache cleared, gives the same integers as the reference
+    numerics._holder_chain.cache_clear()
+    expected = {args: numerics._to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
+    for _ in range(2):
+        _atom_units.cache_clear()
+        assert {args: _atom_units(z(*args)) for args in _CHAIN_ARGS} == expected
+        info = numerics._holder_chain.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
+
+
 def test_capacity_error_carries_result():
     # only the series can miss a tolerance: the alternating log tail of
     # S(1,-1,-1) needs more than 10 terms for 1e-9
