@@ -23,6 +23,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -78,6 +79,18 @@ class MzvAtom:
             # expansion engines never produce one, so this is a logic error.
             raise ValueError(f"divergent atom: leading unsigned 1 in {args}")
         object.__setattr__(self, "weight", sum(map(abs, args)))
+
+    @staticmethod
+    def _of_word(args: tuple[int, ...], weight: int) -> "MzvAtom":
+        """The zeta atom with slots ``args`` and weight ``weight``, built
+        without the checks of ``__post_init__``: the caller guarantees that
+        ``args`` is a nonempty tuple of nonzero slots, not led by an unsigned
+        1, whose magnitudes sum to ``weight``."""
+        atom = object.__new__(MzvAtom)
+        object.__setattr__(atom, "args", args)
+        object.__setattr__(atom, "li", 0)
+        object.__setattr__(atom, "weight", weight)
+        return atom
 
     @property
     def depth(self) -> int:
@@ -233,6 +246,9 @@ class SymbolicTerm:
 
 UNIT_TERM = SymbolicTerm()
 
+_TERM_KEY = operator.methodcaller("term_key")
+_SLOTS = operator.attrgetter("args")
+
 # A term of a LinComb: the unit, one atom, or a product of two or more atoms.
 Term = MzvAtom | SymbolicTerm
 
@@ -285,7 +301,28 @@ class LinComb:
     # -- inspection ---------------------------------------------------
 
     def items(self) -> Iterator[tuple[Term, Fraction]]:
-        return iter(sorted(self._d.items(), key=lambda kv: kv[0].term_key()))
+        """The (term, coefficient) pairs in ``term_key`` order: the unit,
+        then the zeta atoms by weight, then the Li atoms and the products.
+
+        The zeta atoms of one weight are sorted on their slots alone.  That
+        is their ``term_key`` order: the keys share the prefix
+        ``(1, 0, weight)``, and ``_END`` never decides between two of them,
+        because a proper prefix of a word of nonzero slots has a smaller
+        weight.  So no key tuple is built for them."""
+        by_weight: dict[int, list[MzvAtom]] = {}
+        rest = []
+        for t in self._d:
+            if t.__class__ is MzvAtom and not t.li:
+                by_weight.setdefault(t.weight, []).append(t)
+            else:
+                rest.append(t)
+        rest.sort(key=_TERM_KEY)
+        n_unit = 1 if rest and rest[0].is_unit() else 0
+        order = rest[:n_unit]
+        for w in sorted(by_weight):
+            order += sorted(by_weight[w], key=_SLOTS)
+        order += rest[n_unit:]
+        return zip(order, map(self._d.__getitem__, order))
 
     def coeff(self, term: Term) -> Fraction:
         return self._d.get(term, Fraction(0))
@@ -412,11 +449,13 @@ class LinComb:
         ]
 
     def json_terms(self) -> str:
-        """``json.dumps(self.to_json_terms())``, written directly.  Atom
-        renderings and rationals use only ``[A-Za-z0-9(),/ -]``, so nothing
-        needs escaping."""
+        """``json.dumps(self.to_json_terms())``, written directly; a zeta
+        atom's term in one piece.  Atom renderings and rationals use only
+        ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
         return "[" + ", ".join([
-            '{"factors": ['
+            f'{{"factors": ["z({",".join(map(str, t.args))})"], "coeff": "{c}"}}'
+            if t.__class__ is MzvAtom and not t.li
+            else '{"factors": ['
             + ", ".join([f'"{a.render()}"' for a in t.factors])
             + f'], "coeff": "{c}"}}'
             for t, c in self.items()

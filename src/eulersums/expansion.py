@@ -193,9 +193,12 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     coeffs: dict[int, Fraction] = {}
     terms: dict[MzvAtom, Fraction] = {}
     for args, c in acc.items():
-        atom = MzvAtom(args)
-        assert atom.weight == w, f"weight leak: {atom} in expansion of {idx}"
+        # The kernel's words meet the atom's slot conditions by construction,
+        # so the atom is built without its checks and the asserts keep them.
+        atom = MzvAtom._of_word(args, w)
+        assert sum(map(abs, args)) == w, f"weight leak: {atom} in expansion of {idx}"
         assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
+        assert args[0] != 1 and 0 not in args, f"inadmissible atom: {atom} in expansion of {idx}"
         coeff = coeffs.get(c)
         if coeff is None:
             coeff = coeffs[c] = Fraction(sign * c)

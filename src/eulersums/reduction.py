@@ -449,7 +449,9 @@ class _WorkingSum:
     with an atom a reflection pass can eliminate."""
 
     def __init__(self, lc: LinComb):
-        self.coeffs: dict[Term, Fraction] = dict(lc.items())
+        # The heap orders the terms, so they are read unsorted here and in
+        # add_product.
+        self.coeffs: dict[Term, Fraction] = dict(lc._d)
         self.heap = [(t.term_key(), t) for t in self.coeffs]
         heapq.heapify(self.heap)
         self.in_heap = set(self.coeffs)
@@ -478,7 +480,7 @@ class _WorkingSum:
         return self.coeffs.pop(term)
 
     def add_product(self, rest: Term, c: Fraction, rhs: LinComb):
-        for t, rc in rhs.items():
+        for t, rc in rhs._d.items():
             self.add(rest.mul(t), c * rc)
 
     def pop_pending(self) -> Term | None:

@@ -172,13 +172,49 @@ def test_product_built_unsorted_is_the_sorted_product():
 
 def _check_terms(lc: LinComb):
     """Each key is an atom, the unit term or a product of two or more atoms,
-    and ``items()`` runs in the order of the nested term key."""
-    keys = [t for t, _ in lc.items()]
+    and ``items()`` runs in the order of the nested term key, each term with
+    its own coefficient."""
+    pairs = list(lc.items())
+    assert dict(pairs) == lc._d and len(pairs) == len(lc)
+    keys = [t for t, _ in pairs]
     for t in keys:
         assert type(t) is MzvAtom or t == UNIT_TERM or (
             type(t) is SymbolicTerm and len(t.factors) >= 2
         ), repr(t)
     assert keys == sorted(keys, key=_nested_sort_key)
+
+
+# One term of each group that items() lays out: the unit, zeta atoms of
+# weights 1, 2 and 3, a Li atom and products, some with a Li factor.
+_EVERY_GROUP = [
+    UNIT_TERM, z(-1), z(2), z(-2), z(3), z(2, 1), li_half(2),
+    SymbolicTerm.of(z(2), li_half(1)), SymbolicTerm.of(z(-1), z(-1)),
+]
+
+
+@SETTINGS
+@given(st.lists(terms, max_size=12), st.randoms(use_true_random=False))
+def test_items_order_across_groups(extra, rnd):
+    # zeta atoms of several weights, built both ways, among the unit, Li
+    # atoms and products, inserted in any order
+    trusted = [MzvAtom._of_word(t.args, t.weight) for t in extra if type(t) is MzvAtom and not t.li]
+    entries = _EVERY_GROUP + extra + trusted
+    rnd.shuffle(entries)
+    lc = LinComb({t: Fraction(i + 1, 3) for i, t in enumerate(entries)})
+    weights = {t.weight for t in lc.atoms() if not t.li}
+    assert len(weights) >= 3 and UNIT_TERM in lc._d
+    _check_terms(lc)
+    assert lc.json_terms() == json.dumps(lc.to_json_terms())
+
+
+@SETTINGS
+@given(atoms.filter(lambda a: not a.li))
+def test_trusted_constructor_builds_the_checked_atom(atom):
+    trusted = MzvAtom._of_word(atom.args, sum(abs(a) for a in atom.args))
+    assert trusted == atom and hash(trusted) == hash(atom)
+    assert trusted.weight == atom.weight and trusted.li == 0
+    assert trusted.term_key() == atom.term_key() and trusted.render() == atom.render()
+    assert {atom: 1}[trusted] == 1
 
 
 small_indices = st.builds(

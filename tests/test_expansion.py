@@ -180,8 +180,17 @@ def test_t1_checks_every_word(monkeypatch, word, message):
         expand_t1(parse_index("S(3,2)"))
 
 
+def test_t1_checks_slots(monkeypatch):
+    # a word with a zero slot has the right weight and depth, and is still
+    # caught, although its atom is built without the slot checks
+    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words, memo=None: {(0, 3): 1})
+    with pytest.raises(AssertionError, match=r"^inadmissible atom: z\(3,0,3\) "):
+        expand_t1(parse_index("S(1,2,3)"))
+
+
 # Runs in a fresh interpreter: how far the peak RSS (KiB) grows while the
-# measured call runs, and the SHA-256 of the result as JSON.  The peak is
+# measured call runs, and the SHA-256 of the result as JSON.  "json" measures
+# expand_t1 and the JSON text that json_terms() writes from its result.  The peak is
 # VmHWM, which starts afresh at exec; on Linux, getrusage's ru_maxrss starts
 # from the peak of the process that forked the interpreter.
 _MEASURE = """
@@ -194,13 +203,17 @@ def peak_kib():
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
 
 before = peak_kib()
-if sys.argv[1] == "t1":
-    result = expand_t1(parse_index(sys.argv[2]))
-else:
+if sys.argv[1] == "kernel":
     result = _quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
+else:
+    result = expand_t1(parse_index(sys.argv[2]))
+    if sys.argv[1] == "json":
+        text = result.json_terms()
 grown = peak_kib() - before
-data = result.to_json_terms() if sys.argv[1] == "t1" else sorted(result.items())
-print(grown, hashlib.sha256(json.dumps(data).encode()).hexdigest())
+if sys.argv[1] != "json":
+    data = result.to_json_terms() if sys.argv[1] == "t1" else sorted(result.items())
+    text = json.dumps(data)
+print(grown, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -227,6 +240,10 @@ def _measure(*argv) -> tuple[int, str]:
         # product kept to the end, 41.5 MiB with one partial product at a time
         (("kernel", "8"), 60,
          "4b3447045ed73ffe29d872613448c578cf791a8be770102deba0e58b7af4e90f"),
+        # with the JSON text: 29.1-30.1 MiB when items() built a key tuple and a
+        # pair for every term, 21.8 MiB now
+        (("json", "S(1,2,3,4,5,6,7,2)"), 25,
+         "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
     ],
 )
 def test_expansion_peak_memory(argv, bound_mib, digest):
