@@ -24,22 +24,30 @@ Sign conventions:
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .indices import _INT_RE
 
+# The rational text the program writes: an ASCII integer or p/q, q > 0.
+_RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '3/4' or '-5' to Fraction;
-    a bool is not a number here."""
+    a bool is not a number here.  A string must match ``_RATIONAL_RE``,
+    surrounding whitespace aside: '0.25', '1e2' or '1_0' raise ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x.strip())
+        text = x.strip()
+        if not _RATIONAL_RE.fullmatch(text):
+            raise ValueError(f"not a rational p/q: {x!r}")
+        return Fraction(text)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -54,7 +54,7 @@ EXIT_DIVERGENT = 3
 EXIT_ENGINE = 4
 EXIT_TABLES = 5
 
-TOL_MIN, TOL_MAX = 1e-10, 1e-3
+TOL_MIN, TOL_MAX = numerics.SUM_TOL_FLOOR, 1e-3
 
 
 class UsageError(Exception):

@@ -32,11 +32,13 @@ Three evaluation strategies are used.
   * The Euler-sum series themselves, walked in the same units to an N of
     the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
     floor (``_SumState.walk_error``).  The tail past N is certified
-    without any monotonicity assumption.  Each alternating harmonic
-    factor splits as H^-_n^(r) = eta(r) + (-1)^(n+1) rho_r(n), where
-    eta(r) = -z(-r) is an atom (eta(1) = ln 2) and rho_r is completely
-    monotone.  Multiplied out, the tail is an alternating sum of a smooth
-    g plus a plain sum of a smooth v, and both are summed one way.  Each
+    without any monotonicity assumption.  With sigma = (-1)^(n+1), each
+    harmonic factor is even + sigma odd: H_n^(r) is even, and H^-_n^(r) =
+    eta(r) + sigma rho_r(n), where eta(r) = -z(-r) is an atom (eta(1) =
+    ln 2) and rho_r is completely monotone.  As sigma^2 = 1, the term
+    multiplies out, as one product, into sigma g + v, where g and v are
+    smooth: the tail is an alternating sum of g plus a plain sum of v, and
+    both are summed one way.  Each
     factor is expanded about N to order 2K, K = K_EM (Flajolet and Salvy,
     *Euler sums and contour integral representations*): H_m by the
     digamma expansion anchored at the carried H_N, so that neither ln N
@@ -192,11 +194,15 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
     return NumericResult(Fraction(rounded, _FP_SCALE), math.ldexp(bound, -_FP_BITS), terms, method)
 
 
+def _zeta_terms(s: int) -> int:
+    return 2000 if s < 40 else 64  # the terms ``_fp_zeta(s)`` sums
+
+
 def _fp_zeta(s: int) -> tuple[Fraction, Fraction]:
     """zeta(s) for s >= 2 by partial sum plus Euler-Maclaurin tail."""
     if s < 2:
         raise ValueError("zeta needs s >= 2")
-    n_cut = 2000 if s < 40 else 64
+    n_cut = _zeta_terms(s)
     acc = 0
     for n in range(1, n_cut + 1):
         acc += _FP_SCALE // n**s
@@ -241,7 +247,7 @@ def _fp_atan_inv(x: int) -> tuple[Fraction, Fraction]:
 
 @functools.cache
 def zeta_value(s: int) -> NumericResult:
-    return _fp_result(*_to_units(*_fp_zeta(s)), terms=2000, method="zeta")
+    return _fp_result(*_to_units(*_fp_zeta(s)), terms=_zeta_terms(s), method="zeta")
 
 
 def li_half_value(q: int) -> NumericResult:
@@ -499,12 +505,15 @@ def _em_units(s: int, p: int, n: int, alternating: bool = False) -> tuple[int, i
 # coefficient there, the same for every m.
 
 _ONE = (0, 0)
+_ZERO = ({}, {})
 
 
-def _plus(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + c
+def _add(x, y):
+    """The sum of two factors: their P and their E added key by key."""
+    out = dict(x[0]), dict(x[1])
+    for mine, theirs in zip(out, y):
+        for key, c in theirs.items():
+            mine[key] = mine.get(key, 0) + c
     return out
 
 
@@ -532,14 +541,16 @@ def _expansion_factor(terms, sign: int = 1):
 
 @functools.cache
 def _plain_factor(e: int, n: int, carry: int):
-    """Factor e of the tail for m > N = n, expanded about N; ``carry`` is the
-    walk's harmonic number at n, off by at most n units.
+    """Factor e of the tail for m > N = n, expanded about N, as the factors
+    (even, odd) of even(m) + (-1)^(m+1) odd(m); ``carry`` is the walk's
+    harmonic number at n, off by at most n units.
 
     H_m = (H_N - D(N)) + ln(m/N) + D(m), with D(N) to one order more, off by
     a constant; H_m^(r) = H_N^(r) + T_r(N) - T_r(m), T_r the zeta tail of
-    ``_em_sum``, T_r(N) off by a constant; rho_r(m) by ``_boole_expansion``.
-    D(m), T_r(m) and rho_r(m) are off by their remainders, each at its own
-    key, with p >= 2."""
+    ``_em_sum``, T_r(N) off by a constant; odd is zero for both.  The
+    alternating factor is eta(r) = -z(-r), an atom, and rho_r(m) by
+    ``_boole_expansion``.  D(m), T_r(m) and rho_r(m) are off by their
+    remainders, each at its own key, with p >= 2."""
     if e == 1:
         terms, rem = _digamma_expansion()
         anchor, anchor_rem = _digamma_expansion(K_EM + 1)
@@ -558,15 +569,18 @@ def _plain_factor(e: int, n: int, carry: int):
     key = (0, rem[0])
     p.setdefault(key, 0)
     err[key] = err.get(key, 0) + _rem_units(rem, 1)
-    return p, err
+    if e > 0:
+        return (p, err), _ZERO
+    eta, eta_err = _atom_units(z(e))
+    return ({_ONE: -eta}, {_ONE: eta_err}), (p, err)
 
 
 class _SumState:
     """The partial sum of one Euler series in units of 2^-192, and its tail.
 
-    Past N the term is (-1)^(n+1) g(n) + v(n): g and v are sums of pieces
-    coeff * prod eta^a * prod rho^b * prod H_n^(r) * n^-q, sorted by whether
-    the sign (-1)^(n+1) survives (see the module docstring)."""
+    Past N the term is (-1)^(n+1) g(n) + v(n): g and v are the parts of the
+    product n^-q prod (even + (-1)^(n+1) odd) over its factors with and
+    without that sign (see the module docstring)."""
 
     def __init__(self, idx: EulerSumIndex):
         self.q = abs(idx.outer)
@@ -577,18 +591,6 @@ class _SumState:
         self.carries = [0] * len(self.factors)  # harmonic numbers at n, floored
         self.partial = 0
         self.n = 0
-        alternating = [(-e, m) for e, m in self.factors if e < 0]
-        units = {r: _atom_units(z(-r)) for r, _ in alternating}
-        # eta(r) = -z(-r) as a constant factor
-        self.eta = {r: ({_ONE: -v}, {_ONE: err}) for r, (v, err) in units.items()}
-        # pieces[True] make g, pieces[False] make v: (coeff, ((r, a), ...) of
-        # eta, ((r, b), ...) of rho)
-        self.pieces: dict[bool, list] = {True: [], False: []}
-        for picks in itertools.product(*(range(m + 1) for _, m in alternating)):
-            coeff = math.prod(math.comb(m, i) for (_, m), i in zip(alternating, picks))
-            etas = tuple((r, m - i) for (r, m), i in zip(alternating, picks) if m > i)
-            rhos = tuple((r, i) for (r, m), i in zip(alternating, picks) if i)
-            self.pieces[(sum(picks) + self.outer_alt) % 2 == 1].append((coeff, etas, rhos))
 
     def walk_to(self, n_to: int) -> None:
         """Add the terms N+1..n_to, each floored once; no terms for n_to <= N.
@@ -631,33 +633,27 @@ class _SumState:
         return n + self.degree * spread * -(-bound >> (_FP_BITS * self.degree))
 
     def _tail(self) -> tuple[int, int]:
-        """sum_{m > N} (-1)^(m+1) g(m) + v(m) in units.  Each piece is the
-        base m^-q prod H_m^(r), shared by g and v, times its etas and rhos:
-        a polynomial in L = ln(m/N) and 1/m off by a nonnegative one, summed
-        key by key, v by W and g by A (``_em_units``).  An error at L^s m^-p
-        sums to at most W times it.  At p = 1, where W diverges, each error
-        comes from constants, the factors' at p = 0 and the floors, so
+        """sum_{m > N} (-1)^(m+1) g(m) + v(m) in units.  m^-q, times each
+        factor even + sigma odd in turn, sigma^2 = 1, multiplies out into
+        parts[True] = g, which carries sigma = (-1)^(m+1), and parts[False] = v:
+        each a polynomial in L = ln(m/N) and 1/m off by a nonnegative one,
+        summed key by key, v by W and g by A (``_em_units``).  An error at
+        L^s m^-p sums to at most W times it.  At p = 1, where W diverges, each
+        error comes from constants, the factors' at p = 0 and the floors, so
         it sums to at most |A| times it."""
         n = self.n
-        factors = {e: _plain_factor(e, n, c if e > 0 else 0) for (e, _), c in zip(self.factors, self.carries)}
-        base = ({(0, self.q): _FP_SCALE}, {})
-        for e, mult in self.factors:
-            if e > 0:
-                for _ in range(mult):
-                    base = _mul(base, factors[e])
+        parts = {self.outer_alt: ({(0, self.q): _FP_SCALE}, {}), not self.outer_alt: _ZERO}
+        for (e, mult), c in zip(self.factors, self.carries):
+            even, odd = _plain_factor(e, n, c if e > 0 else 0)
+            for _ in range(mult):
+                new = dict.fromkeys(parts, _ZERO)
+                for sign in new:  # parts[sign] even + parts[not sign] odd
+                    for x, y in ((parts[sign], even), (parts[not sign], odd)):
+                        if x[0] and y[0]:  # a zero operand adds nothing
+                            new[sign] = _add(new[sign], _mul(x, y))
+                parts = new
         value = bound = 0
-        for alternating, pieces in self.pieces.items():
-            poly, err = {}, {}
-            for coeff, etas, rhos in pieces:
-                x = base
-                for r, a in etas:
-                    for _ in range(a):
-                        x = _mul(x, self.eta[r])
-                for r, b in rhos:
-                    for _ in range(b):
-                        x = _mul(x, factors[-r])
-                poly = _plus(poly, {k: coeff * c for k, c in x[0].items()})
-                err = _plus(err, {k: coeff * c for k, c in x[1].items()})
+        for alternating, (poly, err) in parts.items():
             for (s, p), c in poly.items():
                 a, a_err = _em_units(s, p, n, alternating)
                 w, w_err = _em_units(s, p, n) if alternating and p > 1 else (a, a_err)

@@ -392,6 +392,18 @@ def test_rational_normalization():
             as_fraction(bad)
 
 
+def test_rational_text_is_strict():
+    # only the forms the program writes: an ASCII integer or p/q, q > 0, no
+    # leading zeros, with surrounding whitespace; Fraction() alone reads more
+    for text, value in [("0", 0), ("-3/4", Fraction(-3, 4)), ("6/8", Fraction(3, 4)),
+                        (" 12 ", 12), ("\t-7/2\n", Fraction(-7, 2)), ("1" + "0" * 40, 10**40)]:
+        assert as_fraction(text) == value, text
+    for bad in ["", " ", "1_0/1_0", "0.25", "1e2", "\u0663/4", "\uff13/4", "+1", "01", "1/0",
+                "3/04", "1/-2", "1 / 2", "- 1", "1/", "/2", "inf", "nan", "1/2/3"]:
+        with pytest.raises(ValueError):
+            as_fraction(bad)
+
+
 def test_json_terms_roundtrip():
     rng = random.Random(9)
     for _ in range(20):

@@ -194,6 +194,16 @@ def test_verify_tol_range(capsys):
     assert code == 2 and "tol" in err
 
 
+def test_tol_range_starts_at_the_series_floor(capsys):
+    from eulersums import numerics
+
+    floor = numerics.SUM_TOL_FLOOR
+    code, out, _ = run(capsys, "eval", "--tol", repr(floor), "S(2,2)")
+    assert code == 0 and out.endswith("N=100\n")
+    code, _, err = run(capsys, "eval", "--tol", repr(floor * 0.99), "S(2,2)")
+    assert code == 2 and f"[{floor:g}," in err
+
+
 def test_eval_index(capsys):
     code, out, _ = run(capsys, "eval", "--tol", "1e-6", "S(1,2)")
     assert code == 0
@@ -235,6 +245,35 @@ def test_table_check(capsys, tmp_path):
     assert "0 accepted, 1 rejected" in out
     code, _, _ = run(capsys, "table-check", str(bad))
     assert code == 5
+
+
+def test_table_check_rejects_loose_rational_text(capsys, tmp_path):
+    # each coefficient below equals the true one when Fraction() reads it,
+    # but none is a form the program writes: each line is rejected on its
+    # own, and the JSON integer and the padded text beside them are accepted
+    path = tmp_path / "loose.jsonl"
+    path.write_text(
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1_0/1_0"}], "weight": 3}\n'
+        '{"lhs": "z(3,1)", "rhs": [{"factors": ["z(4)"], "coeff": "0.25"}], "weight": 4}\n'
+        '{"lhs": "z(2,2)", "rhs": [{"factors": ["z(4)"], "coeff": "\u0663/4"}], "weight": 4}\n'
+        '{"lhs": "z(2,1,1)", "rhs": [{"factors": ["z(4)"], "coeff": 1}], "weight": 4}\n'
+        '{"lhs": "z(2,1,1,1)", "rhs": [{"factors": ["z(5)"], "coeff": " 1 "}], "weight": 5}\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "table-check", str(path))
+    assert code == 0 and out == f"{path}: 2 accepted, 3 rejected, max weight 5\n"
+    lines = err.splitlines()
+    assert [line.split(" rejected: ")[0] for line in lines] == [f"{path}:{i}:" for i in (1, 2, 3)]
+    for line, text in zip(lines, ["'1_0/1_0'", "'0.25'", "'\u0663/4'"]):
+        assert text in line
+
+
+def test_eval_json_loose_rational_exit2(capsys, tmp_path):
+    # "1e2" is 100 to Fraction(), so the dump read as 100 z(2); it is refused
+    p = tmp_path / "dump.json"
+    p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1e2"}]}))
+    code, out, err = run(capsys, "eval", "--json", str(p))
+    assert code == 2 and out == "" and "cannot parse expansion dump" in err and "'1e2'" in err
 
 
 def test_missing_index_exit2(capsys):

@@ -103,6 +103,15 @@ def test_zeta2_against_pi():
     assert zv.tail_bound < 1e-15
 
 
+def test_zeta_value_reports_terms_summed():
+    # 2000 terms below s = 40 and 64 from there on; the error charges one
+    # unit per floored term, so it is at least that many units
+    for s, terms in [(2, 2000), (39, 2000), (40, 64), (41, 64), (90, 64)]:
+        assert zeta_value(s).terms_used == terms, s
+        assert _fp_zeta(s)[1] * _FP_SCALE >= terms, s
+    assert abs(zeta_value(40).value - 1) < Fraction(1, 2**39)
+
+
 def test_li4_half_series():
     # direct check from the defining series with an exact rational partial sum
     partial = sum((Fraction(1, 2**n * n**4) for n in range(1, 61)), Fraction(0))
@@ -573,22 +582,45 @@ def _poly_at(poly, m, log):
 
 
 def test_plain_factors_enclose_their_values():
-    # each factor of the plain tail, expanded about N = n from the walk's
-    # carry, encloses H_m, H_m^(r) and rho_r(m) at m = 2n, where ln(m/n)
-    # is the fixed-point ln 2, and at m = 3n for r != 1
+    # each factor of the tail, expanded about N = n from the walk's carry,
+    # is a pair (even, odd): H_m and H_m^(r) are even with odd part zero,
+    # and the alternating H_m^(r) has even part eta(r), for r = 1 ln 2 from
+    # the Li_1(1/2) series, and odd part rho_r(m); each encloses its value
+    # at m = 2n, where ln(m/n) is the fixed-point ln 2, and at m = 3n for r != 1
     ln2, ln2_err = _fp_li_half(1)
     for n in (1, 2, 3, 5, 8, 13):
         state = _walk("S(1,2,3,-1,-2,2)", [n])
         for (e, _), carry in zip(state.factors, state.carries):
-            p, err = _plain_factor(e, n, carry if e > 0 else 0)
+            (p, err), (p_odd, err_odd) = _plain_factor(e, n, carry if e > 0 else 0)
             for m in (2 * n, 3 * n) if e != 1 else (2 * n,):
                 if e > 0:
+                    assert p_odd == err_odd == {}
                     exact, slack = harmonic_exact(e, m), ln2_err
                 else:
                     eta, slack = _eta_fixed_point(-e)
-                    exact = (-1) ** (m + 1) * (alt_harmonic_exact(-e, m) - eta)
+                    rho = (-1) ** (m + 1) * (alt_harmonic_exact(-e, m) - eta)
+                    miss = abs(rho * _FP_SCALE - _poly_at(p_odd, m, ln2))
+                    assert miss <= _poly_at(err_odd, m, ln2) + slack * _FP_SCALE, (e, n, m)
+                    assert list(p) == list(err) == [(0, 0)]
+                    exact = eta
                 miss = abs(exact * _FP_SCALE - _poly_at(p, m, ln2))
                 assert miss <= _poly_at(err, m, ln2) + slack * _FP_SCALE, (e, n, m)
+
+
+def test_repeated_alternating_tails_enclose_reference():
+    # (even + sigma odd)^k multiplies out into 2^k products, each sorted by
+    # the parity of its odd factors; with repeated and mixed alternating
+    # factors, and either outer sign, the tail at N = 10 and 100 still
+    # encloses the Hoelder value of the expansion
+    for text in ["S(-1,-1,-1,-1,-1)", "S(-1,-2,-2,-1)", "S(1,1,-1,-1,-1,-1)", "S(-2,-2,-2,3)",
+                 "S(-1,-1,-3,2)", "S(2,-1,-1,-2)"]:
+        idx = parse_index(text)
+        ref = _reference(idx)
+        for n in (10, 100):
+            res = eval_euler_sum_best(idx, 1e-10, n_cap=n)
+            assert res.terms_used == n
+            assert abs(res.value - ref.value) <= res.tail_bound + ref.tail_bound, (text, n)
+            assert res.tail_bound < (1e-6 if n == 10 else 1e-10), (text, n)
 
 
 def test_em_sum_log_moments():
