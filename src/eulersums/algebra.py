@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -55,29 +55,30 @@ def as_fraction(x) -> Fraction:
 _END = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
-class MzvAtom:
+class MzvAtom(tuple):
     """One multiple zeta value (or one Li_q(1/2) constant).
 
-    ``args`` is the tuple of signed slots for a zeta atom; ``li`` is the
-    polylogarithm order for a Li(q,1/2) atom, in which case ``args`` is empty.
-    ``weight`` (sum of |slot|, or the Li order) is set once, when the atom is
-    built; equality and hashing ignore it.
+    The atom is the tuple ``(args, li, weight)``.  ``args`` is the tuple of
+    signed slots for a zeta atom; ``li`` is the polylogarithm order for a
+    Li(q,1/2) atom, in which case ``args`` is empty.  ``weight`` (sum of
+    |slot|, or the Li order) is a function of the other two, stored so that
+    it is read without arithmetic.  Hashing, equality and construction are
+    those of ``tuple``.
     """
 
-    args: tuple[int, ...] = ()
-    li: int = 0
-    weight: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        args = self.args
-        if self.li:
+    args = property(operator.itemgetter(0))
+    li = property(operator.itemgetter(1))
+    weight = property(operator.itemgetter(2))
+
+    def __new__(cls, args: tuple[int, ...] = (), li: int = 0):
+        if li:
             if args:
                 raise ValueError("Li atom carries no zeta slots")
-            if self.li < 1:
+            if li < 1:
                 raise ValueError("Li order must be a positive integer")
-            object.__setattr__(self, "weight", self.li)
-            return
+            return tuple.__new__(cls, (args, li, li))
         if not args:
             raise ValueError("zeta atom needs at least one slot")
         if 0 in args:
@@ -86,19 +87,18 @@ class MzvAtom:
             # An unsigned leading 1 gives a divergent nested series.  The
             # expansion engines never produce one, so this is a logic error.
             raise ValueError(f"divergent atom: leading unsigned 1 in {args}")
-        object.__setattr__(self, "weight", sum(map(abs, args)))
+        return tuple.__new__(cls, (args, 0, sum(map(abs, args))))
+
+    def __getnewargs__(self):
+        return self[:2]
 
     @staticmethod
     def _of_word(args: tuple[int, ...], weight: int) -> "MzvAtom":
         """The zeta atom with slots ``args`` and weight ``weight``, built
-        without the checks of ``__post_init__``: the caller guarantees that
+        without the checks of ``__new__``: the caller guarantees that
         ``args`` is a nonempty tuple of nonzero slots, not led by an unsigned
         1, whose magnitudes sum to ``weight``."""
-        atom = object.__new__(MzvAtom)
-        object.__setattr__(atom, "args", args)
-        object.__setattr__(atom, "li", 0)
-        object.__setattr__(atom, "weight", weight)
-        return atom
+        return tuple.__new__(MzvAtom, (args, 0, weight))
 
     @property
     def depth(self) -> int:

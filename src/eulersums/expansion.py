@@ -177,9 +177,20 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     n_bar = sum(1 for e in idx.inner if e < 0)
     sign = (-1) ** (n_bar + outer_bar)
     lead = -q if outer_bar else q
-    # Multiplicities are positive, so no coefficient sums to zero.
-    acc: dict[tuple[int, ...], int] = {}
-    for word, c in _quasi_shuffle((e,) for e in idx.inner).items():
+    w, depth = idx.weight, idx.degree + 1
+    coeffs: dict[int, Fraction] = {}
+    terms: dict[MzvAtom, Fraction] = {}
+    product = _quasi_shuffle((e,) for e in idx.inner)
+    n_words = len(product)
+    # Each word gives two atoms, and no two words give the same atom: atom 1
+    # leads with q, atom 2 with q + |first| > q, and within each family the
+    # atom determines its word.  So every coefficient is one multiplicity,
+    # and the words are taken off the product as their atoms are made.
+    while product:
+        word, c = product.popitem()
+        coeff = coeffs.get(c)
+        if coeff is None:
+            coeff = coeffs[c] = Fraction(sign * c)
         # Atom 1: the outer exponent keeps its own leading slot.  Atom 2: it
         # merges with the first letter, alternating iff exactly one of the
         # two does.
@@ -188,21 +199,15 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
         if (first < 0) ^ outer_bar:
             merged = -merged
         for args in ((lead,) + word, (merged,) + word[1:]):
-            acc[args] = acc.get(args, 0) + c
-    w, depth = idx.weight, idx.degree + 1
-    coeffs: dict[int, Fraction] = {}
-    terms: dict[MzvAtom, Fraction] = {}
-    for args, c in acc.items():
-        # The kernel's words meet the atom's slot conditions by construction,
-        # so the atom is built without its checks and the asserts keep them.
-        atom = MzvAtom._of_word(args, w)
-        assert sum(map(abs, args)) == w, f"weight leak: {atom} in expansion of {idx}"
-        assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
-        assert args[0] != 1 and 0 not in args, f"inadmissible atom: {atom} in expansion of {idx}"
-        coeff = coeffs.get(c)
-        if coeff is None:
-            coeff = coeffs[c] = Fraction(sign * c)
-        terms[atom] = coeff
+            # The kernel's words meet the atom's slot conditions by
+            # construction, so the atom is built without its checks and the
+            # asserts keep them.
+            atom = MzvAtom._of_word(args, w)
+            assert sum(map(abs, args)) == w, f"weight leak: {atom} in expansion of {idx}"
+            assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
+            assert args[0] != 1 and 0 not in args, f"inadmissible atom: {atom} in expansion of {idx}"
+            terms[atom] = coeff
+    assert len(terms) == 2 * n_words, f"two words gave one atom in expansion of {idx}"
     return LinComb._of_nonzero(terms)
 
 

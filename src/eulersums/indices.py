@@ -74,7 +74,7 @@ class EulerSumIndex:
 
 
 def canonical_inner(entries) -> list[int]:
-    pos = sorted(e for e in entries if e > 0)
+    pos = sorted(e for e in entries if e >= 0)  # a zero stays, for EulerSumIndex to refuse
     neg = sorted((e for e in entries if e < 0), key=abs)
     return pos + neg
 
@@ -138,8 +138,21 @@ def parse_index(text: str) -> EulerSumIndex:
     return make_index(inner, outer)
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"index field {field!r} holds {value!r}, not a JSON integer")
+    return value
+
+
 def from_json(obj) -> EulerSumIndex:
-    return make_index(list(obj["inner"]), int(obj["outer"]))
+    """The index of ``{"inner": [...], "outer": q}``, as ``to_json`` writes
+    it.  Every entry must be a JSON integer: a float, a bool or a string
+    raises ``ValueError`` naming its field, and is never converted."""
+    inner = obj["inner"]
+    if type(inner) is not list:
+        raise ValueError(f"index field 'inner' holds {inner!r}, not a list")
+    entries = [_json_int(e, "inner") for e in inner]
+    return make_index(entries, _json_int(obj["outer"], "outer"))
 
 
 def _latex_inner(inner: tuple[int, ...]) -> str:

@@ -316,22 +316,21 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     else:
         text = source.read()
         name = label or getattr(source, "name", "stream")
+    entries, rejected = _parse_table(text, verify, tol)
     table = IdentityTable(label=str(name))
-    for lineno, *result in _parse_table(text, verify, tol):
-        if len(result) == 1:
-            table.report.append(f"{name}:{lineno}: rejected: {result[0]}")
-        else:
-            lhs, rhs = result
-            table.entries[lhs] = rhs
+    table.entries = dict(entries)
+    table.report = [f"{name}:{lineno}: rejected: {message}" for lineno, message in rejected]
     return table
 
 
 @functools.cache
-def _parse_table(text: str, verify: bool, tol: float) -> tuple:
-    """The per-line outcome of one table text, in line order: (lineno, lhs,
-    rhs) for an accepted entry, (lineno, message) for a rejected one.
-    Cached on the exact text, so an edited file is always parsed again."""
-    outcome = []
+def _parse_table(text: str, verify: bool, tol: float) -> tuple[dict, tuple]:
+    """The outcome of one table text: the accepted entries as a dict
+    {lhs: rhs} in line order, and (lineno, message) for each rejected line.
+    Cached on the exact text, so an edited file is always parsed again;
+    callers copy the dict and never change it."""
+    entries: dict[MzvAtom, LinComb] = {}
+    rejected = []
     first_line: dict[MzvAtom, int] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -353,10 +352,10 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple:
             if verify:
                 _verify_entry(lhs, rhs, tol)
             _check_entry(lhs, rhs)
-            outcome.append((lineno, lhs, rhs))
+            entries[lhs] = rhs
         except Exception as e:  # entry-level rejection
-            outcome.append((lineno, str(e)))
-    return tuple(outcome)
+            rejected.append((lineno, str(e)))
+    return entries, tuple(rejected)
 
 
 def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -109,12 +111,37 @@ def test_atom_slots_allow_whitespace():
 
 @SETTINGS
 @given(atoms)
-def test_atom_weight_is_stored_and_ignored_by_equality(atom):
+def test_atom_weight_is_part_of_its_value(atom):
+    # the weight is stored in the atom's tuple, so every way of building one
+    # atom must store the same weight: it is a function of the slots
     assert atom.weight == (atom.li or sum(abs(a) for a in atom.args))
-    twin = MzvAtom(args=atom.args, li=atom.li)
-    object.__setattr__(twin, "weight", atom.weight + 1)
-    assert twin == atom and hash(twin) == hash(atom)
-    assert {atom: 1}[twin] == 1 and repr(twin) == repr(atom)
+    built = [MzvAtom(args=atom.args, li=atom.li), parse_atom(atom.render())]
+    built.append(li_half(atom.li) if atom.li else MzvAtom._of_word(atom.args, atom.weight))
+    for twin in built:
+        assert twin == atom and hash(twin) == hash(atom)
+        assert twin.weight == atom.weight and {atom: 1}[twin] == 1
+        assert tuple(twin) == (atom.args, atom.li, atom.weight)
+    with pytest.raises(AttributeError):
+        atom.weight = atom.weight + 1
+
+
+@pytest.mark.parametrize("copy_of", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    lambda x: pickle.loads(pickle.dumps(x, protocol=pickle.HIGHEST_PROTOCOL)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_values_survive_pickle_and_copy(copy_of):
+    product = SymbolicTerm.of(z(-1), z(3, 1), li_half(2))
+    values = [z(2), z(-5, 1), z(-1), li_half(4), product, UNIT_TERM]
+    values.append(LinComb({z(3): Fraction(-1, 2), product: 2, UNIT_TERM: 3, li_half(4): 1}))
+    for value in values:
+        twin = copy_of(value)
+        assert twin == value and type(twin) is type(value) and twin.render() == value.render()
+        if not isinstance(value, LinComb):
+            assert hash(twin) == hash(value) and twin.weight == value.weight
+    atom = copy_of(z(-5, 1))
+    assert (atom.args, atom.li, atom.weight) == ((-5, 1), 0, 6)
 
 
 def _nested_sort_key(term: SymbolicTerm):

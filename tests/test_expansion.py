@@ -172,6 +172,20 @@ def test_t1_matches_atom_by_atom_reference(inner, outer):
     assert expand_t1(idx) == _t1_reference(idx)
 
 
+# Few magnitudes, so that entries repeat, barred or not.
+repeated_entries = st.tuples(st.integers(1, 2), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(repeated_entries, min_size=1, max_size=6), st.sampled_from([2, 3, -1, -2, -3]))
+def test_t1_gives_two_atoms_per_word(inner, outer):
+    # no two product words give the same atom, under either outer sign:
+    # expand_t1 stores each atom once, with its word's multiplicity
+    idx = make_index(inner, outer)
+    words = expansion._quasi_shuffle((e,) for e in idx.inner)
+    assert len(expand_t1(idx)) == 2 * len(words)
+
+
 @pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
 def test_t1_checks_every_word(monkeypatch, word, message):
     # a kernel word of the wrong weight or depth never reaches the result

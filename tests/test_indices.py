@@ -88,6 +88,40 @@ def test_render_roundtrip_random(inner, outer):
     assert from_json(json.loads(render_index(idx, "json"))) == idx
 
 
+@pytest.mark.parametrize(
+    "obj,field",
+    [
+        ({"inner": [2], "outer": 2.9}, "outer"),
+        ({"inner": [2], "outer": 2.0}, "outer"),
+        ({"inner": [2], "outer": "3"}, "outer"),
+        ({"inner": [2], "outer": True}, "outer"),
+        ({"inner": [1.5], "outer": 2}, "inner"),
+        ({"inner": [True], "outer": "3"}, "inner"),
+        ({"inner": [2, False], "outer": 3}, "inner"),
+        ({"inner": ["2"], "outer": 3}, "inner"),
+        ({"inner": "12", "outer": 3}, "inner"),
+        ({"inner": 2, "outer": 3}, "inner"),
+    ],
+)
+def test_from_json_takes_only_integers(obj, field):
+    # a float, a bool or a string is refused, never converted to an entry
+    with pytest.raises(ValueError, match=f"^index field '{field}' holds "):
+        from_json(obj)
+
+
+def test_from_json_keeps_checks_and_order():
+    assert from_json({"inner": [-2, 3, 1], "outer": -4}) == make_index([1, 3, -2], -4)
+    assert from_json({"inner": [], "outer": 2}) == make_index([], 2)
+    with pytest.raises(ConvergenceError):
+        from_json({"inner": [2], "outer": 1})
+    # a zero entry is refused, not dropped by the canonical order
+    for inner, outer in (([0], 2), ([3, 0], 2), ([2], 0)):
+        with pytest.raises(ValueError, match="^index entries must be nonzero$"):
+            from_json({"inner": inner, "outer": outer})
+        with pytest.raises(ValueError, match="^index entries must be nonzero$"):
+            make_index(inner, outer)
+
+
 def test_render_styles():
     assert render_index(parse_index("S(1,1,-3)"), "plain") == "S(1,1,-3)"
     assert render_index(make_index([2, 2, 2], 2), "latex") == r"S_{2^{3},2}"
