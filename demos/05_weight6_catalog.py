@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from eulersums import expand_t1, parse_index
 from eulersums.algebra import LinComb, SymbolicTerm, z
-from eulersums.numerics import eval_euler_sum_best, eval_lincomb_best
+from eulersums.numerics import agree, eval_euler_sum_best, eval_lincomb_best
 
 
 def lc(*pairs):
@@ -41,6 +41,5 @@ for text, closed in reduced.items():
     idx = parse_index(text)
     a = eval_lincomb_best(expand_t1(idx), 1e-7)
     b = eval_lincomb_best(closed, 1e-9)
-    diff = abs(float(a.value) - float(b.value))
-    ok = diff <= a.tail_bound + b.tail_bound + 1e-5
-    print(f"  {text:10s} expansion vs reduced form: discrepancy {diff:.2e}  -> {'OK' if ok else 'MISMATCH'}")
+    ok, diff, _ = agree(a, b, 1e-5)
+    print(f"  {text:10s} expansion vs reduced form: discrepancy {float(diff):.2e}  -> {'OK' if ok else 'MISMATCH'}")

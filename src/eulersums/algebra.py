@@ -11,6 +11,9 @@ atom is either
   * the polylogarithm constant Li_q(1/2), a basis element of the alternating,
     low-weight reduction bases.
 
+Terms order themselves: an atom is the tuple ``(li, weight, args)`` and a
+product the sorted tuple of its factors, so tuple order is term order.
+
 Coefficients are ``fractions.Fraction`` throughout; no floating point enters
 this module.  All values are immutable after construction and safe to share.
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -51,26 +53,23 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-# Closes each atom's sort key: it compares below every slot value.
-_END = float("-inf")
-
-
 class MzvAtom(tuple):
     """One multiple zeta value (or one Li_q(1/2) constant).
 
-    The atom is the tuple ``(args, li, weight)``.  ``args`` is the tuple of
+    The atom is the tuple ``(li, weight, args)``.  ``args`` is the tuple of
     signed slots for a zeta atom; ``li`` is the polylogarithm order for a
     Li(q,1/2) atom, in which case ``args`` is empty.  ``weight`` (sum of
     |slot|, or the Li order) is a function of the other two, stored so that
-    it is read without arithmetic.  Hashing, equality and construction are
-    those of ``tuple``.
+    it is read without arithmetic.  Hashing, equality, construction and order
+    are those of ``tuple``: zeta atoms (``li`` 0) by weight and then slots,
+    before the Li constants by order.
     """
 
     __slots__ = ()
 
-    args = property(operator.itemgetter(0))
-    li = property(operator.itemgetter(1))
-    weight = property(operator.itemgetter(2))
+    li = property(operator.itemgetter(0))
+    weight = property(operator.itemgetter(1))
+    args = property(operator.itemgetter(2))
 
     def __new__(cls, args: tuple[int, ...] = (), li: int = 0):
         if li:
@@ -78,7 +77,7 @@ class MzvAtom(tuple):
                 raise ValueError("Li atom carries no zeta slots")
             if li < 1:
                 raise ValueError("Li order must be a positive integer")
-            return tuple.__new__(cls, (args, li, li))
+            return tuple.__new__(cls, (li, li, args))
         if not args:
             raise ValueError("zeta atom needs at least one slot")
         if 0 in args:
@@ -87,10 +86,10 @@ class MzvAtom(tuple):
             # An unsigned leading 1 gives a divergent nested series.  The
             # expansion engines never produce one, so this is a logic error.
             raise ValueError(f"divergent atom: leading unsigned 1 in {args}")
-        return tuple.__new__(cls, (args, 0, sum(map(abs, args))))
+        return tuple.__new__(cls, (0, sum(map(abs, args)), args))
 
     def __getnewargs__(self):
-        return self[:2]
+        return self[2], self[0]
 
     @staticmethod
     def _of_word(args: tuple[int, ...], weight: int) -> "MzvAtom":
@@ -98,7 +97,7 @@ class MzvAtom(tuple):
         without the checks of ``__new__``: the caller guarantees that
         ``args`` is a nonempty tuple of nonzero slots, not led by an unsigned
         1, whose magnitudes sum to ``weight``."""
-        return tuple.__new__(MzvAtom, (args, 0, weight))
+        return tuple.__new__(MzvAtom, (0, weight, args))
 
     @property
     def depth(self) -> int:
@@ -107,15 +106,6 @@ class MzvAtom(tuple):
     @property
     def is_alternating(self) -> bool:
         return (not self.li) and any(a < 0 for a in self.args)
-
-    def sort_key(self) -> tuple:
-        """Zeta atoms by weight and then slots, before the Li constants by
-        order.  The key is flat, so sorting compares ints; it ends in
-        ``_END``, below every slot, so that a key whose slots are a prefix of
-        another's sorts first however many keys follow it."""
-        if self.li:
-            return (1, self.li, _END)
-        return (0, self.weight, *self.args, _END)
 
     # -- the term protocol: an atom is the term with that one factor -----
 
@@ -130,10 +120,8 @@ class MzvAtom(tuple):
         return SymbolicTerm.of(self, *other.factors)
 
     def term_key(self) -> tuple:
-        """``SymbolicTerm.term_key`` of the one-factor product: (1, *sort_key())."""
-        if self.li:
-            return (1, 1, self.li, _END)
-        return (1, 0, self.weight, *self.args, _END)
+        """``SymbolicTerm.term_key`` of the one-factor product."""
+        return (1, self)
 
     def render(self) -> str:
         if self.li:
@@ -181,10 +169,9 @@ def parse_atom(text: str) -> MzvAtom:
     raise ValueError(f"unrecognized atom rendering: {text!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicTerm:
-    """A commutative product of atoms, sorted by ``MzvAtom.sort_key`` when it
-    is built: the unit term or a product of two or more atoms.
+class SymbolicTerm(tuple):
+    """A commutative product of atoms: the unit term or a product of two or
+    more atoms, the tuple of its factors in atom order.
 
     The empty product is the unit term and represents the constant 1, so
     plain rationals live inside LinComb uniformly.  A term of one atom is
@@ -194,12 +181,17 @@ class SymbolicTerm:
     ``term_key``, ``render`` and ``latex``.
     """
 
-    factors: tuple[MzvAtom, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.factors) == 1:
+    def __new__(cls, factors: Iterable[MzvAtom] = ()):
+        factors = sorted(factors)
+        if len(factors) == 1:
             raise ValueError("a one-atom term is the MzvAtom itself")
-        object.__setattr__(self, "factors", tuple(sorted(self.factors, key=MzvAtom.sort_key)))
+        return tuple.__new__(cls, factors)
+
+    @property
+    def factors(self) -> "SymbolicTerm":
+        return self
 
     @staticmethod
     def of(*atoms: MzvAtom) -> "Term":
@@ -211,33 +203,30 @@ class SymbolicTerm:
 
     @property
     def weight(self) -> int:
-        return sum(a.weight for a in self.factors)
+        return sum(a.weight for a in self)
 
     def is_unit(self) -> bool:
-        return not self.factors
+        return not self
 
     def mul(self, other: "Term") -> "Term":
-        return SymbolicTerm.of(*self.factors, *other.factors)
+        return SymbolicTerm.of(*self, *other.factors)
 
     def term_key(self) -> tuple:
-        """Terms by factor count, then factor by factor by ``MzvAtom.sort_key``."""
-        key = (len(self.factors),)
-        for a in self.factors:
-            key += a.sort_key()
-        return key
+        """Terms by factor count, then factor by factor in atom order."""
+        return (len(self), *self)
 
     def render(self) -> str:
-        if not self.factors:
+        if not self:
             return "1"
-        return "*".join(a.render() for a in self.factors)
+        return "*".join(a.render() for a in self)
 
     def latex(self) -> str:
-        if not self.factors:
+        if not self:
             return "1"
         # Fold the sign of ln(2) factors (z(-1) = -ln 2) into the display.
-        n_ln2 = sum(1 for a in self.factors if a.args == (-1,))
+        n_ln2 = sum(1 for a in self if a.args == (-1,))
         pieces = []
-        for a in self.factors:
+        for a in self:
             if a.args == (-1,):
                 continue
             pieces.append(a.latex())
@@ -255,7 +244,7 @@ class SymbolicTerm:
 UNIT_TERM = SymbolicTerm()
 
 _TERM_KEY = operator.methodcaller("term_key")
-_SLOTS = operator.attrgetter("args")
+_SLOTS = operator.itemgetter(2)  # an atom's args
 
 # A term of a LinComb: the unit, one atom, or a product of two or more atoms.
 Term = MzvAtom | SymbolicTerm
@@ -312,24 +301,21 @@ class LinComb:
         """The (term, coefficient) pairs in ``term_key`` order: the unit,
         then the zeta atoms by weight, then the Li atoms and the products.
 
-        The zeta atoms of one weight are sorted on their slots alone.  That
-        is their ``term_key`` order: the keys share the prefix
-        ``(1, 0, weight)``, and ``_END`` never decides between two of them,
-        because a proper prefix of a word of nonzero slots has a smaller
-        weight.  So no key tuple is built for them."""
+        The zeta atoms of one weight are sorted on their slots alone, which
+        is their atom order, since they share ``li`` and ``weight``.  The
+        slots are exact tuples, which ``list.sort`` compares on a faster
+        path than the atoms, a ``tuple`` subclass."""
         by_weight: dict[int, list[MzvAtom]] = {}
         rest = []
         for t in self._d:
             if t.__class__ is MzvAtom and not t.li:
                 by_weight.setdefault(t.weight, []).append(t)
-            else:
+            elif t:  # not the unit, the empty product
                 rest.append(t)
-        rest.sort(key=_TERM_KEY)
-        n_unit = 1 if rest and rest[0].is_unit() else 0
-        order = rest[:n_unit]
+        order = [UNIT_TERM] if UNIT_TERM in self._d else []
         for w in sorted(by_weight):
             order += sorted(by_weight[w], key=_SLOTS)
-        order += rest[n_unit:]
+        order += sorted(rest, key=_TERM_KEY)
         return zip(order, map(self._d.__getitem__, order))
 
     def coeff(self, term: Term) -> Fraction:
@@ -397,9 +383,6 @@ class LinComb:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._d == other._d
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     # -- rendering ----------------------------------------------------
 

@@ -190,27 +190,30 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
+def _up3(x) -> str:
+    """A rational x >= 0 rounded up to 3 significant digits, laid out by ``%.3g``."""
+    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
+    return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
+
+
 def _verify_one(text: str, args, tables) -> tuple[int, str]:
     tol = args.tol
     idx = parse_index(text)
     lhs = numerics.eval_euler_sum_best(idx, tol)
     lc, engine, _ = _expand_with_engine(idx, args.engine)
     rhs = numerics.eval_lincomb_best(lc, tol)
-    diff = abs(float(lhs.value) - float(rhs.value))
-    budget = lhs.tail_bound + rhs.tail_bound + tol
-    ok = diff <= budget
+    ok, diff, budget = numerics.agree(lhs, rhs, tol)
     lines = [
         f"series    = {float(lhs.value):.15g}  (bound {lhs.tail_bound:.3g}, N={lhs.terms_used})",
         f"expansion = {float(rhs.value):.15g}  (bound {rhs.tail_bound:.3g}; engine {engine})",
-        f"discrepancy {diff:.3g} vs budget {budget:.3g}",
+        f"discrepancy {_up3(diff)} vs budget {_up3(budget)}",
     ]
     if tables:
         red = reduce_lincomb(lc, tables=tables).value
         rr = numerics.eval_lincomb_best(red, tol)
-        d2 = abs(float(lhs.value) - float(rr.value))
-        b2 = lhs.tail_bound + rr.tail_bound + tol
-        ok = ok and d2 <= b2
-        lines.append(f"reduction = {float(rr.value):.15g}  (bound {rr.tail_bound:.3g}; discrepancy {d2:.3g} vs {b2:.3g})")
+        ok2, d2, b2 = numerics.agree(lhs, rr, tol)
+        ok = ok and ok2
+        lines.append(f"reduction = {float(rr.value):.15g}  (bound {rr.tail_bound:.3g}; discrepancy {_up3(d2)} vs {_up3(b2)})")
     lines.append("PASS" if ok else "FAIL")
     return (EXIT_OK if ok else EXIT_FAIL), "\n".join(lines)
 

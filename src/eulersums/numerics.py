@@ -106,6 +106,15 @@ class NumericResult:
         return f"NumericResult({value:.15g} +- {self.tail_bound:.3g}, N={self.terms_used})"
 
 
+def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fraction, Fraction]:
+    """(ok, diff, budget): whether |a - b| = diff is at most the sum of the
+    two bounds and ``tol``, the budget.  All three are exact, so no rounding
+    of the values to doubles hides a difference."""
+    diff = abs(a.value - b.value)
+    budget = Fraction(a.tail_bound) + Fraction(b.tail_bound) + Fraction(tol)
+    return diff <= budget, diff, budget
+
+
 class CapacityError(RuntimeError):
     """Target tolerance unreachable within the term cap; carries the best result."""
 
@@ -571,6 +580,8 @@ def _plain_factor(e: int, n: int, carry: int):
     err[key] = err.get(key, 0) + _rem_units(rem, 1)
     if e > 0:
         return (p, err), _ZERO
+    if -e > HOLDER_N:  # 1 - 2^-r < eta(r) < 1, and 2^-r is below one unit
+        return ({_ONE: _FP_SCALE}, {_ONE: 1}), (p, err)
     eta, eta_err = _atom_units(z(e))
     return ({_ONE: -eta}, {_ONE: eta_err}), (p, err)
 
@@ -601,7 +612,7 @@ class _SumState:
             return
         columns = []
         for (e, _), start in zip(self.factors, self.carries):
-            r = abs(e)
+            r = min(abs(e), _FP_BITS + 1)  # 2^192 // n^r is the same for every larger r
             if e > 0:
                 steps = [_FP_SCALE // n**r for n in ns]
             else:

@@ -120,7 +120,7 @@ def test_atom_weight_is_part_of_its_value(atom):
     for twin in built:
         assert twin == atom and hash(twin) == hash(atom)
         assert twin.weight == atom.weight and {atom: 1}[twin] == 1
-        assert tuple(twin) == (atom.args, atom.li, atom.weight)
+        assert tuple(twin) == (atom.li, atom.weight, atom.args)
     with pytest.raises(AttributeError):
         atom.weight = atom.weight + 1
 
@@ -144,13 +144,15 @@ def test_values_survive_pickle_and_copy(copy_of):
     assert (atom.args, atom.li, atom.weight) == ((-5, 1), 0, 6)
 
 
+def _atom_order(a: MzvAtom):
+    """The atom order as (kind, weight or Li order, slots)."""
+    return (1, a.li, ()) if a.li else (0, a.weight, a.args)
+
+
 def _nested_sort_key(term: SymbolicTerm):
     """The term order as nested tuples: factor count, then each factor's
     (kind, weight, slots)."""
-    return (
-        len(term.factors),
-        tuple((1, a.li, ()) if a.li else (0, a.weight, a.args) for a in term.factors),
-    )
+    return (len(term.factors), tuple(map(_atom_order, term.factors)))
 
 
 # Slots from a small alphabet, so that one factor's slots are often a prefix
@@ -176,7 +178,7 @@ def test_one_atom_term_is_the_atom():
         assert SymbolicTerm.of(a) is a
         assert UNIT_TERM.mul(a) is a and a.mul(UNIT_TERM) is a
         assert a.factors == (a,) and not a.is_unit()
-        assert a.term_key() == (1, *a.sort_key())
+        assert a.term_key() == (1, a)
         with pytest.raises(ValueError, match="one-atom term"):
             SymbolicTerm((a,))
     assert SymbolicTerm.of() == UNIT_TERM and UNIT_TERM.is_unit()
@@ -195,6 +197,36 @@ def test_product_built_unsorted_is_the_sorted_product():
     lc = LinComb.of_term(unsorted) - LinComb.of_term(product)
     assert lc == LinComb.zero() and lc.render() == "0"
     assert reduce_lincomb(lc).value == LinComb.zero()
+
+
+@SETTINGS
+@given(st.lists(atoms, min_size=2, max_size=4), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_products_are_sorted_tuples_of_their_factors(factors, q, rnd):
+    # any permutation of the factors builds one key with one hash
+    product = SymbolicTerm(factors)
+    shuffled = factors[:]
+    rnd.shuffle(shuffled)
+    twin = SymbolicTerm.of(*shuffled)
+    assert twin == product and hash(twin) == hash(product) and {product: 1}[twin] == 1
+    assert twin.term_key() == product.term_key() == (len(factors), *product.factors)
+    assert list(map(_atom_order, product.factors)) == sorted(map(_atom_order, factors))
+    # no product or unit term equals any atom, so one dict holds them apart
+    with_li = SymbolicTerm((li_half(q), *factors[:3]))
+    for atom in [*factors, li_half(q)]:
+        for term in (product, with_li, UNIT_TERM):
+            assert term != atom and atom != term
+        with pytest.raises(ValueError, match="one-atom term"):
+            SymbolicTerm((atom,))
+    keys = {product: 1, with_li: 2, UNIT_TERM: 3, **dict.fromkeys(factors, 4)}
+    assert len(keys) == len({product, with_li}) + 1 + len(set(factors))
+    # pickle and copy give back the same sorted product, of 0 and 2-4 factors
+    for value in (UNIT_TERM, product, with_li):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies:
+            assert type(back) is SymbolicTerm and back == value and hash(back) == hash(value)
+            assert all(type(a) is MzvAtom for a in back.factors)
+            assert back.factors == value.factors and back.render() == value.render()
 
 
 def _check_terms(lc: LinComb):

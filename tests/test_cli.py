@@ -189,6 +189,34 @@ def test_verify_batch_skips_indented_comments_and_blank_lines(capsys, tmp_path):
     assert (code, out) == run(capsys, "verify", "--tol", "1e-6", "--file", str(plain))[:2]
 
 
+@pytest.mark.parametrize("layer", ["_expand_with_engine", "reduce_lincomb"])
+def test_verify_sees_an_error_below_one_ulp_of_the_value(capsys, monkeypatch, layer):
+    # S({1}_11, 2) is about 7.1e7, where one ulp of a double is 1.5e-8: an
+    # error of 3e-9 z(2) in the expansion or in its reduction must fail at
+    # --tol 1e-10, so the comparison is exact, not between rounded floats
+    import dataclasses
+    from fractions import Fraction
+
+    from eulersums import cli
+    from eulersums.algebra import LinComb, z
+
+    exact = getattr(cli, layer)
+
+    def off(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        if layer == "reduce_lincomb":
+            return dataclasses.replace(out, value=out.value + LinComb.of_atom(z(2), Fraction(3, 10**9)))
+        return (out[0] + LinComb.of_atom(z(2), Fraction(3, 10**9)), *out[1:])
+
+    monkeypatch.setattr(cli, layer, off)
+    argv = ["verify", "--tol", "1e-10", "--table", _starter_table(), "S(1,1,1,1,1,1,1,1,1,1,1,2)"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.endswith("FAIL\n"), out
+    lines = out.splitlines()
+    failing = lines[3] if layer == "_expand_with_engine" else lines[4]
+    assert "discrepancy 4.94e-09 vs" in failing, out
+
+
 def test_verify_tol_range(capsys):
     code, _, err = run(capsys, "verify", "--tol", "1e-12", "S(2,6)")
     assert code == 2 and "tol" in err

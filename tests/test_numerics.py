@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -605,6 +606,28 @@ def test_plain_factors_enclose_their_values():
                     exact = eta
                 miss = abs(exact * _FP_SCALE - _poly_at(p, m, ln2))
                 assert miss <= _poly_at(err, m, ln2) + slack * _FP_SCALE, (e, n, m)
+
+
+def test_eta_beyond_the_holder_length(capsys):
+    # up to HOLDER_N eta(r) is the Hoelder atom -z(-r); past it 1 - 2^-r <
+    # eta(r) < 1 is one unit about 1, and S(-100000,2), which would need a
+    # Hoelder word of length 100000, is evaluated in seconds
+    from eulersums import cli
+
+    eta, eta_err = _atom_units(z(-HOLDER_N))
+    assert _plain_factor(-HOLDER_N, 10, 0)[0] == ({(0, 0): -eta}, {(0, 0): eta_err})
+    for r in (HOLDER_N + 1, 1000):
+        (p, err), _ = _plain_factor(-r, 10, 0)
+        near = sum(Fraction((-1) ** (k + 1), k**r) for k in range(1, 4))  # within 4^-r
+        assert abs(near * _FP_SCALE - p[(0, 0)]) <= err[(0, 0)] - Fraction(_FP_SCALE, 4**r)
+    t0 = time.monotonic()
+    assert cli.main(["eval", "S(-100000,2)"]) == 0
+    assert time.monotonic() - t0 < 5.0
+    assert capsys.readouterr().out.startswith("1.64493406684823  bound=")
+    # every H_n^(-r) is within 2^-r of 1, so S(-r,2) is within 2^-r zeta(2) of zeta(2)
+    res, z2 = eval_euler_sum_best(parse_index("S(-100000,2)"), 1e-10), zeta_value(2)
+    slack = Fraction(res.tail_bound) + Fraction(z2.tail_bound) + Fraction(2, 2**100000)
+    assert res.tail_bound <= 1e-10 and abs(res.value - z2.value) <= slack
 
 
 def test_repeated_alternating_tails_enclose_reference():

@@ -671,11 +671,11 @@ def _ref_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
                 continue
             seen[(_term_without(term, atom).term_key(), atom)] = c
     for term, c in lc.items():
-        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+        for atom in sorted(set(term.factors)):
             if atom.li or atom.depth != 2:
                 continue
             partner = _ref_swap_partner(atom)
-            if partner is None or partner.sort_key() <= atom.sort_key():
+            if partner is None or partner <= atom:
                 continue
             rest = _term_without(term, atom)
             pc = seen.get((rest.term_key(), partner))
@@ -711,7 +711,7 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             key = _term_without(term, atom).term_key()
             by_cofactor.setdefault(key, {})[atom] = c
     for term, c in lc.items():
-        for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+        for atom in sorted(set(term.factors)):
             if atom.li or atom.depth != 3 or any(t < 2 for t in atom.args):
                 continue
             slots = atom.args
@@ -722,7 +722,7 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(slots)))]
             if any(group.get(o, Fraction(0)) == 0 for o in orderings):
                 continue
-            last = max(orderings, key=MzvAtom.sort_key)
+            last = max(orderings)
             t_amt = group[last]
             # The identity sums all six permutations; each distinct ordering
             # is 6 / len(orderings) of them.
@@ -751,7 +751,7 @@ def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
         # Atom-level rewrites, tables first.
         for term, _c in current.items():
             hit = None
-            for atom in sorted(set(term.factors), key=MzvAtom.sort_key):
+            for atom in sorted(set(term.factors)):
                 for table in tables:
                     rhs = table.lookup(atom)
                     if rhs is not None:
