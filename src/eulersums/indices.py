@@ -100,7 +100,7 @@ def parse_index(text: str) -> EulerSumIndex:
     if pos == len(s):
         raise IndexParseError("empty index", pos)
     wrapped = False
-    if s[pos] in "Ss" and pos + 1 < len(s) and s[skip_ws(pos + 1)] == "(":
+    if s[pos] in "Ss" and s.startswith("(", skip_ws(pos + 1)):
         wrapped = True
         pos = skip_ws(skip_ws(pos + 1) + 1)
     entries = []

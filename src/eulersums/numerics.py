@@ -9,16 +9,16 @@ Three evaluation strategies are used.
   * Exact rational evaluation of finite multiple harmonic sums
     (``eval_mhs_exact``) -- no tolerance, used by the quasi-shuffle tests.
 
-  * Fixed-point integer summation (192 fractional bits) for every atom:
-    Li_q(1/2) through the geometric series sum 2^-n / n^q, and every
-    (alternating) MZV through the Hoelder convolution of its iterated
-    integral split at 1/2 (``_fp_holder``): a fixed N = 200 terms per
-    power series, truncation at most 2^-N per factor since every
-    coefficient is bounded by 1, plus one unit 2^-192 per floor
-    operation.  Each atom is cached as two integers, its value and its
-    error bound in units of 2^-192; atoms share the chains of their prefix
-    and suffix factors through a bounded cache (``_holder_chain``), which
-    leaves every value unchanged.  A linear combination of products of
+  * Fixed-point integer summation (192 fractional bits) for every atom,
+    each (alternating) MZV and Li_q(1/2) = -G(0^(q-1), 2; 1) alike, through
+    the Hoelder convolution of its iterated integral split at 1/2
+    (``_fp_holder``): a fixed N = 200 terms per power series, truncation at
+    most 2^-N per factor since every coefficient is bounded by 1, plus one
+    unit 2^-192 per floor operation.  Each atom is cached as two integers,
+    its value and its error bound in units of 2^-192; atoms share the
+    chains of their prefix and suffix factors through a bounded cache
+    (``_holder_chain``), which leaves every value unchanged, and a word
+    costs time linear in its length.  A linear combination of products of
     atoms (one atom included) is summed exactly in those units: exact
     coefficients times the atom integers, the atoms' errors carried
     through the products, one floor per term.  The result is rounded to
@@ -90,7 +90,7 @@ class NumericResult:
     """A certified evaluation: |value - true| <= tail_bound.
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
-    Hoelder convolution), ``li_half``, ``zeta`` (fixed-point constants) or
+    Hoelder convolution), ``zeta`` (fixed-point constants) or
     ``euler_maclaurin`` (the tail of a series).
     ``value`` is an exact dyadic rational of 64 significant bits.
     """
@@ -176,7 +176,6 @@ def eval_mhs_exact(args, n: int) -> Fraction:
 
 _FP_BITS = 192
 _FP_SCALE = 1 << _FP_BITS
-LI_HALF_N = 220  # terms of the Li_q(1/2) series
 
 
 def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
@@ -226,17 +225,6 @@ def _fp_zeta(s: int) -> tuple[Fraction, Fraction]:
     val = Fraction(acc, _FP_SCALE) + tail
     err = Fraction(n_cut, _FP_SCALE) + rem
     return val, err
-
-
-def _fp_li_half(q: int) -> tuple[Fraction, Fraction]:
-    """Li_q(1/2) = sum 2^-n / n^q; geometric tail bound."""
-    if q < 1:
-        raise ValueError("Li order must be >= 1")
-    acc = 0
-    for n in range(1, LI_HALF_N + 1):
-        acc += _FP_SCALE // (2**n * n**q)
-    tail = Fraction(2, 2 ** (LI_HALF_N + 1) * (LI_HALF_N + 1) ** q)
-    return Fraction(acc, _FP_SCALE), Fraction(LI_HALF_N, _FP_SCALE) + tail
 
 
 def _fp_atan_inv(x: int) -> tuple[Fraction, Fraction]:
@@ -320,36 +308,48 @@ def _holder_chain(letters: tuple[int, ...], n_terms: int) -> tuple[tuple[int, ..
     return terms, sum(terms)
 
 
-def _fp_holder(args, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
-    """z(args) by the Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst
-    and Lisonek, *Special values of multiple polylogarithms*):
+def _chain_sums(letters: tuple[int, ...], n_terms: int) -> list[int]:
+    """The sums of the chains of letters[:j], j = 1..w: cached up to
+    HOLDER_CHAINS letters, then letter by letter, in time linear in w."""
+    chains = [_holder_chain(letters[:j], n_terms) for j in range(1, min(len(letters), HOLDER_CHAINS) + 1)]
+    sums, terms = [total for _, total in chains], chains[-1][0]
+    for b in letters[HOLDER_CHAINS:]:
+        terms = _holder_apply(b, terms, n_terms)
+        sums.append(sum(terms))
+    return sums
+
+
+def _fp_holder(word, depth: int, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
+    """(-1)^depth G(word; 1) by the Hoelder convolution at 1/2 (Borwein, Bradley,
+    Broadhurst and Lisonek, *Special values of multiple polylogarithms*):
 
         G(b_1..b_w; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1/2) G(b_(j+1), ..., b_w; 1/2).
 
-    Every nonzero letter has |b| >= 1, so every coefficient c_n of every
-    factor has |c_n| <= 1 (by induction: |e_n| 2^n <= n - 1), every factor has
-    absolute value at most 1 and truncation after N terms costs at most 2^-N
-    per factor.  Each floor operation costs at most one unit 2^-192, so a
-    coefficient that went through t letters is off by at most 3t units and
-    a factor by at most 3wN units; each product adds one unit.  ``args``
-    must not start with an unsigned 1 (``MzvAtom`` rejects those).
+    z(args) is ``_holder_word(args)`` at depth len(args), Li_q(1/2) the word
+    0^(q-1), 2 at depth 1.  Every nonzero letter b or 1 - b has |b| >= 1, so
+    every coefficient c_n of every factor has |c_n| <= 1 (by induction:
+    |e_n| 2^n <= n - 1), every factor has absolute value at most 1 and
+    truncation after N terms costs at most 2^-N per factor.  Each floor
+    operation costs at most one unit 2^-192, so a coefficient that went
+    through t letters is off by at most 3t units and a factor by at most
+    3wN units; each product adds one unit.  The word neither starts with 1
+    nor ends with 0 (``MzvAtom`` rejects a leading unsigned 1).
     """
-    word = _holder_word(args)
     w = len(word)
-    flipped = tuple(1 - b for b in word)  # prefix[j] = G(1-b_j, ..., 1-b_1; 1/2)
-    prefix = [_FP_SCALE] + [_holder_chain(flipped[:j], n_terms)[1] for j in range(1, w + 1)]
-    rev = tuple(reversed(word))  # suffix[i] = G(b_(w-i+1), ..., b_w; 1/2)
-    suffix = [_FP_SCALE] + [_holder_chain(rev[:i], n_terms)[1] for i in range(1, w + 1)]
+    prefix = [_FP_SCALE] + _chain_sums(tuple(1 - b for b in word), n_terms)  # G(1-b_j, ..., 1-b_1; 1/2)
+    suffix = [_FP_SCALE] + _chain_sums(tuple(reversed(word)), n_terms)  # G(b_(w-i+1), ..., b_w; 1/2)
     acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
     factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
     err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
-    return Fraction((-1) ** len(args) * acc, _FP_SCALE), err
+    return Fraction((-1) ** depth * acc, _FP_SCALE), err
 
 
 @functools.cache
 def _atom_units(atom: MzvAtom) -> tuple[int, int]:
     """The atom's value and error bound in units of 2^-192."""
-    return _to_units(*(_fp_li_half(atom.li) if atom.li else _fp_holder(atom.args)))
+    if atom.li:  # Li_q(1/2) = -G(0^(q-1), 2; 1)
+        return _to_units(*_fp_holder([0] * (atom.li - 1) + [2], 1))
+    return _to_units(*_fp_holder(_holder_word(atom.args), len(atom.args)))
 
 
 def eval_atom(atom: MzvAtom) -> NumericResult:
@@ -392,10 +392,7 @@ def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
     The atoms come at fixed precision, so ``target_tol`` does not change the
     result; ``eval_lincomb`` compares against it.
     """
-    atoms = lc.atoms()
-    terms = max((LI_HALF_N if a.li else HOLDER_N for a in atoms), default=0)
-    method = "li_half" if atoms and all(a.li for a in atoms) else "holder"
-    return _fp_result(*_lincomb_units(lc), terms, method)
+    return _fp_result(*_lincomb_units(lc), HOLDER_N if lc.atoms() else 0)
 
 
 def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
@@ -559,7 +556,11 @@ def _plain_factor(e: int, n: int, carry: int):
     ``_em_sum``, T_r(N) off by a constant; odd is zero for both.  The
     alternating factor is eta(r) = -z(-r), an atom, and rho_r(m) by
     ``_boole_expansion``.  D(m), T_r(m) and rho_r(m) are off by their
-    remainders, each at its own key, with p >= 2."""
+    remainders, each at its own key, with p >= 2.  For r > HOLDER_N, 1 -
+    2^-r < eta(r) < 1 is one unit about 1, and 0 < rho_r(m) < m^-r, as its
+    terms alternate and decrease: an error at p = r, like a remainder."""
+    if -e > HOLDER_N:
+        return ({_ONE: _FP_SCALE}, {_ONE: 1}), ({(0, -e): 0}, {(0, -e): _FP_SCALE})
     if e == 1:
         terms, rem = _digamma_expansion()
         anchor, anchor_rem = _digamma_expansion(K_EM + 1)
@@ -580,8 +581,6 @@ def _plain_factor(e: int, n: int, carry: int):
     err[key] = err.get(key, 0) + _rem_units(rem, 1)
     if e > 0:
         return (p, err), _ZERO
-    if -e > HOLDER_N:  # 1 - 2^-r < eta(r) < 1, and 2^-r is below one unit
-        return ({_ONE: _FP_SCALE}, {_ONE: 1}), (p, err)
     eta, eta_err = _atom_units(z(e))
     return ({_ONE: -eta}, {_ONE: eta_err}), (p, err)
 

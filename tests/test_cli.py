@@ -51,6 +51,12 @@ def test_expand_parse_error_exit2(capsys):
     assert code == 2
 
 
+def test_expand_bare_s_exit2(capsys):
+    code, out, err = run(capsys, "expand", "S ")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot parse index: expected a nonzero integer, found 'S '")
+
+
 def test_expand_engine_precondition_exit4(capsys):
     code, _, err = run(capsys, "expand", "--engine", "t2", "S(1,1,3)")
     assert code == 4 and "t2" in err
@@ -260,6 +266,20 @@ def test_eval_json_beyond_float64_prints_finite(capsys, tmp_path):
     p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 400}]}))
     code, out, _ = run(capsys, "eval", "--json", str(p))
     assert code == 0 and out.startswith("1.64493406684823e+400  bound=")
+
+
+def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):
+    # Li_q(1/2) is one more Hoelder word: a combination of Li and zeta atoms
+    # reports N = 200 like any other, with the value and bound of the
+    # geometric series it replaced
+    p = tmp_path / "li.json"
+    p.write_text(json.dumps({"terms": [
+        {"factors": ["Li(4,1/2)", "z(2)"], "coeff": "3/7"},
+        {"factors": ["Li(6,1/2)"], "coeff": "-2"},
+        {"factors": ["z(-1)", "Li(5,1/2)"], "coeff": "5"},
+    ]}))
+    code, out, _ = run(capsys, "eval", "--json", str(p))
+    assert (code, out) == (0, "-2.40536482005149  bound=4.54e-20  N=200\n")
 
 
 def test_table_check(capsys, tmp_path):

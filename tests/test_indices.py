@@ -42,6 +42,15 @@ def test_parse_errors_carry_position():
         parse_index("S(0,3)")
 
 
+@pytest.mark.parametrize("text, found", [("S", "S"), ("S ", "S "), ("s  ", "s  "), (" S\t", "S\t")])
+def test_bare_s_is_a_parse_error(text, found):
+    # an S with no parenthesis after it, at the end of the text, is read as
+    # an entry and refused like any other non-integer
+    with pytest.raises(IndexParseError) as ei:
+        parse_index(text)
+    assert str(ei.value).startswith(f"expected a nonzero integer, found {found!r}")
+
+
 def test_convergence_rules():
     with pytest.raises(ConvergenceError):
         make_index([2], 1)

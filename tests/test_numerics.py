@@ -23,12 +23,13 @@ from eulersums.numerics import (
     _digamma_expansion,
     _em_sum,
     _fp_atan_inv,
+    _fp_result,
     _fp_holder,
-    _fp_li_half,
     _fp_zeta,
     _holder_apply,
     _holder_word,
     _plain_factor,
+    _to_units,
     alt_harmonic_exact,
     eval_atom,
     eval_euler_sum,
@@ -125,6 +126,23 @@ def test_ln2():
     assert abs(float(ln2_value().value) - math.log(2)) < 1e-15
 
 
+@functools.cache
+def _li_half_series(q):
+    """Li_q(1/2) = sum 2^-n n^-q to n = 220, an exact rational, and a bound
+    on the rest: 2^-220."""
+    return sum((Fraction(1, 2**n * n**q) for n in range(1, 221)), Fraction(0)), Fraction(1, 2**220)
+
+
+def test_li_half_atoms_enclose_their_series():
+    # Li_q(1/2) is the Hoelder word 0^(q-1), 2 at depth 1: it encloses the
+    # exact series within both errors, and both round to the same 64 bits
+    for q in range(1, 25):
+        exact, rest = _li_half_series(q)
+        value, error = _atom_units(li_half(q))
+        assert abs(value - exact * _FP_SCALE) <= error + rest * _FP_SCALE, q
+        assert _fp_result(value, error, 0).value == _fp_result(*_to_units(exact, rest), 0).value, q
+
+
 # -- atoms by Hoelder convolution ---------------------------------------------------
 
 
@@ -173,7 +191,7 @@ def test_holder_closed_forms():
     (a5, e5), (a239, e239) = _fp_atan_inv(5), _fp_atan_inv(239)
     pi, pi_err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
     zeta2 = pi * pi / 6
-    ln2, _ = _fp_li_half(1)
+    ln2, _ = _li_half_series(1)
     zeta3, zeta3_err = _fp_zeta(3)
     for args, closed in [
         ((2, 1), zeta3),
@@ -182,7 +200,7 @@ def test_holder_closed_forms():
         ((-1,), -ln2),
         ((2, 1, 1), zeta2 * zeta2 * Fraction(2, 5)),  # zeta(4)
     ]:
-        value, err = _fp_holder(args)
+        value, err = _fp_holder(_holder_word(args), len(args))
         assert err < Fraction(1, 10**50)
         assert abs(value - closed) < Fraction(1, 10**25), args
     assert zeta3_err < Fraction(1, 10**26) and pi_err < Fraction(1, 10**50)
@@ -198,7 +216,7 @@ def test_holder_stuffle_depth2(a, b):
     # multiplies signs, exactly up to the fixed-point error
     merged = (abs(a) + abs(b)) * (1 if (a < 0) == (b < 0) else -1)
     za, zb, zab, zba, zm = (
-        _fp_holder(args)[0] for args in [(a,), (b,), (a, b), (b, a), (merged,)]
+        _fp_holder(_holder_word(args), len(args))[0] for args in [(a,), (b,), (a, b), (b, a), (merged,)]
     )
     assert abs(za * zb - (zab + zba + zm)) < Fraction(1, 10**25), (a, b)
     for args in [(a, b), (b, a)]:
@@ -243,9 +261,9 @@ def test_bound_conservative_under_refinement():
     # a value truncated after N terms moves by less than its bound when
     # run to the full HOLDER_N
     for args in [(2, 1), (-1, 1), (-3, 2), (-1, -1, -1), (-1, 1, 1, 1, 1, 1)]:
-        full, full_err = _fp_holder(args)
+        full, full_err = _fp_holder(_holder_word(args), len(args))
         for n_terms in (8, 20, 50):
-            value, err = _fp_holder(args, n_terms)
+            value, err = _fp_holder(_holder_word(args), len(args), n_terms)
             assert abs(value - full) <= err + full_err, (args, n_terms)
             assert err < Fraction(2 * len(_holder_word(args)) + 3, 2**n_terms)
 
@@ -301,7 +319,7 @@ def test_holder_chains_match_two_loops(n_terms):
     maxsize = numerics._holder_chain.cache_info().maxsize
     assert maxsize is not None and maxsize > 0
     for args in _CHAIN_ARGS:
-        assert _fp_holder(args, n_terms) == _fp_holder_two_loops(args, n_terms), args
+        assert _fp_holder(_holder_word(args), len(args), n_terms) == _fp_holder_two_loops(args, n_terms), args
         assert numerics._holder_chain.cache_info().currsize <= maxsize
 
 
@@ -315,6 +333,31 @@ def test_atom_units_after_chain_evictions():
         assert {args: _atom_units(z(*args)) for args in _CHAIN_ARGS} == expected
         info = numerics._holder_chain.cache_info()
         assert info.misses > info.maxsize >= info.currsize
+
+
+def test_long_word_matches_two_loops():
+    # past HOLDER_CHAINS letters the chains go on letter by letter: a
+    # 300-letter atom of mixed letters gives the reference's integers
+    rng, args = random.Random(300), [-2]
+    while sum(map(abs, args)) < 297:
+        args.append(rng.choice([1, 2, 3, -1, -2, -3]))
+    args.append(300 - sum(map(abs, args)))
+    assert len(_holder_word(args)) == 300 > numerics.HOLDER_CHAINS
+    assert _fp_holder(_holder_word(args), len(args)) == _fp_holder_two_loops(args, HOLDER_N)
+
+
+def test_long_word_costs_one_step_per_letter(monkeypatch):
+    # with the caches cleared, z(-3000) applies each letter once to each of
+    # its two chains, and no chain longer than HOLDER_CHAINS is cached
+    applied, keys = [], []
+    apply, chain = numerics._holder_apply, numerics._holder_chain
+    monkeypatch.setattr(numerics, "_holder_apply", lambda *a: applied.append(1) or apply(*a))
+    monkeypatch.setattr(numerics, "_holder_chain", lambda letters, n: keys.append(len(letters)) or chain(letters, n))
+    chain.cache_clear()
+    _atom_units.cache_clear()
+    _atom_units(z(-3000))
+    assert len(applied) == 2 * 3000
+    assert max(keys) == numerics.HOLDER_CHAINS
 
 
 def test_capacity_error_carries_result():
@@ -436,7 +479,7 @@ _ATOM = st.one_of(
 
 @functools.cache
 def _exact_atom(atom):
-    return _fp_li_half(atom.li)[0] if atom.li else _fp_holder(atom.args)[0]
+    return _li_half_series(atom.li)[0] if atom.li else _fp_holder(_holder_word(atom.args), len(atom.args))[0]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -519,9 +562,9 @@ def test_oracle_consistency_sampled():
 
 
 def _eta_fixed_point(r):
-    """eta(r) = ln 2 or (1 - 2^(1-r)) zeta(r) at 192-bit fixed point, and its error."""
+    """eta(r) = ln 2 by its series or (1 - 2^(1-r)) zeta(r) at 192-bit fixed point, and its error."""
     if r == 1:
-        return _fp_li_half(1)
+        return _li_half_series(1)
     z_val, z_err = _fp_zeta(r)
     return (1 - Fraction(2) ** (1 - r)) * z_val, z_err
 
@@ -551,7 +594,7 @@ def test_digamma_expansion_fixed_point():
     # H_2n - H_n = ln 2 + D(2n) - D(n) + R(2n) - R(n), and the remainder R
     # keeps one sign, so |R(2n) - R(n)| <= |R(n)|; at n = 20 it takes more
     # than half of that
-    ln2, err = _fp_li_half(1)
+    ln2, err = _li_half_series(1)
     assert len(_digamma_expansion()[0]) == K_EM + 1
     for n in range(1, 40):
         d_2n, _ = _expansion_at(_digamma_expansion(), 2 * n)
@@ -587,8 +630,8 @@ def test_plain_factors_enclose_their_values():
     # is a pair (even, odd): H_m and H_m^(r) are even with odd part zero,
     # and the alternating H_m^(r) has even part eta(r), for r = 1 ln 2 from
     # the Li_1(1/2) series, and odd part rho_r(m); each encloses its value
-    # at m = 2n, where ln(m/n) is the fixed-point ln 2, and at m = 3n for r != 1
-    ln2, ln2_err = _fp_li_half(1)
+    # at m = 2n, where ln(m/n) is the series' ln 2, and at m = 3n for r != 1
+    ln2, ln2_err = _li_half_series(1)
     for n in (1, 2, 3, 5, 8, 13):
         state = _walk("S(1,2,3,-1,-2,2)", [n])
         for (e, _), carry in zip(state.factors, state.carries):
@@ -610,14 +653,16 @@ def test_plain_factors_enclose_their_values():
 
 def test_eta_beyond_the_holder_length(capsys):
     # up to HOLDER_N eta(r) is the Hoelder atom -z(-r); past it 1 - 2^-r <
-    # eta(r) < 1 is one unit about 1, and S(-100000,2), which would need a
-    # Hoelder word of length 100000, is evaluated in seconds
+    # eta(r) < 1 is one unit about 1 and rho_r(m) is 0 +- m^-r, and
+    # S(-100000,2), which would need a Hoelder word of length 100000, is
+    # evaluated in seconds, its tail bound near the walk's floors
     from eulersums import cli
 
     eta, eta_err = _atom_units(z(-HOLDER_N))
     assert _plain_factor(-HOLDER_N, 10, 0)[0] == ({(0, 0): -eta}, {(0, 0): eta_err})
     for r in (HOLDER_N + 1, 1000):
-        (p, err), _ = _plain_factor(-r, 10, 0)
+        (p, err), odd = _plain_factor(-r, 10, 0)
+        assert odd == ({(0, r): 0}, {(0, r): _FP_SCALE})
         near = sum(Fraction((-1) ** (k + 1), k**r) for k in range(1, 4))  # within 4^-r
         assert abs(near * _FP_SCALE - p[(0, 0)]) <= err[(0, 0)] - Fraction(_FP_SCALE, 4**r)
     t0 = time.monotonic()
@@ -627,7 +672,9 @@ def test_eta_beyond_the_holder_length(capsys):
     # every H_n^(-r) is within 2^-r of 1, so S(-r,2) is within 2^-r zeta(2) of zeta(2)
     res, z2 = eval_euler_sum_best(parse_index("S(-100000,2)"), 1e-10), zeta_value(2)
     slack = Fraction(res.tail_bound) + Fraction(z2.tail_bound) + Fraction(2, 2**100000)
-    assert res.tail_bound <= 1e-10 and abs(res.value - z2.value) <= slack
+    assert res.tail_bound <= 1e-19 and res.terms_used == 100 and abs(res.value - z2.value) <= slack
+    # an outer -1 takes that error at p = r + 1, where the sums converge
+    assert eval_euler_sum_best(parse_index("S(1,1,-400,-1)"), 1e-10).tail_bound <= 1e-10
 
 
 def test_repeated_alternating_tails_enclose_reference():
@@ -672,7 +719,7 @@ def test_alt_sum_encloses_alternating_tails():
     # is of the next order, above a thousandth of it; both parities of n
     for p in range(1, 7):
         if p == 1:
-            eta, eta_err = _fp_li_half(1)
+            eta, eta_err = _li_half_series(1)
         else:
             v, e = _atom_units(z(-p))
             eta, eta_err = Fraction(-v, _FP_SCALE), Fraction(e, _FP_SCALE)
@@ -792,10 +839,10 @@ def test_log_tails_stop_early():
 
 def test_method_names_the_bound():
     assert eval_atom(z(3, 2)).method == "holder"
-    assert eval_atom(li_half(4)).method == "li_half"
+    assert eval_atom(li_half(4)).method == "holder"
     assert zeta_value(3).method == "zeta"
-    assert li_half_value(2).method == "li_half"
-    assert eval_lincomb_best(LinComb.of_atom(li_half(4))).method == "li_half"
+    assert li_half_value(2).method == "holder"
+    assert eval_lincomb_best(LinComb.of_atom(li_half(4))).method == "holder"
     mixed = LinComb.of_atom(li_half(4)) + LinComb.of_atom(z(-3))
     assert eval_lincomb_best(mixed).method == "holder"
     alternating = eval_euler_sum_best(parse_index("S(1,1,-1)"), 1e-6)
