@@ -35,23 +35,22 @@ Three evaluation strategies are used.
     without any monotonicity assumption.  With sigma = (-1)^(n+1), each
     harmonic factor is even + sigma odd: H_n^(r) is even, and H^-_n^(r) =
     eta(r) + sigma rho_r(n), where eta(r) = -z(-r) is an atom (eta(1) =
-    ln 2) and rho_r is completely monotone.  As sigma^2 = 1, the term
-    multiplies out, as one product, into sigma g + v, where g and v are
-    smooth: the tail is an alternating sum of g plus a plain sum of v, and
-    both are summed one way.  Each
-    factor is expanded about N to order 2K, K = K_EM (Flajolet and Salvy,
-    *Euler sums and contour integral representations*): H_m by the
-    digamma expansion anchored at the carried H_N, so that neither ln N
-    nor Euler's gamma is needed; H_m^(r) by the Euler-Maclaurin zeta
-    tail; rho_r(m) by Boole summation; each with an explicit remainder.
-    With L = ln(m/N) every product is a polynomial in L and 1/m, and each
-    monomial L^s m^-p is summed in closed form:
+    ln 2) and rho_r is completely monotone.  Each factor is expanded about
+    N to order 2K, K = K_EM (Flajolet and Salvy, *Euler sums and contour
+    integral representations*): H_m by the digamma expansion anchored at
+    the carried H_N, so that neither ln N nor Euler's gamma is needed;
+    H_m^(r) by the Euler-Maclaurin zeta tail; rho_r(m) by Boole
+    summation; each with an explicit remainder.  With L = ln(m/N) every
+    factor is a polynomial in sigma, L and 1/m, and as sigma^2 = 1 so is
+    the term, multiplied out factor by factor: sigma is one more
+    exponent, taken mod 2.  Each monomial sigma^g L^s m^-p is summed in
+    closed form:
 
-      - in v, W = sum_{m>N} L^s m^-p by Euler-Maclaurin of order 2K on
+      - for g = 0, W = sum_{m>N} L^s m^-p by Euler-Maclaurin of order 2K on
         int_N^oo L^s x^-p dx = s! / (p-1)^(s+1) N^(1-p), whose
         derivatives at x = N are rationals in N;
 
-      - in g, A = sum_{m>N} (-1)^(m+1) L^s m^-p: W(N) less twice its
+      - for g = 1, A = sum_{m>N} (-1)^(m+1) L^s m^-p: W(N) less twice its
         even terms m = 2j, which are 2^-p times the same sum over j > N/2
         about N/2.  The integrals cancel, so A is the boundary terms of
         both, at order 2K + 2, with the Bernoulli values B_j(theta),
@@ -504,93 +503,80 @@ def _em_units(s: int, p: int, n: int, alternating: bool = False) -> tuple[int, i
     return (-value if alternating and n & 1 else value), len(terms) + _rem_units(rem, n)
 
 
-# Polynomials in L = ln(m/N) and 1/m are dicts {(t, p): c} for sum c L^t m^-p,
-# with c in units.  A factor of a tail is a pair (P, E) of them with
-# |factor(m) - P(m)| <= E(m) for m > N, the coefficients of E nonnegative.
-# Each error of E at a key with p = 0 bounds a constant: it moves P's
-# coefficient there, the same for every m.
+# Polynomials in sigma = (-1)^(m+1), L = ln(m/N) and 1/m are dicts {(g, t, p): c}
+# for sum c sigma^g L^t m^-p, g in {0, 1}, with c in units.  A factor of a
+# tail is a pair (P, E) of them with |factor(m) - P(m)| <= E(m) for m > N,
+# the coefficients of E nonnegative; sigma has absolute value 1, so E's g
+# only says which sum its error joins.  Each error of E at a key with p = 0
+# bounds a constant: it moves P's coefficient there, the same for every m.
 
-_ONE = (0, 0)
-_ZERO = ({}, {})
-
-
-def _add(x, y):
-    """The sum of two factors: their P and their E added key by key."""
-    out = dict(x[0]), dict(x[1])
-    for mine, theirs in zip(out, y):
-        for key, c in theirs.items():
-            mine[key] = mine.get(key, 0) + c
-    return out
+_ONE = (0, 0, 0)
 
 
 def _mul(x, y):
     """The product of two factors, each P holding every key of its E: P_x P_y
-    floored per coefficient, at one unit each, and E_x (|P_y| + E_y) + |P_x| E_y
-    rounded up."""
+    with sigma^2 = 1, floored per coefficient, at one unit each, and
+    E_x (|P_y| + E_y) + |P_x| E_y rounded up."""
     (px, ex), (py, ey) = x, y
     prod, err = {}, {}
-    y_items = [(t, p, b, abs(b) + ey.get((t, p), 0), ey.get((t, p), 0)) for (t, p), b in py.items()]
-    for (t1, p1), a in px.items():
-        mag_a, e_a = abs(a), ex.get((t1, p1), 0)
-        for t2, p2, b, mag_b, e_b in y_items:
-            key = (t1 + t2, p1 + p2)
+    y_items = [(g, t, p, b, abs(b) + ey.get((g, t, p), 0), ey.get((g, t, p), 0)) for (g, t, p), b in py.items()]
+    for (g1, t1, p1), a in px.items():
+        mag_a, e_a = abs(a), ex.get((g1, t1, p1), 0)
+        for g2, t2, p2, b, mag_b, e_b in y_items:
+            key = (g1 ^ g2, t1 + t2, p1 + p2)
             prod[key] = prod.get(key, 0) + a * b
             err[key] = err.get(key, 0) + e_a * mag_b + mag_a * e_b
     return {k: c >> _FP_BITS for k, c in prod.items()}, {k: -(-c >> _FP_BITS) + 1 for k, c in err.items()}
 
 
-def _expansion_factor(terms, sign: int = 1):
-    """sign * (the terms of an expansion), each coefficient floored."""
-    coeffs = {(0, p): sign * ((c.numerator << _FP_BITS) // c.denominator) for p, c in terms}
-    return coeffs, dict.fromkeys(coeffs, 1)
-
-
 @functools.cache
 def _plain_factor(e: int, n: int, carry: int):
-    """Factor e of the tail for m > N = n, expanded about N, as the factors
-    (even, odd) of even(m) + (-1)^(m+1) odd(m); ``carry`` is the walk's
-    harmonic number at n, off by at most n units.
+    """Factor e of the tail for m > N = n, expanded about N, as one factor
+    (P, E): its even part at g = 0 and its odd part, the coefficient of
+    sigma = (-1)^(m+1), at g = 1; ``carry`` is the walk's harmonic number
+    at n, off by at most n units.
 
     H_m = (H_N - D(N)) + ln(m/N) + D(m), with D(N) to one order more, off by
     a constant; H_m^(r) = H_N^(r) + T_r(N) - T_r(m), T_r the zeta tail of
-    ``_em_sum``, T_r(N) off by a constant; odd is zero for both.  The
-    alternating factor is eta(r) = -z(-r), an atom, and rho_r(m) by
+    ``_em_sum``, T_r(N) off by a constant; both are even.  The alternating
+    factor is eta(r) = -z(-r), an atom, plus sigma rho_r(m) by
     ``_boole_expansion``.  D(m), T_r(m) and rho_r(m) are off by their
     remainders, each at its own key, with p >= 2.  For r > HOLDER_N, 1 -
     2^-r < eta(r) < 1 is one unit about 1, and 0 < rho_r(m) < m^-r, as its
     terms alternate and decrease: an error at p = r, like a remainder."""
     if -e > HOLDER_N:
-        return ({_ONE: _FP_SCALE}, {_ONE: 1}), ({(0, -e): 0}, {(0, -e): _FP_SCALE})
+        return {_ONE: _FP_SCALE, (1, 0, -e): 0}, {_ONE: 1, (1, 0, -e): _FP_SCALE}
     if e == 1:
         terms, rem = _digamma_expansion()
-        anchor, anchor_rem = _digamma_expansion(K_EM + 1)
-        p, err = _expansion_factor(terms)
-        p.update({_ONE: carry - _at(anchor, n), (1, 0): _FP_SCALE})
-        err[_ONE] = n + len(anchor) + _rem_units(anchor_rem, n)
     elif e > 1:
         terms, rem = _em_sum(0, e)
-        p, err = _expansion_factor(terms, -1)
-        t_n, t_err = _em_units(0, e, n)
-        p[_ONE] = carry + t_n
-        err[_ONE] = n + t_err
     else:
         terms, rem = _boole_expansion(-e)
-        p, err = _expansion_factor(terms)
-    key = (0, rem[0])
+    g, sign = int(e < 0), -1 if e > 1 else 1
+    p = {(g, 0, q): sign * ((c.numerator << _FP_BITS) // c.denominator) for q, c in terms}
+    err = dict.fromkeys(p, 1)
+    key = (g, 0, rem[0])
     p.setdefault(key, 0)
     err[key] = err.get(key, 0) + _rem_units(rem, 1)
-    if e > 0:
-        return (p, err), _ZERO
-    eta, eta_err = _atom_units(z(e))
-    return ({_ONE: -eta}, {_ONE: eta_err}), (p, err)
+    if e == 1:
+        anchor, anchor_rem = _digamma_expansion(K_EM + 1)
+        p.update({_ONE: carry - _at(anchor, n), (0, 1, 0): _FP_SCALE})
+        err[_ONE] = n + len(anchor) + _rem_units(anchor_rem, n)
+    elif e > 1:
+        t_n, t_err = _em_units(0, e, n)
+        p[_ONE], err[_ONE] = carry + t_n, n + t_err
+    else:
+        eta, eta_err = _atom_units(z(e))
+        p[_ONE], err[_ONE] = -eta, eta_err
+    return p, err
 
 
 class _SumState:
     """The partial sum of one Euler series in units of 2^-192, and its tail.
 
-    Past N the term is (-1)^(n+1) g(n) + v(n): g and v are the parts of the
-    product n^-q prod (even + (-1)^(n+1) odd) over its factors with and
-    without that sign (see the module docstring)."""
+    Past N the term is n^-q prod (even + sigma odd) over its factors, times
+    sigma for an alternating outer sum, with sigma = (-1)^(n+1): one
+    polynomial in sigma, L and 1/n (see the module docstring)."""
 
     def __init__(self, idx: EulerSumIndex):
         self.q = abs(idx.outer)
@@ -643,32 +629,26 @@ class _SumState:
         return n + self.degree * spread * -(-bound >> (_FP_BITS * self.degree))
 
     def _tail(self) -> tuple[int, int]:
-        """sum_{m > N} (-1)^(m+1) g(m) + v(m) in units.  m^-q, times each
-        factor even + sigma odd in turn, sigma^2 = 1, multiplies out into
-        parts[True] = g, which carries sigma = (-1)^(m+1), and parts[False] = v:
-        each a polynomial in L = ln(m/N) and 1/m off by a nonnegative one,
-        summed key by key, v by W and g by A (``_em_units``).  An error at
-        L^s m^-p sums to at most W times it.  At p = 1, where W diverges, each
-        error comes from constants, the factors' at p = 0 and the floors, so
-        it sums to at most |A| times it."""
+        """sum_{m > N} of the term in units.  sigma^outer m^-q, times each
+        factor in turn, multiplies out into one polynomial in sigma = (-1)^(m+1),
+        L = ln(m/N) and 1/m, off by a nonnegative one, summed key by key:
+        by A (``_em_units``) where it carries sigma, by W where not.  An
+        error at L^s m^-p sums to at most W times it.  At p = 1, where W
+        diverges, each error comes from constants, the factors' at p = 0 and
+        the floors, so it sums to at most |A| times it."""
         n = self.n
-        parts = {self.outer_alt: ({(0, self.q): _FP_SCALE}, {}), not self.outer_alt: _ZERO}
+        poly = {(int(self.outer_alt), 0, self.q): _FP_SCALE}, {}
         for (e, mult), c in zip(self.factors, self.carries):
-            even, odd = _plain_factor(e, n, c if e > 0 else 0)
+            factor = _plain_factor(e, n, c if e > 0 else 0)
             for _ in range(mult):
-                new = dict.fromkeys(parts, _ZERO)
-                for sign in new:  # parts[sign] even + parts[not sign] odd
-                    for x, y in ((parts[sign], even), (parts[not sign], odd)):
-                        if x[0] and y[0]:  # a zero operand adds nothing
-                            new[sign] = _add(new[sign], _mul(x, y))
-                parts = new
+                poly = _mul(poly, factor)
+        coeffs, err = poly
         value = bound = 0
-        for alternating, (poly, err) in parts.items():
-            for (s, p), c in poly.items():
-                a, a_err = _em_units(s, p, n, alternating)
-                w, w_err = _em_units(s, p, n) if alternating and p > 1 else (a, a_err)
-                value += c * a
-                bound += abs(c) * a_err + err.get((s, p), 0) * (abs(w) + w_err)
+        for (g, s, p), c in coeffs.items():
+            a, a_err = _em_units(s, p, n, g == 1)
+            w, w_err = _em_units(s, p, n) if g and p > 1 else (a, a_err)
+            value += c * a
+            bound += abs(c) * a_err + err.get((g, s, p), 0) * (abs(w) + w_err)
         return value >> _FP_BITS, -(-bound >> _FP_BITS) + 1
 
     def result(self) -> NumericResult:

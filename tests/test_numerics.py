@@ -625,9 +625,21 @@ def _poly_at(poly, m, log):
     return sum(c * log**t / Fraction(m) ** p for (t, p), c in poly.items())
 
 
+def _slice(poly, g):
+    """The part {(t, p): c} of a tail polynomial {(g, t, p): c} at sigma^g."""
+    return {(t, p): c for (h, t, p), c in poly.items() if h == g}
+
+
+def _parts(factor):
+    """A factor (P, E) of the tail as its even part, P and E at g = 0, and
+    its odd part at g = 1."""
+    return tuple((_slice(factor[0], g), _slice(factor[1], g)) for g in (0, 1))
+
+
 def test_plain_factors_enclose_their_values():
     # each factor of the tail, expanded about N = n from the walk's carry,
-    # is a pair (even, odd): H_m and H_m^(r) are even with odd part zero,
+    # is one polynomial whose g = 0 and g = 1 slices are its even part and
+    # its odd part, the coefficient of sigma: H_m and H_m^(r) are even with odd part zero,
     # and the alternating H_m^(r) has even part eta(r), for r = 1 ln 2 from
     # the Li_1(1/2) series, and odd part rho_r(m); each encloses its value
     # at m = 2n, where ln(m/n) is the series' ln 2, and at m = 3n for r != 1
@@ -635,7 +647,7 @@ def test_plain_factors_enclose_their_values():
     for n in (1, 2, 3, 5, 8, 13):
         state = _walk("S(1,2,3,-1,-2,2)", [n])
         for (e, _), carry in zip(state.factors, state.carries):
-            (p, err), (p_odd, err_odd) = _plain_factor(e, n, carry if e > 0 else 0)
+            (p, err), (p_odd, err_odd) = _parts(_plain_factor(e, n, carry if e > 0 else 0))
             for m in (2 * n, 3 * n) if e != 1 else (2 * n,):
                 if e > 0:
                     assert p_odd == err_odd == {}
@@ -659,9 +671,9 @@ def test_eta_beyond_the_holder_length(capsys):
     from eulersums import cli
 
     eta, eta_err = _atom_units(z(-HOLDER_N))
-    assert _plain_factor(-HOLDER_N, 10, 0)[0] == ({(0, 0): -eta}, {(0, 0): eta_err})
+    assert _parts(_plain_factor(-HOLDER_N, 10, 0))[0] == ({(0, 0): -eta}, {(0, 0): eta_err})
     for r in (HOLDER_N + 1, 1000):
-        (p, err), odd = _plain_factor(-r, 10, 0)
+        (p, err), odd = _parts(_plain_factor(-r, 10, 0))
         assert odd == ({(0, r): 0}, {(0, r): _FP_SCALE})
         near = sum(Fraction((-1) ** (k + 1), k**r) for k in range(1, 4))  # within 4^-r
         assert abs(near * _FP_SCALE - p[(0, 0)]) <= err[(0, 0)] - Fraction(_FP_SCALE, 4**r)
@@ -678,8 +690,8 @@ def test_eta_beyond_the_holder_length(capsys):
 
 
 def test_repeated_alternating_tails_enclose_reference():
-    # (even + sigma odd)^k multiplies out into 2^k products, each sorted by
-    # the parity of its odd factors; with repeated and mixed alternating
+    # (even + sigma odd)^k multiplies out into 2^k products, each landing
+    # at sigma^0 or sigma^1 by the parity of its odd factors; with repeated and mixed alternating
     # factors, and either outer sign, the tail at N = 10 and 100 still
     # encloses the Hoelder value of the expansion
     for text in ["S(-1,-1,-1,-1,-1)", "S(-1,-2,-2,-1)", "S(1,1,-1,-1,-1,-1)", "S(-2,-2,-2,3)",
