@@ -28,7 +28,6 @@ to stderr; results go to stdout.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import os
@@ -45,6 +44,7 @@ from .expansion import (
     linearize,
 )
 from .indices import ConvergenceError, EulerSumIndex, parse_index, render_index
+from .numerics import _digits15, _up3
 from .reduction import StepCapError, load_identity_table, reduce_lincomb
 
 EXIT_OK = 0
@@ -190,22 +190,16 @@ def cmd_reduce(args) -> int:
     return EXIT_OK
 
 
-def _up3(x) -> str:
-    """A rational x >= 0 rounded up to 3 significant digits, laid out by ``%.3g``."""
-    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
-    return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
-
-
 def _verify_one(text: str, args, tables) -> tuple[int, str]:
     tol = args.tol
     idx = parse_index(text)
+    lc, engine, _ = _expand_with_engine(idx, args.engine)  # a refusal ends the line here
     lhs = numerics.eval_euler_sum_best(idx, tol)
-    lc, engine, _ = _expand_with_engine(idx, args.engine)
     rhs = numerics.eval_lincomb_best(lc, tol)
     ok, diff, budget = numerics.agree(lhs, rhs, tol)
     lines = [
-        f"series    = {float(lhs.value):.15g}  (bound {lhs.tail_bound:.3g}, N={lhs.terms_used})",
-        f"expansion = {float(rhs.value):.15g}  (bound {rhs.tail_bound:.3g}; engine {engine})",
+        f"series    = {_digits15(lhs.value)}  (bound {_up3(lhs.tail_bound)}, N={lhs.terms_used})",
+        f"expansion = {_digits15(rhs.value)}  (bound {_up3(rhs.tail_bound)}; engine {engine})",
         f"discrepancy {_up3(diff)} vs budget {_up3(budget)}",
     ]
     if tables:
@@ -213,7 +207,7 @@ def _verify_one(text: str, args, tables) -> tuple[int, str]:
         rr = numerics.eval_lincomb_best(red, tol)
         ok2, d2, b2 = numerics.agree(lhs, rr, tol)
         ok = ok and ok2
-        lines.append(f"reduction = {float(rr.value):.15g}  (bound {rr.tail_bound:.3g}; discrepancy {_up3(d2)} vs {_up3(b2)})")
+        lines.append(f"reduction = {_digits15(rr.value)}  (bound {_up3(rr.tail_bound)}; discrepancy {_up3(d2)} vs {_up3(b2)})")
     lines.append("PASS" if ok else "FAIL")
     return (EXIT_OK if ok else EXIT_FAIL), "\n".join(lines)
 
@@ -268,17 +262,6 @@ def _dump_terms(raw: str) -> list:
     return terms
 
 
-def _digits15(value) -> str:
-    """An exact rational to 15 significant digits, laid out as ``%.15g``
-    lays out a float: positional for exponents -4 to 14, else scientific."""
-    d = decimal.Context(prec=15).divide(value.numerator, value.denominator)
-    exp = d.adjusted()
-    text = f"{d if -4 <= exp < 15 else d.scaleb(-exp):f}"
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text if -4 <= exp < 15 else f"{text}e{exp:+03d}"
-
-
 def cmd_eval(args) -> int:
     _not_both(args, "--json", args.json_input)
     if args.json_input:
@@ -297,8 +280,8 @@ def cmd_eval(args) -> int:
     else:
         res = numerics.eval_euler_sum_best(_index(args.index), args.tol)
         if res.tail_bound > args.tol:
-            _err(f"capacity: achieved bound {res.tail_bound:.3g} above tol {args.tol:g}")
-    print(f"{_digits15(res.value)}  bound={res.tail_bound:.3g}  N={res.terms_used}")
+            _err(f"capacity: achieved bound {_up3(res.tail_bound)} above tol {args.tol:g}")
+    print(f"{_digits15(res.value)}  bound={_up3(res.tail_bound)}  N={res.terms_used}")
     return EXIT_OK
 
 

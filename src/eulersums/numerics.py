@@ -67,11 +67,11 @@ estimates above; decreasing the target tolerance never increases them.
 from __future__ import annotations
 
 import collections
+import decimal
 import functools
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,9 +100,32 @@ class NumericResult:
     method: str = "holder"
 
     def __repr__(self):
-        big = abs(self.value) > sys.float_info.max  # where float() raises
-        value = (math.inf if self.value > 0 else -math.inf) if big else float(self.value)
-        return f"NumericResult({value:.15g} +- {self.tail_bound:.3g}, N={self.terms_used})"
+        return f"NumericResult({_digits15(self.value)} +- {_up3(self.tail_bound)}, N={self.terms_used})"
+
+
+# Every printed value and bound goes through these two: a value is its
+# exact rational rounded once, a bound is rounded up, never below itself.
+
+
+def _digits15(value: Fraction) -> str:
+    """An exact rational to 15 significant digits, laid out as ``%.15g``
+    lays out a float: positional for exponents -4 to 14, else scientific."""
+    d = decimal.Context(prec=15).divide(value.numerator, value.denominator)
+    exp = d.adjusted()
+    text = f"{d if -4 <= exp < 15 else d.scaleb(-exp):f}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if -4 <= exp < 15 else f"{text}e{exp:+03d}"
+
+
+def _up3(bound) -> str:
+    """A bound >= 0, rational or float, rounded up to 3 significant digits,
+    laid out by ``%.3g``; an infinite bound is ``inf``."""
+    if bound == math.inf:
+        return "inf"
+    x = Fraction(bound)
+    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
+    return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
 
 
 def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fraction, Fraction]:
@@ -118,7 +141,7 @@ class CapacityError(RuntimeError):
     """Target tolerance unreachable within the term cap; carries the best result."""
 
     def __init__(self, message: str, result: NumericResult):
-        super().__init__(f"{message}; achieved bound {result.tail_bound:.3g}")
+        super().__init__(f"{message}; achieved bound {_up3(result.tail_bound)}")
         self.result = result
 
 

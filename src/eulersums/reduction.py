@@ -367,7 +367,7 @@ def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):
         diff = numerics._fp_result(value, error, 0)
         raise ValueError(
             f"numeric mismatch for {lhs.render()}: |rhs - lhs| = "
-            f"{abs(float(diff.value)):.3g} +- {diff.tail_bound:.3g} > {tol:.3g}"
+            f"{numerics._digits15(abs(diff.value))} +- {numerics._up3(diff.tail_bound)} > {tol:.3g}"
         )
 
 

@@ -279,7 +279,7 @@ def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):
         {"factors": ["z(-1)", "Li(5,1/2)"], "coeff": "5"},
     ]}))
     code, out, _ = run(capsys, "eval", "--json", str(p))
-    assert (code, out) == (0, "-2.40536482005149  bound=4.54e-20  N=200\n")
+    assert (code, out) == (0, "-2.40536482005149  bound=4.55e-20  N=200\n")
 
 
 def test_table_check(capsys, tmp_path):
@@ -449,6 +449,30 @@ def test_verify_batch_cyclic_table_line_exit4(capsys, tmp_path):
 def test_verify_engine_refusal_exit4(capsys):
     code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--engine", "t2", "S(1,1,3)")
     assert code == 4 and "ERROR (exit 4): engine precondition" in out
+
+
+CAP_REFUSED = "S(" + "1," * 25 + "2)"  # 2^24 ordered partitions, above the cap
+
+
+def test_verify_refused_expansion_skips_the_series(capsys, monkeypatch, tmp_path):
+    # an expansion the engine refuses ends the line before the series is
+    # summed: alone, under --engine t2, and as one line of a batch
+    from eulersums import numerics
+
+    def series(*args, **kwargs):
+        raise AssertionError("the series was summed for a refused expansion")
+
+    monkeypatch.setattr(numerics, "eval_euler_sum_best", series)
+    for argv in (["verify", CAP_REFUSED], ["verify", "--engine", "t2", "S(1,-2)"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 4, out
+        assert out.splitlines()[1].startswith("ERROR (exit 4): engine precondition: "), out
+    f = tmp_path / "batch.txt"
+    f.write_text(f"S(1,-2)\n{CAP_REFUSED}\n")
+    code, out, _ = run(capsys, "verify", "--engine", "t2", "--file", str(f))
+    blocks = out.split("== ")[1:]
+    assert code == 4 and len(blocks) == 2
+    assert all(b.splitlines()[1].startswith("ERROR (exit 4): engine precondition: ") for b in blocks)
 
 
 def test_reduce_beyond_log_integral_cap(capsys):

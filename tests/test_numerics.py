@@ -453,8 +453,9 @@ def test_empty_lincomb():
 
 
 def test_lincomb_beyond_float_range_has_infinite_bound():
+    # the value still prints from its exact rational, past the float range
     res = eval_lincomb_best(LinComb.of_atom(z(2), 10**400))
-    assert res.tail_bound == math.inf and repr(res) == "NumericResult(inf +- inf, N=200)"
+    assert res.tail_bound == math.inf and repr(res) == "NumericResult(1.64493406684823e+400 +- inf, N=200)"
 
 
 def test_product_term():
@@ -803,6 +804,35 @@ def test_series_within_bound_weight5():
     assert len(_convergent_indices(5)) == 97
     ratio, text = _worst_ratio(1e-10)
     assert ratio <= 1.0, text
+
+
+def test_series_encloses_the_expansion_exactly_weight7():
+    # every convergent index of weight <= 7: the series at 1e-10 and the
+    # Hoelder value of its expansion agree within their two bounds, compared
+    # as exact rationals with no tolerance on top
+    indices = _convergent_indices(7)
+    assert len(indices) == 422
+    for idx in indices:
+        assert numerics.agree(eval_euler_sum_best(idx, 1e-10), _reference(idx), 0)[0], idx
+
+
+def test_printed_bounds_are_rounded_up_and_values_agree(capsys):
+    # for every convergent index of weight <= 5, each bound that eval and
+    # verify print, parsed back, is at least the certified one, and both
+    # commands print the same digits of the series
+    from eulersums import cli
+
+    for idx in _convergent_indices(5):
+        series, expansion = eval_euler_sum_best(idx, 1e-10), _reference(idx)
+        assert cli.main(["eval", "--tol", "1e-10", str(idx)]) == 0
+        eval_value, eval_bound, _ = capsys.readouterr().out.split()
+        assert float(eval_bound.removeprefix("bound=")) >= series.tail_bound, idx
+        assert cli.main(["verify", "--tol", "1e-10", str(idx)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[2] == eval_value, idx
+        for line, res in ((lines[1], series), (lines[2], expansion)):
+            printed = line.split("(bound ")[1].split(",")[0].split(";")[0]
+            assert float(printed) >= res.tail_bound, (idx, line)
 
 
 @pytest.mark.parametrize("mutation", ["alternating_remainder", "expansion_remainders"])
