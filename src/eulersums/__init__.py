@@ -62,7 +62,6 @@ from .reduction import (
     reflection_triple_sum,
     save_table,
     symmetric_sum,
-    symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
     zeta_repeated_bar,
@@ -72,25 +71,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache: atom values, Hoelder chains, constants,
-    tail expansions, closed forms, parsed identity tables and the CLI parser.
+    """Empty every module-level cache of the package: atom values, Hoelder
+    chains, constants, tail expansions, closed forms, parsed identity tables
+    and the CLI parser, found as the attributes that have ``cache_clear``.
     Results do not change; later calls are cold."""
-    from . import cli, numerics, reduction
+    import importlib
+    import pkgutil
 
-    for cached in (
-        numerics._atom_units,
-        numerics._holder_chain,
-        numerics._bernoulli,
-        numerics._digamma_expansion,
-        numerics._boole_expansion,
-        numerics._em_sum,
-        numerics._em_units,
-        numerics._plain_factor,
-        numerics.zeta_value,
-        numerics.pi_reference,
-        reduction.log_integral,
-        reduction.symmetric_sum,
-        reduction._parse_table,
-        cli.build_parser,
-    ):
-        cached.cache_clear()
+    for info in pkgutil.iter_modules(__path__):
+        for obj in vars(importlib.import_module(f"{__name__}.{info.name}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

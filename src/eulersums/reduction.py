@@ -18,11 +18,11 @@ The closed-form rules implemented here:
   * ``depth2_odd(atom)``: any depth-2 value of odd weight, signs arbitrary,
     as a combination of depth-1 values (with the convention that an unsigned
     zeta(1) occurring in the closed form is dropped).
-  * ``symmetric_triple_sum(i, j, k)``: zeta(k,i,j) + zeta(k,j,i) written
-    through quadratic/linear Euler sums, with the Euler sums resolved by the
-    ordering-class expansion.  Exposed and tested, but not part of the
-    default pipeline: once the sums are expanded the identity returns its
-    own left side, so it cannot make progress as a rewrite.
+
+The rules read atoms alone: this module parses no Euler-sum index and calls
+no expansion engine.  The pair zeta(k,i,j) + zeta(k,j,i) written through
+quadratic and linear Euler sums is no rule: once those sums are expanded it
+returns its own left side exactly, so it cannot make progress as a rewrite.
 
 ``reduce_lincomb`` tries the tables and then the rules above as one list of
 rewrites, in a fixed order, atom by atom, until nothing fires; then it
@@ -47,8 +47,6 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .algebra import LinComb, MzvAtom, SymbolicTerm, Term, parse_atom, z
-from .expansion import expand_t1
-from .indices import make_index
 
 TRACE_CAP = 10_000
 STEP_CAP = 100_000
@@ -202,22 +200,6 @@ def reflection_triple_sum(a: int, b: int, c: int) -> LinComb:
     if min(a, b, c) < 2:
         raise ValueError("the triple reflection needs unsigned slots >= 2")
     return symmetric_sum(tuple(sorted((a, b, c))))
-
-
-def symmetric_triple_sum(i: int, j: int, k: int) -> LinComb:
-    """zeta(k,i,j) + zeta(k,j,i) through Euler sums, for j >= i >= 1, k >= 2.
-
-    The Euler-sum symbols are resolved by the ordering-class expansion, so
-    the result is an exact combination of MZV atoms equal to the pair sum.
-    """
-    if not (j >= i >= 1 and k >= 2):
-        raise ValueError(f"need j >= i >= 1 and k >= 2, got ({i}, {j}, {k})")
-    out = expand_t1(make_index([i, j], k))
-    out = out - expand_t1(make_index([i], j + k))
-    out = out - expand_t1(make_index([j], i + k))
-    out = out - expand_t1(make_index([i + j], k))
-    out = out + LinComb.of_atom(z(i + j + k), 2)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from eulersums.reduction import (
     reflection_pair_sum,
     reflection_triple_sum,
     symmetric_sum,
-    symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
     zeta_repeated_bar,
@@ -333,15 +332,6 @@ def test_criterion_5_rule_soundness():
             ))
         samples.append((lhs, reflection_triple_sum(a, b, c)))
     report.append(("reflection_triple", _check_rule_samples("reflection_triple", samples)))
-
-    samples = []
-    for _ in range(50):
-        i = rng.randrange(1, 4)
-        j = rng.randrange(i, 5)
-        k = rng.randrange(2, 6)
-        lhs = LinComb.of_atom(z(k, i, j)) + LinComb.of_atom(z(k, j, i))
-        samples.append((lhs, symmetric_triple_sum(i, j, k)))
-    report.append(("symmetric_triple", _check_rule_samples("symmetric_triple", samples)))
 
     # all orderings of depth 3-4 slots of both signs, which no other closed
     # form covers

@@ -36,6 +36,22 @@ def test_linear_sum_form():
         assert expand_t1(make_index([p], q)) == lc((1, [z(q, p)]), (1, [z(p + q)]))
 
 
+def test_quadratic_sums_give_the_pair_of_triple_orderings_exactly():
+    # S(i,j,k) - S(i,j+k) - S(j,i+k) - S(i+j,k) + 2 z(i+j+k) = z(k,i,j) + z(k,j,i)
+    # for j >= i >= 1 and k >= 2, as exact combinations: no basis, no tolerance
+    cases = [(i, j, k) for k in range(2, 11) for i in range(1, 6) for j in range(i, 11) if i + j + k <= 12]
+    assert len(cases) == 95
+    for i, j, k in cases:
+        got = (
+            expand_t1(make_index([i, j], k))
+            - expand_t1(make_index([i], j + k))
+            - expand_t1(make_index([j], i + k))
+            - expand_t1(make_index([i + j], k))
+            + LinComb.of_atom(z(i + j + k), 2)
+        )
+        assert got == lc((1, [z(k, i, j)]), (1, [z(k, j, i)])), (i, j, k)
+
+
 def test_quadratic_sum_form():
     # the six-term quadratic expansion
     for i1, i2, q in [(1, 2, 3), (2, 5, 2), (1, 1, 4)]:

@@ -32,7 +32,6 @@ from eulersums.reduction import (
     reflection_triple_sum,
     save_table,
     symmetric_sum,
-    symmetric_triple_sum,
     zeta_ones,
     zeta_repeated,
     zeta_repeated_bar,
@@ -268,14 +267,6 @@ def test_reflection_triple_form():
         (-1, [z(3), z(6)]),
         (-1, [z(4), z(5)]),
     )
-
-
-def test_symmetric_triple_is_exact_pair():
-    # with the Euler sums expanded, the identity returns exactly the pair sum
-    for i, j, k in [(1, 2, 9), (1, 1, 3), (2, 3, 4), (2, 2, 2)]:
-        got = symmetric_triple_sum(i, j, k)
-        expect = lc((1, [z(k, i, j)]), (1, [z(k, j, i)]))
-        assert got == expect, (i, j, k)
 
 
 def test_triple_pass_distinct_orderings():
