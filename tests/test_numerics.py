@@ -626,15 +626,10 @@ def _poly_at(poly, m, log):
     return sum(c * log**t / Fraction(m) ** p for (t, p), c in poly.items())
 
 
-def _slice(poly, g):
-    """The part {(t, p): c} of a tail polynomial {(g, t, p): c} at sigma^g."""
-    return {(t, p): c for (h, t, p), c in poly.items() if h == g}
-
-
 def _parts(factor):
-    """A factor (P, E) of the tail as its even part, P and E at g = 0, and
-    its odd part at g = 1."""
-    return tuple((_slice(factor[0], g), _slice(factor[1], g)) for g in (0, 1))
+    """A factor (P, E) of the tail, dicts {(g, t, p): c}, as its even part,
+    P and E at g = 0 keyed by (t, p), and its odd part at g = 1."""
+    return tuple(tuple({(t, p): c for (h, t, p), c in poly.items() if h == g} for poly in factor) for g in (0, 1))
 
 
 def test_plain_factors_enclose_their_values():
