@@ -419,34 +419,55 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
     return len(args) == 3 and min(args) >= 2 and len(set(args)) > 1
 
 
-def _reflectable(term: Term) -> bool:
-    return any(_pair_reflectable(a) or _triple_reflectable(a) for a in term.factors)
-
-
 class _WorkingSum:
     """The combination under rewriting: a mutable term -> coefficient dict
     (zero coefficients pruned), a heap, by ``term_key()``, of the present
-    terms not yet examined for an atom rewrite, and the set of present terms
-    with an atom a reflection pass can eliminate."""
+    terms with an atom that rewrites, each with its first such atom and that
+    atom's rewrite, and the set of present terms with an atom a reflection
+    pass can eliminate.  A term is classified as it enters, from ``memo``:
+    atom -> (``_atom_rewrite`` of it, whether a pass can eliminate it), each
+    atom matched once per working sum.  A term none of whose atoms
+    rewrites never touches the heap."""
 
-    def __init__(self, lc: LinComb):
+    def __init__(self, lc: LinComb, rules: list[IdentityRule]):
+        self.rules = rules
+        self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
+        self.coeffs: dict[Term, Fraction] = dict(lc._d)
+        self.in_heap: set[Term] = set()
+        self.reflectable: set[Term] = set()
         # The heap orders the terms, so they are read unsorted here and in
         # add_product.
-        self.coeffs: dict[Term, Fraction] = dict(lc._d)
-        self.heap = [(t.term_key(), t) for t in self.coeffs]
+        self.heap = [entry for t in self.coeffs if (entry := self._enter(t)) is not None]
         heapq.heapify(self.heap)
-        self.in_heap = set(self.coeffs)
-        self.reflectable = {t for t in self.coeffs if _reflectable(t)}
+
+    def _enter(self, term: Term):
+        """Classify a term entering the sum: note it as reflectable if it is,
+        and return its heap entry if it should be queued, else None."""
+        first = None
+        # a product's factors are sorted already
+        for atom in (term,) if isinstance(term, MzvAtom) else term:
+            known = self.memo.get(atom)
+            if known is None:
+                known = self.memo[atom] = (
+                    _atom_rewrite(atom, self.rules),
+                    _pair_reflectable(atom) or _triple_reflectable(atom),
+                )
+            hit, reflectable = known
+            if reflectable:
+                self.reflectable.add(term)
+            if first is None and hit is not None:
+                first = (atom, hit)
+        if first is None or term in self.in_heap:
+            return None
+        self.in_heap.add(term)
+        return (term.term_key(), term, *first)
 
     def add(self, term: Term, c: Fraction):
         old = self.coeffs.get(term)
         if old is None:
             self.coeffs[term] = c
-            if _reflectable(term):
-                self.reflectable.add(term)
-            if term not in self.in_heap:
-                self.in_heap.add(term)
-                heapq.heappush(self.heap, (term.term_key(), term))
+            if (entry := self._enter(term)) is not None:
+                heapq.heappush(self.heap, entry)
             return
         s = old + c
         if s:
@@ -464,13 +485,15 @@ class _WorkingSum:
         for t, rc in rhs._d.items():
             self.add(rest.mul(t), c * rc)
 
-    def pop_pending(self) -> Term | None:
-        """The smallest present term not yet examined, or None."""
+    def pop_pending(self):
+        """``(term, atom, (rhs, rule name))`` for the smallest present term
+        with an atom that rewrites, and its first such atom; None if no
+        present term has one."""
         while self.heap:
-            _key, term = heapq.heappop(self.heap)
+            _key, term, atom, hit = heapq.heappop(self.heap)
             self.in_heap.discard(term)
             if term in self.coeffs:
-                return term
+                return term, atom, hit
         return None
 
 
@@ -556,33 +579,20 @@ def reduce_lincomb(
     smallest term that has one; only when no atom rewrites does one
     reflection pass (pairs, then triples) fire.  An atom step touches only
     the terms it creates or cancels, each distinct atom is matched against
-    the tables and rules once per call, a term is examined for atom
-    rewrites once each time it enters the sum, and a reflection pass is one
-    scan over the terms that hold an atom it can eliminate.
+    the tables and rules once per call, a term is classified once each time
+    it enters the sum and queued only if one of its atoms rewrites, and a
+    reflection pass is one scan over the terms that hold an atom it can
+    eliminate.  Atoms are matched as their term enters, so a rule that
+    leaks weight fails on any atom that enters, even one never rewritten.
     """
     if rules is None:
         rules = default_rules()
     rules = [IdentityRule(f"table[{t.label}]", t.lookup) for t in tables] + rules
-    work = _WorkingSum(lc)
-    rewrites: dict[MzvAtom, tuple[LinComb, str] | None] = {}
-
-    def next_atom_rewrite():
-        while (term := work.pop_pending()) is not None:
-            # a product's factors are sorted already
-            atoms = (term,) if isinstance(term, MzvAtom) else dict.fromkeys(term.factors)
-            for atom in atoms:
-                if atom in rewrites:
-                    hit = rewrites[atom]
-                else:
-                    hit = rewrites[atom] = _atom_rewrite(atom, rules)
-                if hit is not None:
-                    return term, atom, hit
-        return None
-
+    work = _WorkingSum(lc, rules)
     trace: list[str] = []
     steps = 0
     while steps < max_steps:
-        found = next_atom_rewrite()
+        found = work.pop_pending()
         if found is not None:
             term, atom, (rhs, name) = found
             c = work.pop(term)

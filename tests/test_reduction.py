@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import heapq
 import io
 import itertools
 import json
@@ -630,10 +631,10 @@ def test_table_driven_full_reduction_weight5(tmp_path):
 
 # -- the rewrite engine against the loop it replaced ----------------------------------
 #
-# ``_reference_reduce`` is the engine as it was before the pending-term heap:
-# every step re-sorts the whole combination and rebuilds it immutably.  The
-# heap engine must take exactly the same steps, so value, step count and
-# trace are compared with zero tolerance.
+# ``_reference_reduce`` is the engine as it was before the heap of terms that
+# can rewrite: every step re-sorts the whole combination and rebuilds it
+# immutably.  The heap engine must take exactly the same steps, so value,
+# step count and trace are compared with zero tolerance.
 
 
 def _ref_substitute(lc: LinComb, term: SymbolicTerm, atom: MzvAtom, replacement: LinComb) -> LinComb:
@@ -844,10 +845,75 @@ def test_engine_matches_reference_loop(starter12, lc, use_table):
 
 
 def test_engine_matches_reference_on_expansions(starter12):
-    for text in ["S(2,2,3,3,2)", "S(-1,-1,-1)", "S(1,1,-3)", "S(3,3,3,3)", "S(2,-3,4)"]:
-        lc = expand_t1(parse_index(text))
+    texts = ["S(2,2,3,3,2)", "S(-1,-1,-1)", "S(1,1,-3)", "S(3,3,3,3)", "S(2,-3,4)"]
+    # two degree-5 expansions of the shape the reduce benchmark draws
+    texts += ["S(8,-1,-3,-6,-7,3)", "S(2,8,-1,-4,-7,2)"]
+    combinations = [expand_t1(parse_index(text)) for text in texts]
+    # products whose first factor may not rewrite while a later one does
+    combinations.append(expand_t2(parse_index("S(2,2,3,3,2)")))
+    for lc in combinations:
         for tables in ([], [starter12]):
             assert _outcome(reduce_lincomb, lc, tables) == _outcome(_reference_reduce, lc, tables)
+
+
+def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter12, monkeypatch):
+    queued = []
+
+    class RecordingHeapq:
+        heappop = staticmethod(heapq.heappop)
+
+        @staticmethod
+        def heappush(heap, item):
+            queued.append(item[1])
+            heapq.heappush(heap, item)
+
+        @staticmethod
+        def heapify(heap):
+            queued.extend(item[1] for item in heap)
+            heapq.heapify(heap)
+
+    seen = collections.Counter()
+
+    def counting(name, rewrite):
+        def wrapped(atom):
+            seen[name, atom] += 1
+            return rewrite(atom)
+
+        return wrapped
+
+    table = IdentityTable(starter12.label)
+    table.entries = starter12.entries
+    table.lookup = counting("table", table.lookup)
+    rules = [reduction.IdentityRule(r.name, counting(r.name, r.rewrite)) for r in default_rules()]
+    lc = expand_t1(parse_index("S(1,2,3,5,-8,3)"))
+    monkeypatch.setattr(reduction, "heapq", RecordingHeapq)
+    r = reduce_lincomb(lc, tables=[table], rules=rules)
+    monkeypatch.undo()
+    plain = reduce_lincomb(lc, tables=[starter12])
+    assert (r.value, r.steps, r.trace) == (plain.value, plain.steps, plain.trace)
+
+    def rewritable(term):
+        return any(
+            starter12.lookup(a) is not None or any(rule.rewrite(a) is not None for rule in default_rules())
+            for a in term.factors
+        )
+
+    atom_steps = sum(not line.startswith("reflection") for line in r.trace)
+    assert len(r.trace) == r.steps
+    # each atom step pops one queued term; every queued term holds an atom that rewrites
+    assert atom_steps <= len(queued) < len(lc)
+    assert all(rewritable(term) for term in queued)
+    # every distinct atom reaches each rule at most once in the call
+    assert seen and max(seen.values()) == 1
+
+
+def test_leaking_rule_fails_loudly():
+    leak = reduction.IdentityRule("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None)
+    product = SymbolicTerm.of(z(-1), z(2, 3))
+    assert product.factors[1] == z(2, 3)
+    for term in (z(2, 3), product):
+        with pytest.raises(AssertionError, match=r"weight leak rewriting z\(2,3\)"):
+            reduce_lincomb(LinComb.of_term(term), rules=[leak])
 
 
 # Combinations whose reflection candidates change only through atom rewrites:
