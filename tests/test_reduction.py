@@ -892,11 +892,10 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
     plain = reduce_lincomb(lc, tables=[starter12])
     assert (r.value, r.steps, r.trace) == (plain.value, plain.steps, plain.trace)
 
+    matchers = [starter12.lookup] + [rule.rewrite for rule in default_rules()]
+
     def rewritable(term):
-        return any(
-            starter12.lookup(a) is not None or any(rule.rewrite(a) is not None for rule in default_rules())
-            for a in term.factors
-        )
+        return any(match(a) is not None for a in term.factors for match in matchers)
 
     atom_steps = sum(not line.startswith("reflection") for line in r.trace)
     assert len(r.trace) == r.steps
