@@ -308,8 +308,8 @@ class LinComb:
         by_weight: dict[int, list[MzvAtom]] = {}
         rest = []
         for t in self._d:
-            if t.__class__ is MzvAtom and not t.li:
-                by_weight.setdefault(t.weight, []).append(t)
+            if t.__class__ is MzvAtom and not t[0]:  # li, weight by index
+                by_weight.setdefault(t[1], []).append(t)
             elif t:  # not the unit, the empty product
                 rest.append(t)
         order = [UNIT_TERM] if UNIT_TERM in self._d else []
@@ -440,17 +440,25 @@ class LinComb:
         ]
 
     def json_terms(self) -> str:
-        """``json.dumps(self.to_json_terms())``, written directly; a zeta
-        atom's term in one piece.  Atom renderings and rationals use only
-        ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
-        return "[" + ", ".join([
-            f'{{"factors": ["z({",".join(map(str, t.args))})"], "coeff": "{c}"}}'
-            if t.__class__ is MzvAtom and not t.li
-            else '{"factors": ['
-            + ", ".join([f'"{a.render()}"' for a in t.factors])
-            + f'], "coeff": "{c}"}}'
-            for t, c in self.items()
-        ]) + "]"
+        """``json.dumps(self.to_json_terms())``, written directly: a zeta
+        atom's term in one piece, and the text of each coefficient object
+        once, since the expansion engines share one ``Fraction`` per distinct
+        value.  Atom renderings and rationals use only ``[A-Za-z0-9(),/ -]``,
+        so nothing needs escaping."""
+        texts: dict[int, str] = {}  # id(c) -> str(c); each c lives in self._d
+        pieces = []
+        for t, c in self.items():
+            coeff = texts.get(id(c))
+            if coeff is None:
+                coeff = texts[id(c)] = str(c)
+            if t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
+                pieces.append(f'{{"factors": ["z({",".join(map(str, t[2]))})"], "coeff": "{coeff}"}}')
+            else:
+                factors = ", ".join([f'"{a.render()}"' for a in t.factors])
+                pieces.append(f'{{"factors": [{factors}], "coeff": "{coeff}"}}')
+        body = ", ".join(pieces)
+        del pieces  # free the pieces before the bracketed copy is made
+        return f"[{body}]"
 
     @staticmethod
     def from_json_terms(terms: Iterable[Mapping]) -> "LinComb":

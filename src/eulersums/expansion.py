@@ -122,16 +122,26 @@ def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The quasi-shuffle of the nonempty word ``u`` with ``v``, one word per
     path (a word may recur).  The first letter x of ``u`` either goes just
     before letter i of ``v`` (or after its last) or merges with letter i; the
-    rest of ``u`` is then shuffled into the letters of ``v`` that follow."""
+    rest of ``u`` is then shuffled into the letters of ``v`` that follow.
+    Each word is one concatenation, head + letter + tail, in that order."""
     x, rest = u[0], u[1:]
+    xt = (x,)
     out = []
     for i in range(len(v) + 1):
-        heads = [(v[:i] + (x,), v[i:])]
-        if i < len(v):
-            mag = abs(x) + abs(v[i])
-            heads.append((v[:i] + ((-mag if (x < 0) ^ (v[i] < 0) else mag),), v[i + 1 :]))
-        for head, tail in heads:
-            out += [head + t for t in _stuffle(rest, tail)] if rest else [head + tail]
+        head, tail = v[:i], v[i:]
+        if rest:
+            out += [head + xt + t for t in _stuffle(rest, tail)]
+        else:
+            out.append(head + xt + tail)
+        if tail:
+            y = tail[0]
+            mag = abs(x) + abs(y)
+            yt = (-mag if (x < 0) ^ (y < 0) else mag,)  # the merged letter
+            tail = tail[1:]
+            if rest:
+                out += [head + yt + t for t in _stuffle(rest, tail)]
+            else:
+                out.append(head + yt + tail)
     return out
 
 
@@ -238,9 +248,16 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         )
         for word, c in _quasi_shuffle(tails, memo).items():
             _add(acc, (rest, word + (q,)), coeff * c)
+    # Distinct keys give distinct terms (the word's atom is the one factor of
+    # depth >= 2, if any), so equal counts share one Fraction, as in expand_t1.
+    coeffs: dict[int, Fraction] = {}
     terms: dict[Term, Fraction] = {}
     for (rest, word), c in acc.items():
-        _add(terms, SymbolicTerm.of(*map(z, rest), MzvAtom(word)), Fraction(c))
+        coeff = coeffs.get(c)
+        if coeff is None:
+            coeff = coeffs[c] = Fraction(c)
+        terms[SymbolicTerm.of(*map(z, rest), MzvAtom(word))] = coeff
+    assert len(terms) == len(acc), f"two keys gave one term in expansion of {idx}"
     return LinComb._of_nonzero(terms)
 
 

@@ -476,6 +476,47 @@ def test_json_terms_roundtrip_large_expansion():
     assert LinComb.from_json_terms(lc.to_json_terms()) == lc
 
 
+def _count_fraction_str(monkeypatch) -> list:
+    """Patch ``Fraction.__str__`` to record each call; returns the record."""
+    calls = []
+    fraction_str = Fraction.__str__
+
+    def counting_str(self):
+        calls.append(self)
+        return fraction_str(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counting_str)
+    return calls
+
+
+def test_json_terms_writes_each_coefficient_object_once(monkeypatch):
+    # expand_t1 shares one Fraction per multiplicity: 38 objects for 7 896 terms
+    lc = expand_t1(parse_index("S(2,2,-1,-1,-1,-1,-3,-3,-2)"))
+    assert len(lc) == 7896 and len({id(c) for c in lc._d.values()}) == 38
+    reference = json.dumps(lc.to_json_terms())
+    calls = _count_fraction_str(monkeypatch)
+    assert lc.json_terms() == reference
+    assert len(calls) == 38
+
+
+def test_json_terms_shared_coefficient_across_term_kinds(monkeypatch):
+    # one object on an atom, a product, a Li atom and the unit, beside a
+    # second object of equal value
+    shared, equal = Fraction(-7, 3), Fraction(-7, 3)
+    lc = LinComb({
+        z(-2, 3): shared,
+        SymbolicTerm.of(z(2), li_half(4)): shared,
+        li_half(5): shared,
+        UNIT_TERM: shared,
+        z(5): equal,
+    })
+    assert len({id(c) for c in lc._d.values()}) == 2
+    reference = json.dumps(lc.to_json_terms())
+    calls = _count_fraction_str(monkeypatch)
+    assert lc.json_terms() == reference
+    assert len(calls) == 2
+
+
 def test_render_latex_ln2_sign_fold():
     # z(-1) = -ln 2, so a term with one ln-2 factor flips its displayed sign
     x = LinComb.of_term(SymbolicTerm.of(z(2), z(-1)), Fraction(-3, 2))

@@ -263,7 +263,7 @@ def _measure(*argv) -> tuple[int, str]:
     [
         # 58 004 terms; 28.0 MiB when every atom recomputed its weight and the
         # kernel kept every sub-multiset product, 20.2 MiB when each one-atom
-        # term was wrapped in a SymbolicTerm and a tuple, 16.3 MiB now
+        # term was wrapped in a SymbolicTerm and a tuple, 13.6-13.7 MiB now
         (("t1", "S(1,2,3,4,5,6,7,2)"), 19,
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
         # the kernel alone, 301 266 words: 84.6 MiB with every sub-multiset
@@ -271,8 +271,9 @@ def _measure(*argv) -> tuple[int, str]:
         (("kernel", "8"), 60,
          "4b3447045ed73ffe29d872613448c578cf791a8be770102deba0e58b7af4e90f"),
         # with the JSON text: 29.1-30.1 MiB when items() built a key tuple and a
-        # pair for every term, 21.8 MiB now
-        (("json", "S(1,2,3,4,5,6,7,2)"), 25,
+        # pair for every term, 24.1-24.3 MiB when json_terms() kept its list of
+        # pieces alive through the bracketed copy, 21.2-21.5 MiB now
+        (("json", "S(1,2,3,4,5,6,7,2)"), 23,
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
     ],
 )
@@ -380,6 +381,16 @@ def test_t2_quadratic_form():
         (1, [z(i2, i1, q)]),
     )
     assert got == expect
+
+
+def test_t2_shares_one_fraction_per_value():
+    # as expand_t1 does, so json_terms() writes each value's text once
+    idx = parse_index("S(2,2,3,3,4,4,2)")
+    got = expand_t2(idx)
+    assert len(got) == 1439 and sum(len(t.factors) > 1 for t in got._d) == 754
+    assert len(set(got._d.values())) == 14
+    assert len({id(c) for c in got._d.values()}) == 14
+    assert linearize(got) == expand_t1(idx)
 
 
 def test_t2_hypothesis_errors():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from eulersums.expansion import _quasi_shuffle, ordered_partition_count
+from eulersums.expansion import _quasi_shuffle, _stuffle, ordered_partition_count
 from eulersums.numerics import eval_mhs_exact
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -77,3 +77,32 @@ def test_partition_count_landmarks():
     ]
     assert ordered_partition_count([2] * 14) == 2**13
     assert ordered_partition_count([1, 1, 2, 2, 3, 3, 4, 4, 5]) == 598352
+
+
+def _reference_stuffle(u, v):
+    """``expansion._stuffle`` as it was written with a list of (head, tail)
+    pairs at each position of ``v``."""
+    x, rest = u[0], u[1:]
+    out = []
+    for i in range(len(v) + 1):
+        heads = [(v[:i] + (x,), v[i:])]
+        if i < len(v):
+            mag = abs(x) + abs(v[i])
+            heads.append((v[:i] + ((-mag if (x < 0) ^ (v[i] < 0) else mag),), v[i + 1 :]))
+        for head, tail in heads:
+            out += [head + t for t in _reference_stuffle(rest, tail)] if rest else [head + tail]
+    return out
+
+
+signed_letters = st.integers(1, 4).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(signed_letters, min_size=1, max_size=4).map(tuple),
+    st.lists(signed_letters, max_size=5).map(tuple),
+)
+def test_stuffle_words_and_order_match_reference(u, v):
+    # the words themselves, in order and with their repeats, not only their
+    # multiplicities
+    assert _stuffle(u, v) == _reference_stuffle(u, v)
