@@ -11,7 +11,12 @@ harmonic-number product at every single n.
 from fractions import Fraction
 
 from eulersums import expand_harmonic_product, eval_mhs_exact
-from eulersums.numerics import alt_harmonic_exact, harmonic_exact
+
+
+def harmonic(r, n):
+    """H_n^(r), or the alternating one for r < 0, summed directly."""
+    return sum((Fraction((-1) ** (k - 1) if r < 0 else 1, k ** abs(r)) for k in range(1, n + 1)), Fraction(0))
+
 
 print("H_n^2 = zeta_n(2) + 2 zeta_n(1,1):")
 print(" ", expand_harmonic_product([1, 1]))
@@ -20,7 +25,7 @@ print("\nCheck it exactly at n = 1..8:")
 exp = expand_harmonic_product([1, 1])
 for n in range(1, 9):
     combo = sum((c * eval_mhs_exact(k, n) for k, c in exp.items()), Fraction(0))
-    direct = harmonic_exact(1, n) ** 2
+    direct = harmonic(1, n) ** 2
     print(f"  n={n}: combination {combo} == H_n^2 {direct}: {combo == direct}")
 
 print("\nA mixed alternating product, H_n^(2) * Hbar_n^(1) * Hbar_n^(1):")
@@ -29,7 +34,7 @@ exp = expand_harmonic_product(inner)
 print(f"  {len(exp)} nested-sum terms; keys are signed slot lists")
 for n in (3, 7, 12):
     combo = sum((c * eval_mhs_exact(k, n) for k, c in exp.items()), Fraction(0))
-    direct = harmonic_exact(2, n) * alt_harmonic_exact(1, n) ** 2
+    direct = harmonic(2, n) * harmonic(-1, n) ** 2
     assert combo == direct
     print(f"  n={n:2d}: exact match, value {combo}")
 

@@ -17,12 +17,12 @@ E is t1, t2 or auto (default auto); O is plain, latex or json (default
 plain); T lies in [1e-10, 1e-3] (default 1e-8).
 
 Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
-(also an unreadable or non-UTF-8 table or batch file, an expansion dump of
-the wrong shape, INDEX together with --file or --json, or an option the
-command does not take), 3 divergent index, 4 engine precondition violated
-(also a reduction that does not reach its fixpoint within the step cap),
-5 no usable table with --require-tables (or in table-check).  Diagnostics go
-to stderr; results go to stdout.
+(also an unreadable or non-UTF-8 table or batch file, a batch file with no
+index, an expansion dump of the wrong shape, INDEX together with --file or
+--json, or an option the command does not take), 3 divergent index, 4
+engine precondition violated (also a reduction that does not reach its
+fixpoint within the step cap), 5 no usable table with --require-tables (or
+in table-check).  Diagnostics go to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -228,6 +228,8 @@ def cmd_verify(args) -> int:
                 texts = [t for t in map(str.strip, f) if t and not t.startswith("#")]
         except _UNREADABLE as e:
             raise UsageError(f"cannot read {args.file}: {e}")
+        if not texts:
+            raise UsageError(f"no index in {args.file}")
     elif args.index:
         texts = [args.index]
     else:
@@ -279,8 +281,8 @@ def cmd_eval(args) -> int:
         res = numerics.eval_lincomb_best(lc, args.tol)
     else:
         res = numerics.eval_euler_sum_best(_index(args.index), args.tol)
-        if res.tail_bound > args.tol:
-            _err(f"capacity: achieved bound {_up3(res.tail_bound)} above tol {args.tol:g}")
+    if res.tail_bound > args.tol:
+        _err(f"capacity: achieved bound {_up3(res.tail_bound)} above tol {args.tol:g}")
     print(f"{_digits15(res.value)}  bound={_up3(res.tail_bound)}  N={res.terms_used}")
     return EXIT_OK
 

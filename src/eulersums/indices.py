@@ -61,11 +61,6 @@ class EulerSumIndex:
     def is_alternating(self) -> bool:
         return self.outer < 0 or any(i < 0 for i in self.inner)
 
-    @property
-    def num_unsigned_inner(self) -> int:
-        """The split point: unsigned entries come first in canonical order."""
-        return sum(1 for i in self.inner if i > 0)
-
     def to_json(self) -> dict:
         return {"inner": list(self.inner), "outer": self.outer}
 
@@ -138,23 +133,6 @@ def parse_index(text: str) -> EulerSumIndex:
     return make_index(inner, outer)
 
 
-def _json_int(value, field: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"index field {field!r} holds {value!r}, not a JSON integer")
-    return value
-
-
-def from_json(obj) -> EulerSumIndex:
-    """The index of ``{"inner": [...], "outer": q}``, as ``to_json`` writes
-    it.  Every entry must be a JSON integer: a float, a bool or a string
-    raises ``ValueError`` naming its field, and is never converted."""
-    inner = obj["inner"]
-    if type(inner) is not list:
-        raise ValueError(f"index field 'inner' holds {inner!r}, not a list")
-    entries = [_json_int(e, "inner") for e in inner]
-    return make_index(entries, _json_int(obj["outer"], "outer"))
-
-
 def _latex_inner(inner: tuple[int, ...]) -> str:
     # Group repeated entries with power notation: (1,1,2) -> 1^22.
     out = []
@@ -180,8 +158,4 @@ def render_index(idx: EulerSumIndex, style: str = "plain") -> str:
             arg = str(abs(idx.outer)) if idx.outer > 0 else r"\bar{%d}" % -idx.outer
             return r"\zeta(%s)" % arg
         return r"S_{%s,%s}" % (_latex_inner(idx.inner), q)
-    if style == "json":
-        import json
-
-        return json.dumps(idx.to_json())
     raise ValueError(f"unknown style {style!r}")

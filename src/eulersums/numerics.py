@@ -25,9 +25,7 @@ Three evaluation strategies are used.
     64 significant bits once, as an exact dyadic ``Fraction``, and the
     reported bound counts that rounding exactly: at most 2^-64 |value|
     plus the fixed-point error, which is below 1e-50 on every expansion
-    that ``verify`` checks at weight <= 10.  Independent reference
-    constants for the tests: zeta(s) through an Euler-Maclaurin tail and
-    pi through Machin's arctangents.
+    that ``verify`` checks at weight <= 10.
 
   * The Euler-sum series themselves, walked in the same units to an N of
     the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
@@ -58,7 +56,10 @@ Three evaluation strategies are used.
         Manna, *Euler-Boole summation revisited*), and its remainder is
         (1 + 4^(K+1)) times that of Euler-Maclaurin.
 
-    Only this walk can miss a requested tolerance (``CapacityError``).
+Both routes can miss a requested tolerance: the walk, capped at N_MAX, and
+a combination of atoms, whose bound counts its rounding to 64 bits, up to
+2^-64 |value|.  ``eval_euler_sum`` and ``eval_lincomb`` then raise
+``CapacityError``.
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -75,7 +76,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinComb, MzvAtom, li_half, z
+from .algebra import LinComb, MzvAtom, z
 from .indices import EulerSumIndex
 
 N_MAX = 10**4
@@ -89,8 +90,7 @@ class NumericResult:
     """A certified evaluation: |value - true| <= tail_bound.
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
-    Hoelder convolution), ``zeta`` (fixed-point constants) or
-    ``euler_maclaurin`` (the tail of a series).
+    Hoelder convolution) or ``euler_maclaurin`` (the tail of a series).
     ``value`` is an exact dyadic rational of 64 significant bits.
     """
 
@@ -128,11 +128,14 @@ def _up3(bound) -> str:
     return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
 
 
-def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fraction, Fraction]:
+def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fraction, Fraction | float]:
     """(ok, diff, budget): whether |a - b| = diff is at most the sum of the
     two bounds and ``tol``, the budget.  All three are exact, so no rounding
-    of the values to doubles hides a difference."""
+    of the values to doubles hides a difference.  An infinite bound
+    certifies nothing: never ok, and the budget is ``inf``."""
     diff = abs(a.value - b.value)
+    if math.inf in (a.tail_bound, b.tail_bound):
+        return False, diff, math.inf
     budget = Fraction(a.tail_bound) + Fraction(b.tail_bound) + Fraction(tol)
     return diff <= budget, diff, budget
 
@@ -151,16 +154,6 @@ class CapacityError(RuntimeError):
 
 MHS_N_CAP = 60
 MHS_DEPTH_CAP = 6
-
-
-def harmonic_exact(r: int, n: int) -> Fraction:
-    """Generalized harmonic number of order r at n, as an exact rational."""
-    return sum((Fraction(1, k**r) for k in range(1, n + 1)), Fraction(0))
-
-
-def alt_harmonic_exact(r: int, n: int) -> Fraction:
-    """Alternating harmonic number: sum of (-1)^(k-1) / k^r up to n."""
-    return sum((Fraction((-1) ** (k - 1), k**r) for k in range(1, n + 1)), Fraction(0))
 
 
 def eval_mhs_exact(args, n: int) -> Fraction:
@@ -193,7 +186,7 @@ def eval_mhs_exact(args, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point (192 fractional bits) constants
+# Fixed-point (192 fractional bits) units
 # ---------------------------------------------------------------------------
 
 _FP_BITS = 192
@@ -222,67 +215,6 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
     if bound < total:
         bound = math.nextafter(bound, math.inf)
     return NumericResult(Fraction(rounded, _FP_SCALE), math.ldexp(bound, -_FP_BITS), terms, method)
-
-
-def _zeta_terms(s: int) -> int:
-    return 2000 if s < 40 else 64  # the terms ``_fp_zeta(s)`` sums
-
-
-def _fp_zeta(s: int) -> tuple[Fraction, Fraction]:
-    """zeta(s) for s >= 2 by partial sum plus Euler-Maclaurin tail."""
-    if s < 2:
-        raise ValueError("zeta needs s >= 2")
-    n_cut = _zeta_terms(s)
-    acc = 0
-    for n in range(1, n_cut + 1):
-        acc += _FP_SCALE // n**s
-    a = n_cut + 1
-    tail = (
-        Fraction(1, (s - 1) * a ** (s - 1))
-        + Fraction(1, 2 * a**s)
-        + Fraction(s, 12 * a ** (s + 1))
-        - Fraction(s * (s + 1) * (s + 2), 720 * a ** (s + 3))
-    )
-    rem = 2 * Fraction(s * (s + 1) * (s + 2) * (s + 3) * (s + 4), 30240 * a ** (s + 5))
-    val = Fraction(acc, _FP_SCALE) + tail
-    err = Fraction(n_cut, _FP_SCALE) + rem
-    return val, err
-
-
-def _fp_atan_inv(x: int) -> tuple[Fraction, Fraction]:
-    """arctan(1/x) by the alternating Taylor series, truncation <= next term."""
-    acc = 0
-    t = 0
-    terms = 0
-    while True:
-        u = _FP_SCALE // ((2 * t + 1) * x ** (2 * t + 1))
-        if u == 0:
-            break
-        acc += -u if t % 2 else u
-        t += 1
-        terms += 1
-    return Fraction(acc, _FP_SCALE), Fraction(terms + 2, _FP_SCALE)
-
-
-@functools.cache
-def zeta_value(s: int) -> NumericResult:
-    return _fp_result(*_to_units(*_fp_zeta(s)), terms=_zeta_terms(s), method="zeta")
-
-
-def li_half_value(q: int) -> NumericResult:
-    return eval_atom(li_half(q))
-
-
-def ln2_value() -> NumericResult:
-    return li_half_value(1)
-
-
-@functools.cache
-def pi_reference() -> NumericResult:
-    """pi via Machin's two-arctangent combination (test cross-checks)."""
-    a5, e5 = _fp_atan_inv(5)
-    a239, e239 = _fp_atan_inv(239)
-    return _fp_result(*_to_units(16 * a5 - 4 * a239, 16 * e5 + 4 * e239), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,27 @@ def test_verify_batch_skips_indented_comments_and_blank_lines(capsys, tmp_path):
     assert (code, out) == run(capsys, "verify", "--tol", "1e-6", "--file", str(plain))[:2]
 
 
+@pytest.mark.parametrize("text", ["", "# header\n\n   # note\n"], ids=["empty", "comments"])
+def test_verify_batch_without_an_index_exit2(capsys, tmp_path, text):
+    # a batch that verifies nothing is a usage error, not a silent pass
+    f = tmp_path / "batch.txt"
+    f.write_text(text)
+    assert run(capsys, "verify", "--file", str(f)) == (2, "", f"no index in {f}\n")
+
+
+def test_verify_table_entry_with_an_infinite_bound_fails(capsys, tmp_path):
+    # z(2,1) = 10^310 z(3) reduces S(1,2) to a value bounded by inf, which
+    # certifies nothing: the line fails against a budget of inf
+    table = tmp_path / "huge.jsonl"
+    entry = {"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1" + "0" * 310}], "weight": 3}
+    table.write_text(json.dumps(entry) + "\n")
+    code, out, err = run(capsys, "verify", "--table", str(table), "S(1,2)")
+    assert (code, err) == (1, "")
+    *_, reduction, verdict = out.splitlines()
+    assert reduction == "reduction = 1.20205690315959e+310  (bound inf; discrepancy inf vs inf)"
+    assert verdict == "FAIL"
+
+
 @pytest.mark.parametrize("layer", ["_expand_with_engine", "reduce_lincomb"])
 def test_verify_sees_an_error_below_one_ulp_of_the_value(capsys, monkeypatch, layer):
     # S({1}_11, 2) is about 7.1e7, where one ulp of a double is 1.5e-8: an
@@ -266,6 +287,15 @@ def test_eval_json_beyond_float64_prints_finite(capsys, tmp_path):
     p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 400}]}))
     code, out, _ = run(capsys, "eval", "--json", str(p))
     assert code == 0 and out.startswith("1.64493406684823e+400  bound=")
+
+
+def test_eval_json_reports_a_missed_tol(capsys, tmp_path):
+    # a dump is held to --tol as an index is: 10^310 z(2) is bounded by inf
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 310}]}))
+    code, out, err = run(capsys, "eval", "--json", str(p))
+    assert (code, out) == (0, "1.64493406684823e+310  bound=inf  N=200\n")
+    assert err == "capacity: achieved bound inf above tol 1e-08\n"
 
 
 def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):

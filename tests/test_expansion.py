@@ -22,9 +22,10 @@ from eulersums.expansion import (
     linearize,
 )
 from eulersums.indices import make_index, parse_index
-from eulersums.numerics import alt_harmonic_exact, eval_mhs_exact, harmonic_exact
+from eulersums.numerics import eval_mhs_exact
 
 from fixtures_closed_forms import lc
+from reference_oracles import alt_harmonic_exact, harmonic_exact
 
 
 # -- ordering-class engine fixtures -------------------------------------------

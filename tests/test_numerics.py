@@ -22,27 +22,20 @@ from eulersums.numerics import (
     _boole_expansion,
     _digamma_expansion,
     _em_sum,
-    _fp_atan_inv,
     _fp_result,
     _fp_holder,
-    _fp_zeta,
     _holder_apply,
     _holder_word,
     _plain_factor,
     _to_units,
-    alt_harmonic_exact,
     eval_atom,
     eval_euler_sum,
     eval_euler_sum_best,
     eval_lincomb,
     eval_lincomb_best,
     eval_mhs_exact,
-    harmonic_exact,
-    li_half_value,
-    ln2_value,
-    pi_reference,
-    zeta_value,
 )
+from reference_oracles import _fp_atan_inv, _fp_zeta, alt_harmonic_exact, harmonic_exact, pi_reference, zeta_value
 
 
 def brute_mhs(args, n):
@@ -117,13 +110,13 @@ def test_zeta_value_reports_terms_summed():
 def test_li4_half_series():
     # direct check from the defining series with an exact rational partial sum
     partial = sum((Fraction(1, 2**n * n**4) for n in range(1, 61)), Fraction(0))
-    r = li_half_value(4)
+    r = eval_atom(li_half(4))
     assert abs(float(r.value) - float(partial)) < 1e-17
     assert abs(float(r.value) - 0.5174790616738994) < 1e-12
 
 
 def test_ln2():
-    assert abs(float(ln2_value().value) - math.log(2)) < 1e-15
+    assert abs(float(eval_atom(li_half(1)).value) - math.log(2)) < 1e-15
 
 
 @functools.cache
@@ -874,11 +867,10 @@ def test_log_tails_stop_early():
         assert eval_euler_sum(parse_index(text), 1e-8).terms_used <= 10**5, text
 
 
-def test_method_names_the_bound():
+def test_method_names_the_bound(monkeypatch, capsys, tmp_path):
     assert eval_atom(z(3, 2)).method == "holder"
     assert eval_atom(li_half(4)).method == "holder"
-    assert zeta_value(3).method == "zeta"
-    assert li_half_value(2).method == "holder"
+    assert eval_atom(li_half(2)).method == "holder"
     assert eval_lincomb_best(LinComb.of_atom(li_half(4))).method == "holder"
     mixed = LinComb.of_atom(li_half(4)) + LinComb.of_atom(z(-3))
     assert eval_lincomb_best(mixed).method == "holder"
@@ -887,3 +879,37 @@ def test_method_names_the_bound():
     assert eval_euler_sum_best(parse_index("S(-1,2)"), 1e-6).method == "euler_maclaurin"
     assert eval_euler_sum_best(parse_index("S(1,2)"), 1e-6).method == "euler_maclaurin"
     assert "method" not in repr(alternating) and "euler" not in repr(alternating)
+    # every result the package builds, through the library and through each
+    # command that evaluates, names one of the two methods
+    from eulersums import cli
+
+    made, build = [], numerics._fp_result
+
+    def record(*args, **kwargs):
+        made.append(build(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(numerics, "_fp_result", record)
+    table = tmp_path / "t.jsonl"
+    table.write_text('{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n')
+    dump = tmp_path / "d.json"
+    dump.write_text('{"terms": [{"factors": ["Li(4,1/2)", "z(-3)"], "coeff": "2"}]}')
+    eval_atom(z(3, 2))
+    eval_lincomb(LinComb.of_atom(li_half(4)))
+    eval_euler_sum(parse_index("S(-1,2)"), 1e-6)
+    for argv in (["eval", "S(1,1,-1)"], ["eval", "--json", str(dump)], ["table-check", str(table)],
+                 ["verify", "--tol", "1e-6", "--table", str(table), "S(1,2)"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert {r.method for r in made} == {"holder", "euler_maclaurin"}
+
+
+def test_an_infinite_bound_certifies_nothing():
+    # 10^310 z(3) is bounded by about 2^-64 of its value, past every float:
+    # inf.  Such a bound agrees with nothing, not even the same value, and
+    # the budget is inf
+    huge = eval_lincomb_best(LinComb.of_atom(z(3), 10**310))
+    assert huge.tail_bound == math.inf
+    assert numerics.agree(huge, huge, 1e-8) == (False, 0, math.inf)
+    ok, diff, budget = numerics.agree(eval_atom(z(3)), huge, 0)
+    assert (ok, budget) == (False, math.inf) and diff > 10**309
