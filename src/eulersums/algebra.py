@@ -224,18 +224,11 @@ class SymbolicTerm(tuple):
         if not self:
             return "1"
         # Fold the sign of ln(2) factors (z(-1) = -ln 2) into the display.
-        n_ln2 = sum(1 for a in self if a.args == (-1,))
-        pieces = []
-        for a in self:
-            if a.args == (-1,):
-                continue
-            pieces.append(a.latex())
-        if n_ln2 == 1:
-            pieces.append(r"\ln(2)")
-        elif n_ln2 > 1:
-            pieces.append(r"\ln^{%d}(2)" % n_ln2)
-        sign = "-" if n_ln2 % 2 else ""
-        return sign + " ".join(pieces)
+        pieces = [a.latex() for a in self if a.args != (-1,)]
+        n_ln2 = len(self) - len(pieces)
+        if n_ln2:
+            pieces.append(r"\ln(2)" if n_ln2 == 1 else r"\ln^{%d}(2)" % n_ln2)
+        return ("-" if n_ln2 % 2 else "") + " ".join(pieces)
 
     def __repr__(self):
         return self.render()
@@ -411,27 +404,15 @@ class LinComb:
             return "0"
         parts = []
         for t, c in self.items():
-            # ln(2) factors flip the displayed sign (z(-1) = -ln 2).
-            n_ln2 = sum(1 for a in t.factors if a.args == (-1,))
-            disp = c * (-1) ** n_ln2
-            sign = "-" if disp < 0 else "+"
-            mag = abs(disp)
-            if mag.denominator == 1:
-                coeff = str(mag.numerator)
-            else:
-                coeff = r"\frac{%d}{%d}" % (mag.numerator, mag.denominator)
-            body = t.latex().lstrip("-")
-            if t.is_unit():
-                piece = coeff
-            elif coeff == "1":
-                piece = body
-            else:
-                piece = coeff + " " + body
-            parts.append((sign, piece))
-        s = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, piece in parts[1:]:
-            s += f" {sign} {piece}"
-        return s
+            body = t.latex()
+            if body.startswith("-"):  # ln 2 factors (z(-1) = -ln 2) flip the shown sign
+                c, body = -c, body[1:]
+            n, d = abs(c.numerator), c.denominator
+            coeff = str(n) if d == 1 else r"\frac{%d}{%d}" % (n, d)
+            parts.append(" - " if c < 0 else " + ")
+            parts.append(coeff if t.is_unit() else body if coeff == "1" else f"{coeff} {body}")
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -461,7 +442,17 @@ class LinComb:
         return f"[{body}]"
 
     @staticmethod
-    def from_json_terms(terms: Iterable[Mapping]) -> "LinComb":
+    def from_json_terms(terms: list[dict]) -> "LinComb":
+        """The inverse of ``to_json_terms``; ValueError unless ``terms`` is a list
+        of {"factors": [atom text, ...], "coeff": rational text or integer}."""
+        if not isinstance(terms, list) or not all(
+            isinstance(t, dict)
+            and isinstance(t.get("factors"), list)
+            and all(isinstance(f, str) for f in t["factors"])
+            and isinstance(t.get("coeff"), (str, int))
+            for t in terms
+        ):
+            raise ValueError('expected terms [{"factors": [ATOM, ...], "coeff": RATIONAL}, ...]')
         acc: dict[Term, Fraction] = {}
         for entry in terms:
             term = SymbolicTerm.of(*(parse_atom(f) for f in entry["factors"]))

@@ -20,6 +20,7 @@ convergent.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -133,29 +134,20 @@ def parse_index(text: str) -> EulerSumIndex:
     return make_index(inner, outer)
 
 
+def _latex_entry(e: int) -> str:
+    return str(e) if e > 0 else r"\bar{%d}" % -e
+
+
 def _latex_inner(inner: tuple[int, ...]) -> str:
-    # Group repeated entries with power notation: (1,1,2) -> 1^22.
-    out = []
-    i = 0
-    while i < len(inner):
-        j = i
-        while j < len(inner) and inner[j] == inner[i]:
-            j += 1
-        count = j - i
-        e = inner[i]
-        base = str(e) if e > 0 else r"\bar{%d}" % -e
-        out.append(base if count == 1 else base + "^{%d}" % count)
-        i = j
-    return "".join(out)
+    """Repeated entries in power notation: (1,1,2) -> 1^{2}2."""
+    runs = ((_latex_entry(e), len(list(run))) for e, run in itertools.groupby(inner))
+    return "".join(base if count == 1 else base + "^{%d}" % count for base, count in runs)
 
 
 def render_index(idx: EulerSumIndex, style: str = "plain") -> str:
     if style == "plain":
         return "S(" + ",".join(str(e) for e in idx.inner + (idx.outer,)) + ")"
     if style == "latex":
-        q = str(idx.outer) if idx.outer > 0 else r"\bar{%d}" % -idx.outer
-        if not idx.inner:
-            arg = str(abs(idx.outer)) if idx.outer > 0 else r"\bar{%d}" % -idx.outer
-            return r"\zeta(%s)" % arg
-        return r"S_{%s,%s}" % (_latex_inner(idx.inner), q)
+        q = _latex_entry(idx.outer)
+        return r"S_{%s,%s}" % (_latex_inner(idx.inner), q) if idx.inner else r"\zeta(%s)" % q
     raise ValueError(f"unknown style {style!r}")

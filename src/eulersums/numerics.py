@@ -25,15 +25,18 @@ Three evaluation strategies are used.
     64 significant bits once, as an exact dyadic ``Fraction``, and the
     reported bound counts that rounding exactly: at most 2^-64 |value|
     plus the fixed-point error, which is below 1e-50 on every expansion
-    that ``verify`` checks at weight <= 10.
+    that ``verify`` checks at weight <= 10.  The bound is rounded up to a
+    float once (``_fp_result``), ``inf`` only past the float range.
 
   * The Euler-sum series themselves, walked in the same units to an N of
     the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
-    floor (``_SumState.walk_error``).  The tail past N is certified
-    without any monotonicity assumption.  With sigma = (-1)^(n+1), each
-    harmonic factor is even + sigma odd: H_n^(r) is even, and H^-_n^(r) =
-    eta(r) + sigma rho_r(n), where eta(r) = -z(-r) is an atom (eta(1) =
-    ln 2) and rho_r is completely monotone.  Each factor is expanded about
+    floor (``_SumState.walk_error``); past an outer exponent of
+    193 + 4 degree every term floors alike, so the walk's power stops
+    there.  The tail past N is certified without any monotonicity
+    assumption.  With sigma = (-1)^(n+1), each harmonic factor is even +
+    sigma odd: H_n^(r) is even, and H^-_n^(r) = eta(r) + sigma rho_r(n),
+    where eta(r) = -z(-r) is an atom (eta(1) = ln 2) and rho_r is
+    completely monotone.  Each factor is expanded about
     N to order 2K, K = K_EM (Flajolet and Salvy, *Euler sums and contour
     integral representations*): H_m by the digamma expansion anchored at
     the carried H_N, so that neither ln N nor Euler's gamma is needed;
@@ -63,6 +66,10 @@ a combination of atoms, whose bound counts its rounding to 64 bits, up to
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
+``agree`` compares two results exactly; a table entry is checked by it
+too, as rhs - lhs against 0.  Values and bounds print through ``_sig``,
+from their exact rationals: a value to nearest in 15 digits, a bound up
+in 3, laid out as ``%.15g`` and ``%.3g`` lay out a float.
 """
 
 from __future__ import annotations
@@ -103,29 +110,27 @@ class NumericResult:
         return f"NumericResult({_digits15(self.value)} +- {_up3(self.tail_bound)}, N={self.terms_used})"
 
 
-# Every printed value and bound goes through these two: a value is its
-# exact rational rounded once, a bound is rounded up, never below itself.
+def _sig(x: Fraction, digits: int, rounding: str) -> str:
+    """``x`` rounded once to ``digits`` significant digits in the ``decimal``
+    direction ``rounding``, laid out as ``%.{digits}g`` lays out a float.
+    Every printed value (to nearest) and bound (up) goes through here."""
+    d = decimal.Context(prec=digits, rounding=rounding).divide(x.numerator, x.denominator)
+    exp = d.adjusted()
+    fixed = -4 <= exp < digits
+    text = f"{d if fixed else d.scaleb(-exp):f}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if fixed else f"{text}e{exp:+03d}"
 
 
 def _digits15(value: Fraction) -> str:
-    """An exact rational to 15 significant digits, laid out as ``%.15g``
-    lays out a float: positional for exponents -4 to 14, else scientific."""
-    d = decimal.Context(prec=15).divide(value.numerator, value.denominator)
-    exp = d.adjusted()
-    text = f"{d if -4 <= exp < 15 else d.scaleb(-exp):f}"
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text if -4 <= exp < 15 else f"{text}e{exp:+03d}"
+    """An exact rational to 15 significant digits, as ``%.15g``."""
+    return _sig(value, 15, decimal.ROUND_HALF_EVEN)
 
 
 def _up3(bound) -> str:
-    """A bound >= 0, rational or float, rounded up to 3 significant digits,
-    laid out by ``%.3g``; an infinite bound is ``inf``."""
-    if bound == math.inf:
-        return "inf"
-    x = Fraction(bound)
-    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
-    return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
+    """A bound >= 0, rational or float, up to 3 digits as ``%.3g``, or ``inf``."""
+    return "inf" if bound == math.inf else _sig(Fraction(bound), 3, decimal.ROUND_CEILING)
 
 
 def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fraction, Fraction | float]:
@@ -202,19 +207,20 @@ def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
 
 def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> NumericResult:
     """Round ``value`` +- ``error`` (units of 2^-192) once: the value to its
-    64 leading bits, the bound up to the next float64, counting
-    that rounding exactly.  An exact 0 +- 0 stays 0 +- 0."""
+    64 leading bits, and the bound, the error plus that rounding as an exact
+    rational, up to a float64 once; a bound past the float range, about
+    1.8e308, is ``inf``.  An exact 0 +- 0 stays 0 +- 0."""
     shift = max(abs(value).bit_length() - 64, 0)
     mantissa = (abs(value) + (1 << shift >> 1)) >> shift  # to nearest; at most 2^64
     rounded = mantissa << shift if value >= 0 else -(mantissa << shift)
-    total = error + abs(value - rounded)
+    total = Fraction(error + abs(value - rounded), _FP_SCALE)
     try:
-        bound = float(total)
-    except OverflowError:  # a bound beyond about 1e250
+        bound = float(total)  # correctly rounded
+    except OverflowError:  # past the float range, about 1.8e308
         bound = math.inf
     if bound < total:
         bound = math.nextafter(bound, math.inf)
-    return NumericResult(Fraction(rounded, _FP_SCALE), math.ldexp(bound, -_FP_BITS), terms, method)
+    return NumericResult(Fraction(rounded, _FP_SCALE), bound, terms, method)
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +444,23 @@ def _em_sum(s: int, p: int, alternating: bool = False):
     return ((p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1))), *terms), (e, rem)
 
 
+def _floor_over_power(num: int, den: int, n: int, p: int) -> int:
+    """num // (den n^p), n >= 1, without building n^p when it exceeds |num|:
+    then the floor is 0, or -1 for a negative ``num``."""
+    if p * (n.bit_length() - 1) > num.bit_length():
+        return -1 if num < 0 else 0
+    return num // (den * n**p)
+
+
 def _at(terms, n: int) -> int:
     """sum c n^-p over ``terms`` in units, one floor each."""
-    return sum((c.numerator << _FP_BITS) // (c.denominator * n**p) for p, c in terms)
+    return sum(_floor_over_power(c.numerator << _FP_BITS, c.denominator, n, p) for p, c in terms)
 
 
 def _rem_units(rem, n: int) -> int:
     """The remainder bound c n^-p in units, rounded up."""
     p, c = rem
-    return -(-(c.numerator << _FP_BITS) // (c.denominator * n**p))
+    return -_floor_over_power(-(c.numerator << _FP_BITS), c.denominator, n, p)
 
 
 @functools.cache
@@ -536,8 +550,7 @@ class _SumState:
     def __init__(self, idx: EulerSumIndex):
         self.q = abs(idx.outer)
         self.outer_alt = idx.outer < 0
-        counts = collections.Counter(idx.inner)
-        self.factors = sorted(counts.items(), key=lambda kv: (kv[0] < 0, abs(kv[0])))
+        self.factors = list(collections.Counter(idx.inner).items())  # in canonical order
         self.degree = len(idx.inner)
         self.carries = [0] * len(self.factors)  # harmonic numbers at n, floored
         self.partial = 0
@@ -546,10 +559,17 @@ class _SumState:
     def walk_to(self, n_to: int) -> None:
         """Add the terms N+1..n_to, each floored once; no terms for n_to <= N.
         Each factor's carry continues the walk's: every 1/n^r it adds is
-        floored."""
+        floored.
+
+        A carry is below 16 (H_n < 1 + ln n, n <= N_MAX), 2^196 units, so
+        each term's numerator, 2^192 times the product of the carries, has
+        absolute value below 2^(192 + 4 degree), and for n >= 2 it floors
+        to the same 0 or -1 over n^q as over n^(193 + 4 degree) for every
+        larger q; for n = 1 the power is 1 whatever q."""
         ns = range(self.n + 1, n_to + 1)
         if not ns:
             return
+        q = min(self.q, _FP_BITS + 1 + 4 * self.degree)
         columns = []
         for (e, _), start in zip(self.factors, self.carries):
             r = min(abs(e), _FP_BITS + 1)  # 2^192 // n^r is the same for every larger r
@@ -565,7 +585,7 @@ class _SumState:
         if self.outer_alt:
             prod = map(operator.mul, prod, itertools.cycle((1, -1) if ns[0] & 1 else (-1, 1)))
         shift = itertools.repeat(_FP_BITS * self.degree)
-        self.partial += sum(map(operator.floordiv, map(operator.rshift, prod, shift), [n**self.q for n in ns]))
+        self.partial += sum(map(operator.floordiv, map(operator.rshift, prod, shift), [n**q for n in ns]))
         self.carries = [column[-1] for column in columns]
         self.n = n_to
 

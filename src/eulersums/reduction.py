@@ -284,9 +284,10 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     names.  A path that cannot be opened raises ``OSError``.
 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
-    "weight": w}.  With ``verify`` set, an entry is rejected when the
-    oracle's exact fixed-point sum of rhs - lhs exceeds ``tol`` by more than
-    its error bound.
+    "weight": w}; ``rhs`` is read by ``LinComb.from_json_terms``.  With
+    ``verify`` set, an entry is rejected unless the oracle's value of
+    rhs - lhs agrees with 0 (``numerics.agree``): when it exceeds ``tol``
+    by more than its bound, or its bound is infinite.
 
     A text is parsed once per process for each (verify, tol); every call
     returns a new table with its own ``entries`` and ``report``.
@@ -343,10 +344,9 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple[dict, tuple]:
 def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):
     from . import numerics
 
-    # rejected only when |rhs - lhs| > tol whatever the atoms' errors
-    value, error = numerics._lincomb_units(rhs - LinComb.of_atom(lhs))
-    if abs(value) - error > tol * numerics._FP_SCALE:
-        diff = numerics._fp_result(value, error, 0)
+    # rejected unless rhs - lhs agrees with 0 to within tol and its bound
+    diff = numerics.eval_lincomb_best(rhs - LinComb.of_atom(lhs))
+    if not numerics.agree(diff, numerics.eval_lincomb_best(LinComb.zero()), tol)[0]:
         raise ValueError(
             f"numeric mismatch for {lhs.render()}: |rhs - lhs| = "
             f"{numerics._digits15(abs(diff.value))} +- {numerics._up3(diff.tail_bound)} > {tol:.3g}"

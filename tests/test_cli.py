@@ -204,15 +204,16 @@ def test_verify_batch_without_an_index_exit2(capsys, tmp_path, text):
 
 
 def test_verify_table_entry_with_an_infinite_bound_fails(capsys, tmp_path):
-    # z(2,1) = 10^310 z(3) reduces S(1,2) to a value bounded by inf, which
-    # certifies nothing: the line fails against a budget of inf
+    # z(2,1) = 10^310 z(3) reduces S(1,2) to a value past the float range;
+    # its bound, about 2^-64 of it, and the discrepancy print in digits, and
+    # the line fails on the discrepancy
     table = tmp_path / "huge.jsonl"
     entry = {"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1" + "0" * 310}], "weight": 3}
     table.write_text(json.dumps(entry) + "\n")
     code, out, err = run(capsys, "verify", "--table", str(table), "S(1,2)")
     assert (code, err) == (1, "")
     *_, reduction, verdict = out.splitlines()
-    assert reduction == "reduction = 1.20205690315959e+310  (bound inf; discrepancy inf vs inf)"
+    assert reduction == "reduction = 1.20205690315959e+310  (bound 1.72e+290; discrepancy 1.21e+310 vs 1.72e+290)"
     assert verdict == "FAIL"
 
 
@@ -290,12 +291,13 @@ def test_eval_json_beyond_float64_prints_finite(capsys, tmp_path):
 
 
 def test_eval_json_reports_a_missed_tol(capsys, tmp_path):
-    # a dump is held to --tol as an index is: 10^310 z(2) is bounded by inf
+    # a dump is held to --tol as an index is: 10^310 z(2) is bounded by
+    # about 2^-64 of its value, finite and far above the tolerance
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 310}]}))
     code, out, err = run(capsys, "eval", "--json", str(p))
-    assert (code, out) == (0, "1.64493406684823e+310  bound=inf  N=200\n")
-    assert err == "capacity: achieved bound inf above tol 1e-08\n"
+    assert (code, out) == (0, "1.64493406684823e+310  bound=2.18e+290  N=200\n")
+    assert err == "capacity: achieved bound 2.18e+290 above tol 1e-08\n"
 
 
 def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):
@@ -679,6 +681,30 @@ def test_readme_command_lines_parse():
     assert len(commands) >= 10 and all(c[0] == "eulersum" for c in commands)
     for command in commands:
         parser.parse_args(command[1:])  # a usage error raises SystemExit
+
+
+def test_eval_large_outer_exponent_finishes_at_once():
+    # past 193 + 4 * degree every term of the walk floors alike over n^q, so
+    # an outer exponent of three million costs what one of two hundred does
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "eulersums.cli", "eval", "S(2,3000000)"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.33e-56  N=100\n", "")
+
+
+def test_eval_json_and_tables_share_the_term_shape_message(capsys, tmp_path):
+    # an expansion dump's terms and a table's rhs are one format, with one check
+    from eulersums.reduction import load_identity_table
+
+    terms = [{"factors": "z(3)", "coeff": "1"}]
+    dump, table = tmp_path / "dump.json", tmp_path / "t.jsonl"
+    dump.write_text(json.dumps({"terms": terms}))
+    table.write_text(json.dumps({"lhs": "z(2,1)", "rhs": terms, "weight": 3}) + "\n")
+    code, out, err = run(capsys, "eval", "--json", str(dump))
+    shape = 'expected terms [{"factors": [ATOM, ...], "coeff": RATIONAL}, ...]'
+    assert (code, out, err) == (2, "", f"cannot parse expansion dump: {shape}\n")
+    assert load_identity_table(str(table), label="t").report == [f"t:1: rejected: {shape}"]
 
 
 def test_cli_imports_no_third_party_module():

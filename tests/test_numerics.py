@@ -1,3 +1,4 @@
+import decimal
 import functools
 import itertools
 import math
@@ -451,6 +452,78 @@ def test_lincomb_beyond_float_range_has_infinite_bound():
     assert res.tail_bound == math.inf and repr(res) == "NumericResult(1.64493406684823e+400 +- inf, N=200)"
 
 
+def _digits15_reference(value: Fraction) -> str:
+    """``%.15g`` layout of an exact rational, written out step by step."""
+    d = decimal.Context(prec=15).divide(value.numerator, value.denominator)
+    exp = d.adjusted()
+    text = f"{d if -4 <= exp < 15 else d.scaleb(-exp):f}"
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text if -4 <= exp < 15 else f"{text}e{exp:+03d}"
+
+
+def _up3_reference(bound: float) -> str:
+    """``%.3g`` of the float nearest the bound rounded up to 3 digits."""
+    x = Fraction(bound)
+    up = decimal.Context(prec=3, rounding=decimal.ROUND_CEILING)
+    return f"{float(up.divide(x.numerator, x.denominator)):.3g}"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.floats(min_value=2.0**-192, max_value=1.79e308),
+       st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)))
+@example(1.0, Fraction(0))
+@example(999.5, Fraction(10**15 - 1, 10**20))
+@example(0.0001, Fraction(-99999999999999951, 10**21))
+def test_printers_keep_the_float_layout(bound, value):
+    # within the float range a bound prints as %.3g printed the float of its
+    # upward rounding, and a value as %.15g; 1.79e308, not the largest float,
+    # is the top, since above it the 3-digit upward rounding 1.80e308 is no float
+    assert numerics._up3(bound) == _up3_reference(bound)
+    assert numerics._digits15(value) == _digits15_reference(value)
+    assert numerics._digits15(Fraction(bound)) == f"{bound:.15g}"
+
+
+def test_printers_keep_digits_past_the_float_range():
+    assert numerics._up3(Fraction(12 * 10**309 + 1)) == "1.21e+310"
+    assert numerics._up3(math.inf) == "inf"
+    assert numerics._digits15(Fraction(-(10**400), 3)) == "-3.33333333333333e+399"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(-(2**1300), 2**1300), st.integers(0, 2**1300))
+@example(0, 0)
+@example(0, int(1.7976931348623157e308) << 192)
+@example(0, (int(1.7976931348623157e308) << 192) + 1)
+def test_fp_result_bound_is_the_next_float_up(value, error):
+    # the bound is error plus the rounding of the value, in units of 2^-192,
+    # rounded up to a float once: inf only past the largest float
+    res = _fp_result(value, error, 0)
+    total = Fraction(error + abs(value - res.value * _FP_SCALE), _FP_SCALE)
+    if res.tail_bound == math.inf:
+        assert total > Fraction(1.7976931348623157e308)
+    else:
+        assert res.tail_bound >= total > math.nextafter(res.tail_bound, -math.inf)
+
+
+@pytest.mark.parametrize("text", ["S(400)", "S(2,300)", "S(1,-1,-300)", "S(-3,2,2,-250)"])
+def test_walk_exponent_cap_keeps_every_term(text):
+    # past 193 + 4 * degree every term floors alike over n^q: the capped walk
+    # adds the same terms as one that divides each by the full power n^q
+    idx = parse_index(text)
+    state = _SumState(idx)
+    state.walk_to(60)
+    carries, partial = dict.fromkeys(idx.inner, 0), 0
+    for n in range(1, 61):
+        sign = 1 if n & 1 else -1
+        for e in carries:
+            carries[e] += (_FP_SCALE // n ** min(abs(e), 193)) * (sign if e < 0 else 1)
+        prod = _FP_SCALE * math.prod(carries[e] for e in idx.inner)
+        prod *= sign if idx.outer < 0 else 1
+        partial += (prod >> (192 * len(idx.inner))) // n ** abs(idx.outer)
+    assert state.partial == partial
+
+
 def test_product_term():
     t = SymbolicTerm.of(z(2), z(3))
     r = eval_lincomb_best(LinComb.of_term(t), 1e-10)
@@ -546,10 +619,10 @@ def test_oracle_consistency_sampled():
         cases.append(str(make_index(inner, outer)))
     for text in cases:
         idx = parse_index(text)
-        a = eval_euler_sum_best(idx, 1e-7, n_cap=10**6)
+        a = eval_euler_sum_best(idx, 1e-7)
         b = eval_lincomb_best(expand_t1(idx), 1e-7)
-        diff = abs(float(a.value) - float(b.value))
-        assert diff <= a.tail_bound + b.tail_bound, (text, diff)
+        ok, diff, budget = numerics.agree(a, b, 0)
+        assert ok, (text, float(diff), float(budget))
 
 
 # -- the tail engine ------------------------------------------------------------------
@@ -905,11 +978,17 @@ def test_method_names_the_bound(monkeypatch, capsys, tmp_path):
 
 
 def test_an_infinite_bound_certifies_nothing():
-    # 10^310 z(3) is bounded by about 2^-64 of its value, past every float:
-    # inf.  Such a bound agrees with nothing, not even the same value, and
-    # the budget is inf
+    # 10^310 z(3) lies past the float range, but its bound, about 2^-64 of
+    # it, does not: a finite bound, which agrees with the same value
     huge = eval_lincomb_best(LinComb.of_atom(z(3), 10**310))
-    assert huge.tail_bound == math.inf
-    assert numerics.agree(huge, huge, 1e-8) == (False, 0, math.inf)
+    assert repr(huge) == "NumericResult(1.20205690315959e+310 +- 1.72e+290, N=200)"
+    assert numerics.agree(huge, huge, 1e-8)[0]
     ok, diff, budget = numerics.agree(eval_atom(z(3)), huge, 0)
-    assert (ok, budget) == (False, math.inf) and diff > 10**309
+    assert not ok and diff > 10**309 and budget < 10**291
+    # the bound of 10^400 z(3) is past every float: inf, which agrees with
+    # nothing, not even the same value, and the budget is inf
+    past = eval_lincomb_best(LinComb.of_atom(z(3), 10**400))
+    assert past.tail_bound == math.inf
+    assert numerics.agree(past, past, 1e-8) == (False, 0, math.inf)
+    ok, diff, budget = numerics.agree(eval_atom(z(3)), past, 0)
+    assert (ok, budget) == (False, math.inf) and diff > 10**399

@@ -431,6 +431,21 @@ def test_table_rejects_bool_coeff_and_non_integer_weight():
     ]
 
 
+def test_table_rejects_malformed_rhs_with_the_shape_message():
+    # a string of factors, an rhs that is one term rather than a list, and a
+    # term without a coefficient are each rejected with the term-list shape
+    text = "\n".join([
+        '{"lhs": "z(2,1)", "rhs": [{"factors": "z(3)", "coeff": "1"}], "weight": 3}',
+        '{"lhs": "z(3,1)", "rhs": {"factors": ["z(4)"], "coeff": "1/4"}, "weight": 4}',
+        '{"lhs": "z(2,2)", "rhs": [{"factors": ["z(4)"]}], "weight": 4}',
+        '{"lhs": "z(2,1,1)", "rhs": [{"factors": ["z(4)"], "coeff": "1"}], "weight": 4}',
+    ])
+    table = load_identity_table(io.StringIO(text), label="t")
+    assert list(table.entries) == [z(2, 1, 1)]
+    shape = 'expected terms [{"factors": [ATOM, ...], "coeff": RATIONAL}, ...]'
+    assert table.report == [f"t:{i}: rejected: {shape}" for i in (1, 2, 3)]
+
+
 def test_empty_table_is_valid():
     table = load_identity_table(io.StringIO(""))
     assert len(table) == 0
@@ -595,16 +610,16 @@ def test_reduce_full_catalog_terminates():
 def test_reduce_pipeline_numerically_sound():
     # the composed pipeline (expansion, then reduction with the starter
     # table) must agree numerically with the defining series
-    from eulersums.numerics import eval_euler_sum_best, eval_lincomb_best
+    from eulersums.numerics import agree, eval_euler_sum_best, eval_lincomb_best
 
     table = build_starter_table(9)
     for text in ["S(2,5)", "S(1,1,5)", "S(-2,3)", "S(1,-1,-2)", "S(2,2,3)", "S(-1,-1,-1)"]:
         idx = parse_index(text)
         reduced = reduce_lincomb(expand_t1(idx), tables=[table]).value
-        a = eval_euler_sum_best(idx, 1e-8, n_cap=10**6)
+        a = eval_euler_sum_best(idx, 1e-8)
         b = eval_lincomb_best(reduced, 1e-9)
-        diff = abs(float(a.value) - float(b.value))
-        assert diff <= a.tail_bound + b.tail_bound + 1e-8, (text, diff)
+        ok, diff, budget = agree(a, b, 0)
+        assert ok, (text, float(diff), float(budget))
 
 
 def test_table_driven_full_reduction_weight5(tmp_path):
