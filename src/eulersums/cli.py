@@ -260,7 +260,9 @@ def cmd_eval(args) -> int:
             lc = LinComb.from_json_terms(doc.get("terms") if isinstance(doc, dict) else None)
         except OSError as e:
             raise UsageError(f"cannot read {args.json_input}: {e}")
-        except (ValueError, TypeError) as e:  # TypeError: a bool coefficient
+        # TypeError: a bool coefficient; RecursionError: nesting past the
+        # interpreter's recursion limit
+        except (ValueError, TypeError, RecursionError) as e:
             raise UsageError(f"cannot parse expansion dump: {e}")
         res = numerics.eval_lincomb_best(lc, args.tol)
     else:

@@ -86,36 +86,22 @@ def _check_size(inner):
         )
 
 
-def _quasi_shuffle(words, memo=None) -> dict[tuple[int, ...], int]:
+def _quasi_shuffle(words) -> dict[tuple[int, ...], int]:
     """The quasi-shuffle product of ``words`` as {word: multiplicity}.
 
     Words are tuples of signed letters (negative = alternating).  They are
     multiplied one at a time, in sorted order, so only the product one word
-    shorter is held while the next is formed.  ``memo`` maps a sorted tuple
-    of words to its product; pass one dict to keep every partial product and
-    share those of common prefixes across several products.
+    shorter is held while the next is formed.  Every call forms its product
+    afresh: nothing is kept between calls.
     """
-    words = tuple(sorted(w for w in words if w))
-    if memo is None:
-        product = {(): 1}
-        for word in words:
-            product = _times_word(product, word)
-        return product
-    product = memo.get(words)
-    if product is None:
-        product = memo[words] = (
-            _times_word(_quasi_shuffle(words[:-1], memo), words[-1]) if words else {(): 1}
-        )
+    product = {(): 1}
+    for u in sorted(w for w in words if w):
+        out: dict[tuple[int, ...], int] = {}
+        for v, c in product.items():
+            for word in _stuffle(u, v):
+                out[word] = out.get(word, 0) + c
+        product = out
     return product
-
-
-def _times_word(product: dict, u: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """``product`` ({word: multiplicity}) times the word ``u``."""
-    out: dict[tuple[int, ...], int] = {}
-    for v, c in product.items():
-        for word in _stuffle(u, v):
-            out[word] = out.get(word, 0) + c
-    return out
 
 
 def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -143,14 +129,6 @@ def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
             else:
                 out.append(head + yt + tail)
     return out
-
-
-def _add(acc: dict, key, c):
-    s = acc.get(key, 0) + c
-    if s:
-        acc[key] = s
-    else:
-        acc.pop(key, None)
 
 
 def expand_harmonic_product(inner) -> dict[tuple[int, ...], Fraction]:
@@ -236,7 +214,6 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
     _check_size(idx.inner)
     q = idx.outer
     counts = sorted(Counter(idx.inner).items())
-    memo: dict = {}
     acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     # Sub-multisets of the inner entries take their tail; choosing k of the
     # c copies of a value happens C(c, k) ways.
@@ -246,8 +223,10 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         coeff = (-1) ** len(tails) * math.prod(
             math.comb(c, k) for (_, c), k in zip(counts, chosen)
         )
-        for word, c in _quasi_shuffle(tails, memo).items():
-            _add(acc, (rest, word + (q,)), coeff * c)
+        # Each key is set once: the chosen sub-multiset fixes rest, and the
+        # words of one product are distinct.
+        for word, c in _quasi_shuffle(tails).items():
+            acc[rest, word + (q,)] = coeff * c
     # Distinct keys give distinct terms (the word's atom is the one factor of
     # depth >= 2, if any), so equal counts share one Fraction, as in expand_t1.
     coeffs: dict[int, Fraction] = {}
@@ -264,15 +243,14 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
 def linearize(lc: LinComb) -> LinComb:
     """Multiply out every product of zeta atoms by the quasi-shuffle, so that
     each term of the result is a single atom (or the unit term)."""
-    memo: dict = {}
     acc: dict[tuple[int, ...], Fraction] = {}
     for term, c in lc.items():
         if any(a.li for a in term.factors):
             raise ValueError(f"cannot linearize the Li constant in {term.render()}")
-        for word, k in _quasi_shuffle((a.args for a in term.factors), memo).items():
-            _add(acc, word, c * k)
+        for word, k in _quasi_shuffle(a.args for a in term.factors).items():
+            acc[word] = acc.get(word, 0) + c * k
     return LinComb._of_nonzero(
-        {(MzvAtom(w) if w else UNIT_TERM): c for w, c in acc.items()}
+        {(MzvAtom(w) if w else UNIT_TERM): c for w, c in acc.items() if c}
     )
 
 

@@ -172,6 +172,23 @@ def test_table_search_dir_env(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_table_given_path_wins_over_search_dir(capsys, tmp_path, monkeypatch):
+    # EULERSUM_TABLE_DIR is only a fallback: a --table path that exists as
+    # given is read, although the directory holds a table of the same name
+    from eulersums.reduction import build_starter_table, save_table
+
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "dir").mkdir()
+    save_table(build_starter_table(4), tmp_path / "cwd" / "mini.jsonl")
+    (tmp_path / "dir" / "mini.jsonl").write_text(
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}\n'
+    )
+    monkeypatch.chdir(tmp_path / "cwd")
+    monkeypatch.setenv("EULERSUM_TABLE_DIR", str(tmp_path / "dir"))
+    code, out, _ = run(capsys, "reduce", "--table", "mini.jsonl", "S(1,2)")
+    assert (code, out) == (0, "S(1,2) = 2*z(3)\n")
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(capsys, "verify", "--tol", "1e-6", "S(2,6)")
     assert code == 0 and "PASS" in out
@@ -691,6 +708,15 @@ def test_eval_large_outer_exponent_finishes_at_once():
     argv = [sys.executable, "-m", "eulersums.cli", "eval", "S(2,3000000)"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.33e-56  N=100\n", "")
+
+
+def test_eval_json_nested_past_recursion_limit_exit2(capsys, tmp_path):
+    # a dump nested deeper than the interpreter's recursion limit is a
+    # malformed dump, not a traceback
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "eval", "--json", str(p))
+    assert code == 2 and out == "" and err.startswith("cannot parse expansion dump: ")
 
 
 def test_eval_json_and_tables_share_the_term_shape_message(capsys, tmp_path):

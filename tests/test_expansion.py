@@ -206,7 +206,7 @@ def test_t1_gives_two_atoms_per_word(inner, outer):
 @pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
 def test_t1_checks_every_word(monkeypatch, word, message):
     # a kernel word of the wrong weight or depth never reaches the result
-    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words, memo=None: {word: 1})
+    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {word: 1})
     with pytest.raises(AssertionError, match="^" + message):
         expand_t1(parse_index("S(3,2)"))
 
@@ -214,7 +214,7 @@ def test_t1_checks_every_word(monkeypatch, word, message):
 def test_t1_checks_slots(monkeypatch):
     # a word with a zero slot has the right weight and depth, and is still
     # caught, although its atom is built without the slot checks
-    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words, memo=None: {(0, 3): 1})
+    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {(0, 3): 1})
     with pytest.raises(AssertionError, match=r"^inadmissible atom: z\(3,0,3\) "):
         expand_t1(parse_index("S(1,2,3)"))
 

@@ -57,15 +57,6 @@ def _ordered_partitions_bruteforce(entries):
 
 
 @SETTINGS
-@given(st.lists(word_multisets, min_size=1, max_size=4))
-def test_shared_memo_matches_fresh_products(multisets):
-    # products that share a memo reuse the partial products of common prefixes
-    memo: dict = {}
-    for ws in multisets:
-        assert _quasi_shuffle(ws, memo) == _quasi_shuffle(ws)
-
-
-@SETTINGS
 @given(st.lists(st.sampled_from([1, 2, 3, -1]), max_size=6))
 def test_partition_count_matches_bruteforce(entries):
     assert ordered_partition_count(entries) == _ordered_partitions_bruteforce(entries)
