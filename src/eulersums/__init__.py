@@ -43,6 +43,7 @@ from .indices import (
 from .numerics import (
     CapacityError,
     NumericResult,
+    WordCapError,
     eval_atom,
     eval_euler_sum,
     eval_lincomb,

@@ -36,14 +36,17 @@ Three evaluation strategies are used.
     assumption.  With sigma = (-1)^(n+1), each harmonic factor is even +
     sigma odd: H_n^(r) is even, and H^-_n^(r) = eta(r) + sigma rho_r(n),
     where eta(r) = -z(-r) is an atom (eta(1) = ln 2) and rho_r is
-    completely monotone.  Each factor is expanded about
-    N to order 2K, K = K_EM (Flajolet and Salvy, *Euler sums and contour
-    integral representations*): H_m by the digamma expansion anchored at
-    the carried H_N, so that neither ln N nor Euler's gamma is needed;
-    H_m^(r) by the Euler-Maclaurin zeta tail; rho_r(m) by Boole
-    summation; each with an explicit remainder.  With L = ln(m/N) every
-    factor is a polynomial in sigma, L and 1/m, and as sigma^2 = 1 so is
-    the term, multiplied out factor by factor: sigma is one more
+    completely monotone.  One builder, ``_em_sum``, gives every expansion:
+    Euler-Maclaurin summation of L^s y^-p about N to order 2K, K = K_EM
+    (Flajolet and Salvy, *Euler sums and contour integral
+    representations*), as W or A below.  H_m is anchored at the carried
+    H_N by D(m) = H_m - ln m - gamma, the boundary terms of 1/y negated, so
+    neither ln N nor Euler's gamma is needed; H_m^(r) takes W of y^-r and
+    rho_r(m) A of y^-r.  D and rho_r keep one more order and take its term
+    as their remainder (``_enveloped``): y^-r is completely monotone, and
+    both kernels are enveloped by their Taylor series.  With L = ln(m/N)
+    every factor is a polynomial in sigma, L and 1/m, and as sigma^2 = 1
+    so is the term, multiplied out factor by factor: sigma is one more
     exponent, taken mod 2.  Each monomial sigma^g L^s m^-p is summed in
     closed form:
 
@@ -229,6 +232,11 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
 
 HOLDER_N = 200
 HOLDER_CHAINS = 96  # chains ``_holder_chain`` keeps, each about 9 KB
+HOLDER_WORD_CAP = 200_000  # letters of the longest Hoelder word; its time is linear in it
+
+
+class WordCapError(ValueError):
+    """An atom whose Hoelder word, as long as its weight, exceeds HOLDER_WORD_CAP."""
 
 
 def _holder_word(args) -> list[int]:
@@ -306,7 +314,10 @@ def _fp_holder(word, depth: int, n_terms: int = HOLDER_N) -> tuple[Fraction, Fra
 
 @functools.cache
 def _atom_units(atom: MzvAtom) -> tuple[int, int]:
-    """The atom's value and error bound in units of 2^-192."""
+    """The atom's value and error bound in units of 2^-192; an atom past
+    HOLDER_WORD_CAP is refused before its word is built."""
+    if atom.weight > HOLDER_WORD_CAP:
+        raise WordCapError(f"{atom.render()}: weight {atom.weight} above the Hoelder word cap {HOLDER_WORD_CAP}")
     if atom.li:  # Li_q(1/2) = -G(0^(q-1), 2; 1)
         return _to_units(*_fp_holder([0] * (atom.li - 1) + [2], 1))
     return _to_units(*_fp_holder(_holder_word(atom.args), len(atom.args)))
@@ -346,8 +357,8 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
 
 
 def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
-    """Certified evaluation of a linear combination (never raises): the sum
-    of ``_lincomb_units``, rounded once by ``_fp_result``.
+    """Certified evaluation of a linear combination (raises only
+    WordCapError): the sum of ``_lincomb_units``, rounded once by ``_fp_result``.
 
     The atoms come at fixed precision, so ``target_tol`` does not change the
     result; ``eval_lincomb`` compares against it.
@@ -367,11 +378,6 @@ def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
 # ---------------------------------------------------------------------------
 
 
-def _rising(s: int, j: int) -> int:
-    """s (s + 1) ... (s + j - 1)."""
-    return math.prod(range(s, s + j))
-
-
 @functools.cache
 def _bernoulli(n: int) -> Fraction:
     """B_n, with B_1 = -1/2."""
@@ -381,53 +387,29 @@ def _bernoulli(n: int) -> Fraction:
     return b[n]
 
 
-# An expansion is (terms, remainder): terms ((p, c), ...) stand for
-# sum c x^-p, and the remainder (p, c) for a bound c x^-p on the error.
-
-
 @functools.cache
-def _digamma_expansion(k: int = K_EM):
-    """D(x) = H_x - ln x - gamma = 1/(2x) - sum_{j<=k} B_2j / (2j x^2j) + R(x)
-    from psi(x) = ln x - 1/(2x) - int (coth(t/2)/2 - 1/t) e^(-xt) dt, whose
-    kernel sum_j 2t / (t^2 + 4 pi^2 j^2) its Taylor series envelops for t > 0:
-    R keeps one sign for x > 0 and is at most the first omitted term."""
-    terms = [(1, Fraction(1, 2))] + [(2 * j, -_bernoulli(2 * j) / (2 * j)) for j in range(1, k + 2)]
-    return tuple(terms[:-1]), (terms[-1][0], abs(terms[-1][1]))
-
-
-@functools.cache
-def _boole_expansion(r: int):
-    """rho_r(x) = sum_{j>=1} (-1)^(j-1) (x+j)^-r = int t^(r-1) e^(-xt) / (e^t + 1) dt / (r-1)!
-    by Boole summation (Borwein, Calkin and Manna): 1/(e^t + 1) = 1/2 -
-    tanh(t/2)/2, and tanh(t/2) = sum_j 4t / (t^2 + (2j+1)^2 pi^2) is enveloped
-    by its Taylor series for t > 0: the remainder is at most the next term."""
-
-    def coeff(k):  # of t^(2k-1) in 1/(e^t + 1), times (r)_(2k-1)
-        return -(4**k - 1) * _bernoulli(2 * k) * _rising(r, 2 * k - 1) / math.factorial(2 * k)
-
-    terms = [(r, Fraction(1, 2))] + [(r + 2 * k - 1, coeff(k)) for k in range(1, K_EM + 1)]
-    return tuple(terms), (r + 2 * K_EM + 1, abs(coeff(K_EM + 1)))
-
-
-@functools.cache
-def _em_sum(s: int, p: int, alternating: bool = False):
+def _em_sum(s: int, p: int, alternating: bool = False, k: int = K_EM):
     """W(x) = sum_{m > x} f(m), f(y) = ln(y/x)^s y^-p, by Euler-Maclaurin of
-    order 2k, k = K: int_x^oo f = s! / (p-1)^(s+1) x^(1-p), minus f(x)/2,
+    order 2k: int_x^oo f = s! / (p-1)^(s+1) x^(1-p), minus f(x)/2,
     minus sum_i B_2i / (2i)! f^(2i-1)(x), where f^(j)(y) = y^(-p-j) sum_i
     d_ji ln(y/x)^i, so that only d_j0 survives at y = x.  The remainder is
-    at most |B_2k| / (2k)! int_x^oo |f^(2k)|.
+    at most |B_2k| / (2k)! int_x^oo |f^(2k)|.  At p = 1, s = 0, where the
+    integral diverges: the boundary terms alone, lim_M sum_{x<m<=M} 1/m -
+    ln(M/x) = -D(x), D(x) = H_x - ln x - gamma.  An expansion is (terms,
+    remainder): terms ((p, c), ...) stand for sum c x^-p, and the remainder
+    (p, c) for a bound c x^-p on the error.
 
     ``alternating`` gives A(x) = sum_{m > x} (-1)^(m-x+1) f(m) instead, to
-    order 2k, k = K + 1, and for p >= 1: the sum less twice its even terms,
+    order 2k + 2, and for p >= 1: the sum less twice its even terms,
     f(2j) = 2^-p ln(j/(x/2))^s j^-p for j > x/2.  Those sum like W from x/2,
     with first point x/2 + theta and Bernoulli values B_j(theta) (theta = 1
     for even x, 1/2 for odd x, and B_j(1/2) = (2^(1-j) - 1) B_j).  The
     integrals cancel, each boundary term of W, in f^(j-1)(x), becomes
-    (1 - 2^j) times itself, and the remainders add up to (1 + 4^k) times
-    that of W."""
-    if p < 2 - alternating:
-        raise ValueError("the sum needs p >= 2, or p >= 1 alternating")
-    k = K_EM + alternating
+    (1 - 2^j) times itself, and the remainders add up to (1 + 4^(k+1))
+    times that of W."""
+    if p < 1 or p == 1 and s and not alternating:
+        raise ValueError("the sum needs p >= 2, or p >= 1 alternating or with s = 0")
+    k += alternating
     d = [0] * s + [1]
     derivs = [d]
     for j in range(2 * k):  # d/dy (y^(-p-j) L^i) = y^(-p-j-1) (i L^(i-1) - (p+j) L^i)
@@ -441,7 +423,21 @@ def _em_sum(s: int, p: int, alternating: bool = False):
     rem *= abs(_bernoulli(2 * k)) / math.factorial(2 * k)
     if alternating:
         return tuple((q, (1 - 2 ** (q - p + 1)) * c) for q, c in terms), (e, (1 + 4**k) * rem)
-    return ((p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1))), *terms), (e, rem)
+    integral = [(p - 1, Fraction(math.factorial(s), (p - 1) ** (s + 1)))] if p > 1 else []
+    return (*integral, *terms), (e, rem)
+
+
+def _enveloped(expansion, sign: int = 1):
+    """An ``_em_sum`` expansion of y^-r, s = 0, times ``sign``, its last term
+    taken as the remainder.  y^-r = int_0^oo e^(-yt) t^(r-1) dt / (r-1)! is
+    completely monotone, so W less its integral (-D for r = 1) and A = rho_r
+    are that integral at y = x times the kernels -1/2 + (coth(t/2)/2 - 1/t)
+    and 1/2 - tanh(t/2)/2 (Borwein, Calkin and Manna).  Both are sums of
+    2t / (t^2 + c^2), so for t > 0 their Taylor series envelop them: the
+    terms before any one miss by at most it, with its sign."""
+    terms, _ = expansion
+    p, c = terms[-1]
+    return tuple((q, sign * b) for q, b in terms[:-1]), (p, abs(c))
 
 
 def _floor_over_power(num: int, den: int, n: int, p: int) -> int:
@@ -505,22 +501,23 @@ def _plain_factor(e: int, n: int, carry: int):
     sigma = (-1)^(m+1), at g = 1; ``carry`` is the walk's harmonic number
     at n, off by at most n units.
 
-    H_m = (H_N - D(N)) + ln(m/N) + D(m), with D(N) to one order more, off by
-    a constant; H_m^(r) = H_N^(r) + T_r(N) - T_r(m), T_r the zeta tail of
-    ``_em_sum``, T_r(N) off by a constant; both are even.  The alternating
-    factor is eta(r) = -z(-r), an atom, plus sigma rho_r(m) by
-    ``_boole_expansion``.  D(m), T_r(m) and rho_r(m) are off by their
-    remainders, each at its own key, with p >= 2.  For r > HOLDER_N, 1 -
-    2^-r < eta(r) < 1 is one unit about 1, and 0 < rho_r(m) < m^-r, as its
-    terms alternate and decrease: an error at p = r, like a remainder."""
+    H_m = (H_N - D(N)) + ln(m/N) + D(m), with D(N) to one order more, off
+    by a constant; H_m^(r) = H_N^(r) + T_r(N) - T_r(m), T_r = W of y^-r,
+    T_r(N) off by a constant; both are even.  The alternating factor is
+    eta(r) = -z(-r), an atom, plus sigma rho_r(m), rho_r = A of y^-r.  All
+    come from ``_em_sum``, D and rho_r ``_enveloped``, D negated before
+    any floor.  D(m), T_r(m) and rho_r(m) are off by their remainders,
+    each at its own key, with p >= 2.  For r > HOLDER_N, 1 - 2^-r < eta(r)
+    < 1 is one unit about 1, and 0 < rho_r(m) < m^-r, as its terms
+    alternate and decrease: an error at p = r, like a remainder."""
     if -e > HOLDER_N:
         return {_ONE: _FP_SCALE, (1, 0, -e): 0}, {_ONE: 1, (1, 0, -e): _FP_SCALE}
     if e == 1:
-        terms, rem = _digamma_expansion()
+        terms, rem = _enveloped(_em_sum(0, 1, k=K_EM + 1), -1)
     elif e > 1:
         terms, rem = _em_sum(0, e)
     else:
-        terms, rem = _boole_expansion(-e)
+        terms, rem = _enveloped(_em_sum(0, -e, True))
     g, sign = int(e < 0), -1 if e > 1 else 1
     p = {(g, 0, q): sign * ((c.numerator << _FP_BITS) // c.denominator) for q, c in terms}
     err = dict.fromkeys(p, 1)
@@ -528,7 +525,7 @@ def _plain_factor(e: int, n: int, carry: int):
     p.setdefault(key, 0)
     err[key] = err.get(key, 0) + _rem_units(rem, 1)
     if e == 1:
-        anchor, anchor_rem = _digamma_expansion(K_EM + 1)
+        anchor, anchor_rem = _enveloped(_em_sum(0, 1, k=K_EM + 2), -1)
         p.update({_ONE: carry - _at(anchor, n), (0, 1, 0): _FP_SCALE})
         err[_ONE] = n + len(anchor) + _rem_units(anchor_rem, n)
     elif e > 1:

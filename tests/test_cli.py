@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -708,6 +709,29 @@ def test_eval_large_outer_exponent_finishes_at_once():
     argv = [sys.executable, "-m", "eulersums.cli", "eval", "S(2,3000000)"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
     assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.33e-56  N=100\n", "")
+
+
+def test_atom_above_the_word_cap_exit4(capsys, tmp_path):
+    # an atom whose Hoelder word would run past the cap is refused at once,
+    # before the word is built: verify and eval --json exit 4 with the
+    # weight and the cap, and a verify batch line fails alone
+    big = 10**15
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", f"S(2,{big})")
+    assert time.monotonic() - t0 < 1.0
+    assert (code, err) == (4, "")
+    cap = f"above the Hoelder word cap {eulersums.numerics.HOLDER_WORD_CAP}"
+    assert out.endswith(f"ERROR (exit 4): engine precondition: z({big},2): weight {big + 2} {cap}\n")
+    dump = tmp_path / "big.json"
+    dump.write_text(json.dumps({"terms": [{"factors": [f"z({big})"], "coeff": "1"}]}))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "eval", "--json", str(dump))
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out, err) == (4, "", f"engine precondition: z({big}): weight {big} {cap}\n")
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"S(2,6)\nS(2,{big})\nS(3,5)\n")
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--file", str(batch))
+    assert code == 4 and out.count("PASS") == 2 and out.count("ERROR (exit 4)") == 1
 
 
 def test_eval_json_nested_past_recursion_limit_exit2(capsys, tmp_path):

@@ -20,9 +20,9 @@ from eulersums.numerics import (
     CapacityError,
     _SumState,
     _atom_units,
-    _boole_expansion,
-    _digamma_expansion,
+    _bernoulli,
     _em_sum,
+    _enveloped,
     _fp_result,
     _fp_holder,
     _holder_apply,
@@ -649,11 +649,12 @@ def test_rho_majorant_and_boole_expansion_fixed_point():
         eta, err = _eta_fixed_point(r)
         assert err < Fraction(1, 10**24)
         rho = [(-1) ** (m + 1) * (alt_harmonic_exact(r, m) - eta) for m in range(61)]
-        assert len(_boole_expansion(r)[0]) == K_EM + 1
+        boole = _enveloped(_em_sum(0, r, True))  # A of y^-r, its last term the remainder
+        assert len(boole[0]) == K_EM + 1
         for n in range(1, 61):
-            value, rem = _expansion_at(_boole_expansion(r), n)
+            value, rem = _expansion_at(boole, n)
             assert abs(rho[n] - value) <= rem + err, (r, n)
-        value, rem = _expansion_at(_boole_expansion(r), 20)
+        value, rem = _expansion_at(boole, 20)
         assert abs(rho[20] - value) > rem / 2, r
 
 
@@ -662,14 +663,85 @@ def test_digamma_expansion_fixed_point():
     # keeps one sign, so |R(2n) - R(n)| <= |R(n)|; at n = 20 it takes more
     # than half of that
     ln2, err = _li_half_series(1)
-    assert len(_digamma_expansion()[0]) == K_EM + 1
+    digamma = _enveloped(_em_sum(0, 1, k=K_EM + 1), -1)  # the boundary terms of 1/y, negated
+    assert len(digamma[0]) == K_EM + 1
     for n in range(1, 40):
-        d_2n, _ = _expansion_at(_digamma_expansion(), 2 * n)
-        d_n, rem = _expansion_at(_digamma_expansion(), n)
+        d_2n, _ = _expansion_at(digamma, 2 * n)
+        d_n, rem = _expansion_at(digamma, n)
         miss = abs(harmonic_exact(1, 2 * n) - harmonic_exact(1, n) - ln2 - d_2n + d_n)
         assert miss <= rem + err, n
         if n == 20:
             assert miss > rem / 2
+
+
+def _digamma_closed_form(k):
+    """D(x) = H_x - ln x - gamma = 1/(2x) - sum_{j<=k} B_2j / (2j x^2j),
+    the next term, as its absolute value, the remainder."""
+    terms = [(1, Fraction(1, 2))] + [(2 * j, -_bernoulli(2 * j) / (2 * j)) for j in range(1, k + 2)]
+    return tuple(terms[:-1]), (terms[-1][0], abs(terms[-1][1]))
+
+
+def _boole_closed_form(r):
+    """rho_r(x) = 1/(2 x^r) - sum_{k<=K} (4^k - 1) B_2k (r)_(2k-1) / (2k)!
+    x^-(r+2k-1), the next term, as its absolute value, the remainder."""
+
+    def coeff(k):
+        return -(4**k - 1) * _bernoulli(2 * k) * math.prod(range(r, r + 2 * k - 1)) / math.factorial(2 * k)
+
+    terms = [(r, Fraction(1, 2))] + [(r + 2 * k - 1, coeff(k)) for k in range(1, K_EM + 1)]
+    return tuple(terms), (r + 2 * K_EM + 1, abs(coeff(K_EM + 1)))
+
+
+def _plain_factor_closed_forms(e, n, carry):
+    """``_plain_factor`` written with the closed forms of D and rho_r."""
+    one = (0, 0, 0)
+    if -e > HOLDER_N:
+        return {one: _FP_SCALE, (1, 0, -e): 0}, {one: 1, (1, 0, -e): _FP_SCALE}
+    terms, rem = _digamma_closed_form(K_EM) if e == 1 else _em_sum(0, e) if e > 1 else _boole_closed_form(-e)
+    g, sign = int(e < 0), -1 if e > 1 else 1
+    p = {(g, 0, q): sign * ((c.numerator << numerics._FP_BITS) // c.denominator) for q, c in terms}
+    err = dict.fromkeys(p, 1)
+    p.setdefault((g, 0, rem[0]), 0)
+    err[(g, 0, rem[0])] = err.get((g, 0, rem[0]), 0) + numerics._rem_units(rem, 1)
+    if e == 1:
+        anchor, anchor_rem = _digamma_closed_form(K_EM + 1)
+        p.update({one: carry - numerics._at(anchor, n), (0, 1, 0): _FP_SCALE})
+        err[one] = n + len(anchor) + numerics._rem_units(anchor_rem, n)
+    elif e > 1:
+        t_n, t_err = numerics._em_units(0, e, n)
+        p[one], err[one] = carry + t_n, n + t_err
+    else:
+        eta, eta_err = _atom_units(z(e))
+        p[one], err[one] = -eta, eta_err
+    return p, err
+
+
+def test_enveloped_expansions_match_their_closed_forms():
+    # D is the boundary terms of 1/y negated and rho_r is A of y^-r, each
+    # with its last term as the remainder: the same Fractions as the
+    # digamma and Boole closed forms, and the same factors of the tail
+    for k in (K_EM, K_EM + 1):
+        assert _enveloped(_em_sum(0, 1, k=k + 1), -1) == _digamma_closed_form(k)
+    for r in range(1, 60):
+        assert _enveloped(_em_sum(0, r, True)) == _boole_closed_form(r), r
+    for n in (1, 2, 3, 7, 100, 300, 1000, 3000, 10_000):
+        for e in [*range(-60, 0), *range(1, 40), -150, -201, -300]:
+            carry = n * 7**60 if e > 0 else 0
+            assert _plain_factor(e, n, carry) == _plain_factor_closed_forms(e, n, carry), (e, n)
+
+
+def test_em_sum_at_p_1():
+    # at p = 1 the integral diverges: for s = 0 the expansion is the
+    # boundary terms alone, -1/(2x) first; with a log factor W diverges
+    # and is refused, while A still sums
+    terms, (e, _) = _em_sum(0, 1)
+    assert terms[0] == (1, Fraction(-1, 2)) and len(terms) == K_EM + 1 and e == 2 * K_EM
+    for s in (1, 2, 3):
+        with pytest.raises(ValueError):
+            _em_sum(s, 1)
+        assert _em_sum(s, 1, True)[0]
+    with pytest.raises(ValueError):
+        _em_sum(0, 0, True)
 
 
 def test_em_sum_encloses_zeta_tails():
@@ -723,6 +795,26 @@ def test_plain_factors_enclose_their_values():
                     exact = eta
                 miss = abs(exact * _FP_SCALE - _poly_at(p, m, ln2))
                 assert miss <= _poly_at(err, m, ln2) + slack * _FP_SCALE, (e, n, m)
+
+
+def test_atom_above_the_word_cap_is_refused_before_its_word_is_built(monkeypatch):
+    # the Hoelder word of an atom is as long as its weight; past the cap it
+    # is refused at once, before the word is built, and S(2,100000), whose
+    # atoms z(100000,2) and z(100002) are still below the cap, still runs
+    assert numerics.HOLDER_WORD_CAP >= 100_002
+    big = 10**15
+    for atom in (z(big), z(2, -big), li_half(big)):
+        t0 = time.monotonic()
+        with pytest.raises(numerics.WordCapError, match=f"weight {atom.weight} above the Hoelder word cap"):
+            eval_atom(atom)
+        assert time.monotonic() - t0 < 1.0
+    # the cap is inclusive, for zeta and Li atoms alike
+    monkeypatch.setattr(numerics, "HOLDER_WORD_CAP", 5)
+    for atom in (z(5), z(2, -3), li_half(5)):
+        assert _atom_units.__wrapped__(atom) == _atom_units(atom)
+    for atom in (z(6), z(2, -4), li_half(6)):
+        with pytest.raises(numerics.WordCapError, match="weight 6 above the Hoelder word cap 5"):
+            _atom_units.__wrapped__(atom)
 
 
 def test_eta_beyond_the_holder_length(capsys):
@@ -905,7 +997,7 @@ def test_mutated_bound_is_exceeded(monkeypatch, mutation):
         _reference(idx)
     if mutation == "alternating_remainder":
         em_sum = numerics._em_sum
-        zeroed = lambda s, p, alt=False: (em_sum(s, p, alt)[0], (0, 0)) if alt else em_sum(s, p, alt)
+        zeroed = lambda s, p, alt=False, k=K_EM: (em_sum(s, p, alt, k)[0], (0, 0)) if alt else em_sum(s, p, alt, k)
         monkeypatch.setattr(numerics, "_em_sum", zeroed)
     else:
         monkeypatch.setattr(numerics, "_rem_units", lambda *args: 0)
