@@ -21,8 +21,9 @@ Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
 index, an expansion dump of the wrong shape, INDEX together with --file or
 --json, or an option the command does not take), 3 divergent index, 4
 engine precondition violated (also a reduction that does not reach its
-fixpoint within the step cap, or an atom of weight above the Hoelder word
-cap), 5 no usable table with --require-tables (or in table-check).
+fixpoint within the step cap or would make more products than the cap in
+one rewrite, or an atom of weight above the Hoelder word cap), 5 no usable
+table with --require-tables (or in table-check).
 Diagnostics go to stderr; results go to stdout.
 """
 

@@ -10,7 +10,8 @@ alternates exactly when one of the two does (sigma^n * sigma^n = 1).
 
 Engine t1 multiplies the one-letter words of the inner exponents.  Each
 resulting word contributes two atoms: one keeping the outer exponent as its
-own leading slot and one merging it with the first letter.  Alternating
+own leading slot and one merging it with the first letter; the words are
+sorted once, so that the atoms are emitted in term order.  Alternating
 harmonic factors carry a sign -1 each (they sum (-1)^(k-1), the slots
 sigma^k), and an alternating outer series flips the merge parity and the
 global sign.
@@ -35,6 +36,7 @@ ground-truth oracle for the kernel.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -58,8 +60,12 @@ class DegreeCapError(ValueError):
 
 def ordered_partition_count(entries) -> int:
     """Number of ordered partitions of the multiset ``entries`` into
-    nonempty blocks: the sum of the multiplicities of their quasi-shuffle
-    product, the number of paths the kernel enumerates.
+    nonempty sub-multisets.  Each word of their quasi-shuffle product comes
+    from at least one, its letters the blocks' signed sums, so this bounds
+    the number of distinct words.  It is not the sum of their
+    multiplicities: that counts the ordered partitions of the m entries as
+    labelled, Fubini(m), which is larger when entries repeat ([2, 2] has 2
+    ordered multiset partitions, (2|2) and (2,2), but multiplicity sum 3).
 
     Inclusion-exclusion over empty blocks: sum over j blocks and i of them
     forced empty of (-1)^i C(j,i) prod_v C(c_v + j-i-1, c_v), where c_v is the
@@ -153,7 +159,8 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     """Ordering-class expansion: one MZV atom per output term.
 
     Every output atom has weight equal to the index weight and depth at most
-    degree + 1.
+    degree + 1.  The terms are stored in term order, so ``LinComb.items()``
+    sorts one presorted run.
     """
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
@@ -166,36 +173,56 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     sign = (-1) ** (n_bar + outer_bar)
     lead = -q if outer_bar else q
     w, depth = idx.weight, idx.degree + 1
-    coeffs: dict[int, Fraction] = {}
-    terms: dict[MzvAtom, Fraction] = {}
+    # Each word gives two atoms.  Atom 1, (lead,) + word, keeps the outer
+    # exponent as its own leading slot.  Atom 2, (m,) + word[1:], merges it
+    # with the first letter f: m = +-(q + |f|), alternating iff exactly one
+    # of the two does.  Atom 2 has atom 1's weight, a slot fewer and no new
+    # zero slot or unsigned leading 1, so checking atom 1 checks both: each
+    # word is checked once, and its atom rendered only for the message.  The
+    # atoms are built without the checks of ``MzvAtom``; the asserts keep them.
     product = _quasi_shuffle((e,) for e in idx.inner)
-    n_words = len(product)
-    # Each word gives two atoms, and no two words give the same atom: atom 1
-    # leads with q, atom 2 with q + |first| > q, and within each family the
-    # atom determines its word.  So every coefficient is one multiplicity,
-    # and the words are taken off the product as their atoms are made.
-    while product:
-        word, c = product.popitem()
-        coeff = coeffs.get(c)
-        if coeff is None:
-            coeff = coeffs[c] = Fraction(sign * c)
-        # Atom 1: the outer exponent keeps its own leading slot.  Atom 2: it
-        # merges with the first letter, alternating iff exactly one of the
-        # two does.
-        first = word[0]
+
+    def atom_1(word):
+        return MzvAtom._of_word((lead,) + word, w)
+
+    for word in product:
+        assert sum(map(abs, word)) == w - q, f"weight leak: {atom_1(word)} in expansion of {idx}"
+        assert len(word) < depth, f"depth leak: {atom_1(word)} in expansion of {idx}"
+        assert lead != 1 and 0 not in word, f"inadmissible atom: {atom_1(word)} in expansion of {idx}"
+    # No two words give the same atom (atom 1 leads with +-q, atom 2 with
+    # +-(q + |f|), and within each family the atom determines its word), so
+    # every coefficient is one multiplicity; equal ones share one Fraction.
+    coeffs = {c: Fraction(sign * c) for c in set(product.values())}
+    words = sorted(product)
+    cs = list(map(coeffs.__getitem__, map(product.__getitem__, words)))
+    del product
+    # The atoms go into ``terms`` in term order, which for atoms of one
+    # weight is slot order, so ``LinComb.items()`` meets one sorted run.  In
+    # word order atom 1 is in slot order, and so is atom 2 within each run
+    # of one first letter.  Distinct first letters give distinct m, and no m
+    # is +-q, so the atom-1 block and the runs are placed by leading slot.
+    blocks = [(lead, 0, len(words))]
+    i = 0
+    while i < len(words):
+        first = words[i][0]
+        j = bisect.bisect_left(words, (first + 1,), i)
         merged = q + abs(first)
-        if (first < 0) ^ outer_bar:
-            merged = -merged
-        for args in ((lead,) + word, (merged,) + word[1:]):
-            # The kernel's words meet the atom's slot conditions by
-            # construction, so the atom is built without its checks and the
-            # asserts keep them.
-            atom = MzvAtom._of_word(args, w)
-            assert sum(map(abs, args)) == w, f"weight leak: {atom} in expansion of {idx}"
-            assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
-            assert args[0] != 1 and 0 not in args, f"inadmissible atom: {atom} in expansion of {idx}"
-            terms[atom] = coeff
-    assert len(terms) == 2 * n_words, f"two words gave one atom in expansion of {idx}"
+        blocks.append((-merged if (first < 0) ^ outer_bar else merged, i, j))
+        i = j
+    of_word = MzvAtom._of_word
+    terms: dict[MzvAtom, Fraction] = {}
+    pending = []  # runs whose atom 2 is in terms but whose atom 1 is not
+    for slot, i, j in sorted(blocks):
+        if slot == lead:
+            terms.update(zip([of_word((lead,) + word, w) for word in words], cs))
+        else:
+            terms.update(zip([of_word((slot,) + word[1:], w) for word in words[i:j]], cs[i:j]))
+            pending.append((i, j))
+        if slot >= lead:  # the words of the pending runs have both atoms in
+            for i, j in pending:
+                words[i:j] = [None] * (j - i)
+            pending.clear()
+    assert len(terms) == 2 * len(words), f"two words gave one atom in expansion of {idx}"
     return LinComb._of_nonzero(terms)
 
 

@@ -509,9 +509,14 @@ def _plain_factor(e: int, n: int, carry: int):
     any floor.  D(m), T_r(m) and rho_r(m) are off by their remainders,
     each at its own key, with p >= 2.  For r > HOLDER_N, 1 - 2^-r < eta(r)
     < 1 is one unit about 1, and 0 < rho_r(m) < m^-r, as its terms
-    alternate and decrease: an error at p = r, like a remainder."""
+    alternate and decrease: an error at p = r, like a remainder.  Likewise
+    0 <= H_m^(r) - H_N^(r) < sum_{k >= 2} k^-r = 2^-r sum_{k >= 2} (2/k)^r
+    <= 2^-r 4 (zeta(2) - 1) < 3 2^-r, below one unit, for N >= 1: the factor
+    is the carry, off by its n units and that one."""
     if -e > HOLDER_N:
         return {_ONE: _FP_SCALE, (1, 0, -e): 0}, {_ONE: 1, (1, 0, -e): _FP_SCALE}
+    if e > HOLDER_N:
+        return {_ONE: carry}, {_ONE: n + 1}
     if e == 1:
         terms, rem = _enveloped(_em_sum(0, 1, k=K_EM + 1), -1)
     elif e > 1:

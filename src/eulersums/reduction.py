@@ -160,6 +160,13 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     w = s + t
     if w % 2 == 0:
         return None
+    if w - 1 > STEP_CAP:
+        # The sum below emits up to two products for each of its (w - 1)/2
+        # values of k, in one rewrite that the step cap never sees.
+        raise StepCapError(
+            f"depth2_odd on {atom.render()} would emit up to {w - 1} products, "
+            f"above the step cap {STEP_CAP}"
+        )
     sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
     sign = (-1) ** s
 

@@ -711,6 +711,17 @@ def test_eval_large_outer_exponent_finishes_at_once():
     assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.33e-56  N=100\n", "")
 
 
+def test_reduce_huge_depth2_atom_exit4():
+    # z(10^15 + 1, 2) would rewrite by depth2_odd into about 10^15 products in
+    # one step, which the step cap never counts: it is refused before the loop
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "eulersums.cli", "reduce", "S(2,1000000000000001)"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=2)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("engine precondition: depth2_odd on z(1000000000000001,2) ")
+
+
 def test_atom_above_the_word_cap_exit4(capsys, tmp_path):
     # an atom whose Hoelder word would run past the cap is refused at once,
     # before the word is built: verify and eval --json exit 4 with the

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eulersums
 from eulersums import expansion
@@ -20,12 +20,13 @@ from eulersums.expansion import (
     expand_t1,
     expand_t2,
     linearize,
+    ordered_partition_count,
 )
 from eulersums.indices import make_index, parse_index
 from eulersums.numerics import eval_mhs_exact
 
 from fixtures_closed_forms import lc
-from reference_oracles import alt_harmonic_exact, harmonic_exact
+from reference_oracles import _reference_expand_t1, alt_harmonic_exact, harmonic_exact
 
 
 # -- ordering-class engine fixtures -------------------------------------------
@@ -203,6 +204,45 @@ def test_t1_gives_two_atoms_per_word(inner, outer):
     assert len(expand_t1(idx)) == 2 * len(words)
 
 
+def _partitions(n, largest=None):
+    """The partitions of n, parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _convergent_indices(max_weight):
+    """Every convergent index of weight <= max_weight, once each."""
+    out = {}
+    for w in range(1, max_weight + 1):
+        for outer in set(range(-w, w + 1)) - {0, 1}:
+            for mags in _partitions(w - abs(outer)):
+                for signs in itertools.product((1, -1), repeat=len(mags)):
+                    out[make_index([m * s for m, s in zip(mags, signs)], outer)] = None
+    return list(out)
+
+
+def test_t1_builds_its_terms_in_term_order():
+    # against the loop that built the terms in the kernel's popitem order: the
+    # same combination, the same JSON bytes, and a dict already in items()
+    # order; the degree-6/7 indices have a barred outer and first letters of
+    # both signs, so the atom-1 block sits between reversed runs
+    indices = _convergent_indices(7)
+    assert len(indices) == 423  # 422 of weight 2-7, and S(-1)
+    indices += [
+        parse_index(s)
+        for s in ("S(1,2,-3,4,-5,6,-2)", "S(2,2,-1,-1,-3,-3,-3)", "S(1,-2,3,-4,5,-6,7,-2)")
+    ]
+    for idx in indices:
+        lc, ref = expand_t1(idx), _reference_expand_t1(idx)
+        assert lc == ref, idx
+        assert lc.json_terms() == ref.json_terms(), idx
+        assert list(lc._d) == [t for t, _ in lc.items()], idx
+
+
 @pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
 def test_t1_checks_every_word(monkeypatch, word, message):
     # a kernel word of the wrong weight or depth never reaches the result
@@ -314,6 +354,18 @@ def test_ordered_bell_mass():
     for m in range(1, 6):
         exp = expand_harmonic_product(range(1, m + 1))
         assert sum(abs(c) for c in exp.values()) == _weak_orderings(m)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([1, 2, 3, -1, -2]), max_size=6))
+@example([2, 2])
+def test_partition_count_bounds_the_distinct_words(entries):
+    # the multiplicities count labelled paths, Fubini(m); the ordered multiset
+    # partitions count fewer paths when entries repeat ([2, 2]: 2 against 3),
+    # and still no fewer than the distinct words
+    product = expansion._quasi_shuffle((e,) for e in entries)
+    assert sum(product.values()) == _fubini(len(entries))
+    assert len(product) <= ordered_partition_count(entries) <= _fubini(len(entries))
 
 
 def test_term_count_distinct_exponents():

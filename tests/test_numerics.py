@@ -843,6 +843,27 @@ def test_eta_beyond_the_holder_length(capsys):
     assert eval_euler_sum_best(parse_index("S(1,1,-400,-1)"), 1e-10).tail_bound <= 1e-10
 
 
+def test_plain_entry_beyond_the_holder_length(capsys):
+    # past HOLDER_N, 0 <= H_m^(r) - H_N^(r) < 3 2^-r is below one unit, so the
+    # factor is its carry: S(r,2) meets 1e-10 however large r is (r = 10^10
+    # gave bound=2.24e+07 when T_r was expanded), and stays within its bound of
+    # zeta(2), from which it differs by less than 2^-1000
+    from eulersums import cli
+
+    z2 = zeta_value(2)
+    for r in (10**10, 10**12):
+        res = eval_euler_sum_best(parse_index(f"S({r},2)"), 1e-10)
+        slack = Fraction(res.tail_bound) + Fraction(z2.tail_bound) + Fraction(1, 2**1000)
+        assert res.tail_bound <= 1e-10 and abs(res.value - z2.value) <= slack, r
+    # the cut-off keeps the printed digits, and no bound grows: the printed
+    # bounds before it, rounded up
+    for r, before in ((HOLDER_N + 1, 8.24e-20), (1000, 8.24e-20), (10**6, 8.43e-20)):
+        assert cli.main(["eval", "--tol", "1e-10", f"S({r},2)"]) == 0
+        digits, bound, n = capsys.readouterr().out.split()
+        assert (digits, n) == ("1.64493406684823", "N=100")
+        assert float(bound.removeprefix("bound=")) <= before, r
+
+
 def test_repeated_alternating_tails_enclose_reference():
     # (even + sigma odd)^k multiplies out into 2^k products, each landing
     # at sigma^0 or sigma^1 by the parity of its odd factors; with repeated and mixed alternating

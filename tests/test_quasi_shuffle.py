@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from eulersums.expansion import _quasi_shuffle, _stuffle, ordered_partition_count
 from eulersums.numerics import eval_mhs_exact
 
+from reference_oracles import _reference_stuffle
+
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 letters = st.sampled_from([1, 2, 3, -1, -2, -3])
@@ -68,21 +70,6 @@ def test_partition_count_landmarks():
     ]
     assert ordered_partition_count([2] * 14) == 2**13
     assert ordered_partition_count([1, 1, 2, 2, 3, 3, 4, 4, 5]) == 598352
-
-
-def _reference_stuffle(u, v):
-    """``expansion._stuffle`` as it was written with a list of (head, tail)
-    pairs at each position of ``v``."""
-    x, rest = u[0], u[1:]
-    out = []
-    for i in range(len(v) + 1):
-        heads = [(v[:i] + (x,), v[i:])]
-        if i < len(v):
-            mag = abs(x) + abs(v[i])
-            heads.append((v[:i] + ((-mag if (x < 0) ^ (v[i] < 0) else mag),), v[i + 1 :]))
-        for head, tail in heads:
-            out += [head + t for t in _reference_stuffle(rest, tail)] if rest else [head + tail]
-    return out
 
 
 signed_letters = st.integers(1, 4).flatmap(lambda m: st.sampled_from([m, -m]))

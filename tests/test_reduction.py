@@ -133,6 +133,19 @@ def test_depth2_odd_not_applicable():
     assert depth2_odd(z(4, 1, 2)) is None
 
 
+def test_depth2_odd_refuses_past_the_step_cap(monkeypatch):
+    # the closed form has up to w - 1 products, all made in one rewrite: past
+    # the step cap it is refused before any is made; at the cap it is made
+    with pytest.raises(reduction.StepCapError, match=r"^depth2_odd on z\(100001,2\) would emit "):
+        depth2_odd(z(reduction.STEP_CAP + 1, 2))
+    with pytest.raises(reduction.StepCapError):
+        depth2_odd(z(10**15 + 1, 2))
+    monkeypatch.setattr(reduction, "STEP_CAP", 20)
+    assert depth2_odd(z(19, 2)).weights() == {21}
+    with pytest.raises(reduction.StepCapError):
+        depth2_odd(z(-21, 2))
+
+
 def _zeta_signed(v: int, sign: int) -> LinComb:
     """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
     if sign > 0 and v == 1:
