@@ -72,9 +72,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache of the package: atom values, Hoelder
-    chains, tail expansions, closed forms, parsed identity tables and the
-    CLI parser, found as the attributes that have ``cache_clear``.
+    """Empty every module-level cache of the package: atom values, tail
+    expansions, closed forms, parsed identity tables and the CLI parser,
+    found as the attributes that have ``cache_clear``.
     Results do not change; later calls are cold."""
     import importlib
     import pkgutil

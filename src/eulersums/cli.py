@@ -22,8 +22,9 @@ index, an expansion dump of the wrong shape, INDEX together with --file or
 --json, or an option the command does not take), 3 divergent index, 4
 engine precondition violated (also a reduction that does not reach its
 fixpoint within the step cap or would make more products than the cap in
-one rewrite, or an atom of weight above the Hoelder word cap), 5 no usable
-table with --require-tables (or in table-check).
+one rewrite, an atom of weight above the Hoelder word cap, or a result
+holding an integer of more digits than the interpreter prints, 4300 by
+default), 5 no usable table with --require-tables (or in table-check).
 Diagnostics go to stderr; results go to stdout.
 """
 
@@ -45,7 +46,7 @@ from .expansion import (
     is_conditionally_convergent,
     linearize,
 )
-from .indices import ConvergenceError, EulerSumIndex, parse_index, render_index
+from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
 from .reduction import StepCapError, load_identity_table, reduce_lincomb
 
@@ -63,6 +64,10 @@ class UsageError(Exception):
     """Bad input that its message already explains (exit 2)."""
 
 
+class OutputLimitError(Exception):
+    """A result that holds an integer too long to print (exit 4)."""
+
+
 # Exit code and message prefix of each error that ends a command, or one
 # line of a verify batch.  The first matching type wins, so the subclasses
 # of ValueError come before it.
@@ -73,7 +78,9 @@ _FAILURES = {
     DegreeCapError: (EXIT_ENGINE, "engine precondition: "),
     StepCapError: (EXIT_ENGINE, "engine precondition: "),
     numerics.WordCapError: (EXIT_ENGINE, "engine precondition: "),
-    ValueError: (EXIT_PARSE, "cannot parse index: "),
+    OutputLimitError: (EXIT_ENGINE, "cannot print result: "),
+    IndexParseError: (EXIT_PARSE, "cannot parse index: "),
+    ValueError: (EXIT_PARSE, ""),
     AssertionError: (EXIT_FAIL, ""),
 }
 
@@ -147,24 +154,27 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str):
 
 
 def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None, extra=None):
-    if output == "json":
-        # The terms array is written as text between the keys before it and
-        # those after it, as json.dumps would write the whole document.
-        head = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree}
-        tail = {"term_count": len(lc), "engine": engine}
-        if is_conditionally_convergent(idx):
-            tail["convergence"] = "conditional"
-        if trace is not None:
-            tail["trace"] = trace
-        if extra:
-            tail.update(extra)
-        print(json.dumps(head)[:-1] + ', "terms": ' + lc.json_terms() + ", " + json.dumps(tail)[1:])
-    elif output == "latex":
-        print(render_index(idx, "latex") + " = " + lc.latex())
-    else:
-        print(render_index(idx, "plain") + " = " + lc.render())
-        for line in trace or ():
-            print("  # " + line)
+    try:  # the only ValueError here: an integer past the interpreter's digit limit
+        if output == "json":
+            # The terms array is written as text between the keys before it and
+            # those after it, as json.dumps would write the whole document.
+            head = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree}
+            tail = {"term_count": len(lc), "engine": engine}
+            if is_conditionally_convergent(idx):
+                tail["convergence"] = "conditional"
+            if trace is not None:
+                tail["trace"] = trace
+            if extra:
+                tail.update(extra)
+            text = json.dumps(head)[:-1] + ', "terms": ' + lc.json_terms() + ", " + json.dumps(tail)[1:]
+        elif output == "latex":
+            text = render_index(idx, "latex") + " = " + lc.latex()
+        else:
+            text = "\n".join([render_index(idx, "plain") + " = " + lc.render()] + ["  # " + t for t in trace or ()])
+    except ValueError:
+        raise OutputLimitError(f"it holds a number of more than {sys.get_int_max_str_digits()} digits, "
+                               "the interpreter's limit for printing an integer") from None
+    print(text)
     if is_conditionally_convergent(idx) and output != "json":
         _err("note: outer exponent -1, the series converges conditionally")
 

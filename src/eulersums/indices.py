@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 
 
@@ -109,7 +110,11 @@ def parse_index(text: str) -> EulerSumIndex:
             m = _INT_RE.match(s, pos)
             if not m:
                 raise IndexParseError(f"expected a nonzero integer, found {s[pos:]!r}", pos)
-            entries.append(int(m.group()))
+            try:
+                entries.append(int(m.group()))
+            except ValueError:  # the text is an integer: it has more digits than the interpreter reads
+                raise IndexParseError(f"entry of more than {sys.get_int_max_str_digits()} digits, "
+                                      "the interpreter's limit for reading an integer", pos) from None
             pos = m.end()
             expect_int = False
         else:

@@ -10,23 +10,18 @@ Three evaluation strategies are used.
     (``eval_mhs_exact``) -- no tolerance, used by the quasi-shuffle tests.
 
   * Fixed-point integer summation (192 fractional bits) for every atom,
-    each (alternating) MZV and Li_q(1/2) = -G(0^(q-1), 2; 1) alike, through
-    the Hoelder convolution of its iterated integral split at 1/2
-    (``_fp_holder``): a fixed N = 200 terms per power series, truncation at
-    most 2^-N per factor since every coefficient is bounded by 1, plus one
-    unit 2^-192 per floor operation.  Each atom is cached as two integers,
-    its value and its error bound in units of 2^-192; atoms share the
-    chains of their prefix and suffix factors through a bounded cache
-    (``_holder_chain``), which leaves every value unchanged, and a word
-    costs time linear in its length.  A linear combination of products of
-    atoms (one atom included) is summed exactly in those units: exact
-    coefficients times the atom integers, the atoms' errors carried
-    through the products, one floor per term.  The result is rounded to
-    64 significant bits once, as an exact dyadic ``Fraction``, and the
-    reported bound counts that rounding exactly: at most 2^-64 |value|
-    plus the fixed-point error, which is below 1e-50 on every expansion
-    that ``verify`` checks at weight <= 10.  The bound is rounded up to a
-    float once (``_fp_result``), ``inf`` only past the float range.
+    each (alternating) MZV and Li_q(1/2) alike, by the Hoelder convolution
+    of its iterated integral split at 1/2 (``_fp_holders``), N = 200 terms
+    per power series.  Each atom is stored once as two integers, its value
+    and error bound in units of 2^-192; the atoms that a combination lacks
+    are evaluated together, by one walk over the trie of their factors'
+    letter words (``_chain_sums``).  A combination is summed exactly in
+    those units, the atoms' errors carried through its products, one floor
+    per term, and rounded once to 64 significant bits, an exact dyadic
+    ``Fraction``.  Its bound counts that rounding exactly: at most 2^-64
+    |value| plus the fixed-point error, below 1e-50 on every expansion that
+    ``verify`` checks at weight <= 10, rounded up to a float once
+    (``_fp_result``), ``inf`` only past the float range.
 
   * The Euler-sum series themselves, walked in the same units to an N of
     the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
@@ -48,19 +43,10 @@ Three evaluation strategies are used.
     every factor is a polynomial in sigma, L and 1/m, and as sigma^2 = 1
     so is the term, multiplied out factor by factor: sigma is one more
     exponent, taken mod 2.  Each monomial sigma^g L^s m^-p is summed in
-    closed form:
-
-      - for g = 0, W = sum_{m>N} L^s m^-p by Euler-Maclaurin of order 2K on
-        int_N^oo L^s x^-p dx = s! / (p-1)^(s+1) N^(1-p), whose
-        derivatives at x = N are rationals in N;
-
-      - for g = 1, A = sum_{m>N} (-1)^(m+1) L^s m^-p: W(N) less twice its
-        even terms m = 2j, which are 2^-p times the same sum over j > N/2
-        about N/2.  The integrals cancel, so A is the boundary terms of
-        both, at order 2K + 2, with the Bernoulli values B_j(theta),
-        theta = 1 for even N and 1/2 for odd N (Borwein, Calkin and
-        Manna, *Euler-Boole summation revisited*), and its remainder is
-        (1 + 4^(K+1)) times that of Euler-Maclaurin.
+    closed form by ``_em_sum``: for g = 0 as W = sum_{m>N} L^s m^-p, by
+    Euler-Maclaurin on its integral; for g = 1 as A = sum_{m>N} (-1)^(m+1)
+    L^s m^-p, W less twice its even terms, whose integrals cancel (Borwein,
+    Calkin and Manna, *Euler-Boole summation revisited*).
 
 Both routes can miss a requested tolerance: the walk, capped at N_MAX, and
 a combination of atoms, whose bound counts its rounding to 64 bits, up to
@@ -227,11 +213,10 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
 
 
 # ---------------------------------------------------------------------------
-# MZV atoms by Hoelder convolution
+# MZV atoms by Hoelder convolution, and linear combinations of them
 # ---------------------------------------------------------------------------
 
 HOLDER_N = 200
-HOLDER_CHAINS = 96  # chains ``_holder_chain`` keeps, each about 9 KB
 HOLDER_WORD_CAP = 200_000  # letters of the longest Hoelder word; its time is linear in it
 
 
@@ -256,7 +241,8 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
     maps it to -e_n / n with e_1 = 0, e_(n+1) = (e_n + a_n) / (2b).
     """
     if inner is None:
-        return [0] + [-_FP_SCALE // (n * (2 * b) ** n) for n in range(1, n_terms + 1)]
+        powers = itertools.accumulate(itertools.repeat(2 * b, n_terms), operator.mul)  # (2b)^n
+        return [0] + [-_FP_SCALE // (n * p) for n, p in enumerate(powers, 1)]
     if b == 0:
         return [0] + [inner[n] // n for n in range(1, n_terms + 1)]
     out, e, d = [0] * (n_terms + 1), 0, 2 * b
@@ -266,71 +252,85 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=HOLDER_CHAINS)
-def _holder_chain(letters: tuple[int, ...], n_terms: int) -> tuple[tuple[int, ...], int]:
-    """The terms of G(letters reversed; 1/2), ``letters`` in the order
-    ``_holder_apply`` takes them, and their sum.  Atoms share most of their
-    prefix and suffix words, so the chains are cached, boundedly."""
-    inner = _holder_chain(letters[:-1], n_terms)[0] if len(letters) > 1 else None
-    terms = tuple(_holder_apply(letters[-1], inner, n_terms))
-    return terms, sum(terms)
-
-
-def _chain_sums(letters: tuple[int, ...], n_terms: int) -> list[int]:
-    """The sums of the chains of letters[:j], j = 1..w: cached up to
-    HOLDER_CHAINS letters, then letter by letter, in time linear in w."""
-    chains = [_holder_chain(letters[:j], n_terms) for j in range(1, min(len(letters), HOLDER_CHAINS) + 1)]
-    sums, terms = [total for _, total in chains], chains[-1][0]
-    for b in letters[HOLDER_CHAINS:]:
-        terms = _holder_apply(b, terms, n_terms)
-        sums.append(sum(terms))
+def _chain_sums(chains, n_terms: int) -> dict[tuple[int, ...], list[int]]:
+    """Each letter tuple's [2^192, s_1, ..., s_w], s_j the sum of the terms of
+    G(letters[:j] reversed; 1/2), by one depth-first walk over their trie: a
+    node applies its letter to its parent's terms once, and those are held
+    only while a child is pending, so a path with no branch holds one chain."""
+    sums, path = {}, [_FP_SCALE]  # path[d]: the sum at depth d of the current path
+    stack = [(0, None, None, list(chains))]  # depth, letter, parent's terms, tuples below
+    while stack:
+        d, b, terms, group = stack.pop()
+        if d:
+            terms = _holder_apply(b, terms, n_terms)
+            path[d:] = [sum(terms)]
+        children = {}
+        for letters in group:
+            if len(letters) == d:
+                sums[letters] = path.copy()
+            else:
+                children.setdefault(letters[d], []).append(letters)
+        stack += [(d + 1, b, terms, below) for b, below in children.items()]
     return sums
 
 
-def _fp_holder(word, depth: int, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
-    """(-1)^depth G(word; 1) by the Hoelder convolution at 1/2 (Borwein, Bradley,
-    Broadhurst and Lisonek, *Special values of multiple polylogarithms*):
+def _fp_holders(words, n_terms: int = HOLDER_N):
+    """(-1)^depth G(word; 1) for each (word, depth), as (value, error), by the
+    Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst and Lisonek,
+    *Special values of multiple polylogarithms*):
 
         G(b_1..b_w; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1/2) G(b_(j+1), ..., b_w; 1/2).
 
-    z(args) is ``_holder_word(args)`` at depth len(args), Li_q(1/2) the word
-    0^(q-1), 2 at depth 1.  Every nonzero letter b or 1 - b has |b| >= 1, so
-    every coefficient c_n of every factor has |c_n| <= 1 (by induction:
-    |e_n| 2^n <= n - 1), every factor has absolute value at most 1 and
-    truncation after N terms costs at most 2^-N per factor.  Each floor
-    operation costs at most one unit 2^-192, so a coefficient that went
-    through t letters is off by at most 3t units and a factor by at most
-    3wN units; each product adds one unit.  The word neither starts with 1
-    nor ends with 0 (``MzvAtom`` rejects a leading unsigned 1).
+    Every nonzero letter b or 1 - b has |b| >= 1, so every coefficient c_n
+    of every factor has |c_n| <= 1 (by induction: |e_n| 2^n <= n - 1),
+    every factor has absolute value at most 1 and truncation after N terms
+    costs at most 2^-N per factor.  Each floor operation costs at most one
+    unit 2^-192, so a coefficient that went through t letters is off by at
+    most 3t units and a factor by at most 3wN units; each product adds one
+    unit.  A word neither starts with 1 nor ends with 0 (``MzvAtom``
+    rejects a leading unsigned 1).
     """
-    w = len(word)
-    prefix = [_FP_SCALE] + _chain_sums(tuple(1 - b for b in word), n_terms)  # G(1-b_j, ..., 1-b_1; 1/2)
-    suffix = [_FP_SCALE] + _chain_sums(tuple(reversed(word)), n_terms)  # G(b_(w-i+1), ..., b_w; 1/2)
-    acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
-    factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
-    err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
-    return Fraction((-1) ** depth * acc, _FP_SCALE), err
+    pairs = [(tuple(1 - b for b in word), tuple(reversed(word))) for word, _ in words]
+    sums = _chain_sums({letters for pair in pairs for letters in pair}, n_terms)
+    for (word, depth), (flipped, rev) in zip(words, pairs):
+        w, prefix, suffix = len(word), sums[flipped], sums[rev]  # G(1-b_j, ..., 1-b_1), G(b_(w-i+1), ..., b_w)
+        acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
+        factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
+        err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
+        yield Fraction((-1) ** depth * acc, _FP_SCALE), err
 
 
-@functools.cache
+def _fp_holder(word, depth: int, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
+    return next(_fp_holders([(word, depth)], n_terms))
+
+
+_ATOM_UNITS: dict[MzvAtom, tuple[int, int]] = {}  # value and error bound in units of 2^-192
+
+
+def _store_atoms(atoms) -> None:
+    """Evaluate the atoms that ``_ATOM_UNITS`` lacks, in one ``_fp_holders``
+    call, and store them: z(args) as ``_holder_word(args)`` at depth len(args),
+    Li_q(1/2) = -G(0^(q-1), 2; 1) as that word at depth 1.  The first atom
+    past HOLDER_WORD_CAP, in the given order, is refused before any word is built."""
+    missing = [a for a in dict.fromkeys(atoms) if a not in _ATOM_UNITS]
+    for a in missing:
+        if a.weight > HOLDER_WORD_CAP:
+            raise WordCapError(f"{a.render()}: weight {a.weight} above the Hoelder word cap {HOLDER_WORD_CAP}")
+    words = [([0] * (a.li - 1) + [2], 1) if a.li else (_holder_word(a.args), len(a.args)) for a in missing]
+    _ATOM_UNITS.update(zip(missing, itertools.starmap(_to_units, _fp_holders(words))))
+
+
 def _atom_units(atom: MzvAtom) -> tuple[int, int]:
-    """The atom's value and error bound in units of 2^-192; an atom past
-    HOLDER_WORD_CAP is refused before its word is built."""
-    if atom.weight > HOLDER_WORD_CAP:
-        raise WordCapError(f"{atom.render()}: weight {atom.weight} above the Hoelder word cap {HOLDER_WORD_CAP}")
-    if atom.li:  # Li_q(1/2) = -G(0^(q-1), 2; 1)
-        return _to_units(*_fp_holder([0] * (atom.li - 1) + [2], 1))
-    return _to_units(*_fp_holder(_holder_word(atom.args), len(atom.args)))
+    _store_atoms([atom])
+    return _ATOM_UNITS[atom]
+
+
+_atom_units.cache_clear = _ATOM_UNITS.clear  # emptied by ``clear_caches``
 
 
 def eval_atom(atom: MzvAtom) -> NumericResult:
     """Certified value of one atom: the combination of that atom alone."""
     return eval_lincomb_best(LinComb.of_atom(atom))
-
-
-# ---------------------------------------------------------------------------
-# Linear combinations
-# ---------------------------------------------------------------------------
 
 
 def _lincomb_units(lc: LinComb) -> tuple[int, int]:
@@ -340,13 +340,15 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
     exactly: c v_1 ... v_k is floored once, costing one unit when inexact,
     and the atoms' errors add at most |c| (prod (|v_i| + e_i) - prod |v_i|).
     """
+    items = list(lc.items())
+    _store_atoms(atom for term, _ in items for atom in term.factors)
     value = error = 0
-    for term, c in lc.items():
+    for term, c in items:
         den = c.denominator << (_FP_BITS * len(term.factors))
         prod = c.numerator << _FP_BITS
         lower = upper = abs(prod)
         for atom in term.factors:
-            v, e = _atom_units(atom)
+            v, e = _ATOM_UNITS[atom]
             prod *= v
             lower *= abs(v)
             upper *= abs(v) + e
@@ -357,12 +359,10 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
 
 
 def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
-    """Certified evaluation of a linear combination (raises only
-    WordCapError): the sum of ``_lincomb_units``, rounded once by ``_fp_result``.
-
-    The atoms come at fixed precision, so ``target_tol`` does not change the
-    result; ``eval_lincomb`` compares against it.
-    """
+    """Certified evaluation of a linear combination (raises only WordCapError):
+    the sum of ``_lincomb_units``, rounded once by ``_fp_result``.  The atoms come
+    at fixed precision, so ``target_tol`` does not change the result;
+    ``eval_lincomb`` compares against it."""
     return _fp_result(*_lincomb_units(lc), HOLDER_N if lc.atoms() else 0)
 
 

@@ -578,7 +578,7 @@ def test_outputs_same_cold_warm_and_after_clear_caches(capsys):
 
 def test_clear_caches_empties_every_cache(capsys):
     # after a verify and a series evaluation fill them, every functools cache
-    # in every eulersums module is empty again
+    # in every eulersums module, and the atom store, is empty again
     import importlib
     import pkgutil
 
@@ -596,8 +596,10 @@ def test_clear_caches_empties_every_cache(capsys):
         if hasattr(obj, "cache_info")
     }
     assert any(obj.cache_info().currsize for obj in cached.values())
+    assert eulersums.numerics._ATOM_UNITS  # the atom store, a dict
     clear_caches()
     assert {name: obj.cache_info().currsize for name, obj in cached.items()} == dict.fromkeys(cached, 0)
+    assert not eulersums.numerics._ATOM_UNITS
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])
@@ -743,6 +745,49 @@ def test_atom_above_the_word_cap_exit4(capsys, tmp_path):
     batch.write_text(f"S(2,6)\nS(2,{big})\nS(3,5)\n")
     code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--file", str(batch))
     assert code == 4 and out.count("PASS") == 2 and out.count("ERROR (exit 4)") == 1
+
+
+def test_word_cap_refusal_names_the_first_atom_in_term_order(capsys, tmp_path):
+    # of two atoms past the cap, the one first in term order is named,
+    # whatever the order of the dump
+    dump = tmp_path / "two.json"
+    dump.write_text(json.dumps({"terms": [{"factors": ["z(300001)"], "coeff": "1"},
+                                          {"factors": ["z(250001)"], "coeff": "1"}]}))
+    cap = eulersums.numerics.HOLDER_WORD_CAP
+    code, out, err = run(capsys, "eval", "--json", str(dump))
+    assert (code, out, err) == (4, "", f"engine precondition: z(250001): weight 250001 above the Hoelder word cap {cap}\n")
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The interpreter's digit limit at its least, 640, for the test's duration."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def test_result_past_the_digit_limit_exit4(capsys):
+    # the index parses: the coefficient 2^-14400 - 1 that alt_depth1 gives
+    # z(14401) has more digits than the interpreter prints by default, 4300,
+    # which is no parse error but a refusal, exit 4, that names the limit
+    code, out, err = run(capsys, "reduce", "S(-1,14400)")
+    assert (code, out) == (4, "")
+    assert err == ("cannot print result: it holds a number of more than 4300 digits, "
+                   "the interpreter's limit for printing an integer\n")
+
+
+@pytest.mark.parametrize("output", ["plain", "latex", "json"])
+def test_result_past_a_lowered_digit_limit_exit4(capsys, digit_limit_640, output):
+    # every output format refuses alike, before anything reaches stdout; an
+    # index entry past the limit is text that does not parse, exit 2
+    code, out, err = run(capsys, "reduce", "--output", output, "S(-1,2200)")
+    assert (code, out) == (4, "")
+    assert err.startswith("cannot print result: it holds a number of more than 640 digits")
+    code, out, err = run(capsys, "expand", "S(" + "1" * 641 + ",2)")
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot parse index: entry of more than 640 digits")
+    assert run(capsys, "expand", "S(" + "1" * 640 + ",2)")[0] == 0
 
 
 def test_eval_json_nested_past_recursion_limit_exit2(capsys, tmp_path):

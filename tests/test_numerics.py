@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from eulersums.numerics import (
     _enveloped,
     _fp_result,
     _fp_holder,
+    _fp_holders,
     _holder_apply,
     _holder_word,
     _plain_factor,
@@ -306,52 +308,75 @@ _CHAIN_ARGS = [args for w in range(1, 6) for args in _convergent_args(w)] + [
 
 @pytest.mark.parametrize("n_terms", [8, 50, HOLDER_N])
 def test_holder_chains_match_two_loops(n_terms):
-    # the shared chains do the same integer operations: value and bound equal
-    # the two-loop reference exactly, for every convergent atom of weight <= 5
-    # and a sample at weights 7 and 8; the chain cache stays within its size
+    # one batch of every convergent atom of weight <= 5 and a sample at
+    # weights 7 and 8 shares its chains, yet does the same integer operations
+    # as the reference: every value and bound equals it exactly
     assert len(_convergent_args(5)) == 108 and len(_convergent_args(8)) == 2916
-    maxsize = numerics._holder_chain.cache_info().maxsize
-    assert maxsize is not None and maxsize > 0
-    for args in _CHAIN_ARGS:
-        assert _fp_holder(_holder_word(args), len(args), n_terms) == _fp_holder_two_loops(args, n_terms), args
-        assert numerics._holder_chain.cache_info().currsize <= maxsize
+    words = [(_holder_word(args), len(args)) for args in _CHAIN_ARGS]
+    assert list(_fp_holders(words, n_terms)) == [_fp_holder_two_loops(args, n_terms) for args in _CHAIN_ARGS]
 
 
-def test_atom_units_after_chain_evictions():
-    # a second pass, after the first has evicted chains and with only the atom
-    # cache cleared, gives the same integers as the reference
-    numerics._holder_chain.cache_clear()
-    expected = {args: numerics._to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
-    for _ in range(2):
-        _atom_units.cache_clear()
-        assert {args: _atom_units(z(*args)) for args in _CHAIN_ARGS} == expected
-        info = numerics._holder_chain.cache_info()
-        assert info.misses > info.maxsize >= info.currsize
+def _counting_apply(monkeypatch):
+    """Patch ``_holder_apply`` to record each letter it applies, and whether
+    that letter starts its chain."""
+    calls, apply = [], numerics._holder_apply
+    monkeypatch.setattr(numerics, "_holder_apply", lambda b, inner, n: calls.append((b, inner is None)) or apply(b, inner, n))
+    return calls
+
+
+def test_one_batch_applies_each_trie_node_once(monkeypatch):
+    # the complemented and reversed words of the 108 convergent atoms of
+    # weight 5 form one trie; the batch applies one letter per distinct
+    # nonempty prefix, so the atoms share every chain they have in common
+    words = [_holder_word(args) for args in _convergent_args(5)]
+    chains = {tuple(1 - b for b in w) for w in words} | {tuple(reversed(w)) for w in words}
+    nodes = {chain[:j] for chain in chains for j in range(1, len(chain) + 1)}
+    calls = _counting_apply(monkeypatch)
+    list(_fp_holders([(w, 1) for w in words]))
+    assert len(calls) == len(nodes) < 2 * 5 * len(words)
+
+
+def test_atom_units_alone_and_in_one_batch(monkeypatch):
+    # with the store emptied, each atom alone and all of them in one
+    # combination give the reference integers; the same combination again
+    # reads the store and applies no letter
+    expected = {z(*args): numerics._to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
+    _atom_units.cache_clear()
+    assert {atom: _atom_units(atom) for atom in expected} == expected
+    _atom_units.cache_clear()
+    lc = sum((LinComb.of_atom(atom) for atom in expected), LinComb())
+    units = numerics._lincomb_units(lc)
+    assert numerics._ATOM_UNITS == expected
+    calls = _counting_apply(monkeypatch)
+    assert numerics._lincomb_units(lc) == units and not calls
 
 
 def test_long_word_matches_two_loops():
-    # past HOLDER_CHAINS letters the chains go on letter by letter: a
-    # 300-letter atom of mixed letters gives the reference's integers
+    # a 300-letter atom of mixed letters gives the reference's integers
     rng, args = random.Random(300), [-2]
     while sum(map(abs, args)) < 297:
         args.append(rng.choice([1, 2, 3, -1, -2, -3]))
     args.append(300 - sum(map(abs, args)))
-    assert len(_holder_word(args)) == 300 > numerics.HOLDER_CHAINS
+    assert len(_holder_word(args)) == 300
     assert _fp_holder(_holder_word(args), len(args)) == _fp_holder_two_loops(args, HOLDER_N)
 
 
 def test_long_word_costs_one_step_per_letter(monkeypatch):
-    # with the caches cleared, z(-3000) applies each letter once to each of
-    # its two chains, and no chain longer than HOLDER_CHAINS is cached
-    applied, keys = [], []
-    apply, chain = numerics._holder_apply, numerics._holder_chain
-    monkeypatch.setattr(numerics, "_holder_apply", lambda *a: applied.append(1) or apply(*a))
-    monkeypatch.setattr(numerics, "_holder_chain", lambda letters, n: keys.append(len(letters)) or chain(letters, n))
-    chain.cache_clear()
+    # with the store emptied, z(-3000) applies each letter once to each of
+    # its two chains, and holds one chain at a time: its peak memory is far
+    # below the 2 * 3000 chains of 200 terms, about 10 KB each, of a walk
+    # that kept them
+    calls = _counting_apply(monkeypatch)
     _atom_units.cache_clear()
-    _atom_units(z(-3000))
-    assert len(applied) == 2 * 3000
-    assert max(keys) == numerics.HOLDER_CHAINS
+    tracemalloc.start()
+    try:
+        _atom_units(z(-3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2 * 3000
+    assert sum(first for _, first in calls) == 2
+    assert peak < 2_000_000
 
 
 def test_capacity_error_carries_result():
@@ -808,13 +833,21 @@ def test_atom_above_the_word_cap_is_refused_before_its_word_is_built(monkeypatch
         with pytest.raises(numerics.WordCapError, match=f"weight {atom.weight} above the Hoelder word cap"):
             eval_atom(atom)
         assert time.monotonic() - t0 < 1.0
-    # the cap is inclusive, for zeta and Li atoms alike
+    # the cap is inclusive, for zeta and Li atoms alike, with the store emptied
+    expected = {atom: _atom_units(atom) for atom in (z(5), z(2, -3), li_half(5))}
     monkeypatch.setattr(numerics, "HOLDER_WORD_CAP", 5)
-    for atom in (z(5), z(2, -3), li_half(5)):
-        assert _atom_units.__wrapped__(atom) == _atom_units(atom)
+    _atom_units.cache_clear()
+    assert {atom: _atom_units(atom) for atom in expected} == expected
     for atom in (z(6), z(2, -4), li_half(6)):
         with pytest.raises(numerics.WordCapError, match="weight 6 above the Hoelder word cap 5"):
-            _atom_units.__wrapped__(atom)
+            _atom_units(atom)
+    # in a combination the first atom past the cap in term order is named,
+    # before any atom is evaluated
+    _atom_units.cache_clear()
+    lc = LinComb.of_atom(z(2)) + LinComb.of_atom(z(7)) + LinComb.of_atom(z(3, 3)) + LinComb.of_atom(z(-6))
+    with pytest.raises(numerics.WordCapError, match=r"^z\(-6\): weight 6"):
+        eval_lincomb_best(lc)
+    assert not numerics._ATOM_UNITS
 
 
 def test_eta_beyond_the_holder_length(capsys):
