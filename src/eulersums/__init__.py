@@ -73,8 +73,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every module-level cache of the package: atom values, tail
-    expansions, closed forms, parsed identity tables and the CLI parser,
-    found as the attributes that have ``cache_clear``.
+    expansions, closed forms, parsed identity tables, the atom text
+    templates and the CLI parser, found as the attributes that have
+    ``cache_clear``.
     Results do not change; later calls are cold."""
     import importlib
     import pkgutil

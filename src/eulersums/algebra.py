@@ -26,6 +26,7 @@ Sign conventions:
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from fractions import Fraction
@@ -124,9 +125,10 @@ class MzvAtom(tuple):
         return (1, self)
 
     def render(self) -> str:
-        if self.li:
-            return f"Li({self.li},1/2)"
-        return "z(" + ",".join(map(str, self.args)) + ")"
+        if self[0]:
+            return f"Li({self[0]},1/2)"
+        args = self[2]
+        return _zeta_format(len(args)) % args
 
     def latex(self) -> str:
         if self.li:
@@ -138,6 +140,13 @@ class MzvAtom(tuple):
 
     def __repr__(self):
         return self.render()
+
+
+@functools.cache
+def _zeta_format(depth: int) -> str:
+    """"z(%d,...,%d)" with ``depth`` slots.  ``%d`` prints an int as ``str``
+    does, with the same ``ValueError`` past the interpreter's digit limit."""
+    return "z(" + ",".join(["%d"] * depth) + ")"
 
 
 def z(*args: int) -> MzvAtom:
@@ -380,24 +389,28 @@ class LinComb:
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
+        """Signed terms, a coefficient of magnitude 1 left out except on the
+        unit; as in ``json_terms``, coefficient text is made once per object."""
         if not self._d:
             return "0"
+        heads: dict[int, tuple[str, str]] = {}  # id(c) -> text before the unit, before another term
         parts = []
         for t, c in self.items():
-            n, d = c.numerator, c.denominator
-            if n < 0:
-                parts.append(" - ")
-                n = -n
+            head = heads.get(id(c))
+            if head is None:
+                n, d = c.numerator, c.denominator
+                mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+                sign = " - " if n < 0 else " + "
+                head = heads[id(c)] = (sign + mag, sign if mag == "1" else sign + mag + "*")
+            if not t:  # the unit, the empty product
+                parts.append(head[0])
+            elif t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
+                args = t[2]
+                parts.append(head[1] + _zeta_format(len(args)) % args)
             else:
-                parts.append(" + ")
-            if t.is_unit():
-                parts.append(str(n) if d == 1 else f"{n}/{d}")
-            elif n == d == 1:
-                parts.append(t.render())
-            else:
-                parts.append(f"{n}*{t.render()}" if d == 1 else f"{n}/{d}*{t.render()}")
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+                parts.append(head[1] + t.render())
+        text = "".join(parts)
+        return ("-" if text[1] == "-" else "") + text[3:]
 
     def latex(self) -> str:
         if not self._d:
@@ -422,21 +435,22 @@ class LinComb:
 
     def json_terms(self) -> str:
         """``json.dumps(self.to_json_terms())``, written directly: a zeta
-        atom's term in one piece, and the text of each coefficient object
-        once, since the expansion engines share one ``Fraction`` per distinct
-        value.  Atom renderings and rationals use only ``[A-Za-z0-9(),/ -]``,
-        so nothing needs escaping."""
-        texts: dict[int, str] = {}  # id(c) -> str(c); each c lives in self._d
+        atom's term in one piece, and the text after the factors once per
+        coefficient object, since the expansion engines share one ``Fraction``
+        per distinct value.  Atom renderings and rationals use only
+        ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
+        tails: dict[int, str] = {}  # id(c) -> '"], "coeff": "c"}'; each c lives in self._d
         pieces = []
         for t, c in self.items():
-            coeff = texts.get(id(c))
-            if coeff is None:
-                coeff = texts[id(c)] = str(c)
+            tail = tails.get(id(c))
+            if tail is None:
+                tail = tails[id(c)] = '"], "coeff": "' + str(c) + '"}'
             if t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
-                pieces.append(f'{{"factors": ["z({",".join(map(str, t[2]))})"], "coeff": "{coeff}"}}')
+                args = t[2]
+                pieces.append('{"factors": ["' + _zeta_format(len(args)) % args + tail)
             else:
                 factors = ", ".join([f'"{a.render()}"' for a in t.factors])
-                pieces.append(f'{{"factors": [{factors}], "coeff": "{coeff}"}}')
+                pieces.append('{"factors": [' + factors + tail[1:])  # each factor quoted already
         body = ", ".join(pieces)
         del pieces  # free the pieces before the bracketed copy is made
         return f"[{body}]"

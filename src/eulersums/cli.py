@@ -31,6 +31,7 @@ Diagnostics go to stderr; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -153,8 +154,19 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str):
     return lc, "t1", None
 
 
+@contextlib.contextmanager
+def _printing():
+    """Turn the one ``ValueError`` that writing a result raises, on an integer
+    past the interpreter's digit limit, into ``OutputLimitError``."""
+    try:
+        yield
+    except ValueError:
+        raise OutputLimitError(f"it holds a number of more than {sys.get_int_max_str_digits()} digits, "
+                               "the interpreter's limit for printing an integer") from None
+
+
 def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None, extra=None):
-    try:  # the only ValueError here: an integer past the interpreter's digit limit
+    with _printing():
         if output == "json":
             # The terms array is written as text between the keys before it and
             # those after it, as json.dumps would write the whole document.
@@ -171,9 +183,6 @@ def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None,
             text = render_index(idx, "latex") + " = " + lc.latex()
         else:
             text = "\n".join([render_index(idx, "plain") + " = " + lc.render()] + ["  # " + t for t in trace or ()])
-    except ValueError:
-        raise OutputLimitError(f"it holds a number of more than {sys.get_int_max_str_digits()} digits, "
-                               "the interpreter's limit for printing an integer") from None
     print(text)
     if is_conditionally_convergent(idx) and output != "json":
         _err("note: outer exponent -1, the series converges conditionally")
@@ -193,9 +202,10 @@ def cmd_reduce(args) -> int:
         return code
     lc, engine, _ = _expand_with_engine(idx, args.engine)
     result = reduce_lincomb(lc, tables=tables)
-    unresolved = sorted(
-        {a.render() for a in result.value.atoms() if not a.li and a.depth >= 2}
-    )
+    unresolved = ()
+    if args.output != "latex":  # latex names none; a Li atom has no slots, a[2]
+        with _printing():
+            unresolved = sorted({a.render() for a in result.value.atoms() if len(a[2]) >= 2})
     trace = result.trace if args.trace else None
     _emit(idx, result.value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
     if unresolved and args.output == "plain":

@@ -154,12 +154,12 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     Twice it has integer coefficients, so it is summed on ints and halved
     once.
     """
-    if atom.li or atom.depth != 2:
+    # li, slots, weight by index: most atoms leave here
+    if atom[0] or len(atom[2]) != 2 or atom[1] % 2 == 0:
         return None
-    s, t = abs(atom.args[0]), abs(atom.args[1])
-    w = s + t
-    if w % 2 == 0:
-        return None
+    a, b = atom[2]
+    s, t = abs(a), abs(b)
+    w = atom[1]
     if w - 1 > STEP_CAP:
         # The sum below emits up to two products for each of its (w - 1)/2
         # values of k, in one rewrite that the step cap never sees.
@@ -167,7 +167,7 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
             f"depth2_odd on {atom.render()} would emit up to {w - 1} products, "
             f"above the step cap {STEP_CAP}"
         )
-    sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
+    sg, tg = (1 if a > 0 else -1), (1 if b > 0 else -1)
     sign = (-1) ** s
 
     def mu(r: int) -> list[tuple[MzvAtom, int]]:
@@ -223,21 +223,28 @@ class IdentityRule:
     rewrite: Callable[[MzvAtom], LinComb | None]
 
 
+# Each guard reads an atom's slots, a[2], once; a Li atom has none.  a[1] is the weight.
+
+
 def _rw_alt_depth1(a: MzvAtom) -> LinComb | None:
-    return alt_depth1(-a.args[0]) if a.depth == 1 and a.args[0] <= -2 else None
+    args = a[2]
+    return alt_depth1(-args[0]) if len(args) == 1 and args[0] <= -2 else None
 
 
 def _rw_repeated(a: MzvAtom) -> LinComb | None:
-    if a.depth < 2 or len(set(a.args)) > 1:
+    args = a[2]
+    n = len(args)
+    if n < 2 or args.count(args[0]) != n:
         return None
-    return symmetric_sum(a.args).scale(Fraction(1, math.factorial(a.depth)))
+    return symmetric_sum(args).scale(Fraction(1, math.factorial(n)))
 
 
 def _rw_ones(a: MzvAtom) -> LinComb | None:
-    ones = a.depth >= 2 and a.args[0] >= 2 and all(t == 1 for t in a.args[1:])
-    if not ones or a.weight - 1 > LOG_INTEGRAL_CAP:
+    args = a[2]
+    n = len(args)
+    if n < 2 or args[0] < 2 or args.count(1) != n - 1 or a[1] - 1 > LOG_INTEGRAL_CAP:
         return None
-    return zeta_ones(a.args[0] - 1, a.depth - 1)
+    return zeta_ones(args[0] - 1, n - 1)
 
 
 def default_rules() -> list[IdentityRule]:
@@ -414,7 +421,7 @@ def _term_without(term: Term, atom: MzvAtom) -> Term:
 def _pair_reflectable(atom: MzvAtom) -> bool:
     """z(a,b) with a < b and an admissible partner z(b,a), i.e. b != 1: the
     atom the pair pass eliminates."""
-    args = atom.args
+    args = atom[2]
     return len(args) == 2 and args[0] < args[1] != 1
 
 
@@ -422,7 +429,7 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
     """An unsigned depth-3 atom with slots >= 2, not all equal: one ordering
     of the family the triple pass eliminates.  Fully repeated slots are left
     to the repeated-slot rule."""
-    args = atom.args
+    args = atom[2]
     return len(args) == 3 and min(args) >= 2 and len(set(args)) > 1
 
 
@@ -451,11 +458,12 @@ class _WorkingSum:
         """Classify a term entering the sum: note it as reflectable if it is,
         and return its heap entry if it should be queued, else None."""
         first = None
+        memo = self.memo
         # a product's factors are sorted already
-        for atom in (term,) if isinstance(term, MzvAtom) else term:
-            known = self.memo.get(atom)
+        for atom in (term,) if term.__class__ is MzvAtom else term:
+            known = memo.get(atom)
             if known is None:
-                known = self.memo[atom] = (
+                known = memo[atom] = (
                     _atom_rewrite(atom, self.rules),
                     _pair_reflectable(atom) or _triple_reflectable(atom),
                 )

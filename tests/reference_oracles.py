@@ -5,16 +5,23 @@ zeta(s) through a partial sum and an Euler-Maclaurin tail, beside the
 Hoelder words of ``numerics``; pi through Machin's arctangents, for
 zeta(2) = pi^2 / 6; the exact harmonic numbers that the series walk
 carries in fixed point; the kernel's one-word quasi-shuffle as it was
-first written; and engine t1 as it built its terms in the kernel's order.
+first written; engine t1 as it built its terms in the kernel's order; the
+default rewrite rules and reflection predicates as they read an atom
+through its properties; and the text of atoms and combinations built from
+their fields, without ``render``.
 """
 
 import functools
+import json
+import math
 from fractions import Fraction
 
+from eulersums import reduction
 from eulersums.algebra import LinComb, MzvAtom, z
 from eulersums.expansion import _check_size, _quasi_shuffle
 from eulersums.indices import EulerSumIndex
 from eulersums.numerics import _FP_SCALE, NumericResult, _fp_result, _to_units
+from eulersums.reduction import IdentityRule, alt_depth1, symmetric_sum, zeta_ones
 
 
 def harmonic_exact(r: int, n: int) -> Fraction:
@@ -140,3 +147,133 @@ def _reference_expand_t1(idx: EulerSumIndex) -> LinComb:
             terms[atom] = coeff
     assert len(terms) == 2 * n_words, f"two words gave one atom in expansion of {idx}"
     return LinComb._of_nonzero(terms)
+
+
+# -- the default rules and reflection predicates, slots read through properties --
+
+
+def _reference_rw_alt_depth1(a: MzvAtom) -> LinComb | None:
+    return alt_depth1(-a.args[0]) if a.depth == 1 and a.args[0] <= -2 else None
+
+
+def _reference_rw_repeated(a: MzvAtom) -> LinComb | None:
+    if a.depth < 2 or len(set(a.args)) > 1:
+        return None
+    return symmetric_sum(a.args).scale(Fraction(1, math.factorial(a.depth)))
+
+
+def _reference_rw_ones(a: MzvAtom) -> LinComb | None:
+    ones = a.depth >= 2 and a.args[0] >= 2 and all(t == 1 for t in a.args[1:])
+    if not ones or a.weight - 1 > reduction.LOG_INTEGRAL_CAP:
+        return None
+    return zeta_ones(a.args[0] - 1, a.depth - 1)
+
+
+def _zeta_signed(v: int, sign: int) -> LinComb:
+    """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
+    if sign > 0 and v == 1:
+        return LinComb.zero()
+    return LinComb.of_atom(z(v if sign > 0 else -v))
+
+
+def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
+    """``depth2_odd`` as it was written on ``LinComb`` arithmetic, with the
+    same refusal past the step cap."""
+    if atom.li or atom.depth != 2:
+        return None
+    s, t = abs(atom.args[0]), abs(atom.args[1])
+    if (s + t) % 2 == 0:
+        return None
+    sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
+    w = s + t
+    if w - 1 > reduction.STEP_CAP:
+        raise reduction.StepCapError(
+            f"depth2_odd on {atom.render()} would emit up to {w - 1} products, "
+            f"above the step cap {reduction.STEP_CAP}"
+        )
+
+    def mu(r: int) -> LinComb:
+        out = _zeta_signed(r, sg).scale(math.comb(r - 1, s - 1)) + _zeta_signed(
+            r, tg
+        ).scale(math.comb(r - 1, t - 1))
+        return out.scale((-1) ** s)
+
+    def lam(r: int) -> LinComb:
+        return _zeta_signed(r, sg * tg)
+
+    acc = lam(w).scale(Fraction(-1, 2)) + mu(w).scale(Fraction(1, 2))
+    if s % 2 == 0:
+        acc = acc + _zeta_signed(s, sg) * _zeta_signed(t, tg)
+    for k in range(1, (w - 1) // 2 + 1):
+        if 2 * k == w:
+            break
+        acc = acc - lam(2 * k) * mu(w - 2 * k)
+    return acc
+
+
+def reference_rules() -> list[IdentityRule]:
+    """``reduction.default_rules()``, in the same order, from the guards above."""
+    return [
+        IdentityRule("alt_depth1", _reference_rw_alt_depth1),
+        IdentityRule("repeated", _reference_rw_repeated),
+        IdentityRule("zeta_ones", _reference_rw_ones),
+        IdentityRule("depth2_odd", _reference_depth2_odd),
+    ]
+
+
+def _reference_pair_reflectable(atom: MzvAtom) -> bool:
+    args = atom.args
+    return len(args) == 2 and args[0] < args[1] != 1
+
+
+def _reference_triple_reflectable(atom: MzvAtom) -> bool:
+    args = atom.args
+    return len(args) == 3 and min(args) >= 2 and len(set(args)) > 1
+
+
+# -- text built from an atom's fields, never from ``render`` -------------------------
+
+
+def reference_atom_text(atom: MzvAtom) -> str:
+    """'Li(q,1/2)', or 'z(' + the slots in decimal, comma-separated + ')'."""
+    li, _weight, args = tuple(atom)
+    if li:
+        return "Li(" + str(li) + ",1/2)"
+    return "z(" + ",".join(str(a) for a in args) + ")"
+
+
+def _reference_items(lc: LinComb) -> list:
+    """The (term, coefficient) pairs by ``term_key``, sorted here."""
+    return sorted(lc._d.items(), key=lambda tc: tc[0].term_key())
+
+
+def reference_render(lc: LinComb) -> str:
+    """``LinComb.render`` as it was written on ``Fraction`` arithmetic, each
+    factor's text from ``reference_atom_text``."""
+    if not lc._d:
+        return "0"
+    parts = []
+    for t, c in _reference_items(lc):
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if t.is_unit():
+            body = str(mag)
+        else:
+            text = "*".join(reference_atom_text(a) for a in t.factors)
+            body = text if mag == 1 else f"{mag}*{text}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    s = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        s += f" {sign} {body}"
+    return s
+
+
+def reference_json_terms(lc: LinComb) -> str:
+    """``LinComb.json_terms()`` as ``json.dumps`` writes the terms list."""
+    return json.dumps(
+        [
+            {"factors": [reference_atom_text(a) for a in t.factors], "coeff": str(c)}
+            for t, c in _reference_items(lc)
+        ]
+    )

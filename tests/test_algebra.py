@@ -22,6 +22,8 @@ from eulersums.expansion import UnsupportedHypothesisError, expand_t1, expand_t2
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import reduce_lincomb
 
+from reference_oracles import reference_atom_text, reference_json_terms, reference_render
+
 
 def test_atom_basics():
     a = z(-5, 1)
@@ -324,28 +326,6 @@ def test_json_terms_text_is_json_dumps(entries):
     _check_terms(again)
 
 
-def _reference_render(lc: LinComb) -> str:
-    """``LinComb.render`` as it was written on ``Fraction`` arithmetic."""
-    if not lc._d:
-        return "0"
-    parts = []
-    for t, c in lc.items():
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if t.is_unit():
-            body = str(mag)
-        elif mag == 1:
-            body = t.render()
-        else:
-            body = f"{mag}*{t.render()}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        s += f" {sign} {body}"
-    return s
-
-
 render_coeffs = st.one_of(
     st.sampled_from([1, -1]),
     st.integers(-30, 30),
@@ -361,7 +341,53 @@ render_coeffs = st.one_of(
 @example([([z(2)], Fraction(-1, 2)), ([], 1), ([z(-1), li_half(4)], Fraction(5, 3))])
 def test_render_matches_reference(entries):
     lc = LinComb({SymbolicTerm.of(*fs): c for fs, c in entries})
-    assert lc.render() == _reference_render(lc)
+    assert lc.render() == reference_render(lc)
+
+
+# Slots of up to 31 digits, either sign, at depth 1-40: each text is made from
+# its depth's template, which the reference does not use.
+wide_slots = st.integers(-(10**30), 10**30).filter(bool)
+wide_atoms = (
+    st.integers(1, 40)
+    .flatmap(lambda n: st.lists(wide_slots, min_size=n, max_size=n))
+    .map(lambda s: MzvAtom(args=(2 if s[0] == 1 else s[0], *s[1:])))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_atoms)
+@example(z(-1))
+@example(z(-(10**30), 10**30, -7))
+def test_atom_text_matches_reference(atom):
+    text = reference_atom_text(atom)
+    assert atom.render() == text
+    assert LinComb.of_atom(atom).render() == text
+    assert LinComb.of_atom(atom, -1).render() == "-" + text
+    assert parse_atom(text) == atom
+
+
+# A few coefficient objects shared among many terms, as the expansion
+# engines share them, beside coefficients made afresh.
+_SHARED = [Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(10**40, 3)]
+mixed_terms = st.one_of(
+    wide_atoms,
+    st.integers(1, 12).map(li_half),
+    st.lists(st.one_of(wide_atoms, atoms), min_size=2, max_size=3).map(lambda fs: SymbolicTerm.of(*fs)),
+    st.just(UNIT_TERM),
+)
+mixed_coeffs = st.one_of(st.sampled_from(_SHARED), render_coeffs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(mixed_terms, mixed_coeffs), max_size=12))
+@example([(z(2), _SHARED[2]), (z(3, -1), _SHARED[2]), (li_half(4), _SHARED[2]),
+          (SymbolicTerm.of(z(2), li_half(4)), _SHARED[2]), (UNIT_TERM, _SHARED[2])])
+def test_json_terms_and_render_match_reference(entries):
+    lc = LinComb(dict(entries))
+    text = lc.json_terms()
+    assert text == reference_json_terms(lc)
+    assert lc.render() == reference_render(lc)
+    assert LinComb.from_json_terms(json.loads(text)) == lc
 
 
 def test_term_canonical_order():

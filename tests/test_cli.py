@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -140,6 +141,27 @@ def test_reduce_trace_and_unresolved(capsys):
     doc = json.loads(out)
     assert doc["unresolved"] == []
     assert any("depth2_odd" in t for t in doc["trace"])
+
+
+def test_reduce_latex_builds_no_unresolved_list(capsys, monkeypatch):
+    # latex prints neither the stderr line nor the "unresolved" key, so the
+    # atoms of the result are never collected; its text is as before.  The
+    # table is parsed, which collects the atoms of each entry, before counting.
+    argv = ["reduce", "--engine", "t1", "--table", _starter_table(), "S(1,2,3,5,-8,3)"]
+    eulersums.load_identity_table(argv[4])
+    calls = []
+    atoms = eulersums.LinComb.atoms
+    monkeypatch.setattr(eulersums.LinComb, "atoms", lambda lc: calls.append(lc) or atoms(lc))
+    code, out, err = run(capsys, *argv[:1], "--output", "latex", *argv[1:])
+    assert (code, err, calls) == (0, "", [])
+    digest = "21eea2ddf98e440b353e77bd0973fc88a44bde0b8c748599f3a9ea6bce7d7e28"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # plain and json collect them once, for the stderr line and the key
+    code, out, err = run(capsys, *argv[:1], "--output", "plain", *argv[1:])
+    assert code == 0 and len(calls) == 1
+    assert err.startswith("unresolved atoms (left as basis elements): z(")
+    code, out, err = run(capsys, *argv[:1], "--output", "json", *argv[1:])
+    assert code == 0 and len(calls) == 2 and json.loads(out)["unresolved"]
 
 
 def test_reduce_with_bundled_table(capsys):
@@ -782,6 +804,12 @@ def test_result_past_a_lowered_digit_limit_exit4(capsys, digit_limit_640, output
     # every output format refuses alike, before anything reaches stdout; an
     # index entry past the limit is text that does not parse, exit 2
     code, out, err = run(capsys, "reduce", "--output", output, "S(-1,2200)")
+    assert (code, out) == (4, "")
+    assert err.startswith("cannot print result: it holds a number of more than 640 digits")
+    # B = 10^640 - 2 parses, and the expansion holds depth-2 atoms with slots past the
+    # limit, z(2,2B) and z(B+2,B): the atom text and the unresolved list refuse alike
+    big = "9" * 639 + "8"
+    code, out, err = run(capsys, "reduce", "--output", output, f"S({big},{big},2)")
     assert (code, out) == (4, "")
     assert err.startswith("cannot print result: it holds a number of more than 640 digits")
     code, out, err = run(capsys, "expand", "S(" + "1" * 641 + ",2)")

@@ -39,6 +39,12 @@ from eulersums.reduction import (
 )
 
 from fixtures_closed_forms import CLOSED_S11_1_ALL_BAR, CLOSED_S33_3_ALL_BAR, CLOSED_WEIGHT5, lc
+from reference_oracles import (
+    _reference_depth2_odd,
+    _reference_pair_reflectable,
+    _reference_triple_reflectable,
+    reference_rules,
+)
 
 
 # -- the log-power integral and zeta(k+1,{1}_l) ---------------------------------
@@ -146,42 +152,6 @@ def test_depth2_odd_refuses_past_the_step_cap(monkeypatch):
         depth2_odd(z(-21, 2))
 
 
-def _zeta_signed(v: int, sign: int) -> LinComb:
-    """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
-    if sign > 0 and v == 1:
-        return LinComb.zero()
-    return LinComb.of_atom(z(v if sign > 0 else -v))
-
-
-def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
-    """``depth2_odd`` as it was written on ``LinComb`` arithmetic."""
-    if atom.li or atom.depth != 2:
-        return None
-    s, t = abs(atom.args[0]), abs(atom.args[1])
-    if (s + t) % 2 == 0:
-        return None
-    sg, tg = (1 if atom.args[0] > 0 else -1), (1 if atom.args[1] > 0 else -1)
-    w = s + t
-
-    def mu(r: int) -> LinComb:
-        out = _zeta_signed(r, sg).scale(math.comb(r - 1, s - 1)) + _zeta_signed(
-            r, tg
-        ).scale(math.comb(r - 1, t - 1))
-        return out.scale((-1) ** s)
-
-    def lam(r: int) -> LinComb:
-        return _zeta_signed(r, sg * tg)
-
-    acc = lam(w).scale(Fraction(-1, 2)) + mu(w).scale(Fraction(1, 2))
-    if s % 2 == 0:
-        acc = acc + _zeta_signed(s, sg) * _zeta_signed(t, tg)
-    for k in range(1, (w - 1) // 2 + 1):
-        if 2 * k == w:
-            break
-        acc = acc - lam(2 * k) * mu(w - 2 * k)
-    return acc
-
-
 def test_depth2_odd_matches_reference_kernel():
     # every admissible signed pair up to weight 33: slots of 1, barred or
     # not, included; even weights give None on both sides
@@ -200,6 +170,45 @@ def test_depth2_odd_matches_reference_kernel():
     assert seen == 1056
     for atom in (z(5), z(2, 2, 3), z(-3, 1, 1), li_half(5)):
         assert depth2_odd(atom) is None and _reference_depth2_odd(atom) is None, atom
+
+
+def _signed_words(max_weight: int):
+    """Every slot tuple of weight <= ``max_weight``, signs included, that is
+    not led by an unsigned 1."""
+    words = [()]
+    for word in words:  # grows as it is walked, shortest words first
+        room = max_weight - sum(map(abs, word))
+        words += [word + (v,) for m in range(1, room + 1) for v in (m, -m)]
+    return [w for w in words[1:] if w[0] != 1]
+
+
+def test_rule_guards_match_reference():
+    # the guards read each atom's slots once, by index; the reference reads them
+    # through depth and args: the same hit or miss, rule name and rhs on every atom
+    cap = reduction.LOG_INTEGRAL_CAP
+    atoms = [MzvAtom(args=w) for w in _signed_words(8)]
+    assert len(atoms) == 4373 and z(-1) in atoms
+    atoms += [li_half(q) for q in range(1, 9)]
+    # z(k+1,{1}_l) at k + l = cap and one past it, for the k at both ends, whose
+    # log integrals are quick to build (a middle k takes seconds)
+    atoms += [z(k + 1, *[1] * (n - k)) for n in (cap, cap + 1) for k in (1, 2, n - 2, n - 1)]
+    rules, reference = default_rules(), reference_rules()
+    hits = collections.Counter()
+    for atom in atoms:
+        for rule, ref in zip(rules, reference):
+            assert rule.name == ref.name
+            assert rule.rewrite(atom) == ref.rewrite(atom), (rule.name, atom)
+        got = reduction._atom_rewrite(atom, rules)
+        assert got == reduction._atom_rewrite(atom, reference), atom
+        hits[got[1] if got else None] += 1
+        assert reduction._pair_reflectable(atom) == _reference_pair_reflectable(atom), atom
+        assert reduction._triple_reflectable(atom) == _reference_triple_reflectable(atom), atom
+    # every rule fires, the log integral at the cap and not one past it
+    assert set(hits) == {None, "alt_depth1", "repeated", "zeta_ones", "depth2_odd"}
+    assert reduction._atom_rewrite(z(cap + 1, 1), rules) is None
+    assert reduction._atom_rewrite(z(cap, 1), rules)[1] == "zeta_ones"
+    assert reduction._atom_rewrite(z(2, *[1] * cap), rules) is None
+    assert reduction._atom_rewrite(z(2, *[1] * (cap - 1)), rules)[1] == "zeta_ones"
 
 
 def test_repeated_unsigned_displays():
@@ -661,8 +670,10 @@ def test_table_driven_full_reduction_weight5(tmp_path):
 #
 # ``_reference_reduce`` is the engine as it was before the heap of terms that
 # can rewrite: every step re-sorts the whole combination and rebuilds it
-# immutably.  The heap engine must take exactly the same steps, so value,
-# step count and trace are compared with zero tolerance.
+# immutably, and by default it matches atoms with ``reference_rules()``, the
+# rule guards as they read slots through properties.  The heap engine must
+# take exactly the same steps, so value, step count and trace are compared
+# with zero tolerance.
 
 
 def _ref_substitute(lc: LinComb, term: SymbolicTerm, atom: MzvAtom, replacement: LinComb) -> LinComb:
@@ -761,7 +772,7 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
 
 def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
     if rules is None:
-        rules = default_rules()
+        rules = reference_rules()
     tables = list(tables)
     trace: list[str] = []
     steps = 0
