@@ -38,6 +38,14 @@ from .indices import _INT_RE
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
+class Refusal(Exception):
+    """An input an engine declines (exit 4).  ``args`` are a ``%`` template and
+    its values, so no number is written until the message is read."""
+
+    def __str__(self):
+        return self.args[0] % self.args[1:]
+
+
 def as_fraction(x) -> Fraction:
     """Coerce ints, Fractions, and strings like '3/4' or '-5' to Fraction;
     a bool is not a number here.  A string must match ``_RATIONAL_RE``,

@@ -21,10 +21,11 @@ Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
 index, an expansion dump of the wrong shape, INDEX together with --file or
 --json, or an option the command does not take), 3 divergent index, 4
 engine precondition violated (also a reduction that does not reach its
-fixpoint within the step cap or would make more products than the cap in
-one rewrite, an atom of weight above the Hoelder word cap, or a result
-holding an integer of more digits than the interpreter prints, 4300 by
-default), 5 no usable table with --require-tables (or in table-check).
+fixpoint within the step cap, a depth2_odd or alt_depth1 rewrite of an
+atom whose weight - 1 is above the cap, an atom of weight above the
+Hoelder word cap, or a result or refusal holding an integer of more digits
+than the interpreter prints, 4300 by default: "cannot print result"), 5 no
+usable table with --require-tables (or in table-check).
 Diagnostics go to stderr; results go to stdout.
 """
 
@@ -38,18 +39,11 @@ import os
 import sys
 
 from . import numerics
-from .algebra import LinComb
-from .expansion import (
-    UnsupportedHypothesisError,
-    DegreeCapError,
-    expand_t1,
-    expand_t2,
-    is_conditionally_convergent,
-    linearize,
-)
+from .algebra import LinComb, Refusal
+from .expansion import expand_t1, expand_t2, is_conditionally_convergent, linearize
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
-from .reduction import StepCapError, load_identity_table, reduce_lincomb
+from .reduction import load_identity_table, reduce_lincomb
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,10 +69,7 @@ class OutputLimitError(Exception):
 _FAILURES = {
     UsageError: (EXIT_PARSE, ""),
     ConvergenceError: (EXIT_DIVERGENT, "divergent index: "),
-    UnsupportedHypothesisError: (EXIT_ENGINE, "engine precondition: "),
-    DegreeCapError: (EXIT_ENGINE, "engine precondition: "),
-    StepCapError: (EXIT_ENGINE, "engine precondition: "),
-    numerics.WordCapError: (EXIT_ENGINE, "engine precondition: "),
+    Refusal: (EXIT_ENGINE, "engine precondition: "),
     OutputLimitError: (EXIT_ENGINE, "cannot print result: "),
     IndexParseError: (EXIT_PARSE, "cannot parse index: "),
     ValueError: (EXIT_PARSE, ""),
@@ -90,9 +81,15 @@ _UNREADABLE = (OSError, UnicodeDecodeError)
 
 
 def _failure(e: Exception) -> tuple[int, str]:
-    """The exit code and message of an error of a ``_FAILURES`` type."""
+    """The exit code and message of an error of a ``_FAILURES`` type; those of
+    ``OutputLimitError`` if its message holds a number too long to write."""
+    try:
+        with _printing():
+            message = str(e)
+    except OutputLimitError as limit:
+        e, message = limit, str(limit)
     code, prefix = next(v for t, v in _FAILURES.items() if isinstance(e, t))
-    return code, prefix + str(e)
+    return code, prefix + message
 
 
 def _err(msg: str):
@@ -144,7 +141,7 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str):
     if engine == "auto":
         try:
             lc2 = expand_t2(idx)
-        except (UnsupportedHypothesisError, DegreeCapError):
+        except Refusal:  # t2 declines the index, or its size
             return lc, "t1", None
         if linearize(lc2) != lc:
             raise AssertionError(
@@ -195,19 +192,26 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _reduced(lc: LinComb, tables, traced: bool):
+    """The reduced value, and its trace if ``traced``; the step records, which
+    hold every rewrite's rhs, are dropped before the value is printed."""
+    result = reduce_lincomb(lc, tables=tables)
+    with _printing():
+        return result.value, (result.trace if traced else None)
+
+
 def cmd_reduce(args) -> int:
     idx = _index(args.index)
     tables, code = _load_tables(args)
     if code:
         return code
     lc, engine, _ = _expand_with_engine(idx, args.engine)
-    result = reduce_lincomb(lc, tables=tables)
+    value, trace = _reduced(lc, tables, args.trace and args.output != "latex")
     unresolved = ()
-    if args.output != "latex":  # latex names none; a Li atom has no slots, a[2]
+    if args.output != "latex":  # latex prints neither; a Li atom has no slots, a[2]
         with _printing():
-            unresolved = sorted({a.render() for a in result.value.atoms() if len(a[2]) >= 2})
-    trace = result.trace if args.trace else None
-    _emit(idx, result.value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
+            unresolved = sorted({a.render() for a in value.atoms() if len(a[2]) >= 2})
+    _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
     if unresolved and args.output == "plain":
         _err("unresolved atoms (left as basis elements): " + ", ".join(unresolved))
     return EXIT_OK

@@ -42,7 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .algebra import UNIT_TERM, LinComb, MzvAtom, SymbolicTerm, Term, z
+from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
 
 # Largest number of ordered multiset partitions of the inner entries that an
@@ -50,11 +50,11 @@ from .indices import EulerSumIndex
 PARTITION_CAP = 2**20
 
 
-class UnsupportedHypothesisError(ValueError):
+class UnsupportedHypothesisError(Refusal, ValueError):
     """The index falls outside the engine's hypotheses."""
 
 
-class DegreeCapError(ValueError):
+class DegreeCapError(Refusal, ValueError):
     """The expansion of the index is too large to enumerate."""
 
 
@@ -87,8 +87,8 @@ def _check_size(inner):
     count = ordered_partition_count(inner)
     if count > PARTITION_CAP:
         raise DegreeCapError(
-            f"the {len(inner)} inner entries have {count} ordered partitions, "
-            f"above the enumeration cap {PARTITION_CAP}"
+            "the %d inner entries have %d ordered partitions, above the enumeration cap %d",
+            len(inner), count, PARTITION_CAP,
         )
 
 
@@ -229,15 +229,11 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
 def expand_t2(idx: EulerSumIndex) -> LinComb:
     """Tail-sum expansion; needs all inner exponents >= 2 and outer >= 2."""
     if idx.outer < 0 or any(e < 0 for e in idx.inner):
-        raise UnsupportedHypothesisError(
-            f"engine t2 does not cover alternating indices: {idx}"
-        )
+        raise UnsupportedHypothesisError("engine t2 does not cover alternating indices: %s", idx)
     if any(e < 2 for e in idx.inner):
-        raise UnsupportedHypothesisError(
-            f"engine t2 needs every inner exponent >= 2: {idx}"
-        )
+        raise UnsupportedHypothesisError("engine t2 needs every inner exponent >= 2: %s", idx)
     if idx.outer < 2:
-        raise UnsupportedHypothesisError(f"engine t2 needs outer >= 2: {idx}")
+        raise UnsupportedHypothesisError("engine t2 needs outer >= 2: %s", idx)
     _check_size(idx.inner)
     q = idx.outer
     counts = sorted(Counter(idx.inner).items())

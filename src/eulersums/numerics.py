@@ -72,7 +72,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinComb, MzvAtom, z
+from .algebra import LinComb, MzvAtom, Refusal, z
 from .indices import EulerSumIndex
 
 N_MAX = 10**4
@@ -220,7 +220,7 @@ HOLDER_N = 200
 HOLDER_WORD_CAP = 200_000  # letters of the longest Hoelder word; its time is linear in it
 
 
-class WordCapError(ValueError):
+class WordCapError(Refusal, ValueError):
     """An atom whose Hoelder word, as long as its weight, exceeds HOLDER_WORD_CAP."""
 
 
@@ -315,7 +315,7 @@ def _store_atoms(atoms) -> None:
     missing = [a for a in dict.fromkeys(atoms) if a not in _ATOM_UNITS]
     for a in missing:
         if a.weight > HOLDER_WORD_CAP:
-            raise WordCapError(f"{a.render()}: weight {a.weight} above the Hoelder word cap {HOLDER_WORD_CAP}")
+            raise WordCapError("%s: weight %d above the Hoelder word cap %d", a, a.weight, HOLDER_WORD_CAP)
     words = [([0] * (a.li - 1) + [2], 1) if a.li else (_holder_word(a.args), len(a.args)) for a in missing]
     _ATOM_UNITS.update(zip(missing, itertools.starmap(_to_units, _fp_holders(words))))
 

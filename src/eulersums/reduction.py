@@ -46,14 +46,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .algebra import LinComb, MzvAtom, SymbolicTerm, Term, parse_atom, z
+from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
 
 TRACE_CAP = 10_000
 STEP_CAP = 100_000
 
 
-class StepCapError(RuntimeError):
-    """A reduction that did not reach its fixpoint within the step cap."""
+class StepCapError(Refusal, RuntimeError):
+    """A reduction that did not reach its fixpoint within the step cap, or one rewrite past it."""
+
+
+def _refuse_past_step_cap(rule: str, atom: MzvAtom, growth: str):
+    """Refuse ``atom`` if ``rule``'s output on it, of size w - 1 (``growth``), is above the step cap."""
+    if atom[1] - 1 > STEP_CAP:
+        raise StepCapError("%s on %s would " + growth + ", above the step cap %d",
+                           rule, atom, atom[1] - 1, STEP_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +164,12 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     # li, slots, weight by index: most atoms leave here
     if atom[0] or len(atom[2]) != 2 or atom[1] % 2 == 0:
         return None
+    # The sum below emits up to two products for each of its (w - 1)/2
+    # values of k, in one rewrite that the step cap never sees.
+    _refuse_past_step_cap("depth2_odd", atom, "emit up to %d products")
     a, b = atom[2]
     s, t = abs(a), abs(b)
     w = atom[1]
-    if w - 1 > STEP_CAP:
-        # The sum below emits up to two products for each of its (w - 1)/2
-        # values of k, in one rewrite that the step cap never sees.
-        raise StepCapError(
-            f"depth2_odd on {atom.render()} would emit up to {w - 1} products, "
-            f"above the step cap {STEP_CAP}"
-        )
     sg, tg = (1 if a > 0 else -1), (1 if b > 0 else -1)
     sign = (-1) ** s
 
@@ -228,7 +231,10 @@ class IdentityRule:
 
 def _rw_alt_depth1(a: MzvAtom) -> LinComb | None:
     args = a[2]
-    return alt_depth1(-args[0]) if len(args) == 1 and args[0] <= -2 else None
+    if len(args) != 1 or args[0] > -2:
+        return None
+    _refuse_past_step_cap("alt_depth1", a, "make a coefficient over 2^%d")
+    return alt_depth1(-args[0])
 
 
 def _rw_repeated(a: MzvAtom) -> LinComb | None:
@@ -407,9 +413,33 @@ def build_starter_table(max_weight: int = 12) -> IdentityTable:
 
 @dataclass
 class ReduceResult:
+    """The reduced ``value`` and the ``log`` of its steps, each the record
+    ``(rule, atom, rest, c, rhs)``, or ``(..., orderings)`` for a reflection:
+    the step added c * rest * (rhs - lhs), lhs the atom or the orderings' sum."""
+
     value: LinComb
-    trace: list[str] = field(default_factory=list)
-    steps: int = 0
+    log: list[tuple] = field(default_factory=list)
+
+    @property
+    def steps(self) -> int:
+        return len(self.log)
+
+    @property
+    def trace(self) -> list[str]:
+        """The first ``TRACE_CAP`` steps as text, written when read."""
+        return [_trace_line(record) for record in self.log[:TRACE_CAP]]
+
+
+def _trace_line(record: tuple) -> str:
+    """A step as text: "rule: atom", or the family a reflection eliminated."""
+    rule, atom, rest = record[:3]
+    if len(record) == 5:
+        return f"{rule}: {atom.render()}"
+    last = record[5][-1]  # of a pair, its other ordering
+    if rule == "reflection_triple":
+        return f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
+    cofactor = f" (cofactor {rest.render()})" if not rest.is_unit() else ""
+    return f"reflection_pair: {atom.render()} + {last.render()}{cofactor}"
 
 
 def _term_without(term: Term, atom: MzvAtom) -> Term:
@@ -434,14 +464,13 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
 
 
 class _WorkingSum:
-    """The combination under rewriting: a mutable term -> coefficient dict
-    (zero coefficients pruned), a heap, by ``term_key()``, of the present
-    terms with an atom that rewrites, each with its first such atom and that
-    atom's rewrite, and the set of present terms with an atom a reflection
-    pass can eliminate.  A term is classified as it enters, from ``memo``:
-    atom -> (``_atom_rewrite`` of it, whether a pass can eliminate it), each
-    atom matched once per working sum.  A term none of whose atoms
-    rewrites never touches the heap."""
+    """The combination under rewriting: a term -> coefficient dict (zeros
+    pruned); a heap, by ``term_key()``, of the present terms with an atom that
+    rewrites, each with its first such atom and that atom's rewrite; and the
+    set of present terms with an atom a reflection pass can eliminate.  A
+    term is classified as it enters, from ``memo``: atom -> (``_atom_rewrite``
+    of it, whether a pass can eliminate it), each atom matched once per
+    working sum.  A term none of whose atoms rewrites never touches the heap."""
 
     def __init__(self, lc: LinComb, rules: list[IdentityRule]):
         self.rules = rules
@@ -449,8 +478,7 @@ class _WorkingSum:
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
         self.in_heap: set[Term] = set()
         self.reflectable: set[Term] = set()
-        # The heap orders the terms, so they are read unsorted here and in
-        # add_product.
+        # The heap orders the terms, so they are read unsorted here and in apply.
         self.heap = [entry for t in self.coeffs if (entry := self._enter(t)) is not None]
         heapq.heapify(self.heap)
 
@@ -491,24 +519,22 @@ class _WorkingSum:
             del self.coeffs[term]
             self.reflectable.discard(term)
 
-    def pop(self, term: Term) -> Fraction:
-        """Remove ``term`` and return its coefficient."""
-        self.reflectable.discard(term)
-        return self.coeffs.pop(term)
-
-    def add_product(self, rest: Term, c: Fraction, rhs: LinComb):
+    def apply(self, record: tuple):
+        """Add a step's c * rest * (rhs - lhs); see ``ReduceResult``."""
+        _rule, atom, rest, c, rhs, *orderings = record
+        for o in orderings[0] if orderings else (atom,):
+            self.add(rest.mul(o), -c)
         for t, rc in rhs._d.items():
             self.add(rest.mul(t), c * rc)
 
     def pop_pending(self):
-        """``(term, atom, (rhs, rule name))`` for the smallest present term
-        with an atom that rewrites, and its first such atom; None if no
-        present term has one."""
+        """The record of the next atom step, which rewrites the first such atom
+        of the smallest present term with an atom that rewrites; None if none has."""
         while self.heap:
-            _key, term, atom, hit = heapq.heappop(self.heap)
+            _key, term, atom, (rhs, name) = heapq.heappop(self.heap)
             self.in_heap.discard(term)
             if term in self.coeffs:
-                return term, atom, hit
+                return name, atom, _term_without(term, atom), self.coeffs[term], rhs
         return None
 
 
@@ -538,14 +564,13 @@ def _first_candidate(terms: set[Term], find):
     return None if best is None else best[1:]
 
 
-def _apply_reflection(work: _WorkingSum, trace: list[str], shape, paid: int, note) -> bool:
-    """One application of the symmetric sum to a family of orderings.
-
-    Finds the smallest term with an atom of ``shape`` all of whose distinct
-    orderings are present under the same cofactor.  With c the coefficient
-    of the ordering at index ``paid`` (in sorted order), it subtracts c from
-    each ordering, which eliminates that one, and adds c times their sum's
-    closed form; ``note(atom, orderings, rest)`` is the trace line.
+def _next_reflection(work: _WorkingSum, shape, paid: int, rule: str) -> tuple | None:
+    """The record of one application of the symmetric sum to a family of
+    orderings, at the smallest term with an atom of ``shape`` all of whose
+    distinct orderings are present under the same cofactor; None if there is
+    none.  With c the coefficient of the ordering at index ``paid`` (in
+    sorted order), the step subtracts c from each ordering, which eliminates
+    that one, and adds c times their sum's closed form.
     """
     coeffs = work.coeffs
 
@@ -559,26 +584,11 @@ def _apply_reflection(work: _WorkingSum, trace: list[str], shape, paid: int, not
 
     found = _first_candidate(work.reflectable, find)
     if found is None:
-        return False
+        return None
     _term, (atom, orderings, rest) = found
-    t_amt = coeffs[rest.mul(orderings[paid])]
     # Each distinct ordering is len(orderings) / k! of the k! permutations.
     rhs = symmetric_sum(orderings[0].args).scale(Fraction(len(orderings), math.factorial(atom.depth)))
-    for o in orderings:
-        work.add(rest.mul(o), -t_amt)
-    work.add_product(rest, t_amt, rhs)
-    if len(trace) < TRACE_CAP:
-        trace.append(note(atom, orderings, rest))
-    return True
-
-
-def _pair_note(atom: MzvAtom, orderings: list[MzvAtom], rest: Term) -> str:
-    cofactor = f" (cofactor {rest.render()})" if not rest.is_unit() else ""
-    return f"reflection_pair: {atom.render()} + {orderings[1].render()}{cofactor}"
-
-
-def _triple_note(atom: MzvAtom, orderings: list[MzvAtom], rest: Term) -> str:
-    return f"reflection_triple: orderings of {atom.render()} eliminated via {orderings[-1].render()}"
+    return rule, atom, rest, coeffs[rest.mul(orderings[paid])], rhs, orderings
 
 
 def reduce_lincomb(
@@ -592,35 +602,30 @@ def reduce_lincomb(
 
     Each step rewrites the first rewritable atom, in sort order, of the
     smallest term that has one; only when no atom rewrites does one
-    reflection pass (pairs, then triples) fire.  An atom step touches only
-    the terms it creates or cancels, each distinct atom is matched against
-    the tables and rules once per call, a term is classified once each time
-    it enters the sum and queued only if one of its atoms rewrites, and a
-    reflection pass is one scan over the terms that hold an atom it can
-    eliminate.  Atoms are matched as their term enters, so a rule that
-    leaks weight fails on any atom that enters, even one never rewritten.
+    reflection pass (pairs, then triples) fire.  Each step is one record of
+    the result's log; no text is written until ``trace`` is read.  An atom
+    step touches only the terms it creates or cancels; each distinct atom
+    is matched against the tables and rules once per call, as its term
+    enters, so a rule that leaks weight fails on any atom that enters, even
+    one never rewritten; a reflection pass is one scan over the terms that
+    hold an atom it can eliminate.
     """
     if rules is None:
         rules = default_rules()
     rules = [IdentityRule(f"table[{t.label}]", t.lookup) for t in tables] + rules
     work = _WorkingSum(lc, rules)
-    trace: list[str] = []
-    steps = 0
-    while steps < max_steps:
-        found = work.pop_pending()
-        if found is not None:
-            term, atom, (rhs, name) = found
-            c = work.pop(term)
-            work.add_product(_term_without(term, atom), c, rhs)
-            if len(trace) < TRACE_CAP:
-                trace.append(f"{name}: {atom.render()}")
-        elif not (
+    log: list[tuple] = []
+    while len(log) < max_steps:
+        record = (
+            work.pop_pending()
             # pairs eliminate z(a,b), a < b, keeping the basis form z(b,a)
-            _apply_reflection(work, trace, _pair_reflectable, 0, _pair_note)
-            or _apply_reflection(work, trace, _triple_reflectable, -1, _triple_note)
-        ):
+            or _next_reflection(work, _pair_reflectable, 0, "reflection_pair")
+            or _next_reflection(work, _triple_reflectable, -1, "reflection_triple")
+        )
+        if record is None:
             break
-        steps += 1
+        work.apply(record)
+        log.append(record)
     else:
-        raise StepCapError(f"reduction did not reach a fixpoint within {max_steps} steps")
-    return ReduceResult(LinComb._of_nonzero(work.coeffs), trace, steps)
+        raise StepCapError("reduction did not reach a fixpoint within %d steps", max_steps)
+    return ReduceResult(LinComb._of_nonzero(work.coeffs), log)

@@ -8,10 +8,12 @@ carries in fixed point; the kernel's one-word quasi-shuffle as it was
 first written; engine t1 as it built its terms in the kernel's order; the
 default rewrite rules and reflection predicates as they read an atom
 through its properties; and the text of atoms and combinations built from
-their fields, without ``render``.
+their fields, without ``render``.  ``convergent_indices`` lists the indices
+that sweeps run over.
 """
 
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -19,7 +21,7 @@ from fractions import Fraction
 from eulersums import reduction
 from eulersums.algebra import LinComb, MzvAtom, z
 from eulersums.expansion import _check_size, _quasi_shuffle
-from eulersums.indices import EulerSumIndex
+from eulersums.indices import EulerSumIndex, make_index
 from eulersums.numerics import _FP_SCALE, NumericResult, _fp_result, _to_units
 from eulersums.reduction import IdentityRule, alt_depth1, symmetric_sum, zeta_ones
 
@@ -277,3 +279,27 @@ def reference_json_terms(lc: LinComb) -> str:
             for t, c in _reference_items(lc)
         ]
     )
+
+
+# -- index sweeps ------------------------------------------------------------------
+
+
+def _partitions(n, largest=None):
+    """The partitions of n, parts in descending order."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def convergent_indices(max_weight):
+    """Every convergent index of weight <= max_weight, once each."""
+    out = {}
+    for w in range(1, max_weight + 1):
+        for outer in set(range(-w, w + 1)) - {0, 1}:
+            for mags in _partitions(w - abs(outer)):
+                for signs in itertools.product((1, -1), repeat=len(mags)):
+                    out[make_index([m * s for m, s in zip(mags, signs)], outer)] = None
+    return list(out)

@@ -746,6 +746,19 @@ def test_reduce_huge_depth2_atom_exit4():
     assert done.stderr.startswith("engine precondition: depth2_odd on z(1000000000000001,2) ")
 
 
+@pytest.mark.parametrize("text", ["S(4,2,-1000000000001)", "S(-100000000000,6)"])
+def test_reduce_huge_alternating_atom_exit4(text):
+    # the coefficient 2^(1-w) - 1 of a barred depth-1 atom has the denominator
+    # 2^(w-1): past the step cap it is refused before the power is built
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "eulersums.cli", "reduce", text]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=2)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("engine precondition: alt_depth1 on z(-")
+    assert done.stderr.endswith(", above the step cap 100000\n")
+
+
 def test_atom_above_the_word_cap_exit4(capsys, tmp_path):
     # an atom whose Hoelder word would run past the cap is refused at once,
     # before the word is built: verify and eval --json exit 4 with the
@@ -812,6 +825,18 @@ def test_result_past_a_lowered_digit_limit_exit4(capsys, digit_limit_640, output
     code, out, err = run(capsys, "reduce", "--output", output, f"S({big},{big},2)")
     assert (code, out) == (4, "")
     assert err.startswith("cannot print result: it holds a number of more than 640 digits")
+    # the library writes no number into a step or a refusal: the CLI writes each
+    # where it prints, so a pair reflection's trace line, depth2_odd's refusal
+    # (its w - 1 and its atom) and a word-cap refusal in a verify line refuse alike
+    for argv in (["reduce"], ["reduce", "--trace"]):
+        for text in (f"S({big},2,2)", f"S({big},3,2)"):
+            code, out, err = run(capsys, *argv, "--output", output, text)
+            assert (code, out) == (4, ""), (argv, text)
+            assert err.startswith("cannot print result: it holds a number of more than 640 digits")
+    code, out, err = run(capsys, "verify", f"S({big},-2)")
+    assert (code, err) == (4, "")
+    assert out.splitlines()[1].startswith(
+        "ERROR (exit 4): cannot print result: it holds a number of more than 640 digits")
     code, out, err = run(capsys, "expand", "S(" + "1" * 641 + ",2)")
     assert (code, out) == (2, "")
     assert err.startswith("cannot parse index: entry of more than 640 digits")

@@ -26,7 +26,7 @@ from eulersums.indices import make_index, parse_index
 from eulersums.numerics import eval_mhs_exact
 
 from fixtures_closed_forms import lc
-from reference_oracles import _reference_expand_t1, alt_harmonic_exact, harmonic_exact
+from reference_oracles import _reference_expand_t1, alt_harmonic_exact, convergent_indices, harmonic_exact
 
 
 # -- ordering-class engine fixtures -------------------------------------------
@@ -204,33 +204,12 @@ def test_t1_gives_two_atoms_per_word(inner, outer):
     assert len(expand_t1(idx)) == 2 * len(words)
 
 
-def _partitions(n, largest=None):
-    """The partitions of n, parts in descending order."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
-
-
-def _convergent_indices(max_weight):
-    """Every convergent index of weight <= max_weight, once each."""
-    out = {}
-    for w in range(1, max_weight + 1):
-        for outer in set(range(-w, w + 1)) - {0, 1}:
-            for mags in _partitions(w - abs(outer)):
-                for signs in itertools.product((1, -1), repeat=len(mags)):
-                    out[make_index([m * s for m, s in zip(mags, signs)], outer)] = None
-    return list(out)
-
-
 def test_t1_builds_its_terms_in_term_order():
     # against the loop that built the terms in the kernel's popitem order: the
     # same combination, the same JSON bytes, and a dict already in items()
     # order; the degree-6/7 indices have a barred outer and first letters of
     # both signs, so the atom-1 block sits between reversed runs
-    indices = _convergent_indices(7)
+    indices = convergent_indices(7)
     assert len(indices) == 423  # 422 of weight 2-7, and S(-1)
     indices += [
         parse_index(s)

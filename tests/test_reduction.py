@@ -8,6 +8,7 @@ import math
 import os
 import random
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from reference_oracles import (
     _reference_depth2_odd,
     _reference_pair_reflectable,
     _reference_triple_reflectable,
+    convergent_indices,
     reference_rules,
 )
 
@@ -150,6 +152,25 @@ def test_depth2_odd_refuses_past_the_step_cap(monkeypatch):
     assert depth2_odd(z(19, 2)).weights() == {21}
     with pytest.raises(reduction.StepCapError):
         depth2_odd(z(-21, 2))
+
+
+def test_alt_depth1_refuses_past_the_step_cap(monkeypatch):
+    # the coefficient 2^(1-w) - 1 has the denominator 2^(w-1): past the step
+    # cap the rule refuses before the power is built; at the cap it is built
+    (rule,) = [r for r in default_rules() if r.name == "alt_depth1"]
+    cap = reduction.STEP_CAP
+    assert rule.rewrite(z(-(cap + 1))) == LinComb.of_atom(z(cap + 1), Fraction(1, 2**cap) - 1)
+    with pytest.raises(reduction.StepCapError) as refused:
+        rule.rewrite(z(-(cap + 2)))
+    assert str(refused.value) == (
+        f"alt_depth1 on z({-(cap + 2)}) would make a coefficient over 2^{cap + 1}, above the step cap {cap}"
+    )
+    with pytest.raises(reduction.StepCapError, match=r"^alt_depth1 on z\(-1000000000000\) "):
+        reduce_lincomb(LinComb.of_term(SymbolicTerm.of(z(3), z(-10**12))))
+    monkeypatch.setattr(reduction, "STEP_CAP", 20)
+    assert rule.rewrite(z(-21)).weights() == {21}
+    with pytest.raises(reduction.StepCapError):
+        rule.rewrite(z(-22))
 
 
 def test_depth2_odd_matches_reference_kernel():
@@ -820,7 +841,7 @@ def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
         break
     else:
         raise reduction.StepCapError(f"reduction did not reach a fixpoint within {max_steps} steps")
-    return reduction.ReduceResult(current, trace, steps)
+    return types.SimpleNamespace(value=current, trace=trace, steps=steps)
 
 
 @pytest.fixture(scope="module")
@@ -1037,6 +1058,51 @@ def test_trace_never_exceeds_cap(monkeypatch):
         capped = reduce_lincomb(lc)
         assert capped.steps == full.steps and capped.value == full.value
         assert capped.trace == full.trace[:cap]
+
+
+# -- the step records ------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def weight7_expansions():
+    """The t1 expansion of every convergent index of weight <= 7."""
+    return [expand_t1(idx) for idx in convergent_indices(7)]
+
+
+def test_reduction_writes_no_text(starter12, weight7_expansions, monkeypatch):
+    # a step is a record of atoms, terms and numbers; no text is written until
+    # ``trace`` is read
+    def no_text(self):
+        raise AssertionError("text written during a reduction")
+
+    monkeypatch.setattr(MzvAtom, "render", no_text)
+    monkeypatch.setattr(SymbolicTerm, "render", no_text)
+    steps = 0
+    for expansion in weight7_expansions:
+        for tables in ([], [starter12]):
+            steps += reduce_lincomb(expansion, tables=tables).steps
+    assert steps > 1000
+
+
+def _replay(lc: LinComb, log) -> LinComb:
+    """``lc`` plus c * rest * (rhs - lhs) for each record of ``log``; lhs is
+    the record's atom, or the sum of a reflection's orderings."""
+    for _rule, atom, rest, c, rhs, *orderings in log:
+        lhs = sum(map(LinComb.of_atom, orderings[0] if orderings else [atom]), LinComb.zero())
+        lc = lc + LinComb.of_term(rest, c) * (rhs - lhs)
+    return lc
+
+
+def test_replaying_the_records_gives_the_value(starter12, weight7_expansions):
+    rules = set()
+    for expansion in weight7_expansions:
+        for tables in ([], [starter12]):
+            r = reduce_lincomb(expansion, tables=tables)
+            assert _replay(expansion, r.log) == r.value
+            assert r.steps == len(r.log) and len(r.trace) == r.steps
+            rules.update((record[0], len(record)) for record in r.log)
+    assert {("reflection_pair", 6), ("reflection_triple", 6), ("alt_depth1", 5)} <= rules
+    assert ("table[starter<=w12]", 5) in rules
 
 
 # -- table save -> load ----------------------------------------------------------------------
