@@ -16,17 +16,17 @@
 E is t1, t2 or auto (default auto); O is plain, latex or json (default
 plain); T lies in [1e-10, 1e-3] (default 1e-8).
 
-Exit codes: 0 success/pass, 1 verification failure, 2 parse/usage error
-(also an unreadable or non-UTF-8 table or batch file, a batch file with no
-index, an expansion dump of the wrong shape, INDEX together with --file or
---json, or an option the command does not take), 3 divergent index, 4
-engine precondition violated (also a reduction that does not reach its
-fixpoint within the step cap, a depth2_odd or alt_depth1 rewrite of an
-atom whose weight - 1 is above the cap, an atom of weight above the
-Hoelder word cap, or a result or refusal holding an integer of more digits
-than the interpreter prints, 4300 by default: "cannot print result"), 5 no
-usable table with --require-tables (or in table-check).
-Diagnostics go to stderr; results go to stdout.
+Exit codes: 0 success/pass; 1 verification failure, or t1 and t2 disagree
+under auto ("engine disagreement on"); 2 text that does not parse ("cannot
+parse index: "), or a usage error: no INDEX, INDEX with --file or --json,
+an option the command does not take, an unreadable or non-UTF-8 table or
+batch file, a batch with no index, a dump of the wrong shape; 3 "divergent
+index: "; 4 "engine precondition: " for the partition, step and Hoelder word
+caps and a depth2_odd or alt_depth1 rewrite of an atom whose weight - 1 is
+above the step cap, or "cannot print result: " for a result or refusal with
+an integer of more digits than the interpreter prints (4300 by default); 5
+no usable table with --require-tables, given a --table or not, or in
+table-check.  Diagnostics go to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -64,15 +64,14 @@ class OutputLimitError(Exception):
 
 
 # Exit code and message prefix of each error that ends a command, or one
-# line of a verify batch.  The first matching type wins, so the subclasses
-# of ValueError come before it.
+# line of a verify batch.  No type is a subclass of another, so an error
+# matches one entry wherever it stands.
 _FAILURES = {
     UsageError: (EXIT_PARSE, ""),
+    IndexParseError: (EXIT_PARSE, "cannot parse index: "),
     ConvergenceError: (EXIT_DIVERGENT, "divergent index: "),
     Refusal: (EXIT_ENGINE, "engine precondition: "),
     OutputLimitError: (EXIT_ENGINE, "cannot print result: "),
-    IndexParseError: (EXIT_PARSE, "cannot parse index: "),
-    ValueError: (EXIT_PARSE, ""),
     AssertionError: (EXIT_FAIL, ""),
 }
 
@@ -128,7 +127,8 @@ def _load_tables(args) -> tuple[list, int]:
             if len(table) == 0:
                 _err(f"{cand}: no usable entries")
             tables.append(table)
-    if args.require_tables and args.table and not any(len(t) for t in tables):
+    if args.require_tables and not any(len(t) for t in tables):
+        _err("--require-tables: no --table with a usable entry")
         return tables, EXIT_TABLES
     return tables, EXIT_PARSE if len(tables) < len(args.table) else EXIT_OK
 
@@ -192,25 +192,19 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def _reduced(lc: LinComb, tables, traced: bool):
-    """The reduced value, and its trace if ``traced``; the step records, which
-    hold every rewrite's rhs, are dropped before the value is printed."""
-    result = reduce_lincomb(lc, tables=tables)
-    with _printing():
-        return result.value, (result.trace if traced else None)
-
-
 def cmd_reduce(args) -> int:
     idx = _index(args.index)
     tables, code = _load_tables(args)
     if code:
         return code
     lc, engine, _ = _expand_with_engine(idx, args.engine)
-    value, trace = _reduced(lc, tables, args.trace and args.output != "latex")
-    unresolved = ()
-    if args.output != "latex":  # latex prints neither; a Li atom has no slots, a[2]
-        with _printing():
-            unresolved = sorted({a.render() for a in value.atoms() if len(a[2]) >= 2})
+    result = reduce_lincomb(lc, tables=tables)
+    with _printing():  # latex prints neither the trace nor the unresolved list
+        trace = result.trace if args.trace and args.output != "latex" else None
+        value = result.value
+        del result  # the step records, which hold every rewrite's rhs, are freed before printing
+        atoms = value.atoms() if args.output != "latex" else ()
+        unresolved = sorted({a.render() for a in atoms if len(a[2]) >= 2})  # a Li atom has no slots, a[2]
     _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
     if unresolved and args.output == "plain":
         _err("unresolved atoms (left as basis elements): " + ", ".join(unresolved))

@@ -83,6 +83,26 @@ def test_expand_auto_checks_engines_exactly(capsys, monkeypatch):
     assert "exactly" in doc["note"]
 
 
+def test_engine_disagreement_exit1(capsys, monkeypatch, tmp_path):
+    # a linearized t2 expansion that differs from t1 fails the check, exit 1;
+    # in a verify batch only its line fails, and the lines t2 does not cover pass
+    from eulersums import cli
+
+    linearize = cli.linearize
+    extra = eulersums.LinComb.of_atom(eulersums.z(5))
+    monkeypatch.setattr(cli, "linearize", lambda lc: linearize(lc) + extra)
+    code, out, err = run(capsys, "expand", "S(2,3)")
+    assert (code, out) == (1, "") and err.startswith("engine disagreement on S(2,3)")
+    f = tmp_path / "batch.txt"
+    f.write_text("S(1,2)\nS(2,3)\nS(-2,-1)\n")
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--file", str(f))
+    assert code == 1
+    blocks = out.split("== ")[1:]
+    assert [b.splitlines()[0] for b in blocks] == ["S(1,2)", "S(2,3)", "S(-2,-1)"]
+    assert blocks[0].rstrip().endswith("PASS") and blocks[2].rstrip().endswith("PASS")
+    assert blocks[1].splitlines()[1].startswith("ERROR (exit 1): engine disagreement on S(2,3)")
+
+
 def test_expand_json_schema(capsys):
     code, out, _ = run(capsys, "expand", "--output", "json", "S(2,3)")
     doc = json.loads(out)
@@ -178,6 +198,13 @@ def test_reduce_require_tables_exit5(capsys, tmp_path):
         capsys, "reduce", "--require-tables", "--table", str(tmp_path / "missing.jsonl"), "S(2,3)"
     )
     assert code == 5
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_require_tables_without_a_table_exit5(capsys, command):
+    # no --table at all is no usable table: exit 5, with the option named
+    code, out, err = run(capsys, command, "--require-tables", "S(2,3)")
+    assert (code, out, err) == (5, "", "--require-tables: no --table with a usable entry\n")
 
 
 def test_reduce_missing_table_exit2(capsys, tmp_path):

@@ -2,9 +2,11 @@
 
 import doctest
 import pathlib
+import re
 import types
 
 import eulersums
+from eulersums import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +38,24 @@ def test_public_names():
         "reduce_lincomb", "reflection_pair_sum", "reflection_triple_sum", "render_index", "save_table",
         "symmetric_sum", "z", "zeta_ones", "zeta_repeated", "zeta_repeated_bar",
     ]
+
+
+def _readme_exit_codes() -> dict[int, str]:
+    """README's exit-code list: the text of each code's item, on one line."""
+    lines = README.read_text(encoding="utf-8").split("\nExit codes.", 1)[1].splitlines()
+    items: dict[int, list[str]] = {}
+    for line in lines[lines.index("") + 1:]:  # the list follows its opening paragraph
+        code = re.match(r"- `(\d)`: ", line)
+        if code:
+            item = items.setdefault(int(code[1]), [])
+        elif line and not line.startswith(" "):
+            break
+        item.append(line.strip())
+    return {code: " ".join(item) for code, item in items.items()}
+
+
+def test_readme_lists_every_exit_code_with_its_prefixes():
+    items = _readme_exit_codes()
+    assert sorted(items) == [0, 1, 2, 3, 4, 5]
+    for code, prefix in cli._FAILURES.values():
+        assert prefix.strip() in items[code], (code, prefix)
