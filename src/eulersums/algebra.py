@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 import operator
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
 
 from .indices import _INT_RE
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import dataclass
 
 
 class IndexParseError(ValueError):
@@ -38,18 +37,59 @@ class ConvergenceError(ValueError):
     """The index denotes a divergent series."""
 
 
-@dataclass(frozen=True)
-class EulerSumIndex:
-    inner: tuple[int, ...]
-    outer: int
+class _Record:
+    """A record of the fields that its class names in ``__slots__``: equal
+    only to a record of the same class with equal fields, and pickled and
+    copied through its constructor.  Not a dataclass: importing
+    ``dataclasses`` loads ``inspect`` and ``ast``, about a tenth of the
+    CLI's start-up."""
 
-    def __post_init__(self):
-        if self.outer == 0 or any(i == 0 for i in self.inner):
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record hashed by its fields, which cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EulerSumIndex(_FrozenRecord):
+    __slots__ = ("inner", "outer")
+
+    def __init__(self, inner: tuple[int, ...], outer: int):
+        if outer == 0 or any(i == 0 for i in inner):
             raise ValueError("index entries must be nonzero")
-        if self.outer == 1:
+        if outer == 1:
             raise ConvergenceError("outer exponent 1 with a non-alternating outer series diverges")
-        if tuple(canonical_inner(self.inner)) != self.inner:
-            raise ValueError(f"inner entries not in canonical order: {self.inner}")
+        if tuple(canonical_inner(inner)) != inner:
+            raise ValueError(f"inner entries not in canonical order: {inner}")
+        super().__init__(inner, outer)
 
     @property
     def weight(self) -> int:

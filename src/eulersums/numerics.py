@@ -69,11 +69,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, z
-from .indices import EulerSumIndex
+from .indices import EulerSumIndex, _FrozenRecord
 
 N_MAX = 10**4
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
@@ -81,8 +80,7 @@ BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 SUM_TOL_FLOOR = 1e-10
 
 
-@dataclass(frozen=True)
-class NumericResult:
+class NumericResult(_FrozenRecord):
     """A certified evaluation: |value - true| <= tail_bound.
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
@@ -90,10 +88,10 @@ class NumericResult:
     ``value`` is an exact dyadic rational of 64 significant bits.
     """
 
-    value: Fraction
-    tail_bound: float
-    terms_used: int
-    method: str = "holder"
+    __slots__ = ("value", "tail_bound", "terms_used", "method")
+
+    def __init__(self, value: Fraction, tail_bound: float, terms_used: int, method: str = "holder"):
+        super().__init__(value, tail_bound, terms_used, method)
 
     def __repr__(self):
         return f"NumericResult({_digits15(self.value)} +- {_up3(self.tail_bound)}, N={self.terms_used})"

@@ -42,11 +42,11 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
+from .indices import _FrozenRecord, _Record
 
 TRACE_CAP = 10_000
 STEP_CAP = 100_000
@@ -217,13 +217,14 @@ def reflection_triple_sum(a: int, b: int, c: int) -> LinComb:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityRule:
+class IdentityRule(_FrozenRecord):
     """A closed form as a rewrite: ``rewrite(atom)`` is the atom's reduced
     form, or None off the rule's domain."""
 
-    name: str
-    rewrite: Callable[[MzvAtom], LinComb | None]
+    __slots__ = ("name", "rewrite")
+
+    def __init__(self, name: str, rewrite: Callable[[MzvAtom], LinComb | None]):
+        super().__init__(name, rewrite)
 
 
 # Each guard reads an atom's slots, a[2], once; a Li atom has none.  a[1] is the weight.
@@ -411,14 +412,16 @@ def build_starter_table(max_weight: int = 12) -> IdentityTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ReduceResult:
+class ReduceResult(_Record):
     """The reduced ``value`` and the ``log`` of its steps, each the record
     ``(rule, atom, rest, c, rhs)``, or ``(..., orderings)`` for a reflection:
-    the step added c * rest * (rhs - lhs), lhs the atom or the orderings' sum."""
+    the step added c * rest * (rhs - lhs), lhs the atom or the orderings' sum.
+    Without a ``log``, the result gets an empty list of its own."""
 
-    value: LinComb
-    log: list[tuple] = field(default_factory=list)
+    __slots__ = ("value", "log")
+
+    def __init__(self, value: LinComb, log: list[tuple] | None = None):
+        super().__init__(value, [] if log is None else log)
 
     @property
     def steps(self) -> int:

@@ -289,18 +289,18 @@ def test_verify_sees_an_error_below_one_ulp_of_the_value(capsys, monkeypatch, la
     # S({1}_11, 2) is about 7.1e7, where one ulp of a double is 1.5e-8: an
     # error of 3e-9 z(2) in the expansion or in its reduction must fail at
     # --tol 1e-10, so the comparison is exact, not between rounded floats
-    import dataclasses
     from fractions import Fraction
 
     from eulersums import cli
     from eulersums.algebra import LinComb, z
+    from eulersums.reduction import ReduceResult
 
     exact = getattr(cli, layer)
 
     def off(*args, **kwargs):
         out = exact(*args, **kwargs)
         if layer == "reduce_lincomb":
-            return dataclasses.replace(out, value=out.value + LinComb.of_atom(z(2), Fraction(3, 10**9)))
+            return ReduceResult(out.value + LinComb.of_atom(z(2), Fraction(3, 10**9)), out.log)
         return (out[0] + LinComb.of_atom(z(2), Fraction(3, 10**9)), *out[1:])
 
     monkeypatch.setattr(cli, layer, off)
@@ -905,3 +905,74 @@ def test_cli_imports_no_third_party_module():
         "assert not extra, sorted(extra)"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
+    # under -S no site hook preloads a module, so the names that importing
+    # the CLI and building its parser add are all that start-up needs
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import eulersums.cli; eulersums.cli.build_parser(); "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "eulersums.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}, sorted(loaded)
+
+
+def _record_cases():
+    from fractions import Fraction
+
+    from eulersums.algebra import LinComb, z
+    from eulersums.indices import EulerSumIndex
+    from eulersums.numerics import NumericResult
+    from eulersums.reduction import IdentityRule, ReduceResult, _rw_alt_depth1
+
+    value, log = LinComb.of_atom(z(2), Fraction(1, 3)), [("alt_depth1", z(-2))]
+    # (class, its fields in order, the defaults of the trailing ones, repr)
+    cases = [
+        (EulerSumIndex, {"inner": (1, -2), "outer": 3}, {}, "S(1,-2,3)"),
+        (NumericResult, {"value": Fraction(1, 2), "tail_bound": 1e-20, "terms_used": 100, "method": "euler_maclaurin"},
+         {"method": "holder"}, "NumericResult(0.5 +- 1e-20, N=100)"),
+        (IdentityRule, {"name": "alt_depth1", "rewrite": _rw_alt_depth1}, {},
+         f"IdentityRule(name='alt_depth1', rewrite={_rw_alt_depth1!r})"),
+        (ReduceResult, {"value": value, "log": log}, {"log": []}, f"ReduceResult(value={value!r}, log={log!r})"),
+    ]
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, text", _record_cases())
+def test_records_keep_their_contract(cls, fields, defaults, text):
+    # construction, defaults, equality, hash, frozenness, pickle, copy, repr
+    import copy
+    import pickle
+
+    rec = cls(*fields.values())
+    assert rec == cls(**fields) and {name: getattr(rec, name) for name in fields} == fields
+    assert rec != tuple(fields.values()) and tuple(fields.values()) != rec
+    assert repr(rec) == text
+    required = [v for name, v in fields.items() if name not in defaults]
+    assert {name: getattr(cls(*required), name) for name in defaults} == defaults
+    if cls.__name__ == "ReduceResult":
+        assert cls(*required).log is not cls(*required).log
+        with pytest.raises(TypeError):
+            hash(rec)
+        other = cls(**fields)
+        other.log = []
+        assert other != rec
+    else:
+        assert hash(rec) == hash(cls(**fields))
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert rec == cls(**fields)
+    # a LinComb, a __slots__ class without __getstate__, pickles from protocol 2 on
+    for protocol in range(2 if cls.__name__ == "ReduceResult" else 0, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rec, protocol))
+        assert type(back) is cls and back == rec
+    for back in (copy.copy(rec), copy.deepcopy(rec)):
+        assert type(back) is cls and back == rec
