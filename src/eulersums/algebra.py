@@ -394,6 +394,10 @@ class LinComb:
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._d == other._d
 
+    def __reduce__(self):
+        # pickled and copied through the constructor, at every pickle protocol
+        return LinComb, (self._d,)
+
     # -- rendering ----------------------------------------------------
 
     def render(self) -> str:
@@ -442,26 +446,8 @@ class LinComb:
         ]
 
     def json_terms(self) -> str:
-        """``json.dumps(self.to_json_terms())``, written directly: a zeta
-        atom's term in one piece, and the text after the factors once per
-        coefficient object, since the expansion engines share one ``Fraction``
-        per distinct value.  Atom renderings and rationals use only
-        ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
-        tails: dict[int, str] = {}  # id(c) -> '"], "coeff": "c"}'; each c lives in self._d
-        pieces = []
-        for t, c in self.items():
-            tail = tails.get(id(c))
-            if tail is None:
-                tail = tails[id(c)] = '"], "coeff": "' + str(c) + '"}'
-            if t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
-                args = t[2]
-                pieces.append('{"factors": ["' + _zeta_format(len(args)) % args + tail)
-            else:
-                factors = ", ".join([f'"{a.render()}"' for a in t.factors])
-                pieces.append('{"factors": [' + factors + tail[1:])  # each factor quoted already
-        body = ", ".join(pieces)
-        del pieces  # free the pieces before the bracketed copy is made
-        return f"[{body}]"
+        """``json.dumps(self.to_json_terms())``, written by ``json_pieces``."""
+        return "[" + ", ".join(json_pieces(self.items())) + "]"
 
     @staticmethod
     def from_json_terms(terms: list[dict]) -> "LinComb":
@@ -484,3 +470,23 @@ class LinComb:
     def __repr__(self):
         return f"LinComb({self.render()})"
 
+
+def json_pieces(pairs: Iterable[tuple[Term, Fraction]]) -> Iterator[str]:
+    """The JSON object of each (term, coefficient) pair, as ``json.dumps``
+    writes an element of ``LinComb.to_json_terms()``, one piece per pair as
+    it is read: a zeta atom's in one concatenation, and the text after the
+    factors once per coefficient object, since the expansion engines share
+    one ``Fraction`` per distinct value.  Atom renderings and rationals use
+    only ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
+    # id(c) -> (c, '"], "coeff": "c"}'); holding c keeps its id from being reused
+    tails: dict[int, tuple[Fraction, str]] = {}
+    for t, c in pairs:
+        tail = tails.get(id(c))
+        if tail is None:
+            tail = tails[id(c)] = (c, '"], "coeff": "' + str(c) + '"}')
+        if t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
+            args = t[2]
+            yield '{"factors": ["' + _zeta_format(len(args)) % args + tail[1]
+        else:
+            factors = ", ".join([f'"{a.render()}"' for a in t.factors])
+            yield '{"factors": [' + factors + tail[1][1:]  # each factor quoted already

@@ -34,13 +34,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
 
 from . import numerics
-from .algebra import LinComb, Refusal
-from .expansion import expand_t1, expand_t2, is_conditionally_convergent, linearize
+from .algebra import LinComb, Refusal, json_pieces
+from .expansion import expand_t1, expand_t2, is_conditionally_convergent, linearize, t1_terms
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
 from .reduction import load_identity_table, reduce_lincomb
@@ -133,22 +134,25 @@ def _load_tables(args) -> tuple[list, int]:
     return tables, EXIT_PARSE if len(tables) < len(args.table) else EXIT_OK
 
 
-def _expand_with_engine(idx: EulerSumIndex, engine: str):
-    """Returns (lincomb, engine_label, note)."""
+def _expand_with_engine(idx: EulerSumIndex, engine: str, stream: bool = False):
+    """Returns (terms, engine_label, note): terms a ``LinComb``, or with
+    ``stream`` ``t1_terms(idx)`` where t1 answers alone.  Under auto, t2's
+    refusal is decided before t1 runs."""
     if engine == "t2":
         return expand_t2(idx), "t2", None
-    lc = expand_t1(idx)
     if engine == "auto":
         try:
             lc2 = expand_t2(idx)
         except Refusal:  # t2 declines the index, or its size
-            return lc, "t1", None
-        if linearize(lc2) != lc:
-            raise AssertionError(
-                f"engine disagreement on {idx}: t1 differs from the linearized t2 expansion"
-            )
-        return lc, "auto(t1, t2 checked)", "engines agree exactly (t1 equals linearized t2)"
-    return lc, "t1", None
+            pass
+        else:
+            lc = expand_t1(idx)
+            if linearize(lc2) != lc:
+                raise AssertionError(
+                    f"engine disagreement on {idx}: t1 differs from the linearized t2 expansion"
+                )
+            return lc, "auto(t1, t2 checked)", "engines agree exactly (t1 equals linearized t2)"
+    return (t1_terms(idx) if stream else expand_t1(idx)), "t1", None
 
 
 @contextlib.contextmanager
@@ -162,33 +166,64 @@ def _printing():
                                "the interpreter's limit for printing an integer") from None
 
 
-def _emit(idx: EulerSumIndex, lc: LinComb, output: str, engine: str, trace=None, extra=None):
+def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra=None):
+    """Print ``terms``: a ``LinComb``, or for JSON any iterator of (term,
+    coefficient) pairs in term order."""
+    if output == "json":
+        _write_json(idx, terms, engine, trace, extra)
+        return
     with _printing():
-        if output == "json":
-            # The terms array is written as text between the keys before it and
-            # those after it, as json.dumps would write the whole document.
-            head = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree}
-            tail = {"term_count": len(lc), "engine": engine}
-            if is_conditionally_convergent(idx):
-                tail["convergence"] = "conditional"
-            if trace is not None:
-                tail["trace"] = trace
-            if extra:
-                tail.update(extra)
-            text = json.dumps(head)[:-1] + ', "terms": ' + lc.json_terms() + ", " + json.dumps(tail)[1:]
-        elif output == "latex":
-            text = render_index(idx, "latex") + " = " + lc.latex()
+        if output == "latex":
+            text = render_index(idx, "latex") + " = " + terms.latex()
         else:
-            text = "\n".join([render_index(idx, "plain") + " = " + lc.render()] + ["  # " + t for t in trace or ()])
+            text = "\n".join([render_index(idx, "plain") + " = " + terms.render()] + ["  # " + t for t in trace or ()])
     print(text)
-    if is_conditionally_convergent(idx) and output != "json":
+    if is_conditionally_convergent(idx):
         _err("note: outer exponent -1, the series converges conditionally")
+
+
+# Terms per write of a JSON document.
+_JSON_CHUNK = 4096
+
+
+def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra):
+    """Write the document that json.dumps would write: the keys before the
+    terms array, the array in chunks as its terms are produced, then
+    ``term_count``, counted on the way, and the keys after it.  No whole
+    document, and for a stream no whole combination, is held."""
+    with _printing():
+        head = json.dumps({"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree})
+        if isinstance(terms, LinComb):
+            # A reduced coefficient may be past the digit limit: every piece is
+            # made before the first byte goes out.
+            pieces = iter(list(json_pieces(terms.items())))
+        else:
+            # t1's stream: the head holds the weight, every slot's magnitude is
+            # at most the weight, and every coefficient is a multiplicity of at
+            # most Fubini(21) < 10^23, so once the head is written no atom can
+            # fail to print.
+            pieces = json_pieces(terms)
+        write = sys.stdout.write
+        write(head[:-1] + ', "terms": [')
+        count, sep = 0, ""
+        while chunk := list(itertools.islice(pieces, _JSON_CHUNK)):
+            write(sep + ", ".join(chunk))
+            count += len(chunk)
+            sep = ", "
+        tail = {"term_count": count, "engine": engine}
+        if is_conditionally_convergent(idx):
+            tail["convergence"] = "conditional"
+        if trace is not None:
+            tail["trace"] = trace
+        if extra:
+            tail.update(extra)
+        write("], " + json.dumps(tail)[1:] + "\n")
 
 
 def cmd_expand(args) -> int:
     idx = _index(args.index)
-    lc, engine, note = _expand_with_engine(idx, args.engine)
-    _emit(idx, lc, args.output, engine, extra={"note": note} if note else None)
+    terms, engine, note = _expand_with_engine(idx, args.engine, stream=args.output == "json")
+    _emit(idx, terms, args.output, engine, extra={"note": note} if note else None)
     return EXIT_OK
 
 

@@ -37,9 +37,12 @@ ground-truth oracle for the kernel.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
@@ -155,19 +158,22 @@ def expand_harmonic_product(inner) -> dict[tuple[int, ...], Fraction]:
     }
 
 
-def expand_t1(idx: EulerSumIndex) -> LinComb:
-    """Ordering-class expansion: one MZV atom per output term.
+def t1_terms(idx: EulerSumIndex) -> Iterator[tuple[MzvAtom, Fraction]]:
+    """Ordering-class expansion: the (atom, coefficient) pair of each output
+    term, one MZV atom each, in term order.
 
-    Every output atom has weight equal to the index weight and depth at most
-    degree + 1.  The terms are stored in term order, so ``LinComb.items()``
-    sorts one presorted run.
+    The enumeration cap, the kernel and the checks of every word run before
+    this returns; each atom is built when the iterator reaches it.  Every
+    atom has weight equal to the index weight and depth at most degree + 1.
+    The iterator asserts that each atom comes strictly after the one before
+    it, so the atoms are distinct and in term order.
     """
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
     if idx.degree == 0:
         # Pure outer series: sum of 1/n^q, or of (-1)^(n-1)/n^q.  The
         # alternating atom convention carries sigma^n, hence the -1.
-        return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
+        return iter([(z(-q), Fraction(-1)) if outer_bar else (z(q), Fraction(1))])
     _check_size(idx.inner)
     n_bar = sum(1 for e in idx.inner if e < 0)
     sign = (-1) ** (n_bar + outer_bar)
@@ -189,41 +195,71 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
         assert sum(map(abs, word)) == w - q, f"weight leak: {atom_1(word)} in expansion of {idx}"
         assert len(word) < depth, f"depth leak: {atom_1(word)} in expansion of {idx}"
         assert lead != 1 and 0 not in word, f"inadmissible atom: {atom_1(word)} in expansion of {idx}"
-    # No two words give the same atom (atom 1 leads with +-q, atom 2 with
-    # +-(q + |f|), and within each family the atom determines its word), so
-    # every coefficient is one multiplicity; equal ones share one Fraction.
+    # Each atom's coefficient is its word's multiplicity; equal ones share
+    # one Fraction.
     coeffs = {c: Fraction(sign * c) for c in set(product.values())}
     words = sorted(product)
     cs = list(map(coeffs.__getitem__, map(product.__getitem__, words)))
     del product
-    # The atoms go into ``terms`` in term order, which for atoms of one
-    # weight is slot order, so ``LinComb.items()`` meets one sorted run.  In
-    # word order atom 1 is in slot order, and so is atom 2 within each run
-    # of one first letter.  Distinct first letters give distinct m, and no m
-    # is +-q, so the atom-1 block and the runs are placed by leading slot.
+    return itertools.chain.from_iterable(_t1_runs(idx, lead, words, cs))
+
+
+def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, int]]:
+    """The blocks of t1's atoms in term order, each (leading slot, i, j).
+
+    For atoms of one weight term order is slot order.  In word order atom 1
+    is in slot order, and so is atom 2 within each run words[i:j] of one
+    first letter.  Distinct first letters give distinct leading slots m, and
+    no m is +-q, so the atom-1 block, all of ``words``, and the runs are
+    placed by leading slot."""
+    q = abs(lead)
     blocks = [(lead, 0, len(words))]
     i = 0
     while i < len(words):
         first = words[i][0]
         j = bisect.bisect_left(words, (first + 1,), i)
         merged = q + abs(first)
-        blocks.append((-merged if (first < 0) ^ outer_bar else merged, i, j))
+        blocks.append((-merged if (first < 0) ^ (lead < 0) else merged, i, j))
         i = j
-    of_word = MzvAtom._of_word
-    terms: dict[MzvAtom, Fraction] = {}
-    pending = []  # runs whose atom 2 is in terms but whose atom 1 is not
-    for slot, i, j in sorted(blocks):
+    return sorted(blocks)
+
+
+def _t1_runs(idx: EulerSumIndex, lead: int, words: list, cs: list[Fraction]):
+    """For each block, an iterator of its (atom, coefficient) pairs.
+
+    A block's slot tuples are made in one list, asserted to rise strictly
+    from above the last tuple of the block before.  So no two words give
+    one atom (atom 1 leads with +-q, atom 2 with +-(q + |f|), and within
+    each family the atom determines its word), and the atoms come in term
+    order.  A word is dropped once the slot tuples of both its atoms are
+    made; each atom is built from its tuple when it is read, as
+    ``MzvAtom._of_word`` builds it, without the checks of ``MzvAtom``."""
+    atom = functools.partial(tuple.__new__, MzvAtom)
+    w = idx.weight
+    last = ()  # before every slot tuple
+    pending = []  # runs whose atom 2 has its slot tuples but whose atom 1 has not
+    for slot, i, j in _t1_blocks(words, lead):
         if slot == lead:
-            terms.update(zip([of_word((lead,) + word, w) for word in words], cs))
+            run = [(lead,) + word for word in words]
+            coeffs = cs
         else:
-            terms.update(zip([of_word((slot,) + word[1:], w) for word in words[i:j]], cs[i:j]))
+            run = [(slot,) + word[1:] for word in words[i:j]]
+            coeffs = cs[i:j]
             pending.append((i, j))
-        if slot >= lead:  # the words of the pending runs have both atoms in
+        assert last < run[0] and all(map(operator.lt, run, run[1:])), (
+            f"atoms out of term order or repeated in expansion of {idx}")
+        last = run[-1]
+        if slot >= lead:  # the words of the pending runs have both slot tuples
             for i, j in pending:
                 words[i:j] = [None] * (j - i)
             pending.clear()
-    assert len(terms) == 2 * len(words), f"two words gave one atom in expansion of {idx}"
-    return LinComb._of_nonzero(terms)
+        yield zip(map(atom, zip(itertools.repeat(0), itertools.repeat(w), run)), coeffs)
+
+
+def expand_t1(idx: EulerSumIndex) -> LinComb:
+    """``t1_terms`` as a combination.  Its terms are stored in term order,
+    so ``LinComb.items()`` sorts one presorted run."""
+    return LinComb._of_nonzero(dict(t1_terms(idx)))
 
 
 def expand_t2(idx: EulerSumIndex) -> LinComb:

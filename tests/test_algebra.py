@@ -14,11 +14,12 @@ from eulersums.algebra import (
     MzvAtom,
     SymbolicTerm,
     as_fraction,
+    json_pieces,
     li_half,
     parse_atom,
     z,
 )
-from eulersums.expansion import UnsupportedHypothesisError, expand_t1, expand_t2, linearize
+from eulersums.expansion import UnsupportedHypothesisError, expand_t1, expand_t2, linearize, t1_terms
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import reduce_lincomb
 
@@ -523,6 +524,29 @@ def test_json_terms_writes_each_coefficient_object_once(monkeypatch):
     calls = _count_fraction_str(monkeypatch)
     assert lc.json_terms() == reference
     assert len(calls) == 38
+
+
+def test_streamed_json_writes_each_coefficient_object_once(monkeypatch):
+    # the same 38 objects, read from t1's stream: no combination holds them
+    idx = parse_index("S(2,2,-1,-1,-1,-1,-3,-3,-2)")
+    reference = json.dumps(expand_t1(idx).to_json_terms())
+    calls = _count_fraction_str(monkeypatch)
+    pieces = list(json_pieces(t1_terms(idx)))
+    assert len(pieces) == 7896 and "[" + ", ".join(pieces) + "]" == reference
+    assert len(calls) == 38
+
+
+def test_json_pieces_of_fresh_coefficients():
+    # each coefficient is made as its pair is read and dropped after it, so
+    # a freed object's id comes back for the next; the text cached for an
+    # object keeps the object, and equal values in distinct objects are each
+    # written from their own
+    def pairs():
+        for k in range(200):
+            yield z(k + 2), Fraction(k % 7 - 3, k % 5 + 1)
+
+    expected = [json.dumps({"factors": [a.render()], "coeff": str(c)}) for a, c in pairs()]
+    assert list(json_pieces(pairs())) == expected
 
 
 def test_json_terms_shared_coefficient_across_term_kinds(monkeypatch):

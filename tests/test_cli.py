@@ -970,9 +970,65 @@ def test_records_keep_their_contract(cls, fields, defaults, text):
             with pytest.raises(AttributeError):
                 delattr(rec, name)
         assert rec == cls(**fields)
-    # a LinComb, a __slots__ class without __getstate__, pickles from protocol 2 on
-    for protocol in range(2 if cls.__name__ == "ReduceResult" else 0, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(rec, protocol))
         assert type(back) is cls and back == rec
     for back in (copy.copy(rec), copy.deepcopy(rec)):
         assert type(back) is cls and back == rec
+
+
+def test_lincomb_pickles_and_copies_through_its_constructor():
+    # at every protocol, 0 and 1 too, a combination of atoms, products, a Li
+    # atom and the unit comes back equal, its terms in the same order and its
+    # coefficients exact
+    import copy
+    import pickle
+    from fractions import Fraction
+
+    from eulersums.algebra import UNIT_TERM, LinComb, SymbolicTerm, li_half, z
+
+    lc = LinComb({z(3): Fraction(-1, 2), SymbolicTerm.of(z(-1), z(2)): 2, UNIT_TERM: 3, li_half(4): 1})
+    copies = [pickle.loads(pickle.dumps(lc, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.copy(lc), copy.deepcopy(lc)]:
+        assert type(back) is LinComb and back == lc and back is not lc
+        assert list(back.items()) == list(lc.items())
+        assert all(type(c) is Fraction for _, c in back.items())
+
+
+def test_failing_expand_json_writes_nothing(capsys, digit_limit_640):
+    # the partition cap, the digit limit, the parser and the convergence check
+    # all answer before the first byte of the document, on either engine
+    big = "9" * 639 + "8"  # 2 * big + 2, the weight, has 641 digits
+    cases = [
+        ("S(1,2,3,4,5,6,7,8,9,2)", 4, "engine precondition: "),
+        (f"S({big},{big},-2)", 4, "cannot print result: "),
+        (f"S({big},-{big},2)", 4, "cannot print result: "),
+        ("S(1,2", 2, "cannot parse index: "),
+        ("S(2,1)", 3, "divergent index: "),
+    ]
+    for engine in ("auto", "t1"):
+        for text, code, prefix in cases:
+            got, out, err = run(capsys, "expand", "--engine", engine, "--output", "json", text)
+            assert (got, out) == (code, ""), (engine, text)
+            assert err.startswith(prefix), err
+
+
+def test_streamed_json_is_the_whole_document(capsys):
+    # --engine t1 streams t1_terms; each document parses, counts its terms, and
+    # is the text json.dumps writes for the whole document
+    from reference_oracles import convergent_indices
+
+    from eulersums.expansion import expand_t1
+
+    indices = convergent_indices(7)
+    assert len(indices) == 423
+    for idx in indices:
+        code, out, err = run(capsys, "expand", "--engine", "t1", "--output", "json", repr(idx))
+        lc = expand_t1(idx)
+        doc = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree,
+               "terms": lc.to_json_terms(), "term_count": len(lc), "engine": "t1"}
+        if idx.outer == -1:
+            doc["convergence"] = "conditional"
+        assert (code, err) == (0, ""), idx
+        assert json.loads(out)["term_count"] == len(lc), idx
+        assert out == json.dumps(doc) + "\n", idx

@@ -21,6 +21,7 @@ from eulersums.expansion import (
     expand_t2,
     linearize,
     ordered_partition_count,
+    t1_terms,
 )
 from eulersums.indices import make_index, parse_index
 from eulersums.numerics import eval_mhs_exact
@@ -238,29 +239,72 @@ def test_t1_checks_slots(monkeypatch):
         expand_t1(parse_index("S(1,2,3)"))
 
 
+def test_t1_terms_checks_before_it_returns(monkeypatch):
+    # the enumeration cap and the word checks run when t1_terms is called,
+    # before any atom is read
+    with pytest.raises(DegreeCapError):
+        t1_terms(parse_index("S(1,2,3,4,5,6,7,8,9,2)"))
+    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {(3, 3): 1})
+    with pytest.raises(AssertionError, match="^weight leak: "):
+        t1_terms(parse_index("S(3,2)"))
+
+
+def test_t1_terms_asserts_order_and_distinctness(monkeypatch):
+    # blocks out of order fail at a block boundary, a repeated word inside a
+    # block; either is caught while the atoms are read
+    idx = parse_index("S(1,3,-2,-4,-3)")
+    blocks = expansion._t1_blocks
+    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, lead: blocks(words, lead)[::-1])
+    terms = t1_terms(idx)
+    with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
+        list(terms)
+
+    def with_a_repeated_word(words, lead):
+        words.insert(5, words[5])
+        return blocks(words, lead)
+
+    monkeypatch.setattr(expansion, "_t1_blocks", with_a_repeated_word)
+    terms = t1_terms(idx)
+    with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
+        list(terms)
+
+
 # Runs in a fresh interpreter: how far the peak RSS (KiB) grows while the
 # measured call runs, and the SHA-256 of the result as JSON.  "json" measures
-# expand_t1 and the JSON text that json_terms() writes from its result.  The peak is
-# VmHWM, which starts afresh at exec; on Linux, getrusage's ru_maxrss starts
-# from the peak of the process that forked the interpreter.
+# expand_t1 and the JSON text that json_terms() writes from its result; "cli"
+# measures `eulersum expand --output json` with stdout sent to /dev/null, and
+# hashes the whole document, written again afterwards.  The peak is VmHWM,
+# which starts afresh at exec; on Linux, getrusage's ru_maxrss starts from the
+# peak of the process that forked the interpreter.
 _MEASURE = """
-import hashlib, json, re, sys
-from eulersums import parse_index
+import contextlib, hashlib, io, json, os, re, sys
+from eulersums import cli, parse_index
 from eulersums.expansion import _quasi_shuffle, expand_t1
 
 def peak_kib():
     with open("/proc/self/status") as f:
         return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
 
+def expand_json(out):
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["expand", "--output", "json", sys.argv[2]]) == 0
+
 before = peak_kib()
 if sys.argv[1] == "kernel":
     result = _quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
+elif sys.argv[1] == "cli":
+    with open(os.devnull, "w") as out:
+        expand_json(out)
 else:
     result = expand_t1(parse_index(sys.argv[2]))
     if sys.argv[1] == "json":
         text = result.json_terms()
 grown = peak_kib() - before
-if sys.argv[1] != "json":
+if sys.argv[1] == "cli":
+    out = io.StringIO()
+    expand_json(out)
+    text = out.getvalue()
+elif sys.argv[1] != "json":
     data = result.to_json_terms() if sys.argv[1] == "t1" else sorted(result.items())
     text = json.dumps(data)
 print(grown, hashlib.sha256(text.encode()).hexdigest())
@@ -294,6 +338,11 @@ def _measure(*argv) -> tuple[int, str]:
         # pair for every term
         (("json", "S(1,2,3,4,5,6,7,2)"), 25,
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
+        # the command, whose document is pinned in CI: 21.7 MiB when it built the
+        # combination, the list of pieces and the whole document before writing,
+        # 7.0 MiB streamed from t1_terms
+        (("cli", "S(1,2,3,4,5,6,7,2)"), 14,
+         "7010cfa0cbad85d51cbd2726a4bc2443efb457679eb4e89c9125b93dea57ffb2"),
     ],
 )
 def test_expansion_peak_memory(argv, bound_mib, digest):
