@@ -14,9 +14,9 @@ from eulersums.numerics import agree, eval_euler_sum_best, eval_lincomb_best
 
 
 def lc(*pairs):
-    acc = LinComb.zero()
+    acc = LinComb()
     for coeff, atoms in pairs:
-        acc = acc + LinComb.of_term(SymbolicTerm.of(*atoms), Fraction(coeff))
+        acc = acc + LinComb({SymbolicTerm.of(*atoms): Fraction(coeff)})
     return acc
 
 

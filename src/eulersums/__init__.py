@@ -59,13 +59,9 @@ from .reduction import (
     load_identity_table,
     log_integral,
     reduce_lincomb,
-    reflection_pair_sum,
-    reflection_triple_sum,
     save_table,
     symmetric_sum,
     zeta_ones,
-    zeta_repeated,
-    zeta_repeated_bar,
 )
 
 __version__ = "0.1.0"

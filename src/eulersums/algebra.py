@@ -112,10 +112,6 @@ class MzvAtom(tuple):
     def depth(self) -> int:
         return len(self.args)  # a Li atom has no slots
 
-    @property
-    def is_alternating(self) -> bool:
-        return (not self.li) and any(a < 0 for a in self.args)
-
     # -- the term protocol: an atom is the term with that one factor -----
 
     @property
@@ -290,20 +286,12 @@ class LinComb:
         return out
 
     @staticmethod
-    def zero() -> "LinComb":
-        return LinComb()
-
-    @staticmethod
     def scalar(c) -> "LinComb":
         return LinComb({UNIT_TERM: as_fraction(c)})
 
     @staticmethod
     def of_atom(atom: MzvAtom, coeff=1) -> "LinComb":
         return LinComb({atom: as_fraction(coeff)})
-
-    @staticmethod
-    def of_term(term: Term, coeff=1) -> "LinComb":
-        return LinComb({term: as_fraction(coeff)})
 
     # -- inspection ---------------------------------------------------
 
@@ -336,9 +324,6 @@ class LinComb:
         for t in self._d:
             out.update(t.factors)
         return out
-
-    def is_zero(self) -> bool:
-        return not self._d
 
     def __len__(self) -> int:
         return len(self._d)

@@ -264,7 +264,7 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
 
 def expand_t2(idx: EulerSumIndex) -> LinComb:
     """Tail-sum expansion; needs all inner exponents >= 2 and outer >= 2."""
-    if idx.outer < 0 or any(e < 0 for e in idx.inner):
+    if idx.is_alternating:
         raise UnsupportedHypothesisError("engine t2 does not cover alternating indices: %s", idx)
     if any(e < 2 for e in idx.inner):
         raise UnsupportedHypothesisError("engine t2 needs every inner exponent >= 2: %s", idx)

@@ -298,10 +298,6 @@ def _fp_holders(words, n_terms: int = HOLDER_N):
         yield Fraction((-1) ** depth * acc, _FP_SCALE), err
 
 
-def _fp_holder(word, depth: int, n_terms: int = HOLDER_N) -> tuple[Fraction, Fraction]:
-    return next(_fp_holders([(word, depth)], n_terms))
-
-
 _ATOM_UNITS: dict[MzvAtom, tuple[int, int]] = {}  # value and error bound in units of 2^-192
 
 

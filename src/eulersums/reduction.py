@@ -12,9 +12,8 @@ The closed-form rules implemented here:
   * ``symmetric_sum(slots)``: Hoffman's symmetric-sum theorem for the
     stuffle product (Quasi-shuffle products, arXiv:math/9907173): the sum of
     zeta over all orderings of signed slots is a polynomial in depth-1
-    values.  It gives the repeated-slot values ``zeta_repeated`` and
-    ``zeta_repeated_bar`` (one ordering, counted k! times) and the
-    reflections ``reflection_pair_sum`` and ``reflection_triple_sum``.
+    values.  It gives the repeated-slot values zeta({r}_m) (one ordering,
+    counted m! times) and the pair and triple reflections.
   * ``depth2_odd(atom)``: any depth-2 value of odd weight, signs arbitrary,
     as a combination of depth-1 values (with the convention that an unsigned
     zeta(1) occurring in the closed form is dropped).
@@ -138,20 +137,6 @@ def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
     return acc
 
 
-def zeta_repeated(r: int, m: int) -> LinComb:
-    """zeta({r}_m) for unsigned r >= 2, m >= 0, as a polynomial in zeta values."""
-    if r < 2:
-        raise ValueError("repeated unsigned slot needs r >= 2")
-    return symmetric_sum((r,) * m).scale(Fraction(1, math.factorial(m)))
-
-
-def zeta_repeated_bar(r: int, m: int) -> LinComb:
-    """zeta({r bar}_m) for r >= 1, m >= 0, as a polynomial in zeta values."""
-    if r < 1:
-        raise ValueError("slot must be >= 1")
-    return symmetric_sum((-r,) * m).scale(Fraction(1, math.factorial(m)))
-
-
 def depth2_odd(atom: MzvAtom) -> LinComb | None:
     """Odd-weight depth-2 value as depth-1 products; None if not applicable.
 
@@ -195,21 +180,6 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
         for y, c in mu(w - 2 * k):
             add(x.mul(y), -2 * c)
     return LinComb._of_nonzero({term: Fraction(c, 2) for term, c in twice.items() if c})
-
-
-def reflection_pair_sum(a: int, b: int) -> LinComb:
-    """zeta(a,b) + zeta(b,a) for signed slots a, b, neither an unsigned 1.
-    With a == b this is twice zeta(a,a)."""
-    if a == 1 or b == 1:
-        raise ValueError("unsigned slot 1 is not admissible in the reflection")
-    return symmetric_sum(tuple(sorted((a, b))))
-
-
-def reflection_triple_sum(a: int, b: int, c: int) -> LinComb:
-    """Sum of the six orderings of zeta(a,b,c), unsigned a, b, c >= 2."""
-    if min(a, b, c) < 2:
-        raise ValueError("the triple reflection needs unsigned slots >= 2")
-    return symmetric_sum(tuple(sorted((a, b, c))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +256,6 @@ class IdentityTable:
     def add(self, lhs: MzvAtom, rhs: LinComb):
         _check_entry(lhs, rhs)
         self.entries[lhs] = rhs
-
-    def lookup(self, atom: MzvAtom) -> LinComb | None:
-        return self.entries.get(atom)
 
     @property
     def max_weight(self) -> int:
@@ -367,7 +334,7 @@ def _verify_entry(lhs: MzvAtom, rhs: LinComb, tol: float):
 
     # rejected unless rhs - lhs agrees with 0 to within tol and its bound
     diff = numerics.eval_lincomb_best(rhs - LinComb.of_atom(lhs))
-    if not numerics.agree(diff, numerics.eval_lincomb_best(LinComb.zero()), tol)[0]:
+    if not numerics.agree(diff, numerics.eval_lincomb_best(LinComb()), tol)[0]:
         raise ValueError(
             f"numeric mismatch for {lhs.render()}: |rhs - lhs| = "
             f"{numerics._digits15(abs(diff.value))} +- {numerics._up3(diff.tail_bound)} > {tol:.3g}"
@@ -615,7 +582,7 @@ def reduce_lincomb(
     """
     if rules is None:
         rules = default_rules()
-    rules = [IdentityRule(f"table[{t.label}]", t.lookup) for t in tables] + rules
+    rules = [IdentityRule(f"table[{t.label}]", t.entries.get) for t in tables] + rules
     work = _WorkingSum(lc, rules)
     log: list[tuple] = []
     while len(log) < max_steps:

@@ -174,7 +174,7 @@ def _reference_rw_ones(a: MzvAtom) -> LinComb | None:
 def _zeta_signed(v: int, sign: int) -> LinComb:
     """zeta(v) or zeta(v bar) as a combination; unsigned v = 1 is dropped (0)."""
     if sign > 0 and v == 1:
-        return LinComb.zero()
+        return LinComb()
     return LinComb.of_atom(z(v if sign > 0 else -v))
 
 

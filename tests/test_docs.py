@@ -35,8 +35,7 @@ def test_public_names():
         "build_starter_table", "clear_caches", "depth2_odd", "eval_atom", "eval_euler_sum", "eval_lincomb",
         "eval_mhs_exact", "expand_harmonic_product", "expand_t1", "expand_t2", "li_half", "linearize",
         "load_identity_table", "log_integral", "make_index", "parse_atom", "parse_index",
-        "reduce_lincomb", "reflection_pair_sum", "reflection_triple_sum", "render_index", "save_table",
-        "symmetric_sum", "z", "zeta_ones", "zeta_repeated", "zeta_repeated_bar",
+        "reduce_lincomb", "render_index", "save_table", "symmetric_sum", "z", "zeta_ones",
     ]
 
 

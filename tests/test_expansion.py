@@ -490,6 +490,20 @@ def test_t2_hypothesis_errors():
         expand_t2(make_index([2], -3))
 
 
+def test_t2_refuses_exactly_off_its_hypotheses():
+    # over every convergent index to weight 6: refused iff alternating or some
+    # entry, inner or outer, below 2; a combination otherwise
+    indices, refused = convergent_indices(6), 0
+    for idx in indices:
+        if idx.is_alternating or min(idx.inner + (idx.outer,)) < 2:
+            with pytest.raises(UnsupportedHypothesisError):
+                expand_t2(idx)
+            refused += 1
+        else:
+            assert isinstance(expand_t2(idx), LinComb), idx
+    assert 0 < refused < len(indices)
+
+
 # -- repeated exponents ---------------------------------------------------------
 
 
@@ -528,7 +542,7 @@ def _repeated_t1_formula(r, m, outer):
 
 
 def _repeated_t2_formula(r, m, q):
-    acc = LinComb.zero()
+    acc = LinComb()
     for l in range(m + 1):
         prefix = SymbolicTerm.of(*([z(r)] * (m - l)))
         outer_coeff = (-1) ** l * math.comb(m, l)
@@ -536,7 +550,7 @@ def _repeated_t2_formula(r, m, q):
         for comp in comps:
             atom = MzvAtom(args=tuple(r * w for w in comp) + (q,))
             coeff = outer_coeff * _multinomial(l, comp)
-            acc = acc + LinComb.of_term(prefix.mul(SymbolicTerm.of(atom)), coeff)
+            acc = acc + LinComb({prefix.mul(SymbolicTerm.of(atom)): coeff})
     return acc
 
 

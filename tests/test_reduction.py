@@ -30,13 +30,9 @@ from eulersums.reduction import (
     load_identity_table,
     log_integral,
     reduce_lincomb,
-    reflection_pair_sum,
-    reflection_triple_sum,
     save_table,
     symmetric_sum,
     zeta_ones,
-    zeta_repeated,
-    zeta_repeated_bar,
 )
 
 from fixtures_closed_forms import CLOSED_S11_1_ALL_BAR, CLOSED_S33_3_ALL_BAR, CLOSED_WEIGHT5, lc
@@ -166,7 +162,7 @@ def test_alt_depth1_refuses_past_the_step_cap(monkeypatch):
         f"alt_depth1 on z({-(cap + 2)}) would make a coefficient over 2^{cap + 1}, above the step cap {cap}"
     )
     with pytest.raises(reduction.StepCapError, match=r"^alt_depth1 on z\(-1000000000000\) "):
-        reduce_lincomb(LinComb.of_term(SymbolicTerm.of(z(3), z(-10**12))))
+        reduce_lincomb(LinComb({SymbolicTerm.of(z(3), z(-10**12)): 1}))
     monkeypatch.setattr(reduction, "STEP_CAP", 20)
     assert rule.rewrite(z(-21)).weights() == {21}
     with pytest.raises(reduction.StepCapError):
@@ -234,13 +230,13 @@ def test_rule_guards_match_reference():
 
 def test_repeated_unsigned_displays():
     for r in (2, 3, 4):
-        assert zeta_repeated(r, 2) == lc(
+        assert symmetric_sum((r,) * 2).scale(Fraction(1, 2)) == lc(
             ("1/2", [z(r), z(r)]), ("-1/2", [z(2 * r)])
         )
-        assert zeta_repeated(r, 3) == lc(
+        assert symmetric_sum((r,) * 3).scale(Fraction(1, 6)) == lc(
             ("1/6", [z(r)] * 3), ("-1/2", [z(r), z(2 * r)]), ("1/3", [z(3 * r)])
         )
-        assert zeta_repeated(r, 4) == lc(
+        assert symmetric_sum((r,) * 4).scale(Fraction(1, 24)) == lc(
             ("1/24", [z(r)] * 4),
             ("-1/4", [z(r), z(r), z(2 * r)]),
             ("1/3", [z(r), z(3 * r)]),
@@ -251,15 +247,15 @@ def test_repeated_unsigned_displays():
 
 def test_repeated_bar_displays():
     for r in (1, 2, 3):
-        assert zeta_repeated_bar(r, 2) == lc(
+        assert symmetric_sum((-r,) * 2).scale(Fraction(1, 2)) == lc(
             ("-1/2", [z(2 * r)]), ("1/2", [z(-r), z(-r)])
         )
-        assert zeta_repeated_bar(r, 3) == lc(
+        assert symmetric_sum((-r,) * 3).scale(Fraction(1, 6)) == lc(
             ("1/3", [z(-3 * r)]),
             ("-1/2", [z(-r), z(2 * r)]),
             ("1/6", [z(-r)] * 3),
         )
-        assert zeta_repeated_bar(r, 4) == lc(
+        assert symmetric_sum((-r,) * 4).scale(Fraction(1, 24)) == lc(
             ("-1/4", [z(4 * r)]),
             ("1/3", [z(-r), z(-3 * r)]),
             ("1/8", [z(2 * r), z(2 * r)]),
@@ -292,18 +288,18 @@ def test_reflection_pair_from_engine_agreement():
     for p, q in [(2, 3), (4, 2), (3, 3)]:
         idx = make_index([p], q)
         delta = expand_t2(idx) - expand_t1(idx)
-        expect = reflection_pair_sum(p, q) - lc((1, [z(p, q)]), (1, [z(q, p)]))
+        expect = symmetric_sum(tuple(sorted((p, q)))) - lc((1, [z(p, q)]), (1, [z(q, p)]))
         assert delta == expect, (p, q)
 
 
 def test_reflection_pair_alternating():
     # zeta(a bar, b) + zeta(b, a bar) = zeta(a bar) zeta(b) - zeta((a+b) bar)
-    got = reflection_pair_sum(-3, 6)
+    got = symmetric_sum((-3, 6))
     assert got == lc((1, [z(-3), z(6)]), (-1, [z(-9)]))
 
 
 def test_reflection_triple_form():
-    got = reflection_triple_sum(2, 3, 4)
+    got = symmetric_sum((2, 3, 4))
     assert got == lc(
         (1, [z(2), z(3), z(4)]),
         (2, [z(9)]),
@@ -318,9 +314,9 @@ def test_triple_pass_distinct_orderings():
     # halves the six-permutation identity
     for slots, g in [((2, 3, 4), 1), ((2, 2, 3), 2)]:
         orderings = set(itertools.permutations(slots))
-        lhs = sum((LinComb.of_atom(z(*o)) for o in orderings), LinComb.zero())
+        lhs = sum((LinComb.of_atom(z(*o)) for o in orderings), LinComb())
         got = reduce_lincomb(lhs)
-        assert got.value == reflection_triple_sum(*slots).scale(Fraction(1, g))
+        assert got.value == symmetric_sum(slots).scale(Fraction(1, g))
         assert [t.split(":")[0] for t in got.trace] == ["reflection_triple"]
 
 
@@ -360,7 +356,7 @@ def _odd_weight_linear_closed_form(p: int, q: int) -> LinComb:
     # unsigned zeta(1) read as zero
     w = p + q
     assert w % 2 == 1
-    acc = LinComb.zero()
+    acc = LinComb()
     if p % 2 == 1:
         acc = acc + lc((1, [z(p), z(q)])) if p > 1 else acc
     coeff = Fraction(1, 2) * (1 - (-1) ** p * (math.comb(w - 1, q) + math.comb(w - 1, p)))
@@ -435,8 +431,8 @@ def test_table_accepts_and_rejects(tmp_path):
     table_v = load_identity_table(str(path), verify=True, tol=1e-8)
     assert len(table_v) == 2
     assert any("z(3,1)" in r for r in table_v.report)
-    assert table_v.lookup(z(2, 1)) == lc((1, [z(3)]))
-    assert table_v.lookup(z(9, 9)) is None
+    assert table_v.entries.get(z(2, 1)) == lc((1, [z(3)]))
+    assert table_v.entries.get(z(9, 9)) is None
 
 
 def test_table_rejects_repeated_lhs():
@@ -449,7 +445,7 @@ def test_table_rejects_repeated_lhs():
     ])
     for verify in (False, True):
         table = load_identity_table(io.StringIO(text), verify=verify, label="dup")
-        assert table.lookup(z(2, 1)) == LinComb.of_atom(z(3))
+        assert table.entries.get(z(2, 1)) == LinComb.of_atom(z(3))
         assert len(table) == 2
         assert table.report == [
             "dup:3: rejected: duplicate lhs z(2,1) (first on line 1)",
@@ -536,12 +532,12 @@ def test_table_memo_sees_same_size_edit_with_same_mtime(tmp_path):
     entry = '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "%s"}], "weight": 3}\n'
     path.write_text(entry % "1")
     before = path.stat()
-    assert load_identity_table(str(path)).lookup(z(2, 1)) == lc((1, [z(3)]))
+    assert load_identity_table(str(path)).entries.get(z(2, 1)) == lc((1, [z(3)]))
     path.write_text(entry % "2")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert load_identity_table(str(path)).lookup(z(2, 1)) == lc((2, [z(3)]))
+    assert load_identity_table(str(path)).entries.get(z(2, 1)) == lc((2, [z(3)]))
 
 
 def test_table_memo_not_changed_by_caller(tmp_path):
@@ -703,8 +699,8 @@ def _ref_substitute(lc: LinComb, term: SymbolicTerm, atom: MzvAtom, replacement:
         f"weight leak rewriting {atom}: {sorted(replacement.weights())} != {atom.weight}"
     )
     c = lc.coeff(term)
-    rest = LinComb.of_term(_term_without(term, atom), c)
-    return lc - LinComb.of_term(term, c) + rest * replacement
+    rest = LinComb({_term_without(term, atom): c})
+    return lc - LinComb({term: c}) + rest * replacement
 
 
 def _ref_swap_partner(atom: MzvAtom) -> MzvAtom | None:
@@ -736,13 +732,13 @@ def _ref_pair_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             # c1*A + c2*B -> c1*(pair sum) + (c2 - c1)*B: eliminate the
             # ascending-slot atom, keeping the descending-slot basis form.
             t_amt = lc.coeff(rest.mul(SymbolicTerm.of(atom)))
-            rhs = reflection_pair_sum(atom.args[0], atom.args[1])
+            rhs = symmetric_sum(tuple(sorted(atom.args)))
             partner_term = rest.mul(SymbolicTerm.of(partner))
             out = (
                 lc
-                - LinComb.of_term(partner_term, t_amt)
-                - LinComb.of_term(rest.mul(SymbolicTerm.of(atom)), t_amt)
-                + LinComb.of_term(rest, t_amt) * rhs
+                - LinComb({partner_term: t_amt})
+                - LinComb({rest.mul(SymbolicTerm.of(atom)): t_amt})
+                + LinComb({rest: t_amt}) * rhs
             )
             if len(trace) < TRACE_CAP:
                 trace.append(
@@ -778,11 +774,11 @@ def _ref_triple_pass(lc: LinComb, trace: list[str]) -> LinComb | None:
             t_amt = group[last]
             # The identity sums all six permutations; each distinct ordering
             # is 6 / len(orderings) of them.
-            rhs = reflection_triple_sum(*sorted(slots)).scale(Fraction(len(orderings), 6))
+            rhs = symmetric_sum(tuple(sorted(slots))).scale(Fraction(len(orderings), 6))
             out = lc
             for o in orderings:
-                out = out - LinComb.of_term(rest.mul(SymbolicTerm.of(o)), t_amt)
-            out = out + LinComb.of_term(rest, t_amt) * rhs
+                out = out - LinComb({rest.mul(SymbolicTerm.of(o)): t_amt})
+            out = out + LinComb({rest: t_amt}) * rhs
             if len(trace) < TRACE_CAP:
                 trace.append(
                     f"reflection_triple: orderings of {atom.render()} eliminated via {last.render()}"
@@ -805,7 +801,7 @@ def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
             hit = None
             for atom in sorted(set(term.factors)):
                 for table in tables:
-                    rhs = table.lookup(atom)
+                    rhs = table.entries.get(atom)
                     if rhs is not None:
                         hit = (atom, rhs, f"table[{table.label}]")
                         break
@@ -884,7 +880,7 @@ def atom_families(draw):
 
 small_lincombs = st.lists(atom_families(), min_size=1, max_size=5).map(
     lambda families: sum(
-        (LinComb.of_term(t, c) for family in families for t, c in family), LinComb.zero()
+        (LinComb({t: c}) for family in families for t, c in family), LinComb()
     )
 )
 
@@ -941,9 +937,13 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
 
         return wrapped
 
+    class CountedEntries(dict):
+        def get(self, atom):
+            seen["table", atom] += 1
+            return dict.get(self, atom)
+
     table = IdentityTable(starter12.label)
-    table.entries = starter12.entries
-    table.lookup = counting("table", table.lookup)
+    table.entries = CountedEntries(starter12.entries)
     rules = [reduction.IdentityRule(r.name, counting(r.name, r.rewrite)) for r in default_rules()]
     lc = expand_t1(parse_index("S(1,2,3,5,-8,3)"))
     monkeypatch.setattr(reduction, "heapq", RecordingHeapq)
@@ -952,7 +952,7 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
     plain = reduce_lincomb(lc, tables=[starter12])
     assert (r.value, r.steps, r.trace) == (plain.value, plain.steps, plain.trace)
 
-    matchers = [starter12.lookup] + [rule.rewrite for rule in default_rules()]
+    matchers = [starter12.entries.get] + [rule.rewrite for rule in default_rules()]
 
     def rewritable(term):
         return any(match(a) is not None for a in term.factors for match in matchers)
@@ -972,7 +972,7 @@ def test_leaking_rule_fails_loudly():
     assert product.factors[1] == z(2, 3)
     for term in (z(2, 3), product):
         with pytest.raises(AssertionError, match=r"weight leak rewriting z\(2,3\)"):
-            reduce_lincomb(LinComb.of_term(term), rules=[leak])
+            reduce_lincomb(LinComb({term: 1}), rules=[leak])
 
 
 # Combinations whose reflection candidates change only through atom rewrites:
@@ -983,7 +983,7 @@ def test_leaking_rule_fails_loudly():
 #     rewrite of z(-3)*z(4,2) adds its partner;
 #   * the table rewrites z(2,4) itself, so a pass must not see it once it is
 #     gone, although its partner z(4,2) stays.
-Z24 = LinComb.of_atom(z(6), Fraction(25, 12)) - LinComb.of_term(SymbolicTerm.of(z(3), z(3)))
+Z24 = LinComb.of_atom(z(6), Fraction(25, 12)) - LinComb({SymbolicTerm.of(z(3), z(3)): 1})
 ORDERINGS_234 = [MzvAtom(args=o) for o in itertools.permutations((2, 3, 4))]
 REWRITE_THEN_REFLECT = [
     (lc((1, [z(-3), z(2, 4)]), (5, [z(-3), z(4, 2)])), False, {"reflection_pair"}),
@@ -1088,8 +1088,8 @@ def _replay(lc: LinComb, log) -> LinComb:
     """``lc`` plus c * rest * (rhs - lhs) for each record of ``log``; lhs is
     the record's atom, or the sum of a reflection's orderings."""
     for _rule, atom, rest, c, rhs, *orderings in log:
-        lhs = sum(map(LinComb.of_atom, orderings[0] if orderings else [atom]), LinComb.zero())
-        lc = lc + LinComb.of_term(rest, c) * (rhs - lhs)
+        lhs = sum(map(LinComb.of_atom, orderings[0] if orderings else [atom]), LinComb())
+        lc = lc + LinComb({rest: c}) * (rhs - lhs)
     return lc
 
 
