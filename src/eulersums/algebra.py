@@ -385,9 +385,12 @@ class LinComb:
 
     # -- rendering ----------------------------------------------------
 
-    def render(self) -> str:
+    def render(self, texts: Mapping[MzvAtom, str] | None = None) -> str:
         """Signed terms, a coefficient of magnitude 1 left out except on the
-        unit; as in ``json_terms``, coefficient text is made once per object."""
+        unit; as in ``json_terms``, coefficient text is made once per object.
+        ``texts``, if given, maps every atom of the combination, products'
+        factors included, to its ``render()``, and each atom's text is read
+        from it."""
         if not self._d:
             return "0"
         heads: dict[int, tuple[str, str]] = {}  # id(c) -> text before the unit, before another term
@@ -401,6 +404,9 @@ class LinComb:
                 head = heads[id(c)] = (sign + mag, sign if mag == "1" else sign + mag + "*")
             if not t:  # the unit, the empty product
                 parts.append(head[0])
+            elif texts is not None:
+                text = texts[t] if t.__class__ is MzvAtom else "*".join([texts[a] for a in t])
+                parts.append(head[1] + text)
             elif t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
                 args = t[2]
                 parts.append(head[1] + _zeta_format(len(args)) % args)

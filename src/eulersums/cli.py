@@ -166,9 +166,10 @@ def _printing():
                                "the interpreter's limit for printing an integer") from None
 
 
-def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra=None):
+def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra=None, texts=None):
     """Print ``terms``: a ``LinComb``, or for JSON any iterator of (term,
-    coefficient) pairs in term order."""
+    coefficient) pairs in term order.  Plain output reads the atoms' texts
+    from ``texts`` if it is given (see ``LinComb.render``)."""
     if output == "json":
         _write_json(idx, terms, engine, trace, extra)
         return
@@ -176,7 +177,8 @@ def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra
         if output == "latex":
             text = render_index(idx, "latex") + " = " + terms.latex()
         else:
-            text = "\n".join([render_index(idx, "plain") + " = " + terms.render()] + ["  # " + t for t in trace or ()])
+            text = "\n".join([render_index(idx, "plain") + " = " + terms.render(texts)]
+                             + ["  # " + t for t in trace or ()])
     print(text)
     if is_conditionally_convergent(idx):
         _err("note: outer exponent -1, the series converges conditionally")
@@ -238,9 +240,12 @@ def cmd_reduce(args) -> int:
         trace = result.trace if args.trace and args.output != "latex" else None
         value = result.value
         del result  # the step records, which hold every rewrite's rhs, are freed before printing
-        atoms = value.atoms() if args.output != "latex" else ()
-        unresolved = sorted({a.render() for a in atoms if len(a[2]) >= 2})  # a Li atom has no slots, a[2]
-    _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved})
+        # each atom of the result, products' factors included, is written once:
+        # the unresolved list and the plain result line read the same texts;
+        # a Li atom has no slots, a[2]
+        texts = {a: a.render() for a in value.atoms()} if args.output != "latex" else {}
+        unresolved = sorted([text for a, text in texts.items() if len(a[2]) >= 2])
+    _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved}, texts=texts)
     if unresolved and args.output == "plain":
         _err("unresolved atoms (left as basis elements): " + ", ".join(unresolved))
     return EXIT_OK

@@ -184,8 +184,13 @@ def _latex_entry(e: int) -> str:
 
 
 def _latex_inner(inner: tuple[int, ...]) -> str:
-    """Repeated entries in power notation: (1,1,2) -> 1^{2}2."""
-    runs = ((_latex_entry(e), len(list(run))) for e, run in itertools.groupby(inner))
+    """Repeated entries in power notation, and an unbarred entry of two or
+    more digits in parentheses, so that no two indices read alike:
+    (1,1,2) -> 1^{2}2, (1,12) -> 1(12), (12,12) -> (12)^{2}."""
+    runs = (
+        ("(%d)" % e if e >= 10 else _latex_entry(e), len(list(run)))
+        for e, run in itertools.groupby(inner)
+    )
     return "".join(base if count == 1 else base + "^{%d}" % count for base, count in runs)
 
 

@@ -107,10 +107,11 @@ def alt_depth1(s: int) -> LinComb:
 
 
 def _signed_atom(v: int, sign: int) -> MzvAtom | None:
-    """z(v) or z(v bar); None for the unsigned v = 1, which is dropped."""
+    """z(v) or z(v bar), v >= 1, built without ``MzvAtom``'s checks, which
+    such a slot passes; None for the unsigned v = 1, which is dropped."""
     if sign > 0:
-        return None if v == 1 else z(v)
-    return z(-v)
+        return None if v == 1 else MzvAtom._of_word((v,), v)
+    return MzvAtom._of_word((-v,), v)
 
 
 @functools.cache
@@ -165,6 +166,11 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
         )
         return [(x, sign * c) for x, c in pieces if x is not None]
 
+    def product(x: MzvAtom, y: MzvAtom) -> SymbolicTerm:
+        # depth-1 factors whose weights add up to the odd w, so they differ:
+        # the lighter one first is atom order, and no sort is needed
+        return tuple.__new__(SymbolicTerm, (x, y) if x[1] < y[1] else (y, x))
+
     twice: dict[Term, int] = {}
 
     def add(term: Term, c: int):
@@ -174,12 +180,13 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     for x, c in mu(w):
         add(x, c)
     if s % 2 == 0 and (y := _signed_atom(t, tg)) is not None:
-        add(_signed_atom(s, sg).mul(y), 2)
+        add(product(_signed_atom(s, sg), y), 2)
     for k in range(1, (w - 1) // 2 + 1):
         x = _signed_atom(2 * k, sg * tg)
         for y, c in mu(w - 2 * k):
-            add(x.mul(y), -2 * c)
-    return LinComb._of_nonzero({term: Fraction(c, 2) for term, c in twice.items() if c})
+            add(product(x, y), -2 * c)
+    halves = {c: Fraction(c, 2) for c in set(twice.values()) if c}  # one per distinct value
+    return LinComb._of_nonzero({term: halves[c] for term, c in twice.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +450,8 @@ class _WorkingSum:
     working sum.  A term none of whose atoms rewrites never touches the heap."""
 
     def __init__(self, lc: LinComb, rules: list[IdentityRule]):
-        self.rules = rules
+        # each rule's function and name, read from its record once per call
+        self.matchers = [(rule.rewrite, rule.name) for rule in rules]
         self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
         self.in_heap: set[Term] = set()
@@ -461,9 +469,21 @@ class _WorkingSum:
         for atom in (term,) if term.__class__ is MzvAtom else term:
             known = memo.get(atom)
             if known is None:
+                # a new atom: the first matcher that rewrites it, in one loop,
+                # and one depth test for the pass that could eliminate it
+                hit = None
+                for rewrite, name in self.matchers:
+                    rhs = rewrite(atom)
+                    if rhs is not None:
+                        assert rhs.weights() in ({atom[1]}, set()), (
+                            f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom[1]}"
+                        )
+                        hit = rhs, name
+                        break
+                depth = len(atom[2])  # a Li atom has no slots
                 known = memo[atom] = (
-                    _atom_rewrite(atom, self.rules),
-                    _pair_reflectable(atom) or _triple_reflectable(atom),
+                    hit,
+                    _pair_reflectable(atom) if depth == 2 else depth == 3 and _triple_reflectable(atom),
                 )
             hit, reflectable = known
             if reflectable:
@@ -510,15 +530,8 @@ class _WorkingSum:
 
 def _atom_rewrite(atom: MzvAtom, rules: list[IdentityRule]):
     """``(rhs, rule name)`` for the first rule that rewrites ``atom``; None
-    if none does."""
-    for rule in rules:
-        rhs = rule.rewrite(atom)
-        if rhs is not None:
-            assert rhs.weights() in ({atom.weight}, set()), (
-                f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom.weight}"
-            )
-            return rhs, rule.name
-    return None
+    if none does: what a working sum notes for the atom as it enters."""
+    return _WorkingSum(LinComb.of_atom(atom), rules).memo[atom][0]
 
 
 def _first_candidate(terms: set[Term], find):

@@ -184,6 +184,59 @@ def test_reduce_latex_builds_no_unresolved_list(capsys, monkeypatch):
     assert code == 0 and len(calls) == 2 and json.loads(out)["unresolved"]
 
 
+_LI_TABLE = '{"lhs": "z(-1)", "rhs": [{"factors": ["Li(1,1/2)"], "coeff": "-1"}], "weight": 1}\n'
+
+
+@pytest.mark.parametrize("engine,table,text", [
+    ("t1", "starter", "S(1,4,-2,-3,-7,3)"),  # an index of the reduce benchmark
+    ("t2", None, "S(2,2,3,3,2)"),  # deep atoms that occur only inside products
+    ("auto", "li", "S(-1,-1,-1,-1)"),  # Li(1,1/2) in products, outer -1
+])
+def test_reduce_output_contract(capsys, tmp_path, engine, table, text):
+    # what each output format of reduce prints, built here from the library's
+    # value and each atom's own render(), not from the command's code
+    from eulersums.cli import _expand_with_engine
+    from eulersums.expansion import is_conditionally_convergent
+    from eulersums.indices import parse_index, render_index
+
+    argv = ["--engine", engine]
+    tables = []
+    if table:
+        path = _starter_table() if table == "starter" else str(tmp_path / "li.jsonl")
+        if table == "li":
+            pathlib.Path(path).write_text(_LI_TABLE)
+        argv += ["--table", path]
+        tables.append(eulersums.load_identity_table(path))
+    idx = parse_index(text)
+    lc, label, _ = _expand_with_engine(idx, engine)
+    value = eulersums.reduce_lincomb(lc, tables=tables).value
+    unresolved = sorted({a.render() for a in value.atoms() if a.depth >= 2})
+    note = ""
+    if is_conditionally_convergent(idx):
+        note = "note: outer exponent -1, the series converges conditionally\n"
+    if engine == "t2":
+        # the case holds what it is there for: unresolved atoms that no term holds alone
+        alone = {t for t in value._d if type(t) is eulersums.MzvAtom}
+        assert any(a.depth >= 2 and a not in alone for a in value.atoms())
+
+    code, out, err = run(capsys, "reduce", *argv, text)
+    assert code == 0
+    assert out == f"{render_index(idx, 'plain')} = {value.render()}\n"
+    listed = "unresolved atoms (left as basis elements): " + ", ".join(unresolved) + "\n"
+    assert err == note + (listed if unresolved else "")
+
+    code, out, err = run(capsys, "reduce", "--output", "json", *argv, text)
+    doc = {"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree,
+           "terms": value.to_json_terms(), "term_count": len(value), "engine": label}
+    if note:
+        doc["convergence"] = "conditional"
+    doc["unresolved"] = unresolved
+    assert (code, out, err) == (0, json.dumps(doc) + "\n", "")
+
+    code, out, err = run(capsys, "reduce", "--output", "latex", *argv, text)
+    assert (code, out, err) == (0, f"{render_index(idx, 'latex')} = {value.latex()}\n", note)
+
+
 def test_reduce_with_bundled_table(capsys):
     import importlib.resources as res
 

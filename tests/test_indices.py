@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -111,3 +112,22 @@ def test_render_styles():
     for style in ("html", "json"):
         with pytest.raises(ValueError, match="^unknown style"):
             render_index(make_index([], 5), style)
+
+
+def test_latex_parenthesizes_multi_digit_entries():
+    # an unbarred inner entry of two or more digits is set apart; a barred one
+    # is by its \bar{...}, and the outer by the comma
+    assert render_index(parse_index("S(12,3)"), "latex") == r"S_{(12),3}"
+    assert render_index(parse_index("S(1,2,3)"), "latex") == r"S_{12,3}"
+    assert render_index(parse_index("S(1,12,3)"), "latex") == r"S_{1(12),3}"
+    assert render_index(parse_index("S(12,12,3)"), "latex") == r"S_{(12)^{2},3}"
+    assert render_index(parse_index("S(9,10,-10,-12)"), "latex") == r"S_{9(10)\bar{10},\bar{12}}"
+
+
+def test_latex_renderings_are_distinct():
+    # every index with inner magnitudes <= 13, degree <= 3 and |outer| <= 3 (outer 1 diverges)
+    values = list(range(1, 14)) + list(range(-13, 0))
+    inners = [()] + [c for d in (1, 2, 3) for c in itertools.combinations_with_replacement(values, d)]
+    indices = {make_index(inner, outer) for inner in inners for outer in (-3, -2, -1, 2, 3)}
+    assert len(indices) == 5 * (1 + 26 + 351 + 3276)
+    assert len({render_index(idx, "latex") for idx in indices}) == len(indices)

@@ -170,8 +170,10 @@ def test_alt_depth1_refuses_past_the_step_cap(monkeypatch):
 
 
 def test_depth2_odd_matches_reference_kernel():
-    # every admissible signed pair up to weight 33: slots of 1, barred or
-    # not, included; even weights give None on both sides
+    # every admissible signed pair up to weight 33, past the reduce benchmark's
+    # 32: slots of 1, barred or not, included; even weights give None on both
+    # sides.  depth2_odd builds its atoms and products without the checks and
+    # the sort of their constructors, so each must be the one they would build.
     seen = 0
     for w in range(2, 34):
         for s in range(1, w):
@@ -183,6 +185,11 @@ def test_depth2_odd_matches_reference_kernel():
                 assert got == _reference_depth2_odd(atom), atom
                 if got is not None:
                     assert all(type(c) is Fraction for _, c in got.items()), atom
+                    for term in got._d:
+                        if type(term) is not MzvAtom:
+                            assert type(term) is SymbolicTerm and term == SymbolicTerm.of(*term), (atom, term)
+                        for a in term.factors:
+                            assert type(a) is MzvAtom and a == MzvAtom(args=a.args), (atom, a)
                     seen += 1
     assert seen == 1056
     for atom in (z(5), z(2, 2, 3), z(-3, 1, 1), li_half(5)):
