@@ -41,12 +41,10 @@ from .indices import (
     render_index,
 )
 from .numerics import (
-    CapacityError,
     NumericResult,
     WordCapError,
-    eval_atom,
-    eval_euler_sum,
-    eval_lincomb,
+    eval_euler_sum_best,
+    eval_lincomb_best,
     eval_mhs_exact,
 )
 from .reduction import (

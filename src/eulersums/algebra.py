@@ -462,22 +462,26 @@ class LinComb:
         return f"LinComb({self.render()})"
 
 
-def json_pieces(pairs: Iterable[tuple[Term, Fraction]]) -> Iterator[str]:
+def json_pieces(pairs: Iterable[tuple[Term, Fraction]],
+                texts: Mapping[MzvAtom, str] | None = None) -> Iterator[str]:
     """The JSON object of each (term, coefficient) pair, as ``json.dumps``
     writes an element of ``LinComb.to_json_terms()``, one piece per pair as
     it is read: a zeta atom's in one concatenation, and the text after the
     factors once per coefficient object, since the expansion engines share
     one ``Fraction`` per distinct value.  Atom renderings and rationals use
-    only ``[A-Za-z0-9(),/ -]``, so nothing needs escaping."""
+    only ``[A-Za-z0-9(),/ -]``, so nothing needs escaping.  ``texts``, if
+    given, maps every atom to its ``render()`` as in ``LinComb.render``."""
     # id(c) -> (c, '"], "coeff": "c"}'); holding c keeps its id from being reused
     tails: dict[int, tuple[Fraction, str]] = {}
+    # the text source, chosen once: given ``texts``, no atom is written inline
+    inline, text = (MzvAtom, MzvAtom.render) if texts is None else (None, texts.__getitem__)
     for t, c in pairs:
         tail = tails.get(id(c))
         if tail is None:
             tail = tails[id(c)] = (c, '"], "coeff": "' + str(c) + '"}')
-        if t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
+        if t.__class__ is inline and not t[0]:  # a zeta atom: li, slots by index
             args = t[2]
             yield '{"factors": ["' + _zeta_format(len(args)) % args + tail[1]
         else:
-            factors = ", ".join([f'"{a.render()}"' for a in t.factors])
+            factors = ", ".join([f'"{text(a)}"' for a in t.factors])
             yield '{"factors": [' + factors + tail[1][1:]  # each factor quoted already

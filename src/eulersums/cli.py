@@ -41,7 +41,7 @@ import sys
 
 from . import numerics
 from .algebra import LinComb, Refusal, json_pieces
-from .expansion import expand_t1, expand_t2, is_conditionally_convergent, linearize, t1_terms
+from .expansion import expand_t1, expand_t2, linearize, t1_terms
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
 from .reduction import load_identity_table, reduce_lincomb
@@ -168,10 +168,10 @@ def _printing():
 
 def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra=None, texts=None):
     """Print ``terms``: a ``LinComb``, or for JSON any iterator of (term,
-    coefficient) pairs in term order.  Plain output reads the atoms' texts
-    from ``texts`` if it is given (see ``LinComb.render``)."""
+    coefficient) pairs in term order.  Plain and JSON output read the atoms'
+    texts from ``texts`` if it is given (see ``LinComb.render``)."""
     if output == "json":
-        _write_json(idx, terms, engine, trace, extra)
+        _write_json(idx, terms, engine, trace, extra, texts)
         return
     with _printing():
         if output == "latex":
@@ -180,7 +180,7 @@ def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra
             text = "\n".join([render_index(idx, "plain") + " = " + terms.render(texts)]
                              + ["  # " + t for t in trace or ()])
     print(text)
-    if is_conditionally_convergent(idx):
+    if idx.outer == -1:
         _err("note: outer exponent -1, the series converges conditionally")
 
 
@@ -188,7 +188,7 @@ def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra
 _JSON_CHUNK = 4096
 
 
-def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra):
+def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra, texts):
     """Write the document that json.dumps would write: the keys before the
     terms array, the array in chunks as its terms are produced, then
     ``term_count``, counted on the way, and the keys after it.  No whole
@@ -198,7 +198,7 @@ def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra):
         if isinstance(terms, LinComb):
             # A reduced coefficient may be past the digit limit: every piece is
             # made before the first byte goes out.
-            pieces = iter(list(json_pieces(terms.items())))
+            pieces = iter(list(json_pieces(terms.items(), texts)))
         else:
             # t1's stream: the head holds the weight, every slot's magnitude is
             # at most the weight, and every coefficient is a multiplicity of at
@@ -213,7 +213,7 @@ def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra):
             count += len(chunk)
             sep = ", "
         tail = {"term_count": count, "engine": engine}
-        if is_conditionally_convergent(idx):
+        if idx.outer == -1:
             tail["convergence"] = "conditional"
         if trace is not None:
             tail["trace"] = trace
@@ -240,9 +240,8 @@ def cmd_reduce(args) -> int:
         trace = result.trace if args.trace and args.output != "latex" else None
         value = result.value
         del result  # the step records, which hold every rewrite's rhs, are freed before printing
-        # each atom of the result, products' factors included, is written once:
-        # the unresolved list and the plain result line read the same texts;
-        # a Li atom has no slots, a[2]
+        # each atom of the result, products' factors included, is written once, for the
+        # unresolved list and the plain or JSON result; a Li atom has no slots, a[2]
         texts = {a: a.render() for a in value.atoms()} if args.output != "latex" else {}
         unresolved = sorted([text for a, text in texts.items() if len(a[2]) >= 2])
     _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved}, texts=texts)

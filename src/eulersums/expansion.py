@@ -312,7 +312,3 @@ def linearize(lc: LinComb) -> LinComb:
         {(MzvAtom(w) if w else UNIT_TERM): c for w, c in acc.items() if c}
     )
 
-
-def is_conditionally_convergent(idx: EulerSumIndex) -> bool:
-    """Outer exponent -1: the defining series converges only conditionally."""
-    return idx.outer == -1

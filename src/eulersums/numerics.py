@@ -50,8 +50,8 @@ Three evaluation strategies are used.
 
 Both routes can miss a requested tolerance: the walk, capped at N_MAX, and
 a combination of atoms, whose bound counts its rounding to 64 bits, up to
-2^-64 |value|.  ``eval_euler_sum`` and ``eval_lincomb`` then raise
-``CapacityError``.
+2^-64 |value|.  Each evaluator returns its best result, and a caller compares
+its ``tail_bound`` with the tolerance, as the ``eval`` command does.
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -132,14 +132,6 @@ def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fractio
     return diff <= budget, diff, budget
 
 
-class CapacityError(RuntimeError):
-    """Target tolerance unreachable within the term cap; carries the best result."""
-
-    def __init__(self, message: str, result: NumericResult):
-        super().__init__(f"{message}; achieved bound {_up3(result.tail_bound)}")
-        self.result = result
-
-
 # ---------------------------------------------------------------------------
 # Exact finite sums
 # ---------------------------------------------------------------------------
@@ -183,13 +175,6 @@ def eval_mhs_exact(args, n: int) -> Fraction:
 
 _FP_BITS = 192
 _FP_SCALE = 1 << _FP_BITS
-
-
-def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
-    """(value, error) in units of 2^-192: the value floored, the error rounded
-    up, plus one unit if the floor was inexact."""
-    v, r = divmod(val.numerator << _FP_BITS, val.denominator)
-    return v, -(-(err.numerator << _FP_BITS) // err.denominator) + (1 if r else 0)
 
 
 def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> NumericResult:
@@ -273,9 +258,10 @@ def _chain_sums(chains, n_terms: int) -> dict[tuple[int, ...], list[int]]:
 
 
 def _fp_holders(words, n_terms: int = HOLDER_N):
-    """(-1)^depth G(word; 1) for each (word, depth), as (value, error), by the
-    Hoelder convolution at 1/2 (Borwein, Bradley, Broadhurst and Lisonek,
-    *Special values of multiple polylogarithms*):
+    """(-1)^depth G(word; 1) for each (word, depth), as (value, error) in units
+    of 2^-192, the error rounded up once, by the Hoelder convolution at 1/2
+    (Borwein, Bradley, Broadhurst and Lisonek, *Special values of multiple
+    polylogarithms*):
 
         G(b_1..b_w; 1) = sum_j (-1)^j G(1-b_j, ..., 1-b_1; 1/2) G(b_(j+1), ..., b_w; 1/2).
 
@@ -295,7 +281,7 @@ def _fp_holders(words, n_terms: int = HOLDER_N):
         acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
         factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
         err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
-        yield Fraction((-1) ** depth * acc, _FP_SCALE), err
+        yield (-1) ** depth * acc, -(-(err.numerator << _FP_BITS) // err.denominator)
 
 
 _ATOM_UNITS: dict[MzvAtom, tuple[int, int]] = {}  # value and error bound in units of 2^-192
@@ -311,7 +297,7 @@ def _store_atoms(atoms) -> None:
         if a.weight > HOLDER_WORD_CAP:
             raise WordCapError("%s: weight %d above the Hoelder word cap %d", a, a.weight, HOLDER_WORD_CAP)
     words = [([0] * (a.li - 1) + [2], 1) if a.li else (_holder_word(a.args), len(a.args)) for a in missing]
-    _ATOM_UNITS.update(zip(missing, itertools.starmap(_to_units, _fp_holders(words))))
+    _ATOM_UNITS.update(zip(missing, _fp_holders(words)))
 
 
 def _atom_units(atom: MzvAtom) -> tuple[int, int]:
@@ -320,11 +306,6 @@ def _atom_units(atom: MzvAtom) -> tuple[int, int]:
 
 
 _atom_units.cache_clear = _ATOM_UNITS.clear  # emptied by ``clear_caches``
-
-
-def eval_atom(atom: MzvAtom) -> NumericResult:
-    """Certified value of one atom: the combination of that atom alone."""
-    return eval_lincomb_best(LinComb.of_atom(atom))
 
 
 def _lincomb_units(lc: LinComb) -> tuple[int, int]:
@@ -355,16 +336,9 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
 def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
     """Certified evaluation of a linear combination (raises only WordCapError):
     the sum of ``_lincomb_units``, rounded once by ``_fp_result``.  The atoms come
-    at fixed precision, so ``target_tol`` does not change the result;
-    ``eval_lincomb`` compares against it."""
+    at fixed precision, so ``target_tol`` does not change the result; a caller
+    compares the ``tail_bound`` with it."""
     return _fp_result(*_lincomb_units(lc), HOLDER_N if lc.atoms() else 0)
-
-
-def eval_lincomb(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
-    res = eval_lincomb_best(lc, target_tol)
-    if res.tail_bound > target_tol:
-        raise CapacityError(f"tolerance {target_tol} unreachable for combination", res)
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +603,10 @@ class _SumState:
 
 
 def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int = N_MAX) -> NumericResult:
+    """The series, walked until its bound meets ``target_tol`` (>= SUM_TOL_FLOOR)
+    or N reaches ``n_cap``: the result of least bound, which may miss the tolerance."""
+    if target_tol < SUM_TOL_FLOOR:
+        raise ValueError(f"target tolerance below the floor {SUM_TOL_FLOOR}")
     state = _SumState(idx)
     best: NumericResult | None = None
     cap = min(max(n_cap, 1), N_MAX)
@@ -641,12 +619,3 @@ def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int
             break
     return best
 
-
-def eval_euler_sum(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int = N_MAX) -> NumericResult:
-    """Evaluate the defining series; CapacityError carries the best result."""
-    if target_tol < SUM_TOL_FLOOR:
-        raise ValueError(f"target tolerance below the floor {SUM_TOL_FLOOR}")
-    res = eval_euler_sum_best(idx, target_tol, n_cap=n_cap)
-    if res.tail_bound > target_tol:
-        raise CapacityError(f"tolerance {target_tol} unreachable for {idx}", res)
-    return res

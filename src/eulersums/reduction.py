@@ -445,9 +445,9 @@ class _WorkingSum:
     pruned); a heap, by ``term_key()``, of the present terms with an atom that
     rewrites, each with its first such atom and that atom's rewrite; and the
     set of present terms with an atom a reflection pass can eliminate.  A
-    term is classified as it enters, from ``memo``: atom -> (``_atom_rewrite``
-    of it, whether a pass can eliminate it), each atom matched once per
-    working sum.  A term none of whose atoms rewrites never touches the heap."""
+    term is classified as it enters, from ``memo``: atom -> ((rhs, rule name)
+    of its first rewrite or None, whether a pass can eliminate it), each atom
+    matched once per working sum.  A term with no atom that rewrites never touches the heap."""
 
     def __init__(self, lc: LinComb, rules: list[IdentityRule]):
         # each rule's function and name, read from its record once per call
@@ -526,12 +526,6 @@ class _WorkingSum:
             if term in self.coeffs:
                 return name, atom, _term_without(term, atom), self.coeffs[term], rhs
         return None
-
-
-def _atom_rewrite(atom: MzvAtom, rules: list[IdentityRule]):
-    """``(rhs, rule name)`` for the first rule that rewrites ``atom``; None
-    if none does: what a working sum notes for the atom as it enters."""
-    return _WorkingSum(LinComb.of_atom(atom), rules).memo[atom][0]
 
 
 def _first_candidate(terms: set[Term], find):

@@ -22,8 +22,15 @@ from eulersums import reduction
 from eulersums.algebra import LinComb, MzvAtom, z
 from eulersums.expansion import _check_size, _quasi_shuffle
 from eulersums.indices import EulerSumIndex, make_index
-from eulersums.numerics import _FP_SCALE, NumericResult, _fp_result, _to_units
+from eulersums.numerics import _FP_BITS, _FP_SCALE, NumericResult, _fp_result
 from eulersums.reduction import IdentityRule, alt_depth1, symmetric_sum, zeta_ones
+
+
+def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
+    """(value, error) in units of 2^-192: the value floored, the error rounded
+    up, plus one unit if the floor was inexact."""
+    v, r = divmod(val.numerator << _FP_BITS, val.denominator)
+    return v, -(-(err.numerator << _FP_BITS) // err.denominator) + (1 if r else 0)
 
 
 def harmonic_exact(r: int, n: int) -> Fraction:

@@ -351,11 +351,11 @@ def test_criterion_5_rule_soundness():
             assert lhs == rhs
 
     # anchor identities
-    r21 = numerics.eval_atom(z(2, 1))
+    r21 = eval_lincomb_best(LinComb.of_atom(z(2, 1)))
     z3 = zeta_value(3)
     ok, diff, budget = _agree(r21, z3, 1e-8)
     assert ok, (diff, budget)
-    rbar = numerics.eval_atom(z(-2))
+    rbar = eval_lincomb_best(LinComb.of_atom(z(-2)))
     diff2 = abs(float(rbar.value) + 0.5 * float(zeta_value(2).value))
     assert diff2 <= rbar.tail_bound + zeta_value(2).tail_bound + 1e-10
 

@@ -196,7 +196,6 @@ def test_reduce_output_contract(capsys, tmp_path, engine, table, text):
     # what each output format of reduce prints, built here from the library's
     # value and each atom's own render(), not from the command's code
     from eulersums.cli import _expand_with_engine
-    from eulersums.expansion import is_conditionally_convergent
     from eulersums.indices import parse_index, render_index
 
     argv = ["--engine", engine]
@@ -212,7 +211,7 @@ def test_reduce_output_contract(capsys, tmp_path, engine, table, text):
     value = eulersums.reduce_lincomb(lc, tables=tables).value
     unresolved = sorted({a.render() for a in value.atoms() if a.depth >= 2})
     note = ""
-    if is_conditionally_convergent(idx):
+    if idx.outer == -1:  # the series converges conditionally
         note = "note: outer exponent -1, the series converges conditionally\n"
     if engine == "t2":
         # the case holds what it is there for: unresolved atoms that no term holds alone
@@ -235,6 +234,24 @@ def test_reduce_output_contract(capsys, tmp_path, engine, table, text):
 
     code, out, err = run(capsys, "reduce", "--output", "latex", *argv, text)
     assert (code, out, err) == (0, f"{render_index(idx, 'latex')} = {value.latex()}\n", note)
+
+
+def test_reduce_json_formats_each_atom_once(capsys, monkeypatch):
+    # reduce's JSON reads every atom's text, products' factors included, from
+    # the one map that also gives the "unresolved" key: each distinct zeta
+    # atom of the result is formatted once, and the document is as before
+    from eulersums import algebra
+
+    text = "S(2,2,3,3,2)"
+    value = eulersums.reduce_lincomb(eulersums.expand_t2(eulersums.parse_index(text))).value
+    zetas = {a for a in value.atoms() if not a.li}
+    assert sum(type(t) is not eulersums.MzvAtom for t in value._d) == 27 and len(zetas) > 27
+    calls = []
+    zeta_format = algebra._zeta_format
+    monkeypatch.setattr(algebra, "_zeta_format", lambda depth: calls.append(depth) or zeta_format(depth))
+    code, out, err = run(capsys, "reduce", "--engine", "t2", "--output", "json", text)
+    assert (code, err) == (0, "") and len(calls) == len(zetas)
+    assert json.loads(out)["terms"] == value.to_json_terms()
 
 
 def test_reduce_with_bundled_table(capsys):

@@ -1,5 +1,6 @@
 import decimal
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -18,7 +19,6 @@ from eulersums.numerics import (
     _FP_SCALE,
     HOLDER_N,
     K_EM,
-    CapacityError,
     _SumState,
     _atom_units,
     _bernoulli,
@@ -29,15 +29,30 @@ from eulersums.numerics import (
     _holder_apply,
     _holder_word,
     _plain_factor,
-    _to_units,
-    eval_atom,
-    eval_euler_sum,
     eval_euler_sum_best,
-    eval_lincomb,
     eval_lincomb_best,
     eval_mhs_exact,
 )
-from reference_oracles import _fp_atan_inv, _fp_zeta, alt_harmonic_exact, harmonic_exact, pi_reference, zeta_value
+from reference_oracles import (
+    _fp_atan_inv,
+    _fp_zeta,
+    _to_units,
+    alt_harmonic_exact,
+    harmonic_exact,
+    pi_reference,
+    zeta_value,
+)
+
+
+def _eval_atom(atom):
+    """The certified value of one atom: the combination of that atom alone."""
+    return eval_lincomb_best(LinComb.of_atom(atom))
+
+
+def _holder_value(args, n_terms=HOLDER_N):
+    """``_fp_holders`` of z(args) as two rationals: its value and error bound."""
+    value, err = next(_fp_holders([(_holder_word(args), len(args))], n_terms))
+    return Fraction(value, _FP_SCALE), Fraction(err, _FP_SCALE)
 
 
 def brute_mhs(args, n):
@@ -112,13 +127,13 @@ def test_zeta_value_reports_terms_summed():
 def test_li4_half_series():
     # direct check from the defining series with an exact rational partial sum
     partial = sum((Fraction(1, 2**n * n**4) for n in range(1, 61)), Fraction(0))
-    r = eval_atom(li_half(4))
+    r = _eval_atom(li_half(4))
     assert abs(float(r.value) - float(partial)) < 1e-17
     assert abs(float(r.value) - 0.5174790616738994) < 1e-12
 
 
 def test_ln2():
-    assert abs(float(eval_atom(li_half(1)).value) - math.log(2)) < 1e-15
+    assert abs(float(_eval_atom(li_half(1)).value) - math.log(2)) < 1e-15
 
 
 @functools.cache
@@ -195,7 +210,7 @@ def test_holder_closed_forms():
         ((-1,), -ln2),
         ((2, 1, 1), zeta2 * zeta2 * Fraction(2, 5)),  # zeta(4)
     ]:
-        value, err = next(_fp_holders([(_holder_word(args), len(args))]))
+        value, err = _holder_value(args)
         assert err < Fraction(1, 10**50)
         assert abs(value - closed) < Fraction(1, 10**25), args
     assert zeta3_err < Fraction(1, 10**26) and pi_err < Fraction(1, 10**50)
@@ -211,14 +226,14 @@ def test_holder_stuffle_depth2(a, b):
     # multiplies signs, exactly up to the fixed-point error
     merged = (abs(a) + abs(b)) * (1 if (a < 0) == (b < 0) else -1)
     words = [(_holder_word(args), len(args)) for args in [(a,), (b,), (a, b), (b, a), (merged,)]]
-    za, zb, zab, zba, zm = (value for value, _err in _fp_holders(words))
+    za, zb, zab, zba, zm = (Fraction(value, _FP_SCALE) for value, _err in _fp_holders(words))
     assert abs(za * zb - (zab + zba + zm)) < Fraction(1, 10**25), (a, b)
     for args in [(a, b), (b, a)]:
-        assert eval_atom(z(*args)).tail_bound <= 1e-15
+        assert _eval_atom(z(*args)).tail_bound <= 1e-15
 
 
 def test_atom_values_against_exact_tails():
-    res = eval_atom(z(3, 2))
+    res = _eval_atom(z(3, 2))
     assert res.tail_bound <= 1e-15 and res.terms_used == HOLDER_N
     # known: zeta(3,2) = -11/2 zeta(5) + 3 zeta(2) zeta(3)
     target = -5.5 * float(zeta_value(5).value) + 3 * float(zeta_value(2).value) * float(
@@ -229,12 +244,12 @@ def test_atom_values_against_exact_tails():
 
 def test_alt_depth1_numeric():
     # the Hoelder route vs the fixed-point zeta route
-    r = eval_atom(z(-2))
+    r = _eval_atom(z(-2))
     assert abs(float(r.value) + 0.5 * float(zeta_value(2).value)) <= r.tail_bound + 1e-15
 
 
 def test_zeta21_equals_zeta3():
-    r = eval_atom(z(2, 1))
+    r = _eval_atom(z(2, 1))
     diff = abs(float(r.value) - float(zeta_value(3).value))
     assert diff <= r.tail_bound + zeta_value(3).tail_bound + 1e-16
     assert r.tail_bound < 1e-15
@@ -255,9 +270,9 @@ def test_bound_conservative_under_refinement():
     # a value truncated after N terms moves by less than its bound when
     # run to the full HOLDER_N
     for args in [(2, 1), (-1, 1), (-3, 2), (-1, -1, -1), (-1, 1, 1, 1, 1, 1)]:
-        full, full_err = next(_fp_holders([(_holder_word(args), len(args))]))
+        full, full_err = _holder_value(args)
         for n_terms in (8, 20, 50):
-            value, err = next(_fp_holders([(_holder_word(args), len(args))], n_terms))
+            value, err = _holder_value(args, n_terms)
             assert abs(value - full) <= err + full_err, (args, n_terms)
             assert err < Fraction(2 * len(_holder_word(args)) + 3, 2**n_terms)
 
@@ -311,7 +326,7 @@ def test_holder_chains_match_two_loops(n_terms):
     # as the reference: every value and bound equals it exactly
     assert len(_convergent_args(5)) == 108 and len(_convergent_args(8)) == 2916
     words = [(_holder_word(args), len(args)) for args in _CHAIN_ARGS]
-    assert list(_fp_holders(words, n_terms)) == [_fp_holder_two_loops(args, n_terms) for args in _CHAIN_ARGS]
+    assert list(_fp_holders(words, n_terms)) == [_to_units(*_fp_holder_two_loops(args, n_terms)) for args in _CHAIN_ARGS]
 
 
 def _counting_apply(monkeypatch):
@@ -338,7 +353,7 @@ def test_atom_units_alone_and_in_one_batch(monkeypatch):
     # with the store emptied, each atom alone and all of them in one
     # combination give the reference integers; the same combination again
     # reads the store and applies no letter
-    expected = {z(*args): numerics._to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
+    expected = {z(*args): _to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
     _atom_units.cache_clear()
     assert {atom: _atom_units(atom) for atom in expected} == expected
     _atom_units.cache_clear()
@@ -349,6 +364,25 @@ def test_atom_units_alone_and_in_one_batch(monkeypatch):
     assert numerics._lincomb_units(lc) == units and not calls
 
 
+def test_atom_store_stays_bit_identical():
+    # from an empty store, the units of five expansions and then those of
+    # every atom they stored, in atom order, hash as they did when each atom's
+    # value went through a Fraction and back: 1 120 atoms, bit for bit
+    from eulersums import clear_caches
+    from eulersums.expansion import expand_t1
+
+    clear_caches()
+    digest = hashlib.sha256()
+    for text in ["S(1,3,-5,-2,2,3)", "S(-200,2)", "S(1,2,3,4,2)", "S(2,-3,5,-7)", "S(1,-1,-1)"]:
+        value, error = numerics._lincomb_units(expand_t1(parse_index(text)))
+        digest.update(f"{text} {value} {error}\n".encode())
+    for atom in sorted(numerics._ATOM_UNITS):
+        value, error = numerics._ATOM_UNITS[atom]
+        digest.update(f"{atom.render()} {value} {error}\n".encode())
+    assert len(numerics._ATOM_UNITS) == 1120
+    assert digest.hexdigest() == "18268dee62feda59b8694eff37deba27bf693aeaf50eb0b03d173841e5ed0270"
+
+
 def test_long_word_matches_two_loops():
     # a 300-letter atom of mixed letters gives the reference's integers
     rng, args = random.Random(300), [-2]
@@ -356,7 +390,7 @@ def test_long_word_matches_two_loops():
         args.append(rng.choice([1, 2, 3, -1, -2, -3]))
     args.append(300 - sum(map(abs, args)))
     assert len(_holder_word(args)) == 300
-    assert next(_fp_holders([(_holder_word(args), len(args))])) == _fp_holder_two_loops(args, HOLDER_N)
+    assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
 
 
 def test_long_word_costs_one_step_per_letter(monkeypatch):
@@ -377,18 +411,18 @@ def test_long_word_costs_one_step_per_letter(monkeypatch):
     assert peak < 2_000_000
 
 
-def test_capacity_error_carries_result():
+def test_series_past_its_cap_returns_best_result():
     # only the series can miss a tolerance: the alternating log tail of
-    # S(1,-1,-1) needs more than 10 terms for 1e-9
-    with pytest.raises(CapacityError) as ei:
-        eval_euler_sum(parse_index("S(1,-1,-1)"), 1e-9, n_cap=10)
-    res = ei.value.result
+    # S(1,-1,-1) needs more than 10 terms for 1e-9, and the walk returns
+    # its best result, whose bound the caller compares with the tolerance
+    res = eval_euler_sum_best(parse_index("S(1,-1,-1)"), 1e-9, n_cap=10)
     assert res.tail_bound > 1e-9 and res.terms_used == 10
 
 
 def test_tol_floor():
-    with pytest.raises(ValueError):
-        eval_euler_sum(make_index([2], 2), 1e-12)
+    with pytest.raises(ValueError, match="below the floor"):
+        eval_euler_sum_best(make_index([2], 2), 1e-12)
+    assert eval_euler_sum_best(make_index([2], 2), numerics.SUM_TOL_FLOOR).tail_bound <= numerics.SUM_TOL_FLOOR
 
 
 # -- the integer walk ---------------------------------------------------------------
@@ -571,7 +605,7 @@ _ATOM = st.one_of(
 def _exact_atom(atom):
     if atom.li:
         return _li_half_series(atom.li)[0]
-    return next(_fp_holders([(_holder_word(atom.args), len(atom.args))]))[0]
+    return _holder_value(atom.args)[0]
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -592,14 +626,12 @@ def test_li_term_and_ln2_atom():
     assert abs(float(r2.value) + math.log(2)) < 1e-14
 
 
-def test_eval_lincomb_raises_capacity():
+def test_lincomb_below_its_rounding_returns_best_result():
     # atoms come at fixed precision: a combination misses only a tolerance
-    # below its rounding, and the error still carries the certified result
+    # below its rounding, and it still returns the certified result
     lc = LinComb.of_atom(z(-1, 1, 1, 1, 1)) + LinComb.of_atom(z(-3, 1), Fraction(-5, 7))
-    assert eval_lincomb(lc, 1e-15).tail_bound <= 1e-15
-    with pytest.raises(CapacityError) as ei:
-        eval_lincomb(lc, 1e-30)
-    assert 1e-30 < ei.value.result.tail_bound <= 1e-15
+    assert eval_lincomb_best(lc, 1e-15).tail_bound <= 1e-15
+    assert 1e-30 < eval_lincomb_best(lc, 1e-30).tail_bound <= 1e-15
 
 
 # -- Euler sums ---------------------------------------------------------------------
@@ -831,7 +863,7 @@ def test_atom_above_the_word_cap_is_refused_before_its_word_is_built(monkeypatch
     for atom in (z(big), z(2, -big), li_half(big)):
         t0 = time.monotonic()
         with pytest.raises(numerics.WordCapError, match=f"weight {atom.weight} above the Hoelder word cap"):
-            eval_atom(atom)
+            _eval_atom(atom)
         assert time.monotonic() - t0 < 1.0
     # the cap is inclusive, for zeta and Li atoms alike, with the store emptied
     expected = {atom: _atom_units(atom) for atom in (z(5), z(2, -3), li_half(5))}
@@ -1081,15 +1113,17 @@ def test_log_tails_stop_early():
     # slowest of them 1e-8, within 10^5 terms
     for text in ["S(2,-1)", "S(-2,-1)", "S(1,1,-1)", "S(1,-1,-1)", "S(-1,-1,-1)",
                  "S(1,2)", "S(-1,2)", "S(1,-2)", "S(-1,-2)"]:
-        assert eval_euler_sum(parse_index(text), 1e-6).terms_used <= 10**5, text
+        res = eval_euler_sum_best(parse_index(text), 1e-6)
+        assert res.tail_bound <= 1e-6 and res.terms_used <= 10**5, text
     for text in ["S(1,1,-1)", "S(1,-1,-1)"]:
-        assert eval_euler_sum(parse_index(text), 1e-8).terms_used <= 10**5, text
+        res = eval_euler_sum_best(parse_index(text), 1e-8)
+        assert res.tail_bound <= 1e-8 and res.terms_used <= 10**5, text
 
 
 def test_method_names_the_bound(monkeypatch, capsys, tmp_path):
-    assert eval_atom(z(3, 2)).method == "holder"
-    assert eval_atom(li_half(4)).method == "holder"
-    assert eval_atom(li_half(2)).method == "holder"
+    assert _eval_atom(z(3, 2)).method == "holder"
+    assert _eval_atom(li_half(4)).method == "holder"
+    assert _eval_atom(li_half(2)).method == "holder"
     assert eval_lincomb_best(LinComb.of_atom(li_half(4))).method == "holder"
     mixed = LinComb.of_atom(li_half(4)) + LinComb.of_atom(z(-3))
     assert eval_lincomb_best(mixed).method == "holder"
@@ -1113,9 +1147,9 @@ def test_method_names_the_bound(monkeypatch, capsys, tmp_path):
     table.write_text('{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n')
     dump = tmp_path / "d.json"
     dump.write_text('{"terms": [{"factors": ["Li(4,1/2)", "z(-3)"], "coeff": "2"}]}')
-    eval_atom(z(3, 2))
-    eval_lincomb(LinComb.of_atom(li_half(4)))
-    eval_euler_sum(parse_index("S(-1,2)"), 1e-6)
+    _eval_atom(z(3, 2))
+    eval_lincomb_best(LinComb.of_atom(li_half(4)))
+    eval_euler_sum_best(parse_index("S(-1,2)"), 1e-6)
     for argv in (["eval", "S(1,1,-1)"], ["eval", "--json", str(dump)], ["table-check", str(table)],
                  ["verify", "--tol", "1e-6", "--table", str(table), "S(1,2)"]):
         assert cli.main(argv) == 0, argv
@@ -1129,12 +1163,12 @@ def test_an_infinite_bound_certifies_nothing():
     huge = eval_lincomb_best(LinComb.of_atom(z(3), 10**310))
     assert repr(huge) == "NumericResult(1.20205690315959e+310 +- 1.72e+290, N=200)"
     assert numerics.agree(huge, huge, 1e-8)[0]
-    ok, diff, budget = numerics.agree(eval_atom(z(3)), huge, 0)
+    ok, diff, budget = numerics.agree(_eval_atom(z(3)), huge, 0)
     assert not ok and diff > 10**309 and budget < 10**291
     # the bound of 10^400 z(3) is past every float: inf, which agrees with
     # nothing, not even the same value, and the budget is inf
     past = eval_lincomb_best(LinComb.of_atom(z(3), 10**400))
     assert past.tail_bound == math.inf
     assert numerics.agree(past, past, 1e-8) == (False, 0, math.inf)
-    ok, diff, budget = numerics.agree(eval_atom(z(3)), past, 0)
+    ok, diff, budget = numerics.agree(_eval_atom(z(3)), past, 0)
     assert (ok, budget) == (False, math.inf) and diff > 10**399

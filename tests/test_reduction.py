@@ -206,6 +206,12 @@ def _signed_words(max_weight: int):
     return [w for w in words[1:] if w[0] != 1]
 
 
+def _atom_rewrite(atom, rules):
+    """``(rhs, rule name)`` for the first rule that rewrites ``atom``; None
+    if none does: what a working sum notes for the atom as it enters."""
+    return reduction._WorkingSum(LinComb.of_atom(atom), rules).memo[atom][0]
+
+
 def test_rule_guards_match_reference():
     # the guards read each atom's slots once, by index; the reference reads them
     # through depth and args: the same hit or miss, rule name and rhs on every atom
@@ -222,17 +228,17 @@ def test_rule_guards_match_reference():
         for rule, ref in zip(rules, reference):
             assert rule.name == ref.name
             assert rule.rewrite(atom) == ref.rewrite(atom), (rule.name, atom)
-        got = reduction._atom_rewrite(atom, rules)
-        assert got == reduction._atom_rewrite(atom, reference), atom
+        got = _atom_rewrite(atom, rules)
+        assert got == _atom_rewrite(atom, reference), atom
         hits[got[1] if got else None] += 1
         assert reduction._pair_reflectable(atom) == _reference_pair_reflectable(atom), atom
         assert reduction._triple_reflectable(atom) == _reference_triple_reflectable(atom), atom
     # every rule fires, the log integral at the cap and not one past it
     assert set(hits) == {None, "alt_depth1", "repeated", "zeta_ones", "depth2_odd"}
-    assert reduction._atom_rewrite(z(cap + 1, 1), rules) is None
-    assert reduction._atom_rewrite(z(cap, 1), rules)[1] == "zeta_ones"
-    assert reduction._atom_rewrite(z(2, *[1] * cap), rules) is None
-    assert reduction._atom_rewrite(z(2, *[1] * (cap - 1)), rules)[1] == "zeta_ones"
+    assert _atom_rewrite(z(cap + 1, 1), rules) is None
+    assert _atom_rewrite(z(cap, 1), rules)[1] == "zeta_ones"
+    assert _atom_rewrite(z(2, *[1] * cap), rules) is None
+    assert _atom_rewrite(z(2, *[1] * (cap - 1)), rules)[1] == "zeta_ones"
 
 
 def test_repeated_unsigned_displays():
