@@ -9,7 +9,8 @@ first written; engine t1 as it built its terms in the kernel's order; the
 default rewrite rules and reflection predicates as they read an atom
 through its properties; and the text of atoms and combinations built from
 their fields, without ``render``.  ``convergent_indices`` lists the indices
-that sweeps run over.
+that sweeps run over, and ``_to_units`` turns an exact value and error
+into the fixed-point units of ``numerics``.
 """
 
 import functools
