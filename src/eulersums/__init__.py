@@ -27,7 +27,6 @@ from .algebra import (
 from .expansion import (
     DegreeCapError,
     UnsupportedHypothesisError,
-    expand_harmonic_product,
     expand_t1,
     expand_t2,
     linearize,
@@ -45,7 +44,6 @@ from .numerics import (
     WordCapError,
     eval_euler_sum_best,
     eval_lincomb_best,
-    eval_mhs_exact,
 )
 from .reduction import (
     IdentityRule,

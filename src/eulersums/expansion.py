@@ -26,12 +26,6 @@ Both engines emit raw output: no identities are applied.  ``linearize``
 multiplies out the products of atoms that t2 emits; for every index t2
 covers, the linearized t2 output equals the t1 output exactly, because both
 split the same absolutely convergent sum into strict-order cells.
-
-``expand_harmonic_product`` exposes the n-independent core of engine t1: the
-expansion of a finite product of (alternating) generalized harmonic numbers
-as a combination of multiple harmonic sums.  Substituting any finite n and
-evaluating exactly reproduces the product; the test suite uses this as the
-ground-truth oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -138,24 +132,6 @@ def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
             else:
                 out.append(head + yt + tail)
     return out
-
-
-def expand_harmonic_product(inner) -> dict[tuple[int, ...], Fraction]:
-    """Expand a product of (alternating) harmonic numbers over nested sums.
-
-    ``inner`` lists signed exponents: +i is the generalized harmonic number
-    of order i, -i its alternating variant.  The result maps signed
-    multiple-harmonic-sum indices (negative entry = alternating slot, with
-    the sign convention sigma^n) to rational coefficients, independent of n.
-    """
-    inner = tuple(inner)
-    if any(e == 0 for e in inner):
-        raise ValueError("inner exponents must be nonzero")
-    _check_size(inner)
-    sign = (-1) ** sum(1 for e in inner if e < 0)
-    return {
-        word: Fraction(sign * c) for word, c in _quasi_shuffle((e,) for e in inner).items()
-    }
 
 
 def t1_terms(idx: EulerSumIndex) -> Iterator[tuple[MzvAtom, Fraction]]:

@@ -4,10 +4,7 @@ This module never consults the expansion or reduction engines: every value is
 obtained from a defining series or iterated integral, so it can serve as the
 second route of every identity check.
 
-Three evaluation strategies are used.
-
-  * Exact rational evaluation of finite multiple harmonic sums
-    (``eval_mhs_exact``) -- no tolerance, used by the quasi-shuffle tests.
+Two evaluation strategies are used.
 
   * Fixed-point integer summation (192 fractional bits) for every atom,
     each (alternating) MZV and Li_q(1/2) alike, by the Hoelder convolution
@@ -130,43 +127,6 @@ def agree(a: NumericResult, b: NumericResult, tol: float) -> tuple[bool, Fractio
         return False, diff, math.inf
     budget = Fraction(a.tail_bound) + Fraction(b.tail_bound) + Fraction(tol)
     return diff <= budget, diff, budget
-
-
-# ---------------------------------------------------------------------------
-# Exact finite sums
-# ---------------------------------------------------------------------------
-
-MHS_N_CAP = 60
-MHS_DEPTH_CAP = 6
-
-
-def eval_mhs_exact(args, n: int) -> Fraction:
-    """Exact multiple harmonic sum over n >= n_1 > ... > n_k >= 1.
-
-    ``args`` are signed slots (negative = alternating, contributing
-    (-1)^(n_j) in that slot).  Empty args give 1; n below the depth gives 0.
-    """
-    args = tuple(args)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > MHS_N_CAP:
-        raise ValueError(f"exact MHS evaluation capped at n <= {MHS_N_CAP}")
-    if len(args) > MHS_DEPTH_CAP:
-        raise ValueError(f"exact MHS evaluation capped at depth <= {MHS_DEPTH_CAP}")
-    if not args:
-        return Fraction(1)
-    if n < len(args):
-        return Fraction(0)
-    # prev[j] = zeta_j(suffix); build from the innermost slot outward.
-    prev = [Fraction(1)] * (n + 1)
-    for slot in reversed(args):
-        s, alt = abs(slot), slot < 0
-        cur = [Fraction(0)] * (n + 1)
-        for j in range(1, n + 1):
-            term = Fraction((-1) ** j if alt else 1, j**s) * prev[j - 1]
-            cur[j] = cur[j - 1] + term
-        prev = cur
-    return prev[n]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Each is a second route to a value that the package computes its own way:
 zeta(s) through a partial sum and an Euler-Maclaurin tail, beside the
 Hoelder words of ``numerics``; pi through Machin's arctangents, for
 zeta(2) = pi^2 / 6; the exact harmonic numbers that the series walk
-carries in fixed point; the kernel's one-word quasi-shuffle as it was
-first written; engine t1 as it built its terms in the kernel's order; the
-default rewrite rules and reflection predicates as they read an atom
-through its properties; and the text of atoms and combinations built from
-their fields, without ``render``.  ``convergent_indices`` lists the indices
-that sweeps run over, and ``_to_units`` turns an exact value and error
-into the fixed-point units of ``numerics``.
+carries in fixed point; the atoms truncated at a finite N, exactly, at
+which every expansion must still hold; the kernel's one-word quasi-shuffle
+as it was first written; engine t1 as it built its terms in the kernel's
+order; the default rewrite rules and reflection predicates as they read an
+atom through its properties; and the text of atoms and combinations built
+from their fields, without ``render``.  ``convergent_indices`` lists the
+indices that sweeps run over, and ``_to_units`` turns an exact value and
+error into the fixed-point units of ``numerics``.
 """
 
 import functools
@@ -42,6 +43,21 @@ def harmonic_exact(r: int, n: int) -> Fraction:
 def alt_harmonic_exact(r: int, n: int) -> Fraction:
     """Alternating harmonic number: sum of (-1)^(k-1) / k^r up to n."""
     return sum((Fraction((-1) ** (k - 1), k**r) for k in range(1, n + 1)), Fraction(0))
+
+
+def _mhs_prefix(args, nmax: int) -> list[Fraction]:
+    """The exact truncations zeta_n(args) for n = 0..nmax: the sum over
+    n >= n_1 > ... > n_k >= 1 of the product of the slots' terms, 1 / n_j^s
+    for a slot s > 0 and (-1)^(n_j) / n_j^|s| for a barred one.  Empty args
+    give 1 at every n."""
+    prev = [Fraction(1)] * (nmax + 1)
+    for slot in reversed(args):
+        s, alt = abs(slot), slot < 0
+        cur = [Fraction(0)] * (nmax + 1)
+        for j in range(1, nmax + 1):
+            cur[j] = cur[j - 1] + Fraction((-1) ** j if alt else 1, j**s) * prev[j - 1]
+        prev = cur
+    return prev
 
 
 def _zeta_terms(s: int) -> int:

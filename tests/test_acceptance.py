@@ -13,12 +13,7 @@ import time
 from fractions import Fraction
 
 from eulersums.algebra import LinComb, z
-from eulersums.expansion import (
-    expand_harmonic_product,
-    expand_t1,
-    expand_t2,
-    linearize,
-)
+from eulersums.expansion import expand_t1, expand_t2, linearize
 from eulersums.indices import make_index, parse_index
 from eulersums import numerics
 from eulersums.numerics import (
@@ -46,7 +41,7 @@ from fixtures_closed_forms import (
     lc,
     weight6_closed_forms,
 )
-from reference_oracles import zeta_value
+from reference_oracles import _mhs_prefix, zeta_value
 
 
 def _agree(a, b, tol):
@@ -121,50 +116,47 @@ def test_criterion_1_exact_expansion_fixtures():
     print(f"\ncriterion 1 PASS: exact expansion fixtures in {elapsed:.3f}s")
 
 
-# -- criterion 2: exact finite-n quasi-shuffle ----------------------------------
+# -- criterion 2: exact finite-N expansion -------------------------------------
 
 
-def _mhs_prefix(args, nmax):
-    """All exact partial values zeta_n(args) for n = 0..nmax."""
-    prev = [Fraction(1)] * (nmax + 1)
-    for slot in reversed(args):
-        s, alt = abs(slot), slot < 0
-        cur = [Fraction(0)] * (nmax + 1)
-        for j in range(1, nmax + 1):
-            cur[j] = cur[j - 1] + Fraction((-1) ** j if alt else 1, j**s) * prev[j - 1]
-        prev = cur
-    return prev
+def _sum_prefix(idx, nmax):
+    """All exact truncations S_N(idx) for N = 0..nmax, from the sum's
+    definition: the harmonic factor of an entry e sums 1/k^e, or
+    (-1)^(k-1)/k^|e| when e is barred, and a barred outer term is
+    (-1)^(n-1)/n^|q|."""
+    harmonic = [Fraction(0)] * idx.degree
+    out = [Fraction(0)]
+    for n in range(1, nmax + 1):
+        for i, e in enumerate(idx.inner):
+            harmonic[i] += Fraction((-1) ** (n - 1) if e < 0 else 1, n ** abs(e))
+        term = Fraction((-1) ** (n - 1) if idx.outer < 0 else 1, n ** abs(idx.outer))
+        out.append(out[-1] + term * math.prod(harmonic))
+    return out
 
 
 def test_criterion_2_finite_n_quasi_shuffle():
+    # The product of harmonic numbers is the quasi-shuffle at every n, so the
+    # t1 expansion holds between truncated sums at every N: the outer slot,
+    # the merged atoms and their signs included, with zero tolerance.
     t0 = time.monotonic()
-    nmax = 25
+    nmax = 12
     rng = random.Random(20250808)
-    checked = 0
-    # spot-check the prefix helper against the library's exact evaluator
-    assert _mhs_prefix((2, -1), 9)[9] == numerics.eval_mhs_exact((2, -1), 9)
-    while checked < 200:
+    prefixes = {}  # atom slots -> their truncations; atoms recur across indices
+    for _ in range(200):
         degree = rng.randrange(1, 5)
         inner = [rng.choice([1, -1]) * rng.randrange(1, 4) for _ in range(degree)]
-        expansion = expand_harmonic_product(inner)
-        combo_prefix = [Fraction(0)] * (nmax + 1)
-        for key, coeff in expansion.items():
-            pref = _mhs_prefix(key, nmax)
+        idx = make_index(inner, rng.choice([2, 3, -2, -3, -1]))
+        combo = [Fraction(0)] * (nmax + 1)
+        for atom, coeff in expand_t1(idx).items():
+            pref = prefixes.get(atom.args)
+            if pref is None:
+                pref = prefixes[atom.args] = _mhs_prefix(atom.args, nmax)
             for n in range(nmax + 1):
-                combo_prefix[n] += coeff * pref[n]
-        direct = [Fraction(1)] * (nmax + 1)
-        for e in inner:
-            # harmonic numbers carry (-1)^(k-1); the nested-sum slots carry
-            # sigma^k, so an alternating factor flips sign
-            pref = _mhs_prefix((e,), nmax)
-            flip = -1 if e < 0 else 1
-            for n in range(nmax + 1):
-                direct[n] *= flip * pref[n]
-        assert combo_prefix == direct, inner
-        checked += 1
+                combo[n] += coeff * pref[n]
+        assert combo == _sum_prefix(idx, nmax), idx
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
-    print(f"\ncriterion 2 PASS: {checked} random indices, n <= {nmax}, exact, {elapsed:.1f}s")
+    print(f"\ncriterion 2 PASS: 200 random indices, t1 at every N <= {nmax}, exact, {elapsed:.1f}s")
 
 
 # -- criterion 3: engine agreement ----------------------------------------------

@@ -33,7 +33,7 @@ def test_public_names():
         "IdentityTable", "IndexParseError", "LinComb", "MzvAtom", "NumericResult", "ReduceResult",
         "SymbolicTerm", "UnsupportedHypothesisError", "WordCapError", "alt_depth1", "as_fraction",
         "build_starter_table", "clear_caches", "depth2_odd", "eval_euler_sum_best", "eval_lincomb_best",
-        "eval_mhs_exact", "expand_harmonic_product", "expand_t1", "expand_t2", "li_half", "linearize",
+        "expand_t1", "expand_t2", "li_half", "linearize",
         "load_identity_table", "log_integral", "make_index", "parse_atom", "parse_index",
         "reduce_lincomb", "render_index", "save_table", "symmetric_sum", "z", "zeta_ones",
     ]

@@ -16,7 +16,6 @@ from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, z
 from eulersums.expansion import (
     DegreeCapError,
     UnsupportedHypothesisError,
-    expand_harmonic_product,
     expand_t1,
     expand_t2,
     linearize,
@@ -24,10 +23,15 @@ from eulersums.expansion import (
     t1_terms,
 )
 from eulersums.indices import make_index, parse_index
-from eulersums.numerics import eval_mhs_exact
 
 from fixtures_closed_forms import lc
-from reference_oracles import _reference_expand_t1, alt_harmonic_exact, convergent_indices, harmonic_exact
+from reference_oracles import (
+    _mhs_prefix,
+    _reference_expand_t1,
+    alt_harmonic_exact,
+    convergent_indices,
+    harmonic_exact,
+)
 
 
 # -- ordering-class engine fixtures -------------------------------------------
@@ -380,8 +384,8 @@ def test_ordered_bell_mass():
     # with m distinct values every weak ordering of the harmonic numbers'
     # summation variables is one path of the kernel, counted once
     for m in range(1, 6):
-        exp = expand_harmonic_product(range(1, m + 1))
-        assert sum(abs(c) for c in exp.values()) == _weak_orderings(m)
+        product = expansion._quasi_shuffle((e,) for e in range(1, m + 1))
+        assert sum(product.values()) == _weak_orderings(m)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -405,21 +409,32 @@ def test_term_count_distinct_exponents():
     assert total == 2 * _weak_orderings(3) == 2 * 13
 
 
-# -- harmonic-product expansion (the finite-n oracle) --------------------------
+# -- the harmonic-number product at finite n ----------------------------------
+
+
+def _harmonic_product(inner) -> dict[tuple[int, ...], int]:
+    """The kernel's product of the one-letter words of ``inner`` as
+    {word: coefficient}.  A barred harmonic factor sums (-1)^(k-1) where its
+    slot carries sigma^k = (-1)^k, so each barred factor flips the sign."""
+    sign = (-1) ** sum(1 for e in inner if e < 0)
+    return {word: sign * c for word, c in expansion._quasi_shuffle((e,) for e in inner).items()}
+
+
+def _at(product, n):
+    """The combination of nested sums ``product`` truncated at n, exactly."""
+    return sum((c * _mhs_prefix(word, n)[n] for word, c in product.items()), Fraction(0))
 
 
 def test_harmonic_product_basics():
-    assert expand_harmonic_product([3]) == {(3,): Fraction(1)}
-    assert expand_harmonic_product([1, 1]) == {(2,): Fraction(1), (1, 1): Fraction(2)}
+    assert _harmonic_product([3]) == {(3,): 1}
+    assert _harmonic_product([1, 1]) == {(2,): 1, (1, 1): 2}
 
 
 def test_harmonic_product_alternating_square():
     # the square of an alternating harmonic number, checked exactly at finite n
-    exp = expand_harmonic_product([-1, -1])
+    product = _harmonic_product([-1, -1])
     for n in range(0, 18):
-        direct = alt_harmonic_exact(1, n) ** 2
-        combo = sum((c * eval_mhs_exact(k, n) for k, c in exp.items()), Fraction(0))
-        assert combo == direct
+        assert _at(product, n) == alt_harmonic_exact(1, n) ** 2
 
 
 def test_harmonic_product_finite_n_random():
@@ -427,25 +442,24 @@ def test_harmonic_product_finite_n_random():
     for _ in range(25):
         deg = rng.randrange(1, 5)
         inner = [rng.choice([1, -1]) * rng.randrange(1, 4) for _ in range(deg)]
-        exp = expand_harmonic_product(inner)
+        product = _harmonic_product(inner)
         for n in (0, 1, 2, 5, 9, 13):
             direct = Fraction(1)
             for e in inner:
                 direct *= (
                     harmonic_exact(e, n) if e > 0 else alt_harmonic_exact(-e, n)
                 )
-            combo = sum((c * eval_mhs_exact(k, n) for k, c in exp.items()), Fraction(0))
-            assert combo == direct, (inner, n)
+            assert _at(product, n) == direct, (inner, n)
 
 
 def test_harmonic_product_degree_cap():
     # nine distinct entries: Fubini(9) ordered partitions, above the cap
     with pytest.raises(DegreeCapError, match="7087261"):
-        expand_harmonic_product(range(1, 10))
-    # one value eleven times: 2**10 compositions
-    exp = expand_harmonic_product([1] * 11)
+        expand_t1(make_index(range(1, 10), 2))
+    # one value eleven times: 2**10 compositions, two atoms each
+    out = expand_t1(make_index([1] * 11, 2))
     # the coefficients count the weak orderings of eleven labelled entries
-    assert len(exp) == 2**10 and sum(exp.values()) == _fubini(11)
+    assert len(out) == 2 * 2**10 and sum(c for _, c in out.items()) == 2 * _fubini(11)
 
 
 # -- tail-sum engine -----------------------------------------------------------

