@@ -46,7 +46,6 @@ from .numerics import (
     eval_lincomb_best,
 )
 from .reduction import (
-    IdentityRule,
     IdentityTable,
     ReduceResult,
     alt_depth1,

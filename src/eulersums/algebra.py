@@ -250,7 +250,6 @@ class SymbolicTerm(tuple):
 UNIT_TERM = SymbolicTerm()
 
 _TERM_KEY = operator.methodcaller("term_key")
-_SLOTS = operator.itemgetter(2)  # an atom's args
 
 # A term of a LinComb: the unit, one atom, or a product of two or more atoms.
 Term = MzvAtom | SymbolicTerm
@@ -297,23 +296,8 @@ class LinComb:
 
     def items(self) -> Iterator[tuple[Term, Fraction]]:
         """The (term, coefficient) pairs in ``term_key`` order: the unit,
-        then the zeta atoms by weight, then the Li atoms and the products.
-
-        The zeta atoms of one weight are sorted on their slots alone, which
-        is their atom order, since they share ``li`` and ``weight``.  The
-        slots are exact tuples, which ``list.sort`` compares on a faster
-        path than the atoms, a ``tuple`` subclass."""
-        by_weight: dict[int, list[MzvAtom]] = {}
-        rest = []
-        for t in self._d:
-            if t.__class__ is MzvAtom and not t[0]:  # li, weight by index
-                by_weight.setdefault(t[1], []).append(t)
-            elif t:  # not the unit, the empty product
-                rest.append(t)
-        order = [UNIT_TERM] if UNIT_TERM in self._d else []
-        for w in sorted(by_weight):
-            order += sorted(by_weight[w], key=_SLOTS)
-        order += sorted(rest, key=_TERM_KEY)
+        then the zeta atoms by weight, then the Li atoms and the products."""
+        order = sorted(self._d, key=_TERM_KEY)
         return zip(order, map(self._d.__getitem__, order))
 
     def coeff(self, term: Term) -> Fraction:
@@ -359,22 +343,19 @@ class LinComb:
         c = as_fraction(c)
         return LinComb._of_nonzero({t: c * v for t, v in self._d.items()} if c else {})
 
-    def __mul__(self, other):
-        if isinstance(other, LinComb):
-            d: dict[Term, Fraction] = {}
-            for t1, c1 in self._d.items():
-                for t2, c2 in other._d.items():
-                    t = t1.mul(t2)
-                    s = d.get(t, Fraction(0)) + c1 * c2
-                    if s:
-                        d[t] = s
-                    elif t in d:
-                        del d[t]
-            return LinComb._of_nonzero(d)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    def __mul__(self, other: "LinComb") -> "LinComb":
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        d: dict[Term, Fraction] = {}
+        for t1, c1 in self._d.items():
+            for t2, c2 in other._d.items():
+                t = t1.mul(t2)
+                s = d.get(t, Fraction(0)) + c1 * c2
+                if s:
+                    d[t] = s
+                elif t in d:
+                    del d[t]
+        return LinComb._of_nonzero(d)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinComb) and self._d == other._d

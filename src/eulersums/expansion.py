@@ -244,8 +244,6 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         raise UnsupportedHypothesisError("engine t2 does not cover alternating indices: %s", idx)
     if any(e < 2 for e in idx.inner):
         raise UnsupportedHypothesisError("engine t2 needs every inner exponent >= 2: %s", idx)
-    if idx.outer < 2:
-        raise UnsupportedHypothesisError("engine t2 needs outer >= 2: %s", idx)
     _check_size(idx.inner)
     q = idx.outer
     counts = sorted(Counter(idx.inner).items())

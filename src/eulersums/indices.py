@@ -38,11 +38,11 @@ class ConvergenceError(ValueError):
 
 
 class _Record:
-    """A record of the fields that its class names in ``__slots__``: equal
-    only to a record of the same class with equal fields, and pickled and
-    copied through its constructor.  Not a dataclass: importing
-    ``dataclasses`` loads ``inspect`` and ``ast``, about a tenth of the
-    CLI's start-up."""
+    """A record of the fields that its class names in ``__slots__``, which
+    cannot be assigned or deleted: equal only to a record of the same class
+    with equal fields, hashed by them, and pickled and copied through its
+    constructor.  Not a dataclass: importing ``dataclasses`` loads
+    ``inspect`` and ``ast``, about a tenth of the CLI's start-up."""
 
     __slots__ = ()
 
@@ -63,12 +63,6 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
-
-class _FrozenRecord(_Record):
-    """A record hashed by its fields, which cannot be assigned or deleted."""
-
-    __slots__ = ()
-
     def __hash__(self):
         return hash(self._fields())
 
@@ -79,7 +73,7 @@ class _FrozenRecord(_Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class EulerSumIndex(_FrozenRecord):
+class EulerSumIndex(_Record):
     __slots__ = ("inner", "outer")
 
     def __init__(self, inner: tuple[int, ...], outer: int):

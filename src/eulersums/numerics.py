@@ -69,7 +69,7 @@ import operator
 from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, z
-from .indices import EulerSumIndex, _FrozenRecord
+from .indices import EulerSumIndex, _Record
 
 N_MAX = 10**4
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
@@ -77,7 +77,7 @@ BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 SUM_TOL_FLOOR = 1e-10
 
 
-class NumericResult(_FrozenRecord):
+class NumericResult(_Record):
     """A certified evaluation: |value - true| <= tail_bound.
 
     ``method`` names what produced the bound: ``holder`` (atoms by the

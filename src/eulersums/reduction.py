@@ -45,7 +45,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
-from .indices import _FrozenRecord, _Record
+from .indices import _Record
 
 TRACE_CAP = 10_000
 STEP_CAP = 100_000
@@ -194,15 +194,9 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
 # ---------------------------------------------------------------------------
 
 
-class IdentityRule(_FrozenRecord):
-    """A closed form as a rewrite: ``rewrite(atom)`` is the atom's reduced
-    form, or None off the rule's domain."""
-
-    __slots__ = ("name", "rewrite")
-
-    def __init__(self, name: str, rewrite: Callable[[MzvAtom], LinComb | None]):
-        super().__init__(name, rewrite)
-
+# A closed form as a rewrite: its name, and a function that gives an atom's
+# reduced form, or None off the rule's domain.
+_Rule = tuple[str, Callable[[MzvAtom], LinComb | None]]
 
 # Each guard reads an atom's slots, a[2], once; a Li atom has none.  a[1] is the weight.
 
@@ -231,12 +225,12 @@ def _rw_ones(a: MzvAtom) -> LinComb | None:
     return zeta_ones(args[0] - 1, n - 1)
 
 
-def default_rules() -> list[IdentityRule]:
+def default_rules() -> list[_Rule]:
     return [
-        IdentityRule("alt_depth1", _rw_alt_depth1),
-        IdentityRule("repeated", _rw_repeated),
-        IdentityRule("zeta_ones", _rw_ones),
-        IdentityRule("depth2_odd", depth2_odd),
+        ("alt_depth1", _rw_alt_depth1),
+        ("repeated", _rw_repeated),
+        ("zeta_ones", _rw_ones),
+        ("depth2_odd", depth2_odd),
     ]
 
 
@@ -442,19 +436,19 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
 
 class _WorkingSum:
     """The combination under rewriting: a term -> coefficient dict (zeros
-    pruned); a heap, by ``term_key()``, of the present terms with an atom that
-    rewrites, each with its first such atom and that atom's rewrite; and the
-    set of present terms with an atom a reflection pass can eliminate.  A
-    term is classified as it enters, from ``memo``: atom -> ((rhs, rule name)
-    of its first rewrite or None, whether a pass can eliminate it), each atom
-    matched once per working sum.  A term with no atom that rewrites never touches the heap."""
+    pruned); a heap, by ``term_key()``, of the terms with an atom that
+    rewrites, each with its first such atom and that atom's rewrite, pushed
+    each time such a term enters (an entry whose term has since cancelled is
+    skipped when popped); and the set of present terms with an atom a
+    reflection pass can eliminate.  A term is classified as it enters, from
+    ``memo``: atom -> ((rhs, rule name) of its first rewrite or None, whether
+    a pass can eliminate it), each atom matched once per working sum.  A term
+    with no atom that rewrites never touches the heap."""
 
-    def __init__(self, lc: LinComb, rules: list[IdentityRule]):
-        # each rule's function and name, read from its record once per call
-        self.matchers = [(rule.rewrite, rule.name) for rule in rules]
+    def __init__(self, lc: LinComb, rules: list[_Rule]):
+        self.matchers = rules
         self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
-        self.in_heap: set[Term] = set()
         self.reflectable: set[Term] = set()
         # The heap orders the terms, so they are read unsorted here and in apply.
         self.heap = [entry for t in self.coeffs if (entry := self._enter(t)) is not None]
@@ -472,7 +466,7 @@ class _WorkingSum:
                 # a new atom: the first matcher that rewrites it, in one loop,
                 # and one depth test for the pass that could eliminate it
                 hit = None
-                for rewrite, name in self.matchers:
+                for name, rewrite in self.matchers:
                     rhs = rewrite(atom)
                     if rhs is not None:
                         assert rhs.weights() in ({atom[1]}, set()), (
@@ -490,10 +484,7 @@ class _WorkingSum:
                 self.reflectable.add(term)
             if first is None and hit is not None:
                 first = (atom, hit)
-        if first is None or term in self.in_heap:
-            return None
-        self.in_heap.add(term)
-        return (term.term_key(), term, *first)
+        return None if first is None else (term.term_key(), term, *first)
 
     def add(self, term: Term, c: Fraction):
         old = self.coeffs.get(term)
@@ -522,7 +513,6 @@ class _WorkingSum:
         of the smallest present term with an atom that rewrites; None if none has."""
         while self.heap:
             _key, term, atom, (rhs, name) = heapq.heappop(self.heap)
-            self.in_heap.discard(term)
             if term in self.coeffs:
                 return name, atom, _term_without(term, atom), self.coeffs[term], rhs
         return None
@@ -571,7 +561,7 @@ def _next_reflection(work: _WorkingSum, shape, paid: int, rule: str) -> tuple | 
 def reduce_lincomb(
     lc: LinComb,
     tables: Iterable[IdentityTable] = (),
-    rules: list[IdentityRule] | None = None,
+    rules: list[_Rule] | None = None,
     max_steps: int = STEP_CAP,
 ) -> ReduceResult:
     """Rewrite ``lc`` to its fixpoint under tables, atom rules, and the
@@ -589,7 +579,7 @@ def reduce_lincomb(
     """
     if rules is None:
         rules = default_rules()
-    rules = [IdentityRule(f"table[{t.label}]", t.entries.get) for t in tables] + rules
+    rules = [(f"table[{t.label}]", t.entries.get) for t in tables] + rules
     work = _WorkingSum(lc, rules)
     log: list[tuple] = []
     while len(log) < max_steps:

@@ -25,7 +25,7 @@ from eulersums.algebra import LinComb, MzvAtom, z
 from eulersums.expansion import _check_size, _quasi_shuffle
 from eulersums.indices import EulerSumIndex, make_index
 from eulersums.numerics import _FP_BITS, _FP_SCALE, NumericResult, _fp_result
-from eulersums.reduction import IdentityRule, alt_depth1, symmetric_sum, zeta_ones
+from eulersums.reduction import alt_depth1, symmetric_sum, zeta_ones
 
 
 def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
@@ -237,13 +237,14 @@ def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
     return acc
 
 
-def reference_rules() -> list[IdentityRule]:
-    """``reduction.default_rules()``, in the same order, from the guards above."""
+def reference_rules() -> list[tuple]:
+    """``reduction.default_rules()``, in the same order, from the guards above:
+    each rule the pair (name, rewrite)."""
     return [
-        IdentityRule("alt_depth1", _reference_rw_alt_depth1),
-        IdentityRule("repeated", _reference_rw_repeated),
-        IdentityRule("zeta_ones", _reference_rw_ones),
-        IdentityRule("depth2_odd", _reference_depth2_odd),
+        ("alt_depth1", _reference_rw_alt_depth1),
+        ("repeated", _reference_rw_repeated),
+        ("zeta_ones", _reference_rw_ones),
+        ("depth2_odd", _reference_depth2_odd),
     ]
 
 

@@ -24,6 +24,7 @@ from eulersums.reduction import (
     alt_depth1,
     depth2_odd,
     log_integral,
+    reduce_lincomb,
     symmetric_sum,
     zeta_ones,
 )
@@ -244,6 +245,20 @@ def test_criterion_4_closed_form_reproduction():
     print(f"\ncriterion 4 PASS: {len(CLOSED_FIXTURES)} closed forms, {elapsed:.0f}s")
     for line in lines:
         print(line)
+
+
+# The fixtures whose expansion and closed form the default rules reduce to
+# one value today: a floor that later rules only extend.
+EXACT_FIXTURES = ["S(5,5,5)", "S(-1,-1,-1)", "S(-3,-3,-3)", "S(1,-5)"]
+
+
+def test_criterion_4_exact_reduction():
+    # the zero-tolerance companion of the numeric check above
+    closed_forms = {text: closed for text, closed, _tol in CLOSED_FIXTURES}
+    for text in EXACT_FIXTURES:
+        expansion = reduce_lincomb(expand_t1(parse_index(text))).value
+        assert expansion == reduce_lincomb(closed_forms[text]).value, text
+    print(f"\ncriterion 4 exact PASS: {len(EXACT_FIXTURES)} closed forms equal the reduced expansion")
 
 
 # -- criterion 5: identity-rule soundness -----------------------------------------

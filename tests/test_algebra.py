@@ -422,6 +422,19 @@ def test_lincomb_mul_examples():
     lhs = (LinComb.of_atom(z(2)) + LinComb.of_atom(z(3))) * LinComb.of_atom(z(2))
     rhs = LinComb({SymbolicTerm.of(z(2), z(2)): 1}) + LinComb({SymbolicTerm.of(z(2), z(3)): 1})
     assert lhs == rhs
+    # (A + B)(A - B): A*B and -B*A are one term, set and then cancelled
+    a, b = LinComb.of_atom(z(2)), LinComb.of_atom(z(3))
+    assert (a + b) * (a - b) == LinComb({SymbolicTerm.of(z(2), z(2)): 1, SymbolicTerm.of(z(3), z(3)): -1})
+
+
+@pytest.mark.parametrize("other", [1, Fraction(1, 2), "1"])
+def test_lincomb_arithmetic_refuses_a_number(other):
+    # +, - and * take two combinations; a rational multiple is scale()
+    x = LinComb.of_atom(z(3))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
 
 
 LINCOMB_ATOMS = [z(2), z(3), z(-1), z(5, 3), li_half(4), z(-2, 1)]
@@ -563,6 +576,12 @@ def test_json_terms_shared_coefficient_across_term_kinds(monkeypatch):
     calls = _count_fraction_str(monkeypatch)
     assert lc.json_terms() == reference
     assert len(calls) == 2
+
+
+def test_latex_of_a_constant_and_of_zero():
+    assert LinComb.scalar(3).latex() == "3"
+    assert LinComb.scalar(Fraction(-1, 2)).latex() == r"-\frac{1}{2}"
+    assert LinComb().latex() == "0"
 
 
 def test_render_latex_ln2_sign_fold():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import eulersums
 from eulersums import expansion
-from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, z
+from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, li_half, z
 from eulersums.expansion import (
     DegreeCapError,
     UnsupportedHypothesisError,
@@ -35,6 +35,14 @@ from reference_oracles import (
 
 
 # -- ordering-class engine fixtures -------------------------------------------
+
+
+def test_linearize_refuses_a_li_constant():
+    # the quasi-shuffle multiplies zeta words; Li(q,1/2) has none
+    for term, text in [(li_half(2), "Li(2,1/2)"), (SymbolicTerm.of(li_half(2), z(3)), "z(3)*Li(2,1/2)")]:
+        with pytest.raises(ValueError) as refused:
+            linearize(LinComb({term: 1}))
+        assert str(refused.value) == f"cannot linearize the Li constant in {text}"
 
 
 def test_linear_sum_form():

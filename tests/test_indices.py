@@ -41,6 +41,17 @@ def test_parse_errors_carry_position():
         parse_index("S(0,3)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("S()", "empty list (at position 3)"),
+    ("S( )", "empty list (at position 4)"),
+    ("S(2,3) x", "unexpected trailing text 'x' (at position 7)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(IndexParseError) as ei:
+        parse_index(text)
+    assert str(ei.value) == message
+
+
 @pytest.mark.parametrize("text, found", [("S", "S"), ("S ", "S "), ("s  ", "s  "), (" S\t", "S\t")])
 def test_bare_s_is_a_parse_error(text, found):
     # an S with no parenthesis after it, at the end of the text, is read as

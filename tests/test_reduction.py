@@ -72,6 +72,9 @@ def test_log_integral_range():
         log_integral(0, 3)
     with pytest.raises(ValueError):
         log_integral(20, 20)
+    # zeta_ones checks its own range, ahead of the log integral
+    with pytest.raises(ValueError, match=r"^need k >= 1, l >= 0, got \(0, 1\)$"):
+        zeta_ones(0, 1)
 
 
 def test_zeta_ones_small():
@@ -153,20 +156,20 @@ def test_depth2_odd_refuses_past_the_step_cap(monkeypatch):
 def test_alt_depth1_refuses_past_the_step_cap(monkeypatch):
     # the coefficient 2^(1-w) - 1 has the denominator 2^(w-1): past the step
     # cap the rule refuses before the power is built; at the cap it is built
-    (rule,) = [r for r in default_rules() if r.name == "alt_depth1"]
+    (rewrite,) = [rewrite for name, rewrite in default_rules() if name == "alt_depth1"]
     cap = reduction.STEP_CAP
-    assert rule.rewrite(z(-(cap + 1))) == LinComb.of_atom(z(cap + 1), Fraction(1, 2**cap) - 1)
+    assert rewrite(z(-(cap + 1))) == LinComb.of_atom(z(cap + 1), Fraction(1, 2**cap) - 1)
     with pytest.raises(reduction.StepCapError) as refused:
-        rule.rewrite(z(-(cap + 2)))
+        rewrite(z(-(cap + 2)))
     assert str(refused.value) == (
         f"alt_depth1 on z({-(cap + 2)}) would make a coefficient over 2^{cap + 1}, above the step cap {cap}"
     )
     with pytest.raises(reduction.StepCapError, match=r"^alt_depth1 on z\(-1000000000000\) "):
         reduce_lincomb(LinComb({SymbolicTerm.of(z(3), z(-10**12)): 1}))
     monkeypatch.setattr(reduction, "STEP_CAP", 20)
-    assert rule.rewrite(z(-21)).weights() == {21}
+    assert rewrite(z(-21)).weights() == {21}
     with pytest.raises(reduction.StepCapError):
-        rule.rewrite(z(-22))
+        rewrite(z(-22))
 
 
 def test_depth2_odd_matches_reference_kernel():
@@ -225,9 +228,9 @@ def test_rule_guards_match_reference():
     rules, reference = default_rules(), reference_rules()
     hits = collections.Counter()
     for atom in atoms:
-        for rule, ref in zip(rules, reference):
-            assert rule.name == ref.name
-            assert rule.rewrite(atom) == ref.rewrite(atom), (rule.name, atom)
+        for (name, rewrite), (ref_name, ref_rewrite) in zip(rules, reference):
+            assert name == ref_name
+            assert rewrite(atom) == ref_rewrite(atom), (name, atom)
         got = _atom_rewrite(atom, rules)
         assert got == _atom_rewrite(atom, reference), atom
         hits[got[1] if got else None] += 1
@@ -467,11 +470,14 @@ def test_table_rejects_repeated_lhs():
 
 
 def test_table_rejects_bool_coeff_and_non_integer_weight():
-    # each bad line is rejected on its own line; the good ones stand
+    # each bad line is rejected on its own line, a weight that is not the
+    # atom's and an entry on its own right side too; the good ones stand
     text = "\n".join([
         '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": true}], "weight": 3}',
         '{"lhs": "z(-1)", "rhs": [], "weight": true}',
         '{"lhs": "z(4,1)", "rhs": [{"factors": ["z(5)"], "coeff": "2"}], "weight": 5.0}',
+        '{"lhs": "z(3,1)", "rhs": [{"factors": ["z(4)"], "coeff": "1/4"}], "weight": 5}',
+        '{"lhs": "z(3,2)", "rhs": [{"factors": ["z(3,2)"], "coeff": "2"}], "weight": 5}',
         '{"lhs": "z(2,2)", "rhs": [{"factors": ["z(4)"], "coeff": "3/4"}], "weight": 4}',
     ])
     table = load_identity_table(io.StringIO(text), label="t")
@@ -480,6 +486,8 @@ def test_table_rejects_bool_coeff_and_non_integer_weight():
         "t:1: rejected: cannot interpret True as an exact rational",
         "t:2: rejected: declared weight true is not an integer",
         "t:3: rejected: declared weight 5.0 is not an integer",
+        "t:4: rejected: declared weight 5 != atom weight 4",
+        "t:5: rejected: self-referential entry z(3,2)",
     ]
 
 
@@ -820,10 +828,10 @@ def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
                         break
                 if hit:
                     break
-                for rule in rules:
-                    rhs = rule.rewrite(atom)
+                for name, rewrite in rules:
+                    rhs = rewrite(atom)
                     if rhs is not None:
-                        hit = (atom, rhs, rule.name)
+                        hit = (atom, rhs, name)
                         break
                 if hit:
                     break
@@ -957,7 +965,7 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
 
     table = IdentityTable(starter12.label)
     table.entries = CountedEntries(starter12.entries)
-    rules = [reduction.IdentityRule(r.name, counting(r.name, r.rewrite)) for r in default_rules()]
+    rules = [(name, counting(name, rewrite)) for name, rewrite in default_rules()]
     lc = expand_t1(parse_index("S(1,2,3,5,-8,3)"))
     monkeypatch.setattr(reduction, "heapq", RecordingHeapq)
     r = reduce_lincomb(lc, tables=[table], rules=rules)
@@ -965,7 +973,7 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
     plain = reduce_lincomb(lc, tables=[starter12])
     assert (r.value, r.steps, r.trace) == (plain.value, plain.steps, plain.trace)
 
-    matchers = [starter12.entries.get] + [rule.rewrite for rule in default_rules()]
+    matchers = [starter12.entries.get] + [rewrite for _name, rewrite in default_rules()]
 
     def rewritable(term):
         return any(match(a) is not None for a in term.factors for match in matchers)
@@ -980,7 +988,7 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
 
 
 def test_leaking_rule_fails_loudly():
-    leak = reduction.IdentityRule("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None)
+    leak = ("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None)
     product = SymbolicTerm.of(z(-1), z(2, 3))
     assert product.factors[1] == z(2, 3)
     for term in (z(2, 3), product):
