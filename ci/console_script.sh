@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # The console-script checks: the "eulersum" command on PATH, run from the
 # root of the repository.  Digests pin outputs byte for byte; RUNNER_TEMP,
-# set on CI, is a fresh temporary directory when run elsewhere.
+# set on CI, is a fresh temporary directory when run elsewhere, removed when
+# the script exits.
 set -eo pipefail
-: "${RUNNER_TEMP:=$(mktemp -d)}"
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP="$(mktemp -d)"
+  trap 'rm -rf "$RUNNER_TEMP"' EXIT
+fi
 
 # start-up imports neither numpy nor dataclasses, inspect or typing
 python -c "import sys; before = set(sys.modules); import eulersums.cli; eulersums.cli.build_parser(); new = set(sys.modules) - before; assert not new & {'numpy', 'dataclasses', 'inspect', 'typing'}, sorted(new)"

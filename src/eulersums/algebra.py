@@ -37,6 +37,10 @@ from .indices import _INT_RE
 # The rational text the program writes: an ASCII integer or p/q, q > 0.
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
+# A term's JSON object, as json.dumps writes an element of to_json_terms():
+# _JSON_HEAD, its factors' quoted texts joined by ", ", _JSON_TAIL % coeff.
+_JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
+
 
 class Refusal(Exception):
     """An input an engine declines (exit 4).  ``args`` are a ``%`` template and
@@ -456,13 +460,14 @@ def json_pieces(pairs: Iterable[tuple[Term, Fraction]],
     tails: dict[int, tuple[Fraction, str]] = {}
     # the text source, chosen once: given ``texts``, no atom is written inline
     inline, text = (MzvAtom, MzvAtom.render) if texts is None else (None, texts.__getitem__)
+    head = _JSON_HEAD + '"'
     for t, c in pairs:
         tail = tails.get(id(c))
         if tail is None:
-            tail = tails[id(c)] = (c, '"], "coeff": "' + str(c) + '"}')
+            tail = tails[id(c)] = (c, '"' + _JSON_TAIL % c)
         if t.__class__ is inline and not t[0]:  # a zeta atom: li, slots by index
             args = t[2]
-            yield '{"factors": ["' + _zeta_format(len(args)) % args + tail[1]
+            yield head + _zeta_format(len(args)) % args + tail[1]
         else:
             factors = ", ".join([f'"{text(a)}"' for a in t.factors])
-            yield '{"factors": [' + factors + tail[1][1:]  # each factor quoted already
+            yield _JSON_HEAD + factors + tail[1][1:]  # each factor quoted already

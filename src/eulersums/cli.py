@@ -41,7 +41,7 @@ import sys
 
 from . import numerics
 from .algebra import LinComb, Refusal, json_pieces
-from .expansion import expand_t1, expand_t2, linearize, t1_terms
+from .expansion import expand_t1, expand_t2, linearize, t1_json_pieces, t1_words
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
 from .reduction import load_identity_table, reduce_lincomb
@@ -136,8 +136,8 @@ def _load_tables(args) -> tuple[list, int]:
 
 def _expand_with_engine(idx: EulerSumIndex, engine: str, stream: bool = False):
     """Returns (terms, engine_label, note): terms a ``LinComb``, or with
-    ``stream`` ``t1_terms(idx)`` where t1 answers alone.  Under auto, t2's
-    refusal is decided before t1 runs."""
+    ``stream`` ``t1_words(idx)`` where t1 answers alone, its checks and
+    refusals done.  Under auto, t2's refusal is decided before t1 runs."""
     if engine == "t2":
         return expand_t2(idx), "t2", None
     if engine == "auto":
@@ -152,7 +152,7 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str, stream: bool = False):
                     f"engine disagreement on {idx}: t1 differs from the linearized t2 expansion"
                 )
             return lc, "auto(t1, t2 checked)", "engines agree exactly (t1 equals linearized t2)"
-    return (t1_terms(idx) if stream else expand_t1(idx)), "t1", None
+    return (t1_words(idx) if stream else expand_t1(idx)), "t1", None
 
 
 @contextlib.contextmanager
@@ -167,9 +167,9 @@ def _printing():
 
 
 def _emit(idx: EulerSumIndex, terms, output: str, engine: str, trace=None, extra=None, texts=None):
-    """Print ``terms``: a ``LinComb``, or for JSON any iterator of (term,
-    coefficient) pairs in term order.  Plain and JSON output read the atoms'
-    texts from ``texts`` if it is given (see ``LinComb.render``)."""
+    """Print ``terms``: a ``LinComb``, or for JSON ``t1_words(idx)``.  Plain
+    and JSON output read the atoms' texts from ``texts`` if it is given (see
+    ``LinComb.render``)."""
     if output == "json":
         _write_json(idx, terms, engine, trace, extra, texts)
         return
@@ -200,11 +200,11 @@ def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra, texts):
             # made before the first byte goes out.
             pieces = iter(list(json_pieces(terms.items(), texts)))
         else:
-            # t1's stream: the head holds the weight, every slot's magnitude is
+            # t1's words: the head holds the weight, every slot's magnitude is
             # at most the weight, and every coefficient is a multiplicity of at
             # most Fubini(21) < 10^23, so once the head is written no atom can
             # fail to print.
-            pieces = json_pieces(terms)
+            pieces = t1_json_pieces(terms)
         write = sys.stdout.write
         write(head[:-1] + ', "terms": [')
         count, sep = 0, ""

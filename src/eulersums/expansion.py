@@ -39,7 +39,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
+from .algebra import _JSON_HEAD, _JSON_TAIL, UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
 
 # Largest number of ordered multiset partitions of the inner entries that an
@@ -134,34 +134,28 @@ def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def t1_terms(idx: EulerSumIndex) -> Iterator[tuple[MzvAtom, Fraction]]:
-    """Ordering-class expansion: the (atom, coefficient) pair of each output
-    term, one MZV atom each, in term order.
+def t1_words(idx: EulerSumIndex):
+    """Engine t1's kernel words, checked and laid out in term order, for
+    ``expand_t1`` to build atoms from and ``t1_json_pieces`` to write text
+    from: (lead, words, cs, coeffs, blocks).  ``words`` are sorted, ``cs[k]``
+    is the coefficient of both atoms of ``words[k]``, ``coeffs`` holds the
+    distinct ones, one ``Fraction`` per multiplicity, and ``blocks`` is
+    ``_t1_blocks``.  The enumeration cap, the kernel and every check run here.
 
-    The enumeration cap, the kernel and the checks of every word run before
-    this returns; each atom is built when the iterator reaches it.  Every
-    atom has weight equal to the index weight and depth at most degree + 1.
-    The iterator asserts that each atom comes strictly after the one before
-    it, so the atoms are distinct and in term order.
+    Each word gives two atoms.  Atom 1, (lead,) + word, keeps the outer
+    exponent as its own leading slot.  Atom 2, (m,) + word[1:], merges it
+    with the first letter f: m = +-(q + |f|), alternating iff exactly one
+    of the two does.  Atom 2 has atom 1's weight, a slot fewer and no new
+    zero slot or unsigned leading 1, so checking atom 1 checks both: each
+    word is checked once, and its atom rendered only for the message.
     """
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
-    if idx.degree == 0:
-        # Pure outer series: sum of 1/n^q, or of (-1)^(n-1)/n^q.  The
-        # alternating atom convention carries sigma^n, hence the -1.
-        return iter([(z(-q), Fraction(-1)) if outer_bar else (z(q), Fraction(1))])
     _check_size(idx.inner)
     n_bar = sum(1 for e in idx.inner if e < 0)
-    sign = (-1) ** (n_bar + outer_bar)
+    sign = (-1) ** (n_bar + outer_bar)  # at degree 0 the empty word gives z(lead) alone
     lead = -q if outer_bar else q
     w, depth = idx.weight, idx.degree + 1
-    # Each word gives two atoms.  Atom 1, (lead,) + word, keeps the outer
-    # exponent as its own leading slot.  Atom 2, (m,) + word[1:], merges it
-    # with the first letter f: m = +-(q + |f|), alternating iff exactly one
-    # of the two does.  Atom 2 has atom 1's weight, a slot fewer and no new
-    # zero slot or unsigned leading 1, so checking atom 1 checks both: each
-    # word is checked once, and its atom rendered only for the message.  The
-    # atoms are built without the checks of ``MzvAtom``; the asserts keep them.
     product = _quasi_shuffle((e,) for e in idx.inner)
 
     def atom_1(word):
@@ -171,13 +165,18 @@ def t1_terms(idx: EulerSumIndex) -> Iterator[tuple[MzvAtom, Fraction]]:
         assert sum(map(abs, word)) == w - q, f"weight leak: {atom_1(word)} in expansion of {idx}"
         assert len(word) < depth, f"depth leak: {atom_1(word)} in expansion of {idx}"
         assert lead != 1 and 0 not in word, f"inadmissible atom: {atom_1(word)} in expansion of {idx}"
-    # Each atom's coefficient is its word's multiplicity; equal ones share
-    # one Fraction.
     coeffs = {c: Fraction(sign * c) for c in set(product.values())}
     words = sorted(product)
     cs = list(map(coeffs.__getitem__, map(product.__getitem__, words)))
     del product
-    return itertools.chain.from_iterable(_t1_runs(idx, lead, words, cs))
+    blocks = _t1_blocks(words, lead)
+    # A block's slot tuples all lead with its slot, then follow its words (for
+    # atom 2, after the first letter, which the run shares).  So the atoms are
+    # distinct and in term order iff the words and block slots rise strictly.
+    slots = [slot for slot, _, _ in blocks]
+    assert all(map(operator.lt, words, words[1:])) and all(map(operator.lt, slots, slots[1:])), (
+        f"atoms out of term order or repeated in expansion of {idx}")
+    return lead, words, cs, coeffs.values(), blocks
 
 
 def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, int]]:
@@ -190,7 +189,7 @@ def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, 
     placed by leading slot."""
     q = abs(lead)
     blocks = [(lead, 0, len(words))]
-    i = 0
+    i = 0 if words[0] else 1  # the empty word, degree 0's one word, has no atom 2
     while i < len(words):
         first = words[i][0]
         j = bisect.bisect_left(words, (first + 1,), i)
@@ -200,42 +199,46 @@ def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, 
     return sorted(blocks)
 
 
-def _t1_runs(idx: EulerSumIndex, lead: int, words: list, cs: list[Fraction]):
-    """For each block, an iterator of its (atom, coefficient) pairs.
-
-    A block's slot tuples are made in one list, asserted to rise strictly
-    from above the last tuple of the block before.  So no two words give
-    one atom (atom 1 leads with +-q, atom 2 with +-(q + |f|), and within
-    each family the atom determines its word), and the atoms come in term
-    order.  A word is dropped once the slot tuples of both its atoms are
-    made; each atom is built from its tuple when it is read, as
-    ``MzvAtom._of_word`` builds it, without the checks of ``MzvAtom``."""
+def expand_t1(idx: EulerSumIndex) -> LinComb:
+    """Ordering-class expansion: the atoms of ``t1_words``, block by block,
+    built as ``MzvAtom._of_word`` builds them.  Its terms are stored in term
+    order, so ``LinComb.items()`` sorts one presorted run."""
+    lead, words, cs, _, blocks = t1_words(idx)
     atom = functools.partial(tuple.__new__, MzvAtom)
-    w = idx.weight
-    last = ()  # before every slot tuple
-    pending = []  # runs whose atom 2 has its slot tuples but whose atom 1 has not
-    for slot, i, j in _t1_blocks(words, lead):
+    zeta, weight = itertools.repeat(0), itertools.repeat(idx.weight)
+    terms: dict[Term, Fraction] = {}
+    pending = []  # runs whose atom 2 is built but whose atom 1 is not
+    for slot, i, j in blocks:
         if slot == lead:
-            run = [(lead,) + word for word in words]
-            coeffs = cs
+            run, coeffs = [(lead,) + word for word in words], cs
         else:
-            run = [(slot,) + word[1:] for word in words[i:j]]
-            coeffs = cs[i:j]
+            run, coeffs = [(slot,) + word[1:] for word in words[i:j]], cs[i:j]
             pending.append((i, j))
-        assert last < run[0] and all(map(operator.lt, run, run[1:])), (
-            f"atoms out of term order or repeated in expansion of {idx}")
-        last = run[-1]
-        if slot >= lead:  # the words of the pending runs have both slot tuples
+        terms.update(zip(map(atom, zip(zeta, weight, run)), coeffs))
+        if slot >= lead:  # the words of the pending runs have both atoms: drop them
             for i, j in pending:
                 words[i:j] = [None] * (j - i)
             pending.clear()
-        yield zip(map(atom, zip(itertools.repeat(0), itertools.repeat(w), run)), coeffs)
+    return LinComb._of_nonzero(terms)
 
 
-def expand_t1(idx: EulerSumIndex) -> LinComb:
-    """``t1_terms`` as a combination.  Its terms are stored in term order,
-    so ``LinComb.items()`` sorts one presorted run."""
-    return LinComb._of_nonzero(dict(t1_terms(idx)))
+def t1_json_pieces(t1) -> Iterator[str]:
+    """``json_pieces`` of ``expand_t1(idx).items()``, written from ``t1 =
+    t1_words(idx)`` without an atom: each word's slot text, ",a,b,c", is
+    formatted once, when the first piece is read, and an atom's piece is its
+    block's head, its word's text (atom 2's cut after the first letter) and
+    the text after the factors, made once per multiplicity."""
+    lead, words, cs, coeffs, blocks = t1
+    texts = [",%d" * len(word) % word for word in words]
+    tails = {id(c): ')"' + _JSON_TAIL % c for c in coeffs}
+    ts = list(map(tails.__getitem__, map(id, cs)))
+    for slot, i, j in blocks:
+        head = _JSON_HEAD + '"z(%d' % slot
+        if slot == lead:
+            cut, run = 0, zip(texts, ts)
+        else:  # atom 2: the text after the first letter
+            cut, run = len(",%d" % words[i][0]), zip(texts[i:j], ts[i:j])
+        yield from (head + t[cut:] + tail for t, tail in run)
 
 
 def expand_t2(idx: EulerSumIndex) -> LinComb:

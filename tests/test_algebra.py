@@ -19,7 +19,14 @@ from eulersums.algebra import (
     parse_atom,
     z,
 )
-from eulersums.expansion import UnsupportedHypothesisError, expand_t1, expand_t2, linearize, t1_terms
+from eulersums.expansion import (
+    UnsupportedHypothesisError,
+    expand_t1,
+    expand_t2,
+    linearize,
+    t1_json_pieces,
+    t1_words,
+)
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import reduce_lincomb
 
@@ -538,13 +545,31 @@ def test_json_terms_writes_each_coefficient_object_once(monkeypatch):
 
 
 def test_streamed_json_writes_each_coefficient_object_once(monkeypatch):
-    # the same 38 objects, read from t1's stream: no combination holds them
+    # the same 38 texts, written from t1's words: no atom or combination is made
     idx = parse_index("S(2,2,-1,-1,-1,-1,-3,-3,-2)")
     reference = json.dumps(expand_t1(idx).to_json_terms())
     calls = _count_fraction_str(monkeypatch)
-    pieces = list(json_pieces(t1_terms(idx)))
+    pieces = list(t1_json_pieces(t1_words(idx)))
     assert len(pieces) == 7896 and "[" + ", ".join(pieces) + "]" == reference
     assert len(calls) == 38
+
+
+_LETTERS = st.integers(-12, 12).filter(bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_LETTERS, max_size=4), st.sampled_from([-1, -2, 2, 3, -9, 10]))
+@example([], -1)
+@example([], 10)
+@example([-12, 3], -1)
+@example([11, -10, 1], 2)
+def test_streamed_json_slices_each_word_text(inner, outer):
+    # a piece is its block's head and a word's slot text, cut after the first
+    # letter for a merged atom: negative and two-digit first letters, merged
+    # slots of two digits, outer -1 and degree 0 all cut where json.dumps does
+    idx = make_index(inner, outer)
+    pieces = list(t1_json_pieces(t1_words(idx)))
+    assert "[" + ", ".join(pieces) + "]" == json.dumps(expand_t1(idx).to_json_terms())
 
 
 def test_json_pieces_of_fresh_coefficients():

@@ -1107,8 +1107,20 @@ def test_failing_expand_json_writes_nothing(capsys, digit_limit_640):
             assert err.startswith(prefix), err
 
 
+def test_t1_order_failure_writes_nothing(capsys, monkeypatch):
+    # atoms out of term order are caught with the words, before the document
+    # starts: exit 1 and nothing on stdout
+    from eulersums import expansion
+
+    blocks = expansion._t1_blocks
+    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, lead: blocks(words, lead)[::-1])
+    code, out, err = run(capsys, "expand", "--engine", "t1", "--output", "json", "S(1,3,-2,-4,-3)")
+    assert (code, out) == (1, "")
+    assert err.startswith("atoms out of term order or repeated in expansion of S(1,3,-2,-4,-3)")
+
+
 def test_streamed_json_is_the_whole_document(capsys):
-    # --engine t1 streams t1_terms; each document parses, counts its terms, and
+    # --engine t1 streams from t1_words; each document parses, counts its terms, and
     # is the text json.dumps writes for the whole document
     from reference_oracles import convergent_indices
 

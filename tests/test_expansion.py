@@ -20,7 +20,7 @@ from eulersums.expansion import (
     expand_t2,
     linearize,
     ordered_partition_count,
-    t1_terms,
+    t1_words,
 )
 from eulersums.indices import make_index, parse_index
 
@@ -251,34 +251,34 @@ def test_t1_checks_slots(monkeypatch):
         expand_t1(parse_index("S(1,2,3)"))
 
 
-def test_t1_terms_checks_before_it_returns(monkeypatch):
-    # the enumeration cap and the word checks run when t1_terms is called,
-    # before any atom is read
+def test_t1_words_checks_before_it_returns(monkeypatch):
+    # the enumeration cap and the word checks run when t1_words is called,
+    # before either consumer builds an atom or writes a piece
     with pytest.raises(DegreeCapError):
-        t1_terms(parse_index("S(1,2,3,4,5,6,7,8,9,2)"))
+        t1_words(parse_index("S(1,2,3,4,5,6,7,8,9,2)"))
     monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {(3, 3): 1})
     with pytest.raises(AssertionError, match="^weight leak: "):
-        t1_terms(parse_index("S(3,2)"))
+        t1_words(parse_index("S(3,2)"))
 
 
-def test_t1_terms_asserts_order_and_distinctness(monkeypatch):
-    # blocks out of order fail at a block boundary, a repeated word inside a
-    # block; either is caught while the atoms are read
+def test_t1_words_asserts_order_and_distinctness(monkeypatch):
+    # blocks out of order fail on their slots, a repeated word on the words;
+    # either is caught by t1_words, so expand_t1 builds no atom
     idx = parse_index("S(1,3,-2,-4,-3)")
     blocks = expansion._t1_blocks
     monkeypatch.setattr(expansion, "_t1_blocks", lambda words, lead: blocks(words, lead)[::-1])
-    terms = t1_terms(idx)
-    with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
-        list(terms)
+    for prepare in (t1_words, expand_t1):
+        with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
+            prepare(idx)
 
     def with_a_repeated_word(words, lead):
         words.insert(5, words[5])
         return blocks(words, lead)
 
     monkeypatch.setattr(expansion, "_t1_blocks", with_a_repeated_word)
-    terms = t1_terms(idx)
-    with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
-        list(terms)
+    for prepare in (t1_words, expand_t1):
+        with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
+            prepare(idx)
 
 
 # Runs in a fresh interpreter: how far the peak RSS (KiB) grows while the
@@ -339,7 +339,8 @@ def _measure(*argv) -> tuple[int, str]:
     [
         # 58 004 terms; 28.0 MiB when every atom recomputed its weight and the
         # kernel kept every sub-multiset product, 20.2 MiB when each one-atom
-        # term was wrapped in a SymbolicTerm and a tuple, 13.6-13.7 MiB now
+        # term was wrapped in a SymbolicTerm and a tuple, 13.6-13.9 MiB from
+        # t1's atom stream, 14.0 MiB built block by block from t1's words
         (("t1", "S(1,2,3,4,5,6,7,2)"), 19,
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
         # the kernel alone, 301 266 words: 84.6 MiB with every sub-multiset
@@ -352,7 +353,7 @@ def _measure(*argv) -> tuple[int, str]:
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
         # the command, whose document is pinned in CI: 21.7 MiB when it built the
         # combination, the list of pieces and the whole document before writing,
-        # 7.0 MiB streamed from t1_terms
+        # 7.0 MiB streamed from t1's atoms, 6.5 MiB written from t1's words
         (("cli", "S(1,2,3,4,5,6,7,2)"), 14,
          "7010cfa0cbad85d51cbd2726a4bc2443efb457679eb4e89c9125b93dea57ffb2"),
     ],
