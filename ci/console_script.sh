@@ -50,7 +50,7 @@ test "$digest" = c3885de40d1718c8b0594674d8edcd4d268d23c466bdbdb1273a85e17fe9277
 digest="$(eulersum reduce --table $starter "S(-1,-2,-3,-4,-5,-3)" 2>/dev/null | sha256sum | cut -d' ' -f1)"
 test "$digest" = bdbd091e0ac45f21e3895d5a5ebd1157b5976451a844b2fe6dabe01d6eb9c04d
 # the same reduction as JSON: 993 terms, 13 of them products from depth2_odd above
-# the table's weight 12, which go through the JSON writer's branch for non-atoms
+# the table's weight 12
 digest="$(eulersum reduce --output json --table $starter "S(6,8,-2,-3,-4,-2)" | sha256sum | cut -d' ' -f1)"
 test "$digest" = 36edaccb4ee02e44dcf61725e6641581f6b840f2c37fed41dfef07cb0c95ec54
 # the atoms a degree-5 reduction leaves alone stay the same: its stderr is the
@@ -158,6 +158,11 @@ test $? -eq 2 || exit 1
 python -c "print('[' * 100000 + ']' * 100000)" > "$RUNNER_TEMP/deep.json"
 eulersum eval --json "$RUNNER_TEMP/deep.json"
 test $? -eq 2 || exit 1
+# a reader that closes stdout after a few bytes ends the command quietly: exit 1,
+# nothing on stderr
+eulersum expand --output json "S(1,2,3,4,5,6,7,2)" 2> "$RUNNER_TEMP/pipe.err" | head -c 20 > /dev/null
+test "${PIPESTATUS[0]}" -eq 1 || exit 1
+test ! -s "$RUNNER_TEMP/pipe.err" || exit 1
 # --require-tables with no --table at all has no usable table: exit 5
 eulersum reduce --require-tables "S(2,3)"
 test $? -eq 5 || exit 1

@@ -27,6 +27,7 @@ Sign conventions:
 from __future__ import annotations
 
 import functools
+import json
 import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
@@ -36,10 +37,6 @@ from .indices import _INT_RE
 
 # The rational text the program writes: an ASCII integer or p/q, q > 0.
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
-
-# A term's JSON object, as json.dumps writes an element of to_json_terms():
-# _JSON_HEAD, its factors' quoted texts joined by ", ", _JSON_TAIL % coeff.
-_JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
 
 
 class Refusal(Exception):
@@ -233,9 +230,7 @@ class SymbolicTerm(tuple):
         return (len(self), *self)
 
     def render(self) -> str:
-        if not self:
-            return "1"
-        return "*".join(a.render() for a in self)
+        return "*".join(map(MzvAtom.render, self)) or "1"
 
     def latex(self) -> str:
         if not self:
@@ -372,12 +367,13 @@ class LinComb:
 
     def render(self, texts: Mapping[MzvAtom, str] | None = None) -> str:
         """Signed terms, a coefficient of magnitude 1 left out except on the
-        unit; as in ``json_terms``, coefficient text is made once per object.
-        ``texts``, if given, maps every atom of the combination, products'
-        factors included, to its ``render()``, and each atom's text is read
-        from it."""
+        unit; the sign and coefficient text are made once per coefficient
+        object.  Each atom's text, products' factors included, is read from
+        ``texts`` if it is given, a map of every atom of the combination to
+        its ``render()``, and is ``MzvAtom.render`` otherwise."""
         if not self._d:
             return "0"
+        atom_text = MzvAtom.render if texts is None else texts.__getitem__
         heads: dict[int, tuple[str, str]] = {}  # id(c) -> text before the unit, before another term
         parts = []
         for t, c in self.items():
@@ -387,16 +383,10 @@ class LinComb:
                 mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
                 sign = " - " if n < 0 else " + "
                 head = heads[id(c)] = (sign + mag, sign if mag == "1" else sign + mag + "*")
-            if not t:  # the unit, the empty product
-                parts.append(head[0])
-            elif texts is not None:
-                text = texts[t] if t.__class__ is MzvAtom else "*".join([texts[a] for a in t])
-                parts.append(head[1] + text)
-            elif t.__class__ is MzvAtom and not t[0]:  # a zeta atom: li, slots by index
-                args = t[2]
-                parts.append(head[1] + _zeta_format(len(args)) % args)
-            else:
-                parts.append(head[1] + t.render())
+            if t.__class__ is MzvAtom:
+                parts.append(head[1] + atom_text(t))
+            else:  # the unit, the empty product, is its coefficient alone
+                parts.append(head[1] + "*".join(map(atom_text, t)) if t else head[0])
         text = "".join(parts)
         return ("-" if text[1] == "-" else "") + text[3:]
 
@@ -449,25 +439,10 @@ class LinComb:
 
 def json_pieces(pairs: Iterable[tuple[Term, Fraction]],
                 texts: Mapping[MzvAtom, str] | None = None) -> Iterator[str]:
-    """The JSON object of each (term, coefficient) pair, as ``json.dumps``
-    writes an element of ``LinComb.to_json_terms()``, one piece per pair as
-    it is read: a zeta atom's in one concatenation, and the text after the
-    factors once per coefficient object, since the expansion engines share
-    one ``Fraction`` per distinct value.  Atom renderings and rationals use
-    only ``[A-Za-z0-9(),/ -]``, so nothing needs escaping.  ``texts``, if
-    given, maps every atom to its ``render()`` as in ``LinComb.render``."""
-    # id(c) -> (c, '"], "coeff": "c"}'); holding c keeps its id from being reused
-    tails: dict[int, tuple[Fraction, str]] = {}
-    # the text source, chosen once: given ``texts``, no atom is written inline
-    inline, text = (MzvAtom, MzvAtom.render) if texts is None else (None, texts.__getitem__)
-    head = _JSON_HEAD + '"'
+    """``json.dumps`` of the element of ``LinComb.to_json_terms()`` that each
+    (term, coefficient) pair gives, one piece per pair as it is read.
+    ``texts``, if given, maps every atom to its ``render()`` as in
+    ``LinComb.render``."""
+    atom_text = MzvAtom.render if texts is None else texts.__getitem__
     for t, c in pairs:
-        tail = tails.get(id(c))
-        if tail is None:
-            tail = tails[id(c)] = (c, '"' + _JSON_TAIL % c)
-        if t.__class__ is inline and not t[0]:  # a zeta atom: li, slots by index
-            args = t[2]
-            yield head + _zeta_format(len(args)) % args + tail[1]
-        else:
-            factors = ", ".join([f'"{text(a)}"' for a in t.factors])
-            yield _JSON_HEAD + factors + tail[1][1:]  # each factor quoted already
+        yield json.dumps({"factors": list(map(atom_text, t.factors)), "coeff": str(c)})

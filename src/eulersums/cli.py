@@ -16,17 +16,17 @@
 E is t1, t2 or auto (default auto); O is plain, latex or json (default
 plain); T lies in [1e-10, 1e-3] (default 1e-8).
 
-Exit codes: 0 success/pass; 1 verification failure, or t1 and t2 disagree
-under auto ("engine disagreement on"); 2 text that does not parse ("cannot
-parse index: "), or a usage error: no INDEX, INDEX with --file or --json,
-an option the command does not take, an unreadable or non-UTF-8 table or
-batch file, a batch with no index, a dump of the wrong shape; 3 "divergent
-index: "; 4 "engine precondition: " for the partition, step and Hoelder word
-caps and a depth2_odd or alt_depth1 rewrite of an atom whose weight - 1 is
-above the step cap, or "cannot print result: " for a result or refusal with
-an integer of more digits than the interpreter prints (4300 by default); 5
-no usable table with --require-tables, given a --table or not, or in
-table-check.  Diagnostics go to stderr; results go to stdout.
+Exit codes: 0 success/pass; 1 verification failure, t1 and t2 disagreeing
+under auto ("engine disagreement on"), or a closed stdout; 2 text that does
+not parse ("cannot parse index: "), or a usage error: no INDEX, INDEX with
+--file or --json, an option the command does not take, an unreadable or
+non-UTF-8 table or batch file, a batch with no index, a dump of the wrong
+shape; 3 "divergent index: "; 4 "engine precondition: " for the partition,
+step and Hoelder word caps and a depth2_odd or alt_depth1 rewrite of an atom
+whose weight - 1 is above the step cap, or "cannot print result: " for a
+result or refusal with an integer of more digits than the interpreter prints
+(4300 by default); 5 no usable table with --require-tables, given a --table
+or not, or in table-check.  Diagnostics go to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -395,11 +395,17 @@ def main(argv=None) -> int:
     try:
         if "tol" in vars(args) and not TOL_MIN <= args.tol <= TOL_MAX:
             raise UsageError(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except tuple(_FAILURES) as e:
         code, msg = _failure(e)
         _err(msg)
         return code
+    except BrokenPipeError:  # stdout's reader has gone: the rest goes to devnull, the flush at exit too
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

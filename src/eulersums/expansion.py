@@ -39,7 +39,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .algebra import _JSON_HEAD, _JSON_TAIL, UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
+from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
 
 # Largest number of ordered multiset partitions of the inner entries that an
@@ -81,12 +81,12 @@ def ordered_partition_count(entries) -> int:
 
 
 def _check_size(inner):
-    count = ordered_partition_count(inner)
-    if count > PARTITION_CAP:
-        raise DegreeCapError(
-            "the %d inner entries have %d ordered partitions, above the enumeration cap %d",
-            len(inner), count, PARTITION_CAP,
-        )
+    if 2 ** (len(inner) - 1) > PARTITION_CAP:  # each composition of the entries is an ordered partition
+        count = "at least 2^%d" % (len(inner) - 1)
+    elif (count := ordered_partition_count(inner)) <= PARTITION_CAP:
+        return
+    raise DegreeCapError("the %d inner entries have %s ordered partitions, above the enumeration cap %d",
+                         len(inner), count, PARTITION_CAP)
 
 
 def _quasi_shuffle(words) -> dict[tuple[int, ...], int]:
@@ -220,6 +220,10 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
                 words[i:j] = [None] * (j - i)
             pending.clear()
     return LinComb._of_nonzero(terms)
+
+
+# A term's JSON object as json.dumps writes it: _JSON_HEAD, quoted factors, _JSON_TAIL % coeff.
+_JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
 
 
 def t1_json_pieces(t1) -> Iterator[str]:

@@ -30,6 +30,7 @@ from eulersums.expansion import (
 from eulersums.indices import make_index, parse_index
 from eulersums.reduction import reduce_lincomb
 
+from long_text import assert_same_text
 from reference_oracles import reference_atom_text, reference_json_terms, reference_render
 
 
@@ -534,24 +535,14 @@ def _count_fraction_str(monkeypatch) -> list:
     return calls
 
 
-def test_json_terms_writes_each_coefficient_object_once(monkeypatch):
-    # expand_t1 shares one Fraction per multiplicity: 38 objects for 7 896 terms
-    lc = expand_t1(parse_index("S(2,2,-1,-1,-1,-1,-3,-3,-2)"))
-    assert len(lc) == 7896 and len({id(c) for c in lc._d.values()}) == 38
-    reference = json.dumps(lc.to_json_terms())
-    calls = _count_fraction_str(monkeypatch)
-    assert lc.json_terms() == reference
-    assert len(calls) == 38
-
-
 def test_streamed_json_writes_each_coefficient_object_once(monkeypatch):
     # the same 38 texts, written from t1's words: no atom or combination is made
     idx = parse_index("S(2,2,-1,-1,-1,-1,-3,-3,-2)")
     reference = json.dumps(expand_t1(idx).to_json_terms())
     calls = _count_fraction_str(monkeypatch)
     pieces = list(t1_json_pieces(t1_words(idx)))
-    assert len(pieces) == 7896 and "[" + ", ".join(pieces) + "]" == reference
-    assert len(calls) == 38
+    assert len(pieces) == 7896 and len(calls) == 38
+    assert_same_text("[" + ", ".join(pieces) + "]", reference)
 
 
 _LETTERS = st.integers(-12, 12).filter(bool)
@@ -574,9 +565,8 @@ def test_streamed_json_slices_each_word_text(inner, outer):
 
 def test_json_pieces_of_fresh_coefficients():
     # each coefficient is made as its pair is read and dropped after it, so
-    # a freed object's id comes back for the next; the text cached for an
-    # object keeps the object, and equal values in distinct objects are each
-    # written from their own
+    # a freed object's id comes back for the next: each piece is written from
+    # its own pair
     def pairs():
         for k in range(200):
             yield z(k + 2), Fraction(k % 7 - 3, k % 5 + 1)
@@ -585,22 +575,29 @@ def test_json_pieces_of_fresh_coefficients():
     assert list(json_pieces(pairs())) == expected
 
 
-def test_json_terms_shared_coefficient_across_term_kinds(monkeypatch):
-    # one object on an atom, a product, a Li atom and the unit, beside a
-    # second object of equal value
-    shared, equal = Fraction(-7, 3), Fraction(-7, 3)
-    lc = LinComb({
-        z(-2, 3): shared,
-        SymbolicTerm.of(z(2), li_half(4)): shared,
-        li_half(5): shared,
-        UNIT_TERM: shared,
-        z(5): equal,
-    })
-    assert len({id(c) for c in lc._d.values()}) == 2
-    reference = json.dumps(lc.to_json_terms())
-    calls = _count_fraction_str(monkeypatch)
-    assert lc.json_terms() == reference
-    assert len(calls) == 2
+# Products of 2-4 factors, zeta and Li, beside single atoms and the unit.
+text_terms = st.one_of(
+    wide_atoms,
+    st.integers(1, 12).map(li_half),
+    st.lists(st.one_of(wide_atoms, atoms), min_size=2, max_size=4).map(lambda fs: SymbolicTerm.of(*fs)),
+    st.just(UNIT_TERM),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(text_terms, mixed_coeffs), max_size=12))
+@example([(z(-2, 3), _SHARED[2]), (SymbolicTerm.of(z(2), li_half(4)), _SHARED[2]),
+          (li_half(5), _SHARED[2]), (UNIT_TERM, _SHARED[2]), (z(5), Fraction(-7, 3)),
+          (SymbolicTerm.of(z(-1), z(2), z(3, -1), li_half(4)), _SHARED[0])])
+def test_one_atom_text_source_per_writer(entries):
+    # shared and fresh coefficient objects: given the atom texts or not, each
+    # writer gives the same bytes, and each JSON piece is json.dumps of its
+    # to_json_terms() element
+    lc = LinComb(dict(entries))
+    texts = {a: a.render() for a in lc.atoms()}
+    assert lc.render(texts) == lc.render()
+    pieces = list(json_pieces(lc.items(), texts))
+    assert pieces == list(json_pieces(lc.items())) == list(map(json.dumps, lc.to_json_terms()))
 
 
 def test_latex_of_a_constant_and_of_zero():

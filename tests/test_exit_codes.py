@@ -3,15 +3,20 @@
 Every command ends with a documented code and never with a traceback.  Exit
 2 comes exactly when ``parse_index`` rejects the text, exit 3 exactly when it
 finds the series divergent, and the message of each code begins with that
-code's prefix.  ``cli.main`` runs in process, each call under an alarm.
+code's prefix.  ``cli.main`` runs in process, each call under an alarm; a
+reader that closes stdout early is a subprocess's.
 """
 
 import contextlib
 import importlib.resources
 import io
 import itertools
+import os
 import signal
+import subprocess
+import sys
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eulersums import cli
@@ -64,8 +69,16 @@ def _calls(draw):
     return command, tuple(itertools.chain(*options)), draw(_indices | _garbled)
 
 
+# 800 inner entries, distinct or equal: refused from their number alone, where
+# the exact count of their ordered partitions took 8 s for 400 distinct entries.
+DISTINCT_800 = "S(" + ",".join(map(str, range(1, 801))) + ",2)"
+ONES_800 = "S(" + "1," * 800 + "2)"
+
 # Each call the contract was mended on, with its exit code; each takes under 5 ms.
 PINNED = {
+    ("expand", (), DISTINCT_800): 4,
+    ("reduce", (), ONES_800): 4,
+    ("verify", (), DISTINCT_800): 4,
     ("expand", (), "S "): 2,
     ("reduce", (), "S(2,1)"): 3,
     ("verify", (), "S(1,2"): 2,
@@ -148,3 +161,27 @@ def test_no_failure_type_is_a_subclass_of_another():
     # so the entry an error matches does not depend on the order of the table
     for a, b in itertools.permutations(cli._FAILURES, 2):
         assert not issubclass(a, b), (a, b)
+
+
+BATCH = ["S(1,2)", "S(2,2)", "S(2,3)"]
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["expand", "--output", "json", "S(1,2,3,4,5,6,7,2)"], 20),  # 3 MB, written in chunks
+    (["expand", "S(1,2,3,4,5,6,7,2)"], 20),  # 1.7 MB, written at once
+    (["verify", "--file", None], 0),  # a few lines, written at exit
+], ids=["expand-json", "expand-plain", "verify-file"])
+def test_closed_stdout_ends_quietly(argv, read, tmp_path):
+    # the reader goes after a few bytes, or before the first: exit 1 and nothing on stderr
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(BATCH) + "\n")
+    argv = [str(batch) if a is None else a for a in argv]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "eulersums.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")

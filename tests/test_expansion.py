@@ -25,6 +25,7 @@ from eulersums.expansion import (
 from eulersums.indices import make_index, parse_index
 
 from fixtures_closed_forms import lc
+from long_text import assert_same_text
 from reference_oracles import (
     _mhs_prefix,
     _reference_expand_t1,
@@ -231,7 +232,7 @@ def test_t1_builds_its_terms_in_term_order():
     for idx in indices:
         lc, ref = expand_t1(idx), _reference_expand_t1(idx)
         assert lc == ref, idx
-        assert lc.json_terms() == ref.json_terms(), idx
+        assert_same_text(lc.json_terms(), ref.json_terms(), repr(idx))
         assert list(lc._d) == [t for t, _ in lc.items()], idx
 
 
@@ -465,6 +466,14 @@ def test_harmonic_product_degree_cap():
     # nine distinct entries: Fubini(9) ordered partitions, above the cap
     with pytest.raises(DegreeCapError, match="7087261"):
         expand_t1(make_index(range(1, 10), 2))
+    # from 22 entries on, their 2^(m-1) compositions alone are above the cap,
+    # which refuses without the exact count; 21 ones have exactly 2^20
+    for inner in ([1] * 22, range(1, 801)):
+        with pytest.raises(DegreeCapError, match=r"have at least 2\^%d ordered" % (len(inner) - 1)):
+            expansion._check_size(inner)
+    assert expansion._check_size([1] * 21) is None
+    with pytest.raises(DegreeCapError, match="have %d ordered" % _fubini(21)):
+        expansion._check_size(range(1, 22))
     # one value eleven times: 2**10 compositions, two atoms each
     out = expand_t1(make_index([1] * 11, 2))
     # the coefficients count the weak orderings of eleven labelled entries
