@@ -151,6 +151,10 @@ set +e
 printf '\xff\xfe' > "$RUNNER_TEMP/utf16.jsonl"
 eulersum reduce --table "$RUNNER_TEMP/utf16.jsonl" "S(2,3)"
 test $? -eq 2 || exit 1
+# a --table path is read as given, whatever the environment holds: li.jsonl,
+# written above into RUNNER_TEMP, is not looked up there from the repository root
+EULERSUM_TABLE_DIR="$RUNNER_TEMP" eulersum reduce --table li.jsonl "S(2,3)"
+test $? -eq 2 || exit 1
 eulersum eval --engine t2 "S(1,2)"
 test $? -eq 2 || exit 1
 eulersum expand "S "
@@ -217,3 +221,10 @@ out="$(eulersum reduce --table "$RUNNER_TEMP/dup.jsonl" "S(1,2)" 2> "$RUNNER_TEM
 echo "$out"; cat "$RUNNER_TEMP/dup.err"
 test "$out" = "S(1,2) = 2*z(3)"
 grep "dup.jsonl:2: rejected: duplicate lhs z(2,1) (first on line 1)" "$RUNNER_TEMP/dup.err"
+# a table file that starts with a UTF-8 byte-order mark keeps its first line:
+# its one entry z(2,1) = 5*z(3) makes S(1,2) = 6*z(3), not the rules' 2*z(3)
+printf '\xef\xbb\xbf%s\n' '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}' \
+  > "$RUNNER_TEMP/bom.jsonl"
+out="$(eulersum reduce --table "$RUNNER_TEMP/bom.jsonl" "S(1,2)")"
+echo "$out"
+test "$out" = "S(1,2) = 6*z(3)"

@@ -117,16 +117,12 @@ def _load_table(path: str, shown: str, verify: bool, tol: float):
 
 def _load_tables(args) -> tuple[list, int]:
     """The ``--table`` tables, and the exit code that ends the command (0 to go on)."""
-    env_dir = os.environ.get("EULERSUM_TABLE_DIR")
     tables = []
     for path in args.table:
-        cand = path
-        if env_dir and not os.path.exists(path) and os.path.exists(os.path.join(env_dir, path)):
-            cand = os.path.join(env_dir, path)
-        table = _load_table(cand, f"{path}: cannot load table", args.verify_table, args.tol)
+        table = _load_table(path, f"{path}: cannot load table", args.verify_table, args.tol)
         if table is not None:
             if len(table) == 0:
-                _err(f"{cand}: no usable entries")
+                _err(f"{path}: no usable entries")
             tables.append(table)
     if args.require_tables and not any(len(t) for t in tables):
         _err("--require-tables: no --table with a usable entry")
@@ -284,7 +280,7 @@ def cmd_verify(args) -> int:
         return code
     if args.file:
         try:
-            with open(args.file, "r", encoding="utf-8") as f:
+            with open(args.file, "r", encoding="utf-8-sig") as f:
                 texts = [t for t in map(str.strip, f) if t and not t.startswith("#")]
         except _UNREADABLE as e:
             raise UsageError(f"cannot read {args.file}: {e}")
@@ -314,7 +310,7 @@ def cmd_eval(args) -> int:
             if args.json_input == "-":
                 raw = sys.stdin.read()
             else:
-                with open(args.json_input, "r", encoding="utf-8") as f:
+                with open(args.json_input, "r", encoding="utf-8-sig") as f:
                     raw = f.read()
             doc = json.loads(raw)
             lc = LinComb.from_json_terms(doc.get("terms") if isinstance(doc, dict) else None)

@@ -270,7 +270,8 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     """Load a JSON-lines identity table from a path or an open text stream;
     malformed or failing entries are rejected individually and reported on
     ``table.report``, as is every line whose lhs an earlier line already
-    names.  A path that cannot be opened raises ``OSError``.
+    names.  A path that cannot be opened raises ``OSError``; a file's
+    leading UTF-8 byte-order mark is skipped.
 
     Each line: {"lhs": "z(...)", "rhs": [{"factors": [...], "coeff": "p/q"}],
     "weight": w}; ``rhs`` is read by ``LinComb.from_json_terms``.  With
@@ -282,7 +283,7 @@ def load_identity_table(source, verify: bool = False, tol: float = 1e-8, label: 
     returns a new table with its own ``entries`` and ``report``.
     """
     if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as stream:
+        with open(source, "r", encoding="utf-8-sig") as stream:
             text = stream.read()
         name = label or os.fsdecode(source)
     else:
@@ -434,16 +435,22 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
     return len(args) == 3 and min(args) >= 2 and len(set(args)) > 1
 
 
+# The reflection passes in the order they are tried: (rule, shape of the atom it
+# eliminates, index in sorted order of the ordering that pays); pairs keep z(b,a), b > a.
+_PASSES = (("reflection_pair", _pair_reflectable, 0), ("reflection_triple", _triple_reflectable, -1))
+
+
 class _WorkingSum:
     """The combination under rewriting: a term -> coefficient dict (zeros
     pruned); a heap, by ``term_key()``, of the terms with an atom that
     rewrites, each with its first such atom and that atom's rewrite, pushed
     each time such a term enters (an entry whose term has since cancelled is
     skipped when popped); and the set of present terms with an atom a
-    reflection pass can eliminate.  A term is classified as it enters, from
-    ``memo``: atom -> ((rhs, rule name) of its first rewrite or None, whether
-    a pass can eliminate it), each atom matched once per working sum.  A term
-    with no atom that rewrites never touches the heap."""
+    reflection pass can eliminate, which the passes walk in term order.  A
+    term is classified as it enters, from ``memo``: atom -> ((rhs, rule
+    name) of its first rewrite or None, whether a pass can eliminate it),
+    each atom matched once per working sum.  A term with no atom that
+    rewrites never touches the heap."""
 
     def __init__(self, lc: LinComb, rules: list[_Rule]):
         self.matchers = rules
@@ -518,44 +525,27 @@ class _WorkingSum:
         return None
 
 
-def _first_candidate(terms: set[Term], find):
-    """The first ``(term, find(term))`` of ``terms`` in sort order with a
-    non-None find, by one minimum scan; None if there is none."""
-    best = None
-    for term in terms:
-        hit = find(term)
-        if hit is not None:
-            key = term.term_key()
-            if best is None or key < best[0]:
-                best = (key, term, hit)
-    return None if best is None else best[1:]
-
-
-def _next_reflection(work: _WorkingSum, shape, paid: int, rule: str) -> tuple | None:
+def _next_reflection(work: _WorkingSum) -> tuple | None:
     """The record of one application of the symmetric sum to a family of
-    orderings, at the smallest term with an atom of ``shape`` all of whose
-    distinct orderings are present under the same cofactor; None if there is
-    none.  With c the coefficient of the ordering at index ``paid`` (in
-    sorted order), the step subtracts c from each ordering, which eliminates
-    that one, and adds c times their sum's closed form.
-    """
+    orderings: by the first of ``_PASSES`` that finds one, at the first term
+    in sort order with an atom of the pass's shape all of whose distinct
+    orderings are present under the same cofactor; None if none is.  With c
+    the coefficient of the ordering at the pass's paid index (in sorted
+    order), the step subtracts c from each ordering, which eliminates that
+    one, and adds c times their sum's closed form."""
     coeffs = work.coeffs
-
-    def find(term: Term):
-        for atom in dict.fromkeys(filter(shape, term.factors)):
-            rest = _term_without(term, atom)
-            orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]
-            if all(rest.mul(o) in coeffs for o in orderings):
-                return atom, orderings, rest
-        return None
-
-    found = _first_candidate(work.reflectable, find)
-    if found is None:
-        return None
-    _term, (atom, orderings, rest) = found
-    # Each distinct ordering is len(orderings) / k! of the k! permutations.
-    rhs = symmetric_sum(orderings[0].args).scale(Fraction(len(orderings), math.factorial(atom.depth)))
-    return rule, atom, rest, coeffs[rest.mul(orderings[paid])], rhs, orderings
+    terms = sorted(work.reflectable, key=lambda t: t.term_key())
+    for rule, shape, paid in _PASSES:
+        for term in terms:
+            for atom in dict.fromkeys(filter(shape, term.factors)):
+                rest = _term_without(term, atom)
+                orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]
+                if all(rest.mul(o) in coeffs for o in orderings):
+                    # each distinct ordering is len(orderings) / k! of the k! permutations
+                    share = Fraction(len(orderings), math.factorial(atom.depth))
+                    rhs = symmetric_sum(orderings[0].args).scale(share)
+                    return rule, atom, rest, coeffs[rest.mul(orderings[paid])], rhs, orderings
+    return None
 
 
 def reduce_lincomb(
@@ -574,8 +564,9 @@ def reduce_lincomb(
     step touches only the terms it creates or cancels; each distinct atom
     is matched against the tables and rules once per call, as its term
     enters, so a rule that leaks weight fails on any atom that enters, even
-    one never rewritten; a reflection pass is one scan over the terms that
-    hold an atom it can eliminate.
+    one never rewritten; a reflection pass walks the terms that hold an
+    atom it can eliminate, in term order, and stops at the first whose
+    family of orderings is complete.
     """
     if rules is None:
         rules = default_rules()
@@ -583,12 +574,7 @@ def reduce_lincomb(
     work = _WorkingSum(lc, rules)
     log: list[tuple] = []
     while len(log) < max_steps:
-        record = (
-            work.pop_pending()
-            # pairs eliminate z(a,b), a < b, keeping the basis form z(b,a)
-            or _next_reflection(work, _pair_reflectable, 0, "reflection_pair")
-            or _next_reflection(work, _triple_reflectable, -1, "reflection_triple")
-        )
+        record = work.pop_pending() or _next_reflection(work)
         if record is None:
             break
         work.apply(record)

@@ -284,30 +284,44 @@ def test_reduce_missing_table_exit2(capsys, tmp_path):
     assert code == 2 and "cannot load table" in err and "Expecting value" not in err
 
 
-def test_table_search_dir_env(capsys, tmp_path, monkeypatch):
+def test_table_path_is_read_as_given(capsys, tmp_path, monkeypatch):
+    # a --table path that does not exist as given is not looked up anywhere
+    # else, whatever the environment holds: exit 2
     from eulersums.reduction import build_starter_table, save_table
 
     save_table(build_starter_table(4), tmp_path / "mini.jsonl")
-    monkeypatch.setenv("EULERSUM_TABLE_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "reduce", "--table", "mini.jsonl", "S(2,3)")
-    assert code == 0
-
-
-def test_table_given_path_wins_over_search_dir(capsys, tmp_path, monkeypatch):
-    # EULERSUM_TABLE_DIR is only a fallback: a --table path that exists as
-    # given is read, although the directory holds a table of the same name
-    from eulersums.reduction import build_starter_table, save_table
-
     (tmp_path / "cwd").mkdir()
-    (tmp_path / "dir").mkdir()
-    save_table(build_starter_table(4), tmp_path / "cwd" / "mini.jsonl")
-    (tmp_path / "dir" / "mini.jsonl").write_text(
-        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}\n'
-    )
     monkeypatch.chdir(tmp_path / "cwd")
-    monkeypatch.setenv("EULERSUM_TABLE_DIR", str(tmp_path / "dir"))
-    code, out, _ = run(capsys, "reduce", "--table", "mini.jsonl", "S(1,2)")
-    assert (code, out) == (0, "S(1,2) = 2*z(3)\n")
+    monkeypatch.setenv("EULERSUM_TABLE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "reduce", "--table", "mini.jsonl", "S(2,3)")
+    assert (code, out) == (2, "") and "mini.jsonl: cannot load table" in err
+
+
+# A file of each kind the commands read by path, its command line ({} is the
+# path) and the stdout it gives, with or without a leading byte-order mark.
+BOM_CASES = {
+    "table": (
+        '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "5"}], "weight": 3}\n',
+        ["reduce", "--table", "{}", "S(1,2)"],
+        "S(1,2) = 6*z(3)\n",
+    ),
+    "batch": ("S(1,2)\n", ["verify", "--tol", "1e-6", "--file", "{}"], None),
+    "dump": ('{"terms": [{"factors": ["z(3)"], "coeff": "2"}]}', ["eval", "--json", "{}"], None),
+}
+
+
+@pytest.mark.parametrize("kind", BOM_CASES)
+def test_byte_order_mark_is_skipped(capsys, tmp_path, kind):
+    text, argv, want = BOM_CASES[kind]
+    got = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / encoding
+        path.write_text(text, encoding=encoding)
+        code, out, err = run(capsys, *[str(path) if a == "{}" else a for a in argv])
+        assert (code, err) == (0, ""), (encoding, err)
+        got.append(out)
+    assert got[1] == got[0]
+    assert want is None or got[0] == want
 
 
 def test_verify_pass(capsys):

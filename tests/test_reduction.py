@@ -1025,6 +1025,23 @@ def test_reflection_candidates_after_rewrites(combination, use_table, passes):
     assert {line.split(":")[0] for line in got[2]} & {"reflection_pair", "reflection_triple"} == passes
 
 
+def test_pass_search_stops_at_the_first_complete_family(monkeypatch):
+    # 20 complete pair families under distinct depth-1 cofactors: each step
+    # takes the first family in term order, so the search splits one term per
+    # step, not one per family still present
+    families = lc(*[(1, [z(p), a]) for p in range(3, 43, 2) for a in (z(2, 4), z(4, 2))])
+    calls = []
+
+    def counting(term, atom):
+        calls.append(atom)
+        return _term_without(term, atom)
+
+    monkeypatch.setattr(reduction, "_term_without", counting)
+    r = reduce_lincomb(families)
+    assert [record[0] for record in r.log] == ["reflection_pair"] * 20
+    assert len(calls) <= 20
+
+
 # (index, with the bundled starter table, steps, sha256 of [render, steps, trace])
 # as the re-sorting engine produced them.
 PINNED_REDUCTIONS = [
