@@ -92,6 +92,16 @@ printf '%s\n' 'S(-2,-1)' 'S(-1,-2)' 'S(-1,-1,-1)' 'S(-1,2)' 'S(1,-2)' \
   > "$RUNNER_TEMP/batch.txt"
 digest="$(eulersum verify --tol 1e-6 --table $starter --file "$RUNNER_TEMP/batch.txt" | sha256sum | cut -d' ' -f1)"
 test "$digest" = 8be3512e2a377638ba466592c5ff270011e33903c83a755880f0fc3308e4d9db
+# the same batch written twice, in one process: each line after the first reads
+# the chain sums that earlier lines stored, the second half reads every atom the
+# first stored, and both halves print the bytes above
+cat "$RUNNER_TEMP/batch.txt" "$RUNNER_TEMP/batch.txt" > "$RUNNER_TEMP/batch_twice.txt"
+eulersum verify --tol 1e-6 --table $starter --file "$RUNNER_TEMP/batch_twice.txt" > "$RUNNER_TEMP/twice.out"
+half=$(( $(wc -l < "$RUNNER_TEMP/twice.out") / 2 ))
+digest="$(head -n "$half" "$RUNNER_TEMP/twice.out" | sha256sum | cut -d' ' -f1)"
+test "$digest" = 8be3512e2a377638ba466592c5ff270011e33903c83a755880f0fc3308e4d9db
+digest="$(tail -n +"$((half + 1))" "$RUNNER_TEMP/twice.out" | sha256sum | cut -d' ' -f1)"
+test "$digest" = 8be3512e2a377638ba466592c5ff270011e33903c83a755880f0fc3308e4d9db
 # so does one verify of a combination whose atoms share most prefixes (958 terms):
 # its atoms come from one walk over the trie of their words, bit for bit
 digest="$(eulersum verify --tol 1e-6 "S(1,3,-5,-2,2,3)" | sha256sum | cut -d' ' -f1)"

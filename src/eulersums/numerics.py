@@ -12,7 +12,11 @@ Two evaluation strategies are used.
     per power series.  Each atom is stored once as two integers, its value
     and error bound in units of 2^-192; the atoms that a combination lacks
     are evaluated together, by one walk over the trie of their factors'
-    letter words (``_chain_sums``).  A combination is summed exactly in
+    letter words (``_chain_sums``).  The walk keeps each node's sum, one
+    integer, across calls in a store of at most HOLDER_STORE_NODES nodes
+    (``_ChainStore``), and a chain whose every node is stored applies no
+    letter; a sum depends only on the node's letters and N, so the values
+    are the same integers.  A combination is summed exactly in
     those units, the atoms' errors carried through its products, one floor
     per term, and rounded once to 64 significant bits, an exact dyadic
     ``Fraction``.  Its bound counts that rounding exactly: at most 2^-64
@@ -75,6 +79,7 @@ N_MAX = 10**4
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
 BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 SUM_TOL_FLOOR = 1e-10
+SERIES_DEGREE_CAP = 21  # inner entries of the deepest index the series walks; its tail grows with each
 
 
 class NumericResult(_Record):
@@ -161,6 +166,7 @@ def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> Nu
 
 HOLDER_N = 200
 HOLDER_WORD_CAP = 200_000  # letters of the longest Hoelder word; its time is linear in it
+HOLDER_STORE_NODES = 4096  # trie nodes whose sums the walk keeps across calls, about 0.2 KB each
 
 
 class WordCapError(Refusal, ValueError):
@@ -195,25 +201,79 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
     return out
 
 
+class _ChainStore:
+    """The sums of the trie nodes walked at N = HOLDER_N, kept across calls.
+    Node 0 is the root; ``ids`` maps (a node's id, a letter) to its child's
+    id, and ``sums[id]`` is that node's sum, so a node costs the same at any
+    depth.  Once it holds HOLDER_STORE_NODES nodes it stops growing until
+    ``clear``.  A node's sum depends only on its letters and N, so a sum
+    read here equals the walk's."""
+
+    __slots__ = ("ids", "sums")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.ids, self.sums = {}, [_FP_SCALE]
+
+    def read(self, letters) -> list[int] | None:
+        """[2^192, s_1, ..., s_w] of a chain whose every node is stored, else None."""
+        node, sums = 0, [_FP_SCALE]
+        for b in letters:
+            node = self.ids.get((node, b))
+            if node is None:
+                return None
+            sums.append(self.sums[node])
+        return sums
+
+    def add(self, parent: int | None, b: int, s: int) -> int | None:
+        """The id of the child ``b`` of node ``parent``, stored with sum ``s``
+        if new and the store has room; None where the store holds no node."""
+        if parent is None:
+            return None
+        node = self.ids.get((parent, b))
+        if node is None:
+            if len(self.ids) >= HOLDER_STORE_NODES:
+                return None
+            node = self.ids[parent, b] = len(self.sums)
+            self.sums.append(s)
+        return node
+
+
+_CHAINS = _ChainStore()
+
+
 def _chain_sums(chains, n_terms: int) -> dict[tuple[int, ...], list[int]]:
     """Each letter tuple's [2^192, s_1, ..., s_w], s_j the sum of the terms of
-    G(letters[:j] reversed; 1/2), by one depth-first walk over their trie: a
-    node applies its letter to its parent's terms once, and those are held
-    only while a child is pending, so a path with no branch holds one chain."""
-    sums, path = {}, [_FP_SCALE]  # path[d]: the sum at depth d of the current path
-    stack = [(0, None, None, list(chains))]  # depth, letter, parent's terms, tuples below
+    G(letters[:j] reversed; 1/2).  At N = HOLDER_N a chain whose every node
+    is in ``_CHAINS`` is read from it.  The rest are summed by one depth-first
+    walk over their trie: a node applies its letter to its parent's terms
+    once, and those are held only while a child is pending, so a path with
+    no branch holds one chain.  At N = HOLDER_N each node walked is stored."""
+    sums, walk, keep = {}, [], n_terms == HOLDER_N
+    for letters in chains:
+        stored = _CHAINS.read(letters) if keep else None
+        if stored is None:
+            walk.append(letters)
+        else:
+            sums[letters] = stored
+    path = [_FP_SCALE]  # path[d]: the sum at depth d of the current path
+    # depth, letter, parent's terms, tuples below, parent's id in the store (None: not stored)
+    stack = [(0, None, None, walk, 0 if keep else None)]
     while stack:
-        d, b, terms, group = stack.pop()
+        d, b, terms, group, node = stack.pop()
         if d:
             terms = _holder_apply(b, terms, n_terms)
             path[d:] = [sum(terms)]
+            node = _CHAINS.add(node, b, path[d])
         children = {}
         for letters in group:
             if len(letters) == d:
                 sums[letters] = path.copy()
             else:
                 children.setdefault(letters[d], []).append(letters)
-        stack += [(d + 1, b, terms, below) for b, below in children.items()]
+        stack += [(d + 1, b, terms, below, node) for b, below in children.items()]
     return sums
 
 
@@ -265,7 +325,12 @@ def _atom_units(atom: MzvAtom) -> tuple[int, int]:
     return _ATOM_UNITS[atom]
 
 
-_atom_units.cache_clear = _ATOM_UNITS.clear  # emptied by ``clear_caches``
+def _clear_atoms() -> None:
+    _ATOM_UNITS.clear()
+    _CHAINS.clear()
+
+
+_atom_units.cache_clear = _clear_atoms  # the atoms and the chain store, emptied by ``clear_caches``
 
 
 def _lincomb_units(lc: LinComb) -> tuple[int, int]:
@@ -564,9 +629,13 @@ class _SumState:
 
 def eval_euler_sum_best(idx: EulerSumIndex, target_tol: float = 1e-8, n_cap: int = N_MAX) -> NumericResult:
     """The series, walked until its bound meets ``target_tol`` (>= SUM_TOL_FLOOR)
-    or N reaches ``n_cap``: the result of least bound, which may miss the tolerance."""
+    or N reaches ``n_cap``: the result of least bound, which may miss the tolerance.
+    An index of more than SERIES_DEGREE_CAP inner entries is refused before
+    the walk: its tail multiplies out one polynomial per entry."""
     if target_tol < SUM_TOL_FLOOR:
         raise ValueError(f"target tolerance below the floor {SUM_TOL_FLOOR}")
+    if len(idx.inner) > SERIES_DEGREE_CAP:
+        raise Refusal("the %d inner entries are above the series cap %d", len(idx.inner), SERIES_DEGREE_CAP)
     state = _SumState(idx)
     best: NumericResult | None = None
     cap = min(max(n_cap, 1), N_MAX)

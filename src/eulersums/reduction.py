@@ -35,6 +35,7 @@ untouched: they are basis elements of the reduced form.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import itertools
@@ -445,8 +446,9 @@ class _WorkingSum:
     pruned); a heap, by ``term_key()``, of the terms with an atom that
     rewrites, each with its first such atom and that atom's rewrite, pushed
     each time such a term enters (an entry whose term has since cancelled is
-    skipped when popped); and the set of present terms with an atom a
-    reflection pass can eliminate, which the passes walk in term order.  A
+    skipped when popped); and the present terms with an atom a reflection
+    pass can eliminate, as (term_key(), term) kept in order as terms enter
+    and cancel, which the passes walk in term order.  A
     term is classified as it enters, from ``memo``: atom -> ((rhs, rule
     name) of its first rewrite or None, whether a pass can eliminate it),
     each atom matched once per working sum.  A term with no atom that
@@ -456,7 +458,7 @@ class _WorkingSum:
         self.matchers = rules
         self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
-        self.reflectable: set[Term] = set()
+        self.reflectable: list[tuple[tuple, Term]] = []
         # The heap orders the terms, so they are read unsorted here and in apply.
         self.heap = [entry for t in self.coeffs if (entry := self._enter(t)) is not None]
         heapq.heapify(self.heap)
@@ -464,7 +466,7 @@ class _WorkingSum:
     def _enter(self, term: Term):
         """Classify a term entering the sum: note it as reflectable if it is,
         and return its heap entry if it should be queued, else None."""
-        first = None
+        first, reflectable_term = None, False
         memo = self.memo
         # a product's factors are sorted already
         for atom in (term,) if term.__class__ is MzvAtom else term:
@@ -487,11 +489,15 @@ class _WorkingSum:
                     _pair_reflectable(atom) if depth == 2 else depth == 3 and _triple_reflectable(atom),
                 )
             hit, reflectable = known
-            if reflectable:
-                self.reflectable.add(term)
+            reflectable_term = reflectable_term or reflectable
             if first is None and hit is not None:
                 first = (atom, hit)
-        return None if first is None else (term.term_key(), term, *first)
+        if first is None and not reflectable_term:
+            return None
+        key = term.term_key()
+        if reflectable_term:
+            bisect.insort(self.reflectable, (key, term))
+        return None if first is None else (key, term, *first)
 
     def add(self, term: Term, c: Fraction):
         old = self.coeffs.get(term)
@@ -505,7 +511,10 @@ class _WorkingSum:
             self.coeffs[term] = s
         else:
             del self.coeffs[term]
-            self.reflectable.discard(term)
+            key = term.term_key()
+            i = bisect.bisect_left(self.reflectable, (key,))
+            if i < len(self.reflectable) and self.reflectable[i][0] == key:
+                del self.reflectable[i]
 
     def apply(self, record: tuple):
         """Add a step's c * rest * (rhs - lhs); see ``ReduceResult``."""
@@ -534,9 +543,8 @@ def _next_reflection(work: _WorkingSum) -> tuple | None:
     order), the step subtracts c from each ordering, which eliminates that
     one, and adds c times their sum's closed form."""
     coeffs = work.coeffs
-    terms = sorted(work.reflectable, key=lambda t: t.term_key())
     for rule, shape, paid in _PASSES:
-        for term in terms:
+        for _key, term in work.reflectable:
             for atom in dict.fromkeys(filter(shape, term.factors)):
                 rest = _term_without(term, atom)
                 orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]

@@ -738,7 +738,8 @@ def test_outputs_same_cold_warm_and_after_clear_caches(capsys):
 
 def test_clear_caches_empties_every_cache(capsys):
     # after a verify and a series evaluation fill them, every functools cache
-    # in every eulersums module, and the atom store, is empty again
+    # in every eulersums module, the atom store and the chain store are empty
+    # again
     import importlib
     import pkgutil
 
@@ -757,9 +758,11 @@ def test_clear_caches_empties_every_cache(capsys):
     }
     assert any(obj.cache_info().currsize for obj in cached.values())
     assert eulersums.numerics._ATOM_UNITS  # the atom store, a dict
+    assert eulersums.numerics._CHAINS.ids  # the chain store
     clear_caches()
     assert {name: obj.cache_info().currsize for name, obj in cached.items()} == dict.fromkeys(cached, 0)
     assert not eulersums.numerics._ATOM_UNITS
+    assert not eulersums.numerics._CHAINS.ids and len(eulersums.numerics._CHAINS.sums) == 1
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -331,14 +331,85 @@ def _counting_apply(monkeypatch):
 
 def test_one_batch_applies_each_trie_node_once(monkeypatch):
     # the complemented and reversed words of the 108 convergent atoms of
-    # weight 5 form one trie; the batch applies one letter per distinct
-    # nonempty prefix, so the atoms share every chain they have in common
+    # weight 5 form one trie; from an empty store, the batch applies one
+    # letter per distinct nonempty prefix, so the atoms share every chain
+    # they have in common
     words = [_holder_word(args) for args in _convergent_args(5)]
     chains = {tuple(1 - b for b in w) for w in words} | {tuple(reversed(w)) for w in words}
     nodes = {chain[:j] for chain in chains for j in range(1, len(chain) + 1)}
+    _atom_units.cache_clear()
     calls = _counting_apply(monkeypatch)
     list(_fp_holders([(w, 1) for w in words]))
     assert len(calls) == len(nodes) < 2 * 5 * len(words)
+
+
+def _stored_nodes():
+    """Every node of the chain store: its letter tuple and its sum."""
+    letters, out = {0: ()}, {}
+    for (parent, b), node in numerics._CHAINS.ids.items():  # a parent enters before its children
+        letters[node] = (*letters[parent], b)
+        out[letters[node]] = numerics._CHAINS.sums[node]
+    return out
+
+
+def _store_size():
+    assert len(numerics._CHAINS.sums) == len(numerics._CHAINS.ids) + 1
+    return len(numerics._CHAINS.ids)
+
+
+def test_stored_chains_apply_no_letter(monkeypatch):
+    # a second batch of chains that are prefixes of stored ones reads every
+    # sum from the store, the integers the walk gave, and applies no letter;
+    # chains that leave the stored trie are walked from the root, one letter
+    # per node of their trie, as from an empty store, and each node walked
+    # is stored
+    _atom_units.cache_clear()
+    chains = [(1, 0, -1, 2), (1, 0, 1, 1), (-1, 0, 0, 1)]
+    first = numerics._chain_sums(chains, HOLDER_N)
+    stored = _stored_nodes()
+    assert set(stored) == {c[:j] for c in chains for j in range(1, len(c) + 1)}
+    assert _store_size() == len(stored)
+    calls = _counting_apply(monkeypatch)
+    prefixes = {c[:j]: first[c][: j + 1] for c in chains for j in range(1, len(c))}
+    assert numerics._chain_sums(list(prefixes), HOLDER_N) == prefixes
+    assert not calls and _stored_nodes() == stored
+    batch = [(1, 0, -1, 2, 0), (1, 0, 2), (1, 0, 1)]
+    warm = numerics._chain_sums(batch, HOLDER_N)
+    walked = {c[:j] for c in batch[:2] for j in range(1, len(c) + 1)}
+    assert len(calls) == len(walked) == 6
+    assert set(_stored_nodes()) == set(stored) | walked and _store_size() == len(stored) + 2
+    _atom_units.cache_clear()
+    assert numerics._chain_sums(batch, HOLDER_N) == warm
+
+
+def test_other_n_terms_bypass_the_store():
+    # a batch at n_terms = 8 neither reads nor writes the store, and a
+    # HOLDER_N value afterwards still equals the reference
+    _atom_units.cache_clear()
+    _atom_units(z(2, -1, 3))
+    stored = _stored_nodes()
+    batch = [(2, -1, 3), (-2, 1, 3)]
+    assert list(_fp_holders([(_holder_word(args), len(args)) for args in batch], 8)) == [
+        _to_units(*_fp_holder_two_loops(args, 8)) for args in batch
+    ]
+    assert _stored_nodes() == stored
+    for args in batch:
+        assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
+
+
+def test_store_stays_within_its_cap():
+    # the store stops growing at its cap: after z(-3000), whose two chains
+    # have 6 000 nodes, and after every convergent atom of weight <= 8;
+    # values read from the full store still match the reference
+    _atom_units.cache_clear()
+    _atom_units(z(-3000))
+    assert _store_size() == numerics.HOLDER_STORE_NODES
+    _atom_units.cache_clear()
+    sweep = [args for w in range(1, 9) for args in _convergent_args(w)]
+    numerics._lincomb_units(sum((LinComb.of_atom(z(*args)) for args in sweep), LinComb()))
+    assert _store_size() == numerics.HOLDER_STORE_NODES
+    for args in random.Random(8).sample(sweep, 20):
+        assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
 
 
 def test_atom_units_alone_and_in_one_batch(monkeypatch):
@@ -415,6 +486,19 @@ def test_tol_floor():
     with pytest.raises(ValueError, match="below the floor"):
         eval_euler_sum_best(make_index([2], 2), 1e-12)
     assert eval_euler_sum_best(make_index([2], 2), numerics.SUM_TOL_FLOOR).tail_bound <= numerics.SUM_TOL_FLOOR
+
+
+def test_series_refuses_past_its_degree_cap():
+    # 22 inner entries are refused before the walk, 2 000 as fast; 21
+    # distinct entries still evaluate and meet the tolerance
+    assert numerics.SERIES_DEGREE_CAP == 21
+    for inner in ([1] * 22, [1] * 2000, list(range(1, 23))):
+        t0 = time.monotonic()
+        with pytest.raises(numerics.Refusal, match=f"the {len(inner)} inner entries are above the series cap 21"):
+            eval_euler_sum_best(make_index(inner, 2))
+        assert time.monotonic() - t0 < 0.1
+    res = eval_euler_sum_best(make_index(list(range(1, 22)), 2))
+    assert res.tail_bound <= 1e-8 and res.terms_used == 100
 
 
 # -- the integer walk ---------------------------------------------------------------
