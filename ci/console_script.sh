@@ -82,6 +82,10 @@ digest="$(eulersum reduce --trace --table $starter "S(2,2,2,2,2)" 2>/dev/null | 
 test "$digest" = 15b934b6f9c6b2d317849e239911f8c135701690363aa85adcf1941ded731188
 digest="$(eulersum reduce --trace --table $starter "S(-2,-2,-2,-2,-2)" 2>/dev/null | sha256sum | cut -d' ' -f1)"
 test "$digest" = 3bec47ac7455983ba5e86bc4b8b3c4a3d4dd9983e76278190c44455471c80a94
+# and one in which table entries fire at depths 4 and 3, z(3,1,1,1) and z(4,1,1),
+# and the repeated-slot rule on z(3,3): each atom meets only the rules of its depth
+digest="$(eulersum reduce --engine t1 --trace --table $starter "S(1,1,1,3)" 2>/dev/null | sha256sum | cut -d' ' -f1)"
+test "$digest" = 147da66daf3e378a8b38aff8f28325a6fc844694ae7606c494a499b4e4dcd427
 # a verify batch stays the same byte for byte: the 9 weight-3 log tails and 5 deep
 # power tails of weight 9 and 10; the indented comment line is skipped and prints nothing;
 # each value is exact, to 15 digits, and each bound, discrepancy and budget is

@@ -167,7 +167,16 @@ def li_half(q: int) -> MzvAtom:
 def parse_atom(text: str) -> MzvAtom:
     """Parse the canonical rendering 'z(a,b,...)' or 'Li(q,1/2)'.  Each slot
     is an integer as an index writes it (``-?[1-9][0-9]*``, ASCII), with
-    whitespace allowed around it."""
+    whitespace allowed around it.  The atoms of the last 1024 distinct
+    texts are kept, so a table that names each factor many times parses it
+    once; ``clear_caches`` empties them."""
+    if isinstance(text, str):
+        return _parse_atom_text(text)
+    return _parse_atom_text.__wrapped__(text)  # a JSON list, say: uncached, it fails on .strip()
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_atom_text(text: str) -> MzvAtom:
     s = text.strip()
     if s.startswith("Li(") and s.endswith(")"):
         parts = [p.strip() for p in s[3:-1].split(",")]
@@ -295,9 +304,16 @@ class LinComb:
 
     def items(self) -> Iterator[tuple[Term, Fraction]]:
         """The (term, coefficient) pairs in ``term_key`` order: the unit,
-        then the zeta atoms by weight, then the Li atoms and the products."""
-        order = sorted(self._d, key=_TERM_KEY)
-        return zip(order, map(self._d.__getitem__, order))
+        then the zeta atoms by weight, then the Li atoms and the products.
+        Single atoms, keyed (1, atom), sort by their own tuple order; only
+        the unit and the products are given their key."""
+        d = self._d
+        order = sorted([t for t in d if t.__class__ is MzvAtom])
+        if len(order) < len(d):
+            others = sorted([t for t in d if t.__class__ is not MzvAtom], key=_TERM_KEY)
+            unit = 0 if others[0] else 1  # the unit, key (0,), is first of all
+            order = others[:unit] + order + others[unit:]
+        return zip(order, map(d.__getitem__, order))
 
     def coeff(self, term: Term) -> Fraction:
         return self._d.get(term, Fraction(0))

@@ -24,7 +24,8 @@ quadratic and linear Euler sums is no rule: once those sums are expanded it
 returns its own left side exactly, so it cannot make progress as a rewrite.
 
 ``reduce_lincomb`` tries the tables and then the rules above as one list of
-rewrites, in a fixed order, atom by atom, until nothing fires; then it
+rewrites, in a fixed order, atom by atom, each atom only against the
+rewrites whose declared depths hold its own, until nothing fires; then it
 eliminates one family of orderings by the symmetric sum.  Every rewrite
 preserves weight (asserted) and strictly decreases (depth, alternation) of
 the atom it replaces, or eliminates a paired atom, so the fixpoint is
@@ -42,7 +43,8 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Callable, Iterable
+import sys
+from collections.abc import Callable, Container, Iterable
 from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
@@ -195,9 +197,11 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
 # ---------------------------------------------------------------------------
 
 
-# A closed form as a rewrite: its name, and a function that gives an atom's
-# reduced form, or None off the rule's domain.
-_Rule = tuple[str, Callable[[MzvAtom], LinComb | None]]
+# A closed form as a rewrite: its name, a function that gives an atom's
+# reduced form, or None off the rule's domain, and the depths (slot counts,
+# 0 for a Li atom) that domain lies in, a range for the built-in rules.  An
+# atom is offered only to the rules whose depths hold its own.
+_Rule = tuple[str, Callable[[MzvAtom], LinComb | None], Container[int]]
 
 # Each guard reads an atom's slots, a[2], once; a Li atom has none.  a[1] is the weight.
 
@@ -228,10 +232,10 @@ def _rw_ones(a: MzvAtom) -> LinComb | None:
 
 def default_rules() -> list[_Rule]:
     return [
-        ("alt_depth1", _rw_alt_depth1),
-        ("repeated", _rw_repeated),
-        ("zeta_ones", _rw_ones),
-        ("depth2_odd", depth2_odd),
+        ("alt_depth1", _rw_alt_depth1, range(1, 2)),
+        ("repeated", _rw_repeated, range(2, sys.maxsize)),
+        ("zeta_ones", _rw_ones, range(2, LOG_INTEGRAL_CAP + 2)),
+        ("depth2_odd", depth2_odd, range(2, 3)),
     ]
 
 
@@ -451,11 +455,14 @@ class _WorkingSum:
     and cancel, which the passes walk in term order.  A
     term is classified as it enters, from ``memo``: atom -> ((rhs, rule
     name) of its first rewrite or None, whether a pass can eliminate it),
-    each atom matched once per working sum.  A term with no atom that
-    rewrites never touches the heap."""
+    each atom matched once per working sum, against the matchers of its
+    depth only: ``at_depth`` holds, for each depth met so far, the (name,
+    rewrite) of the rules whose depths hold it, in rule order.  A term with
+    no atom that rewrites never touches the heap."""
 
     def __init__(self, lc: LinComb, rules: list[_Rule]):
-        self.matchers = rules
+        self.rules = rules
+        self.at_depth: dict[int, list[tuple[str, Callable[[MzvAtom], LinComb | None]]]] = {}
         self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
         self.reflectable: list[tuple[tuple, Term]] = []
@@ -472,10 +479,16 @@ class _WorkingSum:
         for atom in (term,) if term.__class__ is MzvAtom else term:
             known = memo.get(atom)
             if known is None:
-                # a new atom: the first matcher that rewrites it, in one loop,
+                # a new atom: the first matcher of its depth that rewrites it,
                 # and one depth test for the pass that could eliminate it
+                depth = len(atom[2])  # a Li atom has no slots
+                matchers = self.at_depth.get(depth)
+                if matchers is None:
+                    matchers = self.at_depth[depth] = [
+                        (name, rewrite) for name, rewrite, depths in self.rules if depth in depths
+                    ]
                 hit = None
-                for name, rewrite in self.matchers:
+                for name, rewrite in matchers:
                     rhs = rewrite(atom)
                     if rhs is not None:
                         assert rhs.weights() in ({atom[1]}, set()), (
@@ -483,7 +496,6 @@ class _WorkingSum:
                         )
                         hit = rhs, name
                         break
-                depth = len(atom[2])  # a Li atom has no slots
                 known = memo[atom] = (
                     hit,
                     _pair_reflectable(atom) if depth == 2 else depth == 3 and _triple_reflectable(atom),
@@ -570,15 +582,17 @@ def reduce_lincomb(
     reflection pass (pairs, then triples) fire.  Each step is one record of
     the result's log; no text is written until ``trace`` is read.  An atom
     step touches only the terms it creates or cancels; each distinct atom
-    is matched against the tables and rules once per call, as its term
-    enters, so a rule that leaks weight fails on any atom that enters, even
-    one never rewritten; a reflection pass walks the terms that hold an
-    atom it can eliminate, in term order, and stops at the first whose
-    family of orderings is complete.
+    is matched once per call, as its term enters, against the tables and
+    rules whose depths hold its depth, so a rule that leaks weight fails on
+    any atom of its depths that enters, even one never rewritten.  A table
+    covers the depths of its entries, read when the call starts.  A
+    reflection pass walks the terms that hold an atom it can eliminate, in
+    term order, and stops at the first whose family of orderings is
+    complete.
     """
     if rules is None:
         rules = default_rules()
-    rules = [(f"table[{t.label}]", t.entries.get) for t in tables] + rules
+    rules = [(f"table[{t.label}]", t.entries.get, {len(a[2]) for a in t.entries}) for t in tables] + rules
     work = _WorkingSum(lc, rules)
     log: list[tuple] = []
     while len(log) < max_steps:

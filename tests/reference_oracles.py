@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 from eulersums import reduction
@@ -239,12 +240,14 @@ def _reference_depth2_odd(atom: MzvAtom) -> LinComb | None:
 
 def reference_rules() -> list[tuple]:
     """``reduction.default_rules()``, in the same order, from the guards above:
-    each rule the pair (name, rewrite)."""
+    each rule the triple (name, rewrite, depths), the depths those guards
+    allow: z(s bar) alone; any repeat; z(k+1, {1}_l) with k >= 1 and
+    k + l <= LOG_INTEGRAL_CAP, so at most LOG_INTEGRAL_CAP slots; two slots."""
     return [
-        ("alt_depth1", _reference_rw_alt_depth1),
-        ("repeated", _reference_rw_repeated),
-        ("zeta_ones", _reference_rw_ones),
-        ("depth2_odd", _reference_depth2_odd),
+        ("alt_depth1", _reference_rw_alt_depth1, range(1, 2)),
+        ("repeated", _reference_rw_repeated, range(2, sys.maxsize)),
+        ("zeta_ones", _reference_rw_ones, range(2, reduction.LOG_INTEGRAL_CAP + 2)),
+        ("depth2_odd", _reference_depth2_odd, range(2, 3)),
     ]
 
 

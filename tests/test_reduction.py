@@ -156,7 +156,7 @@ def test_depth2_odd_refuses_past_the_step_cap(monkeypatch):
 def test_alt_depth1_refuses_past_the_step_cap(monkeypatch):
     # the coefficient 2^(1-w) - 1 has the denominator 2^(w-1): past the step
     # cap the rule refuses before the power is built; at the cap it is built
-    (rewrite,) = [rewrite for name, rewrite in default_rules() if name == "alt_depth1"]
+    (rewrite,) = [rewrite for name, rewrite, _depths in default_rules() if name == "alt_depth1"]
     cap = reduction.STEP_CAP
     assert rewrite(z(-(cap + 1))) == LinComb.of_atom(z(cap + 1), Fraction(1, 2**cap) - 1)
     with pytest.raises(reduction.StepCapError) as refused:
@@ -217,7 +217,9 @@ def _atom_rewrite(atom, rules):
 
 def test_rule_guards_match_reference():
     # the guards read each atom's slots once, by index; the reference reads them
-    # through depth and args: the same hit or miss, rule name and rhs on every atom
+    # through depth and args: the same hit or miss, rule name and rhs on every
+    # atom.  Every atom a rule rewrites lies in the depths it declares, since
+    # the engine offers it no other.
     cap = reduction.LOG_INTEGRAL_CAP
     atoms = [MzvAtom(args=w) for w in _signed_words(8)]
     assert len(atoms) == 4373 and z(-1) in atoms
@@ -227,10 +229,14 @@ def test_rule_guards_match_reference():
     atoms += [z(k + 1, *[1] * (n - k)) for n in (cap, cap + 1) for k in (1, 2, n - 2, n - 1)]
     rules, reference = default_rules(), reference_rules()
     hits = collections.Counter()
+    assert [(name, depths) for name, _rewrite, depths in rules] == [
+        (name, depths) for name, _rewrite, depths in reference
+    ]
     for atom in atoms:
-        for (name, rewrite), (ref_name, ref_rewrite) in zip(rules, reference):
-            assert name == ref_name
-            assert rewrite(atom) == ref_rewrite(atom), (name, atom)
+        for (name, rewrite, depths), (_name, ref_rewrite, _depths) in zip(rules, reference):
+            rhs = rewrite(atom)
+            assert rhs == ref_rewrite(atom), (name, atom)
+            assert rhs is None or atom.depth in depths, (name, atom)
         got = _atom_rewrite(atom, rules)
         assert got == _atom_rewrite(atom, reference), atom
         hits[got[1] if got else None] += 1
@@ -548,6 +554,42 @@ def test_table_memo_second_load_parses_nothing(tmp_path, monkeypatch):
     assert len(calls) == 2 * parsed
 
 
+def test_table_load_parses_each_distinct_atom_text_once(tmp_path):
+    # the starter table names its depth-1 factors again and again: each
+    # distinct text is parsed once, every other mention read from the memo
+    path = tmp_path / "t.jsonl"
+    save_table(build_starter_table(8), path)
+    texts = []
+    for line in path.read_text().splitlines():
+        obj = json.loads(line)
+        texts += [obj["lhs"]] + [f for term in obj["rhs"] for f in term["factors"]]
+    clear_caches()
+    table = load_identity_table(str(path))
+    assert not table.report and len(table) == len(path.read_text().splitlines())
+    info = algebra._parse_atom_text.cache_info()
+    assert (info.misses, info.hits) == (len(set(texts)), len(texts) - len(set(texts)))
+    assert info.hits > info.misses
+    clear_caches()
+    assert algebra._parse_atom_text.cache_info().currsize == 0
+
+
+def test_table_rejects_non_text_lhs_naming_its_type():
+    # an lhs that is no string, hashable or not, is parsed past the memo and
+    # rejected for its missing strip; a malformed text is not remembered
+    values = ['["z(3)"]', '{"z": 3}', "3", "null", "true", '"z(3"']
+    text = "\n".join('{"lhs": %s, "rhs": [], "weight": 3}' % v for v in values)
+    table = load_identity_table(io.StringIO(text), label="t")
+    kinds = ["list", "dict", "int", "NoneType", "bool"]
+    assert table.report == [
+        f"t:{i}: rejected: '{kind}' object has no attribute 'strip'" for i, kind in enumerate(kinds, start=1)
+    ] + ["t:6: rejected: unrecognized atom rendering: 'z(3'"]
+    assert not table.entries
+    for bad in (["z(3)"], 3):
+        with pytest.raises(AttributeError):
+            parse_atom(bad)
+    assert parse_atom(" z(2,1) ") == z(2, 1)
+
+
 def test_table_memo_sees_same_size_edit_with_same_mtime(tmp_path):
     path = tmp_path / "t.jsonl"
     entry = '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "%s"}], "weight": 3}\n'
@@ -828,7 +870,7 @@ def _reference_reduce(lc, tables=(), rules=None, max_steps=reduction.STEP_CAP):
                         break
                 if hit:
                     break
-                for name, rewrite in rules:
+                for name, rewrite, _depths in rules:
                     rhs = rewrite(atom)
                     if rhs is not None:
                         hit = (atom, rhs, name)
@@ -951,21 +993,26 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
 
     seen = collections.Counter()
 
-    def counting(name, rewrite):
+    def counting(name, rewrite, depths):
         def wrapped(atom):
+            # the engine offers a rule only atoms of the depths it declares
+            assert atom.depth in depths, (name, atom)
             seen[name, atom] += 1
             return rewrite(atom)
 
         return wrapped
 
+    table_depths = {atom.depth for atom in starter12.entries}
+
     class CountedEntries(dict):
         def get(self, atom):
+            assert atom.depth in table_depths, atom
             seen["table", atom] += 1
             return dict.get(self, atom)
 
     table = IdentityTable(starter12.label)
     table.entries = CountedEntries(starter12.entries)
-    rules = [(name, counting(name, rewrite)) for name, rewrite in default_rules()]
+    rules = [(name, counting(name, rewrite, depths), depths) for name, rewrite, depths in default_rules()]
     lc = expand_t1(parse_index("S(1,2,3,5,-8,3)"))
     monkeypatch.setattr(reduction, "heapq", RecordingHeapq)
     r = reduce_lincomb(lc, tables=[table], rules=rules)
@@ -973,7 +1020,7 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
     plain = reduce_lincomb(lc, tables=[starter12])
     assert (r.value, r.steps, r.trace) == (plain.value, plain.steps, plain.trace)
 
-    matchers = [starter12.entries.get] + [rewrite for _name, rewrite in default_rules()]
+    matchers = [starter12.entries.get] + [rewrite for _name, rewrite, _depths in default_rules()]
 
     def rewritable(term):
         return any(match(a) is not None for a in term.factors for match in matchers)
@@ -988,12 +1035,14 @@ def test_engine_queues_only_rewritable_terms_and_matches_each_atom_once(starter1
 
 
 def test_leaking_rule_fails_loudly():
-    leak = ("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None)
+    leak = ("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None, range(2, 3))
     product = SymbolicTerm.of(z(-1), z(2, 3))
     assert product.factors[1] == z(2, 3)
     for term in (z(2, 3), product):
         with pytest.raises(AssertionError, match=r"weight leak rewriting z\(2,3\)"):
             reduce_lincomb(LinComb({term: 1}), rules=[leak])
+    # declared at depth 3 alone, the same rule is never offered z(2,3)
+    assert reduce_lincomb(LinComb({product: 1}), rules=[leak[:2] + (range(3, 4),)]).steps == 0
 
 
 # Combinations whose reflection candidates change only through atom rewrites:
