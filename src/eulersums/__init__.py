@@ -73,5 +73,5 @@ def clear_caches() -> None:
 
     for info in pkgutil.iter_modules(__path__):
         for obj in vars(importlib.import_module(f"{__name__}.{info.name}")).values():
-            if hasattr(obj, "cache_clear"):
+            if hasattr(obj, "cache_clear") and not isinstance(obj, type):  # a class's is unbound
                 obj.cache_clear()

@@ -1,12 +1,7 @@
 """Expansion of (alternating) Euler sums into exact combinations of MZV atoms.
 
-Every expansion path rests on one product: a product of harmonic numbers,
-or of multiple zeta values, multiplied out as nested sums.  That product is
-the quasi-shuffle (stuffle) of words (Hoffman, *Quasi-shuffle products*),
-computed by ``_quasi_shuffle`` one word at a time.  Each letter of a
-product word is a letter of one factor or the merge of one letter from each
-of two: the merged letter's magnitude is their magnitude sum, and it
-alternates exactly when one of the two does (sigma^n * sigma^n = 1).
+Every expansion path rests on one product, the quasi-shuffle (stuffle) of
+signed words, which ``words`` owns (``quasi_shuffle``, ``merge``).
 
 Engine t1 multiplies the one-letter words of the inner exponents.  Each
 resulting word contributes two atoms: one keeping the outer exponent as its
@@ -41,6 +36,7 @@ from fractions import Fraction
 
 from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
+from .words import merge, quasi_shuffle
 
 # Largest number of ordered multiset partitions of the inner entries that an
 # expansion accepts: Fubini(8) = 545 835 fits, Fubini(9) = 7 087 261 does not.
@@ -89,51 +85,6 @@ def _check_size(inner):
                          len(inner), count, PARTITION_CAP)
 
 
-def _quasi_shuffle(words) -> dict[tuple[int, ...], int]:
-    """The quasi-shuffle product of ``words`` as {word: multiplicity}.
-
-    Words are tuples of signed letters (negative = alternating).  They are
-    multiplied one at a time, in sorted order, so only the product one word
-    shorter is held while the next is formed.  Every call forms its product
-    afresh: nothing is kept between calls.
-    """
-    product = {(): 1}
-    for u in sorted(w for w in words if w):
-        out: dict[tuple[int, ...], int] = {}
-        for v, c in product.items():
-            for word in _stuffle(u, v):
-                out[word] = out.get(word, 0) + c
-        product = out
-    return product
-
-
-def _stuffle(u: tuple[int, ...], v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The quasi-shuffle of the nonempty word ``u`` with ``v``, one word per
-    path (a word may recur).  The first letter x of ``u`` either goes just
-    before letter i of ``v`` (or after its last) or merges with letter i; the
-    rest of ``u`` is then shuffled into the letters of ``v`` that follow.
-    Each word is one concatenation, head + letter + tail, in that order."""
-    x, rest = u[0], u[1:]
-    xt = (x,)
-    out = []
-    for i in range(len(v) + 1):
-        head, tail = v[:i], v[i:]
-        if rest:
-            out += [head + xt + t for t in _stuffle(rest, tail)]
-        else:
-            out.append(head + xt + tail)
-        if tail:
-            y = tail[0]
-            mag = abs(x) + abs(y)
-            yt = (-mag if (x < 0) ^ (y < 0) else mag,)  # the merged letter
-            tail = tail[1:]
-            if rest:
-                out += [head + yt + t for t in _stuffle(rest, tail)]
-            else:
-                out.append(head + yt + tail)
-    return out
-
-
 def t1_words(idx: EulerSumIndex):
     """Engine t1's kernel words, checked and laid out in term order, for
     ``expand_t1`` to build atoms from and ``t1_json_pieces`` to write text
@@ -144,10 +95,10 @@ def t1_words(idx: EulerSumIndex):
 
     Each word gives two atoms.  Atom 1, (lead,) + word, keeps the outer
     exponent as its own leading slot.  Atom 2, (m,) + word[1:], merges it
-    with the first letter f: m = +-(q + |f|), alternating iff exactly one
-    of the two does.  Atom 2 has atom 1's weight, a slot fewer and no new
-    zero slot or unsigned leading 1, so checking atom 1 checks both: each
-    word is checked once, and its atom rendered only for the message.
+    with the first letter f: m = merge(lead, f).  Atom 2 has atom 1's
+    weight, a slot fewer and no new zero slot or unsigned leading 1, so
+    checking atom 1 checks both: each word is checked once, and its atom
+    rendered only for the message.
     """
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
@@ -156,7 +107,7 @@ def t1_words(idx: EulerSumIndex):
     sign = (-1) ** (n_bar + outer_bar)  # at degree 0 the empty word gives z(lead) alone
     lead = -q if outer_bar else q
     w, depth = idx.weight, idx.degree + 1
-    product = _quasi_shuffle((e,) for e in idx.inner)
+    product = quasi_shuffle((e,) for e in idx.inner)
 
     def atom_1(word):
         return MzvAtom._of_word((lead,) + word, w)
@@ -185,16 +136,14 @@ def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, 
     For atoms of one weight term order is slot order.  In word order atom 1
     is in slot order, and so is atom 2 within each run words[i:j] of one
     first letter.  Distinct first letters give distinct leading slots m, and
-    no m is +-q, so the atom-1 block, all of ``words``, and the runs are
+    no m is +-lead, so the atom-1 block, all of ``words``, and the runs are
     placed by leading slot."""
-    q = abs(lead)
     blocks = [(lead, 0, len(words))]
     i = 0 if words[0] else 1  # the empty word, degree 0's one word, has no atom 2
     while i < len(words):
         first = words[i][0]
         j = bisect.bisect_left(words, (first + 1,), i)
-        merged = q + abs(first)
-        blocks.append((-merged if (first < 0) ^ (lead < 0) else merged, i, j))
+        blocks.append((merge(lead, first), i, j))
         i = j
     return sorted(blocks)
 
@@ -265,7 +214,7 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         )
         # Each key is set once: the chosen sub-multiset fixes rest, and the
         # words of one product are distinct.
-        for word, c in _quasi_shuffle(tails).items():
+        for word, c in quasi_shuffle(tails).items():
             acc[rest, word + (q,)] = coeff * c
     # Distinct keys give distinct terms (the word's atom is the one factor of
     # depth >= 2, if any), so equal counts share one Fraction, as in expand_t1.
@@ -287,7 +236,7 @@ def linearize(lc: LinComb) -> LinComb:
     for term, c in lc.items():
         if any(a.li for a in term.factors):
             raise ValueError(f"cannot linearize the Li constant in {term.render()}")
-        for word, k in _quasi_shuffle(a.args for a in term.factors).items():
+        for word, k in quasi_shuffle(a.args for a in term.factors).items():
             acc[word] = acc.get(word, 0) + c * k
     return LinComb._of_nonzero(
         {(MzvAtom(w) if w else UNIT_TERM): c for w, c in acc.items() if c}

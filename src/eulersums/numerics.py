@@ -9,14 +9,14 @@ Two evaluation strategies are used.
   * Fixed-point integer summation (192 fractional bits) for every atom,
     each (alternating) MZV and Li_q(1/2) alike, by the Hoelder convolution
     of its iterated integral split at 1/2 (``_fp_holders``), N = 200 terms
-    per power series.  Each atom is stored once as two integers, its value
-    and error bound in units of 2^-192; the atoms that a combination lacks
-    are evaluated together, by one walk over the trie of their factors'
-    letter words (``_chain_sums``).  The walk keeps each node's sum, one
-    integer, across calls in a store of at most HOLDER_STORE_NODES nodes
-    (``_ChainStore``), and a chain whose every node is stored applies no
-    letter; a sum depends only on the node's letters and N, so the values
-    are the same integers.  A combination is summed exactly in
+    per power series.  The atoms that a combination lacks are evaluated
+    together, by one walk over the trie of their factors' letter words
+    (``_chain_sums``).  One store, ``_ChainStore``, keeps across calls each
+    atom as two integers, its value and error bound in units of 2^-192,
+    and each walked node's sum, one integer, up to HOLDER_STORE_NODES
+    nodes; a chain whose every node is stored applies no letter.  A sum
+    depends only on the node's letters and N, so the values are the same
+    integers.  A combination is summed exactly in
     those units, the atoms' errors carried through its products, one floor
     per term, and rounded once to 64 significant bits, an exact dyadic
     ``Fraction``.  Its bound counts that rounding exactly: at most 2^-64
@@ -74,6 +74,7 @@ from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, z
 from .indices import EulerSumIndex, _Record
+from .words import holder_word
 
 N_MAX = 10**4
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
@@ -173,15 +174,6 @@ class WordCapError(Refusal, ValueError):
     """An atom whose Hoelder word, as long as its weight, exceeds HOLDER_WORD_CAP."""
 
 
-def _holder_word(args) -> list[int]:
-    """Letters b with z(args) = (-1)^k G(b; 1): 0^(s_j - 1), then c_j = prod sgn_i."""
-    word, c = [], 1
-    for a in args:
-        c = -c if a < 0 else c
-        word += [0] * (abs(a) - 1) + [c]
-    return word
-
-
 def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
     """Fixed-point terms a_n = c_n 2^-n (n = 1..N, slot 0 unused) of G(b, inner; 1/2).
 
@@ -202,20 +194,20 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
 
 
 class _ChainStore:
-    """The sums of the trie nodes walked at N = HOLDER_N, kept across calls.
-    Node 0 is the root; ``ids`` maps (a node's id, a letter) to its child's
-    id, and ``sums[id]`` is that node's sum, so a node costs the same at any
-    depth.  Once it holds HOLDER_STORE_NODES nodes it stops growing until
-    ``clear``.  A node's sum depends only on its letters and N, so a sum
-    read here equals the walk's."""
+    """The Hoelder values kept across calls, emptied by ``cache_clear``: each
+    atom's value and error bound in units of 2^-192 (``atoms``), and the sums
+    of the trie nodes walked at N = HOLDER_N, node 0 the root, ``ids`` mapping
+    (a node's id, a letter) to its child's id and ``sums[id]`` that node's
+    sum, up to HOLDER_STORE_NODES nodes.  A node's sum depends only on its
+    letters and N, so a sum read here equals the walk's."""
 
-    __slots__ = ("ids", "sums")
+    __slots__ = ("atoms", "ids", "sums")
 
     def __init__(self):
-        self.clear()
+        self.cache_clear()
 
-    def clear(self) -> None:
-        self.ids, self.sums = {}, [_FP_SCALE]
+    def cache_clear(self) -> None:
+        self.atoms, self.ids, self.sums = {}, {}, [_FP_SCALE]
 
     def read(self, letters) -> list[int] | None:
         """[2^192, s_1, ..., s_w] of a chain whose every node is stored, else None."""
@@ -304,33 +296,23 @@ def _fp_holders(words, n_terms: int = HOLDER_N):
         yield (-1) ** depth * acc, -(-(err.numerator << _FP_BITS) // err.denominator)
 
 
-_ATOM_UNITS: dict[MzvAtom, tuple[int, int]] = {}  # value and error bound in units of 2^-192
-
-
 def _store_atoms(atoms) -> None:
-    """Evaluate the atoms that ``_ATOM_UNITS`` lacks, in one ``_fp_holders``
-    call, and store them: z(args) as ``_holder_word(args)`` at depth len(args),
+    """Evaluate the atoms that ``_CHAINS.atoms`` lacks, in one ``_fp_holders``
+    call, and store them: z(args) as ``holder_word(args)`` at depth len(args),
     Li_q(1/2) = -G(0^(q-1), 2; 1) as that word at depth 1.  The first atom
     past HOLDER_WORD_CAP, in the given order, is refused before any word is built."""
-    missing = [a for a in dict.fromkeys(atoms) if a not in _ATOM_UNITS]
+    stored = _CHAINS.atoms
+    missing = [a for a in dict.fromkeys(atoms) if a not in stored]
     for a in missing:
         if a.weight > HOLDER_WORD_CAP:
             raise WordCapError("%s: weight %d above the Hoelder word cap %d", a, a.weight, HOLDER_WORD_CAP)
-    words = [([0] * (a.li - 1) + [2], 1) if a.li else (_holder_word(a.args), len(a.args)) for a in missing]
-    _ATOM_UNITS.update(zip(missing, _fp_holders(words)))
+    words = [([0] * (a.li - 1) + [2], 1) if a.li else (holder_word(a.args), len(a.args)) for a in missing]
+    stored.update(zip(missing, _fp_holders(words)))
 
 
 def _atom_units(atom: MzvAtom) -> tuple[int, int]:
     _store_atoms([atom])
-    return _ATOM_UNITS[atom]
-
-
-def _clear_atoms() -> None:
-    _ATOM_UNITS.clear()
-    _CHAINS.clear()
-
-
-_atom_units.cache_clear = _clear_atoms  # the atoms and the chain store, emptied by ``clear_caches``
+    return _CHAINS.atoms[atom]
 
 
 def _lincomb_units(lc: LinComb) -> tuple[int, int]:
@@ -340,7 +322,7 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
     exactly: c v_1 ... v_k is floored once, costing one unit when inexact,
     and the atoms' errors add at most |c| (prod (|v_i| + e_i) - prod |v_i|).
     """
-    items = list(lc.items())
+    items, stored = list(lc.items()), _CHAINS.atoms
     _store_atoms(atom for term, _ in items for atom in term.factors)
     value = error = 0
     for term, c in items:
@@ -348,7 +330,7 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
         prod = c.numerator << _FP_BITS
         lower = upper = abs(prod)
         for atom in term.factors:
-            v, e = _ATOM_UNITS[atom]
+            v, e = stored[atom]
             prod *= v
             lower *= abs(v)
             upper *= abs(v) + e

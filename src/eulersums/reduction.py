@@ -49,6 +49,7 @@ from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
 from .indices import _Record
+from .words import merge
 
 TRACE_CAP = 10_000
 STEP_CAP = 100_000
@@ -123,10 +124,9 @@ def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
     polynomial in depth-1 values (Hoffman's symmetric-sum theorem).
 
     The stuffle of z(a) with the k-1 other slots gives z(a) S(rest) =
-    S(slots) + sum over b in rest of S(rest with b -> a+b), where a+b adds
-    magnitudes and alternates iff exactly one of a, b does.  Any order of
-    ``slots`` gives the same value; sorted tuples share the cache.  An
-    unsigned slot 1 diverges and raises ``ValueError``.
+    S(slots) + sum over b in rest of S(rest with b -> merge(a, b)).  Any
+    order of ``slots`` gives the same value; sorted tuples share the cache.
+    An unsigned slot 1 diverges and raises ``ValueError``.
     """
     if not slots:
         return LinComb.scalar(1)
@@ -135,8 +135,7 @@ def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
     for i, b in enumerate(rest):
         if b in rest[:i]:
             continue
-        mag = abs(a) + abs(b)
-        merged = rest[:i] + ((-mag if (a < 0) ^ (b < 0) else mag),) + rest[i + 1 :]
+        merged = rest[:i] + (merge(a, b),) + rest[i + 1 :]
         acc = acc - symmetric_sum(tuple(sorted(merged))).scale(rest.count(b))
     return acc
 

@@ -23,10 +23,11 @@ from fractions import Fraction
 
 from eulersums import reduction
 from eulersums.algebra import LinComb, MzvAtom, z
-from eulersums.expansion import _check_size, _quasi_shuffle
+from eulersums.expansion import _check_size
 from eulersums.indices import EulerSumIndex, make_index
 from eulersums.numerics import _FP_BITS, _FP_SCALE, NumericResult, _fp_result
 from eulersums.reduction import alt_depth1, symmetric_sum, zeta_ones
+from eulersums.words import quasi_shuffle
 
 
 def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
@@ -115,7 +116,7 @@ def pi_reference() -> NumericResult:
 
 
 def _reference_stuffle(u, v):
-    """``expansion._stuffle`` as it was written with a list of (head, tail)
+    """``words.stuffle`` as it was written with a list of (head, tail)
     pairs at each position of ``v``."""
     x, rest = u[0], u[1:]
     out = []
@@ -145,7 +146,7 @@ def _reference_expand_t1(idx: EulerSumIndex) -> LinComb:
     w, depth = idx.weight, idx.degree + 1
     coeffs: dict[int, Fraction] = {}
     terms: dict[MzvAtom, Fraction] = {}
-    product = _quasi_shuffle((e,) for e in idx.inner)
+    product = quasi_shuffle((e,) for e in idx.inner)
     n_words = len(product)
     # Each word gives two atoms, and no two words give the same atom: atom 1
     # leads with q, atom 2 with q + |first| > q, and within each family the

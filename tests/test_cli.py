@@ -757,11 +757,11 @@ def test_clear_caches_empties_every_cache(capsys):
         if hasattr(obj, "cache_info")
     }
     assert any(obj.cache_info().currsize for obj in cached.values())
-    assert eulersums.numerics._ATOM_UNITS  # the atom store, a dict
+    assert eulersums.numerics._CHAINS.atoms  # the atom store, a dict
     assert eulersums.numerics._CHAINS.ids  # the chain store
     clear_caches()
     assert {name: obj.cache_info().currsize for name, obj in cached.items()} == dict.fromkeys(cached, 0)
-    assert not eulersums.numerics._ATOM_UNITS
+    assert not eulersums.numerics._CHAINS.atoms
     assert not eulersums.numerics._CHAINS.ids and len(eulersums.numerics._CHAINS.sums) == 1
 
 

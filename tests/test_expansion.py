@@ -214,7 +214,7 @@ def test_t1_gives_two_atoms_per_word(inner, outer):
     # no two product words give the same atom, under either outer sign:
     # expand_t1 stores each atom once, with its word's multiplicity
     idx = make_index(inner, outer)
-    words = expansion._quasi_shuffle((e,) for e in idx.inner)
+    words = expansion.quasi_shuffle((e,) for e in idx.inner)
     assert len(expand_t1(idx)) == 2 * len(words)
 
 
@@ -239,7 +239,7 @@ def test_t1_builds_its_terms_in_term_order():
 @pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
 def test_t1_checks_every_word(monkeypatch, word, message):
     # a kernel word of the wrong weight or depth never reaches the result
-    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {word: 1})
+    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {word: 1})
     with pytest.raises(AssertionError, match="^" + message):
         expand_t1(parse_index("S(3,2)"))
 
@@ -247,7 +247,7 @@ def test_t1_checks_every_word(monkeypatch, word, message):
 def test_t1_checks_slots(monkeypatch):
     # a word with a zero slot has the right weight and depth, and is still
     # caught, although its atom is built without the slot checks
-    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {(0, 3): 1})
+    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {(0, 3): 1})
     with pytest.raises(AssertionError, match=r"^inadmissible atom: z\(3,0,3\) "):
         expand_t1(parse_index("S(1,2,3)"))
 
@@ -257,7 +257,7 @@ def test_t1_words_checks_before_it_returns(monkeypatch):
     # before either consumer builds an atom or writes a piece
     with pytest.raises(DegreeCapError):
         t1_words(parse_index("S(1,2,3,4,5,6,7,8,9,2)"))
-    monkeypatch.setattr(expansion, "_quasi_shuffle", lambda words: {(3, 3): 1})
+    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {(3, 3): 1})
     with pytest.raises(AssertionError, match="^weight leak: "):
         t1_words(parse_index("S(3,2)"))
 
@@ -292,7 +292,8 @@ def test_t1_words_asserts_order_and_distinctness(monkeypatch):
 _MEASURE = """
 import contextlib, hashlib, io, json, os, re, sys
 from eulersums import cli, parse_index
-from eulersums.expansion import _quasi_shuffle, expand_t1
+from eulersums.expansion import expand_t1
+from eulersums.words import quasi_shuffle
 
 def peak_kib():
     with open("/proc/self/status") as f:
@@ -304,7 +305,7 @@ def expand_json(out):
 
 before = peak_kib()
 if sys.argv[1] == "kernel":
-    result = _quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
+    result = quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
 elif sys.argv[1] == "cli":
     with open(os.devnull, "w") as out:
         expand_json(out)
@@ -394,7 +395,7 @@ def test_ordered_bell_mass():
     # with m distinct values every weak ordering of the harmonic numbers'
     # summation variables is one path of the kernel, counted once
     for m in range(1, 6):
-        product = expansion._quasi_shuffle((e,) for e in range(1, m + 1))
+        product = expansion.quasi_shuffle((e,) for e in range(1, m + 1))
         assert sum(product.values()) == _weak_orderings(m)
 
 
@@ -405,7 +406,7 @@ def test_partition_count_bounds_the_distinct_words(entries):
     # the multiplicities count labelled paths, Fubini(m); the ordered multiset
     # partitions count fewer paths when entries repeat ([2, 2]: 2 against 3),
     # and still no fewer than the distinct words
-    product = expansion._quasi_shuffle((e,) for e in entries)
+    product = expansion.quasi_shuffle((e,) for e in entries)
     assert sum(product.values()) == _fubini(len(entries))
     assert len(product) <= ordered_partition_count(entries) <= _fubini(len(entries))
 
@@ -427,7 +428,7 @@ def _harmonic_product(inner) -> dict[tuple[int, ...], int]:
     {word: coefficient}.  A barred harmonic factor sums (-1)^(k-1) where its
     slot carries sigma^k = (-1)^k, so each barred factor flips the sign."""
     sign = (-1) ** sum(1 for e in inner if e < 0)
-    return {word: sign * c for word, c in expansion._quasi_shuffle((e,) for e in inner).items()}
+    return {word: sign * c for word, c in expansion.quasi_shuffle((e,) for e in inner).items()}
 
 
 def _at(product, n):
@@ -511,6 +512,16 @@ def test_t2_shares_one_fraction_per_value():
     assert len(set(got._d.values())) == 14
     assert len({id(c) for c in got._d.values()}) == 14
     assert linearize(got) == expand_t1(idx)
+
+
+def test_t2_linearizes_to_t1_over_the_maple_range():
+    # the paper's Maple programs reach weight 11 on non-alternating sums: on
+    # every index of weight <= 11 that t2 covers (no barred entry, every entry
+    # >= 2, the depth-0 sums included) its products multiplied out are t1's
+    indices = [idx for idx in convergent_indices(11) if min(idx.inner + (idx.outer,)) >= 2]
+    assert len(indices) == 97 and sum(idx.degree == 0 for idx in indices) == 10
+    for idx in indices:
+        assert linearize(expand_t2(idx)) == expand_t1(idx), idx
 
 
 def test_t2_hypothesis_errors():

@@ -27,11 +27,11 @@ from eulersums.numerics import (
     _fp_result,
     _fp_holders,
     _holder_apply,
-    _holder_word,
     _plain_factor,
     eval_euler_sum_best,
     eval_lincomb_best,
 )
+from eulersums.words import holder_word
 from reference_oracles import (
     _fp_atan_inv,
     _fp_zeta,
@@ -51,7 +51,7 @@ def _eval_atom(atom):
 
 def _holder_value(args, n_terms=HOLDER_N):
     """``_fp_holders`` of z(args) as two rationals: its value and error bound."""
-    value, err = next(_fp_holders([(_holder_word(args), len(args))], n_terms))
+    value, err = next(_fp_holders([(holder_word(args), len(args))], n_terms))
     return Fraction(value, _FP_SCALE), Fraction(err, _FP_SCALE)
 
 
@@ -184,8 +184,8 @@ def test_holder_coefficients_match_fractions():
 
 def test_holder_word():
     # z(a_1..a_k) = (-1)^k G(0^(s_1-1), c_1, ..., 0^(s_k-1), c_k; 1)
-    assert _holder_word((2, 1)) == [0, 1, 1]
-    assert _holder_word((-2, 3, -1)) == [0, -1, 0, 0, -1, 1]
+    assert holder_word((2, 1)) == [0, 1, 1]
+    assert holder_word((-2, 3, -1)) == [0, -1, 0, 0, -1, 1]
 
 
 def test_holder_closed_forms():
@@ -217,7 +217,7 @@ def test_holder_stuffle_depth2(a, b):
     # z(a) z(b) = z(a,b) + z(b,a) + z(a (+) b), where (+) adds magnitudes and
     # multiplies signs, exactly up to the fixed-point error
     merged = (abs(a) + abs(b)) * (1 if (a < 0) == (b < 0) else -1)
-    words = [(_holder_word(args), len(args)) for args in [(a,), (b,), (a, b), (b, a), (merged,)]]
+    words = [(holder_word(args), len(args)) for args in [(a,), (b,), (a, b), (b, a), (merged,)]]
     za, zb, zab, zba, zm = (Fraction(value, _FP_SCALE) for value, _err in _fp_holders(words))
     assert abs(za * zb - (zab + zba + zm)) < Fraction(1, 10**25), (a, b)
     for args in [(a, b), (b, a)]:
@@ -266,13 +266,13 @@ def test_bound_conservative_under_refinement():
         for n_terms in (8, 20, 50):
             value, err = _holder_value(args, n_terms)
             assert abs(value - full) <= err + full_err, (args, n_terms)
-            assert err < Fraction(2 * len(_holder_word(args)) + 3, 2**n_terms)
+            assert err < Fraction(2 * len(holder_word(args)) + 3, 2**n_terms)
 
 
 def _fp_holder_two_loops(args, n_terms):
     """``_fp_holders`` on one word, with every prefix and suffix chain built
     afresh, one letter at a time: the reference for the shared chains."""
-    word = _holder_word(args)
+    word = holder_word(args)
     w = len(word)
     prefix, pre = [_FP_SCALE], None
     for b in word:
@@ -317,7 +317,7 @@ def test_holder_chains_match_two_loops(n_terms):
     # weights 7 and 8 shares its chains, yet does the same integer operations
     # as the reference: every value and bound equals it exactly
     assert len(_convergent_args(5)) == 108 and len(_convergent_args(8)) == 2916
-    words = [(_holder_word(args), len(args)) for args in _CHAIN_ARGS]
+    words = [(holder_word(args), len(args)) for args in _CHAIN_ARGS]
     assert list(_fp_holders(words, n_terms)) == [_to_units(*_fp_holder_two_loops(args, n_terms)) for args in _CHAIN_ARGS]
 
 
@@ -334,10 +334,10 @@ def test_one_batch_applies_each_trie_node_once(monkeypatch):
     # weight 5 form one trie; from an empty store, the batch applies one
     # letter per distinct nonempty prefix, so the atoms share every chain
     # they have in common
-    words = [_holder_word(args) for args in _convergent_args(5)]
+    words = [holder_word(args) for args in _convergent_args(5)]
     chains = {tuple(1 - b for b in w) for w in words} | {tuple(reversed(w)) for w in words}
     nodes = {chain[:j] for chain in chains for j in range(1, len(chain) + 1)}
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     calls = _counting_apply(monkeypatch)
     list(_fp_holders([(w, 1) for w in words]))
     assert len(calls) == len(nodes) < 2 * 5 * len(words)
@@ -363,7 +363,7 @@ def test_stored_chains_apply_no_letter(monkeypatch):
     # chains that leave the stored trie are walked from the root, one letter
     # per node of their trie, as from an empty store, and each node walked
     # is stored
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     chains = [(1, 0, -1, 2), (1, 0, 1, 1), (-1, 0, 0, 1)]
     first = numerics._chain_sums(chains, HOLDER_N)
     stored = _stored_nodes()
@@ -378,38 +378,38 @@ def test_stored_chains_apply_no_letter(monkeypatch):
     walked = {c[:j] for c in batch[:2] for j in range(1, len(c) + 1)}
     assert len(calls) == len(walked) == 6
     assert set(_stored_nodes()) == set(stored) | walked and _store_size() == len(stored) + 2
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     assert numerics._chain_sums(batch, HOLDER_N) == warm
 
 
 def test_other_n_terms_bypass_the_store():
     # a batch at n_terms = 8 neither reads nor writes the store, and a
     # HOLDER_N value afterwards still equals the reference
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     _atom_units(z(2, -1, 3))
     stored = _stored_nodes()
     batch = [(2, -1, 3), (-2, 1, 3)]
-    assert list(_fp_holders([(_holder_word(args), len(args)) for args in batch], 8)) == [
+    assert list(_fp_holders([(holder_word(args), len(args)) for args in batch], 8)) == [
         _to_units(*_fp_holder_two_loops(args, 8)) for args in batch
     ]
     assert _stored_nodes() == stored
     for args in batch:
-        assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
+        assert next(_fp_holders([(holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
 
 
 def test_store_stays_within_its_cap():
     # the store stops growing at its cap: after z(-3000), whose two chains
     # have 6 000 nodes, and after every convergent atom of weight <= 8;
     # values read from the full store still match the reference
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     _atom_units(z(-3000))
     assert _store_size() == numerics.HOLDER_STORE_NODES
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     sweep = [args for w in range(1, 9) for args in _convergent_args(w)]
     numerics._lincomb_units(sum((LinComb.of_atom(z(*args)) for args in sweep), LinComb()))
     assert _store_size() == numerics.HOLDER_STORE_NODES
     for args in random.Random(8).sample(sweep, 20):
-        assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
+        assert next(_fp_holders([(holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
 
 
 def test_atom_units_alone_and_in_one_batch(monkeypatch):
@@ -417,12 +417,12 @@ def test_atom_units_alone_and_in_one_batch(monkeypatch):
     # combination give the reference integers; the same combination again
     # reads the store and applies no letter
     expected = {z(*args): _to_units(*_fp_holder_two_loops(args, HOLDER_N)) for args in _CHAIN_ARGS}
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     assert {atom: _atom_units(atom) for atom in expected} == expected
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     lc = sum((LinComb.of_atom(atom) for atom in expected), LinComb())
     units = numerics._lincomb_units(lc)
-    assert numerics._ATOM_UNITS == expected
+    assert numerics._CHAINS.atoms == expected
     calls = _counting_apply(monkeypatch)
     assert numerics._lincomb_units(lc) == units and not calls
 
@@ -439,10 +439,10 @@ def test_atom_store_stays_bit_identical():
     for text in ["S(1,3,-5,-2,2,3)", "S(-200,2)", "S(1,2,3,4,2)", "S(2,-3,5,-7)", "S(1,-1,-1)"]:
         value, error = numerics._lincomb_units(expand_t1(parse_index(text)))
         digest.update(f"{text} {value} {error}\n".encode())
-    for atom in sorted(numerics._ATOM_UNITS):
-        value, error = numerics._ATOM_UNITS[atom]
+    for atom in sorted(numerics._CHAINS.atoms):
+        value, error = numerics._CHAINS.atoms[atom]
         digest.update(f"{atom.render()} {value} {error}\n".encode())
-    assert len(numerics._ATOM_UNITS) == 1120
+    assert len(numerics._CHAINS.atoms) == 1120
     assert digest.hexdigest() == "18268dee62feda59b8694eff37deba27bf693aeaf50eb0b03d173841e5ed0270"
 
 
@@ -452,8 +452,8 @@ def test_long_word_matches_two_loops():
     while sum(map(abs, args)) < 297:
         args.append(rng.choice([1, 2, 3, -1, -2, -3]))
     args.append(300 - sum(map(abs, args)))
-    assert len(_holder_word(args)) == 300
-    assert next(_fp_holders([(_holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
+    assert len(holder_word(args)) == 300
+    assert next(_fp_holders([(holder_word(args), len(args))])) == _to_units(*_fp_holder_two_loops(args, HOLDER_N))
 
 
 def test_long_word_costs_one_step_per_letter(monkeypatch):
@@ -462,7 +462,7 @@ def test_long_word_costs_one_step_per_letter(monkeypatch):
     # below the 2 * 3000 chains of 200 terms, about 10 KB each, of a walk
     # that kept them
     calls = _counting_apply(monkeypatch)
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     tracemalloc.start()
     try:
         _atom_units(z(-3000))
@@ -944,18 +944,18 @@ def test_atom_above_the_word_cap_is_refused_before_its_word_is_built(monkeypatch
     # the cap is inclusive, for zeta and Li atoms alike, with the store emptied
     expected = {atom: _atom_units(atom) for atom in (z(5), z(2, -3), li_half(5))}
     monkeypatch.setattr(numerics, "HOLDER_WORD_CAP", 5)
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     assert {atom: _atom_units(atom) for atom in expected} == expected
     for atom in (z(6), z(2, -4), li_half(6)):
         with pytest.raises(numerics.WordCapError, match="weight 6 above the Hoelder word cap 5"):
             _atom_units(atom)
     # in a combination the first atom past the cap in term order is named,
     # before any atom is evaluated
-    _atom_units.cache_clear()
+    numerics._CHAINS.cache_clear()
     lc = LinComb.of_atom(z(2)) + LinComb.of_atom(z(7)) + LinComb.of_atom(z(3, 3)) + LinComb.of_atom(z(-6))
     with pytest.raises(numerics.WordCapError, match=r"^z\(-6\): weight 6"):
         eval_lincomb_best(lc)
-    assert not numerics._ATOM_UNITS
+    assert not numerics._CHAINS.atoms
 
 
 def test_eta_beyond_the_holder_length(capsys):

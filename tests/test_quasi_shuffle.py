@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from eulersums.expansion import _quasi_shuffle, _stuffle, ordered_partition_count
+from eulersums.expansion import ordered_partition_count
+from eulersums.words import quasi_shuffle, stuffle
 
 from reference_oracles import _mhs_prefix, _reference_stuffle
 
@@ -30,7 +31,7 @@ word_multisets = st.lists(st.tuples(words, st.integers(1, 3)), max_size=3).map(
 @SETTINGS
 @given(word_multisets)
 def test_kernel_matches_finite_products(ws):
-    product = _quasi_shuffle(ws)
+    product = quasi_shuffle(ws)
     assert all(isinstance(c, int) and c > 0 for c in product.values())
     for n in (0, 1, 2, 5, 9):
         direct = Fraction(1)
@@ -82,4 +83,4 @@ signed_letters = st.integers(1, 4).flatmap(lambda m: st.sampled_from([m, -m]))
 def test_stuffle_words_and_order_match_reference(u, v):
     # the words themselves, in order and with their repeats, not only their
     # multiplicities
-    assert _stuffle(u, v) == _reference_stuffle(u, v)
+    assert stuffle(u, v) == _reference_stuffle(u, v)

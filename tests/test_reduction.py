@@ -402,6 +402,23 @@ def test_reduce_even_weight_leaves_basis_atom():
     assert got.coeff(SymbolicTerm.of(z(6, 2))) == 1  # irreducible here
 
 
+# Indices of each weight whose default reduction leaves only depth-1 atoms, Li
+# atoms and z(-5,1): (resolved, all convergent indices).  A change that raises
+# a count updates it here; one that lowers a count has a defect.
+_COVERAGE = {3: (9, 11), 4: (6, 26), 5: (17, 56), 6: (6, 112), 7: (25, 213), 8: (5, 388)}
+
+
+def test_reduce_coverage_by_weight():
+    resolved, total = collections.Counter(), collections.Counter()
+    for idx in convergent_indices(8):
+        if idx.weight < 3:
+            continue
+        total[idx.weight] += 1
+        atoms = reduce_lincomb(expand_t1(idx)).value.atoms()
+        resolved[idx.weight] += all(a.li or a.depth == 1 or a == z(-5, 1) for a in atoms)
+    assert {w: (resolved[w], total[w]) for w in total} == _COVERAGE
+
+
 def test_reduce_weight_homogeneous():
     for text in ["S(1,1,-3)", "S(2,2,2)", "S(-1,2,4)"]:
         idx = parse_index(text)
