@@ -26,6 +26,12 @@ digest="$(eulersum expand --output json "S(1,3,-2,-4,-3)" | sha256sum | cut -d' 
 test "$digest" = 60475d31efbbe360dabebfc58b2a71852a9f58b89e5f0400850c2bb4cd1104b2
 digest="$(eulersum expand --output json "S(1,3,-2,-4,3)" | sha256sum | cut -d' ' -f1)"
 test "$digest" = 106bdd498e37dfa96ada5ab7639242ef7dfb1196cd53eca64309170b2ae6ef9e
+# letters past U+FFFF and U+10FFFF: a kernel word's characters index its
+# alphabet, never the letters themselves (26 terms, as JSON and as plain text)
+digest="$(eulersum expand --output json "S(1114112,-70000,3,-2)" | sha256sum | cut -d' ' -f1)"
+test "$digest" = 2226fb32495dadd276a5aab9067e9f88b2c5651c867e680e0a9bf1d255425630
+digest="$(eulersum expand "S(1114112,-70000,3,-2)" | sha256sum | cut -d' ' -f1)"
+test "$digest" = 2c51c63cf1908e5be25767c2ee5778a1291edeb4d29b8afcd7a870b499ad1bfa
 # so does a t2 expansion, products of atoms and all (1 439 terms, 754 products)
 digest="$(eulersum expand --engine t2 --output json "S(2,2,3,3,4,4,2)" | sha256sum | cut -d' ' -f1)"
 test "$digest" = b3dfb84a8ad0357d3a78bd8f4fc2ff8c77b2d9a2ac951f5ce281a28b0528a2cd

@@ -1,11 +1,13 @@
 """Expansion of (alternating) Euler sums into exact combinations of MZV atoms.
 
 Every expansion path rests on one product, the quasi-shuffle (stuffle) of
-signed words, which ``words`` owns (``quasi_shuffle``, ``merge``).
+signed words, which ``words`` owns (``letter_product``, ``quasi_shuffle``,
+``merge``).
 
-Engine t1 multiplies the one-letter words of the inner exponents.  Each
-resulting word contributes two atoms: one keeping the outer exponent as its
-own leading slot and one merging it with the first letter; the words are
+Engine t1 multiplies the one-letter words of the inner exponents, as str
+words over the product's alphabet (``letter_product``).  Each resulting
+word contributes two atoms: one keeping the outer exponent as its own
+leading slot and one merging it with the first letter; the words are
 sorted once, so that the atoms are emitted in term order.  Alternating
 harmonic factors carry a sign -1 each (they sum (-1)^(k-1), the slots
 sigma^k), and an alternating outer series flips the merge parity and the
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
-from .words import merge, quasi_shuffle
+from .words import letter_product, merge, quasi_shuffle
 
 # Largest number of ordered multiset partitions of the inner entries that an
 # expansion accepts: Fubini(8) = 545 835 fits, Fubini(9) = 7 087 261 does not.
@@ -88,8 +90,9 @@ def _check_size(inner):
 def t1_words(idx: EulerSumIndex):
     """Engine t1's kernel words, checked and laid out in term order, for
     ``expand_t1`` to build atoms from and ``t1_json_pieces`` to write text
-    from: (lead, words, cs, coeffs, blocks).  ``words`` are sorted, ``cs[k]``
-    is the coefficient of both atoms of ``words[k]``, ``coeffs`` holds the
+    from: (lead, letters, words, cs, coeffs, blocks).  ``words`` are the
+    str words of ``letter_product``, over ``letters``, sorted; ``cs[k]`` is
+    the coefficient of both atoms of ``words[k]``, ``coeffs`` holds the
     distinct ones, one ``Fraction`` per multiplicity, and ``blocks`` is
     ``_t1_blocks``.  The enumeration cap, the kernel and every check run here.
 
@@ -97,8 +100,10 @@ def t1_words(idx: EulerSumIndex):
     exponent as its own leading slot.  Atom 2, (m,) + word[1:], merges it
     with the first letter f: m = merge(lead, f).  Atom 2 has atom 1's
     weight, a slot fewer and no new zero slot or unsigned leading 1, so
-    checking atom 1 checks both: each word is checked once, and its atom
-    rendered only for the message.
+    checking atom 1 checks both.  Every word's weight and depth are checked
+    at once, and the words are walked one by one only to name a failing
+    one's atom; a zero letter is looked for only if ``letters``, which holds
+    every letter a word can contain, has one.
     """
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
@@ -107,30 +112,38 @@ def t1_words(idx: EulerSumIndex):
     sign = (-1) ** (n_bar + outer_bar)  # at degree 0 the empty word gives z(lead) alone
     lead = -q if outer_bar else q
     w, depth = idx.weight, idx.degree + 1
-    product = quasi_shuffle((e,) for e in idx.inner)
-
-    def atom_1(word):
-        return MzvAtom._of_word((lead,) + word, w)
-
-    for word in product:
-        assert sum(map(abs, word)) == w - q, f"weight leak: {atom_1(word)} in expansion of {idx}"
-        assert len(word) < depth, f"depth leak: {atom_1(word)} in expansion of {idx}"
-        assert lead != 1 and 0 not in word, f"inadmissible atom: {atom_1(word)} in expansion of {idx}"
+    letters, product = letter_product((e,) for e in idx.inner)
+    chars = list(map(chr, range(len(letters))))
+    mags = functools.partial(map, dict(zip(chars, map(abs, letters))).__getitem__)
+    try:
+        weights = set(map(sum, map(mags, product)))
+    except KeyError as outside:
+        raise AssertionError(f"inadmissible atom: letter {outside} is outside the alphabet {letters} "
+                             f"in expansion of {idx}") from None
+    zero = chars[letters.index(0)] if 0 in letters else None
+    if weights != {w - q} or max(map(len, product)) >= depth or lead == 1 or zero:
+        for word in product:
+            check = ("weight leak" if sum(mags(word)) != w - q else
+                     "depth leak" if len(word) >= depth else
+                     "inadmissible atom" if lead == 1 or zero and zero in word else None)
+            if check:
+                atom = MzvAtom._of_word((lead, *(letters[ord(ch)] for ch in word)), w)
+                raise AssertionError(f"{check}: {atom} in expansion of {idx}")
     coeffs = {c: Fraction(sign * c) for c in set(product.values())}
     words = sorted(product)
     cs = list(map(coeffs.__getitem__, map(product.__getitem__, words)))
     del product
-    blocks = _t1_blocks(words, lead)
+    blocks = _t1_blocks(words, letters, lead)
     # A block's slot tuples all lead with its slot, then follow its words (for
     # atom 2, after the first letter, which the run shares).  So the atoms are
     # distinct and in term order iff the words and block slots rise strictly.
     slots = [slot for slot, _, _ in blocks]
-    assert all(map(operator.lt, words, words[1:])) and all(map(operator.lt, slots, slots[1:])), (
-        f"atoms out of term order or repeated in expansion of {idx}")
-    return lead, words, cs, coeffs.values(), blocks
+    if not (all(map(operator.lt, words, words[1:])) and all(map(operator.lt, slots, slots[1:]))):
+        raise AssertionError(f"atoms out of term order or repeated in expansion of {idx}")
+    return lead, letters, words, cs, coeffs.values(), blocks
 
 
-def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, int]]:
+def _t1_blocks(words: list[str], letters: list[int], lead: int) -> list[tuple[int, int, int]]:
     """The blocks of t1's atoms in term order, each (leading slot, i, j).
 
     For atoms of one weight term order is slot order.  In word order atom 1
@@ -141,27 +154,32 @@ def _t1_blocks(words: list[tuple[int, ...]], lead: int) -> list[tuple[int, int, 
     blocks = [(lead, 0, len(words))]
     i = 0 if words[0] else 1  # the empty word, degree 0's one word, has no atom 2
     while i < len(words):
-        first = words[i][0]
-        j = bisect.bisect_left(words, (first + 1,), i)
-        blocks.append((merge(lead, first), i, j))
+        first = ord(words[i][0])
+        j = bisect.bisect_left(words, chr(first + 1), i)
+        blocks.append((merge(lead, letters[first]), i, j))
         i = j
     return sorted(blocks)
 
 
 def expand_t1(idx: EulerSumIndex) -> LinComb:
     """Ordering-class expansion: the atoms of ``t1_words``, block by block,
-    built as ``MzvAtom._of_word`` builds them.  Its terms are stored in term
+    built as ``MzvAtom._of_word`` builds them.  Each word is read once, in
+    place, into its atom 1's slots, (lead,) + its letters; atom 2's slots
+    are then (m,) + those after the first two.  Its terms are stored in term
     order, so ``LinComb.items()`` sorts one presorted run."""
-    lead, words, cs, _, blocks = t1_words(idx)
+    lead, letters, words, cs, _, blocks = t1_words(idx)
+    letter = dict(zip(map(chr, range(len(letters))), letters)).__getitem__
+    for k, word in enumerate(words):
+        words[k] = (lead, *map(letter, word))
     atom = functools.partial(tuple.__new__, MzvAtom)
     zeta, weight = itertools.repeat(0), itertools.repeat(idx.weight)
     terms: dict[Term, Fraction] = {}
     pending = []  # runs whose atom 2 is built but whose atom 1 is not
     for slot, i, j in blocks:
         if slot == lead:
-            run, coeffs = [(lead,) + word for word in words], cs
+            run, coeffs = words, cs
         else:
-            run, coeffs = [(slot,) + word[1:] for word in words[i:j]], cs[i:j]
+            run, coeffs = [(slot,) + args[2:] for args in words[i:j]], cs[i:j]
             pending.append((i, j))
         terms.update(zip(map(atom, zip(zeta, weight, run)), coeffs))
         if slot >= lead:  # the words of the pending runs have both atoms: drop them
@@ -177,12 +195,14 @@ _JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
 
 def t1_json_pieces(t1) -> Iterator[str]:
     """``json_pieces`` of ``expand_t1(idx).items()``, written from ``t1 =
-    t1_words(idx)`` without an atom: each word's slot text, ",a,b,c", is
-    formatted once, when the first piece is read, and an atom's piece is its
-    block's head, its word's text (atom 2's cut after the first letter) and
-    the text after the factors, made once per multiplicity."""
-    lead, words, cs, coeffs, blocks = t1
-    texts = [",%d" * len(word) % word for word in words]
+    t1_words(idx)`` without an atom or a tuple of letters: each word's slot
+    text, ",a,b,c", is one ``str.translate`` of the word, made when the
+    first piece is read, and an atom's piece is its block's head, its word's
+    text (atom 2's cut after the first letter) and the text after the
+    factors, made once per multiplicity."""
+    lead, letters, words, cs, coeffs, blocks = t1
+    slot_texts = [",%d" % x for x in letters]
+    texts = [word.translate(slot_texts) for word in words]
     tails = {id(c): ')"' + _JSON_TAIL % c for c in coeffs}
     ts = list(map(tails.__getitem__, map(id, cs)))
     for slot, i, j in blocks:
@@ -190,7 +210,7 @@ def t1_json_pieces(t1) -> Iterator[str]:
         if slot == lead:
             cut, run = 0, zip(texts, ts)
         else:  # atom 2: the text after the first letter
-            cut, run = len(",%d" % words[i][0]), zip(texts[i:j], ts[i:j])
+            cut, run = len(slot_texts[ord(words[i][0])]), zip(texts[i:j], ts[i:j])
         yield from (head + t[cut:] + tail for t, tail in run)
 
 
@@ -225,7 +245,8 @@ def expand_t2(idx: EulerSumIndex) -> LinComb:
         if coeff is None:
             coeff = coeffs[c] = Fraction(c)
         terms[SymbolicTerm.of(*map(z, rest), MzvAtom(word))] = coeff
-    assert len(terms) == len(acc), f"two keys gave one term in expansion of {idx}"
+    if len(terms) != len(acc):
+        raise AssertionError(f"two keys gave one term in expansion of {idx}")
     return LinComb._of_nonzero(terms)
 
 

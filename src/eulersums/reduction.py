@@ -490,9 +490,10 @@ class _WorkingSum:
                 for name, rewrite in matchers:
                     rhs = rewrite(atom)
                     if rhs is not None:
-                        assert rhs.weights() in ({atom[1]}, set()), (
-                            f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom[1]}"
-                        )
+                        if rhs.weights() not in ({atom[1]}, set()):
+                            raise AssertionError(
+                                f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom[1]}"
+                            )
                         hit = rhs, name
                         break
                 known = memo[atom] = (

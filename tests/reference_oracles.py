@@ -6,10 +6,11 @@ Hoelder words of ``numerics``; pi through Machin's arctangents, for
 zeta(2) = pi^2 / 6; the exact harmonic numbers that the series walk
 carries in fixed point; the atoms truncated at a finite N, exactly, at
 which every expansion must still hold; the kernel's one-word quasi-shuffle
-as it was first written; engine t1 as it built its terms in the kernel's
-order; the default rewrite rules and reflection predicates as they read an
-atom through its properties; and the text of atoms and combinations built
-from their fields, without ``render``.  ``convergent_indices`` lists the
+as it was first written, on tuples, and the product it gives; engine t1 as
+it built its terms from that product's tuple words, in no order; the
+default rewrite rules and reflection predicates as they read an atom
+through its properties; and the text of atoms and combinations built from
+their fields, without ``render``.  ``convergent_indices`` lists the
 indices that sweeps run over, and ``_to_units`` turns an exact value and
 error into the fixed-point units of ``numerics``.
 """
@@ -27,7 +28,6 @@ from eulersums.expansion import _check_size
 from eulersums.indices import EulerSumIndex, make_index
 from eulersums.numerics import _FP_BITS, _FP_SCALE, NumericResult, _fp_result
 from eulersums.reduction import alt_depth1, symmetric_sum, zeta_ones
-from eulersums.words import quasi_shuffle
 
 
 def _to_units(val: Fraction, err: Fraction) -> tuple[int, int]:
@@ -130,9 +130,24 @@ def _reference_stuffle(u, v):
     return out
 
 
+def _reference_quasi_shuffle(words) -> dict[tuple[int, ...], int]:
+    """``words.quasi_shuffle`` as it was written on tuples of letters, with
+    ``_reference_stuffle``: the words multiplied one at a time, in sorted
+    order."""
+    product = {(): 1}
+    for u in sorted(w for w in words if w):
+        out: dict[tuple[int, ...], int] = {}
+        for v, c in product.items():
+            for word in _reference_stuffle(u, v):
+                out[word] = out.get(word, 0) + c
+        product = out
+    return product
+
+
 def _reference_expand_t1(idx: EulerSumIndex) -> LinComb:
-    """``expansion.expand_t1`` as it was written with the words taken off the
-    kernel's product by ``popitem``, so that its terms are in no order."""
+    """``expansion.expand_t1`` as it was written on tuple words, with the
+    words of ``_reference_quasi_shuffle`` taken off the product by
+    ``popitem``, so that its terms are in no order."""
     q = abs(idx.outer)
     outer_bar = idx.outer < 0
     if idx.degree == 0:
@@ -146,7 +161,7 @@ def _reference_expand_t1(idx: EulerSumIndex) -> LinComb:
     w, depth = idx.weight, idx.degree + 1
     coeffs: dict[int, Fraction] = {}
     terms: dict[MzvAtom, Fraction] = {}
-    product = quasi_shuffle((e,) for e in idx.inner)
+    product = _reference_quasi_shuffle((e,) for e in idx.inner)
     n_words = len(product)
     # Each word gives two atoms, and no two words give the same atom: atom 1
     # leads with q, atom 2 with q + |first| > q, and within each family the

@@ -1130,7 +1130,7 @@ def test_t1_order_failure_writes_nothing(capsys, monkeypatch):
     from eulersums import expansion
 
     blocks = expansion._t1_blocks
-    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, lead: blocks(words, lead)[::-1])
+    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, letters, lead: blocks(words, letters, lead)[::-1])
     code, out, err = run(capsys, "expand", "--engine", "t1", "--output", "json", "S(1,3,-2,-4,-3)")
     assert (code, out) == (1, "")
     assert err.startswith("atoms out of term order or repeated in expansion of S(1,3,-2,-4,-3)")

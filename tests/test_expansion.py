@@ -14,15 +14,19 @@ import eulersums
 from eulersums import expansion
 from eulersums.algebra import LinComb, MzvAtom, SymbolicTerm, li_half, z
 from eulersums.expansion import (
+    PARTITION_CAP,
     DegreeCapError,
     UnsupportedHypothesisError,
+    _check_size,
     expand_t1,
     expand_t2,
     linearize,
     ordered_partition_count,
+    t1_json_pieces,
     t1_words,
 )
 from eulersums.indices import make_index, parse_index
+from eulersums.words import alphabet
 
 from fixtures_closed_forms import lc
 from long_text import assert_same_text
@@ -236,10 +240,18 @@ def test_t1_builds_its_terms_in_term_order():
         assert list(lc._d) == [t for t, _ in lc.items()], idx
 
 
+def _writes(*words):
+    """A stand-in for ``letter_product`` whose product is ``words``, each of
+    multiplicity 1, as str words over the sorted letters they hold."""
+    letters = sorted({x for word in words for x in word})
+    product = {"".join(chr(letters.index(x)) for x in word): 1 for word in words}
+    return lambda _: (letters, product)
+
+
 @pytest.mark.parametrize("word,message", [((3, 3), "weight leak: "), ((1, 1, 1), "depth leak: ")])
 def test_t1_checks_every_word(monkeypatch, word, message):
     # a kernel word of the wrong weight or depth never reaches the result
-    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {word: 1})
+    monkeypatch.setattr(expansion, "letter_product", _writes(word))
     with pytest.raises(AssertionError, match="^" + message):
         expand_t1(parse_index("S(3,2)"))
 
@@ -247,7 +259,7 @@ def test_t1_checks_every_word(monkeypatch, word, message):
 def test_t1_checks_slots(monkeypatch):
     # a word with a zero slot has the right weight and depth, and is still
     # caught, although its atom is built without the slot checks
-    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {(0, 3): 1})
+    monkeypatch.setattr(expansion, "letter_product", _writes((0, 3)))
     with pytest.raises(AssertionError, match=r"^inadmissible atom: z\(3,0,3\) "):
         expand_t1(parse_index("S(1,2,3)"))
 
@@ -257,7 +269,7 @@ def test_t1_words_checks_before_it_returns(monkeypatch):
     # before either consumer builds an atom or writes a piece
     with pytest.raises(DegreeCapError):
         t1_words(parse_index("S(1,2,3,4,5,6,7,8,9,2)"))
-    monkeypatch.setattr(expansion, "quasi_shuffle", lambda words: {(3, 3): 1})
+    monkeypatch.setattr(expansion, "letter_product", _writes((3, 3)))
     with pytest.raises(AssertionError, match="^weight leak: "):
         t1_words(parse_index("S(3,2)"))
 
@@ -267,14 +279,14 @@ def test_t1_words_asserts_order_and_distinctness(monkeypatch):
     # either is caught by t1_words, so expand_t1 builds no atom
     idx = parse_index("S(1,3,-2,-4,-3)")
     blocks = expansion._t1_blocks
-    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, lead: blocks(words, lead)[::-1])
+    monkeypatch.setattr(expansion, "_t1_blocks", lambda words, letters, lead: blocks(words, letters, lead)[::-1])
     for prepare in (t1_words, expand_t1):
         with pytest.raises(AssertionError, match="^atoms out of term order or repeated in expansion of S"):
             prepare(idx)
 
-    def with_a_repeated_word(words, lead):
+    def with_a_repeated_word(words, letters, lead):
         words.insert(5, words[5])
-        return blocks(words, lead)
+        return blocks(words, letters, lead)
 
     monkeypatch.setattr(expansion, "_t1_blocks", with_a_repeated_word)
     for prepare in (t1_words, expand_t1):
@@ -282,8 +294,70 @@ def test_t1_words_asserts_order_and_distinctness(monkeypatch):
             prepare(idx)
 
 
+@pytest.mark.parametrize(
+    "kernel,message",
+    [
+        (_writes((4,)), "weight leak: z(2,4) in expansion of S(3,2)"),
+        (_writes((1, 2)), "depth leak: z(2,1,2) in expansion of S(3,2)"),
+        # a character that stands for no letter has no atom to name
+        (lambda _: ([3], {"\x00\x01": 1}),
+         r"inadmissible atom: letter '\x01' is outside the alphabet [3] in expansion of S(3,2)"),
+    ],
+    ids=["weight", "extra letter", "outside the alphabet"],
+)
+def test_t1_checks_each_fault_alone(monkeypatch, kernel, message):
+    # a word of the wrong weight alone, one letter too many at the right
+    # weight, and a character past the alphabet
+    monkeypatch.setattr(expansion, "letter_product", kernel)
+    for prepare in (t1_words, expand_t1):
+        with pytest.raises(AssertionError) as caught:
+            prepare(parse_index("S(3,2)"))
+        assert str(caught.value) == message
+
+
+# Magnitudes past U+FFFF and past U+10FFFF: a str word's characters index its
+# alphabet, so no letter is ever written as its own code point.
+wide_entries = st.sampled_from([1, 2, 3, 70000, 1114112]).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(wide_entries, max_size=5), st.sampled_from([2, 3, -1, -2, 70000, -1114112]))
+@example([1114112, -70000, 3], -2)
+@example([70000, 70000, -1114112], 1114112)
+@example([], -1114112)
+def test_t1_over_its_alphabet_matches_the_tuple_reference(inner, outer):
+    # the atoms, their order and the streamed JSON text all equal t1 as it was
+    # written on tuple words
+    idx = make_index(inner, outer)
+    lc, ref = expand_t1(idx), _reference_expand_t1(idx)
+    assert lc == ref
+    assert list(lc._d) == [t for t, _ in ref.items()]
+    assert "[" + ", ".join(t1_json_pieces(t1_words(idx))) + "]" == ref.json_terms()
+
+
+@pytest.mark.parametrize(
+    "entries,size",
+    [
+        ([5] * 21, 21),
+        ([-5] * 21, 21),
+        ([1, 2, 4, 8, 16, 32, 64, 128], 255),
+        ([1, -2, 4, -8, 16, -32, 64, -128], 255),
+    ],
+)
+def test_alphabet_fits_in_code_points_at_the_cap(entries, size):
+    # 21 equal entries have 2^20 ordered partitions, the cap; 8 entries with
+    # distinct sub-multiset sums have 545 835.  Each nonempty sub-multiset
+    # gives at most one letter and is the first block of an ordered partition
+    _check_size(entries)
+    letters, _ = alphabet([(e,) for e in entries])
+    assert letters == sorted(set(letters)) and 0 not in letters
+    assert len(letters) == size < ordered_partition_count(entries) <= PARTITION_CAP < 0x110000
+
+
 # Runs in a fresh interpreter: how far the peak RSS (KiB) grows while the
-# measured call runs, and the SHA-256 of the result as JSON.  "json" measures
+# measured call runs, and the SHA-256 of the result as JSON.  "letters"
+# measures the str product of the comma-separated entries, hashed as its
+# alphabet and its sorted (word, multiplicity) pairs.  "json" measures
 # expand_t1 and the JSON text that json_terms() writes from its result; "cli"
 # measures `eulersum expand --output json` with stdout sent to /dev/null, and
 # hashes the whole document, written again afterwards.  The peak is VmHWM,
@@ -293,7 +367,7 @@ _MEASURE = """
 import contextlib, hashlib, io, json, os, re, sys
 from eulersums import cli, parse_index
 from eulersums.expansion import expand_t1
-from eulersums.words import quasi_shuffle
+from eulersums.words import letter_product, quasi_shuffle
 
 def peak_kib():
     with open("/proc/self/status") as f:
@@ -306,6 +380,8 @@ def expand_json(out):
 before = peak_kib()
 if sys.argv[1] == "kernel":
     result = quasi_shuffle((e,) for e in range(1, int(sys.argv[2]) + 1))
+elif sys.argv[1] == "letters":
+    letters, product = letter_product((int(e),) for e in sys.argv[2].split(","))
 elif sys.argv[1] == "cli":
     with open(os.devnull, "w") as out:
         expand_json(out)
@@ -318,6 +394,8 @@ if sys.argv[1] == "cli":
     out = io.StringIO()
     expand_json(out)
     text = out.getvalue()
+elif sys.argv[1] == "letters":
+    text = json.dumps([letters, sorted(product.items())])
 elif sys.argv[1] != "json":
     data = result.to_json_terms() if sys.argv[1] == "t1" else sorted(result.items())
     text = json.dumps(data)
@@ -325,14 +403,59 @@ print(grown, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
-def _measure(*argv) -> tuple[int, str]:
+def _python(*argv) -> str:
+    """The stdout of a fresh interpreter run with ``argv``, this package on its path."""
     src = os.path.dirname(os.path.dirname(eulersums.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _MEASURE, *argv], env=env, capture_output=True, text=True, check=True
-    )
-    grown, digest = done.stdout.split()
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _measure(*argv) -> tuple[int, str]:
+    grown, digest = _python("-c", _MEASURE, *argv).split()
     return int(grown), digest
+
+
+# Runs under python -O, which strips assert statements: each check must still
+# fail with its message.  Prints the interpreter's optimize flag, then one
+# message per check.
+_UNDER_O = """
+import sys
+from eulersums import expansion, parse_index
+from eulersums.algebra import LinComb, z
+from eulersums.reduction import reduce_lincomb
+
+def fails(call, *args):
+    try:
+        call(*args)
+    except AssertionError as e:
+        print(e)
+    else:
+        print("no check failed")
+
+print(sys.flags.optimize)
+product, blocks = expansion.letter_product, expansion._t1_blocks
+expansion.letter_product = lambda words: ([3], {chr(0) * 2: 1})
+fails(expansion.expand_t1, parse_index("S(3,2)"))
+expansion.letter_product = product
+expansion._t1_blocks = lambda words, letters, lead: blocks(words, letters, lead)[::-1]
+fails(expansion.expand_t1, parse_index("S(1,3,-2,-4,-3)"))
+expansion._t1_blocks = blocks
+expansion.z, expansion.quasi_shuffle = lambda s: z(2), lambda words: {(): 1}
+fails(expansion.expand_t2, parse_index("S(2,3,2)"))
+leak = ("leak", lambda a: LinComb.of_atom(z(2)) if a == z(2, 3) else None, range(2, 3))
+fails(reduce_lincomb, LinComb.of_atom(z(2, 3)), (), [leak])
+"""
+
+
+def test_checks_survive_python_O():
+    # the correctness checks are raised, not asserted
+    assert _python("-O", "-c", _UNDER_O).splitlines() == [
+        "1",
+        "weight leak: z(2,3,3) in expansion of S(3,2)",
+        "atoms out of term order or repeated in expansion of S(1,3,-2,-4,-3)",
+        "two keys gave one term in expansion of S(2,3,2)",
+        "weight leak rewriting z(2,3): [2] != 5",
+    ]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
@@ -346,7 +469,8 @@ def _measure(*argv) -> tuple[int, str]:
         (("t1", "S(1,2,3,4,5,6,7,2)"), 19,
          "01851e5c5f92d2b0e4bf88d284871b5f881a46955c819ab4a1e6e61d5e01b05d"),
         # the kernel alone, 301 266 words: 84.6 MiB with every sub-multiset
-        # product kept to the end, 41.5 MiB with one partial product at a time
+        # product kept to the end, 41.5 MiB with one partial product at a time,
+        # 51.4 MiB with the str product read back into tuples
         (("kernel", "8"), 60,
          "4b3447045ed73ffe29d872613448c578cf791a8be770102deba0e58b7af4e90f"),
         # with the JSON text: 29.1-30.1 MiB when items() built a key tuple and a
@@ -358,6 +482,11 @@ def _measure(*argv) -> tuple[int, str]:
         # 7.0 MiB streamed from t1's atoms, 6.5 MiB written from t1's words
         (("cli", "S(1,2,3,4,5,6,7,2)"), 14,
          "7010cfa0cbad85d51cbd2726a4bc2443efb457679eb4e89c9125b93dea57ffb2"),
+        # the str product at the alphabet's edge for degree 8: distinct
+        # sub-multiset sums, so 255 letters and 545 835 words, one per ordered
+        # partition; 58.0 MiB
+        (("letters", "1,2,4,8,16,32,64,128"), 70,
+         "fa4662bdadafb20df9baa68d67eabb6ee24a67f7a2285ad18758e77017f49996"),
     ],
 )
 def test_expansion_peak_memory(argv, bound_mib, digest):
