@@ -55,6 +55,10 @@ digest="$(eulersum reduce --table $starter "S(6,8,-2,-3,-4,-2)" 2>/dev/null | sh
 test "$digest" = c3885de40d1718c8b0594674d8edcd4d268d23c466bdbdb1273a85e17fe92770
 digest="$(eulersum reduce --table $starter "S(-1,-2,-3,-4,-5,-3)" 2>/dev/null | sha256sum | cut -d' ' -f1)"
 test "$digest" = bdbd091e0ac45f21e3895d5a5ebd1157b5976451a844b2fe6dabe01d6eb9c04d
+# the first of them with its step log, the "  # " lines: 60 steps, of which 25
+# depth2_odd rewrites, 22 alt_depth1 and 11 table rewrites and 2 triple reflections
+digest="$(eulersum reduce --trace --table $starter "S(6,8,-2,-3,-4,-2)" 2>/dev/null | sha256sum | cut -d' ' -f1)"
+test "$digest" = afb920d9746a8e3cb160a24a07ad5636a94307ec5d2890aa7c625e06887e303b
 # the same reduction as JSON: 993 terms, 13 of them products from depth2_odd above
 # the table's weight 12
 digest="$(eulersum reduce --output json --table $starter "S(6,8,-2,-3,-4,-2)" | sha256sum | cut -d' ' -f1)"

@@ -63,6 +63,10 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+_WEIGHT = operator.itemgetter(1)  # an atom's weight
+_SLOTS = operator.itemgetter(2)  # an atom's slots
+
+
 class MzvAtom(tuple):
     """One multiple zeta value (or one Li_q(1/2) constant).
 
@@ -78,8 +82,8 @@ class MzvAtom(tuple):
     __slots__ = ()
 
     li = property(operator.itemgetter(0))
-    weight = property(operator.itemgetter(1))
-    args = property(operator.itemgetter(2))
+    weight = property(_WEIGHT)
+    args = property(_SLOTS)
 
     def __new__(cls, args: tuple[int, ...] = (), li: int = 0):
         if li:
@@ -154,6 +158,32 @@ def _zeta_format(depth: int) -> str:
     return "z(" + ",".join(["%d"] * depth) + ")"
 
 
+def _by_depth(atoms: Iterable[MzvAtom]) -> dict[int, list[MzvAtom]]:
+    """``atoms`` by depth, the depths in order of first appearance and each
+    list in the given order; a Li atom has no slots, depth 0."""
+    groups: dict[int, list[MzvAtom]] = {}
+    for atom in atoms:
+        group = groups.get(len(atom[2]))
+        if group is None:
+            groups[len(atom[2])] = [atom]
+        else:
+            group.append(atom)
+    return groups
+
+
+def atom_texts(atoms: Iterable[MzvAtom]) -> dict[MzvAtom, str]:
+    """{atom: atom.render()} for ``atoms``: the zeta atoms of each depth are
+    written with that depth's one ``_zeta_format`` through ``map``; a Li atom
+    keeps ``render``."""
+    texts = {}
+    for depth, group in _by_depth(atoms).items():
+        if depth:
+            texts.update(zip(group, map(_zeta_format(depth).__mod__, map(_SLOTS, group))))
+        else:
+            texts.update(zip(group, map(MzvAtom.render, group)))
+    return texts
+
+
 def z(*args: int) -> MzvAtom:
     """Zeta atom constructor: z(-5, 1) is the value with slots (5 bar, 1)."""
     return MzvAtom(args=tuple(args))
@@ -226,7 +256,7 @@ class SymbolicTerm(tuple):
 
     @property
     def weight(self) -> int:
-        return sum(a.weight for a in self)
+        return sum(map(_WEIGHT, self))
 
     def is_unit(self) -> bool:
         return not self
@@ -319,9 +349,10 @@ class LinComb:
         return self._d.get(term, Fraction(0))
 
     def atoms(self) -> set[MzvAtom]:
-        out = set()
-        for t in self._d:
-            out.update(t.factors)
+        d = self._d
+        out = {t for t in d if t.__class__ is MzvAtom}
+        if len(out) < len(d):  # a product's factors, or none for the unit
+            out.update(*[t for t in d if t.__class__ is not MzvAtom])
         return out
 
     def __len__(self) -> int:

@@ -291,9 +291,17 @@ def _fp_holders(words, n_terms: int = HOLDER_N):
     for (word, depth), (flipped, rev) in zip(words, pairs):
         w, prefix, suffix = len(word), sums[flipped], sums[rev]  # G(1-b_j, ..., 1-b_1), G(b_(w-i+1), ..., b_w)
         acc = sum((-1) ** j * ((prefix[j] * suffix[w - j]) >> _FP_BITS) for j in range(w + 1))
-        factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
-        err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
-        yield (-1) ** depth * acc, -(-(err.numerator << _FP_BITS) // err.denominator)
+        yield (-1) ** depth * acc, _holder_error(w, n_terms)
+
+
+@functools.cache
+def _holder_error(w: int, n_terms: int) -> int:
+    """``_fp_holders``' error bound for a word of ``w`` letters, in units,
+    rounded up once: w + 1 products of two factors, each off by at most
+    2^-N + 3wN units, and one unit per product."""
+    factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
+    err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
+    return -(-(err.numerator << _FP_BITS) // err.denominator)
 
 
 def _store_atoms(atoms) -> None:

@@ -47,7 +47,7 @@ import sys
 from collections.abc import Callable, Container, Iterable
 from fractions import Fraction
 
-from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
+from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, _by_depth, parse_atom, z
 from .indices import _Record
 from .words import merge
 
@@ -110,14 +110,6 @@ def alt_depth1(s: int) -> LinComb:
     return LinComb.of_atom(z(s), Fraction(1, 2 ** (s - 1)) - 1)
 
 
-def _signed_atom(v: int, sign: int) -> MzvAtom | None:
-    """z(v) or z(v bar), v >= 1, built without ``MzvAtom``'s checks, which
-    such a slot passes; None for the unsigned v = 1, which is dropped."""
-    if sign > 0:
-        return None if v == 1 else MzvAtom._of_word((v,), v)
-    return MzvAtom._of_word((-v,), v)
-
-
 @functools.cache
 def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
     """The sum of z over all k! orderings of the signed ``slots``, as a
@@ -140,6 +132,18 @@ def symmetric_sum(slots: tuple[int, ...]) -> LinComb:
     return acc
 
 
+@functools.lru_cache(maxsize=2)
+def _depth1_rows(w: int) -> dict[int, list[MzvAtom | None]]:
+    """z(r) and z(r bar) for r = 0..w, by sign: {1: [z(r)], -1: [z(r bar)]},
+    built without ``MzvAtom``'s checks, which such slots pass; r = 0 and the
+    unsigned z(1), which ``depth2_odd`` drops, are None.  The depth-2 atoms
+    of one expansion share its weight, so two rows are enough."""
+    return {
+        1: [None, None] + [MzvAtom._of_word((r,), r) for r in range(2, w + 1)],
+        -1: [None] + [MzvAtom._of_word((-r,), r) for r in range(1, w + 1)],
+    }
+
+
 def depth2_odd(atom: MzvAtom) -> LinComb | None:
     """Odd-weight depth-2 value as depth-1 products; None if not applicable.
 
@@ -147,7 +151,7 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     zeta(r) of sign sg + C(r-1,t-1) zeta(r) of sign tg), the value is
     (mu(w) - lam(w))/2 [+ zeta(s)zeta(t) for even s] - sum_k lam(2k) mu(w-2k).
     Twice it has integer coefficients, so it is summed on ints and halved
-    once.
+    once.  The depth-1 values are read from the rows of weight w.
     """
     # li, slots, weight by index: most atoms leave here
     if atom[0] or len(atom[2]) != 2 or atom[1] % 2 == 0:
@@ -160,33 +164,26 @@ def depth2_odd(atom: MzvAtom) -> LinComb | None:
     w = atom[1]
     sg, tg = (1 if a > 0 else -1), (1 if b > 0 else -1)
     sign = (-1) ** s
-
-    def mu(r: int) -> list[tuple[MzvAtom, int]]:
-        pieces = (
-            (_signed_atom(r, sg), math.comb(r - 1, s - 1)),
-            (_signed_atom(r, tg), math.comb(r - 1, t - 1)),
-        )
-        return [(x, sign * c) for x, c in pieces if x is not None]
-
-    def product(x: MzvAtom, y: MzvAtom) -> SymbolicTerm:
-        # depth-1 factors whose weights add up to the odd w, so they differ:
-        # the lighter one first is atom order, and no sort is needed
-        return tuple.__new__(SymbolicTerm, (x, y) if x[1] < y[1] else (y, x))
-
-    twice: dict[Term, int] = {}
-
-    def add(term: Term, c: int):
-        twice[term] = twice.get(term, 0) + c
-
-    add(_signed_atom(w, sg * tg), -1)
-    for x, c in mu(w):
-        add(x, c)
-    if s % 2 == 0 and (y := _signed_atom(t, tg)) is not None:
-        add(product(_signed_atom(s, sg), y), 2)
-    for k in range(1, (w - 1) // 2 + 1):
-        x = _signed_atom(2 * k, sg * tg)
-        for y, c in mu(w - 2 * k):
-            add(product(x, y), -2 * c)
+    rows = _depth1_rows(w)
+    lam, zs, zt = rows[sg * tg], rows[sg], rows[tg]
+    new = tuple.__new__
+    # a product's depth-1 factors have weights that add up to the odd w, so
+    # they differ: the lighter one first is atom order, and no sort is needed
+    twice: dict[Term, int] = {lam[w]: -1}
+    twice[zs[w]] = twice.get(zs[w], 0) + sign * math.comb(w - 1, s - 1)
+    twice[zt[w]] = twice.get(zt[w], 0) + sign * math.comb(w - 1, t - 1)
+    if s % 2 == 0 and (y := zt[t]) is not None:
+        term = new(SymbolicTerm, (zs[s], y) if s < t else (y, zs[s]))
+        twice[term] = twice.get(term, 0) + 2
+    m = -2 * sign
+    for e in range(2, w, 2):
+        x, r = lam[e], w - e
+        if (y := zs[r]) is not None:
+            term = new(SymbolicTerm, (x, y) if e < r else (y, x))
+            twice[term] = twice.get(term, 0) + m * math.comb(r - 1, s - 1)
+        if (y := zt[r]) is not None:
+            term = new(SymbolicTerm, (x, y) if e < r else (y, x))
+            twice[term] = twice.get(term, 0) + m * math.comb(r - 1, t - 1)
     halves = {c: Fraction(c, 2) for c in set(twice.values()) if c}  # one per distinct value
     return LinComb._of_nonzero({term: halves[c] for term, c in twice.items() if c})
 
@@ -444,6 +441,20 @@ def _triple_reflectable(atom: MzvAtom) -> bool:
 _PASSES = (("reflection_pair", _pair_reflectable, 0), ("reflection_triple", _triple_reflectable, -1))
 
 
+def _check_weight(atom: MzvAtom, rhs: LinComb):
+    """Raise unless ``rhs``, an atom's rewrite, keeps its weight."""
+    if rhs.weights() not in ({atom[1]}, set()):
+        raise AssertionError(f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom[1]}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _orderings(atom: MzvAtom) -> tuple[MzvAtom, ...]:
+    """The distinct orderings of a reflectable atom's slots, in sorted order.
+    Neither pass shape admits a leading unsigned 1, so each ordering is an
+    atom, built without ``MzvAtom``'s checks."""
+    return tuple(MzvAtom._of_word(o, atom[1]) for o in sorted(set(itertools.permutations(atom[2]))))
+
+
 class _WorkingSum:
     """The combination under rewriting: a term -> coefficient dict (zeros
     pruned); a heap, by ``term_key()``, of the terms with an atom that
@@ -457,7 +468,8 @@ class _WorkingSum:
     each atom matched once per working sum, against the matchers of its
     depth only: ``at_depth`` holds, for each depth met so far, the (name,
     rewrite) of the rules whose depths hold it, in rule order.  A term with
-    no atom that rewrites never touches the heap."""
+    no atom that rewrites never touches the heap.  The input's single atoms
+    are classified together, depth by depth (``_classify``)."""
 
     def __init__(self, lc: LinComb, rules: list[_Rule]):
         self.rules = rules
@@ -466,8 +478,52 @@ class _WorkingSum:
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
         self.reflectable: list[tuple[tuple, Term]] = []
         # The heap orders the terms, so they are read unsorted here and in apply.
-        self.heap = [entry for t in self.coeffs if (entry := self._enter(t)) is not None]
+        try:
+            self.heap, self.reflectable = self._classify(t for t in self.coeffs if t.__class__ is MzvAtom)
+            others = [t for t in self.coeffs if t.__class__ is not MzvAtom]
+        except Exception:
+            # a rule raised: classify again term by term, so that the atom
+            # that raises is the first in term order to do so
+            self.at_depth, self.memo, self.reflectable, self.heap = {}, {}, [], []
+            others = self.coeffs
+        self.heap += [entry for t in others if (entry := self._enter(t)) is not None]
         heapq.heapify(self.heap)
+
+    def _classify(self, atoms: Iterable[MzvAtom]) -> tuple[list[tuple], list[tuple]]:
+        """Note in ``memo`` each of the distinct ``atoms``, none there yet:
+        the first matcher of its depth that rewrites it, and whether a
+        reflection pass can eliminate it.  Each matcher of a depth runs,
+        through ``map``, over the atoms of that depth that no earlier
+        matcher took.  Returns the heap entries and the sorted reflectable
+        entries that the atoms would have as single-atom terms."""
+        heap, reflectable = [], []
+        for depth, group in _by_depth(atoms).items():
+            matchers = self.at_depth.get(depth)
+            if matchers is None:
+                matchers = self.at_depth[depth] = [
+                    (name, rewrite) for name, rewrite, depths in self.rules if depth in depths
+                ]
+            left = group
+            hits: dict[MzvAtom, tuple[LinComb, str]] = {}
+            for name, rewrite in matchers:
+                rhss = list(map(rewrite, left))
+                if rhss.count(None) == len(rhss):
+                    continue
+                missed = []
+                for atom, rhs in zip(left, rhss):
+                    if rhs is None:
+                        missed.append(atom)
+                    else:
+                        _check_weight(atom, rhs)
+                        hits[atom] = rhs, name
+                left = missed
+            shape = _pair_reflectable if depth == 2 else _triple_reflectable if depth == 3 else None
+            flags = list(map(shape, group)) if shape else itertools.repeat(False)
+            self.memo.update(zip(group, zip(map(hits.get, group), flags)))
+            reflectable += [((1, atom), atom) for atom in itertools.compress(group, flags)]
+            heap += [((1, atom), atom, atom, hit) for atom, hit in hits.items()]
+        reflectable.sort()
+        return heap, reflectable
 
     def _enter(self, term: Term):
         """Classify a term entering the sum: note it as reflectable if it is,
@@ -478,28 +534,8 @@ class _WorkingSum:
         for atom in (term,) if term.__class__ is MzvAtom else term:
             known = memo.get(atom)
             if known is None:
-                # a new atom: the first matcher of its depth that rewrites it,
-                # and one depth test for the pass that could eliminate it
-                depth = len(atom[2])  # a Li atom has no slots
-                matchers = self.at_depth.get(depth)
-                if matchers is None:
-                    matchers = self.at_depth[depth] = [
-                        (name, rewrite) for name, rewrite, depths in self.rules if depth in depths
-                    ]
-                hit = None
-                for name, rewrite in matchers:
-                    rhs = rewrite(atom)
-                    if rhs is not None:
-                        if rhs.weights() not in ({atom[1]}, set()):
-                            raise AssertionError(
-                                f"weight leak rewriting {atom}: {sorted(rhs.weights())} != {atom[1]}"
-                            )
-                        hit = rhs, name
-                        break
-                known = memo[atom] = (
-                    hit,
-                    _pair_reflectable(atom) if depth == 2 else depth == 3 and _triple_reflectable(atom),
-                )
+                self._classify((atom,))
+                known = memo[atom]
             hit, reflectable = known
             reflectable_term = reflectable_term or reflectable
             if first is None and hit is not None:
@@ -517,24 +553,40 @@ class _WorkingSum:
             self.coeffs[term] = c
             if (entry := self._enter(term)) is not None:
                 heapq.heappush(self.heap, entry)
-            return
-        s = old + c
-        if s:
+        elif s := old + c:
             self.coeffs[term] = s
         else:
-            del self.coeffs[term]
+            self._drop(term)
+
+    def _drop(self, term: Term):
+        """Delete a present term, and its place among the reflectable terms."""
+        del self.coeffs[term]
+        if self.reflectable:
             key = term.term_key()
             i = bisect.bisect_left(self.reflectable, (key,))
             if i < len(self.reflectable) and self.reflectable[i][0] == key:
                 del self.reflectable[i]
 
     def apply(self, record: tuple):
-        """Add a step's c * rest * (rhs - lhs); see ``ReduceResult``."""
+        """Add a step's c * rest * (rhs - lhs); see ``ReduceResult``.  An atom
+        step's own term, which still holds c, is deleted, and a unit
+        cofactor leaves the rhs terms as they are."""
         _rule, atom, rest, c, rhs, *orderings = record
-        for o in orderings[0] if orderings else (atom,):
-            self.add(rest.mul(o), -c)
-        for t, rc in rhs._d.items():
-            self.add(rest.mul(t), c * rc)
+        if orderings:
+            for o in orderings[0]:
+                self.add(rest.mul(o), -c)
+        else:
+            term = rest.mul(atom) if rest else atom
+            if self.coeffs.get(term) is c:
+                self._drop(term)
+            else:
+                self.add(term, -c)
+        if rest:
+            for t, rc in rhs._d.items():
+                self.add(rest.mul(t), c * rc)
+        else:
+            for t, rc in rhs._d.items():
+                self.add(t, c * rc)
 
     def pop_pending(self):
         """The record of the next atom step, which rewrites the first such atom
@@ -559,11 +611,11 @@ def _next_reflection(work: _WorkingSum) -> tuple | None:
         for _key, term in work.reflectable:
             for atom in dict.fromkeys(filter(shape, term.factors)):
                 rest = _term_without(term, atom)
-                orderings = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]
+                orderings = _orderings(atom)
                 if all(rest.mul(o) in coeffs for o in orderings):
                     # each distinct ordering is len(orderings) / k! of the k! permutations
-                    share = Fraction(len(orderings), math.factorial(atom.depth))
-                    rhs = symmetric_sum(orderings[0].args).scale(share)
+                    share = Fraction(len(orderings), math.factorial(len(atom[2])))
+                    rhs = symmetric_sum(orderings[0][2]).scale(share)
                     return rule, atom, rest, coeffs[rest.mul(orderings[paid])], rhs, orderings
     return None
 

@@ -70,7 +70,11 @@ def letter_product(words) -> tuple[list[int], dict[str, int]]:
 def quasi_shuffle(words) -> dict[tuple[int, ...], int]:
     """``letter_product`` with its words read back as tuples of letters,
     {word: multiplicity}.  Each str word is popped as it is read back, so
-    the words of the two products are never all held at once."""
+    the words of the two products are never all held at once.  A product
+    of at most one nonempty word is that word, or the empty word, alone."""
+    words = [w for w in words if w]
+    if len(words) < 2:
+        return {tuple(words[0]) if words else (): 1}
     letters, product = letter_product(words)
     out = {}
     while product:

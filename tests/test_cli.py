@@ -249,7 +249,14 @@ def test_reduce_json_formats_each_atom_once(capsys, monkeypatch):
     assert sum(type(t) is not eulersums.MzvAtom for t in value._d) == 27 and len(zetas) > 27
     calls = []
     zeta_format = algebra._zeta_format
-    monkeypatch.setattr(algebra, "_zeta_format", lambda depth: calls.append(depth) or zeta_format(depth))
+
+    class Counted(str):
+        # a format that records each atom it writes
+        def __mod__(self, args):
+            calls.append(args)
+            return str.__mod__(self, args)
+
+    monkeypatch.setattr(algebra, "_zeta_format", lambda depth: Counted(zeta_format(depth)))
     code, out, err = run(capsys, "reduce", "--engine", "t2", "--output", "json", text)
     assert (code, err) == (0, "") and len(calls) == len(zetas)
     assert json.loads(out)["terms"] == value.to_json_terms()

@@ -27,6 +27,7 @@ from eulersums.numerics import (
     _fp_result,
     _fp_holders,
     _holder_apply,
+    _holder_error,
     _plain_factor,
     eval_euler_sum_best,
     eval_lincomb_best,
@@ -286,6 +287,16 @@ def _fp_holder_two_loops(args, n_terms):
     factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
     err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
     return Fraction((-1) ** len(args) * acc, _FP_SCALE), err
+
+
+def test_holder_error_is_the_inline_bound():
+    # the bound is computed once per (word length, N): the same units as the
+    # formula written out for each word, rounded up once
+    for n_terms in (8, 50, 200):
+        for w in range(1, 301):
+            factor_err = Fraction(1, 2**n_terms) + Fraction(3 * w * n_terms, _FP_SCALE)
+            err = (w + 1) * (2 * factor_err + factor_err**2 + Fraction(1, _FP_SCALE))
+            assert _holder_error(w, n_terms) == math.ceil(err * _FP_SCALE), (w, n_terms)
 
 
 def _convergent_args(weight):

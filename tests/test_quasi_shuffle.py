@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from eulersums.expansion import ordered_partition_count
 from eulersums.words import alphabet, merge, quasi_shuffle, stuffle
 
-from reference_oracles import _mhs_prefix, _reference_stuffle
+from reference_oracles import _mhs_prefix, _reference_quasi_shuffle, _reference_stuffle
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -39,6 +39,17 @@ def test_kernel_matches_finite_products(ws):
             direct *= _mhs_prefix(w, n)[n]
         combo = sum((c * _mhs_prefix(w, n)[n] for w, c in product.items()), Fraction(0))
         assert combo == direct, (ws, n)
+
+
+def test_tiny_products_match_reference():
+    # no nonempty word, or one: the empty word or that word alone, with no
+    # alphabet built, as the product of the words one by one gives it
+    cases = [[], [()], [(), ()], [(3,)], [(), (2, -1)], [(-1, 1, 2), ()], [(), (5,), ()]]
+    for ws in cases:
+        got = quasi_shuffle(ws)
+        assert got == _reference_quasi_shuffle(ws), ws
+        assert all(type(w) is tuple for w in got), ws
+    assert quasi_shuffle(iter([(), (4, -2)])) == {(4, -2): 1}
 
 
 def _ordered_partitions_bruteforce(entries):

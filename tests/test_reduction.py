@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import tempfile
 import types
 from fractions import Fraction
@@ -1123,6 +1124,91 @@ def test_reflectable_terms_stay_in_order_without_resorting(monkeypatch):
     r = reduce_lincomb(families)
     assert sum(record[0] == "reflection_pair" for record in r.log) == 1600
     assert len(entered) >= 3200 and len(keys) <= 3 * len(entered)
+
+
+def test_cached_orderings_are_the_checked_atoms():
+    # every pair- and triple-reflectable atom of weight <= 12: its distinct
+    # orderings, built without MzvAtom's checks, in sorted order
+    pairs = [z(a, b) for w in range(2, 13) for s in range(1, w) for a in (s, -s)
+             for b in (w - s, s - w) if a != 1 and a < b != 1]
+    triples = [z(*slots) for slots in itertools.product(range(2, 9), repeat=3)
+               if sum(slots) <= 12 and len(set(slots)) > 1]
+    assert all(map(reduction._pair_reflectable, pairs)) and all(map(reduction._triple_reflectable, triples))
+    assert (len(pairs), len(triples)) == (105, 81)
+    for atom in pairs + triples:
+        want = [MzvAtom(args=o) for o in sorted(set(itertools.permutations(atom.args)))]
+        got = reduction._orderings(atom)
+        assert list(got) == want and all(type(o) is MzvAtom for o in got), atom
+        assert got[0].weight == atom.weight
+
+
+def _classified_one_by_one(lc, rules):
+    """The memo, heap entries and reflectable entries of a working sum of
+    ``lc``, each atom matched alone, in term order, against the rules of its
+    depth in rule order: what the classification by depth must give."""
+    memo = {}
+    for term in lc._d:
+        for atom in term.factors:
+            if atom not in memo:
+                hit = next(((rhs, name) for name, rewrite, depths in rules
+                            if atom.depth in depths and (rhs := rewrite(atom)) is not None), None)
+                memo[atom] = hit, reduction._pair_reflectable(atom) or reduction._triple_reflectable(atom)
+    heap = [(term.term_key(), term, atom, memo[atom][0]) for term in lc._d
+            if (atom := next((a for a in term.factors if memo[a][0]), None))]
+    reflectable = [(term.term_key(), term) for term in lc._d if any(memo[a][1] for a in term.factors)]
+    return memo, sorted(heap, key=lambda e: e[0]), sorted(reflectable)
+
+
+def test_input_classified_by_depth_as_one_by_one(starter12):
+    # the input's single atoms, classified depth by depth, leave the same
+    # memo, reflectable terms and heap entries as matching each atom alone,
+    # also where products share atoms with terms of their own
+    rules = [(f"table[{starter12.label}]", starter12.entries.get, {a.depth for a in starter12.entries})]
+    rules += default_rules()
+    mixed = expand_t2(parse_index("S(2,2,3,3,2)"))
+    mixed = mixed + LinComb({a: 1 for a in sorted(mixed.atoms())[::3]}) + LinComb.of_atom(li_half(4), 2)
+    texts = ["S(8,-1,-3,-6,-7,3)", "S(1,2,3,5,-8,3)", "S(3,4,5,6,2)", "S(-1,-2,-3,-4,-5,-3)"]
+    for lc in [expand_t1(parse_index(text)) for text in texts] + [mixed]:
+        for with_table in (rules, rules[1:]):
+            work = reduction._WorkingSum(lc, with_table)
+            memo, heap, reflectable = _classified_one_by_one(lc, with_table)
+            assert work.memo and work.memo == memo and work.reflectable == reflectable
+            assert sorted(work.heap, key=lambda e: e[0]) == heap and work.coeffs == lc._d
+
+
+def test_raising_rule_names_the_first_atom_in_term_order():
+    # atoms that raise in different rules or at different depths: the error
+    # names the first of them in term order, as when every term is classified
+    # alone, though a pass over one depth, or one rule, meets another first
+    def refusing(*atoms):
+        def rewrite(atom):
+            if atom in atoms:
+                raise reduction.StepCapError("refused %s", atom)
+            return None
+
+        return rewrite
+
+    first, second = refusing(z(2, 7)), refusing(z(5), z(2, 5))
+    rules = [("first", first, range(1, 3)), ("second", second, range(1, 3))]
+    for order, named in [([z(2, 3), z(5), z(2, 5)], "z(5)"), ([z(2, 5), z(2, 7)], "z(2,5)"),
+                         ([z(2, 7), z(2, 5)], "z(2,7)"), ([z(3, 4), SymbolicTerm.of(z(2), z(2, 5)), z(5)], "z(2,5)")]:
+        lc = LinComb({term: 1 for term in order})
+        with pytest.raises(reduction.StepCapError, match=rf"^refused {re.escape(named)}$"):
+            reduce_lincomb(lc, rules=rules)
+
+
+def test_apply_adds_c_rest_rhs_minus_lhs():
+    # a step's term that no longer holds exactly c takes -c like any other;
+    # a unit cofactor and an atom cofactor multiply the rhs alike
+    rhs = alt_depth1(3)
+    for rest in (algebra.UNIT_TERM, z(2)):
+        term = z(-3).mul(rest)
+        work = reduction._WorkingSum(LinComb({term: Fraction(3)}), default_rules())
+        work.apply(("alt_depth1", z(-3), rest, Fraction(1), rhs))
+        want = LinComb({term: Fraction(2)}) + LinComb({rest: Fraction(1)}) * rhs
+        assert LinComb(work.coeffs) == want, rest
+        work.apply(("alt_depth1", z(-3), rest, work.coeffs[term], rhs))
+        assert LinComb(work.coeffs) == LinComb({rest: Fraction(3)}) * rhs, rest
 
 
 # (index, with the bundled starter table, steps, sha256 of [render, steps, trace])
