@@ -227,8 +227,19 @@ test $? -eq 4 || exit 1
 grep "more than 4300 digits" "$RUNNER_TEMP/digits.err" || exit 1
 # an alternating depth-1 atom whose coefficient 2^(1-s) - 1 would have more bits
 # than the step cap: exit 4 at once, before the power is built
-timeout 10 eulersum reduce "S(4,2,-1000000000001)"
+timeout 10 eulersum reduce "S(4,2,-1000000000001)" 2> "$RUNNER_TEMP/alt.err"
 test $? -eq 4 || exit 1
+test "$(sha256sum < "$RUNNER_TEMP/alt.err" | cut -d' ' -f1)" = 378234d70ddaa984df4b018559f1879424a552fbfdaa3ebc45db6deb663dfd20 || exit 1
+# several refused odd-weight depth-2 atoms, B = 10^15 + 2: t1's expansion holds
+# z(B,5), z(B+2,3) and z(B+3,2) and names z(B,5), the first in term order; t2's
+# holds z(5,B) alone and z(3,B) in a product, and names z(5,B), since the single
+# atoms are classified before the products
+timeout 10 eulersum reduce "S(2,3,1000000000000002)" 2> "$RUNNER_TEMP/odd.err"
+test $? -eq 4 || exit 1
+test "$(sha256sum < "$RUNNER_TEMP/odd.err" | cut -d' ' -f1)" = d03ffdbdd3d3911b27fdcaf8cddac1c4391ea173c8aca725938c743685669cc7 || exit 1
+timeout 10 eulersum reduce --engine t2 "S(2,3,1000000000000002)" 2> "$RUNNER_TEMP/odd.err"
+test $? -eq 4 || exit 1
+test "$(sha256sum < "$RUNNER_TEMP/odd.err" | cut -d' ' -f1)" = fbc885ef0c7be54a90d1c04bc15a706370af12b5724cc6dd7780e7b64687f2d3 || exit 1
 # a legal 4300-digit entry B = 10^4300 - 2, whose reduction names atoms past the
 # limit in its steps: exit 4 "cannot print result", not the interpreter's message
 B="$(python -c "print('9' * 4299 + '8')")"

@@ -158,32 +158,6 @@ def _zeta_format(depth: int) -> str:
     return "z(" + ",".join(["%d"] * depth) + ")"
 
 
-def _by_depth(atoms: Iterable[MzvAtom]) -> dict[int, list[MzvAtom]]:
-    """``atoms`` by depth, the depths in order of first appearance and each
-    list in the given order; a Li atom has no slots, depth 0."""
-    groups: dict[int, list[MzvAtom]] = {}
-    for atom in atoms:
-        group = groups.get(len(atom[2]))
-        if group is None:
-            groups[len(atom[2])] = [atom]
-        else:
-            group.append(atom)
-    return groups
-
-
-def atom_texts(atoms: Iterable[MzvAtom]) -> dict[MzvAtom, str]:
-    """{atom: atom.render()} for ``atoms``: the zeta atoms of each depth are
-    written with that depth's one ``_zeta_format`` through ``map``; a Li atom
-    keeps ``render``."""
-    texts = {}
-    for depth, group in _by_depth(atoms).items():
-        if depth:
-            texts.update(zip(group, map(_zeta_format(depth).__mod__, map(_SLOTS, group))))
-        else:
-            texts.update(zip(group, map(MzvAtom.render, group)))
-    return texts
-
-
 def z(*args: int) -> MzvAtom:
     """Zeta atom constructor: z(-5, 1) is the value with slots (5 bar, 1)."""
     return MzvAtom(args=tuple(args))

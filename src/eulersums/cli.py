@@ -40,7 +40,7 @@ import os
 import sys
 
 from . import numerics
-from .algebra import LinComb, Refusal, atom_texts, json_pieces
+from .algebra import LinComb, Refusal, json_pieces
 from .expansion import expand_t1, expand_t2, linearize, t1_json_pieces, t1_words
 from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
 from .numerics import _digits15, _up3
@@ -238,7 +238,7 @@ def cmd_reduce(args) -> int:
         del result  # the step records, which hold every rewrite's rhs, are freed before printing
         # each atom of the result, products' factors included, is written once, for the
         # unresolved list and the plain or JSON result; a Li atom has no slots, a[2]
-        texts = atom_texts(value.atoms()) if args.output != "latex" else {}
+        texts = {a: a.render() for a in value.atoms()} if args.output != "latex" else {}
         unresolved = sorted([text for a, text in texts.items() if len(a[2]) >= 2])
     _emit(idx, value, args.output, engine, trace=trace, extra={"unresolved": unresolved}, texts=texts)
     if unresolved and args.output == "plain":

@@ -174,18 +174,12 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
     atom = functools.partial(tuple.__new__, MzvAtom)
     zeta, weight = itertools.repeat(0), itertools.repeat(idx.weight)
     terms: dict[Term, Fraction] = {}
-    pending = []  # runs whose atom 2 is built but whose atom 1 is not
     for slot, i, j in blocks:
         if slot == lead:
             run, coeffs = words, cs
         else:
             run, coeffs = [(slot,) + args[2:] for args in words[i:j]], cs[i:j]
-            pending.append((i, j))
         terms.update(zip(map(atom, zip(zeta, weight, run)), coeffs))
-        if slot >= lead:  # the words of the pending runs have both atoms: drop them
-            for i, j in pending:
-                words[i:j] = [None] * (j - i)
-            pending.clear()
     return LinComb._of_nonzero(terms)
 
 

@@ -47,7 +47,7 @@ import sys
 from collections.abc import Callable, Container, Iterable
 from fractions import Fraction
 
-from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, _by_depth, parse_atom, z
+from .algebra import LinComb, MzvAtom, Refusal, SymbolicTerm, Term, parse_atom, z
 from .indices import _Record
 from .words import merge
 
@@ -97,10 +97,8 @@ def log_integral(k: int, l: int) -> LinComb:
 
 def zeta_ones(k: int, l: int) -> LinComb:
     """zeta(k+1, {1}_l) reduced to a polynomial in zeta values."""
-    if k < 1 or l < 0:
-        raise ValueError(f"need k >= 1, l >= 0, got ({k}, {l})")
-    c = Fraction((-1) ** (k + l), math.factorial(k) * math.factorial(l))
-    return log_integral(k, l).scale(c)
+    integral = log_integral(k, l)  # first, as it refuses k < 1, l < 0 and k + l past the cap
+    return integral.scale(Fraction((-1) ** (k + l), math.factorial(k) * math.factorial(l)))
 
 
 def alt_depth1(s: int) -> LinComb:
@@ -462,31 +460,25 @@ class _WorkingSum:
     each time such a term enters (an entry whose term has since cancelled is
     skipped when popped); and the present terms with an atom a reflection
     pass can eliminate, as (term_key(), term) kept in order as terms enter
-    and cancel, which the passes walk in term order.  A
-    term is classified as it enters, from ``memo``: atom -> ((rhs, rule
-    name) of its first rewrite or None, whether a pass can eliminate it),
-    each atom matched once per working sum, against the matchers of its
-    depth only: ``at_depth`` holds, for each depth met so far, the (name,
-    rewrite) of the rules whose depths hold it, in rule order.  A term with
-    no atom that rewrites never touches the heap.  The input's single atoms
-    are classified together, depth by depth (``_classify``)."""
+    and cancel, which the passes walk in term order.  A term is classified
+    as it enters, from ``memo``: atom -> ((rhs, rule name) of its first
+    rewrite or None, whether a pass can eliminate it), each atom matched
+    once per working sum, against the matchers of its depth only:
+    ``at_depth`` holds, for each depth met so far, the (name, rewrite) of
+    the rules whose depths hold it, in rule order.  A term with no atom that
+    rewrites never touches the heap.  The input's single atoms are
+    classified together, depth by depth (``_classify``), before its
+    products; a rule that raises stops the classification in that order."""
 
     def __init__(self, lc: LinComb, rules: list[_Rule]):
         self.rules = rules
         self.at_depth: dict[int, list[tuple[str, Callable[[MzvAtom], LinComb | None]]]] = {}
         self.memo: dict[MzvAtom, tuple[tuple[LinComb, str] | None, bool]] = {}
         self.coeffs: dict[Term, Fraction] = dict(lc._d)
-        self.reflectable: list[tuple[tuple, Term]] = []
         # The heap orders the terms, so they are read unsorted here and in apply.
-        try:
-            self.heap, self.reflectable = self._classify(t for t in self.coeffs if t.__class__ is MzvAtom)
-            others = [t for t in self.coeffs if t.__class__ is not MzvAtom]
-        except Exception:
-            # a rule raised: classify again term by term, so that the atom
-            # that raises is the first in term order to do so
-            self.at_depth, self.memo, self.reflectable, self.heap = {}, {}, [], []
-            others = self.coeffs
-        self.heap += [entry for t in others if (entry := self._enter(t)) is not None]
+        self.heap, self.reflectable = self._classify(t for t in self.coeffs if t.__class__ is MzvAtom)
+        products = (t for t in self.coeffs if t.__class__ is not MzvAtom)
+        self.heap += [entry for t in products if (entry := self._enter(t)) is not None]
         heapq.heapify(self.heap)
 
     def _classify(self, atoms: Iterable[MzvAtom]) -> tuple[list[tuple], list[tuple]]:
@@ -497,7 +489,13 @@ class _WorkingSum:
         matcher took.  Returns the heap entries and the sorted reflectable
         entries that the atoms would have as single-atom terms."""
         heap, reflectable = [], []
-        for depth, group in _by_depth(atoms).items():
+        by_depth: dict[int, list[MzvAtom]] = {}  # depths in order of first appearance; a Li atom's is 0
+        for atom in atoms:
+            if (group := by_depth.get(len(atom[2]))) is None:
+                by_depth[len(atom[2])] = [atom]
+            else:
+                group.append(atom)
+        for depth, group in by_depth.items():
             matchers = self.at_depth.get(depth)
             if matchers is None:
                 matchers = self.at_depth[depth] = [

@@ -14,7 +14,6 @@ from eulersums.algebra import (
     MzvAtom,
     SymbolicTerm,
     as_fraction,
-    atom_texts,
     json_pieces,
     li_half,
     parse_atom,
@@ -599,24 +598,6 @@ def test_one_atom_text_source_per_writer(entries):
     assert lc.render(texts) == lc.render()
     pieces = list(json_pieces(lc.items(), texts))
     assert pieces == list(json_pieces(lc.items())) == list(map(json.dumps, lc.to_json_terms()))
-
-
-def test_atom_texts_render_each_atom():
-    # one format per depth, written through map, gives each atom's render():
-    # depths 1-22, barred slots, slots past 10^6 and Li atoms, in any order
-    rng = random.Random(5)
-    atoms = [li_half(q) for q in (1, 4, 12)] + [z(-1), z(10**6 + 1), z(-(10**7), 2)]
-    for depth in range(1, 23):
-        for _ in range(4):
-            slots = [rng.choice((1, -1)) * rng.choice((1, 2, 3, 17, 10**6 + 3, 2**40)) for _ in range(depth)]
-            slots[0] = slots[0] if slots[0] != 1 else -1
-            atoms.append(MzvAtom(args=tuple(slots)))
-    rng.shuffle(atoms)
-    for sample in (atoms, atoms[:7], [li_half(2)], []):
-        texts = atom_texts(sample)
-        assert texts == {a: a.render() for a in sample}
-        assert all(type(text) is str for text in texts.values())
-    assert atom_texts(iter(atoms)) == atom_texts(set(atoms))
 
 
 def test_latex_of_a_constant_and_of_zero():

@@ -1176,10 +1176,11 @@ def test_input_classified_by_depth_as_one_by_one(starter12):
             assert sorted(work.heap, key=lambda e: e[0]) == heap and work.coeffs == lc._d
 
 
-def test_raising_rule_names_the_first_atom_in_term_order():
+def test_raising_rule_names_the_first_atom_in_batch_order():
     # atoms that raise in different rules or at different depths: the error
-    # names the first of them in term order, as when every term is classified
-    # alone, though a pass over one depth, or one rule, meets another first
+    # names the first of them in the order the input is classified in, the
+    # single atoms before the products, their depths in order of first
+    # appearance, and within a depth each rule in order over its atoms
     def refusing(*atoms):
         def rewrite(atom):
             if atom in atoms:
@@ -1190,11 +1191,39 @@ def test_raising_rule_names_the_first_atom_in_term_order():
 
     first, second = refusing(z(2, 7)), refusing(z(5), z(2, 5))
     rules = [("first", first, range(1, 3)), ("second", second, range(1, 3))]
-    for order, named in [([z(2, 3), z(5), z(2, 5)], "z(5)"), ([z(2, 5), z(2, 7)], "z(2,5)"),
-                         ([z(2, 7), z(2, 5)], "z(2,7)"), ([z(3, 4), SymbolicTerm.of(z(2), z(2, 5)), z(5)], "z(2,5)")]:
+    for order, named in [([z(2, 3), z(5), z(2, 5)], "z(2,5)"), ([z(2, 5), z(2, 7)], "z(2,7)"),
+                         ([z(2, 7), z(2, 5)], "z(2,7)"), ([z(3, 4), SymbolicTerm.of(z(2), z(2, 5)), z(5)], "z(5)")]:
         lc = LinComb({term: 1 for term in order})
         with pytest.raises(reduction.StepCapError, match=rf"^refused {re.escape(named)}$"):
             reduce_lincomb(lc, rules=rules)
+
+
+@pytest.mark.parametrize("text", [
+    "S(2,1000000000000001)", "S(4,2,-1000000000001)",  # the exit-code contract's two rule refusals
+    "S(2,-3,1000000000000)", "S(-2,-3,1000000000000)", "S(1,-2,1000000000001)",  # plain outers
+    "S(-2,3,-1000000000000)", "S(3,-1000000000001)", "S(3,2,-1000000000001)",  # barred outers
+])
+def test_t1_refusal_names_the_first_atom_in_term_order(text):
+    # on a t1 expansion past the step cap, the batch names the atom that
+    # classifying the terms one by one, in term order, names first
+    def first_refusal(lc):
+        for term, _ in lc.items():
+            for atom in term.factors:
+                for _, rewrite, depths in default_rules():
+                    if atom.depth in depths:
+                        try:
+                            if rewrite(atom) is not None:
+                                break
+                        except reduction.StepCapError as e:
+                            return str(e)
+        return None
+
+    idx = parse_index(text)
+    assert idx.weight - 1 > reduction.STEP_CAP
+    lc = expand_t1(idx)
+    with pytest.raises(reduction.StepCapError) as refused:
+        reduce_lincomb(lc)
+    assert str(refused.value) == first_refusal(lc)
 
 
 def test_apply_adds_c_rest_rhs_minus_lhs():
