@@ -1,7 +1,7 @@
 """Certified numerical evaluation and the verification loop.
 
-Every value here is computed with an explicit, rigorous truncation bound
-(plus a rounding budget), never by the symbolic identities being tested:
+Every value here is computed with an explicit, rigorous truncation bound,
+never by the symbolic identities being tested:
 Euler sums by direct summation of their defining series, atoms by a
 geometrically convergent iterated-integral expansion.  Two certified values "agree" when
 their difference is within the sum of their bounds plus the requested

@@ -27,7 +27,6 @@ Sign conventions:
 from __future__ import annotations
 
 import functools
-import json
 import operator
 import re
 from collections.abc import Iterable, Iterator, Mapping
@@ -458,6 +457,11 @@ class LinComb:
         return f"LinComb({self.render()})"
 
 
+# A term's JSON object as json.dumps writes it: _JSON_HEAD, quoted factors, _JSON_TAIL % coeff.
+# No atom's or coefficient's text holds a character that JSON escapes.
+_JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
+
+
 def json_pieces(pairs: Iterable[tuple[Term, Fraction]],
                 texts: Mapping[MzvAtom, str] | None = None) -> Iterator[str]:
     """``json.dumps`` of the element of ``LinComb.to_json_terms()`` that each
@@ -466,4 +470,5 @@ def json_pieces(pairs: Iterable[tuple[Term, Fraction]],
     ``LinComb.render``."""
     atom_text = MzvAtom.render if texts is None else texts.__getitem__
     for t, c in pairs:
-        yield json.dumps({"factors": list(map(atom_text, t.factors)), "coeff": str(c)})
+        factors = '", "'.join(map(atom_text, t.factors))
+        yield _JSON_HEAD + ('"%s"' % factors if factors else "") + _JSON_TAIL % c

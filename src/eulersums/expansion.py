@@ -36,7 +36,7 @@ from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .algebra import UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
+from .algebra import _JSON_HEAD, _JSON_TAIL, UNIT_TERM, LinComb, MzvAtom, Refusal, SymbolicTerm, Term, z
 from .indices import EulerSumIndex
 from .words import letter_product, merge, quasi_shuffle
 
@@ -181,10 +181,6 @@ def expand_t1(idx: EulerSumIndex) -> LinComb:
             run, coeffs = [(slot,) + args[2:] for args in words[i:j]], cs[i:j]
         terms.update(zip(map(atom, zip(zeta, weight, run)), coeffs))
     return LinComb._of_nonzero(terms)
-
-
-# A term's JSON object as json.dumps writes it: _JSON_HEAD, quoted factors, _JSON_TAIL % coeff.
-_JSON_HEAD, _JSON_TAIL = '{"factors": [', '], "coeff": "%s"}'
 
 
 def t1_json_pieces(t1) -> Iterator[str]:

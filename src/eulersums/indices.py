@@ -193,5 +193,7 @@ def render_index(idx: EulerSumIndex, style: str = "plain") -> str:
         return "S(" + ",".join(str(e) for e in idx.inner + (idx.outer,)) + ")"
     if style == "latex":
         q = _latex_entry(idx.outer)
-        return r"S_{%s,%s}" % (_latex_inner(idx.inner), q) if idx.inner else r"\zeta(%s)" % q
+        if idx.inner:
+            return r"S_{%s,%s}" % (_latex_inner(idx.inner), q)
+        return (r"-\zeta(%s)" if idx.outer < 0 else r"\zeta(%s)") % q  # S(-q) = -z(-q)
     raise ValueError(f"unknown style {style!r}")

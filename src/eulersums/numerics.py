@@ -18,11 +18,9 @@ Two evaluation strategies are used.
     depends only on the node's letters and N, so the values are the same
     integers.  A combination is summed exactly in
     those units, the atoms' errors carried through its products, one floor
-    per term, and rounded once to 64 significant bits, an exact dyadic
-    ``Fraction``.  Its bound counts that rounding exactly: at most 2^-64
-    |value| plus the fixed-point error, below 1e-50 on every expansion that
-    ``verify`` checks at weight <= 10, rounded up to a float once
-    (``_fp_result``), ``inf`` only past the float range.
+    per term; its value is that sum, an exact dyadic ``Fraction``, and its
+    bound the fixed-point error, rounded up to a float once (``_fp_result``),
+    ``inf`` only past the float range.
 
   * The Euler-sum series themselves, walked in the same units to an N of
     the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
@@ -50,9 +48,9 @@ Two evaluation strategies are used.
     Calkin and Manna, *Euler-Boole summation revisited*).
 
 Both routes can miss a requested tolerance: the walk, capped at N_MAX, and
-a combination of atoms, whose bound counts its rounding to 64 bits, up to
-2^-64 |value|.  Each evaluator returns its best result, and a caller compares
-its ``tail_bound`` with the tolerance, as the ``eval`` command does.
+a combination of atoms, whose error grows with its coefficients.  Each
+evaluator returns its best result, and a caller compares its ``tail_bound``
+with the tolerance, as the ``eval`` command does.
 
 Reported ``tail_bound`` values are conservative under the documented
 estimates above; decreasing the target tolerance never increases them.
@@ -88,7 +86,7 @@ class NumericResult(_Record):
 
     ``method`` names what produced the bound: ``holder`` (atoms by the
     Hoelder convolution) or ``euler_maclaurin`` (the tail of a series).
-    ``value`` is an exact dyadic rational of 64 significant bits.
+    ``value`` is exact, an integer number of units 2^-192.
     """
 
     __slots__ = ("value", "tail_bound", "terms_used", "method")
@@ -144,21 +142,17 @@ _FP_SCALE = 1 << _FP_BITS
 
 
 def _fp_result(value: int, error: int, terms: int, method: str = "holder") -> NumericResult:
-    """Round ``value`` +- ``error`` (units of 2^-192) once: the value to its
-    64 leading bits, and the bound, the error plus that rounding as an exact
-    rational, up to a float64 once; a bound past the float range, about
-    1.8e308, is ``inf``.  An exact 0 +- 0 stays 0 +- 0."""
-    shift = max(abs(value).bit_length() - 64, 0)
-    mantissa = (abs(value) + (1 << shift >> 1)) >> shift  # to nearest; at most 2^64
-    rounded = mantissa << shift if value >= 0 else -(mantissa << shift)
-    total = Fraction(error + abs(value - rounded), _FP_SCALE)
+    """``value`` +- ``error`` (units of 2^-192): the value exact, and the
+    bound rounded up to a float64 once; a bound past the float range, about
+    1.8e308, is ``inf``."""
+    total = Fraction(error, _FP_SCALE)
     try:
         bound = float(total)  # correctly rounded
     except OverflowError:  # past the float range, about 1.8e308
         bound = math.inf
     if bound < total:
         bound = math.nextafter(bound, math.inf)
-    return NumericResult(Fraction(rounded, _FP_SCALE), bound, terms, method)
+    return NumericResult(Fraction(value, _FP_SCALE), bound, terms, method)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +344,9 @@ def _lincomb_units(lc: LinComb) -> tuple[int, int]:
 
 def eval_lincomb_best(lc: LinComb, target_tol: float = 1e-10) -> NumericResult:
     """Certified evaluation of a linear combination (raises only WordCapError):
-    the sum of ``_lincomb_units``, rounded once by ``_fp_result``.  The atoms come
-    at fixed precision, so ``target_tol`` does not change the result; a caller
-    compares the ``tail_bound`` with it."""
+    the sum of ``_lincomb_units``, exact, its bound rounded up once by
+    ``_fp_result``.  The atoms come at fixed precision, so ``target_tol``
+    does not change the result; a caller compares the ``tail_bound`` with it."""
     return _fp_result(*_lincomb_units(lc), HOLDER_N if lc.atoms() else 0)
 
 

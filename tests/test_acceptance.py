@@ -234,6 +234,7 @@ def test_criterion_4_closed_form_reproduction():
         ok1, d1, b1 = _agree(series, exp_val, tol)
         ok2, d2, b2 = _agree(exp_val, closed_val, tol)
         assert series.tail_bound <= tol, (text, "series bound", series.tail_bound)
+        assert (series.value * 2**192).denominator == 1, (text, "series value not in units")
         assert ok1, (text, "series vs expansion", d1, b1)
         assert ok2, (text, "expansion vs closed form", d2, b2)
         lines.append(

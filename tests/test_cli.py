@@ -364,15 +364,15 @@ def test_verify_batch_without_an_index_exit2(capsys, tmp_path, text):
 
 def test_verify_table_entry_with_an_infinite_bound_fails(capsys, tmp_path):
     # z(2,1) = 10^310 z(3) reduces S(1,2) to a value past the float range;
-    # its bound, about 2^-64 of it, and the discrepancy print in digits, and
-    # the line fails on the discrepancy
+    # its bound, the atom's error times 10^310, and the discrepancy print in
+    # digits, and the line fails on the discrepancy
     table = tmp_path / "huge.jsonl"
     entry = {"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1" + "0" * 310}], "weight": 3}
     table.write_text(json.dumps(entry) + "\n")
     code, out, err = run(capsys, "verify", "--table", str(table), "S(1,2)")
     assert (code, err) == (1, "")
     *_, reduction, verdict = out.splitlines()
-    assert reduction == "reduction = 1.20205690315959e+310  (bound 1.72e+290; discrepancy 1.21e+310 vs 1.72e+290)"
+    assert reduction == "reduction = 1.20205690315959e+310  (bound 2.3e+256; discrepancy 1.21e+310 vs 2.3e+256)"
     assert verdict == "FAIL"
 
 
@@ -450,19 +450,19 @@ def test_eval_json_beyond_float64_prints_finite(capsys, tmp_path):
 
 
 def test_eval_json_reports_a_missed_tol(capsys, tmp_path):
-    # a dump is held to --tol as an index is: 10^310 z(2) is bounded by
-    # about 2^-64 of its value, finite and far above the tolerance
+    # a dump is held to --tol as an index is: 10^310 z(2) is bounded by its
+    # atom's error times 10^310, finite and far above the tolerance
     p = tmp_path / "huge.json"
     p.write_text(json.dumps({"terms": [{"factors": ["z(2)"], "coeff": "1" + "0" * 310}]}))
     code, out, err = run(capsys, "eval", "--json", str(p))
-    assert (code, out) == (0, "1.64493406684823e+310  bound=2.18e+290  N=200\n")
-    assert err == "capacity: achieved bound 2.18e+290 above tol 1e-08\n"
+    assert (code, out) == (0, "1.64493406684823e+310  bound=1.15e+256  N=200\n")
+    assert err == "capacity: achieved bound 1.15e+256 above tol 1e-08\n"
 
 
 def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):
     # Li_q(1/2) is one more Hoelder word: a combination of Li and zeta atoms
-    # reports N = 200 like any other, with the value and bound of the
-    # geometric series it replaced
+    # reports N = 200 like any other, with the value of the geometric series
+    # it replaced
     p = tmp_path / "li.json"
     p.write_text(json.dumps({"terms": [
         {"factors": ["Li(4,1/2)", "z(2)"], "coeff": "3/7"},
@@ -470,7 +470,7 @@ def test_eval_json_li_atoms_run_through_holder(capsys, tmp_path):
         {"factors": ["z(-1)", "Li(5,1/2)"], "coeff": "5"},
     ]}))
     code, out, _ = run(capsys, "eval", "--json", str(p))
-    assert (code, out) == (0, "-2.40536482005149  bound=4.55e-20  N=200\n")
+    assert (code, out) == (0, "-2.40536482005149  bound=3.99e-53  N=200\n")
 
 
 def test_table_check(capsys, tmp_path):
@@ -880,7 +880,7 @@ def test_eval_large_outer_exponent_finishes_at_once():
     env = {**os.environ, "PYTHONPATH": src}
     argv = [sys.executable, "-m", "eulersums.cli", "eval", "S(2,3000000)"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.33e-56  N=100\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1  bound=2.27e-56  N=100\n", "")
 
 
 def test_reduce_huge_depth2_atom_exit4():

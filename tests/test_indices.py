@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eulersums.expansion import expand_t1
 from eulersums.indices import (
     ConvergenceError,
     EulerSumIndex,
@@ -115,6 +116,11 @@ def test_render_styles():
     assert render_index(make_index([1, -1], 3), "latex") == r"S_{1\bar{1},3}"
     assert render_index(make_index([], 5), "plain") == "S(5)"
     assert render_index(make_index([], 5), "latex") == r"\zeta(5)"
+    # with no inner entry the index is its zeta value: S(-q) = -z(-q)
+    for q in range(2, 9):
+        for outer in (q, -q):
+            idx = make_index([], outer)
+            assert render_index(idx, "latex") == expand_t1(idx).latex(), outer
     # power grouping with mixed alternation and an alternating outer
     assert (
         render_index(make_index([1, 1, -2, -2, -2, 5], -2), "latex")
