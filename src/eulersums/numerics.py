@@ -23,7 +23,7 @@ Two evaluation strategies are used.
     ``inf`` only past the float range.
 
   * The Euler-sum series themselves, walked in the same units to an N of
-    the fixed schedule BLOCK_EDGES, at most N_MAX = 10**4, one unit per
+    the fixed schedule BLOCK_EDGES, at most its last, N_MAX, one unit per
     floor (``_SumState.walk_error``); past an outer exponent of
     193 + 4 degree every term floors alike, so the walk's power stops
     there.  The tail past N is certified without any monotonicity
@@ -74,9 +74,9 @@ from .algebra import LinComb, MzvAtom, Refusal, z
 from .indices import EulerSumIndex, _Record
 from .words import holder_word
 
-N_MAX = 10**4
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
 BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
+N_MAX = BLOCK_EDGES[-1]
 SUM_TOL_FLOOR = 1e-10
 SERIES_DEGREE_CAP = 21  # inner entries of the deepest index the series walks; its tail grows with each
 
@@ -574,8 +574,6 @@ class _SumState:
         n^q, A >= 1 a bound on each factor with its error; sum_{m<=n} m^(1-q)
         is at most n for q = 1, else 1 + ln n."""
         n = self.n
-        if not self.degree:
-            return n
         bound = 1
         for (e, mult), c in zip(self.factors, self.carries):
             bound *= (c + n if e > 0 else _FP_SCALE + n) ** mult
