@@ -32,18 +32,10 @@ import re
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 
-from .indices import _INT_RE
+from .indices import _INT_RE, Refusal
 
 # The rational text the program writes: an ASCII integer or p/q, q > 0.
 _RATIONAL_RE = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
-
-
-class Refusal(Exception):
-    """An input an engine declines (exit 4).  ``args`` are a ``%`` template and
-    its values, so no number is written until the message is read."""
-
-    def __str__(self):
-        return self.args[0] % self.args[1:]
 
 
 def as_fraction(x) -> Fraction:

@@ -39,12 +39,7 @@ import json
 import os
 import sys
 
-from . import numerics
-from .algebra import LinComb, Refusal, json_pieces
-from .expansion import expand_t1, expand_t2, linearize, t1_json_pieces, t1_words
-from .indices import ConvergenceError, EulerSumIndex, IndexParseError, parse_index, render_index
-from .numerics import _digits15, _up3
-from .reduction import load_identity_table, reduce_lincomb
+from .indices import ConvergenceError, EulerSumIndex, IndexParseError, Refusal, parse_index, render_index
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,7 +48,59 @@ EXIT_DIVERGENT = 3
 EXIT_ENGINE = 4
 EXIT_TABLES = 5
 
-TOL_MIN, TOL_MAX = numerics.SUM_TOL_FLOOR, 1e-3
+TOL_MAX = 1e-3  # --tol lies in [numerics.SUM_TOL_FLOOR, TOL_MAX]
+
+
+# The engines' names that the commands read as globals of this module.  Each
+# loader imports one engine's; its local variables are the names it lends.
+# ``main`` binds the loaders of the command it runs before running it, and
+# ``__getattr__`` the loader of a name read from outside first, as a tracer
+# does before it wraps one, so start-up compiles no engine.
+def _algebra():
+    from .algebra import LinComb, json_pieces
+
+    return locals()
+
+
+def _expansion():
+    from .expansion import expand_t1, expand_t2, linearize, t1_json_pieces, t1_words
+
+    return locals()
+
+
+def _numerics():
+    from . import numerics
+    from .numerics import _digits15, _up3
+
+    return locals()
+
+
+def _reduction():
+    from .reduction import load_identity_table, reduce_lincomb
+
+    return locals()
+
+
+_LOADER = {name: load for load in (_algebra, _expansion, _numerics, _reduction)
+           for name in load.__code__.co_varnames}
+_BOUND = set()  # the loaders whose names are bound
+
+
+def _bind(*loaders) -> None:
+    """Bind the names of ``loaders`` here; a name already bound, such as one
+    a tracer has wrapped, stays as it is."""
+    for load in loaders:
+        if load not in _BOUND:
+            for name, value in load().items():
+                globals().setdefault(name, value)
+            _BOUND.add(load)
+
+
+def __getattr__(name: str):
+    if name not in _LOADER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LOADER[name])
+    return globals()[name]
 
 
 class UsageError(Exception):
@@ -356,17 +403,23 @@ _ARGUMENTS = {
     "paths": dict(nargs="+", metavar="PATH"),
 }
 
-# Each subcommand: its handler, its help, and exactly the arguments it reads.
+# Each subcommand: its handler, its help, exactly the arguments it reads, and
+# the loaders of the engine names it runs; one that takes --tol loads
+# numerics, which holds the floor of its range.
 _COMMANDS = {
-    "expand": (cmd_expand, "expansion into MZV atoms", ("--engine", "--output", "index")),
+    "expand": (cmd_expand, "expansion into MZV atoms", ("--engine", "--output", "index"),
+               (_algebra, _expansion)),
     "reduce": (cmd_reduce, "expansion plus identity reduction",
                ("--engine", "--table", "--output", "--tol", "--trace", "--verify-table",
-                "--require-tables", "index")),
+                "--require-tables", "index"),
+               (_algebra, _expansion, _numerics, _reduction)),
     "verify": (cmd_verify, "compare the series against the expansion",
                ("--engine", "--table", "--tol", "--verify-table", "--require-tables", "index",
-                "--file")),
-    "eval": (cmd_eval, "numeric evaluation", ("--tol", "index", "--json")),
-    "table-check": (cmd_table_check, "validate identity-table files", ("--tol", "paths")),
+                "--file"),
+               (_algebra, _expansion, _numerics, _reduction)),
+    "eval": (cmd_eval, "numeric evaluation", ("--tol", "index", "--json"), (_algebra, _numerics)),
+    "table-check": (cmd_table_check, "validate identity-table files", ("--tol", "paths"),
+                    (_numerics, _reduction)),
 }
 
 
@@ -375,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eulersum", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (handler, text, arguments) in _COMMANDS.items():
+    for name, (handler, text, arguments, loaders) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, loaders=loaders)
         for argument in arguments:
             sp.add_argument(argument, **_ARGUMENTS[argument])
     return p
@@ -389,8 +442,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code else EXIT_OK
     try:
-        if "tol" in vars(args) and not TOL_MIN <= args.tol <= TOL_MAX:
-            raise UsageError(f"--tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}]")
+        _bind(*args.loaders)
+        if "tol" in vars(args) and not numerics.SUM_TOL_FLOOR <= args.tol <= TOL_MAX:
+            raise UsageError(f"--tol must lie in [{numerics.SUM_TOL_FLOOR:g}, {TOL_MAX:g}]")
         code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return code

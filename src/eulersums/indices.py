@@ -37,6 +37,14 @@ class ConvergenceError(ValueError):
     """The index denotes a divergent series."""
 
 
+class Refusal(Exception):
+    """An input an engine declines (exit 4).  ``args`` are a ``%`` template and
+    its values, so no number is written until the message is read."""
+
+    def __str__(self):
+        return self.args[0] % self.args[1:]
+
+
 class _Record:
     """A record of the fields that its class names in ``__slots__``, which
     cannot be assigned or deleted: equal only to a record of the same class

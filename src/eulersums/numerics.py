@@ -179,7 +179,7 @@ def _holder_apply(b: int, inner: list[int] | None, n_terms: int) -> list[int]:
         powers = itertools.accumulate(itertools.repeat(2 * b, n_terms), operator.mul)  # (2b)^n
         return [0] + [-_FP_SCALE // (n * p) for n, p in enumerate(powers, 1)]
     if b == 0:
-        return [0] + [inner[n] // n for n in range(1, n_terms + 1)]
+        return [0, *map(operator.floordiv, itertools.islice(inner, 1, None), range(1, n_terms + 1))]
     out, e, d = [0] * (n_terms + 1), 0, 2 * b
     for n in range(1, n_terms + 1):
         out[n] = -e // n

@@ -1034,13 +1034,37 @@ def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
     src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import eulersums; print(*sorted(set(sys.modules) - before)); "
         "import eulersums.cli; eulersums.cli.build_parser(); "
         "print(*sorted(set(sys.modules) - before))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
-    loaded = set(done.stdout.split())
+    bare, loaded = (set(line.split()) for line in done.stdout.splitlines())
     assert "eulersums.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing"}, sorted(loaded)
+    # the package alone loads no module of its own, and the parser needs no engine
+    assert ({m for m in bare if m.startswith("eulersums")},
+            {m for m in loaded if m.startswith("eulersums")}) == (
+        {"eulersums"}, {"eulersums", "eulersums.cli", "eulersums.indices"})
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["expand", "S(1,-2,3)"], ["eulersums.numerics", "eulersums.reduction"]),
+    (["expand", "--output", "json", "S(1,-2,3)"], ["eulersums.numerics", "eulersums.reduction"]),
+    (["eval", "S(2,3)"], ["eulersums.expansion", "eulersums.reduction"]),
+], ids=["expand", "expand-json", "eval"])
+def test_command_runs_without_the_engines_it_does_not_use(argv, blocked):
+    # a fresh interpreter in which importing the blocked modules fails prints
+    # what one without the block prints, and exits alike
+    src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); sys.modules.update(dict.fromkeys(sys.argv[1:], None)); "
+        f"from eulersums.cli import main; sys.exit(main({argv!r}))"
+    )
+    blocked_run, free_run = [subprocess.run([sys.executable, "-c", code, *names], capture_output=True,
+                                            text=True, timeout=60) for names in (blocked, [])]
+    assert (blocked_run.returncode, blocked_run.stdout) == (free_run.returncode, free_run.stdout), blocked_run.stderr
+    assert free_run.returncode == 0 and free_run.stdout
 
 
 def _record_cases():

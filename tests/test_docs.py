@@ -1,6 +1,7 @@
 """The documented examples produce the outputs they show."""
 
 import doctest
+import importlib
 import pathlib
 import re
 import types
@@ -27,7 +28,7 @@ def test_package_quick_start():
 
 def test_public_names():
     # every name the package exports, so that none is dropped unnoticed
-    names = sorted(n for n, v in vars(eulersums).items() if not n.startswith("_") and not isinstance(v, types.ModuleType))
+    names = sorted(eulersums.__all__)
     assert names == [
         "ConvergenceError", "DegreeCapError", "EulerSumIndex", "IdentityTable",
         "IndexParseError", "LinComb", "MzvAtom", "NumericResult", "ReduceResult",
@@ -37,6 +38,14 @@ def test_public_names():
         "load_identity_table", "log_integral", "make_index", "parse_atom", "parse_index",
         "reduce_lincomb", "render_index", "save_table", "symmetric_sum", "z", "zeta_ones",
     ]
+    # each resolves, on first access, to the object of the module that defines it,
+    # such as eulersums.reduce_lincomb to eulersums.reduction.reduce_lincomb
+    for name in names:
+        value = getattr(eulersums, name)
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    assert {m for m in dir(eulersums) if isinstance(getattr(eulersums, m), types.ModuleType)} == {
+        p.stem for p in pathlib.Path(eulersums.__file__).parent.glob("*.py") if p.stem != "__init__"
+    }
 
 
 def _readme_exit_codes() -> dict[int, str]:
