@@ -35,7 +35,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import os
 import sys
 
@@ -52,11 +51,14 @@ TOL_MAX = 1e-3  # --tol lies in [numerics.SUM_TOL_FLOOR, TOL_MAX]
 
 
 # The engines' names that the commands read as globals of this module.  Each
-# loader imports one engine's; its local variables are the names it lends.
+# loader imports one engine's, ``_algebra`` also the ``json`` that JSON output
+# and ``eval --json`` use; its local variables are the names it lends.
 # ``main`` binds the loaders of the command it runs before running it, and
 # ``__getattr__`` the loader of a name read from outside first, as a tracer
 # does before it wraps one, so start-up compiles no engine.
 def _algebra():
+    import json
+
     from .algebra import LinComb, json_pieces
 
     return locals()

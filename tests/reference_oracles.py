@@ -4,18 +4,27 @@ Each is a second route to a value that the package computes its own way:
 zeta(s) through a partial sum and an Euler-Maclaurin tail, beside the
 Hoelder words of ``numerics``; pi through Machin's arctangents, for
 zeta(2) = pi^2 / 6; the exact harmonic numbers that the series walk
-carries in fixed point; the atoms truncated at a finite N, exactly, at
-which every expansion must still hold; the kernel's one-word quasi-shuffle
+carries in fixed point; the sums and the atoms truncated at a finite N,
+exactly, at which every expansion must still hold, the atoms twice (as
+nested sums and by enumeration); the kernel's one-word quasi-shuffle
 as it was first written, on tuples, and the product it gives; engine t1 as
 it built its terms from that product's tuple words, in no order; the
 default rewrite rules and reflection predicates as they read an atom
 through its properties; and the text of atoms and combinations built from
-their fields, without ``render``.  ``convergent_indices`` lists the
-indices that sweeps run over, and ``_to_units`` turns an exact value and
+their fields, without ``render``.  ``_to_units`` turns an exact value and
 error into the fixed-point units of ``numerics``.
+
+The last section holds the suite's enumerators and the inputs that several
+test files share, each defined once: the shipped starter table's path;
+``convergent_indices``, the one enumerator of indices, of which every index
+sweep is a filter, and ``paper_range``, the range of the paper's Maple
+programs; the signed slot tuples of one weight, from the compositions; the
+weak orderings of labelled entries; and a brute-force count of ordered
+multiset partitions.
 """
 
 import functools
+import importlib.resources
 import itertools
 import json
 import math
@@ -60,6 +69,33 @@ def _mhs_prefix(args, nmax: int) -> list[Fraction]:
             cur[j] = cur[j - 1] + Fraction((-1) ** j if alt else 1, j**s) * prev[j - 1]
         prev = cur
     return prev
+
+
+def brute_mhs(args, n):
+    """zeta_n(args) by enumerating the strictly decreasing tuples directly."""
+    k = len(args)
+    tot = Fraction(0)
+    for tup in itertools.combinations(range(n, 0, -1), k):
+        term = Fraction(1)
+        for s, m in zip(args, tup):
+            term *= Fraction((-1) ** m if s < 0 else 1, m ** abs(s))
+        tot += term
+    return tot
+
+
+def euler_sum_prefix(idx, nmax: int) -> list[Fraction]:
+    """All exact truncations S_N(idx) for N = 0..nmax, from the sum's
+    definition: the harmonic factor of an entry e sums 1/k^e, or
+    (-1)^(k-1)/k^|e| when e is barred, and a barred outer term is
+    (-1)^(n-1)/n^|q|."""
+    harmonic = [Fraction(0)] * idx.degree
+    out = [Fraction(0)]
+    for n in range(1, nmax + 1):
+        for i, e in enumerate(idx.inner):
+            harmonic[i] += Fraction((-1) ** (n - 1) if e < 0 else 1, n ** abs(e))
+        term = Fraction((-1) ** (n - 1) if idx.outer < 0 else 1, n ** abs(idx.outer))
+        out.append(out[-1] + term * math.prod(harmonic))
+    return out
 
 
 def _zeta_terms(s: int) -> int:
@@ -325,7 +361,9 @@ def reference_json_terms(lc: LinComb) -> str:
     )
 
 
-# -- index sweeps ------------------------------------------------------------------
+# -- enumerators and shared inputs -------------------------------------------------
+
+STARTER_TABLE = str(importlib.resources.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
 
 
 def _partitions(n, largest=None):
@@ -347,3 +385,58 @@ def convergent_indices(max_weight):
                 for signs in itertools.product((1, -1), repeat=len(mags)):
                     out[make_index([m * s for m, s in zip(mags, signs)], outer)] = None
     return list(out)
+
+
+def paper_range():
+    """The range of the paper's Maple programs, in the order of
+    ``convergent_indices``: the 284 non-alternating indices of weight <= 11
+    and the 184 alternating ones of weight <= 6, 468 in all."""
+    return [idx for idx in convergent_indices(11) if idx.weight <= 6 or not idx.is_alternating]
+
+
+def compositions(m):
+    """The compositions of m >= 1, one for each way to cut m in a row."""
+    for cuts in itertools.product((False, True), repeat=m - 1):
+        parts, width = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(width)
+                width = 1
+            else:
+                width += 1
+        yield tuple(parts + [width])
+
+
+def signed_slots(weight):
+    """Every signed slot tuple of this weight that does not start with an
+    unsigned 1: each composition with each choice of signs, in turn."""
+    out = []
+    for slots in compositions(weight):
+        for signs in itertools.product((1, -1), repeat=len(slots)):
+            args = tuple(s * a for s, a in zip(signs, slots))
+            if args[0] != 1:
+                out.append(args)
+    return out
+
+
+def weak_orderings(m):
+    """The maps of m >= 1 labelled entries onto an initial segment of blocks,
+    one for each weak ordering of the entries."""
+    return [f for f in itertools.product(range(m), repeat=m) if set(f) == set(range(max(f) + 1))]
+
+
+def _ordered_partitions_bruteforce(entries):
+    """Distinct sequences of nonempty sub-multisets, from labelled ones."""
+    seen = set()
+
+    def rec(remaining, prefix):
+        if not remaining:
+            seen.add(tuple(prefix))
+            return
+        for size in range(1, len(remaining) + 1):
+            for block in itertools.combinations(remaining, size):
+                rest = [i for i in remaining if i not in block]
+                rec(rest, prefix + [tuple(sorted(entries[i] for i in block))])
+
+    rec(list(range(len(entries))), [])
+    return len(seen)

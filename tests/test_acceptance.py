@@ -42,7 +42,7 @@ from fixtures_closed_forms import (
     lc,
     weight6_closed_forms,
 )
-from reference_oracles import _mhs_prefix, zeta_value
+from reference_oracles import _mhs_prefix, convergent_indices, euler_sum_prefix, paper_range, zeta_value
 
 
 def _agree(a, b, tol):
@@ -120,21 +120,6 @@ def test_criterion_1_exact_expansion_fixtures():
 # -- criterion 2: exact finite-N expansion -------------------------------------
 
 
-def _sum_prefix(idx, nmax):
-    """All exact truncations S_N(idx) for N = 0..nmax, from the sum's
-    definition: the harmonic factor of an entry e sums 1/k^e, or
-    (-1)^(k-1)/k^|e| when e is barred, and a barred outer term is
-    (-1)^(n-1)/n^|q|."""
-    harmonic = [Fraction(0)] * idx.degree
-    out = [Fraction(0)]
-    for n in range(1, nmax + 1):
-        for i, e in enumerate(idx.inner):
-            harmonic[i] += Fraction((-1) ** (n - 1) if e < 0 else 1, n ** abs(e))
-        term = Fraction((-1) ** (n - 1) if idx.outer < 0 else 1, n ** abs(idx.outer))
-        out.append(out[-1] + term * math.prod(harmonic))
-    return out
-
-
 def test_criterion_2_finite_n_quasi_shuffle():
     # The product of harmonic numbers is the quasi-shuffle at every n, so the
     # t1 expansion holds between truncated sums at every N: the outer slot,
@@ -154,7 +139,7 @@ def test_criterion_2_finite_n_quasi_shuffle():
                 pref = prefixes[atom.args] = _mhs_prefix(atom.args, nmax)
             for n in range(nmax + 1):
                 combo[n] += coeff * pref[n]
-        assert combo == _sum_prefix(idx, nmax), idx
+        assert combo == euler_sum_prefix(idx, nmax), idx
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(f"\ncriterion 2 PASS: 200 random indices, t1 at every N <= {nmax}, exact, {elapsed:.1f}s")
@@ -163,29 +148,11 @@ def test_criterion_2_finite_n_quasi_shuffle():
 # -- criterion 3: engine agreement ----------------------------------------------
 
 
-def _partitions_min2(total):
-    """Multisets of integers >= 2 summing to ``total`` (ascending tuples)."""
-    def rec(remaining, lo):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(lo, remaining + 1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    return rec(total, 2)
-
-
 def test_criterion_3_engine_agreement():
     t0 = time.monotonic()
-    cases = []
-    for weight in range(4, 10):
-        for inner_sum in range(2, weight - 1):
-            for inner in _partitions_min2(inner_sum):
-                if not inner:
-                    continue
-                q = weight - inner_sum
-                if q >= 2:
-                    cases.append(make_index(list(inner), q))
+    # every index of weight 4 to 9 with an inner entry and every entry >= 2
+    cases = [idx for idx in convergent_indices(9)
+             if idx.weight >= 4 and idx.degree >= 1 and min(idx.inner + (idx.outer,)) >= 2]
     assert 30 <= len(cases) <= 45
     worst = 0.0
     for idx in cases:
@@ -377,67 +344,30 @@ def test_criterion_5_rule_soundness():
 # -- criterion 6: scale ------------------------------------------------------------
 
 
-def _partitions(total):
-    def rec(remaining, lo):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(lo, remaining + 1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-    return rec(total, 1)
-
-
-def _signed_multisets(partition):
-    """All distinct assignments of alternation to a partition's parts."""
-    values = sorted(set(partition))
-    counts = {v: partition.count(v) for v in values}
-    choices = [range(counts[v] + 1) for v in values]
-    for bars in itertools.product(*choices):
-        signed = []
-        for v, k in zip(values, bars):
-            signed += [v] * (counts[v] - k) + [-v] * k
-        yield signed
-
-
 def test_criterion_6_scale():
+    # the paper's range: every non-alternating sum of weight <= 11 with an
+    # inner entry, and every alternating sum of weight <= 6, the depth-0 and
+    # the outer -1 ones included
+    indices = paper_range()
     expected_counts = {3: 1, 4: 3, 5: 6, 6: 11, 7: 18, 8: 29, 9: 44, 10: 66, 11: 96}
     timings = {}
     for weight, expected in expected_counts.items():
         t0 = time.monotonic()
-        count = 0
-        for p in range(1, weight - 1):
-            q = weight - p
-            if q < 2:
-                continue
-            for part in _partitions(p):
-                idx = make_index(list(part), q)
-                out = expand_t1(idx)
-                assert out.weights() == {weight}
-                count += 1
+        batch = [idx for idx in indices if idx.weight == weight and idx.degree and not idx.is_alternating]
+        for idx in batch:
+            assert expand_t1(idx).weights() == {weight}
         timings[weight] = time.monotonic() - t0
-        assert count == expected, (weight, count)
+        assert len(batch) == expected, (weight, len(batch))
     assert timings[11] < 60.0
 
-    # every alternating sum of weight <= 6
-    alt_count = 0
     t0 = time.monotonic()
-    for weight in range(2, 7):
-        for p in range(0, weight - 1):
-            for part in _partitions(p) if p else [()]:
-                for inner in _signed_multisets(part):
-                    qmag = weight - p
-                    for outer in ([qmag] if qmag >= 2 else []) + [-qmag]:
-                        idx = make_index(inner, outer)
-                        if not idx.is_alternating:
-                            continue
-                        out = expand_t1(idx)
-                        assert out.weights() == {weight}
-                        alt_count += 1
+    alternating = [idx for idx in indices if idx.is_alternating]
+    for idx in alternating:
+        assert expand_t1(idx).weights() == {idx.weight}
     alt_elapsed = time.monotonic() - t0
-    assert alt_count > 100
+    assert len(alternating) == 184 and sum(idx.outer == -1 for idx in alternating) == 74
     print(
-        f"\ncriterion 6 PASS: all 274 non-alternating sums of weight <= 11 expanded "
-        f"(weight-11 batch {timings[11]:.1f}s); {alt_count} alternating sums of "
-        f"weight <= 6 expanded in {alt_elapsed:.1f}s"
+        f"\ncriterion 6 PASS: all 274 non-alternating sums of weight <= 11 with an inner entry expanded "
+        f"(weight-11 batch {timings[11]:.1f}s); all {len(alternating)} alternating sums of "
+        f"weight <= 6, 74 of them with outer -1, expanded in {alt_elapsed:.1f}s"
     )

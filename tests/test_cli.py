@@ -12,17 +12,13 @@ import pytest
 import eulersums
 from eulersums.cli import main
 
+from reference_oracles import STARTER_TABLE, convergent_indices
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def _starter_table() -> str:
-    import importlib.resources as res
-
-    return str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
 
 
 def _non_utf8(tmp_path):
@@ -168,7 +164,7 @@ def test_reduce_latex_builds_no_unresolved_list(capsys, monkeypatch):
     # latex prints neither the stderr line nor the "unresolved" key, so the
     # atoms of the result are never collected; its text is as before.  The
     # table is parsed, which collects the atoms of each entry, before counting.
-    argv = ["reduce", "--engine", "t1", "--table", _starter_table(), "S(1,2,3,5,-8,3)"]
+    argv = ["reduce", "--engine", "t1", "--table", STARTER_TABLE, "S(1,2,3,5,-8,3)"]
     eulersums.load_identity_table(argv[4])
     calls = []
     atoms = eulersums.LinComb.atoms
@@ -202,7 +198,7 @@ def test_reduce_output_contract(capsys, tmp_path, engine, table, text):
     argv = ["--engine", engine]
     tables = []
     if table:
-        path = _starter_table() if table == "starter" else str(tmp_path / "li.jsonl")
+        path = STARTER_TABLE if table == "starter" else str(tmp_path / "li.jsonl")
         if table == "li":
             pathlib.Path(path).write_text(_LI_TABLE)
         argv += ["--table", path]
@@ -263,10 +259,7 @@ def test_reduce_json_formats_each_atom_once(capsys, monkeypatch):
 
 
 def test_reduce_with_bundled_table(capsys):
-    import importlib.resources as res
-
-    path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
-    code, out, _ = run(capsys, "reduce", "--table", path, "--output", "json", "S(2,3)")
+    code, out, _ = run(capsys, "reduce", "--table", STARTER_TABLE, "--output", "json", "S(2,3)")
     doc = json.loads(out)
     assert code == 0 and doc["unresolved"] == []
 
@@ -396,7 +389,7 @@ def test_verify_sees_an_error_below_one_ulp_of_the_value(capsys, monkeypatch, la
         return (out[0] + LinComb.of_atom(z(2), Fraction(3, 10**9)), *out[1:])
 
     monkeypatch.setattr(cli, layer, off)
-    argv = ["verify", "--tol", "1e-10", "--table", _starter_table(), "S(1,1,1,1,1,1,1,1,1,1,1,2)"]
+    argv = ["verify", "--tol", "1e-10", "--table", STARTER_TABLE, "S(1,1,1,1,1,1,1,1,1,1,1,2)"]
     code, out, _ = run(capsys, *argv)
     assert code == 1 and out.endswith("FAIL\n"), out
     lines = out.splitlines()
@@ -702,31 +695,22 @@ def test_reduce_beyond_log_integral_cap(capsys):
 
 
 def test_verify_table_beyond_log_integral_cap(capsys):
-    import importlib.resources as res
-
-    path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
-    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--table", path, "S(1,1,30)")
+    code, out, _ = run(capsys, "verify", "--tol", "1e-6", "--table", STARTER_TABLE, "S(1,1,30)")
     assert code == 0 and "reduction = " in out and out.rstrip().endswith("PASS")
 
 
 def test_shipped_table_passes_table_check(capsys):
     # every shipped entry agrees with the numerical oracle at the default tol
-    import importlib.resources as res
-
-    path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
-    code, out, err = run(capsys, "table-check", path)
+    code, out, err = run(capsys, "table-check", STARTER_TABLE)
     assert code == 0 and err == ""
-    assert out == f"{path}: 171 accepted, 0 rejected, max weight 12\n"
+    assert out == f"{STARTER_TABLE}: 171 accepted, 0 rejected, max weight 12\n"
 
 
 def test_outputs_same_cold_warm_and_after_clear_caches(capsys):
-    import importlib.resources as res
-
     from eulersums import clear_caches
 
-    path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
     requests = [
-        [command, *extra, "--table", path, index]
+        [command, *extra, "--table", STARTER_TABLE, index]
         for command, extra in (("reduce", ["--engine", "t1"]), ("verify", ["--tol", "1e-6"]))
         for index in ("S(1,1,-3)", "S(2,2,3)", "S(1,-2,3)")
     ]
@@ -752,7 +736,7 @@ def test_clear_caches_empties_every_cache(capsys):
 
     from eulersums import clear_caches
 
-    assert run(capsys, "verify", "--tol", "1e-6", "--table", _starter_table(), "S(1,-2,3)")[0] == 0
+    assert run(capsys, "verify", "--tol", "1e-6", "--table", STARTER_TABLE, "S(1,-2,3)")[0] == 0
     assert run(capsys, "eval", "S(1,-1,-1)")[0] == 0
     modules = [eulersums] + [
         importlib.import_module(f"eulersums.{info.name}") for info in pkgutil.iter_modules(eulersums.__path__)
@@ -781,7 +765,7 @@ def test_non_utf8_table_exit2(capsys, tmp_path, command):
 
 
 def test_table_check_non_utf8_reported_others_checked(capsys, tmp_path):
-    path, starter = _non_utf8(tmp_path), _starter_table()
+    path, starter = _non_utf8(tmp_path), STARTER_TABLE
     code, out, err = run(capsys, "table-check", path, starter)
     assert code == 0
     assert err.startswith(f"{path}: ") and "codec" in err
@@ -805,9 +789,9 @@ REMOVED_OPTIONS = {
     [(command, option) for command, options in REMOVED_OPTIONS.items() for option in options],
 )
 def test_option_not_taken_exit2(capsys, command, option):
-    values = {"--tol": ["1e-6"], "--table": [_starter_table()], "--output": ["json"],
+    values = {"--tol": ["1e-6"], "--table": [STARTER_TABLE], "--output": ["json"],
               "--engine": ["t1"]}
-    operand = _starter_table() if command == "table-check" else "S(2,3)"
+    operand = STARTER_TABLE if command == "table-check" else "S(2,3)"
     code, out, err = run(capsys, command, option, *values.get(option, []), operand)
     assert code == 2 and out == ""
     assert f"eulersum: error: unrecognized arguments: {option}" in err
@@ -1030,7 +1014,8 @@ def test_cli_imports_no_third_party_module():
 
 def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
     # under -S no site hook preloads a module, so the names that importing
-    # the CLI and building its parser add are all that start-up needs
+    # the CLI and building its parser add are all that start-up needs; json
+    # waits for a command that reads or writes JSON
     src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
@@ -1041,7 +1026,7 @@ def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     bare, loaded = (set(line.split()) for line in done.stdout.splitlines())
     assert "eulersums.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "typing"}, sorted(loaded)
+    assert not loaded & {"dataclasses", "inspect", "json", "typing"}, sorted(loaded)
     # the package alone loads no module of its own, and the parser needs no engine
     assert ({m for m in bare if m.startswith("eulersums")},
             {m for m in loaded if m.startswith("eulersums")}) == (
@@ -1170,8 +1155,6 @@ def test_t1_order_failure_writes_nothing(capsys, monkeypatch):
 def test_streamed_json_is_the_whole_document(capsys):
     # --engine t1 streams from t1_words; each document parses, counts its terms, and
     # is the text json.dumps writes for the whole document
-    from reference_oracles import convergent_indices
-
     from eulersums.expansion import expand_t1
 
     indices = convergent_indices(7)

@@ -8,7 +8,6 @@ reader that closes stdout early is a subprocess's.
 """
 
 import contextlib
-import importlib.resources
 import io
 import itertools
 import os
@@ -22,14 +21,14 @@ from hypothesis import example, given, settings, strategies as st
 from eulersums import cli
 from eulersums.indices import ConvergenceError, IndexParseError, parse_index
 
-STARTER = str(importlib.resources.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
+from reference_oracles import STARTER_TABLE
 
 # The options each command takes, as the argv fragments drawn for it.
 OPTIONS = {
     "expand": [("--engine", "t1"), ("--engine", "t2"), ("--output", "json"), ("--output", "latex")],
     "reduce": [("--engine", "t1"), ("--engine", "t2"), ("--output", "json"), ("--output", "latex"),
-               ("--trace",), ("--table", STARTER)],
-    "verify": [("--engine", "t1"), ("--engine", "t2"), ("--table", STARTER)],
+               ("--trace",), ("--table", STARTER_TABLE)],
+    "verify": [("--engine", "t1"), ("--engine", "t2"), ("--table", STARTER_TABLE)],
     "eval": [],
 }
 

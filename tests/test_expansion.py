@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import random
@@ -34,8 +33,11 @@ from reference_oracles import (
     _mhs_prefix,
     _reference_expand_t1,
     alt_harmonic_exact,
+    compositions,
     convergent_indices,
     harmonic_exact,
+    paper_range,
+    weak_orderings,
 )
 
 
@@ -182,11 +184,8 @@ def _t1_reference(idx) -> LinComb:
     sign = (-1) ** (sum(e < 0 for e in inner) + outer_bar)
     if not inner:
         return LinComb.of_atom(z(idx.outer), sign)
-    m = len(inner)
     acc = Counter()
-    for f in itertools.product(range(m), repeat=m):
-        if set(f) != set(range(max(f) + 1)):
-            continue
+    for f in weak_orderings(len(inner)):
         word = []
         for block in range(max(f) + 1):
             entries = [e for e, b in zip(inner, f) if b == block]
@@ -503,15 +502,6 @@ def test_json_terms_frees_its_pieces():
     assert grown_kib < 23 * 1024, f"peak grew by {grown_kib / 1024:.1f} MiB"
 
 
-def _weak_orderings(m):
-    """Brute force: maps of m labelled entries onto an initial segment."""
-    return sum(
-        1
-        for f in itertools.product(range(m), repeat=m)
-        if set(f) == set(range(max(f) + 1))
-    )
-
-
 def _fubini(m):
     """Ordered Bell number, by recursion over the size of the first block."""
     fub = [1]
@@ -525,7 +515,7 @@ def test_ordered_bell_mass():
     # summation variables is one path of the kernel, counted once
     for m in range(1, 6):
         product = expansion.quasi_shuffle((e,) for e in range(1, m + 1))
-        assert sum(product.values()) == _weak_orderings(m)
+        assert sum(product.values()) == len(weak_orderings(m))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -546,7 +536,7 @@ def test_term_count_distinct_exponents():
     idx = make_index([1, 2, 4], 2)
     out = expand_t1(idx)
     total = sum(abs(c) for _, c in out.items())
-    assert total == 2 * _weak_orderings(3) == 2 * 13
+    assert total == 2 * len(weak_orderings(3)) == 2 * 13
 
 
 # -- the harmonic-number product at finite n ----------------------------------
@@ -647,7 +637,7 @@ def test_t2_linearizes_to_t1_over_the_maple_range():
     # the paper's Maple programs reach weight 11 on non-alternating sums: on
     # every index of weight <= 11 that t2 covers (no barred entry, every entry
     # >= 2, the depth-0 sums included) its products multiplied out are t1's
-    indices = [idx for idx in convergent_indices(11) if min(idx.inner + (idx.outer,)) >= 2]
+    indices = [idx for idx in paper_range() if min(idx.inner + (idx.outer,)) >= 2]
     assert len(indices) == 97 and sum(idx.degree == 0 for idx in indices) == 10
     for idx in indices:
         assert linearize(expand_t2(idx)) == expand_t1(idx), idx
@@ -679,18 +669,6 @@ def test_t2_refuses_exactly_off_its_hypotheses():
 # -- repeated exponents ---------------------------------------------------------
 
 
-def _compositions(m):
-    for cuts in itertools.product((False, True), repeat=m - 1):
-        parts, width = [], 1
-        for cut in cuts:
-            if cut:
-                parts.append(width)
-                width = 1
-            else:
-                width += 1
-        yield tuple(parts + [width])
-
-
 def _multinomial(m, parts):
     return math.factorial(m) // math.prod(math.factorial(p) for p in parts)
 
@@ -703,7 +681,7 @@ def _repeated_t1_formula(r, m, outer):
         return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
     sign = (-1) ** ((m if r_bar else 0) + outer_bar)
     acc = Counter()
-    for comp in _compositions(m):
+    for comp in compositions(m):
         tail = tuple(-abs(r) * w if r_bar and w % 2 else abs(r) * w for w in comp)
         merged = q + abs(r) * comp[0]
         if (r_bar and comp[0] % 2 == 1) ^ outer_bar:
@@ -718,7 +696,7 @@ def _repeated_t2_formula(r, m, q):
     for l in range(m + 1):
         prefix = SymbolicTerm.of(*([z(r)] * (m - l)))
         outer_coeff = (-1) ** l * math.comb(m, l)
-        comps = list(_compositions(l)) if l else [()]
+        comps = list(compositions(l)) if l else [()]
         for comp in comps:
             atom = MzvAtom(args=tuple(r * w for w in comp) + (q,))
             coeff = outer_coeff * _multinomial(l, comp)

@@ -1,7 +1,6 @@
 import decimal
 import functools
 import hashlib
-import itertools
 import math
 import random
 import time
@@ -39,8 +38,12 @@ from reference_oracles import (
     _mhs_prefix,
     _to_units,
     alt_harmonic_exact,
+    brute_mhs,
+    convergent_indices,
+    euler_sum_prefix,
     harmonic_exact,
     pi_reference,
+    signed_slots,
     zeta_value,
 )
 
@@ -54,18 +57,6 @@ def _holder_value(args, n_terms=HOLDER_N):
     """``_fp_holders`` of z(args) as two rationals: its value and error bound."""
     value, err = next(_fp_holders([(holder_word(args), len(args))], n_terms))
     return Fraction(value, _FP_SCALE), Fraction(err, _FP_SCALE)
-
-
-def brute_mhs(args, n):
-    """Independent oracle: enumerate strictly decreasing tuples directly."""
-    k = len(args)
-    tot = Fraction(0)
-    for tup in itertools.combinations(range(n, 0, -1), k):
-        term = Fraction(1)
-        for s, m in zip(args, tup):
-            term *= Fraction((-1) ** m if s < 0 else 1, m ** abs(s))
-        tot += term
-    return tot
 
 
 # -- exact layer ----------------------------------------------------------------
@@ -298,26 +289,8 @@ def test_holder_error_is_the_inline_bound():
             assert _holder_error(w, n_terms) == math.ceil(err * _FP_SCALE), (w, n_terms)
 
 
-def _convergent_args(weight):
-    """Every signed slot tuple of this weight that does not start with an unsigned 1."""
-    out = []
-    for cuts in itertools.product((False, True), repeat=weight - 1):
-        slots, run = [], 1
-        for cut in cuts:
-            if cut:
-                slots.append(run)
-                run = 0
-            run += 1
-        slots.append(run)
-        for signs in itertools.product((1, -1), repeat=len(slots)):
-            args = tuple(s * a for s, a in zip(signs, slots))
-            if args[0] != 1:
-                out.append(args)
-    return out
-
-
-_CHAIN_ARGS = [args for w in range(1, 6) for args in _convergent_args(w)] + [
-    args for w in (7, 8) for args in random.Random(w).sample(_convergent_args(w), 12)
+_CHAIN_ARGS = [args for w in range(1, 6) for args in signed_slots(w)] + [
+    args for w in (7, 8) for args in random.Random(w).sample(signed_slots(w), 12)
 ]
 
 
@@ -326,7 +299,7 @@ def test_holder_chains_match_two_loops(n_terms):
     # one batch of every convergent atom of weight <= 5 and a sample at
     # weights 7 and 8 shares its chains, yet does the same integer operations
     # as the reference: every value and bound equals it exactly
-    assert len(_convergent_args(5)) == 108 and len(_convergent_args(8)) == 2916
+    assert len(signed_slots(5)) == 108 and len(signed_slots(8)) == 2916
     words = [(holder_word(args), len(args)) for args in _CHAIN_ARGS]
     assert list(_fp_holders(words, n_terms)) == [_to_units(*_fp_holder_two_loops(args, n_terms)) for args in _CHAIN_ARGS]
 
@@ -344,7 +317,7 @@ def test_one_batch_applies_each_trie_node_once(monkeypatch):
     # weight 5 form one trie; from an empty store, the batch applies one
     # letter per distinct nonempty prefix, so the atoms share every chain
     # they have in common
-    words = [holder_word(args) for args in _convergent_args(5)]
+    words = [holder_word(args) for args in signed_slots(5)]
     chains = {tuple(1 - b for b in w) for w in words} | {tuple(reversed(w)) for w in words}
     nodes = {chain[:j] for chain in chains for j in range(1, len(chain) + 1)}
     numerics._CHAINS.cache_clear()
@@ -415,7 +388,7 @@ def test_store_stays_within_its_cap():
     _atom_units(z(-3000))
     assert _store_size() == numerics.HOLDER_STORE_NODES
     numerics._CHAINS.cache_clear()
-    sweep = [args for w in range(1, 9) for args in _convergent_args(w)]
+    sweep = [args for w in range(1, 9) for args in signed_slots(w)]
     numerics._lincomb_units(sum((LinComb.of_atom(z(*args)) for args in sweep), LinComb()))
     assert _store_size() == numerics.HOLDER_STORE_NODES
     for args in random.Random(8).sample(sweep, 20):
@@ -514,17 +487,6 @@ def test_series_refuses_past_its_degree_cap():
 # -- the integer walk ---------------------------------------------------------------
 
 
-def _exact_partial(idx, n):
-    """The partial sum after n terms and every harmonic factor at n, exactly."""
-    total = Fraction(0)
-    for m in range(1, n + 1):
-        term = Fraction((-1) ** (m - 1) if idx.outer < 0 else 1, m ** abs(idx.outer))
-        for e in idx.inner:
-            term *= harmonic_exact(e, m) if e > 0 else alt_harmonic_exact(-e, m)
-        total += term
-    return total
-
-
 def _walk(text, stops):
     state = _SumState(parse_index(text))
     for n in stops:
@@ -543,7 +505,7 @@ def test_walk_floor_charges_cover_exact_sums():
             for (e, _), carry in zip(state.factors, state.carries):
                 exact = (harmonic_exact(e, n) if e > 0 else alt_harmonic_exact(-e, n)) * _FP_SCALE
                 assert (0 <= exact - carry < n) if e > 0 else abs(exact - carry) < n, (text, e, n)
-            miss = abs(_exact_partial(idx, n) * _FP_SCALE - state.partial)
+            miss = abs(euler_sum_prefix(idx, n)[n] * _FP_SCALE - state.partial)
             assert miss <= state.walk_error(), (text, n)
             if n == 150 and state.degree <= 1:
                 assert miss > state.walk_error() - n, (text, n)
@@ -733,7 +695,7 @@ def test_sum_partials_match_exact():
     for text in ["S(1,2)", "S(1,1,-3)", "S(-1,2,3)", "S(2,-2)"]:
         idx = parse_index(text)
         st = _walk(text, [40])
-        exact = _exact_partial(idx, 40)
+        exact = euler_sum_prefix(idx, 40)[40]
         assert abs(Fraction(st.partial, _FP_SCALE) - exact) < 1e-14, text
 
 
@@ -1088,24 +1050,8 @@ def test_alt_sum_encloses_alternating_tails():
                 assert miss > float(rem) / 1000, (s, p)
 
 
-def _convergent_indices(max_weight):
-    def parts(n, largest):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, largest), 0, -1):
-            for rest in parts(n - p, p):
-                yield (p,) + rest
-
-    out = set()
-    for w in range(2, max_weight + 1):
-        for q in range(-w, w + 1):
-            if q in (0, 1):
-                continue
-            for mags in parts(w - abs(q), w):
-                for signs in itertools.product((1, -1), repeat=len(mags)):
-                    out.add(make_index([m * s for m, s in zip(mags, signs)], q))
-    return sorted(out, key=str)
+# every convergent index of weight 2 to 5, S(-1) left out, in the order of their text
+_TO_WEIGHT5 = sorted((idx for idx in convergent_indices(5) if idx.weight > 1), key=str)
 
 
 _REFERENCES = {}
@@ -1123,7 +1069,7 @@ def _worst_ratio(tol, n_cap=numerics.N_MAX):
     """Largest |series - Hoelder value of the expansion| / (sum of bounds)
     over every convergent index of weight <= 5."""
     ratios = []
-    for idx in _convergent_indices(5):
+    for idx in _TO_WEIGHT5:
         ref = _reference(idx)
         res = eval_euler_sum_best(idx, tol, n_cap=n_cap)
         ratios.append((abs(float(res.value - ref.value)) / (res.tail_bound + ref.tail_bound), str(idx)))
@@ -1131,7 +1077,7 @@ def _worst_ratio(tol, n_cap=numerics.N_MAX):
 
 
 def test_series_within_bound_weight5():
-    assert len(_convergent_indices(5)) == 97
+    assert len(_TO_WEIGHT5) == 97
     ratio, text = _worst_ratio(1e-10)
     assert ratio <= 1.0, text
 
@@ -1140,7 +1086,7 @@ def test_series_encloses_the_expansion_exactly_weight7():
     # every convergent index of weight <= 7: the series at 1e-10 and the
     # Hoelder value of its expansion agree within their two bounds, compared
     # as exact rationals with no tolerance on top
-    indices = _convergent_indices(7)
+    indices = sorted((idx for idx in convergent_indices(7) if idx.weight > 1), key=str)
     assert len(indices) == 422
     for idx in indices:
         assert numerics.agree(eval_euler_sum_best(idx, 1e-10), _reference(idx), 0)[0], idx
@@ -1152,7 +1098,7 @@ def test_printed_bounds_are_rounded_up_and_values_agree(capsys):
     # commands print the same digits of the series
     from eulersums import cli
 
-    for idx in _convergent_indices(5):
+    for idx in _TO_WEIGHT5:
         series, expansion = eval_euler_sum_best(idx, 1e-10), _reference(idx)
         assert cli.main(["eval", "--tol", "1e-10", str(idx)]) == 0
         eval_value, eval_bound, _ = capsys.readouterr().out.split()
@@ -1170,7 +1116,7 @@ def test_mutated_bound_is_exceeded(monkeypatch, mutation):
     # the remainders are needed: without that of A, or without all of them,
     # some index of weight <= 5 ends up farther from its reference value
     # than its reported bound
-    for idx in _convergent_indices(5):
+    for idx in _TO_WEIGHT5:
         _reference(idx)
     if mutation == "alternating_remainder":
         em_sum = numerics._em_sum

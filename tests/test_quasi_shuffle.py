@@ -6,7 +6,6 @@ the product of the words' nested sums must equal the combination the kernel
 returns, with zero tolerance.
 """
 
-import itertools
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from eulersums.expansion import ordered_partition_count
 from eulersums.words import alphabet, merge, quasi_shuffle, stuffle
 
-from reference_oracles import _mhs_prefix, _reference_quasi_shuffle, _reference_stuffle
+from reference_oracles import _mhs_prefix, _ordered_partitions_bruteforce, _reference_quasi_shuffle, _reference_stuffle
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -50,23 +49,6 @@ def test_tiny_products_match_reference():
         assert got == _reference_quasi_shuffle(ws), ws
         assert all(type(w) is tuple for w in got), ws
     assert quasi_shuffle(iter([(), (4, -2)])) == {(4, -2): 1}
-
-
-def _ordered_partitions_bruteforce(entries):
-    """Distinct sequences of nonempty sub-multisets, from labelled ones."""
-    seen = set()
-
-    def rec(remaining, prefix):
-        if not remaining:
-            seen.add(tuple(prefix))
-            return
-        for size in range(1, len(remaining) + 1):
-            for block in itertools.combinations(remaining, size):
-                rest = [i for i in remaining if i not in block]
-                rec(rest, prefix + [tuple(sorted(entries[i] for i in block))])
-
-    rec(list(range(len(entries))), [])
-    return len(seen)
 
 
 @SETTINGS

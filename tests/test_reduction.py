@@ -38,11 +38,13 @@ from eulersums.reduction import (
 
 from fixtures_closed_forms import CLOSED_S11_1_ALL_BAR, CLOSED_S33_3_ALL_BAR, CLOSED_WEIGHT5, lc
 from reference_oracles import (
+    STARTER_TABLE,
     _reference_depth2_odd,
     _reference_pair_reflectable,
     _reference_triple_reflectable,
     convergent_indices,
     reference_rules,
+    signed_slots,
 )
 
 
@@ -200,16 +202,6 @@ def test_depth2_odd_matches_reference_kernel():
         assert depth2_odd(atom) is None and _reference_depth2_odd(atom) is None, atom
 
 
-def _signed_words(max_weight: int):
-    """Every slot tuple of weight <= ``max_weight``, signs included, that is
-    not led by an unsigned 1."""
-    words = [()]
-    for word in words:  # grows as it is walked, shortest words first
-        room = max_weight - sum(map(abs, word))
-        words += [word + (v,) for m in range(1, room + 1) for v in (m, -m)]
-    return [w for w in words[1:] if w[0] != 1]
-
-
 def _atom_rewrite(atom, rules):
     """``(rhs, rule name)`` for the first rule that rewrites ``atom``; None
     if none does: what a working sum notes for the atom as it enters."""
@@ -222,7 +214,7 @@ def test_rule_guards_match_reference():
     # atom.  Every atom a rule rewrites lies in the depths it declares, since
     # the engine offers it no other.
     cap = reduction.LOG_INTEGRAL_CAP
-    atoms = [MzvAtom(args=w) for w in _signed_words(8)]
+    atoms = [MzvAtom(args=args) for w in range(1, 9) for args in signed_slots(w)]
     assert len(atoms) == 4373 and z(-1) in atoms
     atoms += [li_half(q) for q in range(1, 9)]
     # z(k+1,{1}_l) at k + l = cap and one past it, for the k at both ends, whose
@@ -679,52 +671,26 @@ def test_starter_table_roundtrip(tmp_path):
     assert all(again.entries[k] == table.entries[k] for k in table.entries)
 
 
-def test_bundled_table_matches_generator():
-    import importlib.resources as res
-
-    bundled = load_identity_table(
-        str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
-    )
-    fresh = build_starter_table(12)
+def test_bundled_table_matches_generator(starter_table):
+    bundled, fresh = starter_table, build_starter_table(12)
     assert bundled.entries.keys() == fresh.entries.keys()
     assert all(bundled.entries[k] == fresh.entries[k] for k in fresh.entries)
 
 
 def test_bundled_table_regenerates_byte_for_byte(tmp_path):
     # entry order and JSON layout are part of the shipped file, not only its entries
-    import importlib.resources as res
-
     path = tmp_path / "starter.jsonl"
     save_table(build_starter_table(12), path)
-    shipped = res.files("eulersums").joinpath("tables/starter_weight12.jsonl").read_bytes()
-    assert path.read_bytes() == shipped
+    assert path.read_bytes() == Path(STARTER_TABLE).read_bytes()
 
 
 def test_reduce_full_catalog_terminates():
     # every non-alternating sum of weight <= 8 reduces to a weight-homogeneous
     # fixpoint without tripping the step cap
-    def partitions(total):
-        def rec(remaining, lo):
-            if remaining == 0:
-                yield ()
-                return
-            for first in range(lo, remaining + 1):
-                for rest in rec(remaining - first, first):
-                    yield (first,) + rest
-        return rec(total, 1)
-
-    count = 0
-    for w in range(3, 9):
-        for p in range(1, w - 1):
-            q = w - p
-            if q < 2:
-                continue
-            for part in partitions(p):
-                idx = make_index(list(part), q)
-                out = reduce_lincomb(expand_t1(idx))
-                assert out.value.weights() in ({w}, set())
-                count += 1
-    assert count == 68  # 1 + 3 + 6 + 11 + 18 + 29
+    indices = [idx for idx in convergent_indices(8) if idx.degree and not idx.is_alternating]
+    for idx in indices:
+        assert reduce_lincomb(expand_t1(idx)).value.weights() in ({idx.weight}, set()), idx
+    assert len(indices) == 68  # 1 + 3 + 6 + 11 + 18 + 29
 
 
 def test_reduce_pipeline_numerically_sound():
@@ -929,12 +895,12 @@ def starter12():
 ENGINE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 coefficients = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
-signed_slots = st.integers(-4, 4).filter(bool)
+slot_values = st.integers(-4, 4).filter(bool)
 
 
 @st.composite
 def signed_atoms(draw, depth):
-    args = draw(st.lists(signed_slots, min_size=depth, max_size=depth))
+    args = draw(st.lists(slot_values, min_size=depth, max_size=depth))
     if args[0] == 1:
         args[0] = 2  # an unsigned leading 1 diverges
     return MzvAtom(args=tuple(args))
@@ -1254,12 +1220,7 @@ PINNED_REDUCTIONS = [
 
 @pytest.mark.parametrize("text,use_table,steps,digest", PINNED_REDUCTIONS)
 def test_reduction_pinned_digest(text, use_table, steps, digest):
-    import importlib.resources as res
-
-    tables = []
-    if use_table:
-        path = str(res.files("eulersums").joinpath("tables/starter_weight12.jsonl"))
-        tables = [load_identity_table(path, label="starter")]
+    tables = [load_identity_table(STARTER_TABLE, label="starter")] if use_table else []
     r = reduce_lincomb(expand_t1(parse_index(text)), tables=tables)
     assert r.steps == steps
     got = hashlib.sha256(json.dumps([r.value.render(), r.steps, r.trace]).encode()).hexdigest()

@@ -13,8 +13,9 @@ it reports, and a first-in, first-out queue of atom steps in place of its
 heap changes no value.
 """
 
-import importlib.resources
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,7 +23,7 @@ from eulersums import reduction
 from eulersums.algebra import LinComb, z
 from eulersums.expansion import expand_t1, expand_t2
 from eulersums.indices import make_index, parse_index
-from eulersums.reduction import load_identity_table, reduce_lincomb
+from eulersums.reduction import reduce_lincomb
 
 from fixtures_closed_forms import lc
 from reference_oracles import convergent_indices
@@ -51,9 +52,38 @@ def test_odd_weight_linear_sums_reduce_to_depth_one():
     assert count == 600
 
 
-@pytest.fixture(scope="module")
-def starter12():
-    return load_identity_table(str(importlib.resources.files("eulersums").joinpath("tables/starter_weight12.jsonl")))
+def _zeta(s: int) -> LinComb:
+    """zeta(s) under the conventions of the theorem below: zeta(0) = -1/2,
+    and zeta(1) = 0, so that a term holding the divergent zeta(1) drops."""
+    if s == 0:
+        return LinComb.scalar(Fraction(-1, 2))
+    return LinComb.of_atom(z(s)) if s > 1 else LinComb()
+
+
+def _flajolet_salvy(p: int, q: int) -> LinComb:
+    """S(p,q) = sum over n of H_n^(p) / n^q, p + q odd (Flajolet and Salvy,
+    Theorem 3.1): (1 - (-1)^p)/2 z(p) z(q) + z(p+q)/2
+    + (-1)^p sum_{k=0}^{floor(p/2)} C(p+q-2k-1, q-1) z(2k) z(p+q-2k)
+    + (-1)^p sum_{k=0}^{floor(q/2)} C(p+q-2k-1, p-1) z(2k) z(p+q-2k)."""
+    w, sign = p + q, (-1) ** p
+    acc = (_zeta(p) * _zeta(q)).scale(Fraction(1 - sign, 2)) + _zeta(w).scale(Fraction(1, 2))
+    for top, below in ((p, q), (q, p)):
+        for k in range(top // 2 + 1):
+            acc += (_zeta(2 * k) * _zeta(w - 2 * k)).scale(sign * math.comb(w - 2 * k - 1, below - 1))
+    return acc
+
+
+def test_flajolet_salvy_odd_weight_linear_sums():
+    # every S(p,q) of odd weight 3-25: its expansion and the theorem's form
+    # reduce to the same value
+    count = 0
+    for w in range(3, 26, 2):
+        for p in range(1, w - 1):
+            idx = make_index([p], w - p)
+            closed = _flajolet_salvy(p, w - p)
+            assert reduce_lincomb(expand_t1(idx)).value == reduce_lincomb(closed).value, idx
+            count += 1
+    assert count == 144
 
 
 # ten degree-5 indices of the reduce benchmark, its first draws at seed 1
@@ -73,13 +103,13 @@ def corpus():
     return out
 
 
-def test_reduce_ignores_the_stored_term_order(corpus, starter12):
+def test_reduce_ignores_the_stored_term_order(corpus, starter_table):
     rng = random.Random(52)
     for comb in corpus:
         items = list(comb.items())
         rng.shuffle(items)
         shuffled = LinComb(dict(items))
-        for tables in ([], [starter12]):
+        for tables in ([], [starter_table]):
             a, b = reduce_lincomb(comb, tables=tables), reduce_lincomb(shuffled, tables=tables)
             assert (a.value, a.steps, a.trace) == (b.value, b.steps, b.trace), comb
 
@@ -101,8 +131,8 @@ class _FifoQueue:
         return heap.pop(0)
 
 
-def test_reduce_value_does_not_depend_on_the_step_order(corpus, starter12, monkeypatch):
-    for tables in ([], [starter12]):
+def test_reduce_value_does_not_depend_on_the_step_order(corpus, starter_table, monkeypatch):
+    for tables in ([], [starter_table]):
         expected = [reduce_lincomb(comb, tables=tables).value for comb in corpus]
         monkeypatch.setattr(reduction, "heapq", _FifoQueue)
         got = [reduce_lincomb(comb, tables=tables).value for comb in corpus]
