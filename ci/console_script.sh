@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# The console-script checks: the "eulersum" command on PATH, run from the
-# root of the repository.  Digests pin outputs byte for byte; RUNNER_TEMP,
-# set on CI, is a fresh temporary directory when run elsewhere, removed when
-# the script exits.
+# The console-script checks: the "eulersum" command on PATH and the demos,
+# run from the root of the repository.  Digests pin outputs byte for byte;
+# RUNNER_TEMP, set on CI, is a fresh temporary directory when run elsewhere,
+# removed when the script exits.
 set -eo pipefail
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP="$(mktemp -d)"
@@ -230,3 +230,10 @@ printf '\xef\xbb\xbf%s\n' '{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coef
 out="$(eulersum reduce --table "$RUNNER_TEMP/bom.jsonl" "S(1,2)")"
 echo "$out"
 test "$out" = "S(1,2) = 6*z(3)"
+# each of the five demos runs and its stdout stays the same byte for byte
+test "$(ls demos/*.py | wc -l)" = 5
+PYTHONPATH=src python demos/01_expansions.py | pin cc079d288a8d3f0aa56846b2a89c0a857a360713b470fb405d0600d8f05b1611
+PYTHONPATH=src python demos/02_finite_sums_oracle.py | pin a7ca841bdcfa0e325fadb152ce29cc3fea2a8fd0505a85146d069a24de591f31
+PYTHONPATH=src python demos/03_identity_reduction.py | pin 4df994bfcc7a6b0f7412c633bb513049a87f2cae26581cbc6891dafb92c9365d
+PYTHONPATH=src python demos/04_numeric_verification.py | pin 632e1535f642ffb634cd56e2fd7b1d93275287ae518ceac9afe30c54949b7268
+PYTHONPATH=src python demos/05_weight6_catalog.py | pin 3c746e5a5c0a6745d0216185ec59f19d4aed1c861565a7ec1308afb97c9763c4

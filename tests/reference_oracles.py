@@ -7,20 +7,20 @@ zeta(2) = pi^2 / 6; the exact harmonic numbers that the series walk
 carries in fixed point; the sums and the atoms truncated at a finite N,
 exactly, at which every expansion must still hold, the atoms twice (as
 nested sums and by enumeration); the kernel's one-word quasi-shuffle
-as it was first written, on tuples, and the product it gives; engine t1 as
-it built its terms from that product's tuple words, in no order; the
-default rewrite rules and reflection predicates as they read an atom
-through its properties; and the text of atoms and combinations built from
-their fields, without ``render``.  ``_to_units`` turns an exact value and
+as it was first written, on tuples, and the product it gives; engine t1
+from the paper's construction, a sum over the ordered set partitions of
+the inner entries; Flajolet and Salvy's closed form of the linear sums of
+odd weight; the default rewrite rules and reflection predicates as they
+read an atom through its properties; and the text of atoms and
+combinations built from their fields, without ``render``.  ``_to_units`` turns an exact value and
 error into the fixed-point units of ``numerics``.
 
 The last section holds the suite's enumerators and the inputs that several
 test files share, each defined once: the shipped starter table's path;
 ``convergent_indices``, the one enumerator of indices, of which every index
 sweep is a filter, and ``paper_range``, the range of the paper's Maple
-programs; the signed slot tuples of one weight, from the compositions; the
-weak orderings of labelled entries; and a brute-force count of ordered
-multiset partitions.
+programs; the signed slot tuples of one weight, from the compositions; and
+a brute-force count of ordered multiset partitions.
 """
 
 import functools
@@ -29,11 +29,11 @@ import itertools
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from eulersums import reduction
 from eulersums.algebra import LinComb, MzvAtom, z
-from eulersums.expansion import _check_size
 from eulersums.indices import EulerSumIndex, make_index
 from eulersums.numerics import _FP_BITS, _FP_SCALE, NumericResult, _fp_result
 from eulersums.reduction import alt_depth1, symmetric_sum, zeta_ones
@@ -180,52 +180,64 @@ def _reference_quasi_shuffle(words) -> dict[tuple[int, ...], int]:
     return product
 
 
-def _reference_expand_t1(idx: EulerSumIndex) -> LinComb:
-    """``expansion.expand_t1`` as it was written on tuple words, with the
-    words of ``_reference_quasi_shuffle`` taken off the product by
-    ``popitem``, so that its terms are in no order."""
-    q = abs(idx.outer)
-    outer_bar = idx.outer < 0
-    if idx.degree == 0:
-        # Pure outer series: sum of 1/n^q, or of (-1)^(n-1)/n^q.  The
-        # alternating atom convention carries sigma^n, hence the -1.
-        return LinComb.of_atom(z(q)) if not outer_bar else LinComb.of_atom(z(-q), -1)
-    _check_size(idx.inner)
-    n_bar = sum(1 for e in idx.inner if e < 0)
-    sign = (-1) ** (n_bar + outer_bar)
+def t1_reference(idx: EulerSumIndex) -> LinComb:
+    """The t1 expansion from the paper's construction.  The summation
+    variables of the harmonic factors, one per labelled inner entry, fall
+    into an ordered set partition: a permutation of the entries cut by a
+    composition.  Its blocks, in order, form a word whose letters are their
+    signed sums, the magnitudes added and barred iff an odd number of the
+    block's entries is.  Each word gives z(lead, word), the outer slot kept
+    apart, and z(lead (+) first letter, rest of word), the outer slot merged
+    with the first block, barred iff exactly one of the two is.  Every term
+    carries the sign (-1)^(barred entries + barred outer): a barred harmonic
+    factor sums (-1)^(k-1) where its slot carries sigma^k.  The partitions
+    are enumerated by their first block, any nonempty subset of the entries
+    left, memoized on the entries left."""
+    inner, q, outer_bar = idx.inner, abs(idx.outer), idx.outer < 0
     lead = -q if outer_bar else q
-    w, depth = idx.weight, idx.degree + 1
-    coeffs: dict[int, Fraction] = {}
-    terms: dict[MzvAtom, Fraction] = {}
-    product = _reference_quasi_shuffle((e,) for e in idx.inner)
-    n_words = len(product)
-    # Each word gives two atoms, and no two words give the same atom: atom 1
-    # leads with q, atom 2 with q + |first| > q, and within each family the
-    # atom determines its word.  So every coefficient is one multiplicity,
-    # and the words are taken off the product as their atoms are made.
-    while product:
-        word, c = product.popitem()
-        coeff = coeffs.get(c)
-        if coeff is None:
-            coeff = coeffs[c] = Fraction(sign * c)
-        # Atom 1: the outer exponent keeps its own leading slot.  Atom 2: it
-        # merges with the first letter, alternating iff exactly one of the
-        # two does.
-        first = word[0]
-        merged = q + abs(first)
-        if (first < 0) ^ outer_bar:
-            merged = -merged
-        for args in ((lead,) + word, (merged,) + word[1:]):
-            # The kernel's words meet the atom's slot conditions by
-            # construction, so the atom is built without its checks and the
-            # asserts keep them.
-            atom = MzvAtom._of_word(args, w)
-            assert sum(map(abs, args)) == w, f"weight leak: {atom} in expansion of {idx}"
-            assert len(args) <= depth, f"depth leak: {atom} in expansion of {idx}"
-            assert args[0] != 1 and 0 not in args, f"inadmissible atom: {atom} in expansion of {idx}"
-            terms[atom] = coeff
-    assert len(terms) == 2 * n_words, f"two words gave one atom in expansion of {idx}"
-    return LinComb._of_nonzero(terms)
+    sign = (-1) ** (sum(e < 0 for e in inner) + outer_bar)
+
+    @functools.cache
+    def words(left: frozenset) -> Counter:
+        """The words of the ordered set partitions of ``left``, counted."""
+        if not left:
+            return Counter({(): 1})
+        out: Counter = Counter()
+        for size in range(1, len(left) + 1):
+            for block in itertools.combinations(sorted(left), size):
+                mag = sum(abs(inner[i]) for i in block)
+                x = -mag if sum(inner[i] < 0 for i in block) % 2 else mag
+                for word, c in words(left.difference(block)).items():
+                    out[(x,) + word] += c
+        return out
+
+    acc: Counter = Counter()
+    for word, c in words(frozenset(range(len(inner)))).items():
+        acc[z(lead, *word)] += sign * c
+        if word:
+            merged = q + abs(word[0])
+            acc[z(-merged if (word[0] < 0) ^ outer_bar else merged, *word[1:])] += sign * c
+    return LinComb(acc)
+
+
+def _zeta(s: int) -> LinComb:
+    """zeta(s) under the conventions of Flajolet and Salvy's theorem below:
+    zeta(0) = -1/2, and zeta(1) = 0 (``_zeta_signed``), so that a term
+    holding the divergent zeta(1) drops."""
+    return LinComb.scalar(Fraction(-1, 2)) if s == 0 else _zeta_signed(s, 1)
+
+
+def flajolet_salvy(p: int, q: int) -> LinComb:
+    """S(p,q) = sum over n of H_n^(p) / n^q, p + q odd (Flajolet and Salvy,
+    Theorem 3.1): (1 - (-1)^p)/2 z(p) z(q) + z(p+q)/2
+    + (-1)^p sum_{k=0}^{floor(p/2)} C(p+q-2k-1, q-1) z(2k) z(p+q-2k)
+    + (-1)^p sum_{k=0}^{floor(q/2)} C(p+q-2k-1, p-1) z(2k) z(p+q-2k)."""
+    w, sign = p + q, (-1) ** p
+    acc = (_zeta(p) * _zeta(q)).scale(Fraction(1 - sign, 2)) + _zeta(w).scale(Fraction(1, 2))
+    for top, below in ((p, q), (q, p)):
+        for k in range(top // 2 + 1):
+            acc += (_zeta(2 * k) * _zeta(w - 2 * k)).scale(sign * math.comb(w - 2 * k - 1, below - 1))
+    return acc
 
 
 # -- the default rules and reflection predicates, slots read through properties --
@@ -417,12 +429,6 @@ def signed_slots(weight):
             if args[0] != 1:
                 out.append(args)
     return out
-
-
-def weak_orderings(m):
-    """The maps of m >= 1 labelled entries onto an initial segment of blocks,
-    one for each weak ordering of the entries."""
-    return [f for f in itertools.product(range(m), repeat=m) if set(f) == set(range(max(f) + 1))]
 
 
 def _ordered_partitions_bruteforce(entries):

@@ -16,7 +16,6 @@ from eulersums.expansion import (
     PARTITION_CAP,
     DegreeCapError,
     UnsupportedHypothesisError,
-    _check_size,
     expand_t1,
     expand_t2,
     linearize,
@@ -31,13 +30,12 @@ from fixtures_closed_forms import lc
 from long_text import assert_same_text
 from reference_oracles import (
     _mhs_prefix,
-    _reference_expand_t1,
     alt_harmonic_exact,
     compositions,
     convergent_indices,
     harmonic_exact,
     paper_range,
-    weak_orderings,
+    t1_reference,
 )
 
 
@@ -176,27 +174,6 @@ def test_weight_conservation_and_depth():
             assert atom.depth <= idx.degree + 1
 
 
-def _t1_reference(idx) -> LinComb:
-    """Engine t1 built atom by atom through ``z`` and ``LinComb``: one path per
-    weak ordering of the labelled inner entries, whose blocks, in order, merge
-    into the letters of a word; each path adds the word's two atoms."""
-    inner, q, outer_bar = idx.inner, abs(idx.outer), idx.outer < 0
-    sign = (-1) ** (sum(e < 0 for e in inner) + outer_bar)
-    if not inner:
-        return LinComb.of_atom(z(idx.outer), sign)
-    acc = Counter()
-    for f in weak_orderings(len(inner)):
-        word = []
-        for block in range(max(f) + 1):
-            entries = [e for e, b in zip(inner, f) if b == block]
-            mag = sum(abs(e) for e in entries)
-            word.append(-mag if sum(e < 0 for e in entries) % 2 else mag)
-        merged = q + abs(word[0])
-        acc[z(-q if outer_bar else q, *word)] += sign
-        acc[z(-merged if (word[0] < 0) ^ outer_bar else merged, *word[1:])] += sign
-    return LinComb({SymbolicTerm.of(atom): c for atom, c in acc.items()})
-
-
 signed_entries = st.tuples(st.integers(1, 4), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
 
 
@@ -204,7 +181,7 @@ signed_entries = st.tuples(st.integers(1, 4), st.sampled_from([1, -1])).map(lamb
 @given(st.lists(signed_entries, max_size=5), st.sampled_from([2, 3, 5, -1, -2, -3]))
 def test_t1_matches_atom_by_atom_reference(inner, outer):
     idx = make_index(inner, outer)
-    assert expand_t1(idx) == _t1_reference(idx)
+    assert expand_t1(idx) == t1_reference(idx)
 
 
 # Few magnitudes, so that entries repeat, barred or not.
@@ -222,10 +199,10 @@ def test_t1_gives_two_atoms_per_word(inner, outer):
 
 
 def test_t1_builds_its_terms_in_term_order():
-    # against the loop that built the terms in the kernel's popitem order: the
-    # same combination, the same JSON bytes, and a dict already in items()
-    # order; the degree-6/7 indices have a barred outer and first letters of
-    # both signs, so the atom-1 block sits between reversed runs
+    # against the paper's construction: the same combination, the same JSON
+    # bytes, and a dict already in items() order; the degree-6/7 indices have
+    # a barred outer and first letters of both signs, so the atom-1 block sits
+    # between reversed runs
     indices = convergent_indices(7)
     assert len(indices) == 423  # 422 of weight 2-7, and S(-1)
     indices += [
@@ -233,7 +210,7 @@ def test_t1_builds_its_terms_in_term_order():
         for s in ("S(1,2,-3,4,-5,6,-2)", "S(2,2,-1,-1,-3,-3,-3)", "S(1,-2,3,-4,5,-6,7,-2)")
     ]
     for idx in indices:
-        lc, ref = expand_t1(idx), _reference_expand_t1(idx)
+        lc, ref = expand_t1(idx), t1_reference(idx)
         assert lc == ref, idx
         assert_same_text(lc.json_terms(), ref.json_terms(), repr(idx))
         assert list(lc._d) == [t for t, _ in lc.items()], idx
@@ -324,11 +301,11 @@ wide_entries = st.sampled_from([1, 2, 3, 70000, 1114112]).flatmap(lambda m: st.s
 @example([1114112, -70000, 3], -2)
 @example([70000, 70000, -1114112], 1114112)
 @example([], -1114112)
-def test_t1_over_its_alphabet_matches_the_tuple_reference(inner, outer):
-    # the atoms, their order and the streamed JSON text all equal t1 as it was
-    # written on tuple words
+def test_t1_over_its_alphabet_matches_the_reference(inner, outer):
+    # the atoms, their order and the streamed JSON text all equal those of the
+    # paper's construction
     idx = make_index(inner, outer)
-    lc, ref = expand_t1(idx), _reference_expand_t1(idx)
+    lc, ref = expand_t1(idx), t1_reference(idx)
     assert lc == ref
     assert list(lc._d) == [t for t, _ in ref.items()]
     assert "[" + ", ".join(t1_json_pieces(t1_words(idx))) + "]" == ref.json_terms()
@@ -347,7 +324,6 @@ def test_alphabet_fits_in_code_points_at_the_cap(entries, size):
     # 21 equal entries have 2^20 ordered partitions, the cap; 8 entries with
     # distinct sub-multiset sums have 545 835.  Each nonempty sub-multiset
     # gives at most one letter and is the first block of an ordered partition
-    _check_size(entries)
     letters, _ = alphabet([(e,) for e in entries])
     assert letters == sorted(set(letters)) and 0 not in letters
     assert len(letters) == size < ordered_partition_count(entries) <= PARTITION_CAP < 0x110000
@@ -515,7 +491,7 @@ def test_ordered_bell_mass():
     # summation variables is one path of the kernel, counted once
     for m in range(1, 6):
         product = expansion.quasi_shuffle((e,) for e in range(1, m + 1))
-        assert sum(product.values()) == len(weak_orderings(m))
+        assert sum(product.values()) == _fubini(m)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -536,7 +512,7 @@ def test_term_count_distinct_exponents():
     idx = make_index([1, 2, 4], 2)
     out = expand_t1(idx)
     total = sum(abs(c) for _, c in out.items())
-    assert total == 2 * len(weak_orderings(3)) == 2 * 13
+    assert total == 2 * _fubini(3) == 2 * 13
 
 
 # -- the harmonic-number product at finite n ----------------------------------
@@ -582,18 +558,30 @@ def test_harmonic_product_finite_n_random():
             assert _at(product, n) == direct, (inner, n)
 
 
-def test_harmonic_product_degree_cap():
+class _KernelReached(Exception):
+    """Raised in place of the kernel, by ``_kernel_reached``."""
+
+
+def _kernel_reached(words):
+    raise _KernelReached
+
+
+def test_harmonic_product_degree_cap(monkeypatch):
     # nine distinct entries: Fubini(9) ordered partitions, above the cap
     with pytest.raises(DegreeCapError, match="7087261"):
         expand_t1(make_index(range(1, 10), 2))
-    # from 22 entries on, their 2^(m-1) compositions alone are above the cap,
-    # which refuses without the exact count; 21 ones have exactly 2^20
+    # the cap is checked before the kernel runs: from 22 entries on, their
+    # 2^(m-1) compositions alone are above it, which refuses without the exact
+    # count; 21 ones have exactly 2^20 and reach the kernel
+    monkeypatch.setattr(expansion, "letter_product", _kernel_reached)
     for inner in ([1] * 22, range(1, 801)):
         with pytest.raises(DegreeCapError, match=r"have at least 2\^%d ordered" % (len(inner) - 1)):
-            expansion._check_size(inner)
-    assert expansion._check_size([1] * 21) is None
+            t1_words(make_index(inner, 2))
+    with pytest.raises(_KernelReached):
+        t1_words(make_index([1] * 21, 2))
     with pytest.raises(DegreeCapError, match="have %d ordered" % _fubini(21)):
-        expansion._check_size(range(1, 22))
+        t1_words(make_index(range(1, 22), 2))
+    monkeypatch.undo()
     # one value eleven times: 2**10 compositions, two atoms each
     out = expand_t1(make_index([1] * 11, 2))
     # the coefficients count the weak orderings of eleven labelled entries

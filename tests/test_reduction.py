@@ -43,6 +43,7 @@ from reference_oracles import (
     _reference_pair_reflectable,
     _reference_triple_reflectable,
     convergent_indices,
+    flajolet_salvy,
     reference_rules,
     signed_slots,
 )
@@ -366,30 +367,6 @@ def test_reduce_all_bar_cubics():
     assert got.value == CLOSED_S33_3_ALL_BAR
 
 
-def _odd_weight_linear_closed_form(p: int, q: int) -> LinComb:
-    # the odd-weight closed form of S_{p,q} over zeta products, with any
-    # unsigned zeta(1) read as zero
-    w = p + q
-    assert w % 2 == 1
-    acc = LinComb()
-    if p % 2 == 1:
-        acc = acc + lc((1, [z(p), z(q)])) if p > 1 else acc
-    coeff = Fraction(1, 2) * (1 - (-1) ** p * (math.comb(w - 1, q) + math.comb(w - 1, p)))
-    acc = acc + lc((coeff, [z(w)]))
-    for k in range(1, (w - 1) // 2 + 1):
-        c = (-1) ** p * (math.comb(w - 2 * k - 1, p - 1) + math.comb(w - 2 * k - 1, q - 1))
-        if w - 2 * k == 1:
-            continue
-        acc = acc + lc((c, [z(2 * k), z(w - 2 * k)]))
-    return acc
-
-
-def test_reduce_linear_odd_weight_matches_closed_form():
-    for p, q in [(8, 9), (2, 3), (1, 2), (6, 5), (3, 8)]:
-        got = reduce_lincomb(expand_t1(make_index([p], q))).value
-        assert got == _odd_weight_linear_closed_form(p, q), (p, q)
-
-
 def test_reduce_even_weight_leaves_basis_atom():
     got = reduce_lincomb(expand_t1(make_index([2], 6))).value
     assert got.coeff(SymbolicTerm.of(z(6, 2))) == 1  # irreducible here
@@ -526,7 +503,7 @@ def test_empty_table_is_valid():
     table = load_identity_table(io.StringIO(""))
     assert len(table) == 0
     out = reduce_lincomb(expand_t1(parse_index("S(8,9)")), tables=[table])
-    assert out.value == _odd_weight_linear_closed_form(8, 9)
+    assert out.value == flajolet_salvy(8, 9)
 
 
 def test_missing_table_path_raises(tmp_path):
