@@ -50,59 +50,27 @@ EXIT_TABLES = 5
 TOL_MAX = 1e-3  # --tol lies in [numerics.SUM_TOL_FLOOR, TOL_MAX]
 
 
-# The engines' names that the commands read as globals of this module.  Each
-# loader imports one engine's, ``_algebra`` also the ``json`` that JSON output
-# and ``eval --json`` use; its local variables are the names it lends.
-# ``main`` binds the loaders of the command it runs before running it, and
-# ``__getattr__`` the loader of a name read from outside first, as a tracer
-# does before it wraps one, so start-up compiles no engine.
-def _algebra():
-    import json
-
-    from .algebra import LinComb, json_pieces
-
-    return locals()
+# Every engine name is imported in the function that calls it, so start-up
+# compiles no engine.  The commands reach these four through this module's
+# globals, where a tracer can wrap them; each imports its engine when called.
+def expand_t1(idx):
+    from .expansion import expand_t1
+    return expand_t1(idx)
 
 
-def _expansion():
-    from .expansion import expand_t1, expand_t2, linearize, t1_json_pieces, t1_words
-
-    return locals()
-
-
-def _numerics():
-    from . import numerics
-    from .numerics import _digits15, _up3
-
-    return locals()
+def expand_t2(idx):
+    from .expansion import expand_t2
+    return expand_t2(idx)
 
 
-def _reduction():
-    from .reduction import load_identity_table, reduce_lincomb
-
-    return locals()
-
-
-_LOADER = {name: load for load in (_algebra, _expansion, _numerics, _reduction)
-           for name in load.__code__.co_varnames}
-_BOUND = set()  # the loaders whose names are bound
+def reduce_lincomb(lc, tables):
+    from .reduction import reduce_lincomb
+    return reduce_lincomb(lc, tables)
 
 
-def _bind(*loaders) -> None:
-    """Bind the names of ``loaders`` here; a name already bound, such as one
-    a tracer has wrapped, stays as it is."""
-    for load in loaders:
-        if load not in _BOUND:
-            for name, value in load().items():
-                globals().setdefault(name, value)
-            _BOUND.add(load)
-
-
-def __getattr__(name: str):
-    if name not in _LOADER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_LOADER[name])
-    return globals()[name]
+def load_identity_table(path, verify, tol):
+    from .reduction import load_identity_table
+    return load_identity_table(path, verify, tol)
 
 
 class UsageError(Exception):
@@ -183,6 +151,8 @@ def _expand_with_engine(idx: EulerSumIndex, engine: str, stream: bool = False):
     """Returns (terms, engine_label, note): terms a ``LinComb``, or with
     ``stream`` ``t1_words(idx)`` where t1 answers alone, its checks and
     refusals done.  Under auto, t2's refusal is decided before t1 runs."""
+    from .expansion import linearize, t1_words
+
     if engine == "t2":
         return expand_t2(idx), "t2", None
     if engine == "auto":
@@ -238,6 +208,11 @@ def _write_json(idx: EulerSumIndex, terms, engine: str, trace, extra, texts):
     terms array, the array in chunks as its terms are produced, then
     ``term_count``, counted on the way, and the keys after it.  No whole
     document, and for a stream no whole combination, is held."""
+    import json
+
+    from .algebra import LinComb, json_pieces
+    from .expansion import t1_json_pieces
+
     with _printing():
         head = json.dumps({"index": idx.to_json(), "weight": idx.weight, "degree": idx.degree})
         if isinstance(terms, LinComb):
@@ -296,6 +271,9 @@ def cmd_reduce(args) -> int:
 
 
 def _verify_one(text: str, args, tables) -> tuple[int, str]:
+    from . import numerics
+    from .numerics import _digits15, _up3
+
     tol = args.tol
     idx = parse_index(text)
     lc, engine, _ = _expand_with_engine(idx, args.engine)  # a refusal ends the line here
@@ -353,8 +331,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import numerics
+    from .numerics import _digits15, _up3
+
     _not_both(args, "--json", args.json_input)
     if args.json_input:
+        import json
+
+        from .algebra import LinComb
+
         try:
             if args.json_input == "-":
                 raw = sys.stdin.read()
@@ -405,23 +390,17 @@ _ARGUMENTS = {
     "paths": dict(nargs="+", metavar="PATH"),
 }
 
-# Each subcommand: its handler, its help, exactly the arguments it reads, and
-# the loaders of the engine names it runs; one that takes --tol loads
-# numerics, which holds the floor of its range.
+# Each subcommand: its handler, its help, and exactly the arguments it reads.
 _COMMANDS = {
-    "expand": (cmd_expand, "expansion into MZV atoms", ("--engine", "--output", "index"),
-               (_algebra, _expansion)),
+    "expand": (cmd_expand, "expansion into MZV atoms", ("--engine", "--output", "index")),
     "reduce": (cmd_reduce, "expansion plus identity reduction",
                ("--engine", "--table", "--output", "--tol", "--trace", "--verify-table",
-                "--require-tables", "index"),
-               (_algebra, _expansion, _numerics, _reduction)),
+                "--require-tables", "index")),
     "verify": (cmd_verify, "compare the series against the expansion",
                ("--engine", "--table", "--tol", "--verify-table", "--require-tables", "index",
-                "--file"),
-               (_algebra, _expansion, _numerics, _reduction)),
-    "eval": (cmd_eval, "numeric evaluation", ("--tol", "index", "--json"), (_algebra, _numerics)),
-    "table-check": (cmd_table_check, "validate identity-table files", ("--tol", "paths"),
-                    (_numerics, _reduction)),
+                "--file")),
+    "eval": (cmd_eval, "numeric evaluation", ("--tol", "index", "--json")),
+    "table-check": (cmd_table_check, "validate identity-table files", ("--tol", "paths")),
 }
 
 
@@ -430,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eulersum", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (handler, text, arguments, loaders) in _COMMANDS.items():
+    for name, (handler, text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
-        sp.set_defaults(handler=handler, loaders=loaders)
+        sp.set_defaults(handler=handler)
         for argument in arguments:
             sp.add_argument(argument, **_ARGUMENTS[argument])
     return p
@@ -444,9 +423,11 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_PARSE if e.code else EXIT_OK
     try:
-        _bind(*args.loaders)
-        if "tol" in vars(args) and not numerics.SUM_TOL_FLOOR <= args.tol <= TOL_MAX:
-            raise UsageError(f"--tol must lie in [{numerics.SUM_TOL_FLOOR:g}, {TOL_MAX:g}]")
+        if "tol" in vars(args):
+            from .numerics import SUM_TOL_FLOOR
+
+            if not SUM_TOL_FLOOR <= args.tol <= TOL_MAX:
+                raise UsageError(f"--tol must lie in [{SUM_TOL_FLOOR:g}, {TOL_MAX:g}]")
         code = args.handler(args)
         sys.stdout.flush()  # a reader that has gone shows here, not at exit
         return code

@@ -83,11 +83,11 @@ def test_expand_auto_checks_engines_exactly(capsys, monkeypatch):
 def test_engine_disagreement_exit1(capsys, monkeypatch, tmp_path):
     # a linearized t2 expansion that differs from t1 fails the check, exit 1;
     # in a verify batch only its line fails, and the lines t2 does not cover pass
-    from eulersums import cli
+    from eulersums import expansion
 
-    linearize = cli.linearize
+    linearize = expansion.linearize
     extra = eulersums.LinComb.of_atom(eulersums.z(5))
-    monkeypatch.setattr(cli, "linearize", lambda lc: linearize(lc) + extra)
+    monkeypatch.setattr(expansion, "linearize", lambda lc: linearize(lc) + extra)
     code, out, err = run(capsys, "expand", "S(2,3)")
     assert (code, out) == (1, "") and err.startswith("engine disagreement on S(2,3)")
     f = tmp_path / "batch.txt"
@@ -1015,12 +1015,14 @@ def test_cli_imports_no_third_party_module():
 def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
     # under -S no site hook preloads a module, so the names that importing
     # the CLI and building its parser add are all that start-up needs; json
-    # waits for a command that reads or writes JSON
+    # waits for a command that reads or writes JSON.  Reading the four names
+    # a tracer wraps loads no engine either
     src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
         "import eulersums; print(*sorted(set(sys.modules) - before)); "
-        "import eulersums.cli; eulersums.cli.build_parser(); "
+        "import eulersums.cli as cli; cli.build_parser(); "
+        "cli.expand_t1, cli.expand_t2, cli.reduce_lincomb, cli.load_identity_table; "
         "print(*sorted(set(sys.modules) - before))"
     )
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)

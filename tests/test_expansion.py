@@ -132,7 +132,7 @@ def test_alternating_outer_example():
 
 def test_repeated_proof_displays():
     # S_{r^2,r} and S_{r^3,r} before any reduction
-    for r in (2, 3):
+    for r in (2, 3, 4):
         got = expand_t1(make_index([r, r], r))
         expect = lc(
             (1, [z(r, 2 * r)]),
@@ -707,19 +707,6 @@ def test_repeated_t2_equals_general():
             idx = make_index([r] * m, q)
             assert expand_t2(idx) == _repeated_t2_formula(r, m, q), (r, m, q)
             assert linearize(expand_t2(idx)) == expand_t1(idx), (r, m, q)
-
-
-def test_repeated_t1_m2_display():
-    # S_{r^2,r} against the displayed four-term form
-    r = 4
-    got = expand_t1(make_index([r, r], r))
-    expect = lc(
-        (1, [z(r, 2 * r)]),
-        (1, [z(3 * r)]),
-        (2, [z(r, r, r)]),
-        (2, [z(2 * r, r)]),
-    )
-    assert got == expect
 
 
 def test_repeated_t2_small():

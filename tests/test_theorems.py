@@ -1,5 +1,6 @@
-"""The paper's corollaries on linear sums, checked exactly, and the order
-independence of ``reduce``.
+"""The paper's corollaries on linear sums, checked exactly, the order
+independence of ``reduce``, and relations that hold at every weight, checked
+on the numeric oracle.
 
 Each right-hand side is written from the theorem it states, never from the
 rules of ``reduction``: Euler's formula for S(1,q), and the theorem that
@@ -13,9 +14,17 @@ for Flajolet and Salvy's is ``reference_oracles.flajolet_salvy``.
 meets terms or takes steps: the stored order of its input changes nothing
 it reports, and a first-in, first-out queue of atom steps in place of its
 heap changes no value.
+
+A relation that holds at every weight gives a combination known to be 0
+where the suite knows few exact values, so ``eval_lincomb_best`` must bound
+each one's value by its ``tail_bound``.  These are written from their
+theorems, without ``reduction``: the distribution relation and the sum
+theorem.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,10 +32,11 @@ from eulersums import reduction
 from eulersums.algebra import LinComb, z
 from eulersums.expansion import expand_t1, expand_t2
 from eulersums.indices import make_index, parse_index
+from eulersums.numerics import eval_lincomb_best
 from eulersums.reduction import reduce_lincomb
 
 from fixtures_closed_forms import lc
-from reference_oracles import convergent_indices, flajolet_salvy
+from reference_oracles import compositions, convergent_indices, flajolet_salvy
 
 
 def test_euler_formula_for_s1q():
@@ -114,3 +124,47 @@ def test_reduce_value_does_not_depend_on_the_step_order(corpus, starter_table, m
         got = [reduce_lincomb(comb, tables=tables).value for comb in corpus]
         monkeypatch.undo()
         assert got == expected
+
+
+def _outside_bound(relations):
+    """The relations whose value ``eval_lincomb_best`` does not bound by its
+    ``tail_bound``, with that value and bound."""
+    out = []
+    for rel in relations:
+        res = eval_lincomb_best(rel)
+        if abs(res.value) > res.tail_bound:
+            out.append((rel, float(res.value), res.tail_bound))
+    return out
+
+
+def _distribution(s):
+    """The sum over every sign vector e of z(e s), less 2^(k-w) z(s), for
+    unsigned s of weight w and depth k with s_1 >= 2, so that every signed
+    word converges.  It is 0 (Bluemlein, Broadhurst and Vermaseren; Zhao,
+    2010): summed over e, the signs e_j^(n_j) give 2^k where every n_j is
+    even and 0 elsewhere, which leaves 2^k z(s) / 2^w."""
+    k, w = len(s), sum(s)
+    signed = [(1, [z(*(e * a for e, a in zip(signs, s)))]) for signs in itertools.product((1, -1), repeat=k)]
+    return lc(*signed, (-Fraction(2**k, 2**w), [z(*s)]))
+
+
+def _sum_theorem(w, k):
+    """The sum of z(s) over the unsigned s of weight w and depth k with
+    s_1 >= 2, less z(w): 0 (Granville, 1997; Zagier)."""
+    return lc(*((1, [z(*s)]) for s in compositions(w) if len(s) == k and s[0] >= 2), (-1, [z(w)]))
+
+
+@pytest.mark.parametrize("weights, depths, count", [(range(2, 9), range(1, 5), 98), ((17,), (2,), 15)],
+                         ids=["w2-8", "w17"])
+def test_distribution_relations_hold_within_their_bounds(weights, depths, count):
+    # w = 17 is the lowest weight in the reduce benchmark's pool
+    relations = [_distribution(s) for w in weights for s in compositions(w) if s[0] >= 2 and len(s) in depths]
+    assert len(relations) == count
+    assert _outside_bound(relations) == []
+
+
+def test_sum_theorem_holds_within_its_bounds():
+    # depth 1 is z(w) = z(w), an empty combination, so depths start at 2
+    relations = [_sum_theorem(w, k) for w in range(3, 11) for k in range(2, w)]
+    assert len(relations) == 36 and all(relations)
+    assert _outside_bound(relations) == []
