@@ -27,7 +27,7 @@ exits() {
 # start-up imports neither numpy nor dataclasses, inspect, json or typing
 python -c "import sys; before = set(sys.modules); import eulersums.cli; eulersums.cli.build_parser(); new = set(sys.modules) - before; assert not new & {'numpy', 'dataclasses', 'inspect', 'json', 'typing'}, sorted(new)"
 # the parser that start-up builds without the engines prints the same help text
-COLUMNS=80 eulersum --help | pin 9aaea8e5eab0b069b7482d1e25ad46d6a3840321d549440188c4c61fd7e10d05
+COLUMNS=80 eulersum --help | pin 42182c0bccc39c2da34c7df36ff6b3176947e3ccb66068e870c24ab7c45d24f4
 COLUMNS=80 eulersum verify --help | pin bcc2d01acffcbefc4e2482ee79b340cb2a4d81831287526a2c074021787b85b1
 eulersum table-check src/eulersums/tables/starter_weight12.jsonl
 eulersum verify --tol 1e-6 --table src/eulersums/tables/starter_weight12.jsonl "S(1,1,-3)"

@@ -22,11 +22,12 @@ not parse ("cannot parse index: "), or a usage error: no INDEX, INDEX with
 --file or --json, an option the command does not take, an unreadable or
 non-UTF-8 table or batch file, a batch with no index, a dump of the wrong
 shape; 3 "divergent index: "; 4 "engine precondition: " for the partition,
-step and Hoelder word caps and a depth2_odd or alt_depth1 rewrite of an atom
-whose weight - 1 is above the step cap, or "cannot print result: " for a
-result or refusal with an integer of more digits than the interpreter prints
-(4300 by default); 5 no usable table with --require-tables, given a --table
-or not, or in table-check.  Diagnostics go to stderr; results go to stdout.
+step and Hoelder word caps, eval's series cap and a depth2_odd or alt_depth1
+rewrite of an atom whose weight - 1 is above the step cap, or "cannot print
+result: " for a result or refusal with an integer of more digits than the
+interpreter prints (4300 by default); 5 no usable table with
+--require-tables, given a --table or not, or in table-check.  Diagnostics go
+to stderr; results go to stdout.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 import os
 import sys
 
-from .indices import ConvergenceError, EulerSumIndex, IndexParseError, Refusal, parse_index, render_index
+from .indices import SUM_TOL_FLOOR, TOL_MAX, ConvergenceError, EulerSumIndex, IndexParseError, Refusal, parse_index, render_index
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,8 +47,6 @@ EXIT_PARSE = 2
 EXIT_DIVERGENT = 3
 EXIT_ENGINE = 4
 EXIT_TABLES = 5
-
-TOL_MAX = 1e-3  # --tol lies in [numerics.SUM_TOL_FLOOR, TOL_MAX]
 
 
 # Every engine name is imported in the function that calls it, so start-up
@@ -424,8 +423,6 @@ def main(argv=None) -> int:
         return EXIT_PARSE if e.code else EXIT_OK
     try:
         if "tol" in vars(args):
-            from .numerics import SUM_TOL_FLOOR
-
             if not SUM_TOL_FLOOR <= args.tol <= TOL_MAX:
                 raise UsageError(f"--tol must lie in [{SUM_TOL_FLOOR:g}, {TOL_MAX:g}]")
         code = args.handler(args)

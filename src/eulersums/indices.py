@@ -24,6 +24,9 @@ import itertools
 import re
 import sys
 
+SUM_TOL_FLOOR = 1e-10  # --tol lies in [SUM_TOL_FLOOR, TOL_MAX]; the series walk meets no tolerance below the floor
+TOL_MAX = 1e-3
+
 
 class IndexParseError(ValueError):
     """Malformed index text; carries the offending position."""

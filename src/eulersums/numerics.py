@@ -71,13 +71,12 @@ import operator
 from fractions import Fraction
 
 from .algebra import LinComb, MzvAtom, Refusal, z
-from .indices import EulerSumIndex, _Record
+from .indices import SUM_TOL_FLOOR, EulerSumIndex, _Record
 from .words import holder_word
 
 K_EM = 4  # terms kept by each expansion of a tail: order 2K, and 2K + 2 for A
 BLOCK_EDGES = (100, 300, 1_000, 3_000, 10_000)
 N_MAX = BLOCK_EDGES[-1]
-SUM_TOL_FLOOR = 1e-10
 SERIES_DEGREE_CAP = 21  # inner entries of the deepest index the series walks; its tail grows with each
 
 

@@ -40,7 +40,6 @@ import bisect
 import functools
 import heapq
 import itertools
-import json
 import math
 import os
 import sys
@@ -301,6 +300,8 @@ def _parse_table(text: str, verify: bool, tol: float) -> tuple[dict, tuple]:
     {lhs: rhs} in line order, and (lineno, message) for each rejected line.
     Cached on the exact text, so an edited file is always parsed again;
     callers copy the dict and never change it."""
+    import json
+
     entries: dict[MzvAtom, LinComb] = {}
     rejected = []
     first_line: dict[MzvAtom, int] = {}

@@ -402,14 +402,24 @@ def test_verify_tol_range(capsys):
     assert code == 2 and "tol" in err
 
 
-def test_tol_range_starts_at_the_series_floor(capsys):
-    from eulersums import numerics
+def test_tol_range_starts_at_the_series_floor(capsys, tmp_path):
+    # every command that takes --tol accepts both ends of the range and
+    # refuses a tolerance just outside either, before it runs
+    from eulersums import cli, numerics
 
     floor = numerics.SUM_TOL_FLOOR
+    table = tmp_path / "one.jsonl"
+    table.write_text('{"lhs": "z(2,1)", "rhs": [{"factors": ["z(3)"], "coeff": "1"}], "weight": 3}\n')
+    for command, operand in [("reduce", "S(2,2)"), ("verify", "S(2,2)"), ("eval", "S(2,2)"),
+                             ("table-check", str(table))]:
+        for tol in (floor, cli.TOL_MAX):
+            code, out, _ = run(capsys, command, "--tol", repr(tol), operand)
+            assert code == 0 and out, (command, tol)
+        for tol in (floor * 0.99, cli.TOL_MAX * 1.01):
+            assert run(capsys, command, "--tol", repr(tol), operand) == (
+                2, "", "--tol must lie in [1e-10, 0.001]\n"), (command, tol)
     code, out, _ = run(capsys, "eval", "--tol", repr(floor), "S(2,2)")
     assert code == 0 and out.endswith("N=100\n")
-    code, _, err = run(capsys, "eval", "--tol", repr(floor * 0.99), "S(2,2)")
-    assert code == 2 and f"[{floor:g}," in err
 
 
 def test_eval_index(capsys):
@@ -1039,16 +1049,20 @@ def test_cli_startup_loads_no_dataclasses_inspect_or_typing():
     (["expand", "S(1,-2,3)"], ["eulersums.numerics", "eulersums.reduction"]),
     (["expand", "--output", "json", "S(1,-2,3)"], ["eulersums.numerics", "eulersums.reduction"]),
     (["eval", "S(2,3)"], ["eulersums.expansion", "eulersums.reduction"]),
-], ids=["expand", "expand-json", "eval"])
+    (["reduce", "S(1,-2,3)"], ["eulersums.numerics", "json"]),
+    (["reduce", "--output", "latex", "S(1,-2,3)"], ["eulersums.numerics", "json"]),
+    (["reduce", "--table", STARTER_TABLE, "S(1,-2,3)"], ["eulersums.numerics"]),
+], ids=["expand", "expand-json", "eval", "reduce", "reduce-latex", "reduce-table"])
 def test_command_runs_without_the_engines_it_does_not_use(argv, blocked):
-    # a fresh interpreter in which importing the blocked modules fails prints
-    # what one without the block prints, and exits alike
+    # a fresh interpreter, under -S so that no site hook loads a module first,
+    # in which importing the blocked modules fails prints what one without the
+    # block prints, and exits alike
     src = str(pathlib.Path(eulersums.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); sys.modules.update(dict.fromkeys(sys.argv[1:], None)); "
         f"from eulersums.cli import main; sys.exit(main({argv!r}))"
     )
-    blocked_run, free_run = [subprocess.run([sys.executable, "-c", code, *names], capture_output=True,
+    blocked_run, free_run = [subprocess.run([sys.executable, "-S", "-c", code, *names], capture_output=True,
                                             text=True, timeout=60) for names in (blocked, [])]
     assert (blocked_run.returncode, blocked_run.stdout) == (free_run.returncode, free_run.stdout), blocked_run.stderr
     assert free_run.returncode == 0 and free_run.stdout
